@@ -253,20 +253,17 @@ fn bench_executor() {
     let plan = planned.plan().clone();
     // Warm the cache.
     m.query("?- p('p_3', B).").unwrap();
-    let network = m.network();
-    // Raw CIM handle: this micro-bench drives Executor directly, bypassing
-    // the mediator (and thus the caches() facade) on purpose.
-    #[allow(deprecated)]
-    let cim = m.cim();
-    let dcsm = m.dcsm();
+    // This micro-bench drives the Executor directly, bypassing the
+    // mediator on purpose, over the one-shard server's state views.
+    let server = m.to_concurrent(1);
     bench(
         "cached_query_wall_time",
         || (),
         |_| {
             Executor::new(
-                network,
-                cim.as_ref(),
-                dcsm.as_ref(),
+                server.network(),
+                server.cim(),
+                server.dcsm(),
                 hermes_common::SimClock::new(),
                 ExecConfig::builder().record_stats(false).build(),
             )

@@ -20,7 +20,7 @@
 //! `shed + downgraded + full == issued`, where `full` is the admitted
 //! queries that served at the paper-exact tier end to end.
 
-use hermes_common::HermesError;
+use hermes_common::{percentile, HermesError};
 use hermes_core::{ConcurrentMediator, GateConfig, Mediator};
 use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes_domains::SlowDomain;
@@ -91,14 +91,6 @@ fn zipf_mix(seed: u64, count: usize) -> Vec<String> {
             format!("?- q{f}('{rel}_{key}', B).")
         })
         .collect()
-}
-
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
 struct Run {
@@ -202,9 +194,9 @@ fn run_workload(
         full,
         wall_s,
         qps: issued as f64 / wall_s,
-        served_p50_ms: percentile(&served_ms, 50.0),
-        served_p99_ms: percentile(&served_ms, 99.0),
-        shed_p99_ms: percentile(&shed_ms, 99.0),
+        served_p50_ms: percentile(&served_ms, 0.50),
+        served_p99_ms: percentile(&served_ms, 0.99),
+        shed_p99_ms: percentile(&shed_ms, 0.99),
     }
 }
 

@@ -20,6 +20,7 @@
 //!   the matcache must refuse it a ticket and record zero hits.
 
 use hermes_cim::{CimPolicy, RoutingDecision};
+use hermes_common::percentile;
 use hermes_core::{ConcurrentMediator, MatCacheStats, Mediator};
 use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes_net::{profiles, Network};
@@ -64,14 +65,6 @@ fn build_server(seed: u64, k: usize, share: bool) -> ConcurrentMediator {
     }
     p.apply().expect("serial policy applies");
     m.to_concurrent(THREADS)
-}
-
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted_ms.len() - 1) as f64).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
 struct Round {
@@ -130,8 +123,8 @@ fn run_workload(
         out.push(Round {
             round,
             source_calls: calls_now - calls_before,
-            p50_ms: percentile(&virt_ms, 50.0),
-            p99_ms: percentile(&virt_ms, 99.0),
+            p50_ms: percentile(&virt_ms, 0.50),
+            p99_ms: percentile(&virt_ms, 0.99),
         });
         calls_before = calls_now;
     }
@@ -251,7 +244,7 @@ fn main() {
     let warm = |run: &Run| {
         let mut ms: Vec<f64> = run.rounds[1..].iter().map(|r| r.p50_ms).collect();
         ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        percentile(&ms, 50.0)
+        percentile(&ms, 0.50)
     };
     assert!(
         warm(on) <= warm(off),

@@ -25,7 +25,7 @@
 //! every pass in both modes. `--test-mode` shrinks everything and turns
 //! the comparisons into assertions for CI.
 
-use hermes_common::{HermesError, QueryFrame, Rng64};
+use hermes_common::{percentile, HermesError, QueryFrame, Rng64};
 use hermes_core::{ConcurrentMediator, Mediator, NetServer, ServeConfig, ServeMode, WireClient};
 use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes_domains::SlowDomain;
@@ -116,14 +116,6 @@ fn warm(addr: &str) {
                 .expect("warm query runs");
         }
     }
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted_us.len() as f64) * p).ceil() as usize;
-    sorted_us[rank.clamp(1, sorted_us.len()) - 1]
 }
 
 // ------------------------------------------------------------ conn scale

@@ -30,7 +30,7 @@
 
 use hermes_common::frame::{value_from_bytes, value_to_bytes};
 use hermes_common::wire::{encode_value, value_from_str};
-use hermes_common::{QueryFrame, Record, Rng64, Value};
+use hermes_common::{percentile, QueryFrame, Record, Rng64, Value};
 use hermes_core::{
     ConcurrentMediator, GateConfig, Mediator, NetServer, ServeConfig, ServeMode, WireClient,
 };
@@ -200,14 +200,6 @@ struct Phase {
     p99_us: u64,
     max_us: u64,
     source_calls: u64,
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted_us.len() as f64) * p).ceil() as usize;
-    sorted_us[rank.clamp(1, sorted_us.len()) - 1]
 }
 
 /// Drives `mix` split across `conns` client threads against `addr` and

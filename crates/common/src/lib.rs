@@ -39,3 +39,31 @@ pub use frame::{DoneFrame, ErrorFrame, Frame, FrameDecoder, QueryFrame};
 pub use path::{AttrPath, PathStep};
 pub use rng::Rng64;
 pub use value::{Record, Value};
+
+/// Nearest-rank percentile of an ascending-sorted sample: the smallest
+/// element with at least fraction `p` (0.0–1.0) of the sample at or below
+/// it. An empty sample yields `T::default()`.
+pub fn percentile<T: Copy + Default>(sorted: &[T], p: f64) -> T {
+    if sorted.is_empty() {
+        return T::default();
+    }
+    let rank = ((sorted.len() as f64) * p).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::percentile;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        assert_eq!(percentile::<u64>(&[], 0.5), 0);
+        assert_eq!(percentile(&[7u64], 0.0), 7);
+        assert_eq!(percentile(&[7u64], 1.0), 7);
+        let sample = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(percentile(&sample, 0.0), 1.0);
+        assert_eq!(percentile(&sample, 0.5), 2.0);
+        assert_eq!(percentile(&sample, 0.51), 3.0);
+        assert_eq!(percentile(&sample, 1.0), 4.0);
+    }
+}

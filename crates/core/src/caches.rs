@@ -1,12 +1,9 @@
 //! One coherent cache-control surface: the [`CacheControl`] facade.
 //!
-//! Cache behavior used to be scattered across ad-hoc per-knob methods —
-//! `Mediator::cim()` + a lock for stats, invariants, and budgets,
-//! `Mediator::set_policy` for routing, `config_mut()` for executor knobs —
-//! and the subplan materialization cache ([`crate::matcache`]) would have
-//! added a fourth surface. [`Mediator::caches`](crate::Mediator::caches)
-//! and [`ConcurrentMediator::caches`](crate::ConcurrentMediator::caches)
-//! instead hand out one facade over both cache tiers:
+//! [`Mediator::caches`](crate::Mediator::caches) and
+//! [`ConcurrentMediator::caches`](crate::ConcurrentMediator::caches) hand
+//! out one facade over both cache tiers — the CIM's ground-call answer
+//! cache and the subplan materialization cache ([`crate::matcache`]):
 //!
 //! * [`CacheControl::stats`] — one snapshot of CIM manager counters,
 //!   answer-cache counters + footprint, and matcache counters.

@@ -11,8 +11,13 @@
 //! * [`exec`] — the executor: pipelined backtracking evaluation on the
 //!   virtual clock, with the §4.1 cache/invariant pipeline inline and the
 //!   statistics feedback loop into DCSM.
-//! * [`mediator`] — the facade tying program + network + CIM + DCSM
-//!   together: `query`, `query_interactive`, `explain`.
+//! * `pipeline` (crate-private) — the one query path: request overrides
+//!   → rewrite + cost + choose → tier selection → executor run with plan
+//!   failover → projection. Both mediators below are thin callers of it.
+//! * [`mediator`] — the serial facade tying program + network + CIM +
+//!   DCSM together: `query`, `query_interactive`, `explain`.
+//! * [`server`] — the [`ConcurrentMediator`]: the same pipeline over
+//!   sharded caches, behind a bounded admission gate, `query(&self)`.
 //!
 //! ```
 //! use hermes_core::Mediator;
@@ -42,6 +47,7 @@ pub mod exec;
 pub mod flight;
 pub mod matcache;
 pub mod mediator;
+mod pipeline;
 pub mod plan;
 pub mod rewrite;
 pub mod serve;

@@ -2,16 +2,14 @@
 
 use crate::breaker::BreakerBank;
 use crate::caches::CacheControl;
-use crate::cost::{choose_plan, estimate_plan, CostConfig};
+use crate::cost::{estimate_plan, CostConfig};
 use crate::cursor::InteractiveQuery;
-use crate::exec::{ExecConfig, ExecOutcome, ExecStats, Executor, SubgoalProvenance};
+use crate::exec::{ExecConfig, ExecStats, SubgoalProvenance};
 use crate::matcache::MatCache;
-use crate::plan::{Plan, PlanStep};
-use crate::rewrite::{
-    cache_servable_plans, enumerate_plans_with_pushdowns, PushdownRule, RewriteConfig,
-};
-use crate::tier::{select_tier, PlanTier, TierDecision, TierInputs, TierLoad, TierReason};
-use crate::trace::{TraceEntry, TraceEvent};
+use crate::pipeline::{Pipeline, PlanningCore};
+use crate::plan::Plan;
+use crate::rewrite::{PushdownRule, RewriteConfig};
+use crate::tier::PlanTier;
 use hermes_analysis::{AnalysisReport, Analyzer, Diagnostic, QueryForm};
 use hermes_cim::{Cim, CimPolicy, RoutingDecision};
 use hermes_common::sync::Mutex;
@@ -19,7 +17,6 @@ use hermes_common::{HermesError, Result, SimClock, SimDuration, Value};
 use hermes_dcsm::{CostVector, Dcsm};
 use hermes_lang::{parse_program, parse_query, validate_program, Program, Query};
 use hermes_net::Network;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Mediator-wide configuration.
@@ -221,18 +218,18 @@ impl From<&String> for QueryRequest {
     }
 }
 
+/// The shared query pipeline over the serial mediator's unsharded DCSM.
+type SerialPipeline<'a> = Pipeline<'a, Mutex<Dcsm>>;
+
 /// The HERMES mediator: a program, a network of domains, the two caches,
 /// and a persistent virtual clock.
 pub struct Mediator {
-    program: Program,
+    core: PlanningCore,
     network: Arc<Network>,
     cim: Arc<Mutex<Cim>>,
     dcsm: Arc<Mutex<Dcsm>>,
     breakers: Arc<Mutex<BreakerBank>>,
-    policy: CimPolicy,
-    config: MediatorConfig,
     clock: SimClock,
-    pushdowns: Vec<PushdownRule>,
     /// Warning-severity findings from the last `register_program` (or
     /// `analyze`) run; queryable via [`Mediator::analysis_warnings`].
     analysis_warnings: Vec<Diagnostic>,
@@ -250,15 +247,17 @@ impl Mediator {
     pub fn new(program: Program, network: Network) -> Result<Self> {
         validate_program(&program)?;
         Ok(Mediator {
-            program,
+            core: PlanningCore {
+                program,
+                policy: CimPolicy::cache_everything(),
+                config: MediatorConfig::default(),
+                pushdowns: Vec::new(),
+            },
             network: Arc::new(network),
             cim: Arc::new(Mutex::new(Cim::new())),
             dcsm: Arc::new(Mutex::new(Dcsm::new())),
             breakers: Arc::new(Mutex::new(BreakerBank::default())),
-            policy: CimPolicy::cache_everything(),
-            config: MediatorConfig::default(),
             clock: SimClock::new(),
-            pushdowns: Vec::new(),
             analysis_warnings: Vec::new(),
             matcache: Arc::new(MatCache::default()),
             cache_epoch: 0,
@@ -284,7 +283,7 @@ impl Mediator {
             });
         }
         self.analysis_warnings = report.warnings().into_iter().cloned().collect();
-        self.program = program;
+        self.core.program = program;
         self.cache_epoch += 1;
         Ok(())
     }
@@ -296,14 +295,14 @@ impl Mediator {
 
     /// Runs the analyzer over the *active* program without changing it.
     pub fn analyze(&self, query_forms: &[QueryForm]) -> AnalysisReport {
-        self.analyze_program(&self.program, query_forms)
+        self.analyze_program(&self.core.program, query_forms)
     }
 
     fn analyze_program(&self, program: &Program, query_forms: &[QueryForm]) -> AnalysisReport {
         let cim = self.cim.lock();
         let dcsm = self.dcsm.lock();
         let routes = |domain: &str, function: &str| {
-            self.policy.decide(domain, function) == RoutingDecision::UseCim
+            self.core.policy.decide(domain, function) == RoutingDecision::UseCim
         };
         Analyzer::new(program)
             .with_registry(self.network.registry())
@@ -325,9 +324,9 @@ impl Mediator {
         let cim = self.cim.lock();
         let dcsm = self.dcsm.lock();
         let routes = |domain: &str, function: &str| {
-            self.policy.decide(domain, function) == RoutingDecision::UseCim
+            self.core.policy.decide(domain, function) == RoutingDecision::UseCim
         };
-        Analyzer::new(&self.program)
+        Analyzer::new(&self.core.program)
             .with_registry(self.network.registry())
             .with_invariant_store(cim.invariants())
             .with_dcsm(&dcsm)
@@ -343,18 +342,6 @@ impl Mediator {
         &self.analysis_warnings
     }
 
-    /// Replaces the CIM routing policy.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `caches().policy().routing(..).apply()` — the unified \
-                cache-control facade keeps the subplan cache's safety \
-                verdicts in sync with routing changes"
-    )]
-    pub fn set_policy(&mut self, policy: CimPolicy) {
-        self.policy = policy;
-        self.cache_epoch += 1;
-    }
-
     /// The unified cache-control facade over both cache tiers (the CIM's
     /// ground-call answer cache and the subplan materialization cache):
     /// stats, per-source invalidation, clearing, invariants, and the
@@ -362,8 +349,8 @@ impl Mediator {
     pub fn caches(&mut self) -> CacheControl<'_> {
         CacheControl::serial(
             &self.cim,
-            &mut self.policy,
-            &mut self.config.exec,
+            &mut self.core.policy,
+            &mut self.core.config.exec,
             &mut self.cache_epoch,
             &self.matcache,
         )
@@ -372,28 +359,17 @@ impl Mediator {
     /// Registers a selection-pushdown rule (§5: "push selections to the
     /// source"). The rewriter will emit fused plan variants for it.
     pub fn add_pushdown(&mut self, rule: PushdownRule) {
-        self.pushdowns.push(rule);
+        self.core.pushdowns.push(rule);
     }
 
     /// Mutable access to the configuration.
     pub fn config_mut(&mut self) -> &mut MediatorConfig {
-        &mut self.config
+        &mut self.core.config
     }
 
     /// The configuration.
     pub fn config(&self) -> &MediatorConfig {
-        &self.config
-    }
-
-    /// The shared CIM (cache + invariants). Add invariants through this.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `caches()` for stats/invariants/invalidation/budgets; \
-                raw CIM access bypasses the facade and the subplan cache's \
-                per-source invalidation scope"
-    )]
-    pub fn cim(&self) -> Arc<Mutex<Cim>> {
-        self.cim.clone()
+        &self.core.config
     }
 
     /// The shared DCSM (statistics cache).
@@ -415,7 +391,7 @@ impl Mediator {
 
     /// The mediator program.
     pub fn program(&self) -> &Program {
-        &self.program
+        &self.core.program
     }
 
     /// Current virtual time (advances across queries, so the simulated
@@ -438,33 +414,21 @@ impl Mediator {
 
     /// Plans a pre-parsed query.
     pub fn plan_query(&self, query: &Query) -> Result<Planned> {
-        self.check_mixed_definitions(query)?;
-        let plans = enumerate_plans_with_pushdowns(
-            &self.program,
-            query,
-            &self.policy,
-            self.config.rewrite,
-            &self.pushdowns,
-        )?;
-        let dcsm = self.dcsm.lock();
-        let (chosen, estimates) = choose_plan(
-            &plans,
-            &*dcsm,
-            &self.config.cost,
-            self.config.optimize_first_answer,
-        );
-        Ok(Planned {
-            plans,
-            estimates,
-            chosen,
-        })
+        self.pipeline().plan(query, &self.core.config)
     }
 
-    /// Predicates defined by both facts and rules have ambiguous
-    /// access-path semantics — reject them with a clear message instead of
-    /// silently finding no plan.
-    fn check_mixed_definitions(&self, _query: &Query) -> Result<()> {
-        check_mixed_definitions(&self.program)
+    /// This mediator's state behind the shared query pipeline: the
+    /// unsharded caches, no single flight, the simulated clock.
+    fn pipeline(&self) -> SerialPipeline<'_> {
+        Pipeline {
+            core: &self.core,
+            network: &self.network,
+            cim: self.cim.as_ref(),
+            dcsm: self.dcsm.as_ref(),
+            breakers: &self.breakers,
+            matcache: &self.matcache,
+            flight: None,
+        }
     }
 
     /// Runs a query. Accepts plain source text (all-answers mode, §3) or
@@ -475,103 +439,26 @@ impl Mediator {
     /// m.query(QueryRequest::new("?- item(A, B).").limit(5).parallelism(4))?;
     /// ```
     ///
-    /// Request options override the mediator's configuration for this run
-    /// only; the configuration is restored before returning.
+    /// Request options override a copy of the mediator's configuration,
+    /// for this run only.
     pub fn query(&mut self, req: impl Into<QueryRequest>) -> Result<QueryResult> {
+        // The serial mediator has no admission gate: the selector sees no
+        // load, and whatever tier it picks is granted.
         let req = req.into();
-        let saved = self.config;
-        if let Some(d) = req.deadline {
-            self.config.exec.deadline = Some(d);
-        }
-        if let Some(t) = req.trace {
-            self.config.exec.collect_trace = t;
-        }
-        if let Some(k) = req.parallelism {
-            self.config.exec.max_parallel_calls = k;
-            self.config.cost.max_parallel_calls = k;
-            self.config.rewrite.favor_parallel = k > 1;
-        }
-        if let Some(b) = req.budget {
-            self.config.exec.budget = Some(b);
-        }
-        let result = (|| {
-            let mut planned = match &req.bindings {
-                Some(params) => {
-                    let query = parse_query(&req.src)?;
-                    let bound = crate::rewrite::bind_query(&query, params);
-                    self.plan_query(&bound)?
-                }
-                None => self.plan(&req.src)?,
-            };
-            // The serial mediator has no admission gate, so the selector
-            // sees an unbounded, unloaded one.
-            let decision = self.select_query_tier(&req, &mut planned, TierLoad::unbounded());
-            if let Some(d) = decision {
-                self.config.exec.tier = d.tier;
-            }
-            let selected_at = self.clock.now();
-            let mut result = self.execute(planned, req.limit)?;
-            if let Some(d) = decision {
-                if d.reason != TierReason::Default && self.config.exec.collect_trace {
-                    result.trace.insert(
-                        0,
-                        TraceEntry {
-                            at: selected_at,
-                            event: TraceEvent::TierSelected {
-                                tier: d.tier,
-                                reason: d.reason,
-                            },
-                        },
-                    );
-                }
-            }
-            Ok(result)
-        })();
-        self.config = saved;
-        result
+        self.on_pipeline(|p, clock| p.run(p.stage(&req)?, None, clock, |d| Ok((d, ()))))
+            .map(|(result, _)| result)
     }
 
-    /// Runs the deterministic tier selector for this request, when
-    /// engaged — by [`MediatorConfig::adaptive_tiers`], an explicit
-    /// `QueryRequest::tier`, or a budget. Returns `None` on the default
-    /// path, which therefore stays bit-identical to the paper-exact
-    /// behavior. A `CacheOnly` decision also re-points `planned.chosen`
-    /// at the cheapest plan whose every call is CIM-routed, when one
-    /// exists: a Direct-routed call can never be cache-served.
-    fn select_query_tier(
-        &self,
-        req: &QueryRequest,
-        planned: &mut Planned,
-        load: TierLoad,
-    ) -> Option<TierDecision> {
-        let engaged =
-            self.config.adaptive_tiers || req.tier.is_some() || self.config.exec.budget.is_some();
-        if !engaged {
-            return None;
+    /// Runs `f` over this mediator's pipeline and persistent clock, with
+    /// the subplan safety verdicts current; the clock is written back.
+    fn on_pipeline<R>(&mut self, f: impl FnOnce(&SerialPipeline<'_>, &mut SimClock) -> R) -> R {
+        if self.core.config.exec.share_subplans {
+            self.refresh_subplan_verdicts();
         }
-        let plan_sites = self.plan_sites(planned.plan());
-        let open = self.breakers.lock().open_sites(self.clock.now());
-        let decision = select_tier(&TierInputs {
-            requested: req.tier,
-            budget: self.config.exec.budget,
-            estimate_ms: planned.estimate().t_all_ms.unwrap_or(0.0),
-            plan_site_breaker_open: open.iter().any(|s| plan_sites.contains(s.as_ref())),
-            load,
-        });
-        if decision.tier == PlanTier::CacheOnly {
-            let servable = cache_servable_plans(&planned.plans);
-            if !servable.is_empty() && !servable.contains(&planned.chosen) {
-                planned.chosen = servable
-                    .into_iter()
-                    .min_by(|&a, &b| {
-                        let ta = planned.estimates[a].t_all_ms.unwrap_or(f64::INFINITY);
-                        let tb = planned.estimates[b].t_all_ms.unwrap_or(f64::INFINITY);
-                        ta.partial_cmp(&tb).unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("servable is non-empty");
-            }
-        }
-        Some(decision)
+        let mut clock = self.clock.clone();
+        let out = f(&self.pipeline(), &mut clock);
+        self.clock = clock;
+        out
     }
 
     /// Splits this mediator into a shared-state concurrent server: the
@@ -585,14 +472,11 @@ impl Mediator {
         // The concurrent server's planning core is immutable, so its
         // safety verdicts are fixed here, once, from the program and
         // routing policy it is born with.
-        if self.config.exec.share_subplans {
+        if self.core.config.exec.share_subplans {
             self.refresh_subplan_verdicts();
         }
         crate::server::ConcurrentMediator::from_parts(
-            self.program.clone(),
-            self.policy.clone(),
-            self.config,
-            self.pushdowns.clone(),
+            self.core.clone(),
             self.network.clone(),
             hermes_cim::ShardedCim::from_template(&self.cim.lock(), shards),
             hermes_dcsm::ShardedDcsm::from_dcsm(&self.dcsm.lock(), shards),
@@ -611,10 +495,10 @@ impl Mediator {
             return;
         }
         let routes = |domain: &str, function: &str| {
-            self.policy.decide(domain, function) == RoutingDecision::UseCim
+            self.core.policy.decide(domain, function) == RoutingDecision::UseCim
         };
         let verdicts = hermes_analysis::MaterializationVerdicts::compute(
-            &self.program,
+            &self.core.program,
             &[],
             None,
             Some(&routes),
@@ -628,93 +512,7 @@ impl Mediator {
     /// is executed instead; answers the failed attempt already cached are
     /// reused, so replanning resumes rather than restarts.
     pub fn execute(&mut self, planned: Planned, limit: Option<usize>) -> Result<QueryResult> {
-        if self.config.exec.share_subplans {
-            self.refresh_subplan_verdicts();
-        }
-        let mut idx = planned.chosen;
-        let mut avoid: BTreeSet<String> = BTreeSet::new();
-        let mut failovers = 0u32;
-        // Counters from plan attempts that died mid-run; folded into the
-        // final result so the query's cost accounting stays honest.
-        let mut carried = ExecStats::default();
-        loop {
-            let plan = planned.plans[idx].clone();
-            let estimate = planned.estimates[idx];
-            let mut executor = Executor::new(
-                &self.network,
-                self.cim.as_ref(),
-                self.dcsm.as_ref(),
-                self.clock.clone(),
-                self.config.exec,
-            )
-            .with_breakers(&self.breakers);
-            if self.config.exec.share_subplans {
-                executor = executor.with_matcache(&self.matcache);
-            }
-            let attempt = executor.run(&plan, limit);
-            // The attempt's virtual time is real whether it succeeded or
-            // not: a failover resumes *after* the retries the dead plan
-            // burned, it does not rewind them.
-            self.clock.advance_to(executor.now());
-            match attempt {
-                Ok(outcome) => {
-                    self.clock = outcome.clock.clone();
-                    let mut result = project(plan, estimate, planned.plans.len(), outcome);
-                    result.failovers = failovers;
-                    result.stats.absorb(&carried);
-                    return Ok(result);
-                }
-                Err(HermesError::Unavailable { site, reason }) if self.config.failover => {
-                    carried.absorb(&executor.stats());
-                    // A site can only fail over once; seeing it again means
-                    // no alternative exists and the outage is final.
-                    if !avoid.insert(site.clone()) {
-                        return Err(HermesError::Unavailable { site, reason });
-                    }
-                    match self.failover_choice(&planned, &avoid) {
-                        Some(next) => {
-                            failovers += 1;
-                            idx = next;
-                        }
-                        None => return Err(HermesError::Unavailable { site, reason }),
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// The sites a plan's call steps touch.
-    fn plan_sites(&self, plan: &Plan) -> BTreeSet<String> {
-        let mut sites = BTreeSet::new();
-        for step in &plan.steps {
-            if let PlanStep::Call { call, .. } = step {
-                if let Ok(site) = self.network.site_of(&call.domain) {
-                    sites.insert(site.name.to_string());
-                }
-            }
-        }
-        sites
-    }
-
-    /// The cheapest plan (under current statistics) touching none of the
-    /// sites in `avoid`, if any.
-    fn failover_choice(&self, planned: &Planned, avoid: &BTreeSet<String>) -> Option<usize> {
-        let eligible: Vec<usize> = (0..planned.plans.len())
-            .filter(|&i| self.plan_sites(&planned.plans[i]).is_disjoint(avoid))
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        let candidates: Vec<Plan> = eligible.iter().map(|&i| planned.plans[i].clone()).collect();
-        let dcsm = self.dcsm.lock();
-        let (chosen, _) = choose_plan(
-            &candidates,
-            &*dcsm,
-            &self.config.cost,
-            self.config.optimize_first_answer,
-        );
-        Some(eligible[chosen])
+        self.on_pipeline(|p, clock| p.execute(planned, limit, &p.core.config, clock))
     }
 
     /// Starts a query in interactive mode (§3): answers stream on demand;
@@ -731,7 +529,7 @@ impl Mediator {
             self.dcsm.clone(),
             Some(self.breakers.clone()),
             self.clock.clone(),
-            self.config.exec,
+            self.core.config.exec,
             plan,
         ))
     }
@@ -780,65 +578,14 @@ impl Mediator {
     /// Re-estimates one plan with the current statistics (used by the
     /// experiment harnesses to ask "what does DCSM predict now?").
     pub fn estimate_plan(&self, plan: &Plan) -> CostVector {
-        estimate_plan(plan, &*self.dcsm.lock(), &self.config.cost)
-    }
-}
-
-/// Rejects programs where a predicate mixes fact and rule definitions
-/// (ambiguous access-path semantics).
-pub(crate) fn check_mixed_definitions(program: &Program) -> Result<()> {
-    for key in program.defined_predicates() {
-        let rules = program.rules_for(&key.0, key.1);
-        let facts = rules.iter().filter(|r| r.body.is_empty()).count();
-        if facts > 0 && facts < rules.len() {
-            return Err(HermesError::Plan(format!(
-                "predicate `{}/{}` mixes facts and rules; define it by \
-                 facts only or by access-path rules only",
-                key.0, key.1
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Projects an execution outcome onto a plan's answer variables.
-pub(crate) fn project(
-    plan: Plan,
-    estimate: CostVector,
-    plans_considered: usize,
-    outcome: ExecOutcome,
-) -> QueryResult {
-    let columns = plan.answer_vars.clone();
-    let rows = outcome
-        .answers
-        .iter()
-        .map(|theta| {
-            columns
-                .iter()
-                .map(|v| theta.get(v).cloned().unwrap_or(Value::Null))
-                .collect()
-        })
-        .collect();
-    QueryResult {
-        columns,
-        rows,
-        t_first: outcome.t_first,
-        t_all: outcome.t_all,
-        plan,
-        estimate,
-        plans_considered,
-        stats: outcome.stats,
-        incomplete: outcome.incomplete,
-        provenance: outcome.provenance,
-        failovers: 0,
-        trace: outcome.trace,
+        estimate_plan(plan, &*self.dcsm.lock(), &self.core.config.cost)
     }
 }
 
 impl std::fmt::Debug for Mediator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Mediator")
-            .field("rules", &self.program.rules.len())
+            .field("rules", &self.core.program.rules.len())
             .field("network", &self.network)
             .finish()
     }
@@ -847,6 +594,8 @@ impl std::fmt::Debug for Mediator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tier::TierReason;
+    use crate::trace::TraceEvent;
     use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
     use hermes_domains::Domain;
     use hermes_net::profiles;

@@ -1,0 +1,366 @@
+//! The one query pipeline (the paper's Figure 1, once): request overrides
+//! → rewrite + cost + choose → tier selection → executor run with plan
+//! failover → projection.
+//!
+//! [`Mediator`](crate::mediator::Mediator) and
+//! [`ConcurrentMediator`](crate::server::ConcurrentMediator) are thin
+//! callers: what differs between them — state views, single flight, the
+//! clock, the gate's load, the tier-slot claim — is data on [`Pipeline`]
+//! or an argument of [`Pipeline::run`] (DESIGN.md §12 has the table).
+//! A query is [`stage`](Pipeline::stage)d (parsed and planned) first and
+//! [`run`](Pipeline::run) second, so the caller picks the clock it runs
+//! on once planning is over.
+
+use crate::breaker::BreakerBank;
+use crate::cost::choose_plan;
+use crate::exec::{ExecOutcome, ExecStats, Executor};
+use crate::flight::InFlightRegistry;
+use crate::matcache::MatCache;
+use crate::mediator::{MediatorConfig, Planned, QueryRequest, QueryResult};
+use crate::plan::{Plan, PlanStep};
+use crate::rewrite::{
+    bind_query, cache_servable_plans, enumerate_plans_with_pushdowns, PushdownRule,
+};
+use crate::tier::{select_tier, PlanTier, TierDecision, TierInputs, TierLoad, TierReason};
+use crate::trace::{TraceEntry, TraceEvent};
+use hermes_cim::{CimPolicy, CimView};
+use hermes_common::sync::Mutex;
+use hermes_common::{HermesError, Result, SimClock, SimInstant, Value};
+use hermes_dcsm::{CostVector, Dcsm, DcsmView, ShardedDcsm};
+use hermes_lang::{parse_query, Program, Query};
+use hermes_net::Network;
+use std::collections::BTreeSet;
+
+/// The planning inputs: what a query is rewritten and costed against.
+#[derive(Clone, Debug)]
+pub(crate) struct PlanningCore {
+    pub program: Program,
+    pub policy: CimPolicy,
+    pub config: MediatorConfig,
+    pub pushdowns: Vec<PushdownRule>,
+}
+
+/// The statistics cache as the pipeline reaches it: the executor's view,
+/// plus a whole plan choice under at most one lock acquisition.
+pub(crate) trait Costs: DcsmView + Sized {
+    /// [`choose_plan`] against the current statistics.
+    fn choose(&self, plans: &[Plan], config: &MediatorConfig) -> (usize, Vec<CostVector>) {
+        choose_plan(plans, self, &config.cost, config.optimize_first_answer)
+    }
+}
+
+impl Costs for ShardedDcsm {}
+
+impl Costs for Mutex<Dcsm> {
+    fn choose(&self, plans: &[Plan], config: &MediatorConfig) -> (usize, Vec<CostVector>) {
+        let dcsm = self.lock();
+        choose_plan(plans, &*dcsm, &config.cost, config.optimize_first_answer)
+    }
+}
+
+/// One mediator's planning inputs and shared state, borrowed per query.
+pub(crate) struct Pipeline<'a, D> {
+    pub core: &'a PlanningCore,
+    pub network: &'a Network,
+    pub cim: &'a dyn CimView,
+    pub dcsm: &'a D,
+    pub breakers: &'a Mutex<BreakerBank>,
+    pub matcache: &'a MatCache,
+    /// Single-flight coalescing of identical concurrent ground calls.
+    pub flight: Option<&'a InFlightRegistry>,
+}
+
+/// A request parsed, bound and planned under its own copy of the
+/// configuration: what [`Pipeline::stage`] hands to [`Pipeline::run`].
+pub(crate) struct Staged {
+    config: MediatorConfig,
+    planned: Planned,
+    limit: Option<usize>,
+    tier: Option<PlanTier>,
+}
+
+impl<D: Costs> Pipeline<'_, D> {
+    /// Applies the request's options to a copy of the configuration (for
+    /// this run only), then parses, binds and plans the query.
+    pub fn stage(&self, req: &QueryRequest) -> Result<Staged> {
+        let mut config = self.core.config;
+        if let Some(d) = req.deadline {
+            config.exec.deadline = Some(d);
+        }
+        if let Some(t) = req.trace {
+            config.exec.collect_trace = t;
+        }
+        if let Some(k) = req.parallelism {
+            config.exec.max_parallel_calls = k;
+            config.cost.max_parallel_calls = k;
+            config.rewrite.favor_parallel = k > 1;
+        }
+        if let Some(b) = req.budget {
+            config.exec.budget = Some(b);
+        }
+        let query = parse_query(&req.src)?;
+        // Bind before planning, so the optimizer sees real constants.
+        let query = match &req.bindings {
+            Some(params) => bind_query(&query, params),
+            None => query,
+        };
+        Ok(Staged {
+            planned: self.plan(&query, &config)?,
+            config,
+            limit: req.limit,
+            tier: req.tier,
+        })
+    }
+
+    /// Runs a staged request to the end on `clock`, which is left at the
+    /// instant the run ended — also when it failed, since a dead plan's
+    /// retries burned real virtual time.
+    ///
+    /// The tier selector is engaged by [`MediatorConfig::adaptive_tiers`],
+    /// a per-request tier or budget, or a bounded admission gate
+    /// (`gate_load` is `Some`); otherwise the paper-exact path never
+    /// consults it and no decision is returned. `claim` turns the
+    /// selector's decision into the one the run is granted, plus a permit
+    /// held until execution ends.
+    pub fn run<P>(
+        &self,
+        staged: Staged,
+        gate_load: Option<TierLoad>,
+        clock: &mut SimClock,
+        claim: impl FnOnce(TierDecision) -> Result<(TierDecision, P)>,
+    ) -> Result<(QueryResult, Option<TierDecision>)> {
+        let (mut config, mut planned, tier) = (staged.config, staged.planned, staged.tier);
+        let selected_at = clock.now();
+        let engaged = config.adaptive_tiers
+            || tier.is_some()
+            || config.exec.budget.is_some()
+            || gate_load.is_some();
+        let granted = if engaged {
+            let load = gate_load.unwrap_or_else(TierLoad::unbounded);
+            let decision = self.select_query_tier(tier, &mut planned, &config, load, selected_at);
+            let (decision, permit) = claim(decision)?;
+            config.exec.tier = decision.tier;
+            Some((decision, permit))
+        } else {
+            None
+        };
+        let mut result = self.execute(planned, staged.limit, &config, clock)?;
+        let decision = granted.map(|(decision, _permit)| decision);
+        let traced =
+            |d: &TierDecision| d.reason != TierReason::Default && config.exec.collect_trace;
+        if let Some(TierDecision { tier, reason }) = decision.filter(traced) {
+            let event = TraceEvent::TierSelected { tier, reason };
+            result.trace.insert(
+                0,
+                TraceEntry {
+                    at: selected_at,
+                    event,
+                },
+            );
+        }
+        Ok((result, decision))
+    }
+
+    /// Rewrites and costs a query: every executable plan, its §7
+    /// estimate under the current statistics, and the cheapest one.
+    pub fn plan(&self, query: &Query, config: &MediatorConfig) -> Result<Planned> {
+        check_mixed_definitions(&self.core.program)?;
+        let plans = enumerate_plans_with_pushdowns(
+            &self.core.program,
+            query,
+            &self.core.policy,
+            config.rewrite,
+            &self.core.pushdowns,
+        )?;
+        let (chosen, estimates) = self.dcsm.choose(&plans, config);
+        Ok(Planned {
+            plans,
+            estimates,
+            chosen,
+        })
+    }
+
+    /// Runs the deterministic tier selector. A `CacheOnly` decision also
+    /// re-points `planned.chosen` at the cheapest plan whose every call
+    /// is CIM-routed, when one exists: a Direct-routed call can never be
+    /// cache-served.
+    fn select_query_tier(
+        &self,
+        requested: Option<PlanTier>,
+        planned: &mut Planned,
+        config: &MediatorConfig,
+        load: TierLoad,
+        now: SimInstant,
+    ) -> TierDecision {
+        let plan_sites = self.plan_sites(planned.plan());
+        let open = self.breakers.lock().open_sites(now);
+        let decision = select_tier(&TierInputs {
+            requested,
+            budget: config.exec.budget,
+            estimate_ms: planned.estimate().t_all_ms.unwrap_or(0.0),
+            plan_site_breaker_open: open.iter().any(|s| plan_sites.contains(s.as_ref())),
+            load,
+        });
+        if decision.tier == PlanTier::CacheOnly {
+            let servable = cache_servable_plans(&planned.plans);
+            if !servable.is_empty() && !servable.contains(&planned.chosen) {
+                planned.chosen = servable
+                    .into_iter()
+                    .min_by(|&a, &b| {
+                        let ta = planned.estimates[a].t_all_ms.unwrap_or(f64::INFINITY);
+                        let tb = planned.estimates[b].t_all_ms.unwrap_or(f64::INFINITY);
+                        ta.partial_cmp(&tb).unwrap_or(std::cmp::Ordering::Equal)
+                    })
+                    .expect("servable is non-empty");
+            }
+        }
+        decision
+    }
+
+    /// The failover-aware execution loop (see
+    /// [`Mediator::execute`](crate::mediator::Mediator::execute)).
+    pub fn execute(
+        &self,
+        planned: Planned,
+        limit: Option<usize>,
+        config: &MediatorConfig,
+        clock: &mut SimClock,
+    ) -> Result<QueryResult> {
+        let mut idx = planned.chosen;
+        let mut avoid: BTreeSet<String> = BTreeSet::new();
+        let mut failovers = 0u32;
+        // Counters from plan attempts that died mid-run; folded into the
+        // final result so the query's cost accounting stays honest.
+        let mut carried = ExecStats::default();
+        loop {
+            let plan = planned.plans[idx].clone();
+            let estimate = planned.estimates[idx];
+            let mut executor = Executor::new(
+                self.network,
+                self.cim,
+                self.dcsm,
+                clock.clone(),
+                config.exec,
+            )
+            .with_breakers(self.breakers);
+            if let Some(flight) = self.flight {
+                executor = executor.with_flight(flight);
+            }
+            if config.exec.share_subplans {
+                executor = executor.with_matcache(self.matcache);
+            }
+            let attempt = executor.run(&plan, limit);
+            // The attempt's virtual time is real whether it succeeded or
+            // not: a failover resumes *after* the retries the dead plan
+            // burned, it does not rewind them.
+            clock.advance_to(executor.now());
+            match attempt {
+                Ok(outcome) => {
+                    let mut result = project(plan, estimate, planned.plans.len(), outcome);
+                    result.failovers = failovers;
+                    result.stats.absorb(&carried);
+                    return Ok(result);
+                }
+                Err(HermesError::Unavailable { site, reason }) if config.failover => {
+                    carried.absorb(&executor.stats());
+                    // A site can only fail over once; seeing it again means
+                    // no alternative exists and the outage is final.
+                    if !avoid.insert(site.clone()) {
+                        return Err(HermesError::Unavailable { site, reason });
+                    }
+                    match self.failover_choice(&planned, &avoid, config) {
+                        Some(next) => {
+                            failovers += 1;
+                            idx = next;
+                        }
+                        None => return Err(HermesError::Unavailable { site, reason }),
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// The sites a plan's call steps touch.
+    fn plan_sites(&self, plan: &Plan) -> BTreeSet<String> {
+        let mut sites = BTreeSet::new();
+        for step in &plan.steps {
+            if let PlanStep::Call { call, .. } = step {
+                if let Ok(site) = self.network.site_of(&call.domain) {
+                    sites.insert(site.name.to_string());
+                }
+            }
+        }
+        sites
+    }
+
+    /// The cheapest plan (under current statistics) touching none of the
+    /// sites in `avoid`, if any.
+    fn failover_choice(
+        &self,
+        planned: &Planned,
+        avoid: &BTreeSet<String>,
+        config: &MediatorConfig,
+    ) -> Option<usize> {
+        let eligible: Vec<usize> = (0..planned.plans.len())
+            .filter(|&i| self.plan_sites(&planned.plans[i]).is_disjoint(avoid))
+            .collect();
+        if eligible.is_empty() {
+            return None;
+        }
+        let candidates: Vec<Plan> = eligible.iter().map(|&i| planned.plans[i].clone()).collect();
+        Some(eligible[self.dcsm.choose(&candidates, config).0])
+    }
+}
+
+/// Predicates defined by both facts and rules have ambiguous access-path
+/// semantics — reject them with a clear message instead of silently
+/// finding no plan.
+fn check_mixed_definitions(program: &Program) -> Result<()> {
+    for key in program.defined_predicates() {
+        let rules = program.rules_for(&key.0, key.1);
+        let facts = rules.iter().filter(|r| r.body.is_empty()).count();
+        if facts > 0 && facts < rules.len() {
+            return Err(HermesError::Plan(format!(
+                "predicate `{}/{}` mixes facts and rules; define it by \
+                 facts only or by access-path rules only",
+                key.0, key.1
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Projects an execution outcome onto a plan's answer variables.
+fn project(
+    plan: Plan,
+    estimate: CostVector,
+    plans_considered: usize,
+    outcome: ExecOutcome,
+) -> QueryResult {
+    let columns = plan.answer_vars.clone();
+    let rows = outcome
+        .answers
+        .iter()
+        .map(|theta| {
+            columns
+                .iter()
+                .map(|v| theta.get(v).cloned().unwrap_or(Value::Null))
+                .collect()
+        })
+        .collect();
+    QueryResult {
+        columns,
+        rows,
+        t_first: outcome.t_first,
+        t_all: outcome.t_all,
+        plan,
+        estimate,
+        plans_considered,
+        stats: outcome.stats,
+        incomplete: outcome.incomplete,
+        provenance: outcome.provenance,
+        failovers: 0,
+        trace: outcome.trace,
+    }
+}

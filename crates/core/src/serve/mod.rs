@@ -991,26 +991,28 @@ mod tests {
     #[test]
     fn full_accept_queue_refuses_with_a_shed_frame() {
         // Pool-specific: one worker, zero pending slots — while the
-        // worker is stuck in a slow query, any new connection must be
+        // worker is held by one connection, any new connection must be
         // refused at the socket. (The reactor has no such ceiling; its
         // equivalent is `max_conns`, covered in tests/reactor.rs.)
-        let server = Arc::new(slow_mediator(Duration::from_millis(400)).to_concurrent(2));
         let config = ServeConfig::builder()
             .mode(ServeMode::Pool)
             .workers(1)
             .pending_conns(0)
             .idle_poll(Duration::from_millis(5))
             .build();
-        let net = NetServer::bind(server, "127.0.0.1:0", config).unwrap();
-        let addr = net.addr().to_string();
+        let (net, addr) = serve(config);
 
-        let busy_addr = addr.clone();
-        let busy = std::thread::spawn(move || {
-            let mut c = WireClient::connect(&busy_addr).unwrap();
-            c.query(QueryFrame::new("?- item('p_1', B).")).unwrap()
-        });
-        // Give the worker time to pick up the slow query.
-        std::thread::sleep(Duration::from_millis(100));
+        // Zero pending slots is a rendezvous: until the worker is parked
+        // in `recv` even the first client is refused. A served ping proves
+        // the worker took this connection, and it stays until we hang up.
+        let mut busy = loop {
+            let mut c = WireClient::connect(&addr).unwrap();
+            if c.ping().is_ok() {
+                break c;
+            }
+            std::thread::yield_now();
+        };
+        let before = net.net_stats().refused;
 
         let mut refused = WireClient::connect(&addr).unwrap();
         let err = refused
@@ -1018,9 +1020,11 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, HermesError::Shed { .. }), "got {err:?}");
 
-        busy.join().unwrap();
+        // The held connection is still served.
+        busy.query(QueryFrame::new("?- item('p_1', B).")).unwrap();
+        drop(busy);
         let stats = net.shutdown();
-        assert_eq!(stats.refused, 1);
+        assert_eq!(stats.refused, before + 1);
         assert_eq!(stats.accepted, 1);
     }
 

@@ -28,38 +28,18 @@
 
 use crate::breaker::BreakerBank;
 use crate::caches::CacheControl;
-use crate::cost::choose_plan;
-use crate::exec::{ExecStats, Executor};
 use crate::flight::InFlightRegistry;
 use crate::matcache::MatCache;
-use crate::mediator::{
-    check_mixed_definitions, project, MediatorConfig, Planned, QueryRequest, QueryResult,
-};
-use crate::plan::{Plan, PlanStep};
-use crate::rewrite::{
-    bind_query, cache_servable_plans, enumerate_plans_with_pushdowns, PushdownRule,
-};
-use crate::tier::{select_tier, PlanTier, TierDecision, TierInputs, TierLoad, TierReason};
-use crate::trace::{TraceEntry, TraceEvent};
-use hermes_cim::{CimPolicy, ShardedCim};
+use crate::mediator::{QueryRequest, QueryResult};
+use crate::pipeline::{Pipeline, PlanningCore};
+use crate::tier::{PlanTier, TierDecision, TierLoad, TierReason};
+use hermes_cim::ShardedCim;
 use hermes_common::sync::Mutex;
 use hermes_common::{HermesError, Result, SimClock, SimDuration, SimInstant};
 use hermes_dcsm::ShardedDcsm;
-use hermes_lang::{parse_query, Program, Query};
 use hermes_net::Network;
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// The immutable planning inputs, fixed at construction and shared
-/// (lock-free) by every query.
-#[derive(Debug)]
-struct PlanningCore {
-    program: Program,
-    policy: CimPolicy,
-    config: MediatorConfig,
-    pushdowns: Vec<PushdownRule>,
-}
 
 /// Server-wide counters, assembled on demand from the shared state.
 #[derive(Clone, Copy, Debug, Default)]
@@ -293,12 +273,8 @@ pub struct ConcurrentMediator {
 }
 
 impl ConcurrentMediator {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
-        program: Program,
-        policy: CimPolicy,
-        config: MediatorConfig,
-        pushdowns: Vec<PushdownRule>,
+        core: PlanningCore,
         network: Arc<Network>,
         cim: ShardedCim,
         dcsm: ShardedDcsm,
@@ -307,12 +283,7 @@ impl ConcurrentMediator {
         epoch: SimInstant,
     ) -> Self {
         ConcurrentMediator {
-            core: PlanningCore {
-                program,
-                policy,
-                config,
-                pushdowns,
-            },
+            core,
             network,
             cim: Arc::new(cim),
             dcsm: Arc::new(dcsm),
@@ -378,251 +349,59 @@ impl ConcurrentMediator {
         let _permit = self.gate.admit().ok_or_else(|| HermesError::Shed {
             reason: "gate-full".into(),
         })?;
-        let mut config = self.core.config;
-        if let Some(d) = req.deadline {
-            config.exec.deadline = Some(d);
-        }
-        if let Some(t) = req.trace {
-            config.exec.collect_trace = t;
-        }
-        if let Some(k) = req.parallelism {
-            config.exec.max_parallel_calls = k;
-            config.cost.max_parallel_calls = k;
-            config.rewrite.favor_parallel = k > 1;
-        }
-        if let Some(b) = req.budget {
-            config.exec.budget = Some(b);
-        }
-        let query = parse_query(&req.src)?;
-        let query = match &req.bindings {
-            Some(params) => bind_query(&query, params),
-            None => query,
+        let pipeline = Pipeline {
+            core: &self.core,
+            network: &self.network,
+            cim: self.cim.as_ref(),
+            dcsm: self.dcsm.as_ref(),
+            breakers: &self.breakers,
+            matcache: &self.matcache,
+            flight: Some(&self.flight),
         };
-        let mut planned = self.plan_query(&query, &config)?;
-        let decision = self.select_query_tier(req, &mut planned, &config);
-        let tier_permit = match decision {
-            Some(d) => {
-                let (granted, permit) =
-                    self.gate
-                        .acquire_tier(d.tier)
-                        .ok_or_else(|| HermesError::Shed {
-                            reason: "tier-budget-full".into(),
-                        })?;
-                config.exec.tier = granted;
-                Some((
-                    granted,
-                    // A gate-forced fall to a cheaper tier is a load
-                    // decision, whatever the selector's original reason.
-                    if granted < d.tier {
-                        TierReason::HighLoad
-                    } else {
-                        d.reason
-                    },
-                    permit,
-                ))
-            }
-            None => None,
+        let staged = pipeline.stage(req)?;
+        // Each query runs on its own clock, started once it is planned at
+        // the high-water mark of finished queries and folded back into it
+        // afterwards.
+        let mut clock = if self.wall_clock() {
+            SimClock::wall_from(self.now())
+        } else {
+            let mut sim = SimClock::new();
+            sim.advance_to(self.now());
+            sim
         };
-        let selected_at = self.now();
-        let mut result = self.execute(planned, req.limit, &config)?;
-        match tier_permit {
-            Some((tier, reason, _permit)) => {
-                if reason != TierReason::Default && config.exec.collect_trace {
-                    result.trace.insert(
-                        0,
-                        TraceEntry {
-                            at: selected_at,
-                            event: TraceEvent::TierSelected { tier, reason },
-                        },
-                    );
-                }
-                if tier < PlanTier::Full || result.stats.tier_downgrades > 0 {
-                    self.downgraded.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            None => {
-                if result.stats.tier_downgrades > 0 {
-                    self.downgraded.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        let served = pipeline.run(
+            staged,
+            self.gate.is_bounded().then(|| self.gate.load()),
+            &mut clock,
+            |decision| self.claim_tier(decision),
+        );
+        self.epoch_us.fetch_max(
+            clock.now().duration_since(SimInstant::EPOCH).as_micros(),
+            Ordering::Relaxed,
+        );
+        let (result, granted) = served?;
+        if granted.is_some_and(|d| d.tier < PlanTier::Full) || result.stats.tier_downgrades > 0 {
+            self.downgraded.fetch_add(1, Ordering::Relaxed);
         }
         Ok(result)
     }
 
-    /// Mirrors the serial mediator's tier selection, with the gate's real
-    /// load as the load signal. Engaged only when tiering is asked for
-    /// (adaptive config, per-request tier or budget) or the gate is
-    /// bounded — the default path never consults the selector.
-    fn select_query_tier(
-        &self,
-        req: &QueryRequest,
-        planned: &mut Planned,
-        config: &MediatorConfig,
-    ) -> Option<TierDecision> {
-        let engaged = config.adaptive_tiers
-            || req.tier.is_some()
-            || config.exec.budget.is_some()
-            || self.gate.is_bounded();
-        if !engaged {
-            return None;
-        }
-        let plan_sites = self.plan_sites(planned.plan());
-        let open = self.breakers.lock().open_sites(self.now());
-        let decision = select_tier(&TierInputs {
-            requested: req.tier,
-            budget: config.exec.budget,
-            estimate_ms: planned.estimate().t_all_ms.unwrap_or(0.0),
-            plan_site_breaker_open: open.iter().any(|s| plan_sites.contains(s.as_ref())),
-            load: self.gate.load(),
-        });
-        if decision.tier == PlanTier::CacheOnly {
-            let servable = cache_servable_plans(&planned.plans);
-            if !servable.is_empty() && !servable.contains(&planned.chosen) {
-                planned.chosen = servable
-                    .into_iter()
-                    .min_by(|&a, &b| {
-                        let ta = planned.estimates[a].t_all_ms.unwrap_or(f64::INFINITY);
-                        let tb = planned.estimates[b].t_all_ms.unwrap_or(f64::INFINITY);
-                        ta.partial_cmp(&tb).unwrap_or(std::cmp::Ordering::Equal)
-                    })
-                    .expect("servable is non-empty");
-            }
-        }
-        Some(decision)
-    }
-
-    /// Plans a query against the immutable core and the current shared
-    /// statistics.
-    fn plan_query(&self, query: &Query, config: &MediatorConfig) -> Result<Planned> {
-        check_mixed_definitions(&self.core.program)?;
-        let plans = enumerate_plans_with_pushdowns(
-            &self.core.program,
-            query,
-            &self.core.policy,
-            config.rewrite,
-            &self.core.pushdowns,
-        )?;
-        let (chosen, estimates) = choose_plan(
-            &plans,
-            self.dcsm.as_ref(),
-            &config.cost,
-            config.optimize_first_answer,
-        );
-        Ok(Planned {
-            plans,
-            estimates,
-            chosen,
-        })
-    }
-
-    /// The failover-aware execution loop (mirrors the serial mediator's),
-    /// on a per-query clock seeded from the server's high-water mark.
-    fn execute(
-        &self,
-        planned: Planned,
-        limit: Option<usize>,
-        config: &MediatorConfig,
-    ) -> Result<QueryResult> {
-        let mut idx = planned.chosen;
-        let mut avoid: BTreeSet<String> = BTreeSet::new();
-        let mut failovers = 0u32;
-        let mut carried = ExecStats::default();
-        let epoch =
-            SimInstant::EPOCH + SimDuration::from_micros(self.epoch_us.load(Ordering::Relaxed));
-        let mut clock = if self.wall_clock.load(Ordering::Relaxed) {
-            SimClock::wall_from(epoch)
+    /// Claims a gate slot for the selector's decision, falling to cheaper
+    /// tiers while the chosen one is saturated. A gate-forced fall is a
+    /// load decision, whatever the selector's original reason.
+    fn claim_tier(&self, decision: TierDecision) -> Result<(TierDecision, TierPermit<'_>)> {
+        let (tier, permit) =
+            self.gate
+                .acquire_tier(decision.tier)
+                .ok_or_else(|| HermesError::Shed {
+                    reason: "tier-budget-full".into(),
+                })?;
+        let reason = if tier < decision.tier {
+            TierReason::HighLoad
         } else {
-            let mut c = SimClock::new();
-            c.advance_to(epoch);
-            c
+            decision.reason
         };
-        loop {
-            let plan = planned.plans[idx].clone();
-            let estimate = planned.estimates[idx];
-            let mut executor = Executor::new(
-                &self.network,
-                self.cim.as_ref(),
-                self.dcsm.as_ref(),
-                clock.clone(),
-                config.exec,
-            )
-            .with_breakers(&self.breakers)
-            .with_flight(&self.flight);
-            if config.exec.share_subplans {
-                executor = executor.with_matcache(&self.matcache);
-            }
-            let attempt = executor.run(&plan, limit);
-            clock.advance_to(executor.now());
-            self.push_epoch(clock.now());
-            match attempt {
-                Ok(outcome) => {
-                    self.push_epoch(outcome.clock.now());
-                    let mut result = project(plan, estimate, planned.plans.len(), outcome);
-                    result.failovers = failovers;
-                    result.stats.absorb(&carried);
-                    return Ok(result);
-                }
-                Err(HermesError::Unavailable { site, reason }) if config.failover => {
-                    carried.absorb(&executor.stats());
-                    if !avoid.insert(site.clone()) {
-                        return Err(HermesError::Unavailable { site, reason });
-                    }
-                    match self.failover_choice(&planned, &avoid, config) {
-                        Some(next) => {
-                            failovers += 1;
-                            idx = next;
-                        }
-                        None => return Err(HermesError::Unavailable { site, reason }),
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Raises the server-wide virtual-time high-water mark to `t`.
-    fn push_epoch(&self, t: SimInstant) {
-        self.epoch_us.fetch_max(
-            t.duration_since(SimInstant::EPOCH).as_micros(),
-            Ordering::Relaxed,
-        );
-    }
-
-    /// The sites a plan's call steps touch.
-    fn plan_sites(&self, plan: &Plan) -> BTreeSet<String> {
-        let mut sites = BTreeSet::new();
-        for step in &plan.steps {
-            if let PlanStep::Call { call, .. } = step {
-                if let Ok(site) = self.network.site_of(&call.domain) {
-                    sites.insert(site.name.to_string());
-                }
-            }
-        }
-        sites
-    }
-
-    /// The cheapest plan (under current statistics) avoiding every site in
-    /// `avoid`, if any.
-    fn failover_choice(
-        &self,
-        planned: &Planned,
-        avoid: &BTreeSet<String>,
-        config: &MediatorConfig,
-    ) -> Option<usize> {
-        let eligible: Vec<usize> = (0..planned.plans.len())
-            .filter(|&i| self.plan_sites(&planned.plans[i]).is_disjoint(avoid))
-            .collect();
-        if eligible.is_empty() {
-            return None;
-        }
-        let candidates: Vec<Plan> = eligible.iter().map(|&i| planned.plans[i].clone()).collect();
-        let (chosen, _) = choose_plan(
-            &candidates,
-            self.dcsm.as_ref(),
-            &config.cost,
-            config.optimize_first_answer,
-        );
-        Some(eligible[chosen])
+        Ok((TierDecision { tier, reason }, permit))
     }
 
     /// The sharded answer cache.

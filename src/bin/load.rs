@@ -34,7 +34,7 @@
 //! an answer, a shed, or a query error (never a transport error), and
 //! the server's own counters must agree (`admitted + shed == queries`).
 
-use hermes::common::Rng64;
+use hermes::common::{percentile, Rng64};
 use hermes::{HermesError, QueryFrame, Value, WireClient};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -328,14 +328,6 @@ fn drive(opts: &Options, conns: usize, conn_id: usize) -> Result<Tally, String> 
         }
     }
     Ok(tally)
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted_us.len() as f64) * p).ceil() as usize;
-    sorted_us[rank.clamp(1, sorted_us.len()) - 1]
 }
 
 fn stat(stats: &Value, section: &str, field: &str) -> Option<i64> {

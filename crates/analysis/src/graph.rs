@@ -14,7 +14,7 @@
 
 use crate::analyzer::QueryForm;
 use crate::diagnostic::{DiagCode, Diagnostic, Locus};
-use hermes_lang::{BodyAtom, Program};
+use hermes_lang::{BodyAtom, Program, RuleIndex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -94,28 +94,31 @@ pub(crate) fn run(program: &Program, query_forms: &[QueryForm], out: &mut Vec<Di
     }
 
     // HA004: a predicate defined by both facts and proper rules.
-    for key in &defined {
-        let defs = program.rules_for(&key.0, key.1);
-        let facts = defs.iter().filter(|r| r.body.is_empty()).count();
-        if facts > 0 && facts < defs.len() {
-            out.push(
-                Diagnostic::new(
-                    DiagCode::MixedFactsAndRules,
-                    Locus::Program,
-                    format!(
-                        "predicate `{}` mixes facts and rules ({} fact(s), \
-                         {} rule(s))",
-                        fmt_key(key),
-                        facts,
-                        defs.len() - facts
-                    ),
-                )
-                .with_suggestion(
-                    "move the facts into a separate predicate and add a \
-                     bridging rule",
+    let index = RuleIndex::new(program);
+    for mixed in index.iter().filter(|defs| defs.is_mixed()) {
+        let defs = mixed.rule_positions();
+        let facts = defs
+            .iter()
+            .filter(|&&pos| program.rules[pos].body.is_empty())
+            .count();
+        out.push(
+            Diagnostic::new(
+                DiagCode::MixedFactsAndRules,
+                Locus::Program,
+                format!(
+                    "predicate `{}/{}` mixes facts and rules ({} fact(s), \
+                     {} rule(s))",
+                    mixed.name(),
+                    mixed.arity(),
+                    facts,
+                    defs.len() - facts
                 ),
-            );
-        }
+            )
+            .with_suggestion(
+                "move the facts into a separate predicate and add a \
+                 bridging rule",
+            ),
+        );
     }
 
     // HA003: reachability from declared query forms.
@@ -183,71 +186,93 @@ pub(crate) fn recursive_predicates(program: &Program) -> BTreeSet<PredKey> {
     out
 }
 
-/// Tarjan's strongly-connected-components algorithm (iterative bookkeeping
-/// via recursion; mediator programs are small).
+/// Tarjan's strongly-connected-components algorithm. The depth-first
+/// walk keeps its path on an explicit stack of frames, so a rule chain of
+/// any length costs heap, not call frames.
 fn sccs(edges: &BTreeMap<PredKey, BTreeSet<PredKey>>) -> Vec<Vec<PredKey>> {
-    struct State<'g> {
+    /// One predicate on the walk's path and its successors left to follow.
+    struct Frame<'g> {
+        node: &'g PredKey,
+        succ: std::collections::btree_set::Iter<'g, PredKey>,
+    }
+    struct Walk<'g> {
         edges: &'g BTreeMap<PredKey, BTreeSet<PredKey>>,
-        index: usize,
-        indices: BTreeMap<PredKey, usize>,
-        lowlink: BTreeMap<PredKey, usize>,
-        stack: Vec<PredKey>,
-        on_stack: BTreeSet<PredKey>,
-        out: Vec<Vec<PredKey>>,
+        no_succ: &'g BTreeSet<PredKey>,
+        indices: BTreeMap<&'g PredKey, usize>,
+        lowlink: BTreeMap<&'g PredKey, usize>,
+        stack: Vec<&'g PredKey>,
+        on_stack: BTreeSet<&'g PredKey>,
+        path: Vec<Frame<'g>>,
     }
-    fn visit(s: &mut State<'_>, v: &PredKey) {
-        s.indices.insert(v.clone(), s.index);
-        s.lowlink.insert(v.clone(), s.index);
-        s.index += 1;
-        s.stack.push(v.clone());
-        s.on_stack.insert(v.clone());
-        let succ: Vec<PredKey> = s
-            .edges
-            .get(v)
-            .map(|e| e.iter().cloned().collect())
-            .unwrap_or_default();
-        for w in &succ {
-            if !s.indices.contains_key(w) {
-                visit(s, w);
-                let wl = s.lowlink[w];
-                let vl = s.lowlink.get_mut(v).unwrap_or_else(|| unreachable!());
-                *vl = (*vl).min(wl);
-            } else if s.on_stack.contains(w) {
-                let wi = s.indices[w];
-                let vl = s.lowlink.get_mut(v).unwrap_or_else(|| unreachable!());
-                *vl = (*vl).min(wi);
-            }
+    impl<'g> Walk<'g> {
+        /// First visit of `v`: number it and start on its successors.
+        fn enter(&mut self, v: &'g PredKey) {
+            let index = self.indices.len();
+            self.indices.insert(v, index);
+            self.lowlink.insert(v, index);
+            self.stack.push(v);
+            self.on_stack.insert(v);
+            self.path.push(Frame {
+                node: v,
+                succ: self.edges.get(v).unwrap_or(self.no_succ).iter(),
+            });
         }
-        if s.lowlink[v] == s.indices[v] {
-            let mut comp = Vec::new();
-            while let Some(w) = s.stack.pop() {
-                s.on_stack.remove(&w);
-                let done = w == *v;
-                comp.push(w);
-                if done {
-                    break;
-                }
-            }
-            comp.reverse();
-            s.out.push(comp);
+
+        fn lower(&mut self, v: &'g PredKey, to: usize) {
+            let vl = self.lowlink.get_mut(v).expect("entered before lowered");
+            *vl = (*vl).min(to);
         }
     }
-    let mut s = State {
+
+    let no_succ = BTreeSet::new();
+    let mut walk = Walk {
         edges,
-        index: 0,
+        no_succ: &no_succ,
         indices: BTreeMap::new(),
         lowlink: BTreeMap::new(),
         stack: Vec::new(),
         on_stack: BTreeSet::new(),
-        out: Vec::new(),
+        path: Vec::new(),
     };
-    let nodes: Vec<PredKey> = edges.keys().cloned().collect();
-    for v in &nodes {
-        if !s.indices.contains_key(v) {
-            visit(&mut s, v);
+    let mut out = Vec::new();
+    for root in edges.keys() {
+        if !walk.indices.contains_key(root) {
+            walk.enter(root);
+        }
+        while let Some(frame) = walk.path.last_mut() {
+            let v = frame.node;
+            match frame.succ.next() {
+                Some(w) if !walk.indices.contains_key(w) => walk.enter(w),
+                Some(w) => {
+                    if walk.on_stack.contains(w) {
+                        walk.lower(v, walk.indices[w]);
+                    }
+                }
+                // Every successor of `v` is done: close its component if
+                // it is a root, then hand its lowlink to the frame below.
+                None => {
+                    walk.path.pop();
+                    let vl = walk.lowlink[v];
+                    if vl == walk.indices[v] {
+                        let mut comp = Vec::new();
+                        while let Some(w) = walk.stack.pop() {
+                            walk.on_stack.remove(w);
+                            comp.push(w.clone());
+                            if w == v {
+                                break;
+                            }
+                        }
+                        comp.reverse();
+                        out.push(comp);
+                    }
+                    if let Some(below) = walk.path.last() {
+                        walk.lower(below.node, vl);
+                    }
+                }
+            }
         }
     }
-    s.out
+    out
 }
 
 #[cfg(test)]
@@ -275,6 +300,75 @@ mod tests {
         assert_eq!(rec.len(), 1);
         assert!(rec[0].message.contains("p/1"));
         assert!(rec[0].message.contains("q/1"));
+    }
+
+    /// Tarjan's algorithm as the textbook writes it, one call per node:
+    /// the order of components, and of predicates inside one, that the
+    /// HA001 message was always built from.
+    fn sccs_by_recursion(edges: &BTreeMap<PredKey, BTreeSet<PredKey>>) -> Vec<Vec<PredKey>> {
+        #[derive(Default)]
+        struct State {
+            indices: BTreeMap<PredKey, usize>,
+            lowlink: BTreeMap<PredKey, usize>,
+            stack: Vec<PredKey>,
+            out: Vec<Vec<PredKey>>,
+        }
+        fn visit(s: &mut State, edges: &BTreeMap<PredKey, BTreeSet<PredKey>>, v: &PredKey) {
+            let index = s.indices.len();
+            s.indices.insert(v.clone(), index);
+            s.lowlink.insert(v.clone(), index);
+            s.stack.push(v.clone());
+            for w in edges.get(v).into_iter().flatten() {
+                let reached = if !s.indices.contains_key(w) {
+                    visit(s, edges, w);
+                    s.lowlink[w]
+                } else if s.stack.contains(w) {
+                    s.indices[w]
+                } else {
+                    continue;
+                };
+                let low = s.lowlink[v].min(reached);
+                s.lowlink.insert(v.clone(), low);
+            }
+            if s.lowlink[v] == s.indices[v] {
+                let at = s.stack.iter().position(|w| w == v).unwrap();
+                let comp = s.stack.split_off(at);
+                s.out.push(comp);
+            }
+        }
+        let mut s = State::default();
+        for v in edges.keys() {
+            if !s.indices.contains_key(v) {
+                visit(&mut s, edges, v);
+            }
+        }
+        s.out
+    }
+
+    #[test]
+    fn explicit_stack_walk_finds_the_components_recursion_finds() {
+        const N: usize = 9;
+        let key = |i: usize| -> PredKey { (Arc::from(format!("p{i}")), 1) };
+        let mut rng = hermes_common::Rng64::new(1996);
+        let mut recursive = 0;
+        for _ in 0..300 {
+            let mut edges: BTreeMap<PredKey, BTreeSet<PredKey>> = BTreeMap::new();
+            for from in 0..N {
+                // Some predicates have no entry at all (never a head).
+                if rng.chance(0.8) {
+                    edges.entry(key(from)).or_default();
+                }
+                for to in 0..N {
+                    if rng.chance(0.15) {
+                        edges.entry(key(from)).or_default().insert(key(to));
+                    }
+                }
+            }
+            let got = sccs(&edges);
+            assert_eq!(got, sccs_by_recursion(&edges), "{edges:?}");
+            recursive += got.iter().filter(|c| c.len() > 1).count();
+        }
+        assert!(recursive > 100, "only {recursive} multi-node components");
     }
 
     #[test]

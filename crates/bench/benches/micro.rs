@@ -1,7 +1,9 @@
 //! Micro-benchmarks of the optimizer machinery itself — the *real*
 //! (wall-clock) costs, including the §8 claim that "the overhead of
 //! checking the cache and the invariants without success … is negligible".
-//! Run with `cargo bench -p hermes-bench --bench micro`.
+//! Run with `cargo bench -p hermes-bench --bench micro`; CI passes
+//! `-- --test-mode`, which runs every row once, untimed, and asserts that
+//! all of them ran.
 //!
 //! Dependency-free harness: each case is warmed up, then timed over enough
 //! iterations to fill a fixed measurement window; we report the mean and
@@ -9,18 +11,31 @@
 
 use hermes_cim::{Cim, CimPolicy};
 use hermes_common::{GroundCall, SimInstant, Value};
-use hermes_core::{enumerate_plans, estimate_plan, CostConfig, RewriteConfig};
+use hermes_core::{enumerate_plans, estimate_plan, CheckedProgram, CostConfig, RewriteConfig};
 use hermes_dcsm::Dcsm;
 use hermes_lang::{parse_invariant, parse_program, parse_query};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 const WARMUP: Duration = Duration::from_millis(200);
 const MEASURE: Duration = Duration::from_millis(800);
 const BATCHES: usize = 10;
+/// Rows a full run prints; `--test-mode` asserts it ran this many.
+const ROWS: usize = 16;
+
+/// `--test-mode`: run each row once instead of timing it.
+static TEST_MODE: AtomicBool = AtomicBool::new(false);
+static ROWS_RUN: AtomicUsize = AtomicUsize::new(0);
 
 /// Times `f` (which must consume a fresh input from `setup` per iteration)
 /// and prints a `name: mean ± spread` line.
 fn bench<I, O>(name: &str, mut setup: impl FnMut() -> I, mut f: impl FnMut(I) -> O) {
+    ROWS_RUN.fetch_add(1, Ordering::Relaxed);
+    if TEST_MODE.load(Ordering::Relaxed) {
+        std::hint::black_box(f(std::hint::black_box(setup())));
+        println!("  {name:<44} ran");
+        return;
+    }
     // Warm-up: discover a per-iteration cost and heat caches.
     let warm_start = Instant::now();
     let mut iters: u64 = 0;
@@ -210,10 +225,28 @@ fn bench_rewriter() {
     .unwrap();
     let query = parse_query("?- join('a', Y, Z).").unwrap();
     let policy = CimPolicy::cache_everything();
+    // The public entry checks and indexes the bare program on every call;
+    // a mediator does that once, where the program is installed, and pays
+    // only the `_checked` row per query.
     bench(
         "enumerate_join_plans",
         || (),
         |_| enumerate_plans(&program, &query, &policy, RewriteConfig::default()).unwrap(),
+    );
+    let checked = CheckedProgram::new(program.clone());
+    bench(
+        "enumerate_join_plans_checked",
+        || (),
+        |_| {
+            checked
+                .enumerate_plans(&query, &policy, RewriteConfig::default(), &[])
+                .unwrap()
+        },
+    );
+    bench(
+        "check_and_index_program",
+        || program.clone(),
+        CheckedProgram::new,
     );
 
     let plans = enumerate_plans(&program, &query, &policy, RewriteConfig::default()).unwrap();
@@ -285,10 +318,16 @@ fn bench_parser() {
 }
 
 fn main() {
+    let test_mode = std::env::args().any(|a| a == "--test-mode");
+    TEST_MODE.store(test_mode, Ordering::Relaxed);
     println!("micro-benchmarks (wall-clock; median of {BATCHES} batches)\n");
     bench_cim();
     bench_dcsm();
     bench_rewriter();
     bench_executor();
     bench_parser();
+    assert_eq!(ROWS_RUN.load(Ordering::Relaxed), ROWS, "a row did not run");
+    if test_mode {
+        println!("micro: test-mode assertions passed ({ROWS} rows ran)");
+    }
 }

@@ -10,13 +10,14 @@
 //! ```
 
 use crate::cache::AnswerCache;
+use hermes_common::atomic_file::write_atomically;
 use hermes_common::wire::{encode_call, encode_value, Decoder};
 use hermes_common::{HermesError, Result, SimDuration, SimInstant};
 use std::io::{BufRead, Write};
 
 const HEADER: &str = "hermes-answer-cache v1";
 
-/// Writes every cache entry to `out`.
+/// Writes every cache entry to `out` and flushes it.
 pub fn save<W: Write>(cache: &AnswerCache, mut out: W) -> Result<()> {
     writeln!(out, "{HEADER}")?;
     // Deterministic order: sort by call.
@@ -37,6 +38,8 @@ pub fn save<W: Write>(cache: &AnswerCache, mut out: W) -> Result<()> {
         }
         writeln!(out, "{line}")?;
     }
+    // A buffering writer only meets the error of its last chunk here.
+    out.flush()?;
     Ok(())
 }
 
@@ -108,10 +111,10 @@ pub fn load<R: BufRead>(input: R) -> Result<AnswerCache> {
     Ok(cache)
 }
 
-/// Saves to a file path.
+/// Saves to a file path, replacing the file whole or not at all (see
+/// [`hermes_common::atomic_file`]).
 pub fn save_to_path(cache: &AnswerCache, path: &std::path::Path) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    save(cache, std::io::BufWriter::new(file))
+    write_atomically(path, |out| save(cache, out))
 }
 
 /// Loads from a file path.
@@ -206,6 +209,23 @@ mod tests {
             .collect::<Vec<_>>()
             .join("\n");
         assert!(load(std::io::Cursor::new(truncated.as_bytes())).is_err());
+    }
+
+    #[test]
+    fn save_reports_an_error_on_the_final_buffered_write() {
+        // Everything fits the buffer, so the sink is only written to —
+        // and only fails — when the buffer is flushed.
+        struct DiskFull;
+        impl Write for DiskFull {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = save(&sample_cache(), std::io::BufWriter::new(DiskFull)).unwrap_err();
+        assert!(err.to_string().contains("disk full"), "{err}");
     }
 
     #[test]

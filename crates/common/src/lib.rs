@@ -20,8 +20,11 @@
 //!   workload generators need.
 //! * [`wire`] / [`frame`] — the persistence text codec and the
 //!   length-prefixed binary framing `hermes-serve` speaks over TCP.
+//! * [`atomic_file`] — whole-file, crash-safe replacement of the state
+//!   files the caches persist to.
 //! * [`HermesError`] — the error type shared across the workspace.
 
+pub mod atomic_file;
 pub mod call;
 pub mod clock;
 pub mod error;

@@ -69,8 +69,8 @@ pub use mediator::{Mediator, MediatorConfig, Planned, QueryRequest, QueryResult}
 pub use plan::{independence_groups, Plan, PlanStep, Route};
 pub use rewrite::{
     bind_query, cache_servable_plans, enumerate_plans, enumerate_plans_with_pushdowns,
-    fingerprint_body, fingerprint_rule, query_fingerprint, Fingerprint, PushdownRule,
-    RewriteConfig, SubplanKey,
+    fingerprint_body, fingerprint_rule, query_fingerprint, CheckedProgram, Fingerprint,
+    PushdownRule, RewriteConfig, SubplanKey,
 };
 pub use serve::{
     NetServer, NetServerStats, RemoteResult, ServeConfig, ServeConfigBuilder, ServeMode, WireClient,

@@ -8,7 +8,7 @@ use crate::exec::{ExecConfig, ExecStats, SubgoalProvenance};
 use crate::matcache::MatCache;
 use crate::pipeline::{Pipeline, PlanningCore};
 use crate::plan::Plan;
-use crate::rewrite::{PushdownRule, RewriteConfig};
+use crate::rewrite::{CheckedProgram, PushdownRule, RewriteConfig};
 use crate::tier::PlanTier;
 use hermes_analysis::{AnalysisReport, Analyzer, Diagnostic, QueryForm};
 use hermes_cim::{Cim, CimPolicy, RoutingDecision};
@@ -243,12 +243,15 @@ pub struct Mediator {
 }
 
 impl Mediator {
-    /// Builds a mediator from a parsed program. The program is validated.
+    /// Builds a mediator from a parsed program. An invalid rule is an error
+    /// here; the other program checks (mixed definitions, recursion) are
+    /// run here too, once, but their verdict is what every later query
+    /// gets (see [`CheckedProgram`]).
     pub fn new(program: Program, network: Network) -> Result<Self> {
         validate_program(&program)?;
         Ok(Mediator {
             core: PlanningCore {
-                program,
+                program: CheckedProgram::new(program),
                 policy: CimPolicy::cache_everything(),
                 config: MediatorConfig::default(),
                 pushdowns: Vec::new(),
@@ -283,7 +286,7 @@ impl Mediator {
             });
         }
         self.analysis_warnings = report.warnings().into_iter().cloned().collect();
-        self.core.program = program;
+        self.core.program = CheckedProgram::new(program);
         self.cache_epoch += 1;
         Ok(())
     }
@@ -295,7 +298,7 @@ impl Mediator {
 
     /// Runs the analyzer over the *active* program without changing it.
     pub fn analyze(&self, query_forms: &[QueryForm]) -> AnalysisReport {
-        self.analyze_program(&self.core.program, query_forms)
+        self.analyze_program(self.program(), query_forms)
     }
 
     fn analyze_program(&self, program: &Program, query_forms: &[QueryForm]) -> AnalysisReport {
@@ -326,7 +329,7 @@ impl Mediator {
         let routes = |domain: &str, function: &str| {
             self.core.policy.decide(domain, function) == RoutingDecision::UseCim
         };
-        Analyzer::new(&self.core.program)
+        Analyzer::new(self.program())
             .with_registry(self.network.registry())
             .with_invariant_store(cim.invariants())
             .with_dcsm(&dcsm)
@@ -391,7 +394,7 @@ impl Mediator {
 
     /// The mediator program.
     pub fn program(&self) -> &Program {
-        &self.core.program
+        self.core.program.program()
     }
 
     /// Current virtual time (advances across queries, so the simulated
@@ -498,7 +501,7 @@ impl Mediator {
             self.core.policy.decide(domain, function) == RoutingDecision::UseCim
         };
         let verdicts = hermes_analysis::MaterializationVerdicts::compute(
-            &self.core.program,
+            self.program(),
             &[],
             None,
             Some(&routes),
@@ -585,7 +588,7 @@ impl Mediator {
 impl std::fmt::Debug for Mediator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Mediator")
-            .field("rules", &self.core.program.rules.len())
+            .field("rules", &self.program().rules.len())
             .field("network", &self.network)
             .finish()
     }
@@ -910,6 +913,31 @@ mod tests {
         let empty = dir.join("nothing-here");
         std::fs::create_dir_all(&empty).unwrap();
         assert!(m2.load_state(&empty).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_save_keeps_the_previous_state_files() {
+        let dir = std::env::temp_dir().join(format!("hermes-mediator-torn-{}", std::process::id()));
+        let mut m = mediator();
+        let rows = m.query("?- item('p_1', B).").unwrap().rows;
+        m.save_state(&dir).unwrap();
+        // The next save cannot even stage the answer cache: its staging
+        // path is taken by a directory. It must say so, and must leave
+        // the files of the save before it alone.
+        m.query("?- item('p_2', B).").unwrap();
+        let staging = dir.join("answers.cache.tmp");
+        std::fs::create_dir(&staging).unwrap();
+        assert!(m.save_state(&dir).is_err());
+        std::fs::remove_dir(&staging).unwrap();
+        // A staging file a crash left behind is not state: never read.
+        std::fs::write(&staging, "torn").unwrap();
+        std::fs::write(dir.join("stats.db.tmp"), "torn").unwrap();
+        let mut m2 = mediator();
+        m2.load_state(&dir).unwrap();
+        let warm = m2.query("?- item('p_1', B).").unwrap();
+        assert_eq!(warm.rows, rows);
+        assert_eq!(warm.stats.actual_calls, 0, "served from the earlier save");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -18,23 +18,23 @@ use crate::flight::InFlightRegistry;
 use crate::matcache::MatCache;
 use crate::mediator::{MediatorConfig, Planned, QueryRequest, QueryResult};
 use crate::plan::{Plan, PlanStep};
-use crate::rewrite::{
-    bind_query, cache_servable_plans, enumerate_plans_with_pushdowns, PushdownRule,
-};
+use crate::rewrite::{bind_query, cache_servable_plans, CheckedProgram, PushdownRule};
 use crate::tier::{select_tier, PlanTier, TierDecision, TierInputs, TierLoad, TierReason};
 use crate::trace::{TraceEntry, TraceEvent};
 use hermes_cim::{CimPolicy, CimView};
 use hermes_common::sync::Mutex;
 use hermes_common::{HermesError, Result, SimClock, SimInstant, Value};
 use hermes_dcsm::{CostVector, Dcsm, DcsmView, ShardedDcsm};
-use hermes_lang::{parse_query, Program, Query};
+use hermes_lang::{parse_query, Query};
 use hermes_net::Network;
 use std::collections::BTreeSet;
 
 /// The planning inputs: what a query is rewritten and costed against.
+/// The program is checked and indexed where it is installed, so planning
+/// a query repeats none of the work that depends on the program alone.
 #[derive(Clone, Debug)]
 pub(crate) struct PlanningCore {
-    pub program: Program,
+    pub program: CheckedProgram,
     pub policy: CimPolicy,
     pub config: MediatorConfig,
     pub pushdowns: Vec<PushdownRule>,
@@ -164,9 +164,7 @@ impl<D: Costs> Pipeline<'_, D> {
     /// Rewrites and costs a query: every executable plan, its §7
     /// estimate under the current statistics, and the cheapest one.
     pub fn plan(&self, query: &Query, config: &MediatorConfig) -> Result<Planned> {
-        check_mixed_definitions(&self.core.program)?;
-        let plans = enumerate_plans_with_pushdowns(
-            &self.core.program,
+        let plans = self.core.program.enumerate_plans(
             query,
             &self.core.policy,
             config.rewrite,
@@ -311,24 +309,6 @@ impl<D: Costs> Pipeline<'_, D> {
         let candidates: Vec<Plan> = eligible.iter().map(|&i| planned.plans[i].clone()).collect();
         Some(eligible[self.dcsm.choose(&candidates, config).0])
     }
-}
-
-/// Predicates defined by both facts and rules have ambiguous access-path
-/// semantics — reject them with a clear message instead of silently
-/// finding no plan.
-fn check_mixed_definitions(program: &Program) -> Result<()> {
-    for key in program.defined_predicates() {
-        let rules = program.rules_for(&key.0, key.1);
-        let facts = rules.iter().filter(|r| r.body.is_empty()).count();
-        if facts > 0 && facts < rules.len() {
-            return Err(HermesError::Plan(format!(
-                "predicate `{}/{}` mixes facts and rules; define it by \
-                 facts only or by access-path rules only",
-                key.0, key.1
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// Projects an execution outcome onto a plan's answer variables.

@@ -25,9 +25,9 @@ use hermes_cim::{CimPolicy, RoutingDecision};
 use hermes_common::{HermesError, PathStep, Result, Value};
 use hermes_lang::{
     validate_program, BodyAtom, CallTemplate, Condition, PathTerm, PredAtom, Program, Query, Relop,
-    Rule, Subst, Term,
+    Rule, RuleIndex, Subst, Term,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_set, BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A selection-pushdown rule (§5 transformation 2: "push selections to the
@@ -101,6 +101,9 @@ impl Default for RewriteConfig {
 /// Enumerates all executable plans for `query` against `program`.
 ///
 /// Returns at least one plan or an error explaining why none exists.
+/// `program` is unchecked, so every call pays the program checks and
+/// builds the rule index; a caller that plans many queries against one
+/// program builds a [`CheckedProgram`] once instead.
 pub fn enumerate_plans(
     program: &Program,
     query: &Query,
@@ -120,10 +123,148 @@ pub fn enumerate_plans_with_pushdowns(
     config: RewriteConfig,
     pushdowns: &[PushdownRule],
 ) -> Result<Vec<Plan>> {
+    let index = RuleIndex::new(program);
+    check_program(program, &index)?;
+    search_plans(program, &index, query, policy, config, pushdowns)
+}
+
+/// A mediator program with everything the rewriter derives from the
+/// program alone computed once, where the program is installed: the
+/// verdict of the program checks and the rule index the search reads.
+/// Planning a query against it ([`CheckedProgram::enumerate_plans`]) is
+/// the search and nothing else.
+///
+/// The verdict is stored, not raised: a program that fails a check can
+/// be installed, and every query against it fails with the check's
+/// message — exactly what checking per query did.
+#[derive(Clone, Debug)]
+pub struct CheckedProgram {
+    program: Program,
+    index: RuleIndex,
+    verdict: Result<()>,
+}
+
+impl CheckedProgram {
+    /// Checks and indexes `program`.
+    pub fn new(program: Program) -> Self {
+        let index = RuleIndex::new(&program);
+        let verdict = check_program(&program, &index);
+        CheckedProgram {
+            program,
+            index,
+            verdict,
+        }
+    }
+
+    /// The program as it was handed in.
+    pub fn program(&self) -> &Program {
+        &self.program
+    }
+
+    /// [`enumerate_plans_with_pushdowns`] without the per-call program
+    /// work: the same plans in the same order, the same errors.
+    pub fn enumerate_plans(
+        &self,
+        query: &Query,
+        policy: &CimPolicy,
+        config: RewriteConfig,
+        pushdowns: &[PushdownRule],
+    ) -> Result<Vec<Plan>> {
+        self.verdict.clone()?;
+        search_plans(&self.program, &self.index, query, policy, config, pushdowns)
+    }
+}
+
+/// The checks that depend on the program alone, first failure wins.
+fn check_program(program: &Program, index: &RuleIndex) -> Result<()> {
+    check_mixed_definitions(index)?;
     validate_program(program)?;
-    check_not_recursive(program)?;
+    check_not_recursive(program)
+}
+
+/// Predicates defined by both facts and rules have ambiguous access-path
+/// semantics — reject them with a clear message instead of silently
+/// finding no plan.
+fn check_mixed_definitions(index: &RuleIndex) -> Result<()> {
+    match index.iter().find(|defs| defs.is_mixed()) {
+        Some(mixed) => Err(HermesError::Plan(format!(
+            "predicate `{}/{}` mixes facts and rules; define it by \
+             facts only or by access-path rules only",
+            mixed.name(),
+            mixed.arity()
+        ))),
+        None => Ok(()),
+    }
+}
+
+type PredKey = (Arc<str>, usize);
+type PredGraph = BTreeMap<PredKey, BTreeSet<PredKey>>;
+
+/// Rejects recursive programs, naming the first predicate (in name order)
+/// from which a cycle of the dependency graph can be reached.
+fn check_not_recursive(program: &Program) -> Result<()> {
+    let mut edges: PredGraph = BTreeMap::new();
+    for rule in &program.rules {
+        let from = rule.head.key();
+        for atom in &rule.body {
+            if let BodyAtom::Pred(p) = atom {
+                edges.entry(from.clone()).or_default().insert(p.key());
+            }
+        }
+    }
+    // Depth-first search with three colours: absent = unvisited, `false`
+    // = on the current path, `true` = finished. The path is an explicit
+    // stack, so a rule chain of any length costs heap, not call frames.
+    let mut finished: BTreeMap<&PredKey, bool> = BTreeMap::new();
+    let mut path: Vec<(&PredKey, btree_set::Iter<'_, PredKey>)> = Vec::new();
+    for (root, succ) in &edges {
+        if finished.contains_key(root) {
+            continue;
+        }
+        finished.insert(root, false);
+        path.push((root, succ.iter()));
+        while let Some((node, succ)) = path.last_mut() {
+            let Some(next) = succ.next() else {
+                finished.insert(node, true);
+                path.pop();
+                continue;
+            };
+            match (finished.get(next), edges.get_key_value(next)) {
+                (Some(true), _) => {}
+                (Some(false), _) => {
+                    return Err(HermesError::Plan(format!(
+                        "predicate `{}/{}` is recursive; recursion is not supported",
+                        root.0, root.1
+                    )));
+                }
+                (None, Some((next, succ))) => {
+                    finished.insert(next, false);
+                    path.push((next, succ.iter()));
+                }
+                // No predicate in its rules' bodies: nothing to follow.
+                (None, None) => {
+                    finished.insert(next, true);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The plan search itself: what [`enumerate_plans_with_pushdowns`] and
+/// [`CheckedProgram::enumerate_plans`] both run once the program checks
+/// have passed.
+fn search_plans(
+    program: &Program,
+    index: &RuleIndex,
+    query: &Query,
+    policy: &CimPolicy,
+    config: RewriteConfig,
+    pushdowns: &[PushdownRule],
+) -> Result<Vec<Plan>> {
     let mut rw = Rewriter {
         program,
+        index,
         policy,
         config,
         pushdowns,
@@ -165,60 +306,9 @@ pub fn enumerate_plans_with_pushdowns(
     Ok(plans)
 }
 
-/// Rejects recursive programs.
-type PredKey = (Arc<str>, usize);
-type PredGraph = BTreeMap<PredKey, BTreeSet<PredKey>>;
-
-fn check_not_recursive(program: &Program) -> Result<()> {
-    // DFS over the predicate dependency graph.
-    let mut edges: PredGraph = BTreeMap::new();
-    for rule in &program.rules {
-        let from = rule.head.key();
-        for atom in &rule.body {
-            if let BodyAtom::Pred(p) = atom {
-                edges.entry(from.clone()).or_default().insert(p.key());
-            }
-        }
-    }
-    // Iterative cycle detection (colors).
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Gray,
-        Black,
-    }
-    let keys: Vec<_> = edges.keys().cloned().collect();
-    let mut color: BTreeMap<PredKey, Color> = BTreeMap::new();
-    fn visit(node: &PredKey, edges: &PredGraph, color: &mut BTreeMap<PredKey, Color>) -> bool {
-        match color.get(node).copied().unwrap_or(Color::White) {
-            Color::Gray => return false,
-            Color::Black => return true,
-            Color::White => {}
-        }
-        color.insert(node.clone(), Color::Gray);
-        if let Some(next) = edges.get(node) {
-            for n in next {
-                if !visit(n, edges, color) {
-                    return false;
-                }
-            }
-        }
-        color.insert(node.clone(), Color::Black);
-        true
-    }
-    for k in &keys {
-        if !visit(k, &edges, &mut color) {
-            return Err(HermesError::Plan(format!(
-                "predicate `{}/{}` is recursive; recursion is not supported",
-                k.0, k.1
-            )));
-        }
-    }
-    Ok(())
-}
-
 struct Rewriter<'a> {
     program: &'a Program,
+    index: &'a RuleIndex,
     policy: &'a CimPolicy,
     config: RewriteConfig,
     pushdowns: &'a [PushdownRule],
@@ -281,10 +371,9 @@ impl Rewriter<'_> {
         if let Some(i) = remaining.iter().position(|a| {
             matches!(a, BodyAtom::Pred(p)
                 if self
-                    .program
-                    .rules_for(&p.name, p.args.len())
-                    .iter()
-                    .any(|r| !r.body.is_empty()))
+                    .index
+                    .get(&p.name, p.args.len())
+                    .is_some_and(|rules| rules.has_path_rules()))
         }) {
             let BodyAtom::Pred(atom) = remaining[i].clone() else {
                 unreachable!("position matched a Pred");
@@ -440,19 +529,16 @@ impl Rewriter<'_> {
         if depth >= self.config.max_depth {
             return;
         }
-        let rules = self.program.rules_for(&atom.name, atom.args.len());
-        let path_rules: Vec<&&Rule> = rules.iter().filter(|r| !r.body.is_empty()).collect();
-        if path_rules.len() != rules.len() {
-            // Mixed definitions have ambiguous access-path semantics; the
-            // search yields no plan through this branch, and the mediator
-            // surfaces a clear error earlier (see Mediator::plan).
+        // The program checks reject mixed definitions before any search,
+        // so every definition here is an access-path rule.
+        let Some(rules) = self.index.get(&atom.name, atom.args.len()) else {
             return;
-        }
-        for rule in path_rules {
+        };
+        for &pos in rules.rule_positions() {
             if self.plans.len() >= self.config.max_plans {
                 return;
             }
-            if let Some(new_atoms) = self.instantiate_rule(rule, atom) {
+            if let Some(new_atoms) = self.instantiate_rule(&self.program.rules[pos], atom) {
                 let mut next_remaining = remaining.to_vec();
                 next_remaining.remove(i);
                 // Inline the rule body where the atom stood, preserving
@@ -475,20 +561,10 @@ impl Rewriter<'_> {
         steps: &[PlanStep],
         depth: usize,
     ) {
-        let rules = self.program.rules_for(&atom.name, atom.args.len());
-        if rules.is_empty() || rules.iter().any(|r| !r.body.is_empty()) {
-            return; // undefined or mixed: no plan through this branch
-        }
-        let rows: Vec<Vec<Value>> = rules
-            .iter()
-            .map(|r| {
-                r.head
-                    .args
-                    .iter()
-                    .map(|t| t.as_const().expect("facts are ground").clone())
-                    .collect()
-            })
-            .collect();
+        let rows = self.index.get(&atom.name, atom.args.len());
+        let Some(rows) = rows.and_then(|rules| rules.fact_rows()) else {
+            return; // undefined: no plan through this branch
+        };
         let mut next_remaining = remaining.to_vec();
         next_remaining.remove(i);
         let mut next_bound = bound.clone();
@@ -499,7 +575,7 @@ impl Rewriter<'_> {
         next_steps.push(PlanStep::Facts {
             pred: atom.name.clone(),
             args: atom.args.clone(),
-            rows: Arc::new(rows),
+            rows: rows.clone(),
         });
         self.search(next_remaining, next_bound, next_steps, depth);
     }
@@ -844,6 +920,111 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("recursive"));
+    }
+
+    #[test]
+    fn recursion_error_names_the_first_predicate_that_reaches_a_cycle() {
+        // The walk starts from `a/1` (name order) and runs into the
+        // `b -> c -> b` cycle: `a/1` is named, not a member of the cycle.
+        let program = parse_program(
+            "c(X) :- b(X).
+             b(X) :- c(X).
+             a(X) :- b(X).
+             ok(X) :- in(X, d:f()).",
+        )
+        .unwrap();
+        let err = check_not_recursive(&program).unwrap_err().to_string();
+        assert!(err.contains("predicate `a/1` is recursive"), "{err}");
+    }
+
+    #[test]
+    fn recursion_walk_agrees_with_reachability_on_random_programs() {
+        // Reference: the first predicate in name order, among those with
+        // a predicate in a body, from which some predicate on a cycle can
+        // be reached — by transitive closure, not by a walk.
+        const N: usize = 7;
+        let mut rng = hermes_common::Rng64::new(1996);
+        let (mut cyclic, mut acyclic) = (0, 0);
+        for _ in 0..400 {
+            let mut edge = [[false; N]; N];
+            let mut src = String::new();
+            for (from, row) in edge.iter_mut().enumerate() {
+                for (to, e) in row.iter_mut().enumerate() {
+                    if rng.chance(0.13) {
+                        *e = true;
+                        src.push_str(&format!("p{from}(X) :- p{to}(X).\n"));
+                    }
+                }
+            }
+            src.push_str("leaf(X) :- in(X, d:f()).\n");
+            let mut reach = edge;
+            for k in 0..N {
+                for i in 0..N {
+                    for j in 0..N {
+                        reach[i][j] |= reach[i][k] && reach[k][j];
+                    }
+                }
+            }
+            let reaches_cycle =
+                |i: usize| reach[i][i] || (0..N).any(|j| reach[i][j] && reach[j][j]);
+            let expect = (0..N).find(|&i| reaches_cycle(i));
+            let got = check_not_recursive(&parse_program(&src).unwrap());
+            match expect {
+                Some(i) => {
+                    cyclic += 1;
+                    let msg = got.unwrap_err().to_string();
+                    assert!(
+                        msg.contains(&format!("`p{i}/1` is recursive")),
+                        "{msg}\n{src}"
+                    );
+                }
+                None => {
+                    acyclic += 1;
+                    assert!(got.is_ok(), "{src}");
+                }
+            }
+        }
+        assert!(
+            cyclic > 50 && acyclic > 50,
+            "{cyclic} cyclic, {acyclic} acyclic"
+        );
+    }
+
+    #[test]
+    fn checked_program_stores_the_first_failing_check() {
+        // Mixed definitions are reported before an ungroundable rule, and
+        // that before recursion — the order the checks always ran in.
+        let mixed_and_recursive = parse_program(
+            "mix('a').
+             mix(X) :- in(X, d:f()).
+             loop(X) :- loop(X).",
+        )
+        .unwrap();
+        let query = parse_query("?- loop(X).").unwrap();
+        let policy = CimPolicy::never();
+        let checked = CheckedProgram::new(mixed_and_recursive.clone());
+        assert_eq!(checked.program(), &mixed_and_recursive);
+        let stored = checked
+            .enumerate_plans(&query, &policy, RewriteConfig::default(), &[])
+            .unwrap_err();
+        assert!(stored.to_string().contains("`mix/1` mixes facts and rules"));
+        let per_call = enumerate_plans(
+            &mixed_and_recursive,
+            &query,
+            &policy,
+            RewriteConfig::default(),
+        );
+        assert_eq!(per_call.unwrap_err(), stored);
+
+        let unsafe_and_recursive = parse_program(
+            "loop(X) :- loop(X).
+             bad(X) :- in(X, d:f(Z)).",
+        )
+        .unwrap();
+        let err = CheckedProgram::new(unsafe_and_recursive)
+            .enumerate_plans(&query, &policy, RewriteConfig::default(), &[])
+            .unwrap_err();
+        assert!(err.to_string().contains("can never become ground"), "{err}");
     }
 
     #[test]

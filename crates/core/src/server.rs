@@ -2,7 +2,8 @@
 //!
 //! A serial [`Mediator`](crate::mediator::Mediator) takes `&mut self` per
 //! query — one client at a time. This module splits the mediator into an
-//! **immutable planning core** (program, CIM policy, configuration,
+//! **immutable planning core** (the program, checked and indexed once
+//! where the serial mediator installed it; CIM policy, configuration,
 //! pushdown rules — read-only after construction) and a **shared-state
 //! layer** every query reaches through `&self`:
 //!

@@ -14,6 +14,7 @@
 
 use crate::cost::CostVector;
 use crate::vectordb::CostVectorDb;
+use hermes_common::atomic_file::write_atomically;
 use hermes_common::wire::{encode_call, Decoder};
 use hermes_common::{HermesError, Result, SimDuration, SimInstant};
 use std::io::{BufRead, Write};
@@ -38,7 +39,7 @@ fn read_component(text: &str, what: &str) -> Result<Option<f64>> {
         .map_err(|e| HermesError::Io(format!("bad {what} `{text}`: {e}")))
 }
 
-/// Writes every record to `out`.
+/// Writes every record to `out` and flushes it.
 pub fn save<W: Write>(db: &CostVectorDb, mut out: W) -> Result<()> {
     writeln!(out, "{HEADER}")?;
     for (domain, function) in db.functions() {
@@ -56,6 +57,8 @@ pub fn save<W: Write>(db: &CostVectorDb, mut out: W) -> Result<()> {
             writeln!(out, "{line}")?;
         }
     }
+    // A buffering writer only meets the error of its last chunk here.
+    out.flush()?;
     Ok(())
 }
 
@@ -106,10 +109,10 @@ pub fn load<R: BufRead>(input: R) -> Result<CostVectorDb> {
     Ok(db)
 }
 
-/// Saves to a file path.
+/// Saves to a file path, replacing the file whole or not at all (see
+/// [`hermes_common::atomic_file`]).
 pub fn save_to_path(db: &CostVectorDb, path: &std::path::Path) -> Result<()> {
-    let file = std::fs::File::create(path)?;
-    save(db, std::io::BufWriter::new(file))
+    write_atomically(path, |out| save(db, out))
 }
 
 /// Loads from a file path.
@@ -171,6 +174,23 @@ mod tests {
         assert!(load(std::io::Cursor::new(bad.as_bytes())).is_err());
         let short = format!("{HEADER}\nS1:dS1:fA0;\t-\t-\n");
         assert!(load(std::io::Cursor::new(short.as_bytes())).is_err());
+    }
+
+    #[test]
+    fn save_reports_an_error_on_the_final_buffered_write() {
+        // Everything fits the buffer, so the sink is only written to —
+        // and only fails — when the buffer is flushed.
+        struct DiskFull;
+        impl Write for DiskFull {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("disk full"))
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = save(&figure2_database(), std::io::BufWriter::new(DiskFull)).unwrap_err();
+        assert!(err.to_string().contains("disk full"), "{err}");
     }
 
     #[test]

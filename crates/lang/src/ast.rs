@@ -542,6 +542,121 @@ impl fmt::Display for Program {
     }
 }
 
+/// The definitions of one predicate identity, as a [`RuleIndex`] files
+/// them.
+#[derive(Clone, Debug)]
+pub struct PredRules {
+    name: Arc<str>,
+    arity: usize,
+    rules: Vec<usize>,
+    facts: usize,
+    fact_rows: Option<Arc<Vec<Vec<Value>>>>,
+}
+
+impl PredRules {
+    /// The predicate's name.
+    pub fn name(&self) -> &Arc<str> {
+        &self.name
+    }
+
+    /// The predicate's arity.
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// Positions in [`Program::rules`] of the rules whose head is this
+    /// predicate, in source order.
+    pub fn rule_positions(&self) -> &[usize] {
+        &self.rules
+    }
+
+    /// True when at least one definition has a body (an access-path rule).
+    pub fn has_path_rules(&self) -> bool {
+        self.facts < self.rules.len()
+    }
+
+    /// True when the predicate is defined by facts *and* by rules.
+    pub fn is_mixed(&self) -> bool {
+        self.facts > 0 && self.has_path_rules()
+    }
+
+    /// The rows of a fact-defined predicate (every definition a ground
+    /// fact), in source order. `None` for a rule-defined or mixed
+    /// predicate, and for one with a non-ground fact, which
+    /// [`validate_program`](crate::validate_program) rejects.
+    pub fn fact_rows(&self) -> Option<&Arc<Vec<Vec<Value>>>> {
+        self.fact_rows.as_ref()
+    }
+}
+
+/// [`Program::rules_for`] answered from a table: built in one pass over a
+/// program, then every lookup is a binary search instead of a scan that
+/// collects a `Vec`. The index holds positions, not references, so it can
+/// be stored beside the program it was built from; it describes that
+/// program only.
+#[derive(Clone, Debug, Default)]
+pub struct RuleIndex {
+    /// Sorted by `(name, arity)`.
+    preds: Vec<PredRules>,
+}
+
+impl RuleIndex {
+    /// Indexes `program`.
+    pub fn new(program: &Program) -> Self {
+        let head = |pos: usize| &program.rules[pos].head;
+        // Stable, so the rules of one predicate stay in source order.
+        let mut by_pred: Vec<usize> = (0..program.rules.len()).collect();
+        by_pred.sort_by_key(|&pos| (head(pos).name.as_ref(), head(pos).args.len()));
+        let mut preds: Vec<PredRules> = Vec::new();
+        for pos in by_pred {
+            let (name, arity) = (&head(pos).name, head(pos).args.len());
+            if !matches!(preds.last(), Some(p) if p.name == *name && p.arity == arity) {
+                preds.push(PredRules {
+                    name: name.clone(),
+                    arity,
+                    rules: Vec::new(),
+                    facts: 0,
+                    fact_rows: None,
+                });
+            }
+            let entry = preds.last_mut().expect("pushed above");
+            entry.rules.push(pos);
+            if program.rules[pos].body.is_empty() {
+                entry.facts += 1;
+            }
+        }
+        for entry in preds.iter_mut().filter(|p| !p.has_path_rules()) {
+            let rows: Option<Vec<Vec<Value>>> = entry
+                .rules
+                .iter()
+                .map(|&pos| {
+                    head(pos)
+                        .args
+                        .iter()
+                        .map(|t| t.as_const().cloned())
+                        .collect()
+                })
+                .collect();
+            entry.fact_rows = rows.map(Arc::new);
+        }
+        RuleIndex { preds }
+    }
+
+    /// The definitions of `name/arity`; `None` when no rule defines it.
+    pub fn get(&self, name: &str, arity: usize) -> Option<&PredRules> {
+        self.preds
+            .binary_search_by(|p| (p.name.as_ref(), p.arity).cmp(&(name, arity)))
+            .ok()
+            .map(|at| &self.preds[at])
+    }
+
+    /// Every defined predicate, ordered by `(name, arity)` like
+    /// [`Program::defined_predicates`].
+    pub fn iter(&self) -> impl Iterator<Item = &PredRules> {
+        self.preds.iter()
+    }
+}
+
 /// A query: a conjunction of goals, `?- g1 & … & gk.`
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Query {
@@ -784,6 +899,58 @@ mod tests {
         assert_eq!(p.rules_for("p", 2).len(), 1);
         assert_eq!(p.rules_for("q", 1).len(), 0);
         assert_eq!(p.defined_predicates().len(), 2);
+    }
+
+    #[test]
+    fn rule_index_agrees_with_rules_for() {
+        let fact =
+            |name: &str, v: &str| Rule::new(PredAtom::new(name, vec![Term::constant(v)]), vec![]);
+        let path = |name: &str, args: Vec<Term>| {
+            Rule::new(
+                PredAtom::new(name, args),
+                vec![BodyAtom::In {
+                    target: Term::var("A"),
+                    call: CallTemplate::new("d", "f", vec![]),
+                }],
+            )
+        };
+        let p = Program::new(vec![
+            fact("e", "a"),
+            path("p", vec![Term::var("A")]),
+            fact("e", "b"),
+            path("p", vec![Term::var("A"), Term::var("A")]),
+            fact("mix", "c"),
+            path("mix", vec![Term::var("A")]),
+            Rule::new(PredAtom::new("open", vec![Term::var("X")]), vec![]),
+        ]);
+        let index = RuleIndex::new(&p);
+        // Same predicates, same order, same rules as the scans.
+        let keys: Vec<(Arc<str>, usize)> = index
+            .iter()
+            .map(|d| (d.name().clone(), d.arity()))
+            .collect();
+        assert_eq!(keys, p.defined_predicates().into_iter().collect::<Vec<_>>());
+        for defs in index.iter() {
+            let indexed: Vec<&Rule> = defs.rule_positions().iter().map(|&i| &p.rules[i]).collect();
+            assert_eq!(indexed, p.rules_for(defs.name(), defs.arity()));
+            assert!(std::ptr::eq(
+                index.get(defs.name(), defs.arity()).unwrap(),
+                defs
+            ));
+        }
+        assert!(index.get("q", 1).is_none());
+        assert!(index.get("p", 3).is_none());
+
+        let e = index.get("e", 1).unwrap();
+        assert!(!e.has_path_rules() && !e.is_mixed());
+        let rows = e.fact_rows().unwrap();
+        assert_eq!(**rows, vec![vec![Value::str("a")], vec![Value::str("b")]]);
+        let p1 = index.get("p", 1).unwrap();
+        assert!(p1.has_path_rules() && !p1.is_mixed() && p1.fact_rows().is_none());
+        let mix = index.get("mix", 1).unwrap();
+        assert!(mix.is_mixed() && mix.fact_rows().is_none());
+        // A fact with a variable has no rows (validation rejects it).
+        assert!(index.get("open", 1).unwrap().fact_rows().is_none());
     }
 
     #[test]

@@ -51,8 +51,8 @@ pub mod subst;
 pub mod validate;
 
 pub use ast::{
-    BodyAtom, CallTemplate, Condition, InvRel, Invariant, PathTerm, PredAtom, Program, Query,
-    Relop, Rule, Term,
+    BodyAtom, CallTemplate, Condition, InvRel, Invariant, PathTerm, PredAtom, PredRules, Program,
+    Query, Relop, Rule, RuleIndex, Term,
 };
 pub use parser::{parse_invariant, parse_invariants, parse_program, parse_query, parse_rule};
 pub use subst::Subst;

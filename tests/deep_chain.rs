@@ -1,0 +1,83 @@
+//! A rule chain 100 000 predicates deep — `p0 :- p1. … pN :- in(..).` —
+//! is not recursive and not wrong, only deeper than the rewriter unfolds.
+//! Every walk of the predicate dependency graph keeps its path on the
+//! heap, so the chain gets a planning error or a clean analysis on a
+//! 2 MB thread stack, where a walk that recursed once per predicate
+//! overflowed (near 25 000 rules) and took the process down.
+
+use hermes::analysis::Analyzer;
+use hermes::core::{enumerate_plans, RewriteConfig};
+use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
+use hermes::lang::{parse_program, parse_query, Program};
+use hermes::net::profiles;
+use hermes::{CimPolicy, Mediator, Network};
+use std::sync::Arc;
+
+const DEPTH: usize = 100_000;
+
+fn chain_source(depth: usize) -> String {
+    let mut src = String::new();
+    for i in 0..depth {
+        src.push_str(&format!("p{i}(A, B) :- p{}(A, B).\n", i + 1));
+    }
+    src.push_str(&format!("p{depth}(A, B) :- in(B, d1:p_bf(A)).\n"));
+    src
+}
+
+/// Runs `f` on a thread with the 2 MB stack of a worker or test thread.
+fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("thread spawns")
+        .join()
+        .expect("the walk must not overflow the stack")
+}
+
+fn chain() -> Program {
+    parse_program(&chain_source(DEPTH)).unwrap()
+}
+
+#[test]
+fn rewriter_reports_a_planning_error_for_a_deep_chain() {
+    let err = on_small_stack(|| {
+        enumerate_plans(
+            &chain(),
+            &parse_query("?- p0('p_1', B).").unwrap(),
+            &CimPolicy::never(),
+            RewriteConfig::default(),
+        )
+        .unwrap_err()
+    });
+    // Deeper than `max_depth` unfoldings: no plan, and not "recursive".
+    let msg = err.to_string();
+    assert!(msg.contains("no executable ordering"), "{msg}");
+}
+
+#[test]
+fn analyzer_walks_a_deep_chain() {
+    let report = on_small_stack(|| Analyzer::new(&chain()).analyze());
+    assert!(
+        !report.has_code(hermes::analysis::DiagCode::RecursiveCycle),
+        "{}",
+        report.render()
+    );
+}
+
+#[test]
+fn registering_a_deep_chain_returns() {
+    let (registered, queried) = on_small_stack(|| {
+        let domain = SyntheticDomain::generate("d1", 42, &[RelationSpec::uniform("p", 8, 2.0)]);
+        let mut net = Network::new(1);
+        net.place(Arc::new(domain), profiles::cornell());
+        let mut m = Mediator::from_source("item(A, B) :- in(B, d1:p_bf(A)).", net).unwrap();
+        let registered = m.register_source(&chain_source(DEPTH), &[]);
+        let queried = m.query("?- p0('p_1', B).").map(|r| r.rows.len());
+        (registered, queried)
+    });
+    // The analyzer has no finding against a deep chain, so it installs;
+    // the query then fails in planning like the bare rewriter call.
+    registered.unwrap();
+    let msg = queried.unwrap_err().to_string();
+    assert!(msg.contains("no executable ordering"), "{msg}");
+}

@@ -656,6 +656,9 @@ impl<'w> Executor<'w> {
                 while flight_leader.is_none() {
                     match mat.join(ticket) {
                         MatRole::Leader(leader) => flight_leader = Some(leader),
+                        // A cache-only run waits on no source, its own or
+                        // a leader's: it computes from the cache instead.
+                        MatRole::Follower(_) if self.tier == PlanTier::CacheOnly => break,
                         MatRole::Follower(follower) => {
                             if let Some(rows) = follower.wait() {
                                 self.stats.subplans_coalesced += 1;

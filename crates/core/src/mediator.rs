@@ -515,7 +515,7 @@ impl Mediator {
     /// is executed instead; answers the failed attempt already cached are
     /// reused, so replanning resumes rather than restarts.
     pub fn execute(&mut self, planned: Planned, limit: Option<usize>) -> Result<QueryResult> {
-        self.on_pipeline(|p, clock| p.execute(planned, limit, &p.core.config, clock))
+        self.on_pipeline(|p, clock| p.execute(&planned, limit, &p.core.config, clock))
     }
 
     /// Starts a query in interactive mode (§3): answers stream on demand;

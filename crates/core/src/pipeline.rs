@@ -17,15 +17,15 @@ use crate::exec::{ExecOutcome, ExecStats, Executor};
 use crate::flight::InFlightRegistry;
 use crate::matcache::MatCache;
 use crate::mediator::{MediatorConfig, Planned, QueryRequest, QueryResult};
-use crate::plan::{Plan, PlanStep};
+use crate::plan::{Plan, PlanStep, Route};
 use crate::rewrite::{bind_query, cache_servable_plans, CheckedProgram, PushdownRule};
 use crate::tier::{select_tier, PlanTier, TierDecision, TierInputs, TierLoad, TierReason};
 use crate::trace::{TraceEntry, TraceEvent};
-use hermes_cim::{CimPolicy, CimView};
+use hermes_cim::{CimPolicy, CimPreview, CimView};
 use hermes_common::sync::Mutex;
-use hermes_common::{HermesError, Result, SimClock, SimInstant, Value};
+use hermes_common::{GroundCall, HermesError, Result, SimClock, SimInstant, Value};
 use hermes_dcsm::{CostVector, Dcsm, DcsmView, ShardedDcsm};
-use hermes_lang::{parse_query, Query};
+use hermes_lang::{parse_query, Query, Subst};
 use hermes_net::Network;
 use std::collections::BTreeSet;
 
@@ -72,11 +72,39 @@ pub(crate) struct Pipeline<'a, D> {
 
 /// A request parsed, bound and planned under its own copy of the
 /// configuration: what [`Pipeline::stage`] hands to [`Pipeline::run`].
+#[derive(Debug)]
 pub(crate) struct Staged {
     config: MediatorConfig,
     planned: Planned,
     limit: Option<usize>,
     tier: Option<PlanTier>,
+}
+
+impl Staged {
+    /// True when the request or the configuration engages the tier
+    /// selector on its own; a bounded admission gate engages it too.
+    fn engages_tiers(&self) -> bool {
+        self.config.adaptive_tiers || self.tier.is_some() || self.config.exec.budget.is_some()
+    }
+
+    /// The one ground call this query comes down to, when the answer
+    /// cache could serve the whole of it: no tier machinery engaged, and
+    /// the chosen plan has exactly one call step, CIM-routed, with
+    /// constant arguments.
+    fn cached_point(&self) -> Option<GroundCall> {
+        if self.engages_tiers() {
+            return None;
+        }
+        let mut calls = self.planned.plan().steps.iter().filter(|s| s.is_call());
+        let (Some(PlanStep::Call { call, route, .. }), None) = (calls.next(), calls.next()) else {
+            return None;
+        };
+        // Under no bindings a template grounds only if every argument is
+        // a constant.
+        (*route == Route::Cim)
+            .then(|| Subst::new().ground_call(call))
+            .flatten()
+    }
 }
 
 impl<D: Costs> Pipeline<'_, D> {
@@ -129,12 +157,9 @@ impl<D: Costs> Pipeline<'_, D> {
         clock: &mut SimClock,
         claim: impl FnOnce(TierDecision) -> Result<(TierDecision, P)>,
     ) -> Result<(QueryResult, Option<TierDecision>)> {
+        let engaged = staged.engages_tiers() || gate_load.is_some();
         let (mut config, mut planned, tier) = (staged.config, staged.planned, staged.tier);
         let selected_at = clock.now();
-        let engaged = config.adaptive_tiers
-            || tier.is_some()
-            || config.exec.budget.is_some()
-            || gate_load.is_some();
         let granted = if engaged {
             let load = gate_load.unwrap_or_else(TierLoad::unbounded);
             let decision = self.select_query_tier(tier, &mut planned, &config, load, selected_at);
@@ -144,7 +169,7 @@ impl<D: Costs> Pipeline<'_, D> {
         } else {
             None
         };
-        let mut result = self.execute(planned, staged.limit, &config, clock)?;
+        let mut result = self.execute(&planned, staged.limit, &config, clock)?;
         let decision = granted.map(|(decision, _permit)| decision);
         let traced =
             |d: &TierDecision| d.reason != TierReason::Default && config.exec.collect_trace;
@@ -159,6 +184,27 @@ impl<D: Costs> Pipeline<'_, D> {
             );
         }
         Ok((result, decision))
+    }
+
+    /// Runs a staged request to the end only if nothing can make it wait:
+    /// it comes down to one [cached point](Staged::cached_point) call and
+    /// the side-effect-free [`CimView::preview`] says `Hit`. The run goes
+    /// through the executor's wire gate ([`PlanTier::CacheOnly`], the
+    /// selector not engaged) and is accepted only if no call was skipped
+    /// and the answer is complete, so an entry evicted between preview
+    /// and lookup cannot put a source wait on the calling thread. `None`
+    /// hands the request back, still runnable; `clock` is then dead.
+    pub fn run_cached(&self, staged: &Staged, clock: &mut SimClock) -> Option<QueryResult> {
+        let point = staged.cached_point()?;
+        if self.cim.preview(&point) != CimPreview::Hit {
+            return None;
+        }
+        let mut config = staged.config;
+        config.exec.tier = PlanTier::CacheOnly;
+        let result = self
+            .execute(&staged.planned, staged.limit, &config, clock)
+            .ok()?;
+        (result.stats.tier_skipped_calls == 0 && !result.incomplete).then_some(result)
     }
 
     /// Rewrites and costs a query: every executable plan, its §7
@@ -219,7 +265,7 @@ impl<D: Costs> Pipeline<'_, D> {
     /// [`Mediator::execute`](crate::mediator::Mediator::execute)).
     pub fn execute(
         &self,
-        planned: Planned,
+        planned: &Planned,
         limit: Option<usize>,
         config: &MediatorConfig,
         clock: &mut SimClock,
@@ -266,7 +312,7 @@ impl<D: Costs> Pipeline<'_, D> {
                     if !avoid.insert(site.clone()) {
                         return Err(HermesError::Unavailable { site, reason });
                     }
-                    match self.failover_choice(&planned, &avoid, config) {
+                    match self.failover_choice(planned, &avoid, config) {
                         Some(next) => {
                             failovers += 1;
                             idx = next;

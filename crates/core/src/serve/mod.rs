@@ -12,8 +12,10 @@
 //!   epoll event loop: reactor thread(s) own every socket with
 //!   nonblocking per-connection state machines (incremental frame
 //!   decode, bounded write queues with vectored writes, read deadlines
-//!   that evict slow-loris peers), while queries execute on the same
-//!   bounded worker pool and wake the reactor through an eventfd.
+//!   that evict slow-loris peers), while queries that may wait on a
+//!   source execute on the same bounded worker pool and wake the
+//!   reactor through an eventfd; a query the answer cache alone serves
+//!   is answered on the reactor thread itself ([`INLINE_BUDGET`]).
 //!   Connections are decoupled from compute: tens of thousands of open
 //!   connections cost a few hundred bytes each, not a thread. Requests
 //!   on one connection may be **pipelined** — multiple queries in
@@ -22,9 +24,10 @@
 //!   wire error past it.
 //!
 //! [`ServeMode::Auto`] (the default) picks the reactor on Linux and the
-//! pool elsewhere; both modes share the dispatch path (`respond_bytes`),
-//! so the PR 6 admission-gate invariant `admitted + shed == queries`
-//! holds identically in either.
+//! pool elsewhere; both modes share the dispatch path (`respond_bytes`,
+//! and for a query its two halves `stage_query` / `run_staged`), so the
+//! PR 6 admission-gate invariant `admitted + shed == queries` holds
+//! identically in either.
 //!
 //! Queries run with the mediator in **wall-clock** mode (unless
 //! configured off): deadlines, budgets, and retry backoff bind to real
@@ -47,8 +50,17 @@ use hermes_common::frame::{DoneFrame, ErrorFrame, Frame, FrameDecoder, QueryFram
 use hermes_common::{HermesError, Record, Result, SimDuration, Value};
 
 use crate::mediator::{QueryRequest, QueryResult};
-use crate::server::ConcurrentMediator;
+use crate::server::{ConcurrentMediator, StagedQuery};
 use crate::tier::PlanTier;
+
+/// Reactor mode: how many `Query` frames the reactor thread stages (and,
+/// when the answer cache alone serves them, answers) per wake before the
+/// rest go to the workers as they arrived. It bounds the mediator work one
+/// wake can put in front of every other connection's I/O: staging plus a
+/// cached answer is ~10–15 µs, so 8 is about what two `Ping` round trips
+/// cost, and it leaves a full default `pipeline_depth` burst (32) mostly
+/// to the workers.
+pub const INLINE_BUDGET: usize = 8;
 
 /// Which serving engine a [`NetServer`] runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -246,6 +258,10 @@ pub struct NetServerStats {
     /// worker queue exceeded); gate sheds are counted by the gate, not
     /// here.
     pub pre_gate_shed: u64,
+    /// Reactor mode: `Query` frames finished on the reactor thread —
+    /// cached point queries, and requests refused while staging — instead
+    /// of crossing to a worker and back. Always 0 in pool mode.
+    pub inline_answers: u64,
 }
 
 #[derive(Default)]
@@ -256,6 +272,7 @@ pub(crate) struct NetCounters {
     pub(crate) bad_frames: AtomicU64,
     pub(crate) evicted: AtomicU64,
     pub(crate) pre_gate_shed: AtomicU64,
+    pub(crate) inline_answers: AtomicU64,
 }
 
 impl NetCounters {
@@ -267,6 +284,7 @@ impl NetCounters {
             bad_frames: self.bad_frames.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
             pre_gate_shed: self.pre_gate_shed.load(Ordering::Relaxed),
+            inline_answers: self.inline_answers.load(Ordering::Relaxed),
         }
     }
 }
@@ -422,14 +440,12 @@ pub(crate) fn shed_bytes(reason: &str) -> Vec<u8> {
 /// Serves one request frame to bytes: the complete encoded response
 /// stream (`Batch* Done`, `Error`, `Pong`, `StatsReply`). The second
 /// return is true when the frame asked the server to drain. Both server
-/// engines call this — pool handlers directly, the reactor from its
-/// worker pool — so wire behavior and the gate invariant are identical.
+/// engines call this — pool handlers for every frame, the reactor for
+/// admin frames and its workers for queries it did not stage — so wire
+/// behavior and the gate invariant are identical.
 pub(crate) fn respond_bytes(shared: &Shared, frame: Frame) -> (Vec<u8>, bool) {
     match frame {
-        Frame::Query(q) => match run_query(shared, &q) {
-            Ok((result, elapsed)) => (result_bytes(shared, &q, &result, elapsed), false),
-            Err(e) => (Frame::Error(ErrorFrame::from_error(&e)).encode(), false),
-        },
+        Frame::Query(q) => (respond_query(shared, &q), false),
         Frame::Ping => (Frame::Pong.encode(), false),
         Frame::Stats => (Frame::StatsReply(stats_value(shared)).encode(), false),
         Frame::Shutdown => (Frame::Pong.encode(), true),
@@ -445,42 +461,115 @@ pub(crate) fn respond_bytes(shared: &Shared, frame: Frame) -> (Vec<u8>, bool) {
     }
 }
 
-fn run_query(shared: &Shared, q: &QueryFrame) -> Result<(QueryResult, Duration)> {
-    let mut req = QueryRequest::new(q.src.clone()).trace(q.trace);
-    if let Some(n) = q.limit {
-        req = req.limit(n as usize);
+/// Serves a `Query` frame start to finish on the calling thread.
+pub(crate) fn respond_query(shared: &Shared, q: &QueryFrame) -> Vec<u8> {
+    match stage_query(shared, q) {
+        Ok(staged) => run_staged(shared, staged),
+        Err(refusal) => refusal,
     }
-    if let Some(us) = q.deadline_us {
-        req = req.deadline(SimDuration::from_micros(us));
-    }
-    if let Some(us) = q.budget_us {
-        req = req.budget(SimDuration::from_micros(us));
-    }
-    if let Some(name) = &q.tier {
-        let tier = PlanTier::parse(name)
-            .ok_or_else(|| HermesError::Eval(format!("[bad-frame] unknown plan tier {name:?}")))?;
-        req = req.tier(tier);
-    }
+}
+
+/// A `Query` frame admitted, parsed and planned, not yet run. `Send`: the
+/// reactor stages on its own thread and a worker may finish the run.
+pub(crate) struct StagedFrame {
+    query: StagedQuery,
+    trace: bool,
+    /// Time the mediator has worked on this query so far. Queue wait
+    /// between threads is excluded, so `DoneFrame::elapsed_us` means the
+    /// same whichever threads the query crossed.
+    spent: Duration,
+}
+
+/// The first half of serving a `Query` frame: gate admission, parse,
+/// bind, plan. `Err` is the complete encoded response of a request that
+/// ends here (shed, unknown tier, parse or planning error).
+pub(crate) fn stage_query(
+    shared: &Shared,
+    q: &QueryFrame,
+) -> std::result::Result<StagedFrame, Vec<u8>> {
+    let stage = || {
+        let mut req = QueryRequest::new(q.src.clone()).trace(q.trace);
+        if let Some(n) = q.limit {
+            req = req.limit(n as usize);
+        }
+        if let Some(us) = q.deadline_us {
+            req = req.deadline(SimDuration::from_micros(us));
+        }
+        if let Some(us) = q.budget_us {
+            req = req.budget(SimDuration::from_micros(us));
+        }
+        if let Some(name) = &q.tier {
+            let tier = PlanTier::parse(name).ok_or_else(|| {
+                HermesError::Eval(format!("[bad-frame] unknown plan tier {name:?}"))
+            })?;
+            req = req.tier(tier);
+        }
+        let start = Instant::now();
+        let query = shared.mediator.stage(&req)?;
+        Ok(StagedFrame {
+            query,
+            trace: q.trace,
+            spent: start.elapsed(),
+        })
+    };
+    stage().map_err(|e: HermesError| Frame::Error(ErrorFrame::from_error(&e)).encode())
+}
+
+/// The second half: runs a staged query to its encoded response, on a
+/// thread that may block on a source.
+pub(crate) fn run_staged(shared: &Shared, staged: StagedFrame) -> Vec<u8> {
     let start = Instant::now();
-    let result = shared.mediator.query(req)?;
-    Ok((result, start.elapsed()))
+    match shared.mediator.run(staged.query) {
+        Ok(result) => result_bytes(
+            shared,
+            staged.trace,
+            &result,
+            staged.spent + start.elapsed(),
+        ),
+        Err(e) => Frame::Error(ErrorFrame::from_error(&e)).encode(),
+    }
+}
+
+/// Finishes a staged query on the calling thread if the answer cache
+/// alone answers it (see [`ConcurrentMediator::run_cached`]); otherwise
+/// hands it back for [`run_staged`] on a worker. The reactor calls this
+/// on its own thread, so it must never wait on a source.
+#[allow(clippy::result_large_err)] // `Err` is the staged frame, handed back
+pub(crate) fn answer_cached(
+    shared: &Shared,
+    staged: StagedFrame,
+) -> std::result::Result<Vec<u8>, StagedFrame> {
+    let start = Instant::now();
+    let StagedFrame {
+        query,
+        trace,
+        spent,
+    } = staged;
+    match shared.mediator.run_cached(query) {
+        Ok(result) => Ok(result_bytes(
+            shared,
+            trace,
+            &result,
+            spent + start.elapsed(),
+        )),
+        Err(query) => Err(StagedFrame {
+            query,
+            trace,
+            spent: spent + start.elapsed(),
+        }),
+    }
 }
 
 /// Encodes `result` as `Batch*` + `Done`, batching `batch_rows` rows
 /// per frame so a large answer set stays incrementally decodable on the
 /// client side.
-fn result_bytes(
-    shared: &Shared,
-    q: &QueryFrame,
-    result: &QueryResult,
-    elapsed: Duration,
-) -> Vec<u8> {
+fn result_bytes(shared: &Shared, trace: bool, result: &QueryResult, elapsed: Duration) -> Vec<u8> {
     let batch = shared.config.batch_rows.max(1);
     let mut out = Vec::new();
     for chunk in result.rows.chunks(batch) {
         out.extend(Frame::Batch(chunk.to_vec()).encode());
     }
-    let trace = if q.trace && !result.trace.is_empty() {
+    let trace = if trace && !result.trace.is_empty() {
         crate::trace::render(&result.trace)
             .lines()
             .map(str::to_owned)
@@ -537,6 +626,7 @@ fn stats_value(shared: &Shared) -> Value {
         ("bad_frames", Value::Int(c.bad_frames as i64)),
         ("evicted", Value::Int(c.evicted as i64)),
         ("pre_gate_shed", Value::Int(c.pre_gate_shed as i64)),
+        ("inline", Value::Int(c.inline_answers as i64)),
     ]);
     Value::Record(Record::from_fields(vec![
         ("server", Value::Record(server)),

@@ -50,16 +50,22 @@ impl PoolServer {
         let workers = shared.config.workers.max(1);
         let (tx, rx) = sync_channel::<TcpStream>(shared.config.pending_conns);
         let rx = Arc::new(Mutex::new(rx));
-        let handles: Vec<JoinHandle<()>> = (0..workers)
-            .map(|_| {
+        let handles = (0..workers)
+            .map(|i| {
                 let shared = shared.clone();
                 let rx = rx.clone();
-                std::thread::spawn(move || worker_loop(&shared, &rx))
+                std::thread::Builder::new()
+                    .name(format!("hermes-handler-{i}"))
+                    .spawn(move || worker_loop(&shared, &rx))
+                    .map_err(io_err)
             })
-            .collect();
+            .collect::<Result<Vec<JoinHandle<()>>>>()?;
         let accept = {
             let shared = shared.clone();
-            std::thread::spawn(move || accept_loop(&shared, &listener, &tx))
+            std::thread::Builder::new()
+                .name("hermes-accept".into())
+                .spawn(move || accept_loop(&shared, &listener, &tx))
+                .map_err(io_err)?
         };
 
         Ok(PoolServer {

@@ -13,8 +13,10 @@
 //! 2. reads ready sockets nonblockingly into each connection's
 //!    incremental [`FrameDecoder`] — partial frames simply stay
 //!    buffered until more bytes arrive,
-//! 3. dispatches decoded `Query` frames to the bounded worker pool and
-//!    answers admin frames (`Ping`/`Stats`/`Shutdown`) inline,
+//! 3. answers admin frames (`Ping`/`Stats`/`Shutdown`) inline, and
+//!    `Query` frames too when the answer cache alone serves them (see
+//!    *Which thread runs a query* below); the rest go to the bounded
+//!    worker pool,
 //! 4. collects completions the workers parked in the shared vector,
 //!    slots each into its connection's FIFO, and
 //! 5. flushes: response bytes move from the FIFO into a bounded write
@@ -32,6 +34,21 @@
 //! unboundedly — the connection-level face of the admission gate, one
 //! layer below it. Sheds here never reach the mediator, so the gate
 //! invariant `admitted + shed == queries` is untouched.
+//!
+//! # Which thread runs a query
+//!
+//! A hand-off costs two thread wake-ups (channel to the worker, eventfd
+//! back), which on a warm point query is more than the query itself. So
+//! while the admission gate is unbounded the reactor *stages* each
+//! `Query` frame on its own thread — admit, parse, bind, plan — and
+//! finishes it there when the plan is one constant CIM-routed call the
+//! cache holds ([`answer_cached`]): that path touches no source and
+//! cannot wait. Everything else goes to a worker carrying its staged
+//! plan and gate permit, so nothing is parsed or planned twice. At most
+//! [`INLINE_BUDGET`] queries are staged per wake; past it, and whenever
+//! the gate is bounded (a staged query holds its gate slot, which must
+//! not be held across a queue wait), frames go to the workers unstaged,
+//! as before. No source call ever runs on the reactor thread.
 //!
 //! # Deadlines
 //!
@@ -54,14 +71,17 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use hermes_common::frame::{Frame, FrameDecoder};
+use hermes_common::frame::{Frame, FrameDecoder, QueryFrame};
 use hermes_common::Result;
 
 use super::sys::{
     set_nonblocking, writev_bufs, Epoll, EpollEvent, EventFd, WriteOutcome, EPOLLERR, EPOLLIN,
     EPOLLOUT, EPOLLRDHUP,
 };
-use super::{io_err, refuse, respond_bytes, shed_bytes, Shared};
+use super::{
+    answer_cached, io_err, refuse, respond_bytes, respond_query, run_staged, shed_bytes,
+    stage_query, Shared, StagedFrame, INLINE_BUDGET,
+};
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKEUP: u64 = 1;
@@ -100,33 +120,40 @@ impl ReactorServer {
         let job_rx = Arc::new(Mutex::new(job_rx));
         let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
 
-        let workers: Vec<JoinHandle<()>> = (0..shared.config.workers.max(1))
-            .map(|_| {
+        let workers = (0..shared.config.workers.max(1))
+            .map(|i| {
                 let shared = shared.clone();
                 let job_rx = job_rx.clone();
                 let completions = completions.clone();
                 let wakeup = wakeup.clone();
-                std::thread::spawn(move || worker_loop(&shared, &job_rx, &completions, &wakeup))
+                std::thread::Builder::new()
+                    .name(format!("hermes-worker-{i}"))
+                    .spawn(move || worker_loop(&shared, &job_rx, &completions, &wakeup))
+                    .map_err(io_err)
             })
-            .collect();
+            .collect::<Result<Vec<JoinHandle<()>>>>()?;
 
         let reactor = {
             let shared = shared.clone();
             let wakeup = wakeup.clone();
-            std::thread::spawn(move || {
-                Reactor {
-                    shared,
-                    epoll,
-                    wakeup,
-                    listener: Some(listener),
-                    conns: HashMap::new(),
-                    next_token: FIRST_CONN_TOKEN,
-                    job_tx,
-                    completions,
-                    last_sweep: Instant::now(),
-                }
-                .run();
-            })
+            std::thread::Builder::new()
+                .name("hermes-reactor".into())
+                .spawn(move || {
+                    Reactor {
+                        shared,
+                        epoll,
+                        wakeup,
+                        listener: Some(listener),
+                        conns: HashMap::new(),
+                        next_token: FIRST_CONN_TOKEN,
+                        job_tx,
+                        completions,
+                        last_sweep: Instant::now(),
+                        stage_left: 0,
+                    }
+                    .run();
+                })
+                .map_err(io_err)?
         };
 
         Ok(ReactorServer {
@@ -161,7 +188,14 @@ impl ReactorServer {
 struct Job {
     token: u64,
     seq: u64,
-    frame: Frame,
+    work: Work,
+}
+
+/// What a worker receives: a query the reactor already staged, or the
+/// frame as it arrived.
+enum Work {
+    Frame(QueryFrame),
+    Staged(StagedFrame),
 }
 
 /// A finished response headed back to the reactor.
@@ -235,6 +269,8 @@ struct Reactor {
     job_tx: SyncSender<Job>,
     completions: Arc<Mutex<Vec<Completion>>>,
     last_sweep: Instant,
+    /// Queries this wake may still stage on the reactor thread.
+    stage_left: usize,
 }
 
 impl Reactor {
@@ -261,6 +297,7 @@ impl Reactor {
                 Ok(n) => n,
                 Err(_) => return, // epoll itself failing is unrecoverable
             };
+            self.stage_left = INLINE_BUDGET;
             for ev in events.iter().take(n) {
                 // Copy out of the (packed) event record first.
                 let token = { ev.data };
@@ -350,8 +387,12 @@ impl Reactor {
                     conn.decoder.feed(&chunk[..n]);
                     conn.last_activity = Instant::now();
                     consumed += n;
-                    if consumed >= READ_BUDGET {
-                        break; // level-triggered: the rest re-reports
+                    // A short read emptied the socket, and past the
+                    // budget other connections get their turn. Either
+                    // way level-triggered epoll re-reports what is left
+                    // or arrives later, EOF included.
+                    if n < chunk.len() || consumed >= READ_BUDGET {
+                        break;
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -373,7 +414,7 @@ impl Reactor {
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
                     match frame {
-                        Frame::Query(_) => {
+                        Frame::Query(q) => {
                             let depth = self.shared.config.pipeline_depth.max(1);
                             if conn.inflight >= depth {
                                 self.shared
@@ -384,12 +425,34 @@ impl Reactor {
                                     seq,
                                     bytes: Some(shed_bytes("pipeline-full")),
                                 });
-                            } else {
-                                match self.job_tx.try_send(Job { token, seq, frame }) {
+                                continue;
+                            }
+                            let work =
+                                if self.stage_left > 0 && !self.shared.mediator.gate_bounded() {
+                                    self.stage_left -= 1;
+                                    answer_or_stage(&self.shared, &q)
+                                } else {
+                                    Err(Work::Frame(q))
+                                };
+                            match work {
+                                Ok(bytes) => {
+                                    self.shared
+                                        .counters
+                                        .inline_answers
+                                        .fetch_add(1, Ordering::Relaxed);
+                                    conn.pending.push_back(Pending {
+                                        seq,
+                                        bytes: Some(bytes),
+                                    });
+                                }
+                                Err(work) => match self.job_tx.try_send(Job { token, seq, work }) {
                                     Ok(()) => {
                                         conn.inflight += 1;
                                         conn.pending.push_back(Pending { seq, bytes: None });
                                     }
+                                    // A staged query dropped here gives
+                                    // its gate slot back uncounted: to
+                                    // the gate's books it never arrived.
                                     Err(TrySendError::Full(_)) => {
                                         self.shared
                                             .counters
@@ -403,7 +466,7 @@ impl Reactor {
                                     Err(TrySendError::Disconnected(_)) => {
                                         close = true;
                                     }
-                                }
+                                },
                             }
                         }
                         other => {
@@ -596,6 +659,17 @@ impl Reactor {
     }
 }
 
+/// Stages `q` on the calling (reactor) thread and answers it there when
+/// that needs no source: a request refused while staging, or a query the
+/// answer cache alone serves. `Err` is what a worker must finish.
+#[allow(clippy::result_large_err)]
+fn answer_or_stage(shared: &Shared, q: &QueryFrame) -> std::result::Result<Vec<u8>, Work> {
+    match stage_query(shared, q) {
+        Ok(staged) => answer_cached(shared, staged).map_err(Work::Staged),
+        Err(refusal) => Ok(refusal),
+    }
+}
+
 fn worker_loop(
     shared: &Shared,
     jobs: &Mutex<Receiver<Job>>,
@@ -612,7 +686,10 @@ fn worker_loop(
         };
         match job {
             Ok(job) => {
-                let (bytes, _) = respond_bytes(shared, job.frame);
+                let bytes = match job.work {
+                    Work::Frame(q) => respond_query(shared, &q),
+                    Work::Staged(staged) => run_staged(shared, staged),
+                };
                 if let Ok(mut guard) = completions.lock() {
                     guard.push(Completion {
                         token: job.token,

@@ -32,9 +32,9 @@ use crate::caches::CacheControl;
 use crate::flight::InFlightRegistry;
 use crate::matcache::MatCache;
 use crate::mediator::{QueryRequest, QueryResult};
-use crate::pipeline::{Pipeline, PlanningCore};
+use crate::pipeline::{Pipeline, PlanningCore, Staged};
 use crate::tier::{PlanTier, TierDecision, TierLoad, TierReason};
-use hermes_cim::ShardedCim;
+use hermes_cim::{CimView, ShardedCim};
 use hermes_common::sync::Mutex;
 use hermes_common::{HermesError, Result, SimClock, SimDuration, SimInstant};
 use hermes_dcsm::ShardedDcsm;
@@ -183,14 +183,14 @@ impl AdmissionGate {
     }
 
     /// Front-door admission. `None` means shed (`gate-full`).
-    fn admit(&self) -> Option<GatePermit<'_>> {
+    fn admit(self: &Arc<Self>) -> Option<GatePermit> {
         let capacity = self.capacity.load(Ordering::Relaxed);
         let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
         if prev >= capacity {
             self.in_flight.fetch_sub(1, Ordering::AcqRel);
             return None;
         }
-        Some(GatePermit { gate: self })
+        Some(GatePermit { gate: self.clone() })
     }
 
     /// Claims a slot at `tier`, falling to cheaper tiers while the
@@ -210,12 +210,15 @@ impl AdmissionGate {
     }
 }
 
-/// RAII total-capacity slot.
-struct GatePermit<'g> {
-    gate: &'g AdmissionGate,
+/// RAII total-capacity slot. It owns its handle on the gate, so a staged
+/// query can carry its admission from the thread that staged it to the
+/// thread that runs it.
+#[derive(Debug)]
+struct GatePermit {
+    gate: Arc<AdmissionGate>,
 }
 
-impl Drop for GatePermit<'_> {
+impl Drop for GatePermit {
     fn drop(&mut self) {
         self.gate.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
@@ -231,6 +234,15 @@ impl Drop for TierPermit<'_> {
     fn drop(&mut self) {
         self.gate.tier_in_flight[self.idx].fetch_sub(1, Ordering::AcqRel);
     }
+}
+
+/// A query admitted through the gate, parsed, bound and planned, but not
+/// yet run: what [`ConcurrentMediator::stage`] hands to
+/// [`ConcurrentMediator::run`]. Dropping it releases the gate slot.
+#[derive(Debug)]
+pub(crate) struct StagedQuery {
+    staged: Staged,
+    _permit: GatePermit,
 }
 
 /// A mediator that serves many clients at once: `query` takes `&self`.
@@ -267,7 +279,7 @@ pub struct ConcurrentMediator {
     /// time. The network serving stack (`hermes-serve`) turns this on.
     wall_clock: AtomicBool,
     queries: AtomicU64,
-    gate: AdmissionGate,
+    gate: Arc<AdmissionGate>,
     admitted: AtomicU64,
     shed: AtomicU64,
     downgraded: AtomicU64,
@@ -294,7 +306,7 @@ impl ConcurrentMediator {
             epoch_us: AtomicU64::new(epoch.duration_since(SimInstant::EPOCH).as_micros()),
             wall_clock: AtomicBool::new(false),
             queries: AtomicU64::new(0),
-            gate: AdmissionGate::unbounded(),
+            gate: Arc::new(AdmissionGate::unbounded()),
             admitted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             downgraded: AtomicU64::new(0),
@@ -329,62 +341,142 @@ impl ConcurrentMediator {
     ///
     /// [`Mediator::query`]: crate::mediator::Mediator::query
     pub fn query(&self, req: impl Into<QueryRequest>) -> Result<QueryResult> {
-        let req = req.into();
-        let result = self.serve(&req);
-        if matches!(&result, Err(HermesError::Shed { .. })) {
-            self.shed.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.admitted.fetch_add(1, Ordering::Relaxed);
+        self.run(self.stage(&req.into())?)
+    }
+
+    /// The first half of [`query`](Self::query): admits the request
+    /// through the gate, then parses, binds and plans it. Total admission
+    /// is checked before any parsing or planning, so a shed query costs
+    /// nothing and returns immediately. The staged query owns its gate
+    /// permit and is `Send`: any thread may [`run`](Self::run) it.
+    pub(crate) fn stage(&self, req: &QueryRequest) -> Result<StagedQuery> {
+        let admit_and_stage = || {
+            let permit = self.gate.admit().ok_or_else(|| HermesError::Shed {
+                reason: "gate-full".into(),
+            })?;
+            Ok(StagedQuery {
+                staged: self.pipeline(self.cim.as_ref()).stage(req)?,
+                _permit: permit,
+            })
+        };
+        admit_and_stage().inspect_err(|e| self.count(e))
+    }
+
+    /// The second half of [`query`](Self::query): tier selection (it
+    /// needs the cost estimate), the per-tier slot — claimed last and held
+    /// across execution — and the run itself.
+    pub(crate) fn run(&self, query: StagedQuery) -> Result<QueryResult> {
+        // Each query runs on its own clock, started once it is planned at
+        // the high-water mark of finished queries and folded back into it
+        // afterwards.
+        let mut clock = self.query_clock();
+        let served = self.pipeline(self.cim.as_ref()).run(
+            query.staged,
+            self.gate.is_bounded().then(|| self.gate.load()),
+            &mut clock,
+            |decision| self.claim_tier(decision),
+        );
+        self.fold_clock(&clock);
+        let result = served.map(|(result, granted)| {
+            if granted.is_some_and(|d| d.tier < PlanTier::Full) || result.stats.tier_downgrades > 0
+            {
+                self.downgraded.fetch_add(1, Ordering::Relaxed);
+            }
+            result
+        });
+        match &result {
+            Ok(_) => self.count_admitted(),
+            Err(e) => self.count(e),
         }
-        self.queries.fetch_add(1, Ordering::Relaxed);
         result
     }
 
-    /// The admission-gated serving path behind [`query`](Self::query).
-    ///
-    /// Order matters: total admission is checked before any parsing or
-    /// planning, so a shed query costs nothing and returns immediately;
-    /// tier selection runs after planning (it needs the cost estimate);
-    /// the per-tier slot is claimed last and held across execution.
-    fn serve(&self, req: &QueryRequest) -> Result<QueryResult> {
-        let _permit = self.gate.admit().ok_or_else(|| HermesError::Shed {
-            reason: "gate-full".into(),
-        })?;
-        let pipeline = Pipeline {
+    /// Finishes a staged query on the calling thread when nothing can
+    /// make it wait: the gate is unbounded and the answer cache alone
+    /// answers it complete (see [`Pipeline::run_cached`]). Otherwise the
+    /// query is handed back untouched and uncounted, for
+    /// [`run`](Self::run) on a thread that may block on a source.
+    #[allow(clippy::result_large_err)] // `Err` is the query itself, handed back
+    pub(crate) fn run_cached(
+        &self,
+        query: StagedQuery,
+    ) -> std::result::Result<QueryResult, StagedQuery> {
+        self.run_cached_on(self.cim.as_ref(), query)
+    }
+
+    /// [`run_cached`](Self::run_cached) against `cim`: the seam a test
+    /// uses to make the preview and the lookup disagree.
+    #[allow(clippy::result_large_err)]
+    fn run_cached_on(
+        &self,
+        cim: &dyn CimView,
+        query: StagedQuery,
+    ) -> std::result::Result<QueryResult, StagedQuery> {
+        if self.gate.is_bounded() {
+            return Err(query);
+        }
+        let mut clock = self.query_clock();
+        match self.pipeline(cim).run_cached(&query.staged, &mut clock) {
+            Some(result) => {
+                self.fold_clock(&clock);
+                self.count_admitted();
+                Ok(result)
+            }
+            None => Err(query),
+        }
+    }
+
+    /// True while the admission gate is bounded on any axis: every query
+    /// then goes through the tier selector and holds a tier slot.
+    pub(crate) fn gate_bounded(&self) -> bool {
+        self.gate.is_bounded()
+    }
+
+    fn pipeline<'a>(&'a self, cim: &'a dyn CimView) -> Pipeline<'a, ShardedDcsm> {
+        Pipeline {
             core: &self.core,
             network: &self.network,
-            cim: self.cim.as_ref(),
+            cim,
             dcsm: self.dcsm.as_ref(),
             breakers: &self.breakers,
             matcache: &self.matcache,
             flight: Some(&self.flight),
-        };
-        let staged = pipeline.stage(req)?;
-        // Each query runs on its own clock, started once it is planned at
-        // the high-water mark of finished queries and folded back into it
-        // afterwards.
-        let mut clock = if self.wall_clock() {
+        }
+    }
+
+    /// A fresh per-query clock at the high-water mark of finished queries.
+    fn query_clock(&self) -> SimClock {
+        if self.wall_clock() {
             SimClock::wall_from(self.now())
         } else {
             let mut sim = SimClock::new();
             sim.advance_to(self.now());
             sim
-        };
-        let served = pipeline.run(
-            staged,
-            self.gate.is_bounded().then(|| self.gate.load()),
-            &mut clock,
-            |decision| self.claim_tier(decision),
-        );
+        }
+    }
+
+    fn fold_clock(&self, clock: &SimClock) {
         self.epoch_us.fetch_max(
             clock.now().duration_since(SimInstant::EPOCH).as_micros(),
             Ordering::Relaxed,
         );
-        let (result, granted) = served?;
-        if granted.is_some_and(|d| d.tier < PlanTier::Full) || result.stats.tier_downgrades > 0 {
-            self.downgraded.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a query that ended in `error`: shed, or admitted and failed.
+    /// Every query is counted exactly once, by whichever of `stage`,
+    /// `run` or `run_cached` ends it, so `admitted + shed == queries`.
+    fn count(&self, error: &HermesError) {
+        if matches!(error, HermesError::Shed { .. }) {
+            self.shed.fetch_add(1, Ordering::Relaxed);
+            self.queries.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.count_admitted();
         }
-        Ok(result)
+    }
+
+    fn count_admitted(&self) {
+        self.admitted.fetch_add(1, Ordering::Relaxed);
+        self.queries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Claims a gate slot for the selector's decision, falling to cheaper
@@ -470,11 +562,26 @@ impl ConcurrentMediator {
 mod tests {
     use super::*;
     use crate::mediator::Mediator;
+    use hermes_cim::{CimPreview, CimResolution};
+    use hermes_common::{GroundCall, Value};
+    use hermes_domains::slow::SlowDomain;
     use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
     use hermes_net::profiles;
+    use std::time::Duration;
 
     fn mediator() -> Mediator {
+        counted_mediator().0
+    }
+
+    /// The test world, and a count of the calls its source executed.
+    fn counted_mediator() -> (Mediator, Arc<AtomicU64>) {
         let domain = SyntheticDomain::generate("d1", 42, &[RelationSpec::uniform("p", 8, 2.0)]);
+        let domain = SlowDomain::new(Arc::new(domain), Duration::ZERO);
+        let calls = domain.counter();
+        (mediator_over(domain), calls)
+    }
+
+    fn mediator_over(domain: SlowDomain) -> Mediator {
         let mut net = Network::new(1);
         net.place(Arc::new(domain), profiles::cornell());
         Mediator::from_source(
@@ -486,6 +593,40 @@ mod tests {
             net,
         )
         .unwrap()
+    }
+
+    /// The server's own cache, except that every preview says `Hit`: what
+    /// an eviction between the preview and the lookup looks like.
+    struct StalePreview<'a>(&'a ShardedCim);
+
+    impl CimView for StalePreview<'_> {
+        fn lookup(&self, call: &GroundCall, now: SimInstant) -> (CimResolution, SimDuration) {
+            self.0.lookup(call, now)
+        }
+        fn store(&self, call: GroundCall, answers: Arc<[Value]>, complete: bool, now: SimInstant) {
+            self.0.store(call, answers, complete, now);
+        }
+        fn stale_answers(&self, call: &GroundCall) -> Option<Arc<[Value]>> {
+            self.0.stale_answers(call)
+        }
+        fn merge_partial(
+            &self,
+            call: &GroundCall,
+            cached: &[Value],
+            actual: &[Value],
+        ) -> (Vec<Value>, SimDuration) {
+            self.0.merge_partial(call, cached, actual)
+        }
+        fn preview(&self, _call: &GroundCall) -> CimPreview {
+            CimPreview::Hit
+        }
+    }
+
+    fn assert_no_permit_out(server: &ConcurrentMediator) {
+        assert_eq!(server.gate.in_flight.load(Ordering::Acquire), 0);
+        for tier in &server.gate.tier_in_flight {
+            assert_eq!(tier.load(Ordering::Acquire), 0);
+        }
     }
 
     fn sorted(rows: &[Vec<hermes_common::Value>]) -> Vec<Vec<hermes_common::Value>> {
@@ -621,5 +762,109 @@ mod tests {
             stats.downgraded, 1,
             "gate-forced tier fall counts as degraded"
         );
+    }
+
+    #[test]
+    fn a_staged_query_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<StagedQuery>();
+    }
+
+    #[test]
+    fn run_cached_answers_a_warm_point_query_and_counts_it_once() {
+        let (m, calls) = counted_mediator();
+        let server = m.to_concurrent(2);
+        let point = QueryRequest::new("?- item('p_1', B).");
+
+        // Cold: the preview misses, the query comes back untouched.
+        let staged = server.stage(&point).unwrap();
+        let staged = server.run_cached(staged).expect_err("nothing cached yet");
+        assert_eq!(server.stats().queries, 0, "handed back, not yet counted");
+        let cold = server.run(staged).unwrap();
+        let source_calls = calls.load(Ordering::Relaxed);
+        assert!(source_calls >= 1);
+
+        // Warm: finished here, same rows, no source call, counted once.
+        let staged = server.stage(&point).unwrap();
+        let warm = server.run_cached(staged).expect("the cache holds the call");
+        assert_eq!(warm.rows, cold.rows);
+        assert_eq!(warm.columns, cold.columns);
+        assert!(!warm.incomplete);
+        assert_eq!(warm.stats.actual_calls, 0);
+        assert_eq!(warm.stats.tier_downgrades, 0);
+        assert_eq!(calls.load(Ordering::Relaxed), source_calls);
+        let stats = server.stats();
+        assert_eq!((stats.queries, stats.admitted, stats.shed), (2, 2, 0));
+        assert_eq!(stats.downgraded, 0, "the wire gate is not a tier decision");
+        assert_no_permit_out(&server);
+    }
+
+    #[test]
+    fn run_cached_hands_back_whatever_engages_the_tier_machinery() {
+        let mut m = mediator();
+        m.query("?- item('p_1', B).").unwrap();
+        let warm = "?- item('p_1', B).";
+        let budget = SimDuration::from_secs(60);
+        let refused = |server: &ConcurrentMediator, req: QueryRequest| {
+            let staged = server.stage(&req).unwrap();
+            let staged = server.run_cached(staged).expect_err("must go to `run`");
+            server.run(staged).unwrap();
+            assert_no_permit_out(server);
+        };
+
+        let server = m.to_concurrent(2);
+        refused(&server, QueryRequest::new(warm).tier(PlanTier::Full));
+        refused(&server, QueryRequest::new(warm).budget(budget));
+        server.set_gate(GateConfig::bounded(8));
+        refused(&server, QueryRequest::new(warm));
+        server.set_gate(GateConfig::default());
+        let staged = server.stage(&QueryRequest::new(warm)).unwrap();
+        assert!(server.run_cached(staged).is_ok(), "and nothing else does");
+
+        m.config_mut().adaptive_tiers = true;
+        refused(&m.to_concurrent(2), QueryRequest::new(warm));
+    }
+
+    #[test]
+    fn a_preview_hit_that_misses_is_handed_back_and_counted_once() {
+        let (m, calls) = counted_mediator();
+        let server = Arc::new(m.to_concurrent(2));
+        let staged = server
+            .stage(&QueryRequest::new("?- item('p_1', B)."))
+            .unwrap();
+
+        let staged = server
+            .run_cached_on(&StalePreview(server.cim()), staged)
+            .expect_err("the lookup missed: nothing to answer from");
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "no source call here");
+        assert_eq!(server.stats().queries, 0, "handed back, not yet counted");
+        assert_eq!(
+            server.gate.in_flight.load(Ordering::Acquire),
+            1,
+            "the admission travels with the staged query"
+        );
+
+        let worker = {
+            let server = server.clone();
+            std::thread::spawn(move || server.run(staged))
+        };
+        let result = worker.join().expect("no panic").unwrap();
+        assert!(!result.incomplete, "the worker answers in full");
+        assert!(!result.rows.is_empty());
+        assert_eq!(result.stats.tier_skipped_calls, 0);
+        assert!(calls.load(Ordering::Relaxed) >= 1);
+        let stats = server.stats();
+        assert_eq!((stats.queries, stats.admitted, stats.shed), (1, 1, 0));
+        assert_eq!(stats.downgraded, 0);
+        assert_no_permit_out(&server);
+    }
+
+    #[test]
+    fn a_query_that_fails_to_stage_is_counted_and_releases_its_slot() {
+        let server = mediator().to_concurrent(2);
+        assert!(server.stage(&QueryRequest::new("not a query")).is_err());
+        let stats = server.stats();
+        assert_eq!((stats.queries, stats.admitted, stats.shed), (1, 1, 0));
+        assert_no_permit_out(&server);
     }
 }

@@ -32,7 +32,9 @@
 //! `--test-mode` shrinks the run and turns invariants into assertions:
 //! every connection must succeed, every issued query must come back as
 //! an answer, a shed, or a query error (never a transport error), and
-//! the server's own counters must agree (`admitted + shed == queries`).
+//! the server's own counters must agree (`admitted + shed == queries`;
+//! `net.inline` — queries answered on the reactor thread — is positive
+//! under the reactor once keys repeat, zero under the pool).
 
 use hermes::common::{percentile, Rng64};
 use hermes::{HermesError, QueryFrame, Value, WireClient};
@@ -58,7 +60,8 @@ options:
   --tier NAME        pin a plan tier (cache-only | cached-cheap | full)
   --seed N           mix seed (default 7)
   --shutdown         send a Shutdown frame after reporting
-  --test-mode        short run with CI assertions
+  --test-mode        short run with CI assertions (expects the server's
+                     default unbounded gate)
   -h, --help         this message
 ";
 
@@ -330,14 +333,18 @@ fn drive(opts: &Options, conns: usize, conn_id: usize) -> Result<Tally, String> 
     Ok(tally)
 }
 
-fn stat(stats: &Value, section: &str, field: &str) -> Option<i64> {
+fn field<'v>(stats: &'v Value, section: &str, field: &str) -> Option<&'v Value> {
     let Value::Record(rec) = stats else {
         return None;
     };
     let Some(Value::Record(sec)) = rec.get(section) else {
         return None;
     };
-    match sec.get(field) {
+    sec.get(field)
+}
+
+fn stat(stats: &Value, section: &str, name: &str) -> Option<i64> {
+    match field(stats, section, name) {
         Some(Value::Int(n)) => Some(*n),
         _ => None,
     }
@@ -446,16 +453,38 @@ fn main() {
             let shed = stat(stats, "server", "shed").unwrap_or(-1);
             let refused = stat(stats, "net", "refused").unwrap_or(-1);
             let pre_gate = stat(stats, "net", "pre_gate_shed").unwrap_or(-1);
+            let requests = stat(stats, "net", "requests").unwrap_or(-1);
+            let inline = stat(stats, "net", "inline").unwrap_or(-1);
+            let mode = match field(stats, "net", "mode") {
+                Some(Value::Str(m)) => m.to_string(),
+                _ => "?".into(),
+            };
             println!(
                 "  server: queries {queries}  admitted {admitted}  shed {shed}  \
                  socket-refused {refused}  pre-gate-shed {pre_gate}"
             );
+            println!("  net: mode {mode}  requests {requests}  inline {inline}");
             if opts.test_mode {
                 assert_eq!(
                     admitted + shed,
                     queries,
                     "gate invariant broken: admitted + shed != queries"
                 );
+                assert!(
+                    (0..=requests).contains(&inline),
+                    "net.inline {inline} outside 0..=net.requests {requests}"
+                );
+                // The mix repeats its hot keys within the first few dozen
+                // queries, so a reactor (behind the default, unbounded
+                // gate) has had warm untiered point queries to answer on
+                // its own thread; a pool has no such thread.
+                match mode.as_str() {
+                    "reactor" if opts.tier.is_none() => {
+                        assert!(inline > 0, "reactor answered no query inline")
+                    }
+                    "reactor" => {}
+                    _ => assert_eq!(inline, 0, "{mode} mode cannot answer inline"),
+                }
             }
         }
         Err(e) => eprintln!("hermes-load: stats fetch failed: {e}"),

@@ -2,6 +2,9 @@
 //! crate's public API: `NetServer` + `WireClient` end to end, including
 //! concurrent clients, gate sheds on the wire, and graceful shutdown.
 
+mod common;
+
+use common::OffReactor;
 use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes::net::profiles;
 use hermes::{
@@ -14,7 +17,7 @@ use std::time::Duration;
 fn world() -> Mediator {
     let domain = SyntheticDomain::generate("d1", 9, &[RelationSpec::uniform("p", 16, 2.0)]);
     let mut net = Network::new(9);
-    net.place(Arc::new(domain), profiles::maryland());
+    net.place(Arc::new(OffReactor::new(domain)), profiles::maryland());
     Mediator::from_source(
         "
         item(A, B) :- in(Ans, d1:p_ff()) & =(Ans.a, A) & =(Ans.b, B).

@@ -7,22 +7,30 @@
 //! the worker pool, and these tests assert reactor-specific behavior.
 #![cfg(target_os = "linux")]
 
+mod common;
+
+use common::{assert_permits_released, OffReactor};
+use hermes::analysis::parse_directives;
+use hermes::common::Record;
+use hermes::core::serve::INLINE_BUDGET;
 use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
-use hermes::domains::SlowDomain;
+use hermes::domains::{CallOutcome, Domain, FunctionSig, SlowDomain};
 use hermes::net::profiles;
 use hermes::{
-    Frame, FrameDecoder, HermesError, Mediator, NetServer, Network, QueryFrame, ServeConfig,
-    ServeMode, Value, WireClient,
+    ConcurrentMediator, Frame, FrameDecoder, GateConfig, HermesError, Mediator, NetServer, Network,
+    PlanTier, QueryFrame, QueryRequest, QueryResult, RemoteResult, ServeConfig, ServeMode,
+    SimDuration, Value, WireClient,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn world() -> Mediator {
     let domain = SyntheticDomain::generate("d1", 9, &[RelationSpec::uniform("p", 16, 2.0)]);
     let mut net = Network::new(9);
-    net.place(Arc::new(domain), profiles::maryland());
+    net.place(Arc::new(OffReactor::new(domain)), profiles::maryland());
     Mediator::from_source(
         "
         item(A, B) :- in(Ans, d1:p_ff()) & =(Ans.a, A) & =(Ans.b, B).
@@ -37,7 +45,7 @@ fn slow_world(delay: Duration) -> Mediator {
     let domain = SyntheticDomain::generate("d1", 9, &[RelationSpec::uniform("p", 16, 2.0)]);
     let mut net = Network::new(9);
     net.place(
-        Arc::new(SlowDomain::new(Arc::new(domain), delay)),
+        Arc::new(OffReactor::new(SlowDomain::new(Arc::new(domain), delay))),
         profiles::maryland(),
     );
     Mediator::from_source("item(A, B) :- in(B, d1:p_bf(A)).", net).unwrap()
@@ -340,4 +348,265 @@ fn serial_and_reactor_answers_are_the_same_multiset() {
         assert_eq!(got, expected, "answers diverge for {q}");
     }
     net.shutdown();
+}
+
+// ---------------------------------------------- answers on the reactor thread
+
+/// A reactor server on virtual time: with the wall clock off, what the
+/// statistics cache learns — and so every plan choice — repeats exactly,
+/// and an in-process mediator given the same requests is a reference.
+fn sim_reactor(server: ConcurrentMediator) -> (NetServer, WireClient) {
+    let config = ServeConfig::builder()
+        .mode(ServeMode::Reactor)
+        .wall_clock(false)
+        .build();
+    let net = NetServer::bind(Arc::new(server), "127.0.0.1:0", config).unwrap();
+    let client = WireClient::connect(net.addr()).unwrap();
+    (net, client)
+}
+
+/// The wire answer against the in-process one: rows and columns, and the
+/// `Done` summary against the result it summarizes.
+fn assert_same_answer(query: &str, got: &RemoteResult, want: &QueryResult) {
+    assert_eq!(got.rows, want.rows, "{query}: rows");
+    let columns: Vec<String> = want.columns.iter().map(|c| c.to_string()).collect();
+    assert_eq!(got.done.columns, columns, "{query}: columns");
+    assert_eq!(got.done.rows as usize, want.rows.len(), "{query}");
+    assert_eq!(got.done.incomplete, want.incomplete, "{query}");
+    assert_eq!(got.done.source_calls, want.stats.actual_calls, "{query}");
+    let hits = want.stats.cim_exact + want.stats.cim_equal + want.stats.cim_partial;
+    assert_eq!(got.done.cache_hits, hits, "{query}: cache hits");
+    assert_eq!(
+        got.done.tier_downgrades, want.stats.tier_downgrades,
+        "{query}: tier downgrades"
+    );
+}
+
+fn assert_gate_counts_agree(served: &ConcurrentMediator, reference: &ConcurrentMediator) {
+    let (s, r) = (served.stats(), reference.stats());
+    assert_eq!(s.admitted + s.shed, s.queries, "every query counted once");
+    assert_eq!(
+        (s.queries, s.admitted, s.shed, s.downgraded),
+        (r.queries, r.admitted, r.shed, r.downgraded)
+    );
+}
+
+/// A stand-in source for the example programs: every declared function
+/// answers two records that carry every field the example rules read.
+struct Canned {
+    name: String,
+    sigs: Vec<FunctionSig>,
+}
+
+impl Domain for Canned {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn functions(&self) -> Vec<FunctionSig> {
+        self.sigs.clone()
+    }
+
+    fn call(&self, function: &str, _args: &[Value]) -> hermes::Result<CallOutcome> {
+        const FIELDS: [&str; 7] = ["name", "loc", "part", "depot", "qty", "a", "b"];
+        let answers = (0..2).map(|i| {
+            let value = Value::str(format!("{function}{i}"));
+            Value::Record(Record::from_fields(FIELDS.map(|f| (f, value.clone()))))
+        });
+        Ok(CallOutcome::free(answers.collect()))
+    }
+}
+
+/// A mediator for an example program over canned sources, one per
+/// `%! domain NAME: f/arity, ...` line.
+fn example_world(src: &str) -> Mediator {
+    let mut net = Network::new(5);
+    for decl in src.lines().filter_map(|l| l.strip_prefix("%! domain ")) {
+        let (name, sigs) = decl.split_once(':').expect("NAME: sigs");
+        let sigs = sigs.split(',').map(|sig| {
+            let (function, arity) = sig.trim().split_once('/').expect("f/arity");
+            FunctionSig::new(function, arity.parse().expect("arity"), "canned")
+        });
+        let canned = Canned {
+            name: name.trim().to_string(),
+            sigs: sigs.collect(),
+        };
+        net.place(Arc::new(OffReactor::new(canned)), profiles::maryland());
+    }
+    Mediator::from_source(src, net).unwrap()
+}
+
+#[test]
+fn reactor_answers_match_in_process_for_every_example_program() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/programs");
+    let mut inline = 0;
+    let mut programs = 0;
+    for entry in std::fs::read_dir(&dir).expect("examples/programs exists") {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "hms") {
+            continue;
+        }
+        let src = std::fs::read_to_string(&path).unwrap();
+        // One query per declared form: a constant at every bound position.
+        let queries: Vec<String> = parse_directives(&src)
+            .unwrap()
+            .query_forms
+            .iter()
+            .map(|form| {
+                let args = form.bound.iter().enumerate().map(|(i, bound)| match bound {
+                    true => format!("{}", 10 + i),
+                    false => format!("V{i}"),
+                });
+                format!("?- {}({}).", form.pred, args.collect::<Vec<_>>().join(", "))
+            })
+            .collect();
+        assert!(!queries.is_empty(), "{}: no query form", path.display());
+
+        let reference = example_world(&src).to_concurrent(4);
+        let (net, mut client) = sim_reactor(example_world(&src).to_concurrent(4));
+        // Cold, warm, and warm again once every form has run.
+        for query in queries.iter().flat_map(|q| [q, q]).chain(&queries) {
+            let got = client.query(QueryFrame::new(query.as_str())).unwrap();
+            let want = reference.query(query.as_str()).unwrap();
+            assert_same_answer(query, &got, &want);
+        }
+        assert_gate_counts_agree(net.mediator(), &reference);
+        assert_permits_released(net.mediator(), &queries[0]);
+        let stats = net.shutdown();
+        assert!(stats.inline_answers <= stats.requests);
+        inline += stats.inline_answers;
+        programs += 1;
+    }
+    assert!(programs >= 6, "only {programs} example programs served");
+    // The single-call forms (demo's `objs`, `near`, `route`; the video
+    // catalog's `in_scene`) are answered on the reactor once warm.
+    assert!(inline >= 8, "only {inline} answers came from the reactor");
+}
+
+#[test]
+fn one_read_of_pipelined_warm_queries_answers_at_most_the_budget_inline() {
+    let (net, addr) = reactor(ServeConfig::builder().mode(ServeMode::Reactor).build());
+    let burst = 4 * INLINE_BUDGET;
+    let queries: Vec<String> = (0..burst)
+        .map(|k| format!("?- item('p_{}', B).", k % 16))
+        .collect();
+    // Warm every key, and keep each answer: distinct keys have distinct
+    // answer sets, so a response out of order shows up as wrong rows.
+    let mut warm = WireClient::connect(&addr).unwrap();
+    let expected: Vec<Vec<Vec<Value>>> = queries
+        .iter()
+        .map(|q| warm.query(QueryFrame::new(q.as_str())).unwrap().rows)
+        .collect();
+    let before = net.net_stats().inline_answers;
+
+    // One write on an idle connection, far below a loopback segment: the
+    // whole burst reaches the reactor in one read, in one wake.
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    let bytes: Vec<u8> = queries
+        .iter()
+        .flat_map(|q| Frame::Query(QueryFrame::new(q.as_str())).encode())
+        .collect();
+    raw.write_all(&bytes).unwrap();
+
+    let mut decoder = FrameDecoder::new();
+    let mut answers: Vec<Vec<Vec<Value>>> = Vec::new();
+    let mut rows = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while answers.len() < burst {
+        match raw.read(&mut chunk).unwrap() {
+            0 => panic!("server hung up after {} answers", answers.len()),
+            n => decoder.feed(&chunk[..n]),
+        }
+        while let Some(frame) = decoder.next_frame().unwrap() {
+            match frame {
+                Frame::Batch(mut batch) => rows.append(&mut batch),
+                Frame::Done(done) => {
+                    assert_eq!(done.source_calls, 0, "every key is warm");
+                    answers.push(std::mem::take(&mut rows));
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+    }
+    assert_eq!(answers, expected, "responses are in request order");
+
+    let inline = net.net_stats().inline_answers - before;
+    assert!(inline >= 1, "the head of the burst is answered inline");
+    assert!(
+        inline <= INLINE_BUDGET as u64,
+        "{inline} inline answers in one wake, budget {INLINE_BUDGET}"
+    );
+    let m = net.mediator().stats();
+    assert_eq!(m.admitted + m.shed, m.queries);
+    assert_eq!(m.queries, 2 * burst as u64);
+    assert_permits_released(net.mediator(), &queries[0]);
+    let stats = net.shutdown();
+    assert_eq!(
+        stats.pre_gate_shed, 0,
+        "past the budget means a worker, not a shed"
+    );
+}
+
+#[test]
+fn tier_machinery_keeps_every_query_on_the_workers() {
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Engaged {
+        ExplicitTier,
+        Budget,
+        AdaptiveTiers,
+        BoundedGate,
+    }
+    let warm = "?- item('p_1', B).";
+    let budget_us = 60_000_000;
+    for engaged in [
+        Engaged::ExplicitTier,
+        Engaged::Budget,
+        Engaged::AdaptiveTiers,
+        Engaged::BoundedGate,
+    ] {
+        let build = || {
+            let mut m = world();
+            m.config_mut().adaptive_tiers = engaged == Engaged::AdaptiveTiers;
+            let server = m.to_concurrent(4);
+            if engaged == Engaged::BoundedGate {
+                server.set_gate(GateConfig::bounded(8));
+            }
+            server
+        };
+        let reference = build();
+        let (net, mut client) = sim_reactor(build());
+
+        // Cold once (a worker's job in any case), then warm five times
+        // with whatever engages the tier machinery.
+        let mut frame = QueryFrame::new(warm);
+        let mut request = QueryRequest::new(warm);
+        client.query(frame.clone()).unwrap();
+        reference.query(request.clone()).unwrap();
+        match engaged {
+            Engaged::ExplicitTier => {
+                frame.tier = Some("cache-only".into());
+                request = request.tier(PlanTier::CacheOnly);
+            }
+            Engaged::Budget => {
+                frame.budget_us = Some(budget_us);
+                request = request.budget(SimDuration::from_micros(budget_us));
+            }
+            Engaged::AdaptiveTiers | Engaged::BoundedGate => {}
+        }
+        for _ in 0..5 {
+            let got = client.query(frame.clone()).unwrap();
+            let want = reference.query(request.clone()).unwrap();
+            assert_same_answer(warm, &got, &want);
+        }
+        assert_eq!(net.net_stats().inline_answers, 0, "{engaged:?}");
+        assert_gate_counts_agree(net.mediator(), &reference);
+
+        // The same warm query with nothing engaged is the reactor's.
+        if matches!(engaged, Engaged::ExplicitTier | Engaged::Budget) {
+            client.query(QueryFrame::new(warm)).unwrap();
+            assert_eq!(net.net_stats().inline_answers, 1, "{engaged:?}");
+        }
+        assert_permits_released(net.mediator(), warm);
+        net.shutdown();
+    }
 }

@@ -2,113 +2,79 @@
 //!
 //! Caching exists because source calls are expensive (remote, metered,
 //! sometimes unavailable — §1); a cache that evaporates on restart wastes
-//! exactly those calls. The format is line-oriented text (one entry per
-//! line, see [`hermes_common::wire`]): a versioned header, then
+//! exactly those calls. This module only maps entries to and from values;
+//! the file layout and its fail-closed reading belong to
+//! [`hermes_common::frame`]. One record per entry:
 //!
 //! ```text
-//! <call> "\t" <complete 0|1> "\t" <inserted_at µs> "\t" <n answers> "\t" <answers…>
+//! [domain, function, [args…], complete, inserted_at µs, [answers…]]
 //! ```
 
 use crate::cache::AnswerCache;
 use hermes_common::atomic_file::write_atomically;
-use hermes_common::wire::{encode_call, encode_value, Decoder};
-use hermes_common::{HermesError, Result, SimDuration, SimInstant};
-use std::io::{BufRead, Write};
+use hermes_common::frame::{read_state_file, write_state_file};
+use hermes_common::{GroundCall, HermesError, Result, SimDuration, SimInstant, Value};
+use std::io::{Read, Write};
 
-const HEADER: &str = "hermes-answer-cache v1";
+const NAME: &str = "hermes-answer-cache";
 
 /// Writes every cache entry to `out` and flushes it.
-pub fn save<W: Write>(cache: &AnswerCache, mut out: W) -> Result<()> {
-    writeln!(out, "{HEADER}")?;
+pub fn save<W: Write>(cache: &AnswerCache, out: W) -> Result<()> {
     // Deterministic order: sort by call.
     let mut entries: Vec<_> = cache.iter().collect();
     entries.sort_by(|a, b| a.0.cmp(b.0));
-    for (call, entry) in entries {
-        let mut line = String::new();
-        encode_call(call, &mut line);
-        line.push('\t');
-        line.push(if entry.complete { '1' } else { '0' });
-        line.push('\t');
-        line.push_str(&entry.inserted_at.as_micros().to_string());
-        line.push('\t');
-        line.push_str(&entry.answers.len().to_string());
-        line.push('\t');
-        for a in entry.answers.iter() {
-            encode_value(a, &mut line);
-        }
-        writeln!(out, "{line}")?;
-    }
-    // A buffering writer only meets the error of its last chunk here.
-    out.flush()?;
-    Ok(())
+    let records = entries
+        .into_iter()
+        .map(|(call, entry)| {
+            let at = i64::try_from(entry.inserted_at.as_micros())
+                .map_err(|_| HermesError::Io(format!("{call}: timestamp exceeds i64 µs")))?;
+            Ok(Value::List(vec![
+                Value::Str(call.domain.clone()),
+                Value::Str(call.function.clone()),
+                Value::List(call.args.to_vec()),
+                Value::Bool(entry.complete),
+                Value::Int(at),
+                Value::List(entry.answers.to_vec()),
+            ]))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    write_state_file(NAME, &records, out)
 }
 
-/// Reads entries from `input` into a fresh unbounded cache.
-pub fn load<R: BufRead>(input: R) -> Result<AnswerCache> {
-    let mut lines = input.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| HermesError::Io("empty cache file".into()))??;
-    if header != HEADER {
-        return Err(HermesError::Io(format!(
-            "unrecognized cache header `{header}`"
-        )));
+/// Replaces the contents of `cache` with the entries read from `input`.
+/// The cache keeps its byte budget, its registered ordered indexes and its
+/// counters: entries beyond the budget are evicted by the ordinary LRU as
+/// they are inserted. A file that does not read back whole and well-formed
+/// is an error and leaves `cache` as it was.
+pub fn load_into<R: Read>(input: R, cache: &mut AnswerCache) -> Result<()> {
+    let entries = read_state_file(NAME, input)?
+        .into_iter()
+        .map(|record| {
+            let bad = || HermesError::Io(format!("{NAME}: malformed entry record"));
+            let Value::List(fields) = record else {
+                return Err(bad());
+            };
+            let Ok(
+                [Value::Str(domain), Value::Str(function), Value::List(args), Value::Bool(complete), Value::Int(at), Value::List(answers)],
+            ) = <[Value; 6]>::try_from(fields)
+            else {
+                return Err(bad());
+            };
+            // A negative timestamp is not one this program wrote.
+            let at = u64::try_from(at).map_err(|_| bad())?;
+            Ok((
+                GroundCall::new(domain, function, args),
+                answers,
+                complete,
+                SimInstant::EPOCH + SimDuration::from_micros(at),
+            ))
+        })
+        .collect::<Result<Vec<_>>>()?;
+    cache.clear();
+    for (call, answers, complete, at) in entries {
+        cache.insert(call, answers, complete, at);
     }
-    let mut cache = AnswerCache::new();
-    for (lineno, line) in lines.enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let mut fields = line.split('\t');
-        let mut need = || {
-            fields
-                .next()
-                .ok_or_else(|| HermesError::Io(format!("cache line {}: truncated", lineno + 2)))
-        };
-        let call_text = need()?;
-        let complete_text = need()?;
-        let at_text = need()?;
-        let count_text = need()?;
-        let answers_text = need()?;
-
-        let mut d = Decoder::new(call_text);
-        let call = d.call()?;
-        let complete = match complete_text {
-            "1" => true,
-            "0" => false,
-            other => {
-                return Err(HermesError::Io(format!(
-                    "cache line {}: bad complete flag `{other}`",
-                    lineno + 2
-                )))
-            }
-        };
-        let micros: u64 = at_text.parse().map_err(|e| {
-            HermesError::Io(format!("cache line {}: bad timestamp: {e}", lineno + 2))
-        })?;
-        let count: usize = count_text
-            .parse()
-            .map_err(|e| HermesError::Io(format!("cache line {}: bad count: {e}", lineno + 2)))?;
-        let mut ad = Decoder::new(answers_text);
-        let mut answers = Vec::with_capacity(count.min(4096));
-        for _ in 0..count {
-            answers.push(ad.value()?);
-        }
-        if !ad.is_done() {
-            return Err(HermesError::Io(format!(
-                "cache line {}: trailing answer bytes",
-                lineno + 2
-            )));
-        }
-        cache.insert(
-            call,
-            answers,
-            complete,
-            SimInstant::EPOCH + SimDuration::from_micros(micros),
-        );
-    }
-    Ok(cache)
+    Ok(())
 }
 
 /// Saves to a file path, replacing the file whole or not at all (see
@@ -117,10 +83,10 @@ pub fn save_to_path(cache: &AnswerCache, path: &std::path::Path) -> Result<()> {
     write_atomically(path, |out| save(cache, out))
 }
 
-/// Loads from a file path.
-pub fn load_from_path(path: &std::path::Path) -> Result<AnswerCache> {
+/// Loads from a file path into `cache` (see [`load_into`]).
+pub fn load_from_path(path: &std::path::Path, cache: &mut AnswerCache) -> Result<()> {
     let file = std::fs::File::open(path)?;
-    load(std::io::BufReader::new(file))
+    load_into(std::io::BufReader::new(file), cache)
 }
 
 #[cfg(test)]
@@ -158,12 +124,18 @@ mod tests {
         c
     }
 
+    fn load(bytes: &[u8]) -> Result<AnswerCache> {
+        let mut cache = AnswerCache::new();
+        load_into(bytes, &mut cache)?;
+        Ok(cache)
+    }
+
     #[test]
     fn save_load_roundtrip() {
         let cache = sample_cache();
         let mut buf = Vec::new();
         save(&cache, &mut buf).unwrap();
-        let loaded = load(std::io::Cursor::new(&buf)).unwrap();
+        let loaded = load(&buf).unwrap();
         assert_eq!(loaded.len(), cache.len());
         for (call, entry) in cache.iter() {
             let got = loaded.peek(call).expect("entry survives");
@@ -185,30 +157,51 @@ mod tests {
 
     #[test]
     fn bad_header_rejected() {
-        let err = load(std::io::Cursor::new(b"nope\n".as_slice())).unwrap_err();
-        assert!(err.to_string().contains("header"));
-        let err2 = load(std::io::Cursor::new(b"".as_slice())).unwrap_err();
-        assert!(err2.to_string().contains("empty"));
+        for bad in [b"nope\n".as_slice(), b"", b"hermes-answer-cache v3\n"] {
+            let err = load(bad).unwrap_err();
+            assert!(err.to_string().contains("header"), "{err}");
+        }
+        let err = load(b"hermes-answer-cache v1\nS1:dS1:fA0;\t1\t0\t0\t\n").unwrap_err();
+        assert!(err.to_string().contains("no longer read"), "{err}");
     }
 
     #[test]
     fn truncated_line_rejected() {
         let mut buf = Vec::new();
         save(&sample_cache(), &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let truncated: String = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| {
-                if i == 1 {
-                    l.split('\t').next().unwrap().to_string()
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(load(std::io::Cursor::new(truncated.as_bytes())).is_err());
+        // Anywhere: inside the header line, inside a record, and at the
+        // end of one (the cut the text format loaded as a smaller cache).
+        for cut in 0..buf.len() {
+            assert!(load(&buf[..cut]).is_err(), "accepted a cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn malformed_entry_records_rejected() {
+        let record = |at: i64, complete: Value| {
+            let call = [Value::str("d"), Value::str("f"), Value::List(vec![])];
+            let rest = [complete, Value::Int(at), Value::List(vec![])];
+            Value::List(call.into_iter().chain(rest).collect())
+        };
+        let load_records = |records: &[Value], cache: &mut AnswerCache| {
+            let mut buf = Vec::new();
+            write_state_file(NAME, records, &mut buf).unwrap();
+            load_into(buf.as_slice(), cache)
+        };
+        let good = record(7, Value::Bool(true));
+        let mut cache = sample_cache();
+        for bad in [
+            record(-1, Value::Bool(true)),
+            record(7, Value::Int(1)),
+            Value::List(vec![Value::str("d")]),
+            Value::Null,
+        ] {
+            // A bad record anywhere leaves the cache being loaded into alone.
+            assert!(load_records(&[good.clone(), bad], &mut cache).is_err());
+            assert_eq!(cache.len(), sample_cache().len());
+        }
+        load_records(&[good], &mut cache).unwrap();
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -232,10 +225,11 @@ mod tests {
     fn file_roundtrip() {
         let dir = std::env::temp_dir().join(format!("hermes-cim-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.txt");
+        let path = dir.join("answers.cache");
         let cache = sample_cache();
         save_to_path(&cache, &path).unwrap();
-        let loaded = load_from_path(&path).unwrap();
+        let mut loaded = AnswerCache::new();
+        load_from_path(&path, &mut loaded).unwrap();
         assert_eq!(loaded.len(), cache.len());
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -1,10 +1,10 @@
-//! Length-prefixed binary framing for the network serving stack.
+//! The workspace's one [`Value`] codec, and the two containers built on it.
 //!
-//! [`wire`](crate::wire) is the *persistence* codec: line-safe text, one
-//! cache entry per line. This module is the *network* codec: the frames
-//! `hermes-serve` and its clients exchange over TCP, built on a compact
-//! binary value encoding (no escaping, no decimal parsing — see the
-//! `wire_throughput` bench for the encode/decode comparison).
+//! A compact binary value encoding (no escaping, no decimal parsing)
+//! carries every value that leaves the process: inside the length-prefixed
+//! frames `hermes-serve` and its clients exchange over TCP, and inside the
+//! state files the answer cache and the statistics cache persist to (see
+//! [State files](#state-files)).
 //!
 //! ## Frame grammar
 //!
@@ -41,6 +41,22 @@
 //! [`Frame::StatsReply`], [`Frame::Pong`]. The error frame round-trips
 //! [`HermesError`] well enough for clients to distinguish shed queries
 //! (backpressure) from deadline aborts from real failures.
+//!
+//! ## State files
+//!
+//! [`write_state_file`] / [`read_state_file`] are the only code that knows
+//! the on-disk container; the `persist` modules of `hermes-cim` and
+//! `hermes-dcsm` only map their entries to and from values.
+//!
+//! ```text
+//! file    := name " v2\n"  count:u32-LE  record*count
+//! record  := len:u32-LE  value            (len ≤ MAX_FRAME_LEN)
+//! ```
+//!
+//! Reading is fail-closed: a wrong header, a file cut anywhere (record
+//! boundaries included — `count` says how many must follow), an oversized
+//! or malformed record, and any byte after the last record are all errors.
+//! The v1 text format is recognised only to say it is no longer read.
 
 // Frames arrive from untrusted sockets: decoding must never panic.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -229,6 +245,95 @@ pub fn value_from_bytes(buf: &[u8]) -> Result<Value> {
         return Err(HermesError::Io("trailing bytes after framed value".into()));
     }
     Ok(v)
+}
+
+// ---------- state-file container ----------
+
+/// The version suffix of the header line [`write_state_file`] writes.
+const STATE_V2: &str = " v2\n";
+/// The suffix the deleted text format wrote; recognised to explain itself.
+const STATE_V1: &str = " v1\n";
+
+/// `n` as a length word, or an error when it exceeds `max`: a truncating
+/// cast would write a file that does not read back.
+fn length_word(n: usize, max: u32, what: &str) -> Result<[u8; 4]> {
+    match u32::try_from(n) {
+        Ok(n) if n <= max => Ok(n.to_le_bytes()),
+        _ => Err(HermesError::Io(format!(
+            "state file: {what} {n} exceeds {max}"
+        ))),
+    }
+}
+
+/// Writes a state file (layout in the module docs) holding `records`
+/// under the header `name`, and flushes `out`.
+pub fn write_state_file<W: Write>(name: &str, records: &[Value], mut out: W) -> Result<()> {
+    out.write_all(name.as_bytes())?;
+    out.write_all(STATE_V2.as_bytes())?;
+    out.write_all(&length_word(records.len(), u32::MAX, "record count")?)?;
+    let mut body = Vec::new();
+    for record in records {
+        body.clear();
+        put_value(record, &mut body);
+        out.write_all(&length_word(body.len(), MAX_FRAME_LEN, "record length")?)?;
+        out.write_all(&body)?;
+    }
+    // A buffering writer only meets the error of its last chunk here.
+    out.flush()?;
+    Ok(())
+}
+
+/// Reads exactly `n` bytes into `buf`. Reading through `take` means a
+/// hostile `n` allocates only what the input actually supplies.
+fn fill(input: &mut impl Read, n: usize, buf: &mut Vec<u8>) -> Result<()> {
+    buf.clear();
+    input.by_ref().take(n as u64).read_to_end(buf)?;
+    match buf.len() {
+        found if found == n => Ok(()),
+        found => Err(HermesError::Io(format!(
+            "state file cut short: needed {n} bytes, found {found}"
+        ))),
+    }
+}
+
+fn fill_u32(input: &mut impl Read, buf: &mut Vec<u8>) -> Result<u32> {
+    fill(input, 4, buf)?;
+    Ok(u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]))
+}
+
+/// Reads a whole state file written by [`write_state_file`] under the
+/// same `name`. Fail-closed (see the module docs), and a hostile `count`
+/// or `len` cannot make it allocate more than the input supplies.
+pub fn read_state_file<R: Read>(name: &str, mut input: R) -> Result<Vec<Value>> {
+    let bad = |what: &str| HermesError::Io(format!("{name}: {what}"));
+    let mut buf = Vec::new();
+    let header = (name.len() + STATE_V2.len()) as u64;
+    input.by_ref().take(header).read_to_end(&mut buf)?;
+    match buf.strip_prefix(name.as_bytes()) {
+        Some(version) if version == STATE_V2.as_bytes() => {}
+        Some(version) if version == STATE_V1.as_bytes() => {
+            return Err(bad(
+                "a v1 text state file, which is no longer read: delete it and re-warm the caches",
+            ))
+        }
+        _ => return Err(bad("unrecognized state-file header")),
+    }
+    let count = fill_u32(&mut input, &mut buf)?;
+    let mut records = Vec::new();
+    for _ in 0..count {
+        let len = fill_u32(&mut input, &mut buf)?;
+        if len > MAX_FRAME_LEN {
+            return Err(bad("a record longer than the frame cap"));
+        }
+        fill(&mut input, len as usize, &mut buf)?;
+        records.push(value_from_bytes(&buf)?);
+    }
+    buf.clear();
+    input.take(1).read_to_end(&mut buf)?;
+    if !buf.is_empty() {
+        return Err(bad("bytes after the last record"));
+    }
+    Ok(records)
 }
 
 // ---------- typed frames ----------

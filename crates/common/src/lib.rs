@@ -18,8 +18,9 @@
 //! * [`Rng64`] — a small, seedable, dependency-free PRNG (SplitMix64 +
 //!   xoshiro256**) with the distribution helpers the network simulator and
 //!   workload generators need.
-//! * [`wire`] / [`frame`] — the persistence text codec and the
-//!   length-prefixed binary framing `hermes-serve` speaks over TCP.
+//! * [`frame`] — the one binary [`Value`] codec, the length-prefixed
+//!   frames `hermes-serve` speaks over TCP, and the state-file container
+//!   the caches persist through.
 //! * [`atomic_file`] — whole-file, crash-safe replacement of the state
 //!   files the caches persist to.
 //! * [`HermesError`] — the error type shared across the workspace.
@@ -33,7 +34,6 @@ pub mod path;
 pub mod rng;
 pub mod sync;
 pub mod value;
-pub mod wire;
 
 pub use call::{shard_index, CallPattern, GroundCall, PatArg, PatternShape};
 pub use clock::{SimClock, SimDuration, SimInstant};

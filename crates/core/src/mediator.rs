@@ -548,16 +548,21 @@ impl Mediator {
     }
 
     /// Restores state saved by [`Mediator::save_state`]. Missing files are
-    /// not an error (a fresh deployment); malformed files are.
+    /// not an error (a fresh deployment); a malformed file is, and then
+    /// nothing of either file is loaded. The saved answers are loaded into
+    /// this mediator's own cache, so its byte budget and registered
+    /// ordered indexes apply to them.
     pub fn load_state(&mut self, dir: &std::path::Path) -> Result<()> {
+        let stats_path = dir.join("stats.db");
+        let db = stats_path
+            .exists()
+            .then(|| hermes_dcsm::persist::load_from_path(&stats_path))
+            .transpose()?;
         let cache_path = dir.join("answers.cache");
         if cache_path.exists() {
-            let cache = hermes_cim::persist::load_from_path(&cache_path)?;
-            *self.cim.lock().cache_mut() = cache;
+            hermes_cim::persist::load_from_path(&cache_path, self.cim.lock().cache_mut())?;
         }
-        let stats_path = dir.join("stats.db");
-        if stats_path.exists() {
-            let db = hermes_dcsm::persist::load_from_path(&stats_path)?;
+        if let Some(db) = db {
             self.dcsm.lock().replay_db(&db);
         }
         Ok(())
@@ -599,8 +604,10 @@ mod tests {
     use super::*;
     use crate::tier::TierReason;
     use crate::trace::TraceEvent;
+    use hermes_common::{GroundCall, Value};
     use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
     use hermes_domains::Domain;
+    use hermes_lang::parse_invariant;
     use hermes_net::profiles;
 
     fn mediator() -> Mediator {
@@ -894,15 +901,25 @@ mod tests {
     fn state_survives_a_restart() {
         let dir =
             std::env::temp_dir().join(format!("hermes-mediator-state-{}", std::process::id()));
+        let tabbed = GroundCall::new("d1", "p_bf", vec![Value::str("a\tb\\")]);
         let (rows, cold_ms) = {
             let mut m = mediator();
             let r = m.query("?- item('p_1', B).").unwrap();
+            m.cim.lock().cache_mut().insert(
+                tabbed.clone(),
+                vec![Value::str("x\ty\r\n")],
+                true,
+                hermes_common::SimInstant::EPOCH,
+            );
             m.save_state(&dir).unwrap();
             (r.rows.clone(), r.t_all.as_millis_f64())
         };
         // A brand-new mediator process loads the saved caches.
         let mut m2 = mediator();
         m2.load_state(&dir).unwrap();
+        // Separator characters inside strings are data, not framing.
+        let entry = m2.cim.lock().cache().peek(&tabbed).cloned();
+        assert_eq!(&*entry.unwrap().answers, [Value::str("x\ty\r\n")]);
         let warm = m2.query("?- item('p_1', B).").unwrap();
         assert_eq!(warm.rows, rows);
         assert_eq!(warm.stats.actual_calls, 0, "served from restored cache");
@@ -913,6 +930,44 @@ mod tests {
         let empty = dir.join("nothing-here");
         std::fs::create_dir_all(&empty).unwrap();
         assert!(m2.load_state(&empty).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_state_fills_the_mediators_own_cache() {
+        let dir =
+            std::env::temp_dir().join(format!("hermes-mediator-budget-{}", std::process::id()));
+        let m = mediator();
+        let mut cim = m.cim.lock();
+        for i in 0..8 {
+            let call = GroundCall::new("d1", "p_bf", vec![Value::Int(i)]);
+            let at = hermes_common::SimInstant::EPOCH;
+            cim.cache_mut().insert(call, vec![Value::Int(i)], true, at);
+        }
+        let saved_bytes = cim.cache().bytes();
+        drop(cim);
+        m.save_state(&dir).unwrap();
+        // The loading mediator has a budget half the saved cache's size
+        // and a monotone invariant, which registers an ordered index.
+        let mut m2 = mediator();
+        let policy = m2.caches().policy().answer_budget(Some(saved_bytes / 2));
+        policy.apply().unwrap();
+        let monotone = parse_invariant("X <= Y => d1:p_bf(Y) >= d1:p_bf(X).").unwrap();
+        m2.caches().add_invariant(monotone).unwrap();
+        m2.load_state(&dir).unwrap();
+        let loaded = m2.caches().stats();
+        assert!(loaded.answer_entries > 0);
+        assert!(loaded.answer_bytes <= saved_bytes / 2, "{loaded:?}");
+        assert!(loaded.answers.evictions > 0, "{loaded:?}");
+        let cim = m2.cim.lock();
+        let group = cim.cache().ordered_group("d1", "p_bf", 0, &[]);
+        let indexed = group.map(|group| group.map_or(0, |g| g.len()));
+        assert_eq!(
+            indexed,
+            Some(loaded.answer_entries),
+            "index kept and filled"
+        );
+        drop(cim);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -3,107 +3,86 @@
 //! The cost vector database is the mediator's accumulated knowledge about
 //! source behaviour; §6's whole premise is that this knowledge is hard to
 //! come by (every record cost a real remote call), so it is worth keeping
-//! across restarts. One record per line:
+//! across restarts. This module only maps records to and from values; the
+//! file layout and its fail-closed reading belong to
+//! [`hermes_common::frame`]. One record per observation:
 //!
 //! ```text
-//! <call> "\t" <t_first|-> "\t" <t_all|-> "\t" <card|-> "\t" <recorded_at µs>
+//! [domain, function, [args…], t_first|null, t_all|null, card|null, recorded_at µs]
 //! ```
 //!
-//! Floats are serialized as bit-exact hex so a save/load cycle never
-//! perturbs an estimate.
+//! The components travel as `Value::Float`, bit for bit, so a save/load
+//! cycle never perturbs an estimate.
+
+// Statistics files are read from disk and may be damaged or hostile:
+// every fallible path returns a typed `HermesError`. Tests keep their unwraps.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::cost::CostVector;
 use crate::vectordb::CostVectorDb;
 use hermes_common::atomic_file::write_atomically;
-use hermes_common::wire::{encode_call, Decoder};
-use hermes_common::{HermesError, Result, SimDuration, SimInstant};
-use std::io::{BufRead, Write};
+use hermes_common::frame::{read_state_file, write_state_file};
+use hermes_common::{GroundCall, HermesError, Result, SimDuration, SimInstant, Value};
+use std::io::{Read, Write};
 
-const HEADER: &str = "hermes-cost-vector-db v1";
+const NAME: &str = "hermes-cost-vector-db";
 
-fn write_component(v: Option<f64>, out: &mut String) {
-    match v {
-        Some(x) => {
-            out.push_str(&format!("{:016x}", x.to_bits()));
-        }
-        None => out.push('-'),
-    }
-}
-
-fn read_component(text: &str, what: &str) -> Result<Option<f64>> {
-    if text == "-" {
-        return Ok(None);
-    }
-    u64::from_str_radix(text, 16)
-        .map(|bits| Some(f64::from_bits(bits)))
-        .map_err(|e| HermesError::Io(format!("bad {what} `{text}`: {e}")))
+fn component(v: Option<f64>) -> Value {
+    v.map_or(Value::Null, Value::Float)
 }
 
 /// Writes every record to `out` and flushes it.
-pub fn save<W: Write>(db: &CostVectorDb, mut out: W) -> Result<()> {
-    writeln!(out, "{HEADER}")?;
+pub fn save<W: Write>(db: &CostVectorDb, out: W) -> Result<()> {
+    let mut records = Vec::with_capacity(db.len());
     for (domain, function) in db.functions() {
         for r in db.records_for(&domain, &function) {
-            let mut line = String::new();
-            encode_call(&r.call, &mut line);
-            line.push('\t');
-            write_component(r.vector.t_first_ms, &mut line);
-            line.push('\t');
-            write_component(r.vector.t_all_ms, &mut line);
-            line.push('\t');
-            write_component(r.vector.cardinality, &mut line);
-            line.push('\t');
-            line.push_str(&r.recorded_at.as_micros().to_string());
-            writeln!(out, "{line}")?;
+            let at = i64::try_from(r.recorded_at.as_micros())
+                .map_err(|_| HermesError::Io(format!("{}: timestamp exceeds i64 µs", r.call)))?;
+            records.push(Value::List(vec![
+                Value::Str(r.call.domain.clone()),
+                Value::Str(r.call.function.clone()),
+                Value::List(r.call.args.to_vec()),
+                component(r.vector.t_first_ms),
+                component(r.vector.t_all_ms),
+                component(r.vector.cardinality),
+                Value::Int(at),
+            ]));
         }
     }
-    // A buffering writer only meets the error of its last chunk here.
-    out.flush()?;
-    Ok(())
+    write_state_file(NAME, &records, out)
 }
 
-/// Reads records from `input` into a fresh database.
-pub fn load<R: BufRead>(input: R) -> Result<CostVectorDb> {
-    let mut lines = input.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| HermesError::Io("empty statistics file".into()))??;
-    if header != HEADER {
-        return Err(HermesError::Io(format!(
-            "unrecognized statistics header `{header}`"
-        )));
-    }
+/// Reads records from `input` into a fresh database. A file that does not
+/// read back whole and well-formed is an error.
+pub fn load<R: Read>(input: R) -> Result<CostVectorDb> {
+    let bad = || HermesError::Io(format!("{NAME}: malformed observation record"));
+    let component = |v: Value| match v {
+        Value::Null => Ok(None),
+        Value::Float(x) => Ok(Some(x)),
+        _ => Err(bad()),
+    };
     let mut db = CostVectorDb::new();
-    for (lineno, line) in lines.enumerate() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split('\t').collect();
-        if fields.len() != 5 {
-            return Err(HermesError::Io(format!(
-                "statistics line {}: expected 5 fields, got {}",
-                lineno + 2,
-                fields.len()
-            )));
-        }
-        let mut d = Decoder::new(fields[0]);
-        let call = d.call()?;
-        let vector = CostVector {
-            t_first_ms: read_component(fields[1], "t_first")?,
-            t_all_ms: read_component(fields[2], "t_all")?,
-            cardinality: read_component(fields[3], "cardinality")?,
+    for record in read_state_file(NAME, input)? {
+        let Value::List(fields) = record else {
+            return Err(bad());
         };
-        let micros: u64 = fields[4].parse().map_err(|e| {
-            HermesError::Io(format!(
-                "statistics line {}: bad timestamp: {e}",
-                lineno + 2
-            ))
-        })?;
+        let Ok(
+            [Value::Str(domain), Value::Str(function), Value::List(args), t_first, t_all, card, Value::Int(at)],
+        ) = <[Value; 7]>::try_from(fields)
+        else {
+            return Err(bad());
+        };
+        let vector = CostVector {
+            t_first_ms: component(t_first)?,
+            t_all_ms: component(t_all)?,
+            cardinality: component(card)?,
+        };
+        // A negative timestamp is not one this program wrote.
+        let at = u64::try_from(at).map_err(|_| bad())?;
         db.record(
-            call,
+            GroundCall::new(domain, function, args),
             vector,
-            SimInstant::EPOCH + SimDuration::from_micros(micros),
+            SimInstant::EPOCH + SimDuration::from_micros(at),
         );
     }
     Ok(db)
@@ -132,7 +111,7 @@ mod tests {
         let db = figure2_database();
         let mut buf = Vec::new();
         save(&db, &mut buf).unwrap();
-        let loaded = load(std::io::Cursor::new(&buf)).unwrap();
+        let loaded = load(buf.as_slice()).unwrap();
         assert_eq!(loaded.len(), db.len());
         for (domain, function) in db.functions() {
             assert_eq!(
@@ -161,7 +140,7 @@ mod tests {
         );
         let mut buf = Vec::new();
         save(&db, &mut buf).unwrap();
-        let loaded = load(std::io::Cursor::new(&buf)).unwrap();
+        let loaded = load(buf.as_slice()).unwrap();
         let r = &loaded.records_for("d", "f")[0];
         assert_eq!(r.vector.t_first_ms, Some(1.25));
         assert_eq!(r.vector.t_all_ms, None);
@@ -169,11 +148,24 @@ mod tests {
 
     #[test]
     fn header_and_shape_validation() {
-        assert!(load(std::io::Cursor::new(b"wrong\n".as_slice())).is_err());
-        let bad = format!("{HEADER}\nS1:dS1:fA0;\tzz\t-\t-\t0\n");
-        assert!(load(std::io::Cursor::new(bad.as_bytes())).is_err());
-        let short = format!("{HEADER}\nS1:dS1:fA0;\t-\t-\n");
-        assert!(load(std::io::Cursor::new(short.as_bytes())).is_err());
+        assert!(load(b"wrong\n".as_slice()).is_err());
+        let err = load(b"hermes-cost-vector-db v1\nS1:dS1:fA0;\t-\t-\t-\t0\n".as_slice());
+        assert!(err.unwrap_err().to_string().contains("no longer read"));
+        let record = |t_first: Value, at: i64| {
+            let call = [Value::str("d"), Value::str("f"), Value::List(vec![])];
+            let rest = [t_first, Value::Null, Value::Float(2.0), Value::Int(at)];
+            Value::List(call.into_iter().chain(rest).collect())
+        };
+        let load_records = |records: &[Value]| {
+            let mut buf = Vec::new();
+            write_state_file(NAME, records, &mut buf).unwrap();
+            load(buf.as_slice())
+        };
+        assert_eq!(load_records(&[record(Value::Null, 0)]).unwrap().len(), 1);
+        assert!(load_records(&[record(Value::Int(1), 0)]).is_err());
+        assert!(load_records(&[record(Value::Null, -1)]).is_err());
+        assert!(load_records(&[Value::List(vec![Value::str("d"), Value::str("f")])]).is_err());
+        assert!(load_records(&[Value::Null]).is_err());
     }
 
     #[test]
@@ -197,7 +189,7 @@ mod tests {
     fn file_roundtrip() {
         let dir = std::env::temp_dir().join(format!("hermes-dcsm-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stats.txt");
+        let path = dir.join("stats.db");
         save_to_path(&figure2_database(), &path).unwrap();
         let loaded = load_from_path(&path).unwrap();
         assert_eq!(loaded.len(), 13);

@@ -21,7 +21,7 @@ const WARMUP: Duration = Duration::from_millis(200);
 const MEASURE: Duration = Duration::from_millis(800);
 const BATCHES: usize = 10;
 /// Rows a full run prints; `--test-mode` asserts it ran this many.
-const ROWS: usize = 16;
+const ROWS: usize = 19;
 
 /// `--test-mode`: run each row once instead of timing it.
 static TEST_MODE: AtomicBool = AtomicBool::new(false);
@@ -152,19 +152,24 @@ fn bench_cim() {
     }
 }
 
+/// One of 40 distinct `frames_to_objects` calls.
+fn rope_call(i: usize) -> GroundCall {
+    GroundCall::new(
+        "video",
+        "frames_to_objects",
+        vec![
+            Value::str("rope"),
+            Value::Int((i % 40) as i64),
+            Value::Int((i % 40) as i64 + 50),
+        ],
+    )
+}
+
 fn warmed_dcsm(records: usize) -> Dcsm {
     let mut d = Dcsm::new();
     for i in 0..records {
         d.record(
-            &GroundCall::new(
-                "video",
-                "frames_to_objects",
-                vec![
-                    Value::str("rope"),
-                    Value::Int((i % 40) as i64),
-                    Value::Int((i % 40) as i64 + 50),
-                ],
-            ),
+            &rope_call(i),
             Some(1.0),
             Some(10.0 + i as f64),
             Some(20.0),
@@ -206,6 +211,66 @@ fn bench_dcsm() {
         "summary_lookup_unseen_relaxes",
         || (),
         |_| summarized.cost(&unseen),
+    );
+}
+
+/// What one `record` costs before a function's first fold — only the
+/// shapes a probe built are kept current — and after two folds, when every
+/// `2^arity` shape is (arity 3 here: 8 cells a record, and a fold each
+/// `DETAIL_WINDOW` records).
+fn bench_dcsm_record() {
+    use hermes_dcsm::DETAIL_WINDOW;
+    println!("dcsm_record:");
+    let record = |d: &mut Dcsm, i: usize| {
+        d.record(
+            &rope_call(i),
+            Some(1.0),
+            Some(10.0),
+            Some(20.0),
+            SimInstant::EPOCH,
+        )
+    };
+    // The shapes one estimate of a seen call builds, as in a mediator.
+    let fresh = || {
+        let d = warmed_dcsm(16);
+        d.cost(&rope_call(3).pattern());
+        d
+    };
+    let mut unfolded = fresh();
+    let mut i = 0;
+    bench(
+        "dcsm_record",
+        || (),
+        |_| {
+            // Start over before the window fills: this row never folds.
+            if unfolded.db().detail_len() + 1 >= 2 * DETAIL_WINDOW {
+                unfolded = fresh();
+            }
+            i += 1;
+            record(&mut unfolded, i)
+        },
+    );
+    let mut folded = warmed_dcsm(3 * DETAIL_WINDOW);
+    assert!(folded.db().detail_len() < folded.db().len(), "folded twice");
+    bench(
+        "dcsm_record_folding",
+        || (),
+        |_| {
+            i += 1;
+            record(&mut folded, i)
+        },
+    );
+}
+
+/// Entering and leaving `serve::parked` on a thread that holds a run slot
+/// with nothing queued: what lending the slot adds to every source call a
+/// reactor worker makes (two uncontended lock round trips).
+fn bench_pool() {
+    println!("pool:");
+    bench(
+        "pool_handoff_parked_x1000",
+        || (),
+        |_| hermes_core::serve::parked_handoff_probe(1000),
     );
 }
 
@@ -323,6 +388,8 @@ fn main() {
     println!("micro-benchmarks (wall-clock; median of {BATCHES} batches)\n");
     bench_cim();
     bench_dcsm();
+    bench_dcsm_record();
+    bench_pool();
     bench_rewriter();
     bench_executor();
     bench_parser();

@@ -21,6 +21,7 @@ use crate::breaker::{Admission, BreakerBank};
 use crate::flight::{FlightRole, InFlightRegistry};
 use crate::matcache::{MatCache, MatLookup, MatRole, MatTicket};
 use crate::plan::{Plan, PlanStep, Route};
+use crate::serve::parked;
 use crate::tier::{PlanTier, TierReason};
 use crate::trace::{TraceEntry, TraceEvent};
 use hermes_cim::{CimPreview, CimResolution, CimView};
@@ -1666,10 +1667,10 @@ impl<'w> Executor<'w> {
         }
         let mut attempt = 0u32;
         let outcome = loop {
-            match self
-                .network
-                .execute_batched(ground, self.clock.now(), piggyback)
-            {
+            // The one place a query waits on a source: a serving worker
+            // lends its run slot meanwhile.
+            let now = self.clock.now();
+            match parked(|| self.network.execute_batched(ground, now, piggyback)) {
                 Ok(out) => {
                     if let (Some(bank), Some(site)) = (self.breakers, site.as_deref()) {
                         if bank.lock().record_success(site) {
@@ -1710,7 +1711,7 @@ impl<'w> Executor<'w> {
                     let backoff = self.retry_backoff(attempt);
                     // `sleep`, not `advance`: on a wall-anchored clock the
                     // backoff must actually wait real time out.
-                    self.clock.sleep(backoff);
+                    parked(|| self.clock.sleep(backoff));
                 }
                 Err(e) => return Err(e),
             }

@@ -43,6 +43,7 @@
 //! time stays per-query: each follower charges the leader's `t_first`/`t_all`
 //! on its own clock, exactly as if it had performed the call itself.
 
+use crate::serve::parked;
 use hermes_common::sync::Mutex;
 use hermes_common::GroundCall;
 use hermes_net::RemoteOutcome;
@@ -92,6 +93,16 @@ impl FlightHandle {
     /// outcome (answers shared by `Arc` bump); `None` means the leader
     /// abandoned the flight and the caller must perform the call itself.
     pub fn wait(self) -> Option<RemoteOutcome> {
+        let pending = matches!(*self.slot.state.lock(), FlightState::Pending);
+        match pending {
+            // Waiting on another query: a serving worker lends its slot.
+            true => parked(|| self.resolved()),
+            false => self.resolved(),
+        }
+    }
+
+    /// Blocks while the flight is pending.
+    fn resolved(&self) -> Option<RemoteOutcome> {
         let mut state = self.slot.state.lock();
         loop {
             match &*state {

@@ -51,6 +51,7 @@
 //! follower resolves but a fresh query misses.
 
 use crate::plan::Plan;
+use crate::serve::parked;
 use hermes_analysis::{MaterializationVerdicts, SubplanKey, SubplanVerdict};
 use hermes_common::sync::Mutex;
 use hermes_lang::Subst;
@@ -223,6 +224,16 @@ impl MatFollower {
     /// caller must compute (re-joining first, so one follower inherits
     /// leadership).
     pub fn wait(self) -> Option<Arc<[Subst]>> {
+        let pending = matches!(*self.slot.state.lock(), SlotState::Pending);
+        match pending {
+            // Waiting on another query: a serving worker lends its slot.
+            true => parked(|| self.resolved()),
+            false => self.resolved(),
+        }
+    }
+
+    /// Blocks while the flight is pending.
+    fn resolved(&self) -> Option<Arc<[Subst]>> {
         let mut state = self.slot.state.lock();
         loop {
             match &*state {

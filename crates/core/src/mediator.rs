@@ -539,7 +539,10 @@ impl Mediator {
 
     /// Persists the answer cache and the statistics cache into `dir`
     /// (`answers.cache` and `stats.db`). Expensive remote knowledge
-    /// survives a mediator restart.
+    /// survives a mediator restart. Of the statistics, what is saved is
+    /// the retained detail — each function's most recent records, see
+    /// [`hermes_dcsm::DETAIL_WINDOW`] — so after a restart a function that
+    /// had recorded more than that is costed from its recent records only.
     pub fn save_state(&self, dir: &std::path::Path) -> Result<()> {
         std::fs::create_dir_all(dir)?;
         hermes_cim::persist::save_to_path(self.cim.lock().cache(), &dir.join("answers.cache"))?;
@@ -931,6 +934,43 @@ mod tests {
         std::fs::create_dir_all(&empty).unwrap();
         assert!(m2.load_state(&empty).is_ok());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_restart_relearns_estimates_from_the_saved_detail_window() {
+        use hermes_dcsm::DETAIL_WINDOW;
+        let dir =
+            std::env::temp_dir().join(format!("hermes-mediator-window-{}", std::process::id()));
+        let call = |k: usize| GroundCall::new("d1", "p_bf", vec![Value::Int(k as i64 % 5)]);
+        let m = mediator();
+        let total = 2 * DETAIL_WINDOW + 100;
+        for i in 0..total {
+            // A drifting cost, so recent and all-time averages differ.
+            let at = hermes_common::SimInstant::EPOCH;
+            let dcsm = m.dcsm();
+            let mut dcsm = dcsm.lock();
+            dcsm.record(&call(i), Some(1.0), Some(i as f64), Some(2.0), at);
+        }
+        m.save_state(&dir).unwrap();
+
+        let mut m2 = mediator();
+        m2.load_state(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let (old, new) = (m.dcsm(), m2.dcsm());
+        let (old, new) = (old.lock(), new.lock());
+        let saved = old.db().records_for("d1", "p_bf");
+        assert_eq!(saved.len(), DETAIL_WINDOW + 100);
+        assert_eq!(new.db().records_for("d1", "p_bf"), saved);
+        assert_eq!((old.db().len(), new.db().len()), (total, saved.len()));
+        // The restarted mediator's estimates are aggregates over exactly
+        // the saved window; the running one still answers for all history.
+        for k in 0..5 {
+            let pattern = call(k).pattern();
+            let window = old.db().aggregate_scan(&pattern);
+            assert_eq!(new.db().aggregate(&pattern), window);
+            assert_eq!(new.cost(&pattern).vector.t_all_ms, window.0.t_all_ms);
+            assert_ne!(old.cost(&pattern).vector.t_all_ms, window.0.t_all_ms);
+        }
     }
 
     #[test]

@@ -39,6 +39,13 @@ pub(crate) mod pool;
 pub(crate) mod reactor;
 #[cfg(target_os = "linux")]
 pub(crate) mod sys;
+// Only the reactor starts these workers; `parked` is called everywhere.
+#[cfg_attr(not(target_os = "linux"), allow(dead_code))]
+pub(crate) mod workers;
+
+pub(crate) use workers::parked;
+#[doc(hidden)]
+pub use workers::parked_handoff_probe;
 
 use std::io::Write;
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpStream, ToSocketAddrs};
@@ -61,6 +68,16 @@ use crate::tier::PlanTier;
 /// cost, and it leaves a full default `pipeline_depth` burst (32) mostly
 /// to the workers.
 pub const INLINE_BUDGET: usize = 8;
+
+/// Reactor mode: worker threads that may be parked — waiting on a source,
+/// a retry back-off or another query's flight, their run slot lent out —
+/// per configured worker. The reactor runs at most
+/// `workers × (1 + PARKED_PER_WORKER)` worker threads; past that, queries
+/// wait in the worker queue. Each parked thread is a query in flight at the
+/// sources and costs a stack plus what its allocator arena retains (≈ 1 MB
+/// measured), so the multiple trades miss throughput
+/// (`≈ threads ÷ source latency`) against resident memory.
+pub const PARKED_PER_WORKER: usize = 2;
 
 /// Which serving engine a [`NetServer`] runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -122,9 +139,11 @@ impl ServeMode {
 pub struct ServeConfig {
     /// Which serving engine to run (default [`ServeMode::Auto`]).
     pub mode: ServeMode,
-    /// Query worker threads. In pool mode this is also the number of
-    /// connections served at once; in reactor mode connections are
-    /// independent of workers.
+    /// Queries computing at once. In reactor mode up to
+    /// [`PARKED_PER_WORKER`]× as many more may be parked at sources (a
+    /// worker waiting on a source lends its slot to a queued query), and
+    /// connections are independent of workers. In pool mode this is the
+    /// number of handler threads, and so of connections served at once.
     pub workers: usize,
     /// Pool mode: accepted connections waiting for a free handler; one
     /// more connection than this is refused with
@@ -262,6 +281,14 @@ pub struct NetServerStats {
     /// cached point queries, and requests refused while staging — instead
     /// of crossing to a worker and back. Always 0 in pool mode.
     pub inline_answers: u64,
+    /// Reactor mode: times a worker lent its run slot for the length of a
+    /// wait — a source call, a retry back-off, a single-flight follower
+    /// wait. Always 0 in pool mode.
+    pub parked: u64,
+    /// The most query threads alive at once: `workers`, unless parked
+    /// workers made the reactor start more — never above
+    /// `workers × (1 + PARKED_PER_WORKER)`.
+    pub worker_threads_peak: u64,
 }
 
 #[derive(Default)]
@@ -273,6 +300,8 @@ pub(crate) struct NetCounters {
     pub(crate) evicted: AtomicU64,
     pub(crate) pre_gate_shed: AtomicU64,
     pub(crate) inline_answers: AtomicU64,
+    pub(crate) parked: AtomicU64,
+    pub(crate) worker_threads_peak: AtomicU64,
 }
 
 impl NetCounters {
@@ -285,6 +314,8 @@ impl NetCounters {
             evicted: self.evicted.load(Ordering::Relaxed),
             pre_gate_shed: self.pre_gate_shed.load(Ordering::Relaxed),
             inline_answers: self.inline_answers.load(Ordering::Relaxed),
+            parked: self.parked.load(Ordering::Relaxed),
+            worker_threads_peak: self.worker_threads_peak.load(Ordering::Relaxed),
         }
     }
 }
@@ -295,7 +326,7 @@ pub(crate) struct Shared {
     pub(crate) mediator: Arc<ConcurrentMediator>,
     pub(crate) config: ServeConfig,
     pub(crate) stop: AtomicBool,
-    pub(crate) counters: NetCounters,
+    pub(crate) counters: Arc<NetCounters>,
 }
 
 /// A running server — a worker pool behind either an accept loop
@@ -327,7 +358,7 @@ impl NetServer {
             mediator,
             config,
             stop: AtomicBool::new(false),
-            counters: NetCounters::default(),
+            counters: Arc::default(),
         });
         let inner = match mode {
             #[cfg(target_os = "linux")]
@@ -627,6 +658,9 @@ fn stats_value(shared: &Shared) -> Value {
         ("evicted", Value::Int(c.evicted as i64)),
         ("pre_gate_shed", Value::Int(c.pre_gate_shed as i64)),
         ("inline", Value::Int(c.inline_answers as i64)),
+        ("workers", Value::Int(shared.config.workers.max(1) as i64)),
+        ("parked", Value::Int(c.parked as i64)),
+        ("threads_peak", Value::Int(c.worker_threads_peak as i64)),
     ]);
     Value::Record(Record::from_fields(vec![
         ("server", Value::Record(server)),

@@ -48,6 +48,8 @@ impl PoolServer {
         let addr = listener.local_addr().map_err(io_err)?;
 
         let workers = shared.config.workers.max(1);
+        let threads = &shared.counters.worker_threads_peak;
+        threads.store(workers as u64, Ordering::Relaxed);
         let (tx, rx) = sync_channel::<TcpStream>(shared.config.pending_conns);
         let rx = Arc::new(Mutex::new(rx));
         let handles = (0..workers)

@@ -16,8 +16,8 @@
 //! 3. answers admin frames (`Ping`/`Stats`/`Shutdown`) inline, and
 //!    `Query` frames too when the answer cache alone serves them (see
 //!    *Which thread runs a query* below); the rest go to the bounded
-//!    worker pool,
-//! 4. collects completions the workers parked in the shared vector,
+//!    queue of the [`workers`](super::workers),
+//! 4. collects completions the workers left in the shared vector,
 //!    slots each into its connection's FIFO, and
 //! 5. flushes: response bytes move from the FIFO into a bounded write
 //!    queue (≤ [`WQ_CAP`] buffered bytes per connection) and out
@@ -50,6 +50,12 @@
 //! not be held across a queue wait), frames go to the workers unstaged,
 //! as before. No source call ever runs on the reactor thread.
 //!
+//! On a worker, `workers` bounds the queries *computing*: one that waits
+//! — on a source, a retry back-off, another query's flight — lends its
+//! slot to a queued query for the length of the wait, up to
+//! `workers × PARKED_PER_WORKER` parked threads (see
+//! [`workers`](super::workers)).
+//!
 //! # Deadlines
 //!
 //! A sweep every [`idle_poll`](super::ServeConfig::idle_poll) evicts
@@ -66,7 +72,6 @@ use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -78,9 +83,10 @@ use super::sys::{
     set_nonblocking, writev_bufs, Epoll, EpollEvent, EventFd, WriteOutcome, EPOLLERR, EPOLLIN,
     EPOLLOUT, EPOLLRDHUP,
 };
+use super::workers::{Job, Work, Workers};
 use super::{
     answer_cached, io_err, refuse, respond_bytes, respond_query, run_staged, shed_bytes,
-    stage_query, Shared, StagedFrame, INLINE_BUDGET,
+    stage_query, Shared, INLINE_BUDGET,
 };
 
 const TOKEN_LISTENER: u64 = 0;
@@ -102,7 +108,7 @@ pub(crate) struct ReactorServer {
     pub(crate) addr: SocketAddr,
     wakeup: Arc<EventFd>,
     reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Arc<Workers>,
 }
 
 impl ReactorServer {
@@ -116,26 +122,23 @@ impl ReactorServer {
         epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
         epoll.add(wakeup.fd(), EPOLLIN, TOKEN_WAKEUP)?;
 
-        let (job_tx, job_rx) = sync_channel::<Job>(shared.config.queue_depth.max(1));
-        let job_rx = Arc::new(Mutex::new(job_rx));
         let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let workers = (0..shared.config.workers.max(1))
-            .map(|i| {
-                let shared = shared.clone();
-                let job_rx = job_rx.clone();
-                let completions = completions.clone();
-                let wakeup = wakeup.clone();
-                std::thread::Builder::new()
-                    .name(format!("hermes-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &job_rx, &completions, &wakeup))
-                    .map_err(io_err)
-            })
-            .collect::<Result<Vec<JoinHandle<()>>>>()?;
+        let workers = {
+            let shared = shared.clone();
+            let completions = completions.clone();
+            let wakeup = wakeup.clone();
+            Workers::start(
+                shared.config.workers,
+                shared.config.queue_depth,
+                shared.counters.clone(),
+                Box::new(move |job| run_job(&shared, job, &completions, &wakeup)),
+            )?
+        };
 
         let reactor = {
             let shared = shared.clone();
             let wakeup = wakeup.clone();
+            let workers = workers.clone();
             std::thread::Builder::new()
                 .name("hermes-reactor".into())
                 .spawn(move || {
@@ -146,12 +149,15 @@ impl ReactorServer {
                         listener: Some(listener),
                         conns: HashMap::new(),
                         next_token: FIRST_CONN_TOKEN,
-                        job_tx,
+                        workers: workers.clone(),
                         completions,
                         last_sweep: Instant::now(),
                         stage_left: 0,
                     }
                     .run();
+                    // Stopped and drained: the workers finish what is
+                    // queued (for connections already gone) and exit.
+                    workers.close();
                 })
                 .map_err(io_err)?
         };
@@ -172,30 +178,12 @@ impl ReactorServer {
     }
 
     pub(crate) fn join(&mut self) {
-        // The reactor exits once stopped and drained; dropping it drops
-        // the job sender, which drains and releases the workers.
+        // The reactor exits once stopped and drained, closing the workers.
         if let Some(h) = self.reactor.take() {
             let _ = h.join();
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.workers.join();
     }
-}
-
-/// A query headed for the worker pool, tagged with the FIFO slot its
-/// response must fill.
-struct Job {
-    token: u64,
-    seq: u64,
-    work: Work,
-}
-
-/// What a worker receives: a query the reactor already staged, or the
-/// frame as it arrived.
-enum Work {
-    Frame(QueryFrame),
-    Staged(StagedFrame),
 }
 
 /// A finished response headed back to the reactor.
@@ -266,7 +254,7 @@ struct Reactor {
     listener: Option<TcpListener>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    job_tx: SyncSender<Job>,
+    workers: Arc<Workers>,
     completions: Arc<Mutex<Vec<Completion>>>,
     last_sweep: Instant,
     /// Queries this wake may still stage on the reactor thread.
@@ -445,7 +433,7 @@ impl Reactor {
                                         bytes: Some(bytes),
                                     });
                                 }
-                                Err(work) => match self.job_tx.try_send(Job { token, seq, work }) {
+                                Err(work) => match self.workers.submit(Job { token, seq, work }) {
                                     Ok(()) => {
                                         conn.inflight += 1;
                                         conn.pending.push_back(Pending { seq, bytes: None });
@@ -453,7 +441,7 @@ impl Reactor {
                                     // A staged query dropped here gives
                                     // its gate slot back uncounted: to
                                     // the gate's books it never arrived.
-                                    Err(TrySendError::Full(_)) => {
+                                    Err(_) => {
                                         self.shared
                                             .counters
                                             .pre_gate_shed
@@ -462,9 +450,6 @@ impl Reactor {
                                             seq,
                                             bytes: Some(shed_bytes("worker-queue-full")),
                                         });
-                                    }
-                                    Err(TrySendError::Disconnected(_)) => {
-                                        close = true;
                                     }
                                 },
                             }
@@ -670,36 +655,18 @@ fn answer_or_stage(shared: &Shared, q: &QueryFrame) -> std::result::Result<Vec<u
     }
 }
 
-fn worker_loop(
-    shared: &Shared,
-    jobs: &Mutex<Receiver<Job>>,
-    completions: &Mutex<Vec<Completion>>,
-    wakeup: &EventFd,
-) {
-    loop {
-        let job = {
-            let guard = match jobs.lock() {
-                Ok(g) => g,
-                Err(_) => return,
-            };
-            guard.recv()
-        };
-        match job {
-            Ok(job) => {
-                let bytes = match job.work {
-                    Work::Frame(q) => respond_query(shared, &q),
-                    Work::Staged(staged) => run_staged(shared, staged),
-                };
-                if let Ok(mut guard) = completions.lock() {
-                    guard.push(Completion {
-                        token: job.token,
-                        seq: job.seq,
-                        bytes,
-                    });
-                }
-                wakeup.signal();
-            }
-            Err(_) => return, // reactor gone and queue drained
-        }
+/// A worker's whole job: the response bytes, left for the reactor.
+fn run_job(shared: &Shared, job: Job, completions: &Mutex<Vec<Completion>>, wakeup: &EventFd) {
+    let bytes = match job.work {
+        Work::Frame(q) => respond_query(shared, &q),
+        Work::Staged(staged) => run_staged(shared, staged),
+    };
+    if let Ok(mut guard) = completions.lock() {
+        guard.push(Completion {
+            token: job.token,
+            seq: job.seq,
+            bytes,
+        });
     }
+    wakeup.signal();
 }

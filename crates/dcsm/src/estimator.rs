@@ -273,6 +273,12 @@ impl Dcsm {
         }
     }
 
+    /// Copies one function's detail — retained records and aggregation
+    /// cells — from `source` (see [`CostVectorDb::adopt_function`]).
+    pub fn adopt_detail(&mut self, source: &Dcsm, domain: &str, function: &str) {
+        self.db.adopt_function(&source.db, domain, function);
+    }
+
     /// Ensures an (initially empty) summary table of `shape` exists, so
     /// online updates accumulate into it — how a deployment that keeps no
     /// detail bootstraps its tables.
@@ -287,8 +293,8 @@ impl Dcsm {
         self.tables.remove(shape).is_some()
     }
 
-    /// Drops the detail records of a function (after summarizing, the §6.2
-    /// storage saving). Returns records dropped.
+    /// Drops the detail of a function (after summarizing, the §6.2 storage
+    /// saving). Returns the observations dropped.
     pub fn drop_detail(&mut self, domain: &str, function: &str) -> usize {
         self.db.drop_function(domain, function)
     }

@@ -47,4 +47,4 @@ pub use estimator::{overlap_makespan, Dcsm, DcsmConfig, EstimateOutcome, Estimat
 pub use maintenance::{droppable_dimensions, AccessTracker};
 pub use sharded::{CostSource, DcsmView, ShardedDcsm};
 pub use summary::{SummaryRow, SummaryTable};
-pub use vectordb::{CallRecord, CostVectorDb};
+pub use vectordb::{CallRecord, CostVectorDb, DETAIL_WINDOW};

@@ -12,7 +12,13 @@
 //! ```
 //!
 //! The components travel as `Value::Float`, bit for bit, so a save/load
-//! cycle never perturbs an estimate.
+//! cycle never perturbs an estimate that rests on the saved records alone.
+//!
+//! What is saved is the *retained* detail — per function, the most recent
+//! records inside the [detail window](crate::vectordb) — not the
+//! aggregation cells. A database that has folded therefore loads as one
+//! that only ever saw its last window: averages are re-learned from recent
+//! records, and `len()` restarts at the number loaded.
 
 // Statistics files are read from disk and may be damaged or hostile:
 // every fallible path returns a typed `HermesError`. Tests keep their unwraps.
@@ -31,9 +37,9 @@ fn component(v: Option<f64>) -> Value {
     v.map_or(Value::Null, Value::Float)
 }
 
-/// Writes every record to `out` and flushes it.
+/// Writes every retained record to `out` and flushes it.
 pub fn save<W: Write>(db: &CostVectorDb, out: W) -> Result<()> {
-    let mut records = Vec::with_capacity(db.len());
+    let mut records = Vec::with_capacity(db.detail_len());
     for (domain, function) in db.functions() {
         for r in db.records_for(&domain, &function) {
             let at = i64::try_from(r.recorded_at.as_micros())
@@ -104,7 +110,7 @@ pub fn load_from_path(path: &std::path::Path) -> Result<CostVectorDb> {
 mod tests {
     use super::*;
     use crate::vectordb::figure2_database;
-    use hermes_common::{CallPattern, PatArg, Value};
+    use hermes_common::{CallPattern, GroundCall, PatArg, Value};
 
     #[test]
     fn roundtrip_preserves_aggregates_exactly() {
@@ -124,6 +130,38 @@ mod tests {
         let (v, n) = loaded.aggregate(&p);
         let (v0, n0) = db.aggregate(&p);
         assert_eq!((v, n), (v0, n0));
+    }
+
+    #[test]
+    fn a_folded_database_round_trips_its_retained_window() {
+        use crate::{Dcsm, DETAIL_WINDOW};
+        let mut db = CostVectorDb::new();
+        let total = 2 * DETAIL_WINDOW + 50;
+        for i in 0..total {
+            let vector = CostVector {
+                t_first_ms: None,
+                t_all_ms: Some(i as f64),
+                cardinality: Some(1.0),
+            };
+            let call = GroundCall::new("d", "f", vec![Value::Int(i as i64 % 7)]);
+            db.record(call, vector, SimInstant::EPOCH);
+        }
+        assert_eq!(db.len(), total);
+        assert_eq!(db.detail_len(), DETAIL_WINDOW + 50);
+
+        let mut buf = Vec::new();
+        save(&db, &mut buf).unwrap();
+        let loaded = load(buf.as_slice()).unwrap();
+        assert_eq!(loaded.records_for("d", "f"), db.records_for("d", "f"));
+        assert_eq!(loaded.len(), db.detail_len());
+
+        // What a restart adopts is the window: its estimate is the
+        // window's average, not the all-time one.
+        let mut dcsm = Dcsm::new();
+        dcsm.replay_db(&loaded);
+        let blanket = CallPattern::new("d", "f", vec![PatArg::Bound]);
+        assert_eq!(dcsm.db().aggregate(&blanket), db.aggregate_scan(&blanket));
+        assert_ne!(dcsm.db().aggregate(&blanket), db.aggregate(&blanket));
     }
 
     #[test]

@@ -105,24 +105,16 @@ impl ShardedDcsm {
     }
 
     /// `n` shards seeded from an existing estimator: configuration is
-    /// copied and the detail database is replayed into the owning shards
-    /// (summary tables rebuild incrementally from the replay). Native
-    /// estimators are not carried over.
+    /// copied and each function's detail — retained records and
+    /// aggregation cells, so estimates carry over bit for bit whatever the
+    /// detail window has dropped — goes to its owning shard. Summary
+    /// tables and native estimators are not carried over.
     pub fn from_dcsm(source: &Dcsm, n: usize) -> Self {
         let sharded = ShardedDcsm::with_config(source.config().clone(), n);
-        let db = source.db();
-        for (domain, function) in db.functions() {
-            let shard = &sharded.shards[shard_index(&domain, &function, sharded.shards.len())];
-            let mut guard = shard.lock();
-            for r in db.records_for(&domain, &function) {
-                guard.record(
-                    &r.call,
-                    r.vector.t_first_ms,
-                    r.vector.t_all_ms,
-                    r.vector.cardinality,
-                    r.recorded_at,
-                );
-            }
+        for (domain, function) in source.db().functions() {
+            sharded.with_shard(&domain, &function, |shard| {
+                shard.adopt_detail(source, &domain, &function)
+            });
         }
         sharded
     }
@@ -143,7 +135,9 @@ impl ShardedDcsm {
         }
     }
 
-    /// Total detail records across shards.
+    /// Observations the shards' detail answers for (see
+    /// [`CostVectorDb::len`](crate::CostVectorDb::len)); each shard folds
+    /// its own functions' records independently.
     pub fn records(&self) -> usize {
         self.shards.iter().map(|s| s.lock().db().len()).sum()
     }

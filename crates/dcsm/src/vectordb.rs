@@ -16,6 +16,25 @@
 //! already-built shapes, so the averages are bitwise identical to the
 //! retained [`CostVectorDb::aggregate_scan`] reference (floating-point
 //! addition is not associative; order is part of the contract).
+//!
+//! ## The detail window
+//!
+//! The raw record list is a bounded recent log, not the whole history
+//! (§6.2: full detail is "a heavy burden on storage"). When a function
+//! holds `2 ×` [`DETAIL_WINDOW`] records it *folds*: every shape of the
+//! arities present that is not built yet is built from the records still
+//! held, and the oldest records are dropped down to the window. Nothing a
+//! cell has summed is ever dropped, and `record` keeps built shapes
+//! current, so [`CostVectorDb::aggregate`] — and with it every estimate
+//! and plan choice — stays bitwise what it would be over the full
+//! history. Only the raw-detail readers ([`CostVectorDb::records_for`],
+//! [`CostVectorDb::distinct_args`], [`CostVectorDb::aggregate_scan`],
+//! lossless summarization, `persist::save`) see the window.
+//!
+//! A fold finds full history to build from: the first one because nothing
+//! was dropped before it, a later one because every record since the
+//! previous fold is still held, and a shape that fold left unbuilt had no
+//! record of its arity before it.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -35,6 +54,13 @@ pub struct CallRecord {
     /// Virtual time of the observation.
     pub recorded_at: SimInstant,
 }
+
+/// Records a function keeps after a fold; a fold runs at twice this.
+pub const DETAIL_WINDOW: usize = 1024;
+
+/// The widest call a fold builds every shape for (`2^arity` of them). A
+/// function that has recorded a wider call keeps its whole history.
+const FOLD_MAX_ARITY: usize = 6;
 
 /// A pattern shape: the constant-position bitmask plus the arity (the mask
 /// alone cannot distinguish `f(a)` from `f(a, $b)`).
@@ -86,7 +112,12 @@ impl AggCell {
 /// already-built shapes current incrementally.
 #[derive(Debug, Default)]
 struct FunctionStats {
+    /// The most recent observations (see the module doc's detail window).
     records: Vec<CallRecord>,
+    /// Every observation ever recorded, dropped ones included.
+    recorded: usize,
+    /// The widest call ever recorded; past [`FOLD_MAX_ARITY`] nothing folds.
+    widest: usize,
     index: Mutex<HashMap<ShapeKey, HashMap<Vec<Value>, AggCell>>>,
 }
 
@@ -94,6 +125,8 @@ impl Clone for FunctionStats {
     fn clone(&self) -> Self {
         FunctionStats {
             records: self.records.clone(),
+            recorded: self.recorded,
+            widest: self.widest,
             index: Mutex::new(self.index.lock().clone()),
         }
     }
@@ -117,6 +150,23 @@ impl FunctionStats {
                 .add(&r.vector);
         }
         cells
+    }
+
+    /// Builds the shapes not yet built for the arities held, then drops
+    /// the oldest records down to [`DETAIL_WINDOW`].
+    fn fold(&mut self) {
+        let index = self.index.get_mut();
+        for arity in 0..=self.widest {
+            if !self.records.iter().any(|r| r.call.args.len() == arity) {
+                continue;
+            }
+            for mask in 0..1u64 << arity {
+                index
+                    .entry((mask, arity))
+                    .or_insert_with(|| Self::build_shape(&self.records, mask, arity));
+            }
+        }
+        self.records.drain(..self.records.len() - DETAIL_WINDOW);
     }
 }
 
@@ -152,6 +202,7 @@ impl CostVectorDb {
             .or_default()
             .entry(call.function.clone())
             .or_default();
+        stats.widest = stats.widest.max(call.args.len());
         for ((mask, arity), cells) in stats.index.get_mut().iter_mut() {
             if *arity != call.args.len() {
                 continue;
@@ -166,12 +217,22 @@ impl CostVectorDb {
             vector,
             recorded_at,
         });
+        stats.recorded += 1;
         self.total += 1;
+        if stats.records.len() >= 2 * DETAIL_WINDOW && stats.widest <= FOLD_MAX_ARITY {
+            stats.fold();
+        }
     }
 
-    /// Total number of records.
+    /// Observations recorded and not dropped with their function — all the
+    /// aggregation cells answer for, whether or not the record is retained.
     pub fn len(&self) -> usize {
         self.total
+    }
+
+    /// Records retained as raw detail (at most `len()`).
+    pub fn detail_len(&self) -> usize {
+        self.all_stats().map(|s| s.records.len()).sum()
     }
 
     /// True if no records exist.
@@ -182,15 +243,13 @@ impl CostVectorDb {
     /// Approximate storage footprint in bytes (the §6.2 "heavy burden on
     /// storage" metric the summarization experiments report).
     pub fn approx_bytes(&self) -> usize {
-        self.records
-            .values()
-            .flat_map(|m| m.values())
+        self.all_stats()
             .flat_map(|s| &s.records)
             .map(|r| r.call.request_bytes() + 3 * std::mem::size_of::<f64>() + 8)
             .sum()
     }
 
-    /// All records of one `domain:function`.
+    /// The retained records of one `domain:function`, oldest first.
     pub fn records_for(&self, domain: &str, function: &str) -> &[CallRecord] {
         self.stats_for(domain, function)
             .map(|s| s.records.as_slice())
@@ -239,8 +298,9 @@ impl CostVectorDb {
 
     /// The linear-scan reference implementation of
     /// [`CostVectorDb::aggregate`]: kept as the executable specification
-    /// (equivalence tests assert bitwise-identical results) and as the
-    /// fallback for unmaskable arities.
+    /// (equivalence tests assert bitwise-identical results while nothing
+    /// has been dropped from the detail window) and as the fallback for
+    /// unmaskable arities, which never fold.
     pub fn aggregate_scan(&self, pattern: &CallPattern) -> (CostVector, usize) {
         let mut cell = AggCell::default();
         for r in self.records_for(&pattern.domain, &pattern.function) {
@@ -267,7 +327,7 @@ impl CostVectorDb {
     }
 
     /// Drops all records (and index cells) for one function (after
-    /// summarization, §6.2).
+    /// summarization, §6.2). Returns how many observations that forgets.
     pub fn drop_function(&mut self, domain: &str, function: &str) -> usize {
         let Some(by_fn) = self.records.get_mut(domain) else {
             return 0;
@@ -278,8 +338,27 @@ impl CostVectorDb {
         if by_fn.is_empty() {
             self.records.remove(domain);
         }
-        self.total -= stats.records.len();
-        stats.records.len()
+        self.total -= stats.recorded;
+        stats.recorded
+    }
+
+    /// Copies one function's statistics from `other`, replacing what this
+    /// database held for it: the retained records *and* the aggregation
+    /// cells, so history older than the detail window comes along.
+    pub fn adopt_function(&mut self, other: &CostVectorDb, domain: &str, function: &str) {
+        let Some(stats) = other.stats_for(domain, function) else {
+            return;
+        };
+        self.drop_function(domain, function);
+        self.total += stats.recorded;
+        self.records
+            .entry(domain.into())
+            .or_default()
+            .insert(function.into(), stats.clone());
+    }
+
+    fn all_stats(&self) -> impl Iterator<Item = &FunctionStats> {
+        self.records.values().flat_map(|m| m.values())
     }
 
     fn stats_for(&self, domain: &str, function: &str) -> Option<&FunctionStats> {
@@ -496,5 +575,136 @@ mod tests {
         assert_eq!(db.len(), 9);
         assert!(db.approx_bytes() < before);
         assert_eq!(db.drop_function("d1", "p_bf"), 0);
+    }
+
+    // ------------------------------------------------ the detail window
+
+    use hermes_common::Rng64;
+
+    /// A call over 258 distinct keys of arity 1–3.
+    fn windowed_call(rng: &mut Rng64) -> GroundCall {
+        let arity = rng.range_usize(1, 4);
+        let args = (0..arity).map(|_| Value::Int(rng.range_i64(0, 6)));
+        GroundCall::new("d", "f", args.collect::<Vec<_>>())
+    }
+
+    fn random_vector(rng: &mut Rng64) -> CostVector {
+        let mut component = || rng.chance(0.9).then(|| rng.range_f64(0.1, 50.0));
+        CostVector {
+            t_first_ms: component(),
+            t_all_ms: component(),
+            cardinality: component(),
+        }
+    }
+
+    /// `call`'s pattern with a random subset of its constants relaxed.
+    fn random_shape(rng: &mut Rng64, call: &GroundCall) -> CallPattern {
+        let args = call.args.iter().map(|v| match rng.chance(0.5) {
+            true => PatArg::Const(v.clone()),
+            false => PatArg::Bound,
+        });
+        CallPattern::new("d", "f", args.collect())
+    }
+
+    /// What `aggregate` must return: a scan over the whole history.
+    fn scan(history: &[(GroundCall, CostVector)], pattern: &CallPattern) -> (CostVector, usize) {
+        let mut cell = AggCell::default();
+        for (_, vector) in history.iter().filter(|(call, _)| pattern.matches(call)) {
+            cell.add(vector);
+        }
+        cell.finish()
+    }
+
+    fn bits(v: (CostVector, usize)) -> ([Option<u64>; 3], usize) {
+        let c = v.0;
+        (
+            [c.t_first_ms, c.t_all_ms, c.cardinality].map(|x| x.map(f64::to_bits)),
+            v.1,
+        )
+    }
+
+    #[test]
+    fn aggregates_over_a_folded_window_equal_a_scan_of_the_full_history() {
+        let mut rng = Rng64::new(0xD37A11);
+        let mut db = CostVectorDb::new();
+        let mut history: Vec<(GroundCall, CostVector)> = Vec::new();
+        let total = 5 * 2 * DETAIL_WINDOW;
+        for i in 0..total {
+            let (call, vector) = (windowed_call(&mut rng), random_vector(&mut rng));
+            db.record(call.clone(), vector, SimInstant::EPOCH);
+            history.push((call, vector));
+            assert!(db.records_for("d", "f").len() < 2 * DETAIL_WINDOW);
+            // Probe before the first fold, between folds and after the last:
+            // a shape built lazily at any of those moments must stay exact.
+            if i % 97 == 0 || i + 1 == total {
+                for _ in 0..4 {
+                    let seen = &history[rng.range_usize(0, history.len())].0;
+                    let pattern = random_shape(&mut rng, seen);
+                    assert_eq!(
+                        bits(db.aggregate(&pattern)),
+                        bits(scan(&history, &pattern)),
+                        "{pattern} after {} records",
+                        i + 1
+                    );
+                }
+            }
+        }
+        assert_eq!(db.len(), total);
+        assert_eq!(db.detail_len(), db.records_for("d", "f").len());
+        assert!(db.detail_len() >= DETAIL_WINDOW);
+        // The retained records are the most recent ones, oldest first.
+        let kept = db.records_for("d", "f");
+        let tail = &history[history.len() - kept.len()..];
+        assert!(kept.iter().zip(tail).all(|(r, (call, _))| &r.call == call));
+    }
+
+    #[test]
+    fn len_counts_every_observation_and_drop_function_forgets_them_all() {
+        let mut rng = Rng64::new(7);
+        let mut db = figure2_database();
+        for _ in 0..3 * DETAIL_WINDOW {
+            let vector = random_vector(&mut rng);
+            db.record(windowed_call(&mut rng), vector, SimInstant::EPOCH);
+        }
+        assert_eq!(db.len(), 13 + 3 * DETAIL_WINDOW);
+        assert!(db.detail_len() < 13 + 2 * DETAIL_WINDOW);
+        assert_eq!(db.drop_function("d", "f"), 3 * DETAIL_WINDOW);
+        assert_eq!((db.len(), db.detail_len()), (13, 13));
+    }
+
+    #[test]
+    fn a_function_wider_than_the_fold_limit_keeps_every_record() {
+        let mut db = CostVectorDb::new();
+        let wide = |k: i64| {
+            let args = (0..=FOLD_MAX_ARITY as i64).map(|i| Value::Int(i * k % 3));
+            GroundCall::new("d", "wide", args.collect::<Vec<_>>())
+        };
+        let total = 2 * DETAIL_WINDOW + 10;
+        for k in 0..total {
+            db.record(wide(k as i64), CostVector::default(), SimInstant::EPOCH);
+        }
+        assert_eq!(db.records_for("d", "wide").len(), total);
+        let pattern = wide(1).pattern();
+        assert_eq!(db.aggregate(&pattern).1, db.aggregate_scan(&pattern).1);
+    }
+
+    #[test]
+    fn adopting_a_folded_function_carries_its_whole_history() {
+        let mut rng = Rng64::new(11);
+        let mut source = CostVectorDb::new();
+        for _ in 0..3 * DETAIL_WINDOW {
+            let vector = random_vector(&mut rng);
+            source.record(windowed_call(&mut rng), vector, SimInstant::EPOCH);
+        }
+        let mut copy = figure2_database();
+        copy.adopt_function(&source, "d", "f");
+        copy.adopt_function(&source, "d", "absent");
+        assert_eq!(copy.len(), 13 + source.len());
+        let blanket = CallPattern::new("d", "f", vec![PatArg::Bound, PatArg::Bound]);
+        assert_eq!(
+            bits(copy.aggregate(&blanket)),
+            bits(source.aggregate(&blanket))
+        );
+        assert!(copy.aggregate(&blanket).1 > source.aggregate_scan(&blanket).1);
     }
 }

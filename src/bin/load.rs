@@ -34,9 +34,14 @@
 //! an answer, a shed, or a query error (never a transport error), and
 //! the server's own counters must agree (`admitted + shed == queries`;
 //! `net.inline` — queries answered on the reactor thread — is positive
-//! under the reactor once keys repeat, zero under the pool).
+//! under the reactor once keys repeat, zero under the pool; `net.parked` —
+//! times a worker lent its run slot while it waited on a source — is
+//! positive under the reactor once a query went to a source, which the
+//! first pass against a fresh server always does, zero under the pool;
+//! `net.threads_peak` stays within `workers × (1 + PARKED_PER_WORKER)`).
 
 use hermes::common::{percentile, Rng64};
+use hermes::core::serve::PARKED_PER_WORKER;
 use hermes::{HermesError, QueryFrame, Value, WireClient};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -455,6 +460,10 @@ fn main() {
             let pre_gate = stat(stats, "net", "pre_gate_shed").unwrap_or(-1);
             let requests = stat(stats, "net", "requests").unwrap_or(-1);
             let inline = stat(stats, "net", "inline").unwrap_or(-1);
+            let source_calls = stat(stats, "server", "source_calls").unwrap_or(-1);
+            let workers = stat(stats, "net", "workers").unwrap_or(-1);
+            let parked = stat(stats, "net", "parked").unwrap_or(-1);
+            let threads_peak = stat(stats, "net", "threads_peak").unwrap_or(-1);
             let mode = match field(stats, "net", "mode") {
                 Some(Value::Str(m)) => m.to_string(),
                 _ => "?".into(),
@@ -463,7 +472,10 @@ fn main() {
                 "  server: queries {queries}  admitted {admitted}  shed {shed}  \
                  socket-refused {refused}  pre-gate-shed {pre_gate}"
             );
-            println!("  net: mode {mode}  requests {requests}  inline {inline}");
+            println!(
+                "  net: mode {mode}  requests {requests}  inline {inline}  parked {parked}  \
+                 threads-peak {threads_peak} (workers {workers})"
+            );
             if opts.test_mode {
                 assert_eq!(
                     admitted + shed,
@@ -484,6 +496,22 @@ fn main() {
                     }
                     "reactor" => {}
                     _ => assert_eq!(inline, 0, "{mode} mode cannot answer inline"),
+                }
+                // Every source call of a reactor server runs on a worker,
+                // which lends its slot for the wait; pool handlers have no
+                // slot to lend.
+                let cap = workers * (1 + PARKED_PER_WORKER as i64);
+                match mode.as_str() {
+                    "reactor" => {
+                        if source_calls > 0 {
+                            assert!(parked > 0, "a source call that parked no worker");
+                        }
+                        assert!(
+                            (workers..=cap).contains(&threads_peak),
+                            "net.threads_peak {threads_peak} outside {workers}..={cap}"
+                        );
+                    }
+                    _ => assert_eq!(parked, 0, "{mode} mode has no slot to lend"),
                 }
             }
         }

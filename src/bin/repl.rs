@@ -333,8 +333,9 @@ fn dispatch(mediator: &mut Mediator, state: &mut ReplState, line: &str) -> herme
         let dcsm = mediator.dcsm();
         let dcsm = dcsm.lock();
         println!(
-            "  DCSM: {} detail records, {} summary tables, ~{} bytes",
+            "  dcsm records {} (detail {}), {} summary tables, ~{} bytes",
             dcsm.db().len(),
+            dcsm.db().detail_len(),
             dcsm.tables().len(),
             dcsm.approx_bytes()
         );

@@ -32,8 +32,10 @@ options:
   --addr HOST:PORT   listen address (default 127.0.0.1:7464)
   --mode MODE        serving engine: auto | pool | reactor (default auto;
                      auto picks the epoll reactor on Linux, pool elsewhere)
-  --workers N        query worker threads (default 8); in pool mode this
-                     is also the concurrent-connection ceiling
+  --workers N        queries computing at once (default 8); up to 2x as
+                     many more may be parked at sources (reactor mode).
+                     In pool mode: handler threads, and so the
+                     concurrent-connection ceiling
   --pending N        pool mode: accepted connections queued for a worker;
                      the next one is refused with a shed frame (default 64)
   --max-conns N      reactor mode: open-connection ceiling (default 10000)

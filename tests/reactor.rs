@@ -12,7 +12,7 @@ mod common;
 use common::{assert_permits_released, OffReactor};
 use hermes::analysis::parse_directives;
 use hermes::common::Record;
-use hermes::core::serve::INLINE_BUDGET;
+use hermes::core::serve::{INLINE_BUDGET, PARKED_PER_WORKER};
 use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes::domains::{CallOutcome, Domain, FunctionSig, SlowDomain};
 use hermes::net::profiles;
@@ -295,6 +295,8 @@ fn shutdown_drains_inflight_pipelined_responses() {
     }
     let stats = net.wait();
     assert_eq!(stats.requests, 5, "4 queries + shutdown");
+    // Every worker was parked at its source when the drain began.
+    assert_eq!(stats.parked, 4);
 }
 
 #[test]
@@ -348,6 +350,216 @@ fn serial_and_reactor_answers_are_the_same_multiset() {
         assert_eq!(got, expected, "answers diverge for {q}");
     }
     net.shutdown();
+}
+
+// ------------------------------------------- a waiting worker lends its slot
+
+/// A one-worker reactor over `server`, and a connection to it.
+fn one_worker(server: ConcurrentMediator, queue_depth: usize) -> (NetServer, WireClient) {
+    let config = ServeConfig::builder()
+        .mode(ServeMode::Reactor)
+        .workers(1)
+        .queue_depth(queue_depth)
+        .build();
+    let net = NetServer::bind(Arc::new(server), "127.0.0.1:0", config).unwrap();
+    let client = WireClient::connect(net.addr()).unwrap();
+    (net, client)
+}
+
+#[test]
+fn source_waits_of_pipelined_cold_queries_overlap_on_one_worker() {
+    // One worker may have 1 + PARKED_PER_WORKER queries at the sources:
+    // that many pipelined cold queries take one source wait together,
+    // where a worker that holds its thread through each wait needs one
+    // wait per query.
+    let wait = Duration::from_millis(150);
+    let burst = 1 + PARKED_PER_WORKER;
+    let mut direct = slow_world(Duration::ZERO);
+    let queries: Vec<String> = (0..burst)
+        .map(|k| format!("?- item('p_{k}', B)."))
+        .collect();
+    // A stall of the shared machine can only add time, so the best of
+    // three attempts is what the server is capable of.
+    let mut best = Duration::MAX;
+    for _ in 0..3 {
+        let (net, mut client) = one_worker(slow_world(wait).to_concurrent(2), 1024);
+        let start = Instant::now();
+        for q in &queries {
+            client.send_query(QueryFrame::new(q.as_str())).unwrap();
+        }
+        // Distinct keys have distinct answer sets: FIFO order is checked.
+        for q in &queries {
+            let got = client.recv_result().unwrap();
+            assert_eq!(got.done.source_calls, 1, "{q} is cold");
+            assert_eq!(got.rows, direct.query(q.as_str()).unwrap().rows, "{q}");
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed >= wait,
+            "{elapsed:?}: the sources were not waited on"
+        );
+        best = best.min(elapsed);
+
+        let stats = net.net_stats();
+        assert_eq!(stats.parked, burst as u64, "every query parked once");
+        assert_eq!(stats.worker_threads_peak, burst as u64);
+        assert_permits_released(net.mediator(), &queries[0]);
+        net.shutdown();
+        if best < wait * 2 {
+            break;
+        }
+    }
+    assert!(
+        best < wait * 2,
+        "{best:?}: {burst} source waits did not overlap"
+    );
+}
+
+#[test]
+fn warm_and_cpu_bound_bursts_park_nobody_and_start_no_thread() {
+    let domain = SyntheticDomain::generate(
+        "d1",
+        9,
+        &[
+            RelationSpec::uniform("p", 16, 2.0),
+            RelationSpec::uniform("q", 16, 2.0),
+        ],
+    );
+    let mut net = Network::new(9);
+    net.place(Arc::new(OffReactor::new(domain)), profiles::maryland());
+    let world = Mediator::from_source(
+        "
+        item(A, B) :- in(B, d1:p_bf(A)).
+        star(A, B, C) :- in(B, d1:p_bf(A)) & in(C, d1:q_bf(A)).
+        ",
+        net,
+    )
+    .unwrap();
+    let points: Vec<String> = (0..16).map(|k| format!("?- item('p_{k}', B).")).collect();
+    let joins: Vec<String> = (0..16)
+        .map(|k| format!("?- star('p_{k}', B, C)."))
+        .collect();
+
+    // Warmed in process: a caller that is no serving worker parks nobody.
+    let server = world.to_concurrent(4);
+    for q in points.iter().chain(&joins) {
+        server.query(q.as_str()).unwrap();
+    }
+    let workers = 2;
+    let config = ServeConfig::builder()
+        .mode(ServeMode::Reactor)
+        .workers(workers)
+        .build();
+    let net = NetServer::bind(Arc::new(server), "127.0.0.1:0", config).unwrap();
+    let mut client = WireClient::connect(net.addr()).unwrap();
+
+    // A burst of warm points (the reactor answers the head of it itself),
+    // then a burst of two-call joins, which only a worker finishes.
+    for burst in [&points, &joins] {
+        for q in burst.iter().chain(burst) {
+            client.send_query(QueryFrame::new(q.as_str())).unwrap();
+        }
+        while client.in_flight() > 0 {
+            let got = client.recv_result().unwrap();
+            assert_eq!(got.done.source_calls, 0, "everything is warm");
+        }
+    }
+    let stats = net.shutdown();
+    assert!(stats.inline_answers < 64, "the workers ran the joins");
+    assert_eq!(stats.parked, 0, "nothing waited on anyone");
+    assert_eq!(stats.worker_threads_peak, workers as u64);
+}
+
+#[test]
+fn at_the_thread_cap_a_full_worker_queue_still_sheds() {
+    // One worker, so 1 + PARKED_PER_WORKER threads, each parked at a slow
+    // source; one more query fits the queue and the rest are shed.
+    let cap = 1 + PARKED_PER_WORKER;
+    let wait = Duration::from_millis(300);
+    let (net, mut client) = one_worker(slow_world(wait).to_concurrent(2), 1);
+
+    let overflow = 2;
+    for k in 0..cap + 1 + overflow {
+        let q = QueryFrame::new(format!("?- item('p_{k}', B)."));
+        client.send_query(q).unwrap();
+        // Let each query that gets a thread reach its source first, so
+        // the next one meets a queue that is empty again.
+        let parked = (k as u64 + 1).min(cap as u64);
+        while net.net_stats().parked < parked {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    for k in 0..cap + 1 + overflow {
+        match client.recv_result() {
+            Ok(got) => assert!(k <= cap, "query {k} ran: {:?}", got.done),
+            Err(HermesError::Shed { reason }) => {
+                assert!(k > cap, "query {k} was shed");
+                assert_eq!(reason, "worker-queue-full");
+            }
+            Err(e) => panic!("unexpected error {e:?}"),
+        }
+    }
+    let m = net.mediator().stats();
+    assert_eq!(m.queries, cap as u64 + 1);
+    assert_eq!(m.admitted + m.shed, m.queries);
+    let stats = net.shutdown();
+    assert_eq!(stats.pre_gate_shed, overflow as u64);
+    assert_eq!(stats.worker_threads_peak, cap as u64);
+}
+
+#[test]
+fn a_parked_leader_and_parked_followers_cannot_deadlock() {
+    // Eight connections ask one worker for the same cold key at once. The
+    // leader parks at the source and the followers it lent its slot to
+    // park on its flight, every thread the cap allows; the leader must
+    // still finish. (Were leaving `parked` to wait for a run slot, the
+    // followers' successors could hold every slot the leader waits for.)
+    let wait = Duration::from_millis(50);
+    let query = "?- item('p_3', B).";
+    for share_subplans in [false, true] {
+        let mut slow_rounds = 0;
+        for round in 0..20 {
+            let domain = SyntheticDomain::generate("d1", 9, &[RelationSpec::uniform("p", 16, 2.0)]);
+            let slow = SlowDomain::new(Arc::new(domain), wait);
+            let source_calls = slow.counter();
+            let mut net = Network::new(9);
+            net.place(Arc::new(OffReactor::new(slow)), profiles::maryland());
+            let mut m = Mediator::from_source("item(A, B) :- in(B, d1:p_bf(A)).", net).unwrap();
+            m.caches()
+                .policy()
+                .share_subplans(share_subplans)
+                .apply()
+                .unwrap();
+            let (net, first) = one_worker(m.to_concurrent(2), 1024);
+
+            let mut clients = vec![first];
+            clients.extend((1..8).map(|_| WireClient::connect(net.addr()).unwrap()));
+            let start = Instant::now();
+            for client in &mut clients {
+                client.send_query(QueryFrame::new(query)).unwrap();
+            }
+            let answers: Vec<Vec<Vec<Value>>> = clients
+                .iter_mut()
+                .map(|client| client.recv_result().unwrap().rows)
+                .collect();
+            let elapsed = start.elapsed();
+
+            let tag = format!("share_subplans {share_subplans}, round {round}");
+            assert!(!answers[0].is_empty(), "{tag}");
+            assert!(answers.iter().all(|a| a == &answers[0]), "{tag}");
+            // A stall of the shared machine may cost a round its time; a
+            // hang costs it the test.
+            assert!(elapsed < Duration::from_secs(5), "{tag}: took {elapsed:?}");
+            slow_rounds += usize::from(elapsed >= wait * 3);
+            let calls = source_calls.load(std::sync::atomic::Ordering::Relaxed);
+            assert_eq!(calls, 1, "{tag}: the source was asked {calls} times");
+            net.shutdown();
+        }
+        assert!(
+            slow_rounds <= 2,
+            "share_subplans {share_subplans}: {slow_rounds} of 20 rounds took 3 source waits"
+        );
+    }
 }
 
 // ---------------------------------------------- answers on the reactor thread

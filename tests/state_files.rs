@@ -16,31 +16,36 @@ const FILES: [&str; 2] = ["answers.cache", "stats.db"];
 thread_local! {
     /// The largest single allocation this thread has asked for.
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread has allocated less bytes it has freed.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
 /// Notes every request in [`LARGEST`], so a test can show that a hostile
-/// length word was never trusted.
+/// length word was never trusted, and keeps [`LIVE`], so a test can show
+/// that what a single-threaded run holds stopped growing.
 struct LargestRequest;
 
-fn note(size: usize) {
+fn note(size: usize, freed: usize) {
     // `try_with`: an allocation during thread teardown has nowhere to note.
     let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
+    let _ = LIVE.try_with(|live| live.set(live.get() + size as isize - freed as isize));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one the caller already upholds; `note` touches only a
-// `const`-initialised thread-local `Cell` and so never allocates. The
+// contract is the one the caller already upholds; `note` touches only
+// `const`-initialised thread-local `Cell`s and so never allocates. The
 // provided `alloc_zeroed` goes through `alloc`.
 unsafe impl GlobalAlloc for LargestRequest {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
+        note(layout.size(), 0);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, layout.size());
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
+        note(new_size, layout.size());
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -211,4 +216,41 @@ fn a_save_killed_at_any_moment_leaves_a_saved_state() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_statistics_cache_stops_growing_with_the_calls_it_has_seen() {
+    use hermes::dcsm::{Dcsm, DETAIL_WINDOW};
+    use hermes::{GroundCall, SimInstant, Value};
+
+    // 200 000 observations of 4 096 distinct calls of one function. The
+    // second half is a whole number of windows, so both readings find the
+    // record list equally full.
+    let second_half = 98 * DETAIL_WINDOW;
+    let mut rng = Rng64::new(24);
+    let mut dcsm = Dcsm::new();
+    let mut record = |dcsm: &mut Dcsm, n: usize| {
+        for _ in 0..n {
+            let key = Value::Int(rng.range_i64(0, 4096));
+            let call = GroundCall::new("d1", "p_bf", vec![key]);
+            let t_all = Some(rng.range_f64(1.0, 9.0));
+            dcsm.record(&call, Some(1.0), t_all, Some(2.0), SimInstant::EPOCH);
+            assert!(dcsm.db().detail_len() < 2 * DETAIL_WINDOW);
+        }
+    };
+    let start = LIVE.with(Cell::get);
+    record(&mut dcsm, 100_000);
+    let halfway = LIVE.with(Cell::get) - start;
+    record(&mut dcsm, second_half);
+    let end = LIVE.with(Cell::get) - start;
+
+    assert_eq!(dcsm.db().len(), 100_000 + second_half);
+    assert!(halfway > 0);
+    // Every key was seen in the first half, so the cells are all there;
+    // the second half may only move the window (at the parent it added
+    // ~270 B a record).
+    assert!(
+        (end as f64) < halfway as f64 * 1.05,
+        "live bytes grew from {halfway} to {end} over the last {second_half} records"
+    );
 }

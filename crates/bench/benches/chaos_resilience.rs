@@ -2,31 +2,6 @@
 //! resilience layer. Run with
 //! `cargo bench -p hermes-bench --bench chaos_resilience`.
 
-use hermes_bench::chaos;
-
 fn main() {
-    let drop_rates = [0.0, 0.1, 0.3, 0.5];
-    let rows = chaos::run(1996, &drop_rates, 24);
-    println!("\nResilience under a seeded storm (flapping replica + transient drops)");
-    println!("(24 point queries per cell; simulated milliseconds)\n");
-    println!("{}", chaos::render(&rows));
-
-    // Headline: what the resilient stack buys at the heaviest drop rate.
-    let worst = *drop_rates.last().unwrap();
-    let cell = |cfg: &str| {
-        rows.iter()
-            .find(|r| r.drop_rate == worst && r.config == cfg)
-            .expect("cell present")
-    };
-    let retry = cell("retries only");
-    let resilient = cell("resilient");
-    println!("headline ({:.0}% drop rate):", worst * 100.0);
-    println!(
-        "  answered:      {:>2}/24 retries-only vs {:>2}/24 resilient",
-        retry.answered, resilient.answered
-    );
-    println!(
-        "  mean ms/query: {:>8.1} retries-only vs {:>8.1} resilient",
-        retry.mean_ms, resilient.mean_ms
-    );
+    print!("{}", hermes_bench::paper::chaos_resilience());
 }

@@ -1,37 +1,6 @@
 //! Regenerates **Figure 5**: Executing Remote Calls with Caching and/or
 //! Invariants. Run with `cargo bench -p hermes-bench --bench fig5_remote_calls`.
 
-use hermes_bench::fig5;
-
 fn main() {
-    let rows = fig5::run(1996);
-    println!("\nFigure 5: Executing Remote Calls with Caching and/or Invariants");
-    println!("(simulated milliseconds; three AVIS queries × four configurations × two sites)\n");
-    println!("{}", fig5::render(&rows));
-
-    // Headline ratios, for quick comparison with the paper.
-    let find = |q: &str, c: fig5::Config, site: hermes_bench::scenarios::VideoSite| {
-        rows.iter()
-            .find(|r| r.query.contains(q) && r.config == c && r.site == site)
-            .expect("cell present")
-    };
-    use fig5::Config::*;
-    use hermes_bench::scenarios::VideoSite::*;
-    let nc_usa = find("actors", NoCache, Usa);
-    let nc_it = find("actors", NoCache, Italy);
-    let c_it = find("actors", CacheOnly, Italy);
-    let p_it = find("actors", CachePartial, Italy);
-    println!("headline (actors query):");
-    println!(
-        "  Italy/USA no-cache slowdown:        {:>6.1}x (paper: ~19x)",
-        nc_it.t_all_ms / nc_usa.t_all_ms
-    );
-    println!(
-        "  Italy cache speedup (all answers):  {:>6.1}x (paper: ~30x)",
-        nc_it.t_all_ms / c_it.t_all_ms
-    );
-    println!(
-        "  Italy partial-inv first-answer win: {:>6.1}x",
-        nc_it.t_first_ms / p_it.t_first_ms
-    );
+    print!("{}", hermes_bench::paper::fig5_remote_calls());
 }

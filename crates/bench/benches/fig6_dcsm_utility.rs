@@ -2,26 +2,6 @@
 //! running times (lossless and lossy statistics) for the appendix queries.
 //! Run with `cargo bench -p hermes-bench --bench fig6_dcsm_utility`.
 
-use hermes_bench::fig6;
-
 fn main() {
-    let rows = fig6::run(1996);
-    println!("\nFigure 6: The Utility of DCSM (simulated milliseconds)\n");
-    println!("{}", fig6::render(&rows));
-    println!(
-        "mean relative error, all answers:  lossless {:.2}, lossy {:.2}",
-        fig6::mean_relative_error(&rows, false, false),
-        fig6::mean_relative_error(&rows, true, false),
-    );
-    println!(
-        "mean relative error, first answer: lossless {:.2}, lossy {:.2}",
-        fig6::mean_relative_error(&rows, false, true),
-        fig6::mean_relative_error(&rows, true, true),
-    );
-    println!(
-        "\n(the paper's reading: all-answers predictions closely match the \
-         actual times;\n lossy tables do worse mainly through cardinality \
-         error; first-answer times\n can be under-predicted when \
-         backtracking dominates)"
-    );
+    print!("{}", hermes_bench::paper::fig6_dcsm_utility());
 }

@@ -3,6 +3,5 @@
 //! 6.2. Run with `cargo bench -p hermes-bench --bench fig_2_3_4_summaries`.
 
 fn main() {
-    println!("\nFigures 2-4: statistics tables and their summarizations\n");
-    println!("{}", hermes_bench::fig234::report());
+    print!("{}", hermes_bench::paper::fig_2_3_4_summaries());
 }

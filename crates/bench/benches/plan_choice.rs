@@ -2,19 +2,12 @@
 //! orderings over randomized federations, bucketed by predicted margin.
 //! Run with `cargo bench -p hermes-bench --bench plan_choice`.
 
-use hermes_bench::plan_choice;
+use hermes_bench::paper;
 
 fn main() {
     let trials = std::env::var("HERMES_TRIALS")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(24);
-    println!("\n§8 plan-choice reliability ({trials} random federations)\n");
-    let obs = plan_choice::run(2024, trials);
-    println!("{}", plan_choice::render(&obs));
-    println!(
-        "(paper: all-answers predictions are reliable; first-answer \
-         predictions are\n trustworthy only above a ~50% predicted margin \
-         — the 1.0-1.5x bucket)"
-    );
+        .unwrap_or(paper::PLAN_CHOICE_TRIALS);
+    print!("{}", paper::plan_choice(trials));
 }

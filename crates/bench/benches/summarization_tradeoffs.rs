@@ -3,27 +3,6 @@
 //! workload skews. Run with
 //! `cargo bench -p hermes-bench --bench summarization_tradeoffs`.
 
-use hermes_bench::{drift, tradeoffs};
-
 fn main() {
-    println!("\n§6.2 summarization tradeoffs (per-level aggregates)\n");
-    let rows = tradeoffs::run(1996, &[0.0, 1.0, 1.5]);
-    println!("{}", tradeoffs::render(&rows));
-    println!(
-        "(expected shape: storage and lookup work drop monotonically with \
-         summarization.\n Error is lowest for full detail on re-seen \
-         calls; lossless summaries pay on\n never-seen argument vectors \
-         (they relax to the blanket mean); the per-video\n lossy level is \
-         robust across both; the blanket level is worst. This is the\n \
-         storage/accuracy dial §6.2 describes.)"
-    );
-
-    println!("\n§6.2 recency-weighting ablation (drifting network load)\n");
-    let rows = drift::run(1996, &[0.0, 1.0, 3.0]);
-    println!("{}", drift::render(&rows));
-    println!(
-        "(expected shape: plain averages and recency decay tie on a flat \
-         network;\n under drift the decayed estimator tracks the moving \
-         service time)"
-    );
+    print!("{}", hermes_bench::paper::summarization_tradeoffs());
 }

@@ -6,7 +6,9 @@
 //!
 //! * the `benches/*.rs` targets print the tables (`cargo bench`), and
 //! * `tests/shapes.rs` asserts the paper's qualitative claims hold —
-//!   who wins, by roughly what factor — on every run.
+//!   who wins, by roughly what factor — on every run, and
+//! * `tests/paper_figures.rs` holds each paper bench's whole stdout
+//!   ([`paper`]) byte for byte to a committed expectation.
 //!
 //! | paper artifact | module | bench target |
 //! |---|---|---|
@@ -23,6 +25,7 @@ pub mod drift;
 pub mod fig234;
 pub mod fig5;
 pub mod fig6;
+pub mod paper;
 pub mod parallel;
 pub mod plan_choice;
 pub mod scenarios;

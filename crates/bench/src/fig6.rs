@@ -14,7 +14,7 @@
 
 use crate::scenarios::{plan_in_written_order, rope_world, VideoSite};
 use crate::table::{ms, TextTable};
-use hermes_cim::CimPolicy;
+use hermes_cim::{CimPolicy, ShardedCim};
 use hermes_common::{Rng64, SimClock};
 use hermes_core::{estimate_plan, CostConfig, ExecConfig, Executor};
 use hermes_dcsm::{Dcsm, DcsmConfig};
@@ -83,21 +83,15 @@ pub fn run(seed: u64) -> Vec<Fig6Row> {
     train(&mut m, seed);
 
     // The lossless view: the mediator's own DCSM, plus lossless tables.
-    {
-        let dcsm_arc = m.dcsm();
-        let mut dcsm = dcsm_arc.lock();
-        for (domain, function) in dcsm.db().functions() {
-            dcsm.build_lossless(&domain, &function);
-        }
-    }
     // The lossy view: replay all records, keep only blanket tables.
-    let lossy = {
-        let mut lossy = Dcsm::with_config(DcsmConfig {
-            keep_detail: true,
-            ..DcsmConfig::default()
-        });
-        let master = m.dcsm();
-        let master = master.lock();
+    let mut lossy = Dcsm::with_config(DcsmConfig {
+        keep_detail: true,
+        ..DcsmConfig::default()
+    });
+    m.dcsm().for_each_shard_mut(|_, master| {
+        for (domain, function) in master.db().functions() {
+            master.build_lossless(&domain, &function);
+        }
         for (domain, function) in master.db().functions() {
             for r in master.db().records_for(&domain, &function) {
                 lossy.record(
@@ -119,28 +113,21 @@ pub fn run(seed: u64) -> Vec<Fig6Row> {
             lossy.build_lossy(&domain, &function, vec![false; arity]);
             lossy.drop_detail(&domain, &function);
         }
-        lossy
-    };
+    });
 
     let cost_cfg = CostConfig::default();
     let mut rows = Vec::new();
     for (label, query_src) in QUERIES {
         let plan = plan_in_written_order(query_src);
-        let (lossless_first, lossless_all) = {
-            let dcsm = m.dcsm();
-            let dcsm = dcsm.lock();
-            let e = estimate_plan(&plan, &*dcsm, &cost_cfg);
-            (e.t_first_ms.unwrap(), e.t_all_ms.unwrap())
-        };
+        let lossless_est = estimate_plan(&plan, m.dcsm(), &cost_cfg);
         let lossy_est = estimate_plan(&plan, &lossy, &cost_cfg);
 
         // Execute the written-order plan without contaminating statistics.
-        let scratch_cim = hermes_common::sync::Mutex::new(hermes_cim::Cim::new());
-        let dcsm_arc = m.dcsm();
+        let scratch_cim = ShardedCim::new(1);
         let outcome = Executor::new(
             m.network(),
             &scratch_cim,
-            dcsm_arc.as_ref(),
+            m.dcsm(),
             SimClock::new(),
             ExecConfig::builder()
                 .record_stats(false)
@@ -157,8 +144,8 @@ pub fn run(seed: u64) -> Vec<Fig6Row> {
                 .map(|d| d.as_millis_f64())
                 .unwrap_or(f64::NAN),
             actual_all_ms: outcome.t_all.as_millis_f64(),
-            lossless_first_ms: lossless_first,
-            lossless_all_ms: lossless_all,
+            lossless_first_ms: lossless_est.t_first_ms.unwrap(),
+            lossless_all_ms: lossless_est.t_all_ms.unwrap(),
             lossy_first_ms: lossy_est.t_first_ms.unwrap(),
             lossy_all_ms: lossy_est.t_all_ms.unwrap(),
         });

@@ -1,12 +1,12 @@
 //! Concurrent CIM access: the [`CimView`] trait and the [`ShardedCim`]
 //! facade.
 //!
-//! A single [`Cim`] is a plain mutable structure; the executor historically
-//! reached it through a `Mutex`. That is fine for one query at a time, but a
-//! mediator serving many clients funnels *every* cache probe through one
-//! lock. `ShardedCim` partitions the cache by `(domain, function)` hash into
-//! N independently locked shards, so concurrent queries touching different
-//! functions never contend.
+//! A single [`Cim`] is a plain mutable structure. Behind one lock, a
+//! mediator serving many clients would funnel *every* cache probe through
+//! that lock. `ShardedCim` partitions the cache by `(domain, function)`
+//! hash into N independently locked shards, so concurrent queries touching
+//! different functions never contend. The serial mediator holds the same
+//! type with one shard.
 //!
 //! The `(domain, function)` key is load-bearing: every structure that must
 //! see *all* cached calls of one function — the invariant posting lists and
@@ -33,10 +33,10 @@ use std::sync::MutexGuard;
 
 /// Shared-state access to a CIM.
 ///
-/// The executor holds `&dyn CimView` and never cares whether the cache
-/// behind it is a single `Mutex<Cim>` (the serial mediator) or a
-/// [`ShardedCim`] (the concurrent mediator). All methods take `&self`;
-/// implementations provide interior mutability.
+/// The executor holds `&dyn CimView`: in the mediators, a [`ShardedCim`]
+/// (one shard on the serial face); in tests, a wrapper that changes one
+/// behaviour. All methods take `&self`; implementations provide interior
+/// mutability.
 pub trait CimView {
     /// The §4.1 lookup pipeline: exact hit, equality-invariant hit,
     /// partial hit, or miss (possibly with a cheaper substitute call).
@@ -60,33 +60,6 @@ pub trait CimView {
 
     /// Non-mutating routing preview for the group dispatcher.
     fn preview(&self, call: &GroundCall) -> CimPreview;
-}
-
-impl CimView for Mutex<Cim> {
-    fn lookup(&self, call: &GroundCall, now: SimInstant) -> (CimResolution, SimDuration) {
-        self.lock().lookup(call, now)
-    }
-
-    fn store(&self, call: GroundCall, answers: Arc<[Value]>, complete: bool, now: SimInstant) {
-        self.lock().store(call, answers, complete, now);
-    }
-
-    fn stale_answers(&self, call: &GroundCall) -> Option<Arc<[Value]>> {
-        self.lock().stale_answers(call)
-    }
-
-    fn merge_partial(
-        &self,
-        _call: &GroundCall,
-        cached: &[Value],
-        actual: &[Value],
-    ) -> (Vec<Value>, SimDuration) {
-        self.lock().merge_partial(cached, actual)
-    }
-
-    fn preview(&self, call: &GroundCall) -> CimPreview {
-        self.lock().preview(call)
-    }
 }
 
 /// N independently locked CIM shards partitioned by `(domain, function)`.

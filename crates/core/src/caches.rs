@@ -16,17 +16,17 @@
 //! * [`CacheControl::policy`] — a builder applying routing, budgets, and
 //!   subplan sharing in one shot.
 //!
-//! The facade works identically over the serial mediator's `Mutex<Cim>`
-//! and the concurrent mediator's `ShardedCim`, with one honest
-//! difference: the concurrent mediator's planning core is immutable by
-//! design, so [`CachePolicy::apply`] refuses `routing`/`share_subplans`
-//! changes there instead of silently dropping them — configure those on
-//! the serial mediator *before* `to_concurrent`.
+//! Both faces hold the same state — a `ShardedCim` (one shard on the
+//! serial mediator) and a `MatCache` — so every method does the same thing
+//! on both, with one honest difference: only the serial mediator's
+//! `&mut self` may change the planning core, so on the concurrent face
+//! [`CachePolicy::apply`] refuses `routing`/`share_subplans` changes
+//! instead of silently dropping them — configure those on the serial
+//! mediator *before* `to_concurrent`.
 
 use crate::exec::ExecConfig;
 use crate::matcache::{MatCache, MatCacheStats};
-use hermes_cim::{CacheStats, Cim, CimPolicy, CimStats, ShardedCim};
-use hermes_common::sync::Mutex;
+use hermes_cim::{CacheStats, CimPolicy, CimStats, ShardedCim};
 use hermes_common::{HermesError, Result};
 use hermes_lang::Invariant;
 
@@ -42,7 +42,7 @@ pub enum CacheTier {
 }
 
 /// One combined snapshot of every cache tier.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheSnapshot {
     /// CIM manager counters (exact/equal/partial hits, misses, stores).
     pub cim: CimStats,
@@ -65,19 +65,14 @@ pub struct InvalidationSweep {
     pub subplans_dropped: usize,
 }
 
-/// The mediator state the facade reaches, serial or sharded.
-enum Backend<'m> {
-    Serial {
-        cim: &'m Mutex<Cim>,
-        policy: &'m mut CimPolicy,
-        exec: &'m mut ExecConfig,
-        /// The mediator's cache epoch; bumped when routing changes so the
-        /// matcache verdicts refresh before the next query.
-        epoch: &'m mut u64,
-    },
-    Shared {
-        cim: &'m ShardedCim,
-    },
+/// The planning-core settings the facade may change: present only when
+/// it was handed out by the serial mediator's `&mut self`.
+pub(crate) struct PlanningKnobs<'m> {
+    pub policy: &'m mut CimPolicy,
+    pub exec: &'m mut ExecConfig,
+    /// The mediator's cache epoch; bumped when routing changes so the
+    /// matcache verdicts refresh before the next query.
+    pub epoch: &'m mut u64,
 }
 
 /// The unified cache-control facade. Obtain one from
@@ -85,55 +80,31 @@ enum Backend<'m> {
 /// [`ConcurrentMediator::caches`](crate::ConcurrentMediator::caches)
 /// (everything except planning-core knobs).
 pub struct CacheControl<'m> {
-    backend: Backend<'m>,
+    cim: &'m ShardedCim,
     matcache: &'m MatCache,
+    planning: Option<PlanningKnobs<'m>>,
 }
 
 impl<'m> CacheControl<'m> {
-    pub(crate) fn serial(
-        cim: &'m Mutex<Cim>,
-        policy: &'m mut CimPolicy,
-        exec: &'m mut ExecConfig,
-        epoch: &'m mut u64,
+    pub(crate) fn new(
+        cim: &'m ShardedCim,
         matcache: &'m MatCache,
+        planning: Option<PlanningKnobs<'m>>,
     ) -> Self {
         CacheControl {
-            backend: Backend::Serial {
-                cim,
-                policy,
-                exec,
-                epoch,
-            },
+            cim,
             matcache,
-        }
-    }
-
-    pub(crate) fn shared(cim: &'m ShardedCim, matcache: &'m MatCache) -> Self {
-        CacheControl {
-            backend: Backend::Shared { cim },
-            matcache,
+            planning,
         }
     }
 
     /// One snapshot across both tiers.
     pub fn stats(&self) -> CacheSnapshot {
-        let (cim, answers, answer_entries, answer_bytes) = match &self.backend {
-            Backend::Serial { cim, .. } => {
-                let guard = cim.lock();
-                (
-                    guard.stats(),
-                    guard.cache_stats(),
-                    guard.cache().len(),
-                    guard.cache().bytes(),
-                )
-            }
-            Backend::Shared { cim } => (cim.stats(), cim.cache_stats(), cim.len(), cim.bytes()),
-        };
         CacheSnapshot {
-            cim,
-            answers,
-            answer_entries,
-            answer_bytes,
+            cim: self.cim.stats(),
+            answers: self.cim.cache_stats(),
+            answer_entries: self.cim.len(),
+            answer_bytes: self.cim.bytes(),
             subplans: self.matcache.stats(),
         }
     }
@@ -142,14 +113,8 @@ impl<'m> CacheControl<'m> {
     /// ground-call entries and exactly the materialized subplans that
     /// (transitively) read it.
     pub fn invalidate_source(&self, domain: &str, function: &str) -> InvalidationSweep {
-        let answers_dropped = match &self.backend {
-            Backend::Serial { cim, .. } => {
-                cim.lock().cache_mut().invalidate_function(domain, function)
-            }
-            Backend::Shared { cim } => cim.invalidate_function(domain, function),
-        };
         InvalidationSweep {
-            answers_dropped,
+            answers_dropped: self.cim.invalidate_function(domain, function),
             subplans_dropped: self.matcache.invalidate_source(domain, function),
         }
     }
@@ -158,32 +123,23 @@ impl<'m> CacheControl<'m> {
     /// and invariants survive.
     pub fn clear(&self, tier: CacheTier) {
         if matches!(tier, CacheTier::Answers | CacheTier::All) {
-            match &self.backend {
-                Backend::Serial { cim, .. } => cim.lock().cache_mut().clear(),
-                Backend::Shared { cim } => cim.clear(),
-            }
+            self.cim.clear();
         }
         if matches!(tier, CacheTier::Subplans | CacheTier::All) {
             self.matcache.clear();
         }
     }
 
-    /// Registers a §4.2 invariant with the CIM (every shard, on the
-    /// concurrent side). Returns how many stores now hold it.
+    /// Registers a §4.2 invariant with the CIM, in every shard. Returns
+    /// the invariant's index in the store.
     pub fn add_invariant(&self, inv: Invariant) -> Result<usize> {
-        match &self.backend {
-            Backend::Serial { cim, .. } => cim.lock().add_invariant(inv),
-            Backend::Shared { cim } => cim.add_invariant(&inv),
-        }
+        self.cim.add_invariant(&inv)
     }
 
     /// Serve stale cached answers when a source is unreachable (§4.1's
     /// availability trade).
     pub fn set_serve_stale(&self, on: bool) {
-        match &self.backend {
-            Backend::Serial { cim, .. } => cim.lock().set_serve_stale_on_outage(on),
-            Backend::Shared { cim } => cim.set_serve_stale_on_outage(on),
-        }
+        self.cim.set_serve_stale_on_outage(on);
     }
 
     /// The subplan cache handle — stats, budgets, and targeted
@@ -263,51 +219,44 @@ impl CachePolicy<'_> {
     /// if a planning-core knob (`routing`, `share_subplans`) was requested
     /// on a concurrent mediator, whose planning core is immutable.
     pub fn apply(self) -> Result<()> {
-        match self.control.backend {
-            Backend::Serial {
-                cim,
+        let control = self.control;
+        if self.routing.is_some() || self.share_subplans.is_some() {
+            let Some(PlanningKnobs {
                 policy,
                 exec,
                 epoch,
-            } => {
-                if let Some(routing) = self.routing {
-                    *policy = routing;
-                    // Routing decides volatility (a call routed around
-                    // the CIM has no invalidation signal), so installed
-                    // verdicts are stale: bump the epoch to refresh.
-                    *epoch += 1;
-                }
-                if let Some(on) = self.share_subplans {
-                    exec.share_subplans = on;
-                }
-                if let Some(on) = self.serve_stale {
-                    cim.lock().set_serve_stale_on_outage(on);
-                }
-                if let Some(bytes) = self.answer_budget {
-                    cim.lock().cache_mut().set_budget(bytes);
-                }
+            }) = control.planning
+            else {
+                return Err(HermesError::Eval(
+                    "routing and subplan sharing bind at `to_concurrent` time; \
+                     set them on the serial mediator first"
+                        .into(),
+                ));
+            };
+            if let Some(routing) = self.routing {
+                *policy = routing;
+                // Routing decides volatility (a call routed around the CIM
+                // has no invalidation signal), so installed verdicts are
+                // stale: bump the epoch to refresh.
+                *epoch += 1;
             }
-            Backend::Shared { cim } => {
-                if self.routing.is_some() || self.share_subplans.is_some() {
-                    return Err(HermesError::Eval(
-                        "routing and subplan sharing bind at `to_concurrent` time; \
-                         set them on the serial mediator first"
-                            .into(),
-                    ));
-                }
-                if let Some(on) = self.serve_stale {
-                    cim.set_serve_stale_on_outage(on);
-                }
-                if let Some(bytes) = self.answer_budget {
-                    cim.for_each_shard_mut(|_, shard| shard.cache_mut().set_budget(bytes));
-                }
+            if let Some(on) = self.share_subplans {
+                exec.share_subplans = on;
             }
+        }
+        if let Some(on) = self.serve_stale {
+            control.cim.set_serve_stale_on_outage(on);
+        }
+        if let Some(bytes) = self.answer_budget {
+            control
+                .cim
+                .for_each_shard_mut(|_, shard| shard.cache_mut().set_budget(bytes));
         }
         if let Some(bytes) = self.subplan_budget {
-            self.control.matcache.set_budget(bytes);
+            control.matcache.set_budget(bytes);
         }
         if let Some(ms) = self.subplan_min_savings {
-            self.control.matcache.set_min_savings(ms);
+            control.matcache.set_min_savings(ms);
         }
         Ok(())
     }

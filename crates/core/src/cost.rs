@@ -104,8 +104,8 @@ fn step_cardinality(target: &Term, estimated: f64, bound: &mut BTreeSet<Arc<str>
 
 /// The §7 estimate for `plan`, as a complete cost vector.
 ///
-/// Generic over the cost source, so a plain `Dcsm`, a `Mutex<Dcsm>`, and
-/// a `ShardedDcsm` (including `dyn DcsmView`) all plug in unchanged.
+/// Generic over the cost source, so a plain `Dcsm` and a `ShardedDcsm`
+/// (including `dyn DcsmView`) both plug in unchanged.
 pub fn estimate_plan<C: CostSource + ?Sized>(
     plan: &Plan,
     dcsm: &C,

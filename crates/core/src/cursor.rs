@@ -17,10 +17,10 @@
 use crate::breaker::BreakerBank;
 use crate::exec::{ExecConfig, ExecStats, Executor};
 use crate::plan::Plan;
-use hermes_cim::Cim;
+use hermes_cim::ShardedCim;
 use hermes_common::sync::Mutex;
 use hermes_common::{HermesError, SimClock, SimDuration, Value};
-use hermes_dcsm::Dcsm;
+use hermes_dcsm::ShardedDcsm;
 use hermes_net::Network;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -66,8 +66,8 @@ impl InteractiveQuery {
     /// Spawns the worker thread (used by `Mediator::query_interactive`).
     pub(crate) fn spawn(
         network: Arc<Network>,
-        cim: Arc<Mutex<Cim>>,
-        dcsm: Arc<Mutex<Dcsm>>,
+        cim: Arc<ShardedCim>,
+        dcsm: Arc<ShardedDcsm>,
         breakers: Option<Arc<Mutex<BreakerBank>>>,
         clock: SimClock,
         config: ExecConfig,
@@ -203,7 +203,7 @@ mod tests {
     use hermes_lang::{CallTemplate, Term};
     use hermes_net::profiles;
 
-    type World = (Arc<Network>, Arc<Mutex<Cim>>, Arc<Mutex<Dcsm>>, Plan);
+    type World = (Arc<Network>, Arc<ShardedCim>, Arc<ShardedDcsm>, Plan);
 
     fn setup() -> World {
         let domain = SyntheticDomain::generate("d1", 9, &[RelationSpec::uniform("p", 10, 4.0)]);
@@ -219,8 +219,8 @@ mod tests {
         };
         (
             Arc::new(net),
-            Arc::new(Mutex::new(Cim::new())),
-            Arc::new(Mutex::new(Dcsm::new())),
+            Arc::new(ShardedCim::new(1)),
+            Arc::new(ShardedDcsm::new(1)),
             plan,
         )
     }

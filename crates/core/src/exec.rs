@@ -458,10 +458,9 @@ impl RunState<'_> {
 /// The executor. Borrow the mediator's shared CIM/DCSM and network, hand
 /// it a clock, run one plan.
 ///
-/// The CIM and DCSM are reached through their shared-state views, so the
-/// same executor serves the serial mediator (`&Mutex<Cim>` /
-/// `&Mutex<Dcsm>` coerce to the views) and the concurrent mediator's
-/// sharded facades.
+/// The CIM and DCSM are reached through their shared-state views; both
+/// mediators hand it their sharded caches (one shard each on the serial
+/// face).
 pub struct Executor<'w> {
     network: &'w Network,
     cim: &'w dyn CimView,
@@ -1765,18 +1764,18 @@ fn charge_schedule(outcome: &RemoteOutcome) -> (SimDuration, SimDuration) {
 mod tests {
     use super::*;
     use crate::plan::{Plan, PlanStep};
-    use hermes_cim::Cim;
-    use hermes_dcsm::Dcsm;
+    use hermes_cim::ShardedCim;
+    use hermes_dcsm::ShardedDcsm;
     use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
     use hermes_lang::{parse_invariant, CallTemplate};
     use hermes_net::profiles;
     use std::sync::Arc;
 
-    fn world() -> (Network, Mutex<Cim>, Mutex<Dcsm>) {
+    fn world() -> (Network, ShardedCim, ShardedDcsm) {
         let mut net = Network::new(11);
         let d = SyntheticDomain::generate("d1", 5, &[RelationSpec::uniform("p", 10, 3.0)]);
         net.place(Arc::new(d), profiles::cornell());
-        (net, Mutex::new(Cim::new()), Mutex::new(Dcsm::new()))
+        (net, ShardedCim::new(1), ShardedDcsm::new(1))
     }
 
     fn call_plan(route: Route) -> (Plan, Value) {
@@ -1810,8 +1809,8 @@ mod tests {
         assert_eq!(out.stats.actual_calls, 1);
         assert_eq!(out.stats.cim_exact, 0);
         // Direct route records statistics but does not populate the cache.
-        assert_eq!(cim.lock().cache().len(), 0);
-        assert_eq!(dcsm.lock().db().len(), 1);
+        assert_eq!(cim.len(), 0);
+        assert_eq!(dcsm.records(), 1);
     }
 
     #[test]
@@ -1822,7 +1821,7 @@ mod tests {
             .run(&plan, None)
             .unwrap();
         assert_eq!(out1.stats.cim_miss, 1);
-        assert_eq!(cim.lock().cache().len(), 1);
+        assert_eq!(cim.len(), 1);
         let out2 = Executor::new(&net, &cim, &dcsm, SimClock::new(), ExecConfig::default())
             .run(&plan, None)
             .unwrap();
@@ -1860,8 +1859,7 @@ mod tests {
         let (net, cim, dcsm) = world();
         // Relation-style invariant on the synthetic domain is awkward;
         // fake one: cache a call under g and declare f ⊇ g via condition.
-        cim.lock()
-            .add_invariant(parse_invariant("X <= Y => d1:p_bf(Y) >= d1:p_bf(X).").unwrap())
+        cim.add_invariant(&parse_invariant("X <= Y => d1:p_bf(Y) >= d1:p_bf(X).").unwrap())
             .unwrap();
         // This invariant is *not sound* for the synthetic relation, but
         // the executor machinery is what's under test: seed a cached
@@ -1873,8 +1871,7 @@ mod tests {
         // Cache a strict subset under a "smaller" key (string ordering).
         let prefix: Vec<Value> = full.iter().take(1).cloned().collect();
         let smaller_key = GroundCall::new("d1", "p_bf", vec![Value::str("")]);
-        cim.lock()
-            .store(smaller_key, prefix.clone(), true, SimInstant::EPOCH);
+        cim.store(smaller_key, prefix.clone().into(), true, SimInstant::EPOCH);
 
         let plan = Plan {
             steps: vec![PlanStep::Call {
@@ -1903,17 +1900,16 @@ mod tests {
     #[test]
     fn partial_hit_with_limit_cancels_actual_call() {
         let (net, cim, dcsm) = world();
-        cim.lock()
-            .add_invariant(parse_invariant("X <= Y => d1:p_bf(Y) >= d1:p_bf(X).").unwrap())
+        cim.add_invariant(&parse_invariant("X <= Y => d1:p_bf(Y) >= d1:p_bf(X).").unwrap())
             .unwrap();
         let d = SyntheticDomain::generate("d1", 5, &[RelationSpec::uniform("p", 10, 3.0)]);
         use hermes_domains::Domain;
         let a = d.domain_values("p").into_iter().max().unwrap();
         let full = d.call("p_bf", std::slice::from_ref(&a)).unwrap().answers;
         let prefix: Vec<Value> = full.iter().take(1).cloned().collect();
-        cim.lock().store(
+        cim.store(
             GroundCall::new("d1", "p_bf", vec![Value::str("")]),
-            prefix,
+            prefix.into(),
             true,
             SimInstant::EPOCH,
         );
@@ -2018,8 +2014,8 @@ mod tests {
                 SimInstant::EPOCH + SimDuration::from_secs(3600),
             ),
         );
-        let cim = Mutex::new(Cim::new());
-        let dcsm = Mutex::new(Dcsm::new());
+        let cim = ShardedCim::new(1);
+        let dcsm = ShardedDcsm::new(1);
         let (plan, _) = call_plan(Route::Cim);
         let err = Executor::new(&net, &cim, &dcsm, SimClock::new(), ExecConfig::default())
             .run(&plan, None)
@@ -2041,18 +2037,17 @@ mod tests {
                 SimInstant::EPOCH + SimDuration::from_secs(3600),
             ),
         );
-        let cim = Mutex::new(Cim::new());
-        cim.lock()
-            .add_invariant(parse_invariant("X <= Y => d1:p_bf(Y) >= d1:p_bf(X).").unwrap())
+        let cim = ShardedCim::new(1);
+        cim.add_invariant(&parse_invariant("X <= Y => d1:p_bf(Y) >= d1:p_bf(X).").unwrap())
             .unwrap();
         let prefix: Vec<Value> = full.iter().take(1).cloned().collect();
-        cim.lock().store(
+        cim.store(
             GroundCall::new("d1", "p_bf", vec![Value::str("")]),
-            prefix.clone(),
+            prefix.clone().into(),
             true,
             SimInstant::EPOCH,
         );
-        let dcsm = Mutex::new(Dcsm::new());
+        let dcsm = ShardedDcsm::new(1);
         let plan = Plan {
             steps: vec![PlanStep::Call {
                 target: Term::var("B"),
@@ -2077,8 +2072,8 @@ mod tests {
         let mut net = Network::new(5);
         let d = SyntheticDomain::generate("d1", 5, &[RelationSpec::uniform("p", 10, 3.0)]);
         net.place(Arc::new(d), profiles::italy_flaky(0.6));
-        let cim = Mutex::new(Cim::new());
-        let dcsm = Mutex::new(Dcsm::new());
+        let cim = ShardedCim::new(1);
+        let dcsm = ShardedDcsm::new(1);
         let (plan, _) = call_plan(Route::Direct);
         // Without retries: the flaky site fails some runs; find a seed
         // where the first attempt fails to make the comparison meaningful.
@@ -2109,8 +2104,8 @@ mod tests {
                 SimInstant::EPOCH + SimDuration::from_secs(3600),
             ),
         );
-        let cim = Mutex::new(Cim::new());
-        let dcsm = Mutex::new(Dcsm::new());
+        let cim = ShardedCim::new(1);
+        let dcsm = ShardedDcsm::new(1);
         let (plan, _) = call_plan(Route::Direct);
         let cfg = ExecConfig {
             retry_attempts: 3,
@@ -2139,14 +2134,14 @@ mod tests {
                 SimInstant::EPOCH + SimDuration::from_secs(3600),
             ),
         );
-        let cim = Mutex::new(Cim::new());
-        cim.lock().store(
+        let cim = ShardedCim::new(1);
+        cim.store(
             GroundCall::new("d1", "p_bf", vec![a.clone()]),
-            answers.clone(),
+            answers.clone().into(),
             true,
             SimInstant::EPOCH,
         );
-        let dcsm = Mutex::new(Dcsm::new());
+        let dcsm = ShardedDcsm::new(1);
         let plan = Plan {
             steps: vec![PlanStep::Call {
                 target: Term::var("B"),
@@ -2168,7 +2163,7 @@ mod tests {
 
     /// A world whose only site is hard-down for an hour, with a cached
     /// partial prefix so queries degrade instead of failing.
-    fn outage_world_with_prefix() -> (Network, Mutex<Cim>, Mutex<Dcsm>, Plan, usize) {
+    fn outage_world_with_prefix() -> (Network, ShardedCim, ShardedDcsm, Plan, usize) {
         let mut net = Network::new(3);
         let d = SyntheticDomain::generate("d1", 5, &[RelationSpec::uniform("p", 10, 3.0)]);
         use hermes_domains::Domain;
@@ -2181,14 +2176,13 @@ mod tests {
                 SimInstant::EPOCH + SimDuration::from_secs(3600),
             ),
         );
-        let cim = Mutex::new(Cim::new());
-        cim.lock()
-            .add_invariant(parse_invariant("X <= Y => d1:p_bf(Y) >= d1:p_bf(X).").unwrap())
+        let cim = ShardedCim::new(1);
+        cim.add_invariant(&parse_invariant("X <= Y => d1:p_bf(Y) >= d1:p_bf(X).").unwrap())
             .unwrap();
         let prefix: Vec<Value> = full.iter().take(1).cloned().collect();
-        cim.lock().store(
+        cim.store(
             GroundCall::new("d1", "p_bf", vec![Value::str("")]),
-            prefix.clone(),
+            prefix.clone().into(),
             true,
             SimInstant::EPOCH,
         );
@@ -2203,8 +2197,8 @@ mod tests {
         (net, cim, dcsm_new(), plan, prefix.len())
     }
 
-    fn dcsm_new() -> Mutex<Dcsm> {
-        Mutex::new(Dcsm::new())
+    fn dcsm_new() -> ShardedDcsm {
+        ShardedDcsm::new(1)
     }
 
     #[test]
@@ -2270,7 +2264,7 @@ mod tests {
                 SimInstant::EPOCH + SimDuration::from_secs(10),
             ),
         );
-        let cim = Mutex::new(Cim::new());
+        let cim = ShardedCim::new(1);
         let dcsm = dcsm_new();
         let (plan, _) = call_plan(Route::Direct);
         let bank = Mutex::new(BreakerBank::new(BreakerConfig {
@@ -2352,7 +2346,7 @@ mod tests {
     fn deadline_returns_partial_answers_with_provenance() {
         // Two-step cross product: the deadline fires between inner calls,
         // so some answers exist when evaluation unwinds.
-        fn cross_world() -> (Network, Mutex<Cim>, Mutex<Dcsm>, Plan) {
+        fn cross_world() -> (Network, ShardedCim, ShardedDcsm, Plan) {
             let (net, cim, dcsm) = world();
             let d = SyntheticDomain::generate("d1", 5, &[RelationSpec::uniform("p", 10, 3.0)]);
             let a = d.domain_values("p").into_iter().next().unwrap();
@@ -2440,13 +2434,13 @@ mod tests {
                 SimInstant::EPOCH + SimDuration::from_secs(3600),
             ),
         );
-        let cim = Mutex::new(Cim::new());
+        let cim = ShardedCim::new(1);
         // An *incomplete* entry (e.g. from an earlier truncated call):
         // normally not a hit, but good enough during an outage.
         let stale: Vec<Value> = full.iter().take(2).cloned().collect();
-        cim.lock().store(
+        cim.store(
             GroundCall::new("d1", "p_bf", vec![a.clone()]),
-            stale.clone(),
+            stale.clone().into(),
             false,
             SimInstant::EPOCH,
         );
@@ -2465,7 +2459,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, HermesError::Unavailable { .. }));
         // Knob on: stale answers, flagged incomplete with provenance.
-        cim.lock().set_serve_stale_on_outage(true);
+        cim.set_serve_stale_on_outage(true);
         let out = Executor::new(&net, &cim, &dcsm, SimClock::new(), ExecConfig::default())
             .run(&plan, None)
             .unwrap();

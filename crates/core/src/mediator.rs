@@ -1,20 +1,21 @@
 //! The mediator facade: parse → rewrite → cost → choose → execute.
 
 use crate::breaker::BreakerBank;
-use crate::caches::CacheControl;
+use crate::caches::{CacheControl, PlanningKnobs};
 use crate::cost::{estimate_plan, CostConfig};
 use crate::cursor::InteractiveQuery;
 use crate::exec::{ExecConfig, ExecStats, SubgoalProvenance};
 use crate::matcache::MatCache;
-use crate::pipeline::{Pipeline, PlanningCore};
+use crate::pipeline::PlanningCore;
 use crate::plan::Plan;
 use crate::rewrite::{CheckedProgram, PushdownRule, RewriteConfig};
+use crate::server::ConcurrentMediator;
 use crate::tier::PlanTier;
 use hermes_analysis::{AnalysisReport, Analyzer, Diagnostic, QueryForm};
-use hermes_cim::{Cim, CimPolicy, RoutingDecision};
+use hermes_cim::{Cim, CimPolicy, RoutingDecision, ShardedCim};
 use hermes_common::sync::Mutex;
-use hermes_common::{HermesError, Result, SimClock, SimDuration, Value};
-use hermes_dcsm::{CostVector, Dcsm};
+use hermes_common::{HermesError, Result, SimDuration, SimInstant, Value};
+use hermes_dcsm::{CostVector, Dcsm, ShardedDcsm};
 use hermes_lang::{parse_program, parse_query, validate_program, Program, Query};
 use hermes_net::Network;
 use std::sync::Arc;
@@ -218,24 +219,19 @@ impl From<&String> for QueryRequest {
     }
 }
 
-/// The shared query pipeline over the serial mediator's unsharded DCSM.
-type SerialPipeline<'a> = Pipeline<'a, Mutex<Dcsm>>;
-
 /// The HERMES mediator: a program, a network of domains, the two caches,
 /// and a persistent virtual clock.
+///
+/// Its state is one [`ConcurrentMediator`] with one shard per cache, and
+/// this is that server's `&mut self` face: queries run through the
+/// server's own `stage`/`run` on its clock, and only this face may change
+/// the planning core — the program, configuration, pushdown rules, CIM
+/// routing and subplan sharing.
 pub struct Mediator {
-    core: PlanningCore,
-    network: Arc<Network>,
-    cim: Arc<Mutex<Cim>>,
-    dcsm: Arc<Mutex<Dcsm>>,
-    breakers: Arc<Mutex<BreakerBank>>,
-    clock: SimClock,
+    shared: ConcurrentMediator,
     /// Warning-severity findings from the last `register_program` (or
     /// `analyze`) run; queryable via [`Mediator::analysis_warnings`].
     analysis_warnings: Vec<Diagnostic>,
-    /// The subplan materialization cache. Inert until a query runs with
-    /// `ExecConfig::share_subplans` on.
-    matcache: Arc<MatCache>,
     /// Monotone counter of program/policy states; the matcache's installed
     /// verdicts are tagged with it, so a `register_program` or routing
     /// change triggers a verdict refresh before the next sharing query.
@@ -249,20 +245,23 @@ impl Mediator {
     /// gets (see [`CheckedProgram`]).
     pub fn new(program: Program, network: Network) -> Result<Self> {
         validate_program(&program)?;
+        let core = PlanningCore {
+            program: CheckedProgram::new(program),
+            policy: CimPolicy::cache_everything(),
+            config: MediatorConfig::default(),
+            pushdowns: Vec::new(),
+        };
         Ok(Mediator {
-            core: PlanningCore {
-                program: CheckedProgram::new(program),
-                policy: CimPolicy::cache_everything(),
-                config: MediatorConfig::default(),
-                pushdowns: Vec::new(),
-            },
-            network: Arc::new(network),
-            cim: Arc::new(Mutex::new(Cim::new())),
-            dcsm: Arc::new(Mutex::new(Dcsm::new())),
-            breakers: Arc::new(Mutex::new(BreakerBank::default())),
-            clock: SimClock::new(),
+            shared: ConcurrentMediator::from_parts(
+                core,
+                Arc::new(network),
+                ShardedCim::new(1),
+                ShardedDcsm::new(1),
+                Arc::new(Mutex::new(BreakerBank::default())),
+                Arc::new(MatCache::default()),
+                SimInstant::EPOCH,
+            ),
             analysis_warnings: Vec::new(),
-            matcache: Arc::new(MatCache::default()),
             cache_epoch: 0,
         })
     }
@@ -279,14 +278,14 @@ impl Mediator {
     /// on success warning-severity findings are stored and queryable via
     /// [`Mediator::analysis_warnings`].
     pub fn register_program(&mut self, program: Program, query_forms: &[QueryForm]) -> Result<()> {
-        let report = self.analyze_program(&program, query_forms);
+        let report = self.analyze_with(&program, query_forms, |a| a);
         if report.has_errors() {
             return Err(HermesError::Analysis {
                 diagnostics: report.diagnostics.iter().map(|d| d.to_string()).collect(),
             });
         }
         self.analysis_warnings = report.warnings().into_iter().cloned().collect();
-        self.core.program = CheckedProgram::new(program);
+        self.shared.core.program = CheckedProgram::new(program);
         self.cache_epoch += 1;
         Ok(())
     }
@@ -298,22 +297,7 @@ impl Mediator {
 
     /// Runs the analyzer over the *active* program without changing it.
     pub fn analyze(&self, query_forms: &[QueryForm]) -> AnalysisReport {
-        self.analyze_program(self.program(), query_forms)
-    }
-
-    fn analyze_program(&self, program: &Program, query_forms: &[QueryForm]) -> AnalysisReport {
-        let cim = self.cim.lock();
-        let dcsm = self.dcsm.lock();
-        let routes = |domain: &str, function: &str| {
-            self.core.policy.decide(domain, function) == RoutingDecision::UseCim
-        };
-        Analyzer::new(program)
-            .with_registry(self.network.registry())
-            .with_invariant_store(cim.invariants())
-            .with_dcsm(&dcsm)
-            .with_query_forms(query_forms.iter().cloned())
-            .with_cache_routing(&routes)
-            .analyze()
+        self.analyze_with(self.program(), query_forms, |a| a)
     }
 
     /// Runs the analyzer over the active program with the
@@ -324,19 +308,48 @@ impl Mediator {
     /// invalidation path, so its answers may go stale unnoticed). This is
     /// what the REPL's `:materialize` command prints.
     pub fn analyze_materialization(&self, query_forms: &[QueryForm]) -> AnalysisReport {
-        let cim = self.cim.lock();
-        let dcsm = self.dcsm.lock();
-        let routes = |domain: &str, function: &str| {
-            self.core.policy.decide(domain, function) == RoutingDecision::UseCim
-        };
-        Analyzer::new(self.program())
-            .with_registry(self.network.registry())
-            .with_invariant_store(cim.invariants())
-            .with_dcsm(&dcsm)
-            .with_query_forms(query_forms.iter().cloned())
-            .with_cache_routing(&routes)
-            .with_materialization()
-            .analyze()
+        self.analyze_with(self.program(), query_forms, |a| a.with_materialization())
+    }
+
+    /// Analyzes `program` against this mediator's domain registry,
+    /// invariant store, live DCSM and routing policy, with whatever further
+    /// passes `configure` turns on.
+    fn analyze_with(
+        &self,
+        program: &Program,
+        query_forms: &[QueryForm],
+        configure: impl FnOnce(Analyzer<'_>) -> Analyzer<'_>,
+    ) -> AnalysisReport {
+        let routes = self.routes();
+        let analyzer = self.with_cim(|cim| {
+            Analyzer::new(program)
+                .with_registry(self.network().registry())
+                .with_invariant_store(cim.invariants())
+        });
+        self.with_dcsm(|dcsm| {
+            let analyzer = analyzer
+                .with_dcsm(dcsm)
+                .with_query_forms(query_forms.iter().cloned())
+                .with_cache_routing(&routes);
+            configure(analyzer).analyze()
+        })
+    }
+
+    /// Whether the routing policy sends a call through the CIM.
+    fn routes(&self) -> impl Fn(&str, &str) -> bool + '_ {
+        move |domain, function| {
+            self.shared.core.policy.decide(domain, function) == RoutingDecision::UseCim
+        }
+    }
+
+    /// Runs `f` over the answer cache's one shard.
+    fn with_cim<R>(&self, f: impl FnOnce(&mut Cim) -> R) -> R {
+        on_sole_shard(|each| self.shared.cim.for_each_shard_mut(each), f)
+    }
+
+    /// Runs `f` over the statistics cache's one shard.
+    fn with_dcsm<R>(&self, f: impl FnOnce(&mut Dcsm) -> R) -> R {
+        on_sole_shard(|each| self.shared.dcsm.for_each_shard_mut(each), f)
     }
 
     /// Warning-severity findings from the most recent
@@ -350,63 +363,63 @@ impl Mediator {
     /// stats, per-source invalidation, clearing, invariants, and the
     /// policy builder. See [`CacheControl`].
     pub fn caches(&mut self) -> CacheControl<'_> {
-        CacheControl::serial(
-            &self.cim,
-            &mut self.core.policy,
-            &mut self.core.config.exec,
-            &mut self.cache_epoch,
-            &self.matcache,
-        )
+        let shared = &mut self.shared;
+        let planning = PlanningKnobs {
+            policy: &mut shared.core.policy,
+            exec: &mut shared.core.config.exec,
+            epoch: &mut self.cache_epoch,
+        };
+        CacheControl::new(&shared.cim, &shared.matcache, Some(planning))
     }
 
     /// Registers a selection-pushdown rule (§5: "push selections to the
     /// source"). The rewriter will emit fused plan variants for it.
     pub fn add_pushdown(&mut self, rule: PushdownRule) {
-        self.core.pushdowns.push(rule);
+        self.shared.core.pushdowns.push(rule);
     }
 
     /// Mutable access to the configuration.
     pub fn config_mut(&mut self) -> &mut MediatorConfig {
-        &mut self.core.config
+        &mut self.shared.core.config
     }
 
     /// The configuration.
     pub fn config(&self) -> &MediatorConfig {
-        &self.core.config
+        &self.shared.core.config
     }
 
-    /// The shared DCSM (statistics cache).
-    pub fn dcsm(&self) -> Arc<Mutex<Dcsm>> {
-        self.dcsm.clone()
+    /// The statistics cache (one shard).
+    pub fn dcsm(&self) -> &ShardedDcsm {
+        self.shared.dcsm()
     }
 
     /// The per-site circuit breakers. The bank lives as long as the
     /// mediator, so a site isolated during one query stays isolated for the
     /// next until its cooldown elapses.
-    pub fn breakers(&self) -> Arc<Mutex<BreakerBank>> {
-        self.breakers.clone()
+    pub fn breakers(&self) -> &Mutex<BreakerBank> {
+        self.shared.breakers()
     }
 
     /// The network of placed domains.
     pub fn network(&self) -> &Network {
-        &self.network
+        self.shared.network()
     }
 
     /// The mediator program.
     pub fn program(&self) -> &Program {
-        self.core.program.program()
+        self.shared.core.program.program()
     }
 
     /// Current virtual time (advances across queries, so the simulated
     /// network load drifts like the paper's day-long measurement runs).
-    pub fn now(&self) -> hermes_common::SimInstant {
-        self.clock.now()
+    pub fn now(&self) -> SimInstant {
+        self.shared.now()
     }
 
     /// Advances the virtual clock (e.g. to model idle time between
     /// experiment runs).
     pub fn advance_clock(&mut self, d: SimDuration) {
-        self.clock.advance(d);
+        self.shared.advance_clock(d);
     }
 
     /// Parses, rewrites, and costs a query without executing it.
@@ -417,21 +430,9 @@ impl Mediator {
 
     /// Plans a pre-parsed query.
     pub fn plan_query(&self, query: &Query) -> Result<Planned> {
-        self.pipeline().plan(query, &self.core.config)
-    }
-
-    /// This mediator's state behind the shared query pipeline: the
-    /// unsharded caches, no single flight, the simulated clock.
-    fn pipeline(&self) -> SerialPipeline<'_> {
-        Pipeline {
-            core: &self.core,
-            network: &self.network,
-            cim: self.cim.as_ref(),
-            dcsm: self.dcsm.as_ref(),
-            breakers: &self.breakers,
-            matcache: &self.matcache,
-            flight: None,
-        }
+        self.shared
+            .pipeline(self.shared.cim())
+            .plan(query, self.config())
     }
 
     /// Runs a query. Accepts plain source text (all-answers mode, §3) or
@@ -445,68 +446,56 @@ impl Mediator {
     /// Request options override a copy of the mediator's configuration,
     /// for this run only.
     pub fn query(&mut self, req: impl Into<QueryRequest>) -> Result<QueryResult> {
-        // The serial mediator has no admission gate: the selector sees no
-        // load, and whatever tier it picks is granted.
-        let req = req.into();
-        self.on_pipeline(|p, clock| p.run(p.stage(&req)?, None, clock, |d| Ok((d, ()))))
-            .map(|(result, _)| result)
-    }
-
-    /// Runs `f` over this mediator's pipeline and persistent clock, with
-    /// the subplan safety verdicts current; the clock is written back.
-    fn on_pipeline<R>(&mut self, f: impl FnOnce(&SerialPipeline<'_>, &mut SimClock) -> R) -> R {
-        if self.core.config.exec.share_subplans {
-            self.refresh_subplan_verdicts();
-        }
-        let mut clock = self.clock.clone();
-        let out = f(&self.pipeline(), &mut clock);
-        self.clock = clock;
-        out
+        // The serial face never bounds its admission gate: the selector
+        // sees no load, and whatever tier it picks is granted.
+        self.refresh_subplan_verdicts();
+        self.shared.query(req)
     }
 
     /// Splits this mediator into a shared-state concurrent server: the
     /// planning inputs (program, policy, configuration, pushdown rules)
-    /// are copied into an immutable core, the answer cache and statistics
-    /// cache are redistributed over `shards` independently locked shards,
-    /// and the breaker bank is shared. The returned server's
-    /// [`query`](crate::server::ConcurrentMediator::query) takes `&self`,
-    /// so any number of client threads can call it at once.
-    pub fn to_concurrent(&self, shards: usize) -> crate::server::ConcurrentMediator {
-        // The concurrent server's planning core is immutable, so its
-        // safety verdicts are fixed here, once, from the program and
-        // routing policy it is born with.
-        if self.core.config.exec.share_subplans {
-            self.refresh_subplan_verdicts();
-        }
-        crate::server::ConcurrentMediator::from_parts(
-            self.core.clone(),
-            self.network.clone(),
-            hermes_cim::ShardedCim::from_template(&self.cim.lock(), shards),
-            hermes_dcsm::ShardedDcsm::from_dcsm(&self.dcsm.lock(), shards),
-            self.breakers.clone(),
-            self.matcache.clone(),
-            self.clock.now(),
+    /// are copied into the server's core, which nothing changes after,
+    /// the answer cache and statistics cache are redistributed over
+    /// `shards` independently locked shards, and the breaker bank and
+    /// subplan cache are shared. The returned server's
+    /// [`query`](ConcurrentMediator::query) takes `&self`, so any number
+    /// of client threads can call it at once.
+    pub fn to_concurrent(&self, shards: usize) -> ConcurrentMediator {
+        // The server's planning core is immutable, so its safety verdicts
+        // are fixed here, once, from the program and routing policy it is
+        // born with.
+        self.refresh_subplan_verdicts();
+        let cim = self.with_cim(|cim| ShardedCim::from_template(cim, shards));
+        let dcsm = self.with_dcsm(|dcsm| ShardedDcsm::from_dcsm(dcsm, shards));
+        ConcurrentMediator::from_parts(
+            self.shared.core.clone(),
+            self.shared.network.clone(),
+            cim,
+            dcsm,
+            self.shared.breakers.clone(),
+            self.shared.matcache.clone(),
+            self.now(),
         )
     }
 
-    /// Recomputes and installs the matcache's HA070/HA074 safety verdicts
-    /// when the installed ones no longer describe the current
-    /// program/policy state. Cheap when current (one epoch compare); a
-    /// flat classification pass when stale.
+    /// With subplan sharing on, recomputes and installs the matcache's
+    /// HA070/HA074 safety verdicts when the installed ones no longer
+    /// describe the current program/policy state. Cheap when current (one
+    /// epoch compare); a flat classification pass when stale.
     fn refresh_subplan_verdicts(&self) {
-        if self.matcache.verdicts_epoch() == Some(self.cache_epoch) {
+        let matcache = &self.shared.matcache;
+        if !self.config().exec.share_subplans || matcache.verdicts_epoch() == Some(self.cache_epoch)
+        {
             return;
         }
-        let routes = |domain: &str, function: &str| {
-            self.core.policy.decide(domain, function) == RoutingDecision::UseCim
-        };
+        let routes = self.routes();
         let verdicts = hermes_analysis::MaterializationVerdicts::compute(
             self.program(),
             &[],
             None,
             Some(&routes),
         );
-        self.matcache.install_verdicts(self.cache_epoch, verdicts);
+        matcache.install_verdicts(self.cache_epoch, verdicts);
     }
 
     /// Executes an already-planned query. When [`MediatorConfig::failover`]
@@ -515,7 +504,8 @@ impl Mediator {
     /// is executed instead; answers the failed attempt already cached are
     /// reused, so replanning resumes rather than restarts.
     pub fn execute(&mut self, planned: Planned, limit: Option<usize>) -> Result<QueryResult> {
-        self.on_pipeline(|p, clock| p.execute(&planned, limit, &p.core.config, clock))
+        self.refresh_subplan_verdicts();
+        self.shared.execute(&planned, limit)
     }
 
     /// Starts a query in interactive mode (§3): answers stream on demand;
@@ -525,15 +515,15 @@ impl Mediator {
     /// persistent clock (their virtual timeline is reported per-answer).
     pub fn query_interactive(&self, query_src: &str) -> Result<InteractiveQuery> {
         let planned = self.plan(query_src)?;
-        let plan = planned.plans[planned.chosen].clone();
+        let shared = &self.shared;
         Ok(InteractiveQuery::spawn(
-            self.network.clone(),
-            self.cim.clone(),
-            self.dcsm.clone(),
-            Some(self.breakers.clone()),
-            self.clock.clone(),
-            self.core.config.exec,
-            plan,
+            shared.network.clone(),
+            shared.cim.clone(),
+            shared.dcsm.clone(),
+            Some(shared.breakers.clone()),
+            shared.query_clock(),
+            self.config().exec,
+            planned.plan().clone(),
         ))
     }
 
@@ -545,8 +535,12 @@ impl Mediator {
     /// had recorded more than that is costed from its recent records only.
     pub fn save_state(&self, dir: &std::path::Path) -> Result<()> {
         std::fs::create_dir_all(dir)?;
-        hermes_cim::persist::save_to_path(self.cim.lock().cache(), &dir.join("answers.cache"))?;
-        hermes_dcsm::persist::save_to_path(self.dcsm.lock().db(), &dir.join("stats.db"))?;
+        self.with_cim(|cim| {
+            hermes_cim::persist::save_to_path(cim.cache(), &dir.join("answers.cache"))
+        })?;
+        self.with_dcsm(|dcsm| {
+            hermes_dcsm::persist::save_to_path(dcsm.db(), &dir.join("stats.db"))
+        })?;
         Ok(())
     }
 
@@ -563,10 +557,10 @@ impl Mediator {
             .transpose()?;
         let cache_path = dir.join("answers.cache");
         if cache_path.exists() {
-            hermes_cim::persist::load_from_path(&cache_path, self.cim.lock().cache_mut())?;
+            self.with_cim(|cim| hermes_cim::persist::load_from_path(&cache_path, cim.cache_mut()))?;
         }
         if let Some(db) = db {
-            self.dcsm.lock().replay_db(&db);
+            self.with_dcsm(|dcsm| dcsm.replay_db(&db));
         }
         Ok(())
     }
@@ -589,7 +583,7 @@ impl Mediator {
     /// Re-estimates one plan with the current statistics (used by the
     /// experiment harnesses to ask "what does DCSM predict now?").
     pub fn estimate_plan(&self, plan: &Plan) -> CostVector {
-        estimate_plan(plan, &*self.dcsm.lock(), &self.core.config.cost)
+        estimate_plan(plan, self.dcsm(), &self.config().cost)
     }
 }
 
@@ -597,9 +591,20 @@ impl std::fmt::Debug for Mediator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Mediator")
             .field("rules", &self.program().rules.len())
-            .field("network", &self.network)
+            .field("network", self.network())
             .finish()
     }
+}
+
+/// Runs `f` over the one shard a serial mediator's cache holds, reached
+/// through that cache's `for_each_shard_mut`.
+fn on_sole_shard<T, R>(
+    for_each: impl FnOnce(&mut dyn FnMut(usize, &mut T)),
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    let (mut f, mut out) = (Some(f), None);
+    for_each(&mut |_, shard| out = f.take().map(|f| f(shard)));
+    out.expect("the serial mediator holds one shard per cache")
 }
 
 #[cfg(test)]
@@ -698,9 +703,9 @@ mod tests {
     #[test]
     fn statistics_accumulate_across_queries() {
         let mut m = mediator();
-        assert!(m.dcsm().lock().db().is_empty());
+        assert_eq!(m.dcsm().records(), 0);
         m.query("?- item('p_1', B).").unwrap();
-        assert!(!m.dcsm().lock().db().is_empty());
+        assert!(m.dcsm().records() > 0);
     }
 
     #[test]
@@ -908,12 +913,11 @@ mod tests {
         let (rows, cold_ms) = {
             let mut m = mediator();
             let r = m.query("?- item('p_1', B).").unwrap();
-            m.cim.lock().cache_mut().insert(
-                tabbed.clone(),
-                vec![Value::str("x\ty\r\n")],
-                true,
-                hermes_common::SimInstant::EPOCH,
-            );
+            m.with_cim(|cim| {
+                let answers = vec![Value::str("x\ty\r\n")];
+                cim.cache_mut()
+                    .insert(tabbed.clone(), answers, true, SimInstant::EPOCH)
+            });
             m.save_state(&dir).unwrap();
             (r.rows.clone(), r.t_all.as_millis_f64())
         };
@@ -921,14 +925,14 @@ mod tests {
         let mut m2 = mediator();
         m2.load_state(&dir).unwrap();
         // Separator characters inside strings are data, not framing.
-        let entry = m2.cim.lock().cache().peek(&tabbed).cloned();
+        let entry = m2.with_cim(|cim| cim.cache().peek(&tabbed).cloned());
         assert_eq!(&*entry.unwrap().answers, [Value::str("x\ty\r\n")]);
         let warm = m2.query("?- item('p_1', B).").unwrap();
         assert_eq!(warm.rows, rows);
         assert_eq!(warm.stats.actual_calls, 0, "served from restored cache");
         assert!(warm.t_all.as_millis_f64() < cold_ms);
         // Restored statistics inform estimates too.
-        assert!(!m2.dcsm().lock().db().is_empty());
+        assert!(m2.dcsm().records() > 0);
         // Loading from an empty directory is a no-op, not an error.
         let empty = dir.join("nothing-here");
         std::fs::create_dir_all(&empty).unwrap();
@@ -946,31 +950,39 @@ mod tests {
         let total = 2 * DETAIL_WINDOW + 100;
         for i in 0..total {
             // A drifting cost, so recent and all-time averages differ.
-            let at = hermes_common::SimInstant::EPOCH;
-            let dcsm = m.dcsm();
-            let mut dcsm = dcsm.lock();
-            dcsm.record(&call(i), Some(1.0), Some(i as f64), Some(2.0), at);
+            m.with_dcsm(|dcsm| {
+                dcsm.record(
+                    &call(i),
+                    Some(1.0),
+                    Some(i as f64),
+                    Some(2.0),
+                    SimInstant::EPOCH,
+                )
+            });
         }
         m.save_state(&dir).unwrap();
 
         let mut m2 = mediator();
         m2.load_state(&dir).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        let (old, new) = (m.dcsm(), m2.dcsm());
-        let (old, new) = (old.lock(), new.lock());
-        let saved = old.db().records_for("d1", "p_bf");
-        assert_eq!(saved.len(), DETAIL_WINDOW + 100);
-        assert_eq!(new.db().records_for("d1", "p_bf"), saved);
-        assert_eq!((old.db().len(), new.db().len()), (total, saved.len()));
-        // The restarted mediator's estimates are aggregates over exactly
-        // the saved window; the running one still answers for all history.
-        for k in 0..5 {
-            let pattern = call(k).pattern();
-            let window = old.db().aggregate_scan(&pattern);
-            assert_eq!(new.db().aggregate(&pattern), window);
-            assert_eq!(new.cost(&pattern).vector.t_all_ms, window.0.t_all_ms);
-            assert_ne!(old.cost(&pattern).vector.t_all_ms, window.0.t_all_ms);
-        }
+        m.with_dcsm(|old| {
+            m2.with_dcsm(|new| {
+                let saved = old.db().records_for("d1", "p_bf");
+                assert_eq!(saved.len(), DETAIL_WINDOW + 100);
+                assert_eq!(new.db().records_for("d1", "p_bf"), saved);
+                assert_eq!((old.db().len(), new.db().len()), (total, saved.len()));
+                // The restarted mediator's estimates are aggregates over
+                // exactly the saved window; the running one still answers
+                // for all history.
+                for k in 0..5 {
+                    let pattern = call(k).pattern();
+                    let window = old.db().aggregate_scan(&pattern);
+                    assert_eq!(new.db().aggregate(&pattern), window);
+                    assert_eq!(new.cost(&pattern).vector.t_all_ms, window.0.t_all_ms);
+                    assert_ne!(old.cost(&pattern).vector.t_all_ms, window.0.t_all_ms);
+                }
+            })
+        });
     }
 
     #[test]
@@ -978,14 +990,14 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("hermes-mediator-budget-{}", std::process::id()));
         let m = mediator();
-        let mut cim = m.cim.lock();
-        for i in 0..8 {
-            let call = GroundCall::new("d1", "p_bf", vec![Value::Int(i)]);
-            let at = hermes_common::SimInstant::EPOCH;
-            cim.cache_mut().insert(call, vec![Value::Int(i)], true, at);
-        }
-        let saved_bytes = cim.cache().bytes();
-        drop(cim);
+        let saved_bytes = m.with_cim(|cim| {
+            for i in 0..8 {
+                let call = GroundCall::new("d1", "p_bf", vec![Value::Int(i)]);
+                cim.cache_mut()
+                    .insert(call, vec![Value::Int(i)], true, SimInstant::EPOCH);
+            }
+            cim.cache().bytes()
+        });
         m.save_state(&dir).unwrap();
         // The loading mediator has a budget half the saved cache's size
         // and a monotone invariant, which registers an ordered index.
@@ -999,15 +1011,15 @@ mod tests {
         assert!(loaded.answer_entries > 0);
         assert!(loaded.answer_bytes <= saved_bytes / 2, "{loaded:?}");
         assert!(loaded.answers.evictions > 0, "{loaded:?}");
-        let cim = m2.cim.lock();
-        let group = cim.cache().ordered_group("d1", "p_bf", 0, &[]);
-        let indexed = group.map(|group| group.map_or(0, |g| g.len()));
+        let indexed = m2.with_cim(|cim| {
+            let group = cim.cache().ordered_group("d1", "p_bf", 0, &[]);
+            group.map(|group| group.map_or(0, |g| g.len()))
+        });
         assert_eq!(
             indexed,
             Some(loaded.answer_entries),
             "index kept and filled"
         );
-        drop(cim);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,11 +2,11 @@
 //! → rewrite + cost + choose → tier selection → executor run with plan
 //! failover → projection.
 //!
-//! [`Mediator`](crate::mediator::Mediator) and
-//! [`ConcurrentMediator`](crate::server::ConcurrentMediator) are thin
-//! callers: what differs between them — state views, single flight, the
-//! clock, the gate's load, the tier-slot claim — is data on [`Pipeline`]
-//! or an argument of [`Pipeline::run`] (DESIGN.md §12 has the table).
+//! [`ConcurrentMediator`](crate::server::ConcurrentMediator) is its one
+//! caller, and [`Mediator`](crate::mediator::Mediator) is the `&mut self`
+//! face of a one-shard `ConcurrentMediator` (DESIGN.md §12). What a run
+//! depends on besides the state on [`Pipeline`] — the clock, the gate's
+//! load, the tier-slot claim — is an argument of [`Pipeline::run`].
 //! A query is [`stage`](Pipeline::stage)d (parsed and planned) first and
 //! [`run`](Pipeline::run) second, so the caller picks the clock it runs
 //! on once planning is over.
@@ -24,7 +24,7 @@ use crate::trace::{TraceEntry, TraceEvent};
 use hermes_cim::{CimPolicy, CimPreview, CimView};
 use hermes_common::sync::Mutex;
 use hermes_common::{GroundCall, HermesError, Result, SimClock, SimInstant, Value};
-use hermes_dcsm::{CostVector, Dcsm, DcsmView, ShardedDcsm};
+use hermes_dcsm::{CostVector, ShardedDcsm};
 use hermes_lang::{parse_query, Query, Subst};
 use hermes_net::Network;
 use std::collections::BTreeSet;
@@ -40,34 +40,16 @@ pub(crate) struct PlanningCore {
     pub pushdowns: Vec<PushdownRule>,
 }
 
-/// The statistics cache as the pipeline reaches it: the executor's view,
-/// plus a whole plan choice under at most one lock acquisition.
-pub(crate) trait Costs: DcsmView + Sized {
-    /// [`choose_plan`] against the current statistics.
-    fn choose(&self, plans: &[Plan], config: &MediatorConfig) -> (usize, Vec<CostVector>) {
-        choose_plan(plans, self, &config.cost, config.optimize_first_answer)
-    }
-}
-
-impl Costs for ShardedDcsm {}
-
-impl Costs for Mutex<Dcsm> {
-    fn choose(&self, plans: &[Plan], config: &MediatorConfig) -> (usize, Vec<CostVector>) {
-        let dcsm = self.lock();
-        choose_plan(plans, &*dcsm, &config.cost, config.optimize_first_answer)
-    }
-}
-
 /// One mediator's planning inputs and shared state, borrowed per query.
-pub(crate) struct Pipeline<'a, D> {
+pub(crate) struct Pipeline<'a> {
     pub core: &'a PlanningCore,
     pub network: &'a Network,
     pub cim: &'a dyn CimView,
-    pub dcsm: &'a D,
+    pub dcsm: &'a ShardedDcsm,
     pub breakers: &'a Mutex<BreakerBank>,
     pub matcache: &'a MatCache,
     /// Single-flight coalescing of identical concurrent ground calls.
-    pub flight: Option<&'a InFlightRegistry>,
+    pub flight: &'a InFlightRegistry,
 }
 
 /// A request parsed, bound and planned under its own copy of the
@@ -107,7 +89,7 @@ impl Staged {
     }
 }
 
-impl<D: Costs> Pipeline<'_, D> {
+impl Pipeline<'_> {
     /// Applies the request's options to a copy of the configuration (for
     /// this run only), then parses, binds and plans the query.
     pub fn stage(&self, req: &QueryRequest) -> Result<Staged> {
@@ -216,7 +198,7 @@ impl<D: Costs> Pipeline<'_, D> {
             config.rewrite,
             &self.core.pushdowns,
         )?;
-        let (chosen, estimates) = self.dcsm.choose(&plans, config);
+        let (chosen, estimates) = self.choose(&plans, config);
         Ok(Planned {
             plans,
             estimates,
@@ -286,10 +268,8 @@ impl<D: Costs> Pipeline<'_, D> {
                 clock.clone(),
                 config.exec,
             )
-            .with_breakers(self.breakers);
-            if let Some(flight) = self.flight {
-                executor = executor.with_flight(flight);
-            }
+            .with_breakers(self.breakers)
+            .with_flight(self.flight);
             if config.exec.share_subplans {
                 executor = executor.with_matcache(self.matcache);
             }
@@ -353,7 +333,12 @@ impl<D: Costs> Pipeline<'_, D> {
             return None;
         }
         let candidates: Vec<Plan> = eligible.iter().map(|&i| planned.plans[i].clone()).collect();
-        Some(eligible[self.dcsm.choose(&candidates, config).0])
+        Some(eligible[self.choose(&candidates, config).0])
+    }
+
+    /// [`choose_plan`] against the current statistics.
+    fn choose(&self, plans: &[Plan], config: &MediatorConfig) -> (usize, Vec<CostVector>) {
+        choose_plan(plans, self.dcsm, &config.cost, config.optimize_first_answer)
     }
 }
 

@@ -1,11 +1,10 @@
 //! Concurrent query serving: the [`ConcurrentMediator`].
 //!
-//! A serial [`Mediator`](crate::mediator::Mediator) takes `&mut self` per
-//! query — one client at a time. This module splits the mediator into an
+//! This is the mediator's state, and the one place a query runs. It is an
 //! **immutable planning core** (the program, checked and indexed once
-//! where the serial mediator installed it; CIM policy, configuration,
-//! pushdown rules — read-only after construction) and a **shared-state
-//! layer** every query reaches through `&self`:
+//! where it was installed; CIM policy, configuration, pushdown rules —
+//! read-only through `&self`) and a **shared-state layer** every query
+//! reaches through `&self`:
 //!
 //! * the answer cache, sharded by `(domain, function)` into independently
 //!   locked [`ShardedCim`] shards;
@@ -19,6 +18,14 @@
 //! `Send + Sync`: wrap it in an `Arc` and call it from as many client
 //! threads as you like.
 //!
+//! The serial [`Mediator`](crate::mediator::Mediator) is the `&mut self`
+//! face of a `ConcurrentMediator` with one shard per cache: it runs its
+//! queries through the same `stage`/`run`, and it alone may change the
+//! planning core. [`Mediator::to_concurrent`] reshards that state into a
+//! server of its own.
+//!
+//! [`Mediator::to_concurrent`]: crate::mediator::Mediator::to_concurrent
+//!
 //! ## Virtual time under concurrency
 //!
 //! Each query runs on its own virtual clock, started at the server-wide
@@ -31,7 +38,7 @@ use crate::breaker::BreakerBank;
 use crate::caches::CacheControl;
 use crate::flight::InFlightRegistry;
 use crate::matcache::MatCache;
-use crate::mediator::{QueryRequest, QueryResult};
+use crate::mediator::{Planned, QueryRequest, QueryResult};
 use crate::pipeline::{Pipeline, PlanningCore, Staged};
 use crate::tier::{PlanTier, TierDecision, TierLoad, TierReason};
 use hermes_cim::{CimView, ShardedCim};
@@ -260,17 +267,19 @@ pub(crate) struct StagedQuery {
 /// ```
 #[derive(Debug)]
 pub struct ConcurrentMediator {
-    core: PlanningCore,
-    network: Arc<Network>,
-    cim: Arc<ShardedCim>,
-    dcsm: Arc<ShardedDcsm>,
-    breakers: Arc<Mutex<BreakerBank>>,
+    /// Changed only through the serial face's `&mut self`.
+    pub(crate) core: PlanningCore,
+    pub(crate) network: Arc<Network>,
+    pub(crate) cim: Arc<ShardedCim>,
+    pub(crate) dcsm: Arc<ShardedDcsm>,
+    pub(crate) breakers: Arc<Mutex<BreakerBank>>,
     flight: Arc<InFlightRegistry>,
-    /// The subplan materialization cache, shared with the serial mediator
-    /// this server was split from. Verdicts were installed at
-    /// `to_concurrent` time; the planning core is immutable, so they
-    /// never go stale here.
-    matcache: Arc<MatCache>,
+    /// The subplan materialization cache. The serial face refreshes its
+    /// verdicts before a sharing query; a server split off with
+    /// `to_concurrent` shares it with the serial mediator it came from,
+    /// with the verdicts installed then, which never go stale because
+    /// the server's planning core is immutable.
+    pub(crate) matcache: Arc<MatCache>,
     /// High-water mark of virtual time over finished queries, in
     /// microseconds since the epoch. Each query's clock starts here.
     epoch_us: AtomicU64,
@@ -426,26 +435,43 @@ impl ConcurrentMediator {
         }
     }
 
+    /// Executes an already-planned query with failover (see
+    /// [`Mediator::execute`](crate::mediator::Mediator::execute)), on a
+    /// per-query clock folded back into the high-water mark.
+    pub(crate) fn execute(&self, planned: &Planned, limit: Option<usize>) -> Result<QueryResult> {
+        let mut clock = self.query_clock();
+        let result =
+            self.pipeline(self.cim.as_ref())
+                .execute(planned, limit, &self.core.config, &mut clock);
+        self.fold_clock(&clock);
+        result
+    }
+
+    /// Moves the virtual-time high-water mark `d` forward.
+    pub(crate) fn advance_clock(&mut self, d: SimDuration) {
+        *self.epoch_us.get_mut() += d.as_micros();
+    }
+
     /// True while the admission gate is bounded on any axis: every query
     /// then goes through the tier selector and holds a tier slot.
     pub(crate) fn gate_bounded(&self) -> bool {
         self.gate.is_bounded()
     }
 
-    fn pipeline<'a>(&'a self, cim: &'a dyn CimView) -> Pipeline<'a, ShardedDcsm> {
+    pub(crate) fn pipeline<'a>(&'a self, cim: &'a dyn CimView) -> Pipeline<'a> {
         Pipeline {
             core: &self.core,
             network: &self.network,
             cim,
-            dcsm: self.dcsm.as_ref(),
+            dcsm: &self.dcsm,
             breakers: &self.breakers,
             matcache: &self.matcache,
-            flight: Some(&self.flight),
+            flight: &self.flight,
         }
     }
 
     /// A fresh per-query clock at the high-water mark of finished queries.
-    fn query_clock(&self) -> SimClock {
+    pub(crate) fn query_clock(&self) -> SimClock {
         if self.wall_clock() {
             SimClock::wall_from(self.now())
         } else {
@@ -509,7 +535,7 @@ impl ConcurrentMediator {
     /// from any thread. Planning-core knobs (`routing`, `share_subplans`)
     /// are refused here — they bind at `to_concurrent` time.
     pub fn caches(&self) -> CacheControl<'_> {
-        CacheControl::shared(&self.cim, &self.matcache)
+        CacheControl::new(&self.cim, &self.matcache, None)
     }
 
     /// The sharded statistics cache.

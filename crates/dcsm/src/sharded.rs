@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::MutexGuard;
 
 /// Read-side cost estimation. `estimate_plan`/`choose_plan` are generic
-/// over this, so a plain [`Dcsm`], a `Mutex<Dcsm>`, and a [`ShardedDcsm`]
-/// all plug into the optimizer unchanged.
+/// over this, so a plain [`Dcsm`] and a [`ShardedDcsm`] both plug into the
+/// optimizer unchanged.
 pub trait CostSource {
     /// Estimates the cost of a call pattern (§6.3 pattern relaxation).
     fn cost(&self, pattern: &CallPattern) -> EstimateOutcome;
@@ -51,26 +51,6 @@ pub trait DcsmView: CostSource {
 impl CostSource for Dcsm {
     fn cost(&self, pattern: &CallPattern) -> EstimateOutcome {
         Dcsm::cost(self, pattern)
-    }
-}
-
-impl CostSource for Mutex<Dcsm> {
-    fn cost(&self, pattern: &CallPattern) -> EstimateOutcome {
-        self.lock().cost(pattern)
-    }
-}
-
-impl DcsmView for Mutex<Dcsm> {
-    fn record(
-        &self,
-        call: &GroundCall,
-        t_first_ms: Option<f64>,
-        t_all_ms: Option<f64>,
-        cardinality: Option<f64>,
-        now: SimInstant,
-    ) {
-        self.lock()
-            .record(call, t_first_ms, t_all_ms, cardinality, now);
     }
 }
 
@@ -161,6 +141,14 @@ impl ShardedDcsm {
     /// registration hook for per-shard native estimators and for tests.
     pub fn with_shard<R>(&self, domain: &str, function: &str, f: impl FnOnce(&mut Dcsm) -> R) -> R {
         f(&mut self.locked(domain, function))
+    }
+
+    /// Runs `f` over each shard in index order with mutable access (one
+    /// shard locked at a time), like `ShardedCim::for_each_shard_mut`.
+    pub fn for_each_shard_mut(&self, mut f: impl FnMut(usize, &mut Dcsm)) {
+        for (i, shard) in self.shards.iter().enumerate() {
+            f(i, &mut shard.lock());
+        }
     }
 }
 

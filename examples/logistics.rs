@@ -6,6 +6,7 @@
 //! cargo run --example logistics
 //! ```
 
+use hermes::dcsm::CostSource;
 use hermes::domains::relational::{Column, ColumnType, RelationalDomain, Schema, Table};
 use hermes::domains::terrain::{demo_map, TerrainDomain};
 use hermes::net::profiles;
@@ -98,15 +99,13 @@ fn main() {
 
     // After two executions DCSM has learned what findrte costs — something
     // no analytic model could predict from the arguments.
-    let dcsm = mediator.dcsm();
-    let dcsm = dcsm.lock();
     let pattern = hermes::GroundCall::new(
         "terraindb",
         "findrte",
         vec![Value::str("place1"), Value::str("pax river")],
     )
     .blanket_pattern();
-    let est = dcsm.cost(&pattern);
+    let est = mediator.dcsm().cost(&pattern);
     println!(
         "\nDCSM now estimates terraindb:findrte($b, $b) at {:.1}ms per call",
         est.t_all_ms()

@@ -330,15 +330,15 @@ fn dispatch(mediator: &mut Mediator, state: &mut ReplState, line: &str) -> herme
             m.invalidated,
             m.volatile_skips
         );
-        let dcsm = mediator.dcsm();
-        let dcsm = dcsm.lock();
-        println!(
-            "  dcsm records {} (detail {}), {} summary tables, ~{} bytes",
-            dcsm.db().len(),
-            dcsm.db().detail_len(),
-            dcsm.tables().len(),
-            dcsm.approx_bytes()
-        );
+        mediator.dcsm().for_each_shard_mut(|_, dcsm| {
+            println!(
+                "  dcsm records {} (detail {}), {} summary tables, ~{} bytes",
+                dcsm.db().len(),
+                dcsm.db().detail_len(),
+                dcsm.tables().len(),
+                dcsm.approx_bytes()
+            )
+        });
         let (coalesced, saved) = state
             .serve
             .map(|s| (s.calls_coalesced, s.round_trips_saved))
@@ -524,9 +524,7 @@ fn dispatch(mediator: &mut Mediator, state: &mut ReplState, line: &str) -> herme
         use hermes::core::breaker::BreakerConfig;
         let rest = rest.trim();
         if rest == "status" {
-            let bank = mediator.breakers();
-            let bank = bank.lock();
-            let open = bank.open_sites(mediator.now());
+            let open = mediator.breakers().lock().open_sites(mediator.now());
             if open.is_empty() {
                 println!("  all breakers closed");
             } else {

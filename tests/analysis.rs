@@ -380,7 +380,8 @@ fn lint_binary_json_output_round_trips() {
 
 #[test]
 fn lint_snapshot_of_examples_matches_committed_expectation() {
-    // CI runs the same comparison; regenerate with
+    // The machine-readable output is byte-stable; this is its only
+    // check. Regenerate with
     //   cargo run --bin hermes-lint -- --materialize --format json \
     //     examples/programs > tests/expectations/examples_lint.json
     // from the repository root.

@@ -4,7 +4,7 @@
 use hermes::domains::spatial::{uniform_points, SpatialDomain};
 use hermes::domains::video::gen::rope_store;
 use hermes::net::profiles;
-use hermes::{parse_invariant, CimPolicy, Mediator, Network};
+use hermes::{parse_invariant, CacheTier, CimPolicy, Mediator, Network};
 use std::sync::Arc;
 
 fn video_mediator(seed: u64, policy: CimPolicy) -> Mediator {
@@ -202,4 +202,86 @@ fn early_stopped_interactive_run_still_caches_completed_calls() {
     let mut reference = video_mediator(8, CimPolicy::never());
     let want = reference.query("?- objs(4, 47, O).").unwrap();
     assert_eq!(full.rows, want.rows);
+}
+
+#[test]
+fn cache_control_does_the_same_on_both_faces() {
+    // Two identical mediators; one is split into a four-shard server. The
+    // same `caches()` script must leave both in the same state, and only
+    // the serial face may touch the planning core.
+    let mut serial = video_mediator(9, CimPolicy::cache_everything());
+    let server = video_mediator(9, CimPolicy::cache_everything()).to_concurrent(4);
+    let run = |serial: &mut Mediator, q: &str| {
+        let want = serial.query(q).unwrap();
+        let got = server.query(q).unwrap();
+        assert_eq!(got.rows, want.rows, "{q}");
+    };
+
+    let inv = frame_range_invariant();
+    assert_eq!(
+        server.caches().add_invariant(inv.clone()).unwrap(),
+        serial.caches().add_invariant(inv).unwrap()
+    );
+    run(&mut serial, "?- objs(10, 40, O).");
+    run(&mut serial, "?- objs(0, 600, O).");
+    run(&mut serial, "?- objs(4, 47, O).");
+    assert_eq!(server.caches().stats(), serial.caches().stats());
+    assert!(serial.caches().stats().cim.partial_hits > 0);
+
+    serial.caches().set_serve_stale(true);
+    server.caches().set_serve_stale(true);
+    serial
+        .caches()
+        .policy()
+        .answer_budget(Some(64))
+        .apply()
+        .unwrap();
+    server
+        .caches()
+        .policy()
+        .answer_budget(Some(64))
+        .apply()
+        .unwrap();
+    run(&mut serial, "?- objs(100, 200, O).");
+    assert_eq!(server.caches().stats(), serial.caches().stats());
+    assert!(serial.caches().stats().answers.evictions > 0);
+
+    let sweep = serial
+        .caches()
+        .invalidate_source("video", "frames_to_objects");
+    assert_eq!(
+        server
+            .caches()
+            .invalidate_source("video", "frames_to_objects"),
+        sweep
+    );
+    assert!(sweep.answers_dropped > 0);
+    run(&mut serial, "?- objs(4, 47, O).");
+    for tier in [CacheTier::Subplans, CacheTier::Answers, CacheTier::All] {
+        serial.caches().clear(tier);
+        server.caches().clear(tier);
+        assert_eq!(server.caches().stats(), serial.caches().stats());
+    }
+    assert_eq!(serial.caches().stats().answer_entries, 0);
+
+    // Routing and subplan sharing change the planning core: the serial
+    // face applies them, the server refuses both with one message.
+    serial
+        .caches()
+        .policy()
+        .routing(CimPolicy::never())
+        .apply()
+        .unwrap();
+    serial
+        .caches()
+        .policy()
+        .share_subplans(true)
+        .apply()
+        .unwrap();
+    let routing = server.caches().policy().routing(CimPolicy::never()).apply();
+    let sharing = server.caches().policy().share_subplans(true).apply();
+    let message = "evaluation error: routing and subplan sharing bind at `to_concurrent` time; \
+                   set them on the serial mediator first";
+    assert_eq!(routing.unwrap_err().to_string(), message);
+    assert_eq!(sharing.unwrap_err().to_string(), message);
 }

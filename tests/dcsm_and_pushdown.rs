@@ -2,6 +2,7 @@
 //! pushdown end-to-end, and the text-database federation.
 
 use hermes::core::PushdownRule;
+use hermes::dcsm::CostSource;
 use hermes::domains::relational::{Column, ColumnType, RelationalDomain, Schema, Table};
 use hermes::domains::text::newswire;
 use hermes::net::profiles;
@@ -122,34 +123,35 @@ fn dcsm_maintenance_in_vivo() {
     for i in 0..6 {
         let _ = m.query(format!("?- stock('item_{i}', L, Q)."));
     }
-    let dcsm = m.dcsm();
-    let mut dcsm = dcsm.lock();
-    assert!(dcsm.tables().is_empty());
-    let (created, _) = dcsm.maintain(3, 0);
-    assert!(!created.is_empty(), "hot shapes should be materialized");
-    // Pick a materialized shape whose function actually executed (has
-    // detail records — the optimizer costs *every* candidate plan, so
-    // never-executed functions can be hot too).
-    let shape = created
-        .iter()
-        .find(|s| !dcsm.db().records_for(&s.domain, &s.function).is_empty())
-        .expect("some hot shape belongs to an executed function")
-        .clone();
-    // Its table answers a matching pattern; after dropping the detail the
-    // estimate still comes from the summary, not the prior.
-    let sample_call = dcsm.db().records_for(&shape.domain, &shape.function)[0]
-        .call
-        .clone();
-    let pattern = shape.project(&sample_call.pattern()).unwrap();
-    let freed = dcsm.drop_detail(&shape.domain, &shape.function);
-    assert!(freed > 0);
-    let est = dcsm.cost(&pattern);
-    assert!(est.t_all_ms() > 0.0);
-    assert!(
-        matches!(est.source, hermes::dcsm::EstimateSource::Summary { .. }),
-        "source {:?}",
-        est.source
-    );
+    // The serial mediator's statistics cache is one shard.
+    m.dcsm().for_each_shard_mut(|_, dcsm| {
+        assert!(dcsm.tables().is_empty());
+        let (created, _) = dcsm.maintain(3, 0);
+        assert!(!created.is_empty(), "hot shapes should be materialized");
+        // Pick a materialized shape whose function actually executed (has
+        // detail records — the optimizer costs *every* candidate plan, so
+        // never-executed functions can be hot too).
+        let shape = created
+            .iter()
+            .find(|s| !dcsm.db().records_for(&s.domain, &s.function).is_empty())
+            .expect("some hot shape belongs to an executed function")
+            .clone();
+        // Its table answers a matching pattern; after dropping the detail the
+        // estimate still comes from the summary, not the prior.
+        let sample_call = dcsm.db().records_for(&shape.domain, &shape.function)[0]
+            .call
+            .clone();
+        let pattern = shape.project(&sample_call.pattern()).unwrap();
+        let freed = dcsm.drop_detail(&shape.domain, &shape.function);
+        assert!(freed > 0);
+        let est = dcsm.cost(&pattern);
+        assert!(est.t_all_ms() > 0.0);
+        assert!(
+            matches!(est.source, hermes::dcsm::EstimateSource::Summary { .. }),
+            "source {:?}",
+            est.source
+        );
+    });
 }
 
 #[test]
@@ -210,7 +212,6 @@ fn dcsm_learns_posting_list_skew() {
         m.query("?- headlines('taxes', H).").unwrap();
     }
     let dcsm = m.dcsm();
-    let dcsm = dcsm.lock();
     let est = |term: &str| {
         dcsm.cost(
             &hermes::GroundCall::new(

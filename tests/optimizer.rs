@@ -193,7 +193,8 @@ fn external_estimator_feeds_the_optimizer() {
     net.place(rel, profiles::maryland());
     let m =
         Mediator::from_source("rows(K, T) :- in(T, rel:select_eq('wide', 'k', K)).", net).unwrap();
-    m.dcsm().lock().register_external("rel", est_src);
+    m.dcsm()
+        .for_each_shard_mut(|_, dcsm| dcsm.register_external("rel", est_src.clone()));
     let planned = m.plan("?- rows(7, T).").unwrap();
     let card = planned.estimate().cardinality.unwrap();
     // 500 rows / 50 distinct keys = 10 per key — the native model knows.

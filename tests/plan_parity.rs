@@ -93,7 +93,7 @@ fn assert_plans_agree(m: &Mediator, text: &str) -> usize {
     .unwrap();
     let (chosen, estimates) = choose_plan(
         &plans,
-        &*m.dcsm().lock(),
+        m.dcsm(),
         &m.config().cost,
         m.config().optimize_first_answer,
     );
@@ -159,7 +159,7 @@ fn trained_statistics_cost_the_same_both_ways() {
     );
     m.query("?- item('p_1', B).").unwrap();
     m.query("?- item(A, B).").unwrap();
-    assert!(!m.dcsm().lock().db().is_empty());
+    assert!(m.dcsm().records() > 0);
     for text in ["?- item('p_1', B).", "?- item(A, 3).", "?- item(A, B)."] {
         assert_plans_agree(&m, text);
     }

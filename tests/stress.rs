@@ -120,8 +120,7 @@ fn hundred_query_session_stays_consistent() {
     let snap = m.caches().stats();
     assert!(snap.answers.evictions > 0, "budget never binded");
     assert!(snap.cim.exact_hits + snap.cim.misses >= 100);
-    let dcsm = m.dcsm();
-    assert!(dcsm.lock().db().len() >= 10);
+    assert!(m.dcsm().records() >= 10);
 }
 
 #[test]

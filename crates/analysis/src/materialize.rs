@@ -25,8 +25,7 @@
 
 use crate::analyzer::{CacheRoutes, QueryForm};
 use crate::diagnostic::{DiagCode, Diagnostic, Locus};
-use crate::fingerprint::{fingerprint_rule, SubplanKey};
-use crate::graph;
+use crate::verdicts::{MaterializationVerdicts, RuleVerdict, SubplanVerdict};
 use hermes_common::{CallPattern, PatArg};
 use hermes_dcsm::Dcsm;
 use hermes_lang::{BodyAtom, Program, Rule, Term};
@@ -49,60 +48,52 @@ pub(crate) struct Inputs<'a> {
 
 type Call = (Arc<str>, Arc<str>);
 
-/// One safe-inventory entry: rule index, subplan key, sources it reads.
-type SafeEntry = (usize, SubplanKey, BTreeSet<Call>);
-
-/// Runs the pass.
+/// Runs the pass: classifies the rules once, with
+/// [`MaterializationVerdicts::compute`], and renders the verdicts.
 pub(crate) fn run(program: &Program, inputs: &Inputs<'_>, out: &mut Vec<Diagnostic>) {
-    let recursive = graph::recursive_predicates(program);
-    let mut safe: Vec<SafeEntry> = Vec::new();
+    let verdicts = MaterializationVerdicts::compute(
+        program,
+        inputs.query_forms,
+        inputs.volatile,
+        inputs.cache_routes,
+    );
+    let mut safe: Vec<&RuleVerdict> = Vec::new();
 
-    for (index, rule) in program.rules.iter().enumerate() {
-        let calls = transitive_calls(program, rule);
-        if rule.body.is_empty() || calls.is_empty() {
-            continue; // facts and pure-IDB glue: nothing worth caching
-        }
+    for verdict in verdicts.rules() {
+        let rule = &program.rules[verdict.rule];
         let locus = Locus::Rule {
-            index,
+            index: verdict.rule,
             head: rule.head.to_string(),
         };
-        let bound = adornment_for(inputs.query_forms, rule);
-        let key = fingerprint_rule(rule, &bound);
-
-        if touches_recursion(program, rule, &recursive) {
-            out.push(
-                Diagnostic::new(
-                    DiagCode::MaterializeRecursive,
-                    locus,
-                    format!(
-                        "subplan {} sits on a recursive SCC; a one-shot \
-                         snapshot is not a fixpoint",
-                        key.fingerprint
-                    ),
-                )
-                .with_suggestion(
-                    "maintain this subplan with semi-naive/delta evaluation, \
-                     or break the cycle",
-                )
-                .with_fingerprint(key.fingerprint),
-            );
-            continue;
-        }
-
-        let volatile_calls: Vec<String> = calls
-            .iter()
-            .filter_map(|(d, f)| {
-                if inputs.volatile.is_some_and(|v| v(d, f)) {
-                    Some(format!("`{d}:{f}` (declared volatile)"))
-                } else if inputs.cache_routes.is_some_and(|r| !r(d, f)) {
-                    Some(format!("`{d}:{f}` (routed around the CIM)"))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        if !volatile_calls.is_empty() {
-            out.push(
+        let key = &verdict.key;
+        let diagnostic = match verdict.verdict {
+            SubplanVerdict::Recursive => Diagnostic::new(
+                DiagCode::MaterializeRecursive,
+                locus,
+                format!(
+                    "subplan {} sits on a recursive SCC; a one-shot \
+                     snapshot is not a fixpoint",
+                    key.fingerprint
+                ),
+            )
+            .with_suggestion(
+                "maintain this subplan with semi-naive/delta evaluation, \
+                 or break the cycle",
+            ),
+            SubplanVerdict::Volatile => {
+                let volatile_calls: Vec<String> = verdict
+                    .reads
+                    .iter()
+                    .filter_map(|(d, f)| {
+                        if inputs.volatile.is_some_and(|v| v(d, f)) {
+                            Some(format!("`{d}:{f}` (declared volatile)"))
+                        } else if inputs.cache_routes.is_some_and(|r| !r(d, f)) {
+                            Some(format!("`{d}:{f}` (routed around the CIM)"))
+                        } else {
+                            None
+                        }
+                    })
+                    .collect();
                 Diagnostic::new(
                     DiagCode::MaterializeVolatile,
                     locus,
@@ -117,32 +108,29 @@ pub(crate) fn run(program: &Program, inputs: &Inputs<'_>, out: &mut Vec<Diagnost
                     "route the source through the CIM (`%! cache ...`) or \
                      leave the subplan unmaterialized",
                 )
-                .with_fingerprint(key.fingerprint),
-            );
-            continue;
-        }
-
-        out.push(
-            Diagnostic::new(
-                DiagCode::MaterializeSafe,
-                locus,
-                format!(
-                    "subplan {} is safe to materialize under adornment \
-                     `{}`: {} distinct source call(s), non-recursive, \
-                     volatility-free",
-                    key.fingerprint,
-                    adornment_string(&bound),
-                    calls.len()
-                ),
-            )
-            .with_suggestion(format!("canonical form: {}", key.canonical))
-            .with_fingerprint(key.fingerprint),
-        );
-        safe.push((index, key, calls));
+            }
+            SubplanVerdict::Safe => {
+                safe.push(verdict);
+                Diagnostic::new(
+                    DiagCode::MaterializeSafe,
+                    locus,
+                    format!(
+                        "subplan {} is safe to materialize under adornment \
+                         `{}`: {} distinct source call(s), non-recursive, \
+                         volatility-free",
+                        key.fingerprint,
+                        adornment_string(&adornment_for(inputs.query_forms, rule)),
+                        verdict.reads.len()
+                    ),
+                )
+                .with_suggestion(format!("canonical form: {}", key.canonical))
+            }
+        };
+        out.push(diagnostic.with_fingerprint(key.fingerprint));
     }
 
     shared_subplans(program, inputs.dcsm, &safe, out);
-    invalidation_scope(&safe, out);
+    invalidation_scope(&verdicts, out);
 }
 
 /// The rule's entry bindings: the first declared query form matching the
@@ -218,24 +206,24 @@ pub(crate) fn touches_recursion(
 fn shared_subplans(
     program: &Program,
     dcsm: Option<&Dcsm>,
-    safe: &[SafeEntry],
+    safe: &[&RuleVerdict],
     out: &mut Vec<Diagnostic>,
 ) {
-    let mut groups: BTreeMap<u64, Vec<&SafeEntry>> = BTreeMap::new();
-    for entry in safe {
-        groups.entry(entry.1.fingerprint.0).or_default().push(entry);
+    let mut groups: BTreeMap<u64, Vec<&RuleVerdict>> = BTreeMap::new();
+    for v in safe {
+        groups.entry(v.key.fingerprint.0).or_default().push(v);
     }
     for group in groups.values() {
         if group.len() < 2 {
             continue;
         }
-        let (first_index, key, _) = group[0];
+        let first = group[0];
         let members: Vec<String> = group
             .iter()
-            .map(|(i, _, _)| format!("rule #{i} `{}`", program.rules[*i].head))
+            .map(|v| format!("rule #{} `{}`", v.rule, program.rules[v.rule].head))
             .collect();
         let savings = dcsm.map(|d| {
-            let patterns = body_patterns(&program.rules[*first_index].body);
+            let patterns = body_patterns(&program.rules[first.rule].body);
             d.estimate_subplan_savings(&patterns, group.len())
         });
         let estimate = match savings {
@@ -251,31 +239,23 @@ fn shared_subplans(
                 Locus::Program,
                 format!(
                     "subplan {} is shared by {} rules: {}{}",
-                    key.fingerprint,
+                    first.key.fingerprint,
                     group.len(),
                     members.join(", "),
                     estimate
                 ),
             )
             .with_suggestion("materialize the shared subplan once and let every rule read it")
-            .with_fingerprint(key.fingerprint),
+            .with_fingerprint(first.key.fingerprint),
         );
     }
 }
 
-/// `HA074`: inverts the safe inventory into `source -> fingerprints`.
-fn invalidation_scope(safe: &[SafeEntry], out: &mut Vec<Diagnostic>) {
-    let mut scope: BTreeMap<Call, BTreeSet<String>> = BTreeMap::new();
-    for (_, key, calls) in safe {
-        for call in calls {
-            scope
-                .entry(call.clone())
-                .or_default()
-                .insert(key.fingerprint.to_string());
-        }
-    }
-    for ((domain, function), fps) in scope {
-        let list: Vec<String> = fps.into_iter().collect();
+/// `HA074`: one note per source a safe subplan reads, listing the
+/// fingerprints an update to it dirties.
+fn invalidation_scope(verdicts: &MaterializationVerdicts, out: &mut Vec<Diagnostic>) {
+    for ((domain, function), fingerprints) in verdicts.scopes() {
+        let list: Vec<String> = fingerprints.iter().map(|fp| fp.to_string()).collect();
         out.push(Diagnostic::new(
             DiagCode::InvalidationScope,
             Locus::CallPattern {

@@ -83,25 +83,23 @@ impl MaterializationVerdicts {
         let mut calls: BTreeMap<Call, bool> = BTreeMap::new();
         let mut rules: Vec<RuleVerdict> = Vec::new();
         let mut scope: BTreeMap<Call, BTreeSet<Fingerprint>> = BTreeMap::new();
+        let is_volatile = |(d, f): &Call| {
+            volatile.is_some_and(|v| v(d, f)) || cache_routes.is_some_and(|r| !r(d, f))
+        };
 
         for (index, rule) in program.rules.iter().enumerate() {
             let reads = transitive_calls(program, rule);
             if rule.body.is_empty() || reads.is_empty() {
                 continue;
             }
-            for (d, f) in &reads {
-                let is_volatile =
-                    volatile.is_some_and(|v| v(d, f)) || cache_routes.is_some_and(|r| !r(d, f));
-                let slot = calls.entry((d.clone(), f.clone())).or_insert(false);
-                *slot = *slot || is_volatile;
+            for call in &reads {
+                calls.insert(call.clone(), is_volatile(call));
             }
             let bound = adornment_for(query_forms, rule);
             let key = fingerprint_rule(rule, &bound);
             let verdict = if touches_recursion(program, rule, &recursive) {
                 SubplanVerdict::Recursive
-            } else if reads.iter().any(|(d, f)| {
-                volatile.is_some_and(|v| v(d, f)) || cache_routes.is_some_and(|r| !r(d, f))
-            }) {
+            } else if reads.iter().any(is_volatile) {
                 SubplanVerdict::Volatile
             } else {
                 SubplanVerdict::Safe
@@ -171,6 +169,11 @@ impl MaterializationVerdicts {
             .get(&(Arc::from(domain), Arc::from(function)))
             .cloned()
             .unwrap_or_default()
+    }
+
+    /// HA074 for every source a safe subplan reads, in source order.
+    pub fn scopes(&self) -> impl Iterator<Item = (&Call, &BTreeSet<Fingerprint>)> {
+        self.scope.iter()
     }
 
     /// Number of distinct source calls classified.

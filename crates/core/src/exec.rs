@@ -19,7 +19,7 @@
 
 use crate::breaker::{Admission, BreakerBank};
 use crate::flight::{FlightRole, InFlightRegistry};
-use crate::matcache::{MatCache, MatLookup, MatRole, MatTicket};
+use crate::matcache::{MatCache, MatLookup, MatTicket};
 use crate::plan::{Plan, PlanStep, Route};
 use crate::serve::parked;
 use crate::tier::{PlanTier, TierReason};
@@ -421,8 +421,6 @@ pub struct ExecOutcome {
     pub provenance: Vec<SubgoalProvenance>,
     /// The execution trace (empty unless `collect_trace` was set).
     pub trace: Vec<TraceEntry>,
-    /// The clock at completion (the mediator carries it forward).
-    pub clock: SimClock,
 }
 
 struct RunState<'s> {
@@ -486,8 +484,8 @@ pub struct Executor<'w> {
     /// paid the overlapped makespan.
     prefetch: HashMap<(usize, GroundCall), RemoteOutcome>,
     /// Shared single-flight registry: identical calls from concurrent
-    /// queries coalesce into one source round trip. `None` (the serial
-    /// mediator) disables coalescing.
+    /// queries coalesce into one source round trip. Both mediator faces
+    /// attach theirs; `None` (a bare executor) disables coalescing.
     flight: Option<&'w InFlightRegistry>,
     /// Shared subplan materialization cache. `None`, or
     /// `share_subplans: false`, disables whole-plan caching.
@@ -655,11 +653,11 @@ impl<'w> Executor<'w> {
             if out.limit.is_none() && out.sink.is_none() {
                 while flight_leader.is_none() {
                     match mat.join(ticket) {
-                        MatRole::Leader(leader) => flight_leader = Some(leader),
+                        FlightRole::Leader(leader) => flight_leader = Some(leader),
                         // A cache-only run waits on no source, its own or
                         // a leader's: it computes from the cache instead.
-                        MatRole::Follower(_) if self.tier == PlanTier::CacheOnly => break,
-                        MatRole::Follower(follower) => {
+                        FlightRole::Follower(_) if self.tier == PlanTier::CacheOnly => break,
+                        FlightRole::Follower(follower) => {
                             if let Some(rows) = follower.wait() {
                                 self.stats.subplans_coalesced += 1;
                                 return Ok(self.serve_materialized(ticket, &rows, out));
@@ -679,7 +677,6 @@ impl<'w> Executor<'w> {
         }
 
         let finished = self.exec(&plan.steps, 0, &Subst::new(), &mut out)?;
-        let t_all = self.clock.now().duration_since(out.start);
         let incomplete = out.incomplete || out.provenance.iter().any(|p| !p.complete());
         if let (Some(mat), Some(ticket), Some(leader)) =
             (mat, ticket.as_ref(), flight_leader.take())
@@ -706,19 +703,23 @@ impl<'w> Executor<'w> {
                         self.stats.subplan_rejections += 1;
                     }
                 }
-                leader.publish(&shared);
+                leader.publish(shared);
             }
         }
-        Ok(ExecOutcome {
+        Ok(self.outcome(out, incomplete))
+    }
+
+    /// Packs a finished run into its outcome.
+    fn outcome(&mut self, out: RunState, incomplete: bool) -> ExecOutcome {
+        ExecOutcome {
             answers: out.answers,
             t_first: out.t_first,
-            t_all,
+            t_all: self.clock.now().duration_since(out.start),
             stats: self.stats,
             incomplete,
             provenance: out.provenance,
             trace: std::mem::take(&mut self.trace),
-            clock: self.clock.clone(),
-        })
+        }
     }
 
     /// Serves a materialized answer set as the run's result: every row is
@@ -736,33 +737,30 @@ impl<'w> Executor<'w> {
             rows: rows.len(),
         });
         for theta in rows.iter() {
-            let elapsed = self.clock.now().duration_since(out.start);
-            if out.t_first.is_none() {
-                out.t_first = Some(elapsed);
-            }
-            out.answers.push(theta.clone());
-            self.note(TraceEvent::Answer {
-                ordinal: out.answers.len(),
-            });
-            if let Some(sink) = out.sink.as_mut() {
-                if !sink(theta, elapsed) {
-                    break;
-                }
-            }
-            if out.limit.is_some_and(|l| out.answers.len() >= l) {
+            if !self.answer(theta, &mut out) {
                 break;
             }
         }
-        ExecOutcome {
-            answers: out.answers,
-            t_first: out.t_first,
-            t_all: self.clock.now().duration_since(out.start),
-            stats: self.stats,
-            incomplete: false,
-            provenance: out.provenance,
-            trace: std::mem::take(&mut self.trace),
-            clock: self.clock.clone(),
+        self.outcome(out, false)
+    }
+
+    /// Delivers one answer: first-answer time, trace, sink, limit.
+    /// Returns `false` when the consumer has seen enough answers.
+    fn answer(&mut self, theta: &Subst, out: &mut RunState) -> bool {
+        let elapsed = self.clock.now().duration_since(out.start);
+        if out.t_first.is_none() {
+            out.t_first = Some(elapsed);
         }
+        out.answers.push(theta.clone());
+        self.note(TraceEvent::Answer {
+            ordinal: out.answers.len(),
+        });
+        if let Some(sink) = out.sink.as_mut() {
+            if !sink(theta, elapsed) {
+                return false;
+            }
+        }
+        out.limit.is_none_or(|l| out.answers.len() < l)
     }
 
     /// Recursive nested-loops step. Returns `false` when the consumer has
@@ -775,20 +773,7 @@ impl<'w> Executor<'w> {
         out: &mut RunState,
     ) -> Result<bool> {
         if idx == steps.len() {
-            let elapsed = self.clock.now().duration_since(out.start);
-            if out.t_first.is_none() {
-                out.t_first = Some(elapsed);
-            }
-            out.answers.push(theta.clone());
-            self.note(TraceEvent::Answer {
-                ordinal: out.answers.len(),
-            });
-            if let Some(sink) = out.sink.as_mut() {
-                if !sink(theta, elapsed) {
-                    return Ok(false);
-                }
-            }
-            return Ok(out.limit.is_none_or(|l| out.answers.len() < l));
+            return Ok(self.answer(theta, out));
         }
         match &steps[idx] {
             PlanStep::Cond(c) => {
@@ -1608,7 +1593,7 @@ impl<'w> Executor<'w> {
                 FlightRole::Leader(token) => {
                     let result = self.actual_call_direct(ground, piggyback);
                     match &result {
-                        Ok(outcome) => token.publish(outcome),
+                        Ok(outcome) => token.publish(outcome.clone()),
                         Err(_) => token.abandon(),
                     }
                     return result;
@@ -1617,7 +1602,6 @@ impl<'w> Executor<'w> {
                     self.stats.calls_coalesced += 1;
                     if let Some(outcome) = handle.wait() {
                         self.stats.round_trips_saved += 1;
-                        registry.note_round_trip_saved();
                         self.note(TraceEvent::Coalesced {
                             call: ground.clone(),
                             answers: outcome.answers.len(),
@@ -2232,7 +2216,9 @@ mod tests {
         assert_eq!(first.stats.breaker_trips, 1);
         assert_eq!(first.stats.retries, 0, "trip ends the retry ladder");
         assert!(first.t_all < without.t_all);
-        let second = Executor::new(&net, &cim, &dcsm, first.clock.clone(), cfg)
+        let mut clock = SimClock::new();
+        clock.advance(first.t_all);
+        let second = Executor::new(&net, &cim, &dcsm, clock.clone(), cfg)
             .with_breakers(&bank)
             .run(&plan, None)
             .unwrap();
@@ -2246,7 +2232,7 @@ mod tests {
             IncompleteReason::BreakerOpen { .. }
         ));
         assert_eq!(
-            bank.lock().state_at("cornell", second.clock.now()),
+            bank.lock().state_at("cornell", clock.advance(second.t_all)),
             BreakerState::Open
         );
     }
@@ -2293,7 +2279,7 @@ mod tests {
         // breaker closes.
         let mut clock = SimClock::new();
         clock.advance(SimDuration::from_secs(40));
-        let out = Executor::new(&net, &cim, &dcsm, clock, cfg)
+        let out = Executor::new(&net, &cim, &dcsm, clock.clone(), cfg)
             .with_breakers(&bank)
             .run(&plan, None)
             .unwrap();
@@ -2301,7 +2287,7 @@ mod tests {
         assert_eq!(out.stats.breaker_probes, 1);
         assert_eq!(out.stats.breaker_recoveries, 1);
         assert_eq!(
-            bank.lock().state_at("cornell", out.clock.now()),
+            bank.lock().state_at("cornell", clock.advance(out.t_all)),
             BreakerState::Closed
         );
     }

@@ -63,8 +63,8 @@ pub use exec::{
     ExecConfig, ExecConfigBuilder, ExecOutcome, ExecStats, Executor, IncompleteReason,
     SubgoalProvenance,
 };
-pub use flight::{FlightHandle, FlightLeader, FlightRole, InFlightRegistry};
-pub use matcache::{MatCache, MatCacheConfig, MatCacheStats, MatLookup, MatRole, MatTicket};
+pub use flight::{FlightHandle, FlightLeader, FlightRole, Flights, InFlightRegistry};
+pub use matcache::{MatCache, MatCacheConfig, MatCacheStats, MatLookup, MatTicket};
 pub use mediator::{Mediator, MediatorConfig, Planned, QueryRequest, QueryResult};
 pub use plan::{independence_groups, Plan, PlanStep, Route};
 pub use rewrite::{

@@ -36,28 +36,21 @@
 //!
 //! ## Single-flight coalescing
 //!
-//! Mirrors [`crate::flight`], lifted from ground calls to whole subplans:
-//! the first query to miss becomes the **leader** and computes the result;
-//! concurrent identical queries become **followers** and block until the
-//! leader publishes one shared `Arc<[Subst]>`. An abandoned flight (leader
-//! errored, hit its deadline, or was downgraded) releases followers to
-//! re-join, exactly like ground-call flights.
-//!
-//! ## Lock order and soundness
-//!
-//! The store lock and the flight-registry lock are never held together,
-//! never across plan execution, and never while a slot lock is held. A
-//! leader stores *before* publishing, so there is no window in which a
-//! follower resolves but a fresh query misses.
+//! Concurrent identical queries coalesce on the one single-flight
+//! primitive, [`crate::flight::Flights`], keyed by subplan: one leader
+//! computes, followers share its `Arc<[Subst]>`. A leader stores *before*
+//! publishing, so there is no window in which a follower resolves but a
+//! fresh query misses. The store lock is never held across plan execution
+//! or together with a flight lock.
 
+use crate::flight::{FlightRole, Flights};
 use crate::plan::Plan;
-use crate::serve::parked;
 use hermes_analysis::{MaterializationVerdicts, SubplanKey, SubplanVerdict};
 use hermes_common::sync::Mutex;
 use hermes_lang::Subst;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::Arc;
 
 type Call = (Arc<str>, Arc<str>);
 
@@ -65,9 +58,10 @@ type Call = (Arc<str>, Arc<str>);
 /// across variable renaming, but the stored answers are [`Subst`]s over
 /// *this* plan's variable names — so the key also pins the canonical form
 /// and the exact variable set, and an alpha-renamed twin takes a clean
-/// miss instead of answers it cannot read.
+/// miss instead of answers it cannot read. Only [`MatCache::ticket`]
+/// makes one.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct MatKey {
+pub struct MatKey {
     fingerprint: u64,
     canonical: String,
     vars: String,
@@ -126,6 +120,26 @@ impl Store {
         }
         Some(entry)
     }
+
+    /// Demotes the lowest-savings entries, sparing `keep`, while the byte
+    /// budget overflows. Returns how many were demoted.
+    fn demote_to_budget(&mut self, keep: Option<&MatKey>) -> u64 {
+        let mut demoted = 0;
+        while self.bytes > self.budget_bytes {
+            let Some(victim) = self
+                .entries
+                .iter()
+                .filter(|(k, _)| Some(*k) != keep)
+                .min_by(|a, b| a.1.savings_ms.total_cmp(&b.1.savings_ms))
+                .map(|(k, _)| k.clone())
+            else {
+                break;
+            };
+            self.remove(&victim);
+            demoted += 1;
+        }
+        demoted
+    }
 }
 
 /// Configuration for a [`MatCache`].
@@ -169,7 +183,7 @@ pub struct MatCacheStats {
     /// Complete plan results admitted into the cache.
     pub materialized: u64,
     /// Queries served by another query's in-flight computation
-    /// (single-flight followers).
+    /// (single-flight followers whose wait returned answers).
     pub coalesced: u64,
     /// Stores refused by the admission price or size check.
     pub rejected: u64,
@@ -183,112 +197,6 @@ pub struct MatCacheStats {
     pub entries: usize,
     /// Live bytes.
     pub bytes: usize,
-}
-
-#[derive(Debug)]
-struct MatSlot {
-    state: Mutex<SlotState>,
-    arrived: Condvar,
-}
-
-#[derive(Debug)]
-enum SlotState {
-    Pending,
-    Done(Arc<[Subst]>),
-    Abandoned,
-}
-
-impl MatSlot {
-    fn new() -> Self {
-        MatSlot {
-            state: Mutex::new(SlotState::Pending),
-            arrived: Condvar::new(),
-        }
-    }
-
-    fn resolve(&self, state: SlotState) {
-        *self.state.lock() = state;
-        self.arrived.notify_all();
-    }
-}
-
-/// A follower's handle on another query's in-flight subplan computation.
-#[derive(Debug)]
-pub struct MatFollower {
-    slot: Arc<MatSlot>,
-}
-
-impl MatFollower {
-    /// Blocks until the leader resolves. `Some` shares the leader's
-    /// answers (`Arc` bump); `None` means the leader abandoned and the
-    /// caller must compute (re-joining first, so one follower inherits
-    /// leadership).
-    pub fn wait(self) -> Option<Arc<[Subst]>> {
-        let pending = matches!(*self.slot.state.lock(), SlotState::Pending);
-        match pending {
-            // Waiting on another query: a serving worker lends its slot.
-            true => parked(|| self.resolved()),
-            false => self.resolved(),
-        }
-    }
-
-    /// Blocks while the flight is pending.
-    fn resolved(&self) -> Option<Arc<[Subst]>> {
-        let mut state = self.slot.state.lock();
-        loop {
-            match &*state {
-                SlotState::Pending => {
-                    state = self
-                        .slot
-                        .arrived
-                        .wait(state)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                SlotState::Done(answers) => return Some(answers.clone()),
-                SlotState::Abandoned => return None,
-            }
-        }
-    }
-}
-
-/// The leader's obligation to resolve its subplan flight. Dropping the
-/// token without publishing abandons the flight (covers error returns,
-/// deadline unwinds, and panics).
-#[derive(Debug)]
-pub struct MatLeader<'m> {
-    cache: &'m MatCache,
-    key: MatKey,
-    slot: Arc<MatSlot>,
-    resolved: bool,
-}
-
-impl MatLeader<'_> {
-    /// Publishes the computed answers to every follower and closes the
-    /// flight. Publication is independent of admission: followers share
-    /// the result even when the store was refused.
-    pub fn publish(mut self, answers: &Arc<[Subst]>) {
-        self.cache.remove_flight(&self.key);
-        self.slot.resolve(SlotState::Done(answers.clone()));
-        self.resolved = true;
-    }
-}
-
-impl Drop for MatLeader<'_> {
-    fn drop(&mut self) {
-        if !self.resolved {
-            self.cache.remove_flight(&self.key);
-            self.slot.resolve(SlotState::Abandoned);
-        }
-    }
-}
-
-/// The caller's role in a subplan flight (see [`MatCache::join`]).
-#[derive(Debug)]
-pub enum MatRole<'m> {
-    /// First query in: compute the plan, then publish or abandon.
-    Leader(MatLeader<'m>),
-    /// A leader is already computing: wait for its result.
-    Follower(MatFollower),
 }
 
 /// A lookup's result.
@@ -310,14 +218,13 @@ pub enum MatLookup {
 #[derive(Debug)]
 pub struct MatCache {
     store: Mutex<Store>,
-    flights: Mutex<HashMap<MatKey, Arc<MatSlot>>>,
+    flights: Flights<MatKey, Arc<[Subst]>>,
     /// `(epoch, verdicts)`: which program/policy state the verdicts
     /// describe. No verdicts → no tickets → the cache is inert.
     verdicts: Mutex<Option<(u64, Arc<MaterializationVerdicts>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
     materialized: AtomicU64,
-    coalesced: AtomicU64,
     rejected: AtomicU64,
     demoted: AtomicU64,
     invalidated: AtomicU64,
@@ -339,12 +246,11 @@ impl MatCache {
                 min_savings_ms: config.min_savings_ms,
                 ..Store::default()
             }),
-            flights: Mutex::new(HashMap::new()),
+            flights: Flights::new(),
             verdicts: Mutex::new(None),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             materialized: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             demoted: AtomicU64::new(0),
             invalidated: AtomicU64::new(0),
@@ -421,21 +327,8 @@ impl MatCache {
 
     /// Joins the flight for the ticket's subplan, becoming its leader or
     /// a follower.
-    pub fn join(&self, ticket: &MatTicket) -> MatRole<'_> {
-        let mut flights = self.flights.lock();
-        if let Some(slot) = flights.get(&ticket.key) {
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-            MatRole::Follower(MatFollower { slot: slot.clone() })
-        } else {
-            let slot = Arc::new(MatSlot::new());
-            flights.insert(ticket.key.clone(), slot.clone());
-            MatRole::Leader(MatLeader {
-                cache: self,
-                key: ticket.key.clone(),
-                slot,
-                resolved: false,
-            })
-        }
+    pub fn join(&self, ticket: &MatTicket) -> FlightRole<'_, MatKey, Arc<[Subst]>> {
+        self.flights.join(&ticket.key)
     }
 
     /// Stores a complete plan result, pricing admission with the caller's
@@ -476,23 +369,10 @@ impl MatCache {
                 savings_ms,
             },
         );
-        // Demote cheapest-to-recompute entries first; never the incoming
-        // one (it already fits and is the freshest evidence of reuse).
-        while store.bytes > store.budget_bytes {
-            let victim = store
-                .entries
-                .iter()
-                .filter(|(k, _)| **k != ticket.key)
-                .min_by(|a, b| a.1.savings_ms.total_cmp(&b.1.savings_ms))
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    store.remove(&k);
-                    self.demoted.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
-        }
+        // Never demote the incoming entry: it already fits and is the
+        // freshest evidence of reuse.
+        let demoted = store.demote_to_budget(Some(&ticket.key));
+        self.demoted.fetch_add(demoted, Ordering::Relaxed);
         self.materialized.fetch_add(1, Ordering::Relaxed);
         StoreOutcome::Stored(bytes)
     }
@@ -532,20 +412,8 @@ impl MatCache {
     pub fn set_budget(&self, bytes: usize) {
         let mut store = self.store.lock();
         store.budget_bytes = bytes;
-        while store.bytes > store.budget_bytes {
-            let victim = store
-                .entries
-                .iter()
-                .min_by(|a, b| a.1.savings_ms.total_cmp(&b.1.savings_ms))
-                .map(|(k, _)| k.clone());
-            match victim {
-                Some(k) => {
-                    store.remove(&k);
-                    self.demoted.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break,
-            }
-        }
+        let demoted = store.demote_to_budget(None);
+        self.demoted.fetch_add(demoted, Ordering::Relaxed);
     }
 
     /// Replaces the admission floor (milliseconds of estimated saving).
@@ -563,7 +431,7 @@ impl MatCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             materialized: self.materialized.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
+            coalesced: self.flights.followers_served(),
             rejected: self.rejected.load(Ordering::Relaxed),
             demoted: self.demoted.load(Ordering::Relaxed),
             invalidated: self.invalidated.load(Ordering::Relaxed),
@@ -571,10 +439,6 @@ impl MatCache {
             entries,
             bytes,
         }
-    }
-
-    fn remove_flight(&self, key: &MatKey) {
-        self.flights.lock().remove(key);
     }
 }
 
@@ -726,18 +590,18 @@ mod tests {
         cache.install_verdicts(1, verdicts);
         let plan = plan_for("?- p(A, B).", &program);
         let ticket = cache.ticket(&plan).unwrap();
-        let MatRole::Leader(leader) = cache.join(&ticket) else {
+        let FlightRole::Leader(leader) = cache.join(&ticket) else {
             panic!("first join leads");
         };
-        let MatRole::Follower(follower) = cache.join(&ticket) else {
+        let FlightRole::Follower(follower) = cache.join(&ticket) else {
             panic!("second join follows");
         };
         let ans = answers(4);
-        leader.publish(&ans);
+        leader.publish(ans.clone());
         let got = follower.wait().expect("published");
         assert!(Arc::ptr_eq(&got, &ans));
         // The flight is closed: the next join leads again.
-        assert!(matches!(cache.join(&ticket), MatRole::Leader(_)));
+        assert!(matches!(cache.join(&ticket), FlightRole::Leader(_)));
         assert_eq!(cache.stats().coalesced, 1);
     }
 
@@ -748,15 +612,17 @@ mod tests {
         cache.install_verdicts(1, verdicts);
         let plan = plan_for("?- p(A, B).", &program);
         let ticket = cache.ticket(&plan).unwrap();
-        let MatRole::Leader(leader) = cache.join(&ticket) else {
+        let FlightRole::Leader(leader) = cache.join(&ticket) else {
             panic!("lead");
         };
-        let MatRole::Follower(follower) = cache.join(&ticket) else {
+        let FlightRole::Follower(follower) = cache.join(&ticket) else {
             panic!("follow");
         };
         drop(leader);
         assert!(follower.wait().is_none());
-        assert!(matches!(cache.join(&ticket), MatRole::Leader(_)));
+        assert!(matches!(cache.join(&ticket), FlightRole::Leader(_)));
+        // The follower joined but was served nothing.
+        assert_eq!(cache.stats().coalesced, 0);
     }
 
     #[test]

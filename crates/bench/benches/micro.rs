@@ -10,8 +10,10 @@
 //! the spread across batches.
 
 use hermes_cim::{Cim, CimPolicy};
-use hermes_common::{GroundCall, SimInstant, Value};
-use hermes_core::{enumerate_plans, estimate_plan, CheckedProgram, CostConfig, RewriteConfig};
+use hermes_common::{CallPattern, GroundCall, PatArg, SimInstant, Value};
+use hermes_core::{
+    choose_plan, enumerate_plans, estimate_plan, CheckedProgram, CostConfig, RewriteConfig,
+};
 use hermes_dcsm::Dcsm;
 use hermes_lang::{parse_invariant, parse_program, parse_query};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -21,7 +23,7 @@ const WARMUP: Duration = Duration::from_millis(200);
 const MEASURE: Duration = Duration::from_millis(800);
 const BATCHES: usize = 10;
 /// Rows a full run prints; `--test-mode` asserts it ran this many.
-const ROWS: usize = 19;
+const ROWS: usize = 21;
 
 /// `--test-mode`: run each row once instead of timing it.
 static TEST_MODE: AtomicBool = AtomicBool::new(false);
@@ -200,7 +202,20 @@ fn bench_dcsm() {
     )
     .pattern();
 
+    // What a plan step asks: the rule's constant, `$b` for the bound
+    // frame range. It hits at the asked pattern, before any relaxation.
+    let step = CallPattern::new(
+        "video",
+        "frames_to_objects",
+        vec![
+            PatArg::Const(Value::str("rope")),
+            PatArg::Bound,
+            PatArg::Bound,
+        ],
+    );
+
     bench("detail_aggregation_seen", || (), |_| detail.cost(&seen));
+    bench("dcsm_cost_seen_first_probe", || (), |_| detail.cost(&step));
     bench(
         "detail_aggregation_unseen_relaxes",
         || (),
@@ -324,6 +339,29 @@ fn bench_rewriter() {
                 std::hint::black_box(estimate_plan(p, &dcsm, &CostConfig::default()));
             }
         },
+    );
+    // The rope-warmed DCSM above has never seen the join's functions, so
+    // that row times the relaxation walk down to the prior. This one
+    // prices the same plans against records of every function they call.
+    let mut trained = Dcsm::new();
+    for i in 0..100i64 {
+        for (domain, function, args) in [
+            ("d1", "p_bf", vec![Value::str("a")]),
+            ("d1", "p_fb", vec![Value::Int(i % 10)]),
+            ("d1", "p_ff", vec![]),
+            ("d2", "q_bf", vec![Value::Int(i % 10)]),
+            ("d2", "q_fb", vec![Value::Int(i % 10)]),
+            ("d2", "q_ff", vec![]),
+        ] {
+            let call = GroundCall::new(domain, function, args);
+            let t_all = 5.0 + (i % 7) as f64;
+            trained.record(&call, Some(1.0), Some(t_all), Some(3.0), SimInstant::EPOCH);
+        }
+    }
+    bench(
+        "choose_join_plans",
+        || (),
+        |_| choose_plan(&plans, &trained, &CostConfig::default(), false),
     );
 }
 

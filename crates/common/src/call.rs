@@ -260,13 +260,15 @@ impl CallPattern {
 
     /// The constants, in position order (the DCSM table row key).
     pub fn const_values(&self) -> Vec<Value> {
-        self.args
-            .iter()
-            .filter_map(|a| match a {
-                PatArg::Const(v) => Some(v.clone()),
-                PatArg::Bound => None,
-            })
-            .collect()
+        self.constants().cloned().collect()
+    }
+
+    /// The constants, in position order, borrowed.
+    pub fn constants(&self) -> impl Iterator<Item = &Value> {
+        self.args.iter().filter_map(|a| match a {
+            PatArg::Const(v) => Some(v),
+            PatArg::Bound => None,
+        })
     }
 }
 

@@ -102,7 +102,25 @@ fn step_cardinality(target: &Term, estimated: f64, bound: &mut BTreeSet<Arc<str>
     card.max(0.0)
 }
 
-/// The §7 estimate for `plan`, as a complete cost vector.
+/// True if two call steps ask the DCSM the same pattern: same function,
+/// variables at the same positions, and equal constants of the same
+/// variant elsewhere (so a source estimator that tells `1` from `1.0`
+/// still sees what it was asked).
+fn same_pattern(a: &CallTemplate, b: &CallTemplate) -> bool {
+    a.domain == b.domain
+        && a.function == b.function
+        && a.args.len() == b.args.len()
+        && a.args.iter().zip(&b.args).all(|pair| match pair {
+            (Term::Var(_), Term::Var(_)) => true,
+            (Term::Const(x), Term::Const(y)) => {
+                std::mem::discriminant(x) == std::mem::discriminant(y) && x == y
+            }
+            _ => false,
+        })
+}
+
+/// The §7 estimate for `plan`, as a complete cost vector. Asks the DCSM
+/// once per call step; [`choose_plan`] asks once per distinct pattern.
 ///
 /// Generic over the cost source, so a plain `Dcsm` and a `ShardedDcsm`
 /// (including `dyn DcsmView`) both plug in unchanged.
@@ -111,6 +129,17 @@ pub fn estimate_plan<C: CostSource + ?Sized>(
     dcsm: &C,
     config: &CostConfig,
 ) -> CostVector {
+    fold_plan(plan, config, |call| dcsm.cost(&step_pattern(call)).vector)
+}
+
+/// The §7 fold of `plan`'s steps into one cost vector, with each call
+/// step priced by `call_cost` (a complete vector).
+fn fold_plan<'p>(
+    plan: &'p Plan,
+    config: &CostConfig,
+    mut call_cost: impl FnMut(&'p CallTemplate) -> CostVector,
+) -> CostVector {
+    let complete = |v: Option<f64>| v.expect("a DCSM estimate is complete");
     let mut bound: BTreeSet<Arc<str>> = BTreeSet::new();
     let mut t_first = 0.0f64;
     let mut t_all = 0.0f64;
@@ -138,9 +167,9 @@ pub fn estimate_plan<C: CostSource + ?Sized>(
                 let PlanStep::Call { target, call, .. } = &plan.steps[idx] else {
                     continue;
                 };
-                let est = dcsm.cost(&step_pattern(call));
-                durations.push(est.t_all_ms());
-                prefix_card *= step_cardinality(target, est.cardinality(), &mut bound);
+                let est = call_cost(call);
+                durations.push(complete(est.t_all_ms));
+                prefix_card *= step_cardinality(target, complete(est.cardinality), &mut bound);
             }
             let t_group = overlap_makespan(
                 &durations,
@@ -154,10 +183,10 @@ pub fn estimate_plan<C: CostSource + ?Sized>(
         }
         match &plan.steps[i] {
             PlanStep::Call { target, call, .. } => {
-                let est = dcsm.cost(&step_pattern(call));
-                t_all += prefix_card * est.t_all_ms();
-                t_first += est.t_first_ms();
-                prefix_card *= step_cardinality(target, est.cardinality(), &mut bound);
+                let est = call_cost(call);
+                t_all += prefix_card * complete(est.t_all_ms);
+                t_first += complete(est.t_first_ms);
+                prefix_card *= step_cardinality(target, complete(est.cardinality), &mut bound);
             }
             PlanStep::Facts { args, rows, .. } => {
                 // Exact: count rows compatible with the constant positions.
@@ -219,15 +248,30 @@ pub fn estimate_plan<C: CostSource + ?Sized>(
 /// Picks the cheapest plan for the given mode: all-answers mode minimizes
 /// `T_all`, interactive (first-answer) mode minimizes `T_first`. Returns
 /// the winning index and the per-plan estimates.
+///
+/// The plans of one query share a handful of call patterns, so the DCSM
+/// is asked once per distinct pattern, in order of first appearance, and
+/// every plan is folded from those answers. The estimates are
+/// [`estimate_plan`]'s, bit for bit; one choice also reads each pattern's
+/// statistics at one moment, even while other threads record.
 pub fn choose_plan<C: CostSource + ?Sized>(
     plans: &[Plan],
     dcsm: &C,
     config: &CostConfig,
     optimize_first_answer: bool,
 ) -> (usize, Vec<CostVector>) {
+    let mut priced: Vec<(&CallTemplate, CostVector)> = Vec::new();
+    let mut call_cost = |call| {
+        if let Some((_, v)) = priced.iter().find(|(seen, _)| same_pattern(seen, call)) {
+            return *v;
+        }
+        let v = dcsm.cost(&step_pattern(call)).vector;
+        priced.push((call, v));
+        v
+    };
     let estimates: Vec<CostVector> = plans
         .iter()
-        .map(|p| estimate_plan(p, dcsm, config))
+        .map(|p| fold_plan(p, config, &mut call_cost))
         .collect();
     let key = |v: &CostVector| {
         if optimize_first_answer {

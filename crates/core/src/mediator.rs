@@ -548,7 +548,9 @@ impl Mediator {
     /// not an error (a fresh deployment); a malformed file is, and then
     /// nothing of either file is loaded. The saved answers are loaded into
     /// this mediator's own cache, so its byte budget and registered
-    /// ordered indexes apply to them.
+    /// ordered indexes apply to them. The saved statistics replace the
+    /// ones held (see [`hermes_dcsm::Dcsm::load_db`]), so loading the same
+    /// state twice is loading it once.
     pub fn load_state(&mut self, dir: &std::path::Path) -> Result<()> {
         let stats_path = dir.join("stats.db");
         let db = stats_path
@@ -560,7 +562,7 @@ impl Mediator {
             self.with_cim(|cim| hermes_cim::persist::load_from_path(&cache_path, cim.cache_mut()))?;
         }
         if let Some(db) = db {
-            self.with_dcsm(|dcsm| dcsm.replay_db(&db));
+            self.with_dcsm(|dcsm| dcsm.load_db(&db));
         }
         Ok(())
     }
@@ -612,7 +614,7 @@ mod tests {
     use super::*;
     use crate::tier::TierReason;
     use crate::trace::TraceEvent;
-    use hermes_common::{GroundCall, Value};
+    use hermes_common::{CallPattern, GroundCall, Value};
     use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
     use hermes_domains::Domain;
     use hermes_lang::parse_invariant;
@@ -983,6 +985,58 @@ mod tests {
                 }
             })
         });
+    }
+
+    #[test]
+    fn loading_a_state_twice_is_loading_it_once() {
+        let dir =
+            std::env::temp_dir().join(format!("hermes-mediator-twice-{}", std::process::id()));
+        let observe = |m: &Mediator, keys: &[usize]| {
+            m.with_dcsm(|dcsm| {
+                for (i, k) in keys.iter().enumerate() {
+                    let call = GroundCall::new("d1", "p_bf", vec![Value::str(format!("p_{k}"))]);
+                    let t_all = Some(2.0 + 0.7 * i as f64);
+                    dcsm.record(&call, Some(1.0), t_all, Some(3.0), SimInstant::EPOCH);
+                }
+            })
+        };
+        let mut saved = mediator();
+        saved.query("?- item(A, B).").unwrap();
+        observe(&saved, &[1, 2, 1, 5, 3, 2]);
+        saved.save_state(&dir).unwrap();
+        let probes: Vec<CallPattern> = ["p_1", "p_3"]
+            .into_iter()
+            .flat_map(|key| {
+                let call = GroundCall::new("d1", "p_bf", vec![Value::str(key)]);
+                [call.pattern(), call.blanket_pattern()]
+            })
+            .chain([GroundCall::new("d1", "p_ff", vec![]).pattern()])
+            .collect();
+        // Each loader also learned something of its own first, and keeps a
+        // summary table that online updates fill.
+        let loaded = |times: usize| {
+            let mut m = mediator();
+            observe(&m, &[7, 1]);
+            m.with_dcsm(|dcsm| dcsm.build_lossless("d1", "p_bf"));
+            for _ in 0..times {
+                m.load_state(&dir).unwrap();
+            }
+            let costs: Vec<_> = m.with_dcsm(|dcsm| {
+                let bits = |v: CostVector| {
+                    [v.t_first_ms, v.t_all_ms, v.cardinality].map(|x| x.map(f64::to_bits))
+                };
+                probes.iter().map(|p| bits(dcsm.cost(p).vector)).collect()
+            });
+            (m.dcsm().records(), costs)
+        };
+        let once = loaded(1);
+        assert_eq!(
+            once.0,
+            saved.dcsm().records(),
+            "the saved statistics replace the held ones"
+        );
+        assert_eq!(loaded(2), once);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

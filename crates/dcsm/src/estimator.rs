@@ -6,7 +6,7 @@ use crate::summary::SummaryTable;
 use crate::vectordb::CostVectorDb;
 use hermes_common::{CallPattern, GroundCall, PatternShape, SimInstant};
 use hermes_domains::NativeEstimator;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Configuration of the module.
@@ -256,10 +256,18 @@ impl Dcsm {
         (created, dropped)
     }
 
-    /// Replays every record of `db` into this DCSM (detail and/or online
-    /// table updates, per configuration) — how persisted statistics are
-    /// re-adopted after a restart.
-    pub fn replay_db(&mut self, db: &CostVectorDb) {
+    /// Replaces the statistics this DCSM holds — the detail and every
+    /// summary table's rows — with the records of `db`, replayed as
+    /// [`Dcsm::record`] takes them (detail and/or online table updates,
+    /// per configuration). Table shapes, registered external estimators
+    /// and the configuration stay. This is how persisted statistics are
+    /// adopted after a restart; adopting the same `db` twice is adopting
+    /// it once.
+    pub fn load_db(&mut self, db: &CostVectorDb) {
+        self.db = CostVectorDb::new();
+        for table in self.tables.values_mut() {
+            *table = SummaryTable::new(table.shape.clone());
+        }
         for (domain, function) in db.functions() {
             for r in db.records_for(&domain, &function) {
                 self.record(
@@ -314,11 +322,19 @@ impl Dcsm {
     /// 1. Ask the domain's external estimator, if registered; a complete
     ///    answer wins outright.
     /// 2. Walk the relaxation lattice from the asked pattern, most
-    ///    specific first (breadth-first, so fewer `$b`s are preferred):
-    ///    at each pattern, probe the summary table of its exact shape,
-    ///    then (if detail is kept) aggregate matching detail records.
+    ///    specific first (breadth-first, so fewer `$b`s are preferred;
+    ///    ties in [`CallPattern::relaxations`] order): at each pattern,
+    ///    probe the summary table of its exact shape, then (if detail is
+    ///    kept) aggregate matching detail records. The asked pattern is
+    ///    probed before any of the walk is built, so an estimate found
+    ///    there allocates nothing.
     /// 3. Missing components are filled from the external hint, then the
     ///    prior.
+    ///
+    /// Every call counts one lookup of the pattern's shape for table
+    /// maintenance. The planner's `choose_plan` asks once per distinct
+    /// pattern of a plan choice, so that is what the counts measure — not
+    /// one per plan step.
     pub fn cost(&self, pattern: &CallPattern) -> EstimateOutcome {
         self.tracker.lock().touch(pattern);
         let hint = self
@@ -341,49 +357,9 @@ impl Dcsm {
         }
 
         let mut lookup_work = 0usize;
-        let mut queue: VecDeque<(CallPattern, usize)> = VecDeque::new();
-        let mut visited: std::collections::HashSet<CallPattern> = Default::default();
-        queue.push_back((pattern.clone(), 0));
-        visited.insert(pattern.clone());
-
-        let mut found: Option<(CostVector, EstimateSource)> = None;
-        while let Some((p, relaxations)) = queue.pop_front() {
-            // Probe the summary table of this exact shape.
-            if let Some(table) = self.tables.get(&p.shape()) {
-                lookup_work += 1;
-                if let Some(row) = table.lookup(&p) {
-                    found = Some((
-                        row.vector(),
-                        EstimateSource::Summary {
-                            shape: p.shape(),
-                            relaxations,
-                        },
-                    ));
-                    break;
-                }
-            }
-            // Fall back to detail aggregation at this level.
-            if self.config.keep_detail {
-                let (v, matched) = self.db.aggregate(&p);
-                lookup_work += matched;
-                if matched > 0 {
-                    found = Some((
-                        v,
-                        EstimateSource::Detail {
-                            records: matched,
-                            relaxations,
-                        },
-                    ));
-                    break;
-                }
-            }
-            for r in p.relaxations() {
-                if visited.insert(r.clone()) {
-                    queue.push_back((r, relaxations + 1));
-                }
-            }
-        }
-
+        let found = self
+            .probe(pattern, 0, &mut lookup_work)
+            .or_else(|| self.relax(pattern, &mut lookup_work));
         let (vector, source) = match found {
             Some((v, s)) => (v, s),
             None => (CostVector::default(), EstimateSource::Prior),
@@ -399,6 +375,64 @@ impl Dcsm {
             source,
             lookup_work,
         }
+    }
+
+    /// One node of the §6.3 walk: the summary table of `p`'s exact shape,
+    /// then (if detail is kept) the detail records `p` matches.
+    fn probe(
+        &self,
+        p: &CallPattern,
+        relaxations: usize,
+        lookup_work: &mut usize,
+    ) -> Option<(CostVector, EstimateSource)> {
+        if !self.tables.is_empty() {
+            if let Some(table) = self.tables.get(&p.shape()) {
+                *lookup_work += 1;
+                if let Some(row) = table.lookup(p) {
+                    let source = EstimateSource::Summary {
+                        shape: table.shape.clone(),
+                        relaxations,
+                    };
+                    return Some((row.vector(), source));
+                }
+            }
+        }
+        if self.config.keep_detail {
+            let (v, matched) = self.db.aggregate(p);
+            *lookup_work += matched;
+            if matched > 0 {
+                let source = EstimateSource::Detail {
+                    records: matched,
+                    relaxations,
+                };
+                return Some((v, source));
+            }
+        }
+        None
+    }
+
+    /// The §6.3 walk below `pattern`, once `pattern` itself has missed:
+    /// breadth-first by relaxation count, ties in
+    /// [`CallPattern::relaxations`] order, each pattern probed once.
+    fn relax(
+        &self,
+        pattern: &CallPattern,
+        lookup_work: &mut usize,
+    ) -> Option<(CostVector, EstimateSource)> {
+        let mut queue: VecDeque<(CallPattern, usize)> =
+            pattern.relaxations().into_iter().map(|r| (r, 1)).collect();
+        let mut visited: HashSet<CallPattern> = queue.iter().map(|(r, _)| r.clone()).collect();
+        while let Some((p, relaxations)) = queue.pop_front() {
+            if let Some(found) = self.probe(&p, relaxations, lookup_work) {
+                return Some(found);
+            }
+            for r in p.relaxations() {
+                if visited.insert(r.clone()) {
+                    queue.push_back((r, relaxations + 1));
+                }
+            }
+        }
+        None
     }
 
     /// Estimated saving, in milliseconds, from materializing a subplan with
@@ -702,6 +736,218 @@ mod tests {
             dropped.is_empty(),
             "blanket table must survive: {dropped:?}"
         );
+    }
+
+    // ------------------------------------- the walk against its reference
+
+    use crate::DETAIL_WINDOW;
+    use hermes_common::Rng64;
+
+    /// The §6.3 walk as one breadth-first loop from the asked pattern,
+    /// the way [`Dcsm::cost`] read before the asked pattern got a probe of
+    /// its own. `cost` must equal it in every field, bit for bit.
+    fn reference_cost(d: &Dcsm, pattern: &CallPattern) -> EstimateOutcome {
+        let hint = d
+            .external
+            .get(&pattern.domain)
+            .and_then(|e| e.estimate(pattern))
+            .map(|h| CostVector {
+                t_first_ms: h.t_first_ms,
+                t_all_ms: h.t_all_ms,
+                cardinality: h.cardinality,
+            });
+        if let Some(h) = hint.filter(CostVector::is_complete) {
+            return EstimateOutcome {
+                vector: h,
+                source: EstimateSource::External,
+                lookup_work: 0,
+            };
+        }
+        let mut lookup_work = 0usize;
+        let mut queue = VecDeque::from([(pattern.clone(), 0)]);
+        let mut visited = HashSet::from([pattern.clone()]);
+        let mut found: Option<(CostVector, EstimateSource)> = None;
+        while let Some((p, relaxations)) = queue.pop_front() {
+            if let Some(table) = d.tables.get(&p.shape()) {
+                lookup_work += 1;
+                if let Some(row) = table.lookup(&p) {
+                    let shape = p.shape();
+                    found = Some((row.vector(), EstimateSource::Summary { shape, relaxations }));
+                    break;
+                }
+            }
+            if d.config.keep_detail {
+                let (v, matched) = d.db.aggregate(&p);
+                lookup_work += matched;
+                if matched > 0 {
+                    let records = matched;
+                    found = Some((
+                        v,
+                        EstimateSource::Detail {
+                            records,
+                            relaxations,
+                        },
+                    ));
+                    break;
+                }
+            }
+            for r in p.relaxations() {
+                if visited.insert(r.clone()) {
+                    queue.push_back((r, relaxations + 1));
+                }
+            }
+        }
+        let (vector, source) = found.unwrap_or((CostVector::default(), EstimateSource::Prior));
+        let vector = hint.map_or(vector, |h| vector.or(&h));
+        EstimateOutcome {
+            vector: vector.or(&d.config.default_prior),
+            source,
+            lookup_work,
+        }
+    }
+
+    /// Knows only the cardinality, and only of one- and two-place calls.
+    struct PartialHint;
+    impl NativeEstimator for PartialHint {
+        fn estimate(&self, p: &CallPattern) -> Option<CostHint> {
+            (1..=2).contains(&p.arity()).then_some(CostHint {
+                t_first_ms: None,
+                t_all_ms: None,
+                cardinality: Some(4.5),
+            })
+        }
+    }
+
+    /// How a scenario's DCSM keeps its statistics.
+    #[derive(Clone, Copy, Debug)]
+    enum Keeping {
+        DetailOnly,
+        TablesAndDetail,
+        /// Tables built from detail, then the detail of half the
+        /// functions dropped.
+        TablesDetailDropped,
+        /// `keep_detail: false`: tables filled by online updates only.
+        TablesOnly,
+    }
+
+    /// `d:f<arity>` for arities 0–3, plus `d:big/2`, which folds.
+    const FUNCTIONS: [(&str, usize); 5] = [("f0", 0), ("f1", 1), ("f2", 2), ("f3", 3), ("big", 2)];
+
+    fn random_call(rng: &mut Rng64, function: &str, arity: usize) -> GroundCall {
+        let arg = |rng: &mut Rng64| match rng.chance(0.7) {
+            true => Value::Int(rng.range_i64(0, 4)),
+            false => Value::str(["a", "b"][rng.range_usize(0, 2)]),
+        };
+        let args: Vec<Value> = (0..arity).map(|_| arg(rng)).collect();
+        GroundCall::new("d", function, args)
+    }
+
+    fn random_vector(rng: &mut Rng64) -> (Option<f64>, Option<f64>, Option<f64>) {
+        let mut component = || rng.chance(0.85).then(|| rng.range_f64(0.1, 40.0));
+        (component(), component(), component())
+    }
+
+    fn scenario(rng: &mut Rng64, keeping: Keeping, hint: bool) -> Dcsm {
+        let keep_detail = !matches!(keeping, Keeping::TablesOnly);
+        let mut d = Dcsm::with_config(DcsmConfig {
+            keep_detail,
+            ..DcsmConfig::default()
+        });
+        if hint {
+            d.register_external("d", Arc::new(PartialHint));
+        }
+        let lossy_masks = |rng: &mut Rng64, arity: usize| -> Vec<Vec<bool>> {
+            (0..2)
+                .map(|_| (0..arity).map(|_| rng.chance(0.5)).collect())
+                .collect()
+        };
+        if let Keeping::TablesOnly = keeping {
+            for (function, arity) in FUNCTIONS {
+                d.ensure_table(PatternShape::new("d", function, vec![true; arity]));
+                for mask in lossy_masks(rng, arity) {
+                    d.ensure_table(PatternShape::new("d", function, mask));
+                }
+            }
+        }
+        for (function, arity) in FUNCTIONS {
+            let n = match function {
+                "big" => 2 * DETAIL_WINDOW + rng.range_usize(1, 300),
+                _ => rng.range_usize(0, 60),
+            };
+            for _ in 0..n {
+                let call = random_call(rng, function, arity);
+                let (t_first, t_all, card) = random_vector(rng);
+                d.record(&call, t_first, t_all, card, SimInstant::EPOCH);
+            }
+        }
+        if let Keeping::TablesAndDetail | Keeping::TablesDetailDropped = keeping {
+            for (function, arity) in FUNCTIONS {
+                if rng.chance(0.7) {
+                    d.build_lossless("d", function);
+                }
+                for mask in lossy_masks(rng, arity) {
+                    d.build_lossy("d", function, mask);
+                }
+                if matches!(keeping, Keeping::TablesDetailDropped) && rng.chance(0.5) {
+                    d.drop_detail("d", function);
+                }
+            }
+        }
+        d
+    }
+
+    /// A pattern of `function`: each position a `$b`, a seen constant, or
+    /// one of at most two constants never recorded (each forces one more
+    /// relaxation).
+    fn random_pattern(rng: &mut Rng64, function: &str, arity: usize) -> CallPattern {
+        let seen = random_call(rng, function, arity);
+        let mut unseen = rng.range_usize(0, 3);
+        let args = seen.args.iter().map(|v| {
+            if unseen > 0 && rng.chance(0.4) {
+                unseen -= 1;
+                return PatArg::Const(Value::Int(100 + unseen as i64));
+            }
+            match rng.chance(0.6) {
+                true => PatArg::Const(v.clone()),
+                false => PatArg::Bound,
+            }
+        });
+        CallPattern::new("d", function, args.collect())
+    }
+
+    fn outcome_bits(o: &EstimateOutcome) -> ([Option<u64>; 3], EstimateSource, usize) {
+        let v = o.vector;
+        let bits = [v.t_first_ms, v.t_all_ms, v.cardinality].map(|x| x.map(f64::to_bits));
+        (bits, o.source.clone(), o.lookup_work)
+    }
+
+    #[test]
+    fn cost_is_the_reference_walk_bit_for_bit() {
+        let mut rng = Rng64::new(0x63_0001);
+        let keepings = [
+            Keeping::DetailOnly,
+            Keeping::TablesAndDetail,
+            Keeping::TablesDetailDropped,
+            Keeping::TablesOnly,
+        ];
+        let mut relaxed = [0usize; 3];
+        for round in 0..16 {
+            let keeping = keepings[round % keepings.len()];
+            let d = scenario(&mut rng, keeping, round % 8 >= 4);
+            for _ in 0..150 {
+                let (function, arity) = FUNCTIONS[rng.range_usize(0, FUNCTIONS.len())];
+                let p = random_pattern(&mut rng, function, arity);
+                let want = outcome_bits(&reference_cost(&d, &p));
+                assert_eq!(outcome_bits(&d.cost(&p)), want, "{keeping:?}: {p}");
+                if let EstimateSource::Summary { relaxations, .. }
+                | EstimateSource::Detail { relaxations, .. } = want.1
+                {
+                    relaxed[relaxations.min(2)] += 1;
+                }
+            }
+        }
+        // The probes reach the first node, one relaxation and two.
+        assert!(relaxed.iter().all(|&n| n > 50), "{relaxed:?}");
     }
 
     #[test]

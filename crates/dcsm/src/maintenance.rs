@@ -11,9 +11,11 @@
 //!   decide which tables are needed very frequently … alternatively, drop
 //!   the tables that are not accessed very often."
 
-use hermes_common::{CallPattern, PatternShape};
+use crate::vectordb::with_stack_slice;
+use hermes_common::{CallPattern, PatArg, PatternShape};
 use hermes_lang::{BodyAtom, Program, Term};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Computes, for `domain:function/arity`, which argument positions can
 /// ever be a *known constant* at planning time in `program` (Example 6.2).
@@ -117,10 +119,20 @@ pub fn droppable_dimensions(
 
 /// Counts cost-estimator lookups per pattern shape, to drive table
 /// creation/dropping decisions.
+///
+/// A lookup is one [`Dcsm::cost`](crate::Dcsm::cost) call. The planner
+/// prices each distinct call pattern once per plan choice, so a shape is
+/// counted once per choice that asks for it, however many of the choice's
+/// plans contain it.
 #[derive(Clone, Debug, Default)]
 pub struct AccessTracker {
-    counts: HashMap<PatternShape, u64>,
+    /// Lookups by domain, then function, then constant mask — nested so
+    /// that a shape seen before is found from a pattern's borrowed parts.
+    counts: HashMap<Arc<str>, HashMap<Arc<str>, MaskCounts>>,
 }
+
+/// One function's lookups per constant mask.
+type MaskCounts = HashMap<Vec<bool>, u64>;
 
 impl AccessTracker {
     /// An empty tracker.
@@ -128,25 +140,48 @@ impl AccessTracker {
         AccessTracker::default()
     }
 
-    /// Notes one lookup of `pattern`.
+    /// Notes one lookup of `pattern`; allocates only for a shape it has
+    /// not seen.
     pub fn touch(&mut self, pattern: &CallPattern) {
-        *self.counts.entry(pattern.shape()).or_default() += 1;
+        let mask = || pattern.args.iter().map(|a| matches!(a, PatArg::Const(_)));
+        let masks = self
+            .counts
+            .get_mut(&pattern.domain)
+            .and_then(|functions| functions.get_mut(&pattern.function));
+        if let Some(masks) = masks {
+            let seen = with_stack_slice(mask(), || false, |key| masks.get_mut(key));
+            if let Some(count) = seen {
+                *count += 1;
+                return;
+            }
+        }
+        let masks = self.counts.entry(pattern.domain.clone()).or_default();
+        let counts = masks.entry(pattern.function.clone()).or_default();
+        *counts.entry(mask().collect()).or_default() += 1;
     }
 
     /// Lookups recorded for a shape.
     pub fn count(&self, shape: &PatternShape) -> u64 {
-        self.counts.get(shape).copied().unwrap_or(0)
+        self.counts
+            .get(&shape.domain)
+            .and_then(|functions| functions.get(&shape.function))
+            .and_then(|masks| masks.get(&shape.const_mask))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Shapes with at least `min_count` lookups, hottest first — the
     /// candidates worth materializing as summary tables.
     pub fn hot_shapes(&self, min_count: u64) -> Vec<(PatternShape, u64)> {
-        let mut v: Vec<_> = self
-            .counts
-            .iter()
-            .filter(|(_, c)| **c >= min_count)
-            .map(|(s, c)| (s.clone(), *c))
-            .collect();
+        let mut v = Vec::new();
+        for (domain, functions) in &self.counts {
+            for (function, masks) in functions {
+                for (mask, &c) in masks.iter().filter(|(_, c)| **c >= min_count) {
+                    let shape = PatternShape::new(domain.clone(), function.clone(), mask.clone());
+                    v.push((shape, c));
+                }
+            }
+        }
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v
     }

@@ -158,7 +158,7 @@ mod tests {
         // What a restart adopts is the window: its estimate is the
         // window's average, not the all-time one.
         let mut dcsm = Dcsm::new();
-        dcsm.replay_db(&loaded);
+        dcsm.load_db(&loaded);
         let blanket = CallPattern::new("d", "f", vec![PatArg::Bound]);
         assert_eq!(dcsm.db().aggregate(&blanket), db.aggregate_scan(&blanket));
         assert_ne!(dcsm.db().aggregate(&blanket), db.aggregate(&blanket));

@@ -216,6 +216,114 @@ mod tests {
         assert_eq!(owners, 1);
     }
 
+    /// Prices `plans` the way the planner's `choose_plan` does: one probe
+    /// per distinct pattern, in first-appearance order, each plan summed
+    /// from those answers. Returns the cheapest plan and every plan's
+    /// `T_all` bits.
+    fn choose(dcsm: &dyn CostSource, plans: &[Vec<CallPattern>]) -> (usize, Vec<u64>) {
+        let mut priced: Vec<(&CallPattern, f64)> = Vec::new();
+        let totals: Vec<f64> = plans
+            .iter()
+            .map(|plan| {
+                plan.iter()
+                    .map(|p| match priced.iter().find(|(seen, _)| *seen == p) {
+                        Some((_, t)) => *t,
+                        None => {
+                            let t = dcsm.cost(p).t_all_ms();
+                            priced.push((p, t));
+                            t
+                        }
+                    })
+                    .sum()
+            })
+            .collect();
+        let best = (0..totals.len())
+            .min_by(|&a, &b| totals[a].total_cmp(&totals[b]))
+            .unwrap_or(0);
+        (best, totals.into_iter().map(f64::to_bits).collect())
+    }
+
+    #[test]
+    fn choices_during_concurrent_records_end_where_a_serial_rerun_does() {
+        use hermes_common::{PatArg, Rng64};
+        // Each recorder owns its functions, so every function's records
+        // arrive in one order and a serial replay of the two logs builds
+        // the same cells.
+        let logs: Vec<Vec<(GroundCall, f64)>> = [("f", "g"), ("h", "k")]
+            .into_iter()
+            .enumerate()
+            .map(|(seed, functions)| {
+                let mut rng = Rng64::new(seed as u64);
+                (0..600)
+                    .map(|_| {
+                        let function = [functions.0, functions.1][rng.range_usize(0, 2)];
+                        (call(function, rng.range_i64(0, 6)), rng.range_f64(1.0, 9.0))
+                    })
+                    .collect()
+            })
+            .collect();
+        let plans: Vec<Vec<CallPattern>> = (0..6)
+            .map(|i| {
+                ["f", "g", "h", "k"]
+                    .iter()
+                    .cycle()
+                    .skip(i)
+                    .take(3)
+                    .enumerate()
+                    .map(|(j, f)| match j {
+                        0 => call(f, i as i64 % 7).pattern(),
+                        _ => CallPattern::new("d", *f, vec![PatArg::Bound]),
+                    })
+                    .collect()
+            })
+            .collect();
+        let sharded = ShardedDcsm::new(3);
+        let recording = std::sync::atomic::AtomicUsize::new(logs.len());
+        // Every thread starts at once, so choices overlap records.
+        let start = std::sync::Barrier::new(logs.len() + 4);
+        std::thread::scope(|s| {
+            for log in &logs {
+                let (sharded, recording, start) = (&sharded, &recording, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for (c, t_all) in log {
+                        sharded.record(c, Some(1.0), Some(*t_all), Some(2.0), SimInstant::EPOCH);
+                    }
+                    recording.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            for _ in 0..4 {
+                let (sharded, recording, plans, start) = (&sharded, &recording, &plans, &start);
+                s.spawn(move || {
+                    start.wait();
+                    loop {
+                        let done = recording.load(Ordering::SeqCst) == 0;
+                        let (best, totals) = choose(sharded, plans);
+                        assert!(best < plans.len());
+                        assert!(totals.iter().all(|t| f64::from_bits(*t).is_finite()));
+                        if done {
+                            break;
+                        }
+                    }
+                });
+            }
+        });
+        let mut serial = Dcsm::new();
+        for (c, t_all) in logs.iter().flatten() {
+            serial.record(c, Some(1.0), Some(*t_all), Some(2.0), SimInstant::EPOCH);
+        }
+        assert_eq!(sharded.records(), serial.db().len());
+        assert_eq!(choose(&sharded, &plans), choose(&serial, &plans));
+        let bits = |o: EstimateOutcome| {
+            let v = o.vector;
+            let vector = [v.t_first_ms, v.t_all_ms, v.cardinality].map(|x| x.map(f64::to_bits));
+            (vector, o.source, o.lookup_work)
+        };
+        for p in plans.iter().flatten() {
+            assert_eq!(bits(sharded.cost(p)), bits(serial.cost(p)), "{p}");
+        }
+    }
+
     #[test]
     fn from_dcsm_replays_detail_records() {
         let mut source = Dcsm::new();

@@ -40,7 +40,7 @@
 
 use crate::cost::CostVector;
 use hermes_common::sync::Mutex;
-use hermes_common::{CallPattern, GroundCall, PatArg, SimInstant, Value};
+use hermes_common::{CallPattern, GroundCall, SimInstant, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -170,6 +170,37 @@ impl FunctionStats {
     }
 }
 
+/// Items a probe key holds on the stack; a longer key is collected.
+const STACK_KEY: usize = 8;
+
+/// Runs `f` on `items` laid out as one slice, on the stack when there are
+/// at most [`STACK_KEY`] of them, so that a hash probe keyed by a
+/// pattern's projection allocates nothing (`HashMap<Vec<T>, _>` answers
+/// `get(&[T])`). `blank` fills the unused stack slots.
+pub(crate) fn with_stack_slice<T, R>(
+    items: impl IntoIterator<Item = T>,
+    blank: impl Fn() -> T,
+    f: impl FnOnce(&[T]) -> R,
+) -> R {
+    let mut buf: [T; STACK_KEY] = std::array::from_fn(|_| blank());
+    let mut items = items.into_iter();
+    let mut len = 0;
+    // `zip` takes a slot before an item, so no item is dropped at the end.
+    for (slot, item) in buf.iter_mut().zip(&mut items) {
+        *slot = item;
+        len += 1;
+    }
+    match items.next() {
+        None => f(&buf[..len]),
+        Some(more) => {
+            let mut spilled: Vec<T> = buf.into_iter().collect();
+            spilled.push(more);
+            spilled.extend(items);
+            f(&spilled)
+        }
+    }
+}
+
 /// The record's argument values at the mask's constant positions.
 fn project(args: &[Value], mask: u64) -> Vec<Value> {
     args.iter()
@@ -272,8 +303,9 @@ impl CostVectorDb {
     /// number of records aggregated.
     ///
     /// One hash probe against the shape index (built on first use for each
-    /// `$b`-mask); falls back to [`CostVectorDb::aggregate_scan`] only for
-    /// arities beyond the 64-bit mask.
+    /// `$b`-mask), keyed without allocating; falls back to
+    /// [`CostVectorDb::aggregate_scan`] only for arities beyond the 64-bit
+    /// mask.
     pub fn aggregate(&self, pattern: &CallPattern) -> (CostVector, usize) {
         let Some(mask) = pattern.mask_bits() else {
             return self.aggregate_scan(pattern);
@@ -281,19 +313,16 @@ impl CostVectorDb {
         let Some(stats) = self.stats_for(&pattern.domain, &pattern.function) else {
             return (CostVector::default(), 0);
         };
-        let key: Vec<Value> = pattern
-            .args
-            .iter()
-            .filter_map(|a| match a {
-                PatArg::Const(v) => Some(v.clone()),
-                PatArg::Bound => None,
-            })
-            .collect();
         let mut index = stats.index.lock();
         let cells = index.entry((mask, pattern.args.len())).or_insert_with(|| {
             FunctionStats::build_shape(&stats.records, mask, pattern.args.len())
         });
-        cells.get(&key).copied().unwrap_or_default().finish()
+        let cell = with_stack_slice(
+            pattern.constants().cloned(),
+            || Value::Null,
+            |key| cells.get(key).copied(),
+        );
+        cell.unwrap_or_default().finish()
     }
 
     /// The linear-scan reference implementation of
@@ -558,6 +587,15 @@ mod tests {
         let (sv, sn) = db.aggregate_scan(&p);
         assert_eq!(n, sn);
         assert_eq!(v.t_all_ms.map(f64::to_bits), sv.t_all_ms.map(f64::to_bits));
+    }
+
+    #[test]
+    fn a_stack_slice_holds_every_item_in_order_however_many() {
+        for n in [0, 1, STACK_KEY, STACK_KEY + 1, 3 * STACK_KEY] {
+            let items: Vec<Value> = (0..n as i64).map(Value::Int).collect();
+            let got = with_stack_slice(items.iter().cloned(), || Value::Null, <[Value]>::to_vec);
+            assert_eq!(got, items, "{n} items");
+        }
     }
 
     #[test]

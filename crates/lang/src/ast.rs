@@ -345,7 +345,10 @@ impl BodyAtom {
         };
         match self {
             BodyAtom::Pred(_) => true,
-            BodyAtom::In { call, .. } => call.variables().iter().all(|v| bound.contains(v)),
+            BodyAtom::In { call, .. } => call
+                .args
+                .iter()
+                .all(|t| t.as_var().is_none_or(|v| bound.contains(v))),
             BodyAtom::Cond(c) if c.op == Relop::Eq => {
                 let lhs_ok = ground(&c.lhs);
                 let rhs_ok = ground(&c.rhs);
@@ -367,9 +370,9 @@ impl BodyAtom {
         let mut out = BTreeSet::new();
         match self {
             BodyAtom::Pred(p) => {
-                for v in p.variables() {
-                    if !bound.contains(&v) {
-                        out.insert(v);
+                for v in p.args.iter().filter_map(Term::as_var) {
+                    if !bound.contains(v) {
+                        out.insert(v.clone());
                     }
                 }
             }

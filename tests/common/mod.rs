@@ -1,11 +1,16 @@
-//! Shared by the serving test files (`reactor.rs`, `netserve.rs`): the
-//! source wrapper that keeps source calls off the reactor thread, and the
-//! probe that shows every gate and tier permit came back.
+//! Shared by the serving test files (`reactor.rs`, `netserve.rs`) and
+//! `plan_parity.rs`: the source wrapper that keeps source calls off the
+//! reactor thread, the probe that shows every gate and tier permit came
+//! back, and a world of canned sources for any example program.
 #![allow(dead_code)] // each test file uses its own subset
 
+use hermes::common::Record;
 use hermes::core::{TierReason, TraceEvent};
 use hermes::domains::{CallOutcome, Domain, FunctionSig, NativeEstimator};
-use hermes::{ConcurrentMediator, GateConfig, HermesError, PlanTier, QueryRequest, Value};
+use hermes::net::profiles;
+use hermes::{
+    ConcurrentMediator, GateConfig, HermesError, Mediator, Network, PlanTier, QueryRequest, Value,
+};
 use std::sync::Arc;
 
 /// Wraps a source so that a call executed on the thread named
@@ -86,4 +91,49 @@ pub fn assert_permits_released(m: &ConcurrentMediator, query: &str) {
         );
     }
     m.set_gate(GateConfig::default());
+}
+
+/// A stand-in source for the example programs: every declared function
+/// answers two records that carry every field the example rules read.
+struct Canned {
+    name: String,
+    sigs: Vec<FunctionSig>,
+}
+
+impl Domain for Canned {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn functions(&self) -> Vec<FunctionSig> {
+        self.sigs.clone()
+    }
+
+    fn call(&self, function: &str, _args: &[Value]) -> hermes::Result<CallOutcome> {
+        const FIELDS: [&str; 7] = ["name", "loc", "part", "depot", "qty", "a", "b"];
+        let answers = (0..2).map(|i| {
+            let value = Value::str(format!("{function}{i}"));
+            Value::Record(Record::from_fields(FIELDS.map(|f| (f, value.clone()))))
+        });
+        Ok(CallOutcome::free(answers.collect()))
+    }
+}
+
+/// A mediator for an example program over canned sources, one per
+/// `%! domain NAME: f/arity, ...` line.
+pub fn example_world(src: &str) -> Mediator {
+    let mut net = Network::new(5);
+    for decl in src.lines().filter_map(|l| l.strip_prefix("%! domain ")) {
+        let (name, sigs) = decl.split_once(':').expect("NAME: sigs");
+        let sigs = sigs.split(',').map(|sig| {
+            let (function, arity) = sig.trim().split_once('/').expect("f/arity");
+            FunctionSig::new(function, arity.parse().expect("arity"), "canned")
+        });
+        let canned = Canned {
+            name: name.trim().to_string(),
+            sigs: sigs.collect(),
+        };
+        net.place(Arc::new(OffReactor::new(canned)), profiles::maryland());
+    }
+    Mediator::from_source(src, net).unwrap()
 }

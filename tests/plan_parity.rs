@@ -6,8 +6,14 @@
 //! checked program follows the installed one through re-registration and
 //! `to_concurrent`.
 
+mod common;
+
+use common::example_world;
 use hermes::analysis::parse_directives;
-use hermes::core::{choose_plan, enumerate_plans_with_pushdowns, PushdownRule};
+use hermes::core::{
+    choose_plan, enumerate_plans_with_pushdowns, estimate_plan, CostConfig, PushdownRule,
+};
+use hermes::dcsm::CostVector;
 use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes::net::profiles;
 use hermes::{parse_program, parse_query, CimPolicy, HermesError, Mediator, Network, QueryForm};
@@ -171,6 +177,114 @@ fn served(src: &str) -> Mediator {
     let mut net = Network::new(1);
     net.place(Arc::new(domain), profiles::cornell());
     Mediator::from_source(src, net).unwrap()
+}
+
+/// `choose_plan` prices each distinct call pattern of a choice once. It
+/// must pick the plan, and give every plan the estimate, that pricing each
+/// plan on its own with `estimate_plan` gives: the same index and
+/// bitwise-equal vectors, in both modes, sequential and overlapped.
+fn assert_choice_prices_plans_one_by_one(m: &Mediator, text: &str) {
+    let plans = m.plan_query(&parse_query(text).unwrap()).unwrap().plans;
+    let bits =
+        |v: &CostVector| [v.t_first_ms, v.t_all_ms, v.cardinality].map(|x| x.map(f64::to_bits));
+    for max_parallel_calls in [1, 3] {
+        let config = CostConfig {
+            max_parallel_calls,
+            ..m.config().cost
+        };
+        for first_answer in [false, true] {
+            let (chosen, estimates) = choose_plan(&plans, m.dcsm(), &config, first_answer);
+            let one_by_one: Vec<CostVector> = plans
+                .iter()
+                .map(|p| estimate_plan(p, m.dcsm(), &config))
+                .collect();
+            let key = |i: usize| {
+                let v = &one_by_one[i];
+                let t = if first_answer {
+                    v.t_first_ms
+                } else {
+                    v.t_all_ms
+                };
+                t.unwrap_or(f64::MAX)
+            };
+            let cheapest = (0..plans.len()).min_by(|&a, &b| key(a).total_cmp(&key(b)));
+            assert_eq!(chosen, cheapest.unwrap_or(0), "{text}: chosen plan");
+            let got: Vec<_> = estimates.iter().map(bits).collect();
+            let want: Vec<_> = one_by_one.iter().map(bits).collect();
+            assert_eq!(got, want, "{text}: estimates");
+        }
+    }
+}
+
+#[test]
+fn example_programs_choose_as_their_plans_price_one_by_one() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("examples/programs");
+    let mut compared = 0;
+    for entry in std::fs::read_dir(&dir).expect("examples/programs exists") {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "hms") {
+            continue;
+        }
+        let src = std::fs::read_to_string(&path).unwrap();
+        let forms = parse_directives(&src).unwrap().query_forms;
+        let queries: Vec<String> = forms.iter().map(query_for).collect();
+        // Statistics learned by running every form, cold then warm.
+        let mut m = example_world(&src);
+        for query in queries.iter().flat_map(|q| [q, q]) {
+            m.query(query.as_str()).unwrap();
+        }
+        assert!(m.dcsm().records() > 0, "{}", path.display());
+        for query in &queries {
+            assert_choice_prices_plans_one_by_one(&m, query);
+            compared += 1;
+        }
+    }
+    assert!(compared >= 10, "only {compared} queries compared");
+}
+
+#[test]
+fn the_benchmark_program_chooses_as_its_plans_price_one_by_one() {
+    // The benchmark's synthetic sites; `actors` has no source here, so its
+    // calls are priced from the prior.
+    let relations = |names: &[&str]| -> Vec<RelationSpec> {
+        let spec = |n: &&str| RelationSpec::uniform(*n, 8, 2.0);
+        names.iter().map(spec).collect()
+    };
+    let mut net = Network::new(1);
+    for (site, names) in [
+        ("d0", &["ra", "rc", "cold"][..]),
+        ("d1", &["rb"]),
+        ("m0", &["ra"]),
+    ] {
+        let domain = SyntheticDomain::generate(site, 42, &relations(names));
+        net.place(Arc::new(domain), profiles::cornell());
+    }
+    let mut m = Mediator::from_source(BENCHWORLD, net).unwrap();
+    let mut queries: Vec<String> = BENCHWORLD_FORMS
+        .iter()
+        .map(|f| query_for(&QueryForm::parse(f).unwrap()))
+        .collect();
+    for k in 0..6 {
+        queries.extend([
+            format!("?- star2('ra_{k}', 'rb_{k}', X)."),
+            format!("?- star3('ra_{k}', 'rb_{}', A3, X).", k + 1),
+            format!("?- d0_ra('ra_{k}', B)."),
+            format!("?- m0_ra('ra_{k}', B)."),
+            format!("?- d0_cold('cold_{k}', B)."),
+            format!("?- ja(A, {k})."),
+            // One function under two constants in every plan: the two
+            // steps are different patterns, however alike.
+            format!("?- d0_ra('ra_{k}', B) & d0_ra('ra_{}', C).", k + 1),
+            format!("?- star2('ra_{k}', 'rb_{k}', X) & ja('ra_{}', X).", k + 1),
+        ]);
+    }
+    for query in queries.iter().filter(|q| !q.contains("actors")) {
+        m.query(query.as_str()).unwrap();
+    }
+    assert!(m.dcsm().records() > 0);
+    for query in &queries {
+        assert_choice_prices_plans_one_by_one(&m, query);
+    }
 }
 
 const GOOD: &str = "item(A, B) :- in(B, d1:p_bf(A)).";

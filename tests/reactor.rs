@@ -9,12 +9,11 @@
 
 mod common;
 
-use common::{assert_permits_released, OffReactor};
+use common::{assert_permits_released, example_world, OffReactor};
 use hermes::analysis::parse_directives;
-use hermes::common::Record;
 use hermes::core::serve::{INLINE_BUDGET, PARKED_PER_WORKER};
 use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
-use hermes::domains::{CallOutcome, Domain, FunctionSig, SlowDomain};
+use hermes::domains::SlowDomain;
 use hermes::net::profiles;
 use hermes::{
     ConcurrentMediator, Frame, FrameDecoder, GateConfig, HermesError, Mediator, NetServer, Network,
@@ -601,51 +600,6 @@ fn assert_gate_counts_agree(served: &ConcurrentMediator, reference: &ConcurrentM
         (s.queries, s.admitted, s.shed, s.downgraded),
         (r.queries, r.admitted, r.shed, r.downgraded)
     );
-}
-
-/// A stand-in source for the example programs: every declared function
-/// answers two records that carry every field the example rules read.
-struct Canned {
-    name: String,
-    sigs: Vec<FunctionSig>,
-}
-
-impl Domain for Canned {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn functions(&self) -> Vec<FunctionSig> {
-        self.sigs.clone()
-    }
-
-    fn call(&self, function: &str, _args: &[Value]) -> hermes::Result<CallOutcome> {
-        const FIELDS: [&str; 7] = ["name", "loc", "part", "depot", "qty", "a", "b"];
-        let answers = (0..2).map(|i| {
-            let value = Value::str(format!("{function}{i}"));
-            Value::Record(Record::from_fields(FIELDS.map(|f| (f, value.clone()))))
-        });
-        Ok(CallOutcome::free(answers.collect()))
-    }
-}
-
-/// A mediator for an example program over canned sources, one per
-/// `%! domain NAME: f/arity, ...` line.
-fn example_world(src: &str) -> Mediator {
-    let mut net = Network::new(5);
-    for decl in src.lines().filter_map(|l| l.strip_prefix("%! domain ")) {
-        let (name, sigs) = decl.split_once(':').expect("NAME: sigs");
-        let sigs = sigs.split(',').map(|sig| {
-            let (function, arity) = sig.trim().split_once('/').expect("f/arity");
-            FunctionSig::new(function, arity.parse().expect("arity"), "canned")
-        });
-        let canned = Canned {
-            name: name.trim().to_string(),
-            sigs: sigs.collect(),
-        };
-        net.place(Arc::new(OffReactor::new(canned)), profiles::maryland());
-    }
-    Mediator::from_source(src, net).unwrap()
 }
 
 #[test]

@@ -34,394 +34,17 @@ use hermes_dcsm::DcsmView;
 use hermes_lang::{Relop, Subst, Term};
 use hermes_net::{Network, RemoteOutcome};
 use std::collections::{BTreeSet, HashMap};
-use std::fmt;
 use std::sync::Arc;
 
 /// A streaming answer sink: receives each answer binding and the elapsed
 /// virtual time; returning `false` stops the run.
 pub type AnswerSink<'s> = &'s mut dyn FnMut(&Subst, SimDuration) -> bool;
 
-/// Executor knobs.
-///
-/// The struct is `#[non_exhaustive]`: outside `hermes-core`, construct it
-/// with [`ExecConfig::builder`] (or start from [`ExecConfig::default`] and
-/// assign fields) so new knobs can be added without breaking callers.
-#[derive(Clone, Copy, Debug)]
-#[non_exhaustive]
-pub struct ExecConfig {
-    /// Issue the actual call concurrently with serving cached partial
-    /// answers (§4.1: "it is possible to make the actual domain call in
-    /// parallel whenever a partial answer set is obtained").
-    pub partial_parallel: bool,
-    /// Feed observed call costs into DCSM.
-    pub record_stats: bool,
-    /// Store completed CIM-routed calls into the answer cache.
-    pub store_results: bool,
-    /// Per-query memoization of identical ground calls (§7 footnote's
-    /// duplicate elimination; off by default to match assumption 3(b)).
-    pub memoize_calls: bool,
-    /// Simulated milliseconds per fact row scanned.
-    pub fact_row_ms: f64,
-    /// Collect a structured execution trace (off by default; costs an
-    /// allocation per event).
-    pub collect_trace: bool,
-    /// Extra attempts after a call finds its site unavailable (covers the
-    /// §1 "temporary unavailability" case when the cache cannot help).
-    /// `0` means **no retries**: the first unavailability is final.
-    pub retry_attempts: u32,
-    /// Base of the capped exponential backoff: retry `k` waits
-    /// `retry_backoff_ms * 2^(k-1)` simulated ms (plus jitter), capped at
-    /// [`retry_backoff_cap_ms`](Self::retry_backoff_cap_ms).
-    pub retry_backoff_ms: f64,
-    /// Ceiling on a single backoff sleep.
-    pub retry_backoff_cap_ms: f64,
-    /// Relative jitter added to each backoff sleep (`0.1` = up to +10%),
-    /// drawn from a seeded stream so runs stay deterministic.
-    pub retry_jitter_frac: f64,
-    /// Seed of the backoff-jitter stream.
-    pub retry_seed: u64,
-    /// Optional virtual-clock deadline, measured from the start of the
-    /// run and checked at every call boundary. When it fires, evaluation
-    /// unwinds cleanly: the answers produced so far are returned with
-    /// per-subgoal completeness provenance (strict mode instead fails
-    /// with [`HermesError::DeadlineExceeded`]).
-    pub deadline: Option<SimDuration>,
-    /// Fail deadline-exceeded runs with an error instead of returning
-    /// partial answers.
-    pub deadline_strict: bool,
-    /// Concurrent in-flight calls allowed when an *independence group* of
-    /// the plan (consecutive calls sharing no unbound variables) is
-    /// dispatched. `1` — the default — disables group dispatch entirely
-    /// and preserves the paper's sequential pipelined executor exactly;
-    /// `k > 1` overlaps up to `k` of a group's domain calls on the
-    /// virtual timeline.
-    pub max_parallel_calls: usize,
-    /// Within one dispatched group, let repeated `(site, function)` calls
-    /// piggyback on the first one's round trip: the repeats pay transfer
-    /// time but not connect + RTT.
-    pub batch_calls: bool,
-    /// Simulated mediator-side milliseconds to put one call of a
-    /// dispatched group in flight.
-    pub dispatch_overhead_ms: f64,
-    /// The plan tier this run starts at. `Full` — the default — is the
-    /// paper-exact executor; the cheaper tiers restrict which calls may
-    /// go over the wire (see [`crate::tier`]).
-    pub tier: PlanTier,
-    /// Optional per-query time budget on the virtual clock. Unlike a
-    /// deadline, burning through the budget does not abort: it steps the
-    /// active tier down one level (one-way) and re-arms. Pair it with a
-    /// larger `deadline` to guarantee the downgrade fires first.
-    pub budget: Option<SimDuration>,
-    /// Estimated `T_all` (DCSM, milliseconds) at or under which a remote
-    /// call still qualifies for the `CachedPlusCheapRemote` tier.
-    pub cheap_call_ms: f64,
-    /// Consult the subplan materialization cache ([`crate::matcache`]):
-    /// serve repeated plans from their materialized answers, coalesce
-    /// concurrent identical plans into one computation, and store
-    /// complete results for later queries. Off by default — the
-    /// paper-exact serial path recomputes every plan. Requires a cache
-    /// attached via [`Executor::with_matcache`]; a no-op without one.
-    pub share_subplans: bool,
-}
+mod config;
+mod stats;
 
-impl Default for ExecConfig {
-    fn default() -> Self {
-        ExecConfig {
-            partial_parallel: true,
-            record_stats: true,
-            store_results: true,
-            memoize_calls: false,
-            fact_row_ms: 0.002,
-            collect_trace: false,
-            retry_attempts: 0,
-            retry_backoff_ms: 500.0,
-            retry_backoff_cap_ms: 8_000.0,
-            retry_jitter_frac: 0.1,
-            retry_seed: 0x4245_4b45_5321,
-            deadline: None,
-            deadline_strict: false,
-            max_parallel_calls: 1,
-            batch_calls: true,
-            dispatch_overhead_ms: 0.05,
-            tier: PlanTier::Full,
-            budget: None,
-            cheap_call_ms: 250.0,
-            share_subplans: false,
-        }
-    }
-}
-
-impl ExecConfig {
-    /// A builder starting from [`ExecConfig::default`] — the only way to
-    /// construct a customized config outside `hermes-core`.
-    pub fn builder() -> ExecConfigBuilder {
-        ExecConfigBuilder {
-            config: ExecConfig::default(),
-        }
-    }
-}
-
-/// Builds an [`ExecConfig`]; obtain one via [`ExecConfig::builder`].
-#[derive(Clone, Copy, Debug)]
-pub struct ExecConfigBuilder {
-    config: ExecConfig,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $field:ident: $ty:ty),* $(,)?) => {
-        impl ExecConfigBuilder {
-            $(
-                $(#[$doc])*
-                pub fn $field(mut self, value: $ty) -> Self {
-                    self.config.$field = value;
-                    self
-                }
-            )*
-
-            /// Finishes the build.
-            pub fn build(self) -> ExecConfig {
-                self.config
-            }
-        }
-    };
-}
-
-builder_setters! {
-    /// See [`ExecConfig::partial_parallel`].
-    partial_parallel: bool,
-    /// See [`ExecConfig::record_stats`].
-    record_stats: bool,
-    /// See [`ExecConfig::store_results`].
-    store_results: bool,
-    /// See [`ExecConfig::memoize_calls`].
-    memoize_calls: bool,
-    /// See [`ExecConfig::fact_row_ms`].
-    fact_row_ms: f64,
-    /// See [`ExecConfig::collect_trace`].
-    collect_trace: bool,
-    /// See [`ExecConfig::retry_attempts`].
-    retry_attempts: u32,
-    /// See [`ExecConfig::retry_backoff_ms`].
-    retry_backoff_ms: f64,
-    /// See [`ExecConfig::retry_backoff_cap_ms`].
-    retry_backoff_cap_ms: f64,
-    /// See [`ExecConfig::retry_jitter_frac`].
-    retry_jitter_frac: f64,
-    /// See [`ExecConfig::retry_seed`].
-    retry_seed: u64,
-    /// See [`ExecConfig::deadline`].
-    deadline: Option<SimDuration>,
-    /// See [`ExecConfig::deadline_strict`].
-    deadline_strict: bool,
-    /// See [`ExecConfig::max_parallel_calls`].
-    max_parallel_calls: usize,
-    /// See [`ExecConfig::batch_calls`].
-    batch_calls: bool,
-    /// See [`ExecConfig::dispatch_overhead_ms`].
-    dispatch_overhead_ms: f64,
-    /// See [`ExecConfig::tier`].
-    tier: PlanTier,
-    /// See [`ExecConfig::budget`].
-    budget: Option<SimDuration>,
-    /// See [`ExecConfig::cheap_call_ms`].
-    cheap_call_ms: f64,
-    /// See [`ExecConfig::share_subplans`].
-    share_subplans: bool,
-}
-
-/// Execution counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Call steps entered (including repeats from backtracking).
-    pub calls_attempted: u64,
-    /// Calls that actually reached a source over the network.
-    pub actual_calls: u64,
-    /// CIM exact hits.
-    pub cim_exact: u64,
-    /// CIM equality-invariant hits.
-    pub cim_equal: u64,
-    /// CIM partial (subset-invariant) hits.
-    pub cim_partial: u64,
-    /// CIM misses.
-    pub cim_miss: u64,
-    /// Misses executed through an invariant substitute call.
-    pub substituted_calls: u64,
-    /// Calls answered from the per-query memo.
-    pub memo_hits: u64,
-    /// Actual calls skipped because the consumer stopped early.
-    pub cancelled_calls: u64,
-    /// Call attempts that found their site unavailable.
-    pub unavailable: u64,
-    /// Retries issued after unavailability.
-    pub retries: u64,
-    /// Bytes received from sources.
-    pub bytes: u64,
-    /// Breakers tripped open by consecutive failures.
-    pub breaker_trips: u64,
-    /// Calls short-circuited by an open breaker (no network time paid).
-    pub breaker_short_circuits: u64,
-    /// Probe calls admitted by half-open breakers.
-    pub breaker_probes: u64,
-    /// Breakers closed by a successful probe.
-    pub breaker_recoveries: u64,
-    /// Runs aborted by the deadline.
-    pub deadline_aborts: u64,
-    /// Actual calls whose answer set arrived truncated (injected fault).
-    pub truncated_calls: u64,
-    /// Independence groups dispatched concurrently.
-    pub parallel_groups: u64,
-    /// Calls put in flight as part of a dispatched group.
-    pub overlapped_calls: u64,
-    /// Group calls that piggybacked on an earlier call's round trip.
-    pub batched_calls: u64,
-    /// Simulated microseconds saved by overlap (serial sum − makespan).
-    pub overlap_saved_us: u64,
-    /// Calls that joined another query's identical in-flight call instead
-    /// of opening their own (single-flight followers).
-    pub calls_coalesced: u64,
-    /// Coalesced calls actually served by the leader's published outcome —
-    /// each one is a source round trip this query never paid. (A follower
-    /// whose leader failed falls back to its own call and saves nothing.)
-    pub round_trips_saved: u64,
-    /// Mid-execution tier downgrades fired by budget pressure.
-    pub tier_downgrades: u64,
-    /// Remote calls skipped because the active tier forbade them.
-    pub tier_skipped_calls: u64,
-    /// Runs served whole from a materialized subplan entry.
-    pub subplan_hits: u64,
-    /// Complete plan results admitted into the subplan cache.
-    pub subplans_materialized: u64,
-    /// Runs served by another query's in-flight subplan computation
-    /// (single-flight followers at the plan level).
-    pub subplans_coalesced: u64,
-    /// Complete plan results the subplan cache refused to admit
-    /// (admission price or byte budget).
-    pub subplan_rejections: u64,
-}
-
-impl ExecStats {
-    /// Adds `other`'s counters into `self` — used to carry the work a
-    /// failed plan attempt did into the result of the plan that finally
-    /// answered (failover must not make burned calls disappear).
-    pub fn absorb(&mut self, other: &ExecStats) {
-        self.calls_attempted += other.calls_attempted;
-        self.actual_calls += other.actual_calls;
-        self.cim_exact += other.cim_exact;
-        self.cim_equal += other.cim_equal;
-        self.cim_partial += other.cim_partial;
-        self.cim_miss += other.cim_miss;
-        self.substituted_calls += other.substituted_calls;
-        self.memo_hits += other.memo_hits;
-        self.cancelled_calls += other.cancelled_calls;
-        self.unavailable += other.unavailable;
-        self.retries += other.retries;
-        self.bytes += other.bytes;
-        self.breaker_trips += other.breaker_trips;
-        self.breaker_short_circuits += other.breaker_short_circuits;
-        self.breaker_probes += other.breaker_probes;
-        self.breaker_recoveries += other.breaker_recoveries;
-        self.deadline_aborts += other.deadline_aborts;
-        self.truncated_calls += other.truncated_calls;
-        self.parallel_groups += other.parallel_groups;
-        self.overlapped_calls += other.overlapped_calls;
-        self.batched_calls += other.batched_calls;
-        self.overlap_saved_us += other.overlap_saved_us;
-        self.calls_coalesced += other.calls_coalesced;
-        self.round_trips_saved += other.round_trips_saved;
-        self.tier_downgrades += other.tier_downgrades;
-        self.tier_skipped_calls += other.tier_skipped_calls;
-        self.subplan_hits += other.subplan_hits;
-        self.subplans_materialized += other.subplans_materialized;
-        self.subplans_coalesced += other.subplans_coalesced;
-        self.subplan_rejections += other.subplan_rejections;
-    }
-}
-
-/// Why part of a subgoal's answer set may be missing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum IncompleteReason {
-    /// The subgoal's site was unavailable and the cache could only serve
-    /// a prefix.
-    SiteUnavailable {
-        /// The unreachable site.
-        site: String,
-    },
-    /// An open circuit breaker short-circuited the subgoal's call.
-    BreakerOpen {
-        /// The isolated site.
-        site: String,
-    },
-    /// The query's deadline fired before the subgoal finished.
-    DeadlineExceeded,
-    /// The active plan tier forbade the subgoal's remote call: the query
-    /// was selected into (or downgraded to) a cheaper tier, and only the
-    /// cache could serve this subgoal. Distinct from `DeadlineExceeded` —
-    /// a downgrade is a deliberate fail-soft decision, not a timeout.
-    Downgraded,
-    /// An injected fault truncated the subgoal's answer set in flight.
-    Truncated {
-        /// The site whose answers were cut short.
-        site: String,
-    },
-}
-
-impl fmt::Display for IncompleteReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IncompleteReason::SiteUnavailable { site } => {
-                write!(f, "site `{site}` unavailable")
-            }
-            IncompleteReason::BreakerOpen { site } => {
-                write!(f, "breaker open for `{site}`")
-            }
-            IncompleteReason::DeadlineExceeded => write!(f, "deadline exceeded"),
-            IncompleteReason::Downgraded => {
-                write!(f, "downgraded to a cheaper plan tier")
-            }
-            IncompleteReason::Truncated { site } => {
-                write!(f, "answers truncated by `{site}`")
-            }
-        }
-    }
-}
-
-/// Completeness provenance for one call step of the plan: which subgoal,
-/// and every reason its contribution may be partial. Replaces a single
-/// query-wide boolean with an auditable per-subgoal account.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SubgoalProvenance {
-    /// The subgoal (rendered call template) this entry covers.
-    pub subgoal: String,
-    /// Gaps observed while evaluating it; empty means complete.
-    pub gaps: Vec<IncompleteReason>,
-}
-
-impl SubgoalProvenance {
-    /// True when no gaps were recorded for this subgoal.
-    pub fn complete(&self) -> bool {
-        self.gaps.is_empty()
-    }
-}
-
-/// The result of executing a plan.
-#[derive(Clone, Debug)]
-pub struct ExecOutcome {
-    /// Full variable bindings, one per answer, in production order.
-    pub answers: Vec<Subst>,
-    /// Time to the first answer (None if there were no answers).
-    pub t_first: Option<SimDuration>,
-    /// Time to completion (or to the stop point, in limited runs).
-    pub t_all: SimDuration,
-    /// Counters.
-    pub stats: ExecStats,
-    /// True when any subgoal's answers may be incomplete (derived from
-    /// `provenance`).
-    pub incomplete: bool,
-    /// Per-subgoal completeness provenance, one entry per call step.
-    pub provenance: Vec<SubgoalProvenance>,
-    /// The execution trace (empty unless `collect_trace` was set).
-    pub trace: Vec<TraceEntry>,
-}
+pub use config::{ExecConfig, ExecConfigBuilder};
+pub use stats::{ExecOutcome, ExecStats, IncompleteReason, SubgoalProvenance};
 
 struct RunState<'s> {
     answers: Vec<Subst>,

@@ -5,7 +5,7 @@
 //! invariant variables (§4), binding-pattern-compatible orderings (§5) —
 //! and a production mediator should reject bad configurations at load time,
 //! not at query time. This crate runs a series of passes over a
-//! [`Program`](hermes_lang::Program) (plus optional invariants, domain
+//! [`hermes_lang::Program`] (plus optional invariants, domain
 //! signatures, a DCSM, and CIM routing) and emits structured
 //! [`Diagnostic`]s with stable `HAxxx` codes:
 //!

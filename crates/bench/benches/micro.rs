@@ -23,7 +23,7 @@ const WARMUP: Duration = Duration::from_millis(200);
 const MEASURE: Duration = Duration::from_millis(800);
 const BATCHES: usize = 10;
 /// Rows a full run prints; `--test-mode` asserts it ran this many.
-const ROWS: usize = 21;
+const ROWS: usize = 22;
 
 /// `--test-mode`: run each row once instead of timing it.
 static TEST_MODE: AtomicBool = AtomicBool::new(false);
@@ -366,7 +366,7 @@ fn bench_rewriter() {
 }
 
 fn bench_executor() {
-    use hermes_core::{ExecConfig, Executor, Mediator};
+    use hermes_core::{ExecConfig, Executor, Mediator, PlanStep, Route};
     use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
     use hermes_net::{profiles, Network};
     use std::sync::Arc;
@@ -389,24 +389,41 @@ fn bench_executor() {
     let plan = planned.plan().clone();
     // Warm the cache.
     m.query("?- p('p_3', B).").unwrap();
+    // The same plan with every call routed past the CIM: the fetch path
+    // (wire call, charge schedule, iteration) a cache miss also takes.
+    let mut direct = plan.clone();
+    for step in &mut direct.steps {
+        if let PlanStep::Call { route, .. } = step {
+            *route = Route::Direct;
+        }
+    }
     // This micro-bench drives the Executor directly, bypassing the
     // mediator on purpose, over the one-shard server's state views.
     let server = m.to_concurrent(1);
-    bench(
-        "cached_query_wall_time",
-        || (),
-        |_| {
-            Executor::new(
-                server.network(),
-                server.cim(),
-                server.dcsm(),
-                hermes_common::SimClock::new(),
-                ExecConfig::builder().record_stats(false).build(),
-            )
-            .run(&plan, None)
-            .unwrap()
-        },
-    );
+    let config = ExecConfig {
+        record_stats: false,
+        ..ExecConfig::default()
+    };
+    for (name, plan) in [
+        ("cached_query_wall_time", &plan),
+        ("uncached_direct_call_wall_time", &direct),
+    ] {
+        bench(
+            name,
+            || (),
+            |_| {
+                Executor::new(
+                    server.network(),
+                    server.cim(),
+                    server.dcsm(),
+                    hermes_common::SimClock::new(),
+                    config,
+                )
+                .run(plan, None)
+                .unwrap()
+            },
+        );
+    }
 }
 
 fn bench_parser() {

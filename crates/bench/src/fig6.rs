@@ -129,10 +129,11 @@ pub fn run(seed: u64) -> Vec<Fig6Row> {
             &scratch_cim,
             m.dcsm(),
             SimClock::new(),
-            ExecConfig::builder()
-                .record_stats(false)
-                .store_results(false)
-                .build(),
+            ExecConfig {
+                record_stats: false,
+                store_results: false,
+                ..ExecConfig::default()
+            },
         )
         .run(&plan, None)
         .expect("measured query runs");

@@ -13,7 +13,7 @@
 //!   contiguous value range instead of a list.
 //!
 //! **Coherence invariant**: every path that adds or removes an entry goes
-//! through [`AnswerCache::attach`] / [`AnswerCache::remove_entry`], so the
+//! through `AnswerCache::attach` / `AnswerCache::remove_entry`, so the
 //! posting lists and ordered indexes always describe exactly the keys of
 //! the entry map — eviction, replacement, invalidation, and expiry can
 //! never leave a dangling index pointer.

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Each call step's `[T_first, T_all, Card]` comes from
-//! [`Dcsm::cost`] on the step's call *pattern* (constants stay constants,
+//! [`hermes_dcsm::Dcsm::cost`] on the step's call *pattern* (constants stay constants,
 //! variables become `$b`). Fact scans are costed exactly; conditions apply
 //! a configurable selectivity.
 

@@ -3,18 +3,10 @@
 use crate::tier::PlanTier;
 use hermes_common::SimDuration;
 
-/// Executor knobs.
-///
-/// The struct is `#[non_exhaustive]`: outside `hermes-core`, construct it
-/// with [`ExecConfig::builder`] (or start from [`ExecConfig::default`] and
-/// assign fields) so new knobs can be added without breaking callers.
+/// Executor knobs. Construct one as
+/// `ExecConfig { field: value, ..ExecConfig::default() }`.
 #[derive(Clone, Copy, Debug)]
-#[non_exhaustive]
 pub struct ExecConfig {
-    /// Issue the actual call concurrently with serving cached partial
-    /// answers (§4.1: "it is possible to make the actual domain call in
-    /// parallel whenever a partial answer set is obtained").
-    pub partial_parallel: bool,
     /// Feed observed call costs into DCSM.
     pub record_stats: bool,
     /// Store completed CIM-routed calls into the answer cache.
@@ -40,8 +32,6 @@ pub struct ExecConfig {
     /// Relative jitter added to each backoff sleep (`0.1` = up to +10%),
     /// drawn from a seeded stream so runs stay deterministic.
     pub retry_jitter_frac: f64,
-    /// Seed of the backoff-jitter stream.
-    pub retry_seed: u64,
     /// Optional virtual-clock deadline, measured from the start of the
     /// run and checked at every call boundary. When it fires, evaluation
     /// unwinds cleanly: the answers produced so far are returned with
@@ -90,7 +80,6 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            partial_parallel: true,
             record_stats: true,
             store_results: true,
             memoize_calls: false,
@@ -100,7 +89,6 @@ impl Default for ExecConfig {
             retry_backoff_ms: 500.0,
             retry_backoff_cap_ms: 8_000.0,
             retry_jitter_frac: 0.1,
-            retry_seed: 0x4245_4b45_5321,
             deadline: None,
             deadline_strict: false,
             max_parallel_calls: 1,
@@ -112,82 +100,4 @@ impl Default for ExecConfig {
             share_subplans: false,
         }
     }
-}
-
-impl ExecConfig {
-    /// A builder starting from [`ExecConfig::default`] — the only way to
-    /// construct a customized config outside `hermes-core`.
-    pub fn builder() -> ExecConfigBuilder {
-        ExecConfigBuilder {
-            config: ExecConfig::default(),
-        }
-    }
-}
-
-/// Builds an [`ExecConfig`]; obtain one via [`ExecConfig::builder`].
-#[derive(Clone, Copy, Debug)]
-pub struct ExecConfigBuilder {
-    config: ExecConfig,
-}
-
-macro_rules! builder_setters {
-    ($($(#[$doc:meta])* $field:ident: $ty:ty),* $(,)?) => {
-        impl ExecConfigBuilder {
-            $(
-                $(#[$doc])*
-                pub fn $field(mut self, value: $ty) -> Self {
-                    self.config.$field = value;
-                    self
-                }
-            )*
-
-            /// Finishes the build.
-            pub fn build(self) -> ExecConfig {
-                self.config
-            }
-        }
-    };
-}
-
-builder_setters! {
-    /// See [`ExecConfig::partial_parallel`].
-    partial_parallel: bool,
-    /// See [`ExecConfig::record_stats`].
-    record_stats: bool,
-    /// See [`ExecConfig::store_results`].
-    store_results: bool,
-    /// See [`ExecConfig::memoize_calls`].
-    memoize_calls: bool,
-    /// See [`ExecConfig::fact_row_ms`].
-    fact_row_ms: f64,
-    /// See [`ExecConfig::collect_trace`].
-    collect_trace: bool,
-    /// See [`ExecConfig::retry_attempts`].
-    retry_attempts: u32,
-    /// See [`ExecConfig::retry_backoff_ms`].
-    retry_backoff_ms: f64,
-    /// See [`ExecConfig::retry_backoff_cap_ms`].
-    retry_backoff_cap_ms: f64,
-    /// See [`ExecConfig::retry_jitter_frac`].
-    retry_jitter_frac: f64,
-    /// See [`ExecConfig::retry_seed`].
-    retry_seed: u64,
-    /// See [`ExecConfig::deadline`].
-    deadline: Option<SimDuration>,
-    /// See [`ExecConfig::deadline_strict`].
-    deadline_strict: bool,
-    /// See [`ExecConfig::max_parallel_calls`].
-    max_parallel_calls: usize,
-    /// See [`ExecConfig::batch_calls`].
-    batch_calls: bool,
-    /// See [`ExecConfig::dispatch_overhead_ms`].
-    dispatch_overhead_ms: f64,
-    /// See [`ExecConfig::tier`].
-    tier: PlanTier,
-    /// See [`ExecConfig::budget`].
-    budget: Option<SimDuration>,
-    /// See [`ExecConfig::cheap_call_ms`].
-    cheap_call_ms: f64,
-    /// See [`ExecConfig::share_subplans`].
-    share_subplans: bool,
 }

@@ -9,8 +9,7 @@
 //!   termination behave like the real pipelined system;
 //! * CIM-routed calls run the §4.1 pipeline: exact/equality hits answer
 //!   from the cache, subset (partial) hits yield the cached prefix fast
-//!   and issue the actual call *in parallel* on the virtual timeline
-//!   (configurable, for the Figure 5 ablation);
+//!   and issue the actual call *in parallel* on the virtual timeline;
 //! * completed actual calls feed the DCSM statistics cache and (for
 //!   CIM-routed calls) the answer cache, closing the feedback loop;
 //! * a source that is temporarily unavailable fails the query unless the
@@ -43,8 +42,11 @@ pub type AnswerSink<'s> = &'s mut dyn FnMut(&Subst, SimDuration) -> bool;
 mod config;
 mod stats;
 
-pub use config::{ExecConfig, ExecConfigBuilder};
+pub use config::ExecConfig;
 pub use stats::{ExecOutcome, ExecStats, IncompleteReason, SubgoalProvenance};
+
+/// Seed of the backoff-jitter stream.
+const RETRY_SEED: u64 = 0x4245_4b45_5321;
 
 struct RunState<'s> {
     answers: Vec<Subst>,
@@ -73,6 +75,68 @@ impl RunState<'_> {
                 gaps.push(reason);
             }
         }
+    }
+}
+
+/// The call step being evaluated: where the walk is, the bindings so far,
+/// the step's ground call, and the target its answers bind or probe.
+struct Step<'a> {
+    steps: &'a [PlanStep],
+    idx: usize,
+    theta: &'a Subst,
+    ground: &'a GroundCall,
+    target: &'a Term,
+    /// The target's value when it is already bound: answers are then
+    /// tested for membership instead of bound.
+    probe: Option<Value>,
+}
+
+/// What iterating an answer list charges on the virtual clock.
+#[derive(Clone, Copy)]
+enum Charge {
+    /// Nothing: cached, memoized and stale answers, and outcomes a group
+    /// dispatch parked (its barrier paid the makespan).
+    Free,
+    /// A fresh call's pipelined schedule: `first` before the first
+    /// answer, `per` before each later one.
+    Pipelined {
+        first: SimDuration,
+        per: SimDuration,
+    },
+}
+
+impl Charge {
+    /// The schedule of a fresh call's answers: `t_first`, then the rest
+    /// of `t_all` spread evenly.
+    fn of(outcome: &RemoteOutcome) -> Charge {
+        let n = outcome.answers.len() as u64;
+        let rest = outcome.t_all.saturating_sub(outcome.t_first).as_micros();
+        Charge::Pipelined {
+            first: outcome.t_first,
+            per: match n {
+                0 | 1 => SimDuration::ZERO,
+                _ => SimDuration::from_micros(rest / (n - 1)),
+            },
+        }
+    }
+
+    /// The time charged before answer `j`.
+    fn before(self, j: usize) -> SimDuration {
+        match self {
+            Charge::Free => SimDuration::ZERO,
+            Charge::Pipelined { first, .. } if j == 0 => first,
+            Charge::Pipelined { per, .. } => per,
+        }
+    }
+}
+
+/// The gap an `Unavailable` error leaves: an open breaker short-circuited
+/// the call, or the site itself was down.
+fn unavailable_gap(site: String, reason: &str) -> IncompleteReason {
+    if reason.contains("circuit breaker") {
+        IncompleteReason::BreakerOpen { site }
+    } else {
+        IncompleteReason::SiteUnavailable { site }
     }
 }
 
@@ -139,7 +203,7 @@ impl<'w> Executor<'w> {
             memo: HashMap::new(),
             trace: Vec::new(),
             breakers: None,
-            retry_rng: Rng64::new(config.retry_seed),
+            retry_rng: Rng64::new(RETRY_SEED),
             deadline_at: None,
             groups: HashMap::new(),
             prefetch: HashMap::new(),
@@ -481,35 +545,22 @@ impl<'w> Executor<'w> {
                     ))
                 })?;
                 self.stats.calls_attempted += 1;
-                let probe = theta.term(target);
-                self.run_call(
+                let step = Step {
                     steps,
                     idx,
                     theta,
-                    out,
-                    &ground,
-                    *route,
-                    probe.as_ref(),
+                    ground: &ground,
                     target,
-                )
+                    probe: theta.term(target),
+                };
+                self.run_call(&step, *route, out)
             }
         }
     }
 
     /// Executes one ground call and iterates its answers into the
     /// continuation.
-    #[allow(clippy::too_many_arguments)]
-    fn run_call(
-        &mut self,
-        steps: &[PlanStep],
-        idx: usize,
-        theta: &Subst,
-        out: &mut RunState,
-        ground: &GroundCall,
-        route: Route,
-        probe: Option<&Value>,
-        target: &Term,
-    ) -> Result<bool> {
+    fn run_call(&mut self, step: &Step, route: Route, out: &mut RunState) -> Result<bool> {
         // Budget check first: a budget is softer than a deadline, so with
         // both configured (budget < deadline) the downgrade fires before
         // the deadline ever can — degraded answers beat aborted ones.
@@ -519,70 +570,21 @@ impl<'w> Executor<'w> {
         // Deadline check at the call boundary: the cheapest safe point to
         // abort, because no partial per-call state exists here.
         if self.deadline_at.is_some_and(|d| self.clock.now() > d) {
-            return self.deadline_abort(idx, out);
+            return self.deadline_abort(step.idx, out);
         }
 
         // Per-query memo (§7 footnote duplicate elimination).
         if self.config.memoize_calls {
-            if let Some(answers) = self.memo.get(ground).cloned() {
+            if let Some(answers) = self.memo.get(step.ground).cloned() {
                 self.stats.memo_hits += 1;
-                return self.iterate(
-                    steps,
-                    idx,
-                    theta,
-                    out,
-                    &answers,
-                    SimDuration::ZERO,
-                    SimDuration::ZERO,
-                    probe,
-                    target,
-                );
+                return self.iterate(step, out, &answers, Charge::Free);
             }
         }
 
-        let result = match route {
-            Route::Direct => {
-                if let Some(outcome) = self.prefetched(idx, ground) {
-                    // The group dispatch already paid the overlapped
-                    // makespan: serve the parked answers at zero charge.
-                    self.note_truncation(out, idx, ground, &outcome);
-                    let truncated = outcome.truncated;
-                    // One shared allocation backs memo and iteration.
-                    let answers = outcome.answers;
-                    if self.config.memoize_calls && !truncated {
-                        self.memo.insert(ground.clone(), answers.clone());
-                    }
-                    self.iterate(
-                        steps,
-                        idx,
-                        theta,
-                        out,
-                        &answers,
-                        SimDuration::ZERO,
-                        SimDuration::ZERO,
-                        probe,
-                        target,
-                    )
-                } else if !self.tier_allows_wire(ground) {
-                    self.tier_skip(steps, idx, theta, out, ground, probe, target)
-                } else {
-                    let outcome = self.actual_call(ground)?;
-                    self.note_truncation(out, idx, ground, &outcome);
-                    let (first, per) = charge_schedule(&outcome);
-                    if outcome.answers.is_empty() {
-                        self.clock.advance(outcome.t_all);
-                    }
-                    let truncated = outcome.truncated;
-                    let answers = outcome.answers;
-                    if self.config.memoize_calls && !truncated {
-                        self.memo.insert(ground.clone(), answers.clone());
-                    }
-                    self.iterate(steps, idx, theta, out, &answers, first, per, probe, target)
-                }
-            }
-            Route::Cim => self.run_cim_call(steps, idx, theta, out, ground, probe, target),
-        }?;
-        Ok(result)
+        match route {
+            Route::Direct => self.fetch(step, step.ground, false, out),
+            Route::Cim => self.run_cim_call(step, out),
+        }
     }
 
     /// Budget checkpoint passed: step the active tier down one level
@@ -626,44 +628,25 @@ impl<'w> Executor<'w> {
         }
     }
 
-    /// The active tier forbade `ground`'s remote call: record the gap
-    /// (`IncompleteReason::Downgraded`), then fail soft — serve whatever
-    /// stale cached answers exist, else contribute nothing and move on.
-    #[allow(clippy::too_many_arguments)]
-    fn tier_skip(
-        &mut self,
-        steps: &[PlanStep],
-        idx: usize,
-        theta: &Subst,
-        out: &mut RunState,
-        ground: &GroundCall,
-        probe: Option<&Value>,
-        target: &Term,
-    ) -> Result<bool> {
+    /// The active tier forbade the step's remote call: count it and record
+    /// the gap (`IncompleteReason::Downgraded`).
+    fn tier_skip(&mut self, step: &Step, out: &mut RunState) {
         self.stats.tier_skipped_calls += 1;
         self.note(TraceEvent::TierSkipped {
-            call: ground.clone(),
+            call: step.ground.clone(),
             tier: self.tier,
         });
-        out.mark_gap(idx, IncompleteReason::Downgraded);
-        if let Some(answers) = self.cim.stale_answers(ground) {
-            self.note(TraceEvent::ServedStale {
-                call: ground.clone(),
-                answers: answers.len(),
-            });
-            return self.iterate(
-                steps,
-                idx,
-                theta,
-                out,
-                &answers,
-                SimDuration::ZERO,
-                SimDuration::ZERO,
-                probe,
-                target,
-            );
-        }
-        Ok(true)
+        out.mark_gap(step.idx, IncompleteReason::Downgraded);
+    }
+
+    /// Stale cached answers for `ground`, when the cache will serve them.
+    fn stale_answers(&mut self, ground: &GroundCall) -> Option<Arc<[Value]>> {
+        let answers = self.cim.stale_answers(ground)?;
+        self.note(TraceEvent::ServedStale {
+            call: ground.clone(),
+            answers: answers.len(),
+        });
+        Some(answers)
     }
 
     /// Deadline fired: account for it, then either unwind cleanly (answers
@@ -686,24 +669,10 @@ impl<'w> Executor<'w> {
         }
     }
 
-    /// Records a truncated answer set (injected fault) against the call
-    /// step's provenance.
-    fn note_truncation(
-        &mut self,
-        out: &mut RunState,
-        idx: usize,
-        ground: &GroundCall,
-        outcome: &RemoteOutcome,
-    ) {
-        if outcome.truncated {
-            self.stats.truncated_calls += 1;
-            self.note(TraceEvent::Truncated {
-                call: ground.clone(),
-                kept: outcome.answers.len(),
-            });
-            let site = self.site_name(ground).unwrap_or_default();
-            out.mark_gap(idx, IncompleteReason::Truncated { site });
-        }
+    /// Records `wire`'s truncated answer set against the step's provenance.
+    fn mark_truncated(&self, step: &Step, wire: &GroundCall, out: &mut RunState) {
+        let site = self.site_name(wire).unwrap_or_default();
+        out.mark_gap(step.idx, IncompleteReason::Truncated { site });
     }
 
     /// The name of the site serving `ground`'s domain, when placed.
@@ -715,17 +684,8 @@ impl<'w> Executor<'w> {
     }
 
     /// The §4.1 pipeline for a CIM-routed call.
-    #[allow(clippy::too_many_arguments)]
-    fn run_cim_call(
-        &mut self,
-        steps: &[PlanStep],
-        idx: usize,
-        theta: &Subst,
-        out: &mut RunState,
-        ground: &GroundCall,
-        probe: Option<&Value>,
-        target: &Term,
-    ) -> Result<bool> {
+    fn run_cim_call(&mut self, step: &Step, out: &mut RunState) -> Result<bool> {
+        let ground = step.ground;
         let (resolution, cim_cost) = self.cim.lookup(ground, self.clock.now());
         self.clock.advance(cim_cost);
         match resolution {
@@ -739,17 +699,7 @@ impl<'w> Executor<'w> {
                 if self.config.memoize_calls {
                     self.memo.insert(ground.clone(), answers.clone());
                 }
-                self.iterate(
-                    steps,
-                    idx,
-                    theta,
-                    out,
-                    &answers,
-                    SimDuration::ZERO,
-                    SimDuration::ZERO,
-                    probe,
-                    target,
-                )
+                self.iterate(step, out, &answers, Charge::Free)
             }
             CimResolution::EqualHit { via, answers } => {
                 self.stats.cim_equal += 1;
@@ -763,17 +713,7 @@ impl<'w> Executor<'w> {
                     self.cim
                         .store(ground.clone(), answers.clone(), true, self.clock.now());
                 }
-                self.iterate(
-                    steps,
-                    idx,
-                    theta,
-                    out,
-                    &answers,
-                    SimDuration::ZERO,
-                    SimDuration::ZERO,
-                    probe,
-                    target,
-                )
+                self.iterate(step, out, &answers, Charge::Free)
             }
             CimResolution::PartialHit {
                 via,
@@ -785,248 +725,187 @@ impl<'w> Executor<'w> {
                     via,
                     answers: cached.len(),
                 });
-                self.run_partial_hit(steps, idx, theta, out, ground, cached, probe, target)
+                self.run_partial_hit(step, cached, out)
             }
             CimResolution::Miss { substitute } => {
                 self.stats.cim_miss += 1;
-                let exec_call = match substitute {
-                    Some(s) => {
-                        self.stats.substituted_calls += 1;
-                        self.note(TraceEvent::Substituted {
-                            call: ground.clone(),
-                            executed: s.clone(),
-                        });
-                        s
-                    }
-                    None => ground.clone(),
-                };
-                let parked = self.prefetched(idx, &exec_call);
-                let was_parked = parked.is_some();
-                if !was_parked && !self.tier_allows_wire(&exec_call) {
-                    return self.tier_skip(steps, idx, theta, out, ground, probe, target);
+                if let Some(s) = &substitute {
+                    self.stats.substituted_calls += 1;
+                    self.note(TraceEvent::Substituted {
+                        call: ground.clone(),
+                        executed: s.clone(),
+                    });
                 }
-                let outcome = if let Some(o) = parked {
-                    o
-                } else {
-                    match self.actual_call(&exec_call) {
-                        Ok(o) => o,
-                        Err(HermesError::Unavailable { site, reason }) => {
-                            // Serve-stale fallback: a possibly-incomplete old
-                            // entry beats failing the whole query.
-                            let stale = self.cim.stale_answers(ground);
-                            match stale {
-                                Some(answers) => {
-                                    self.note(TraceEvent::ServedStale {
-                                        call: ground.clone(),
-                                        answers: answers.len(),
-                                    });
-                                    let gap = if reason.contains("circuit breaker") {
-                                        IncompleteReason::BreakerOpen { site }
-                                    } else {
-                                        IncompleteReason::SiteUnavailable { site }
-                                    };
-                                    out.mark_gap(idx, gap);
-                                    return self.iterate(
-                                        steps,
-                                        idx,
-                                        theta,
-                                        out,
-                                        &answers,
-                                        SimDuration::ZERO,
-                                        SimDuration::ZERO,
-                                        probe,
-                                        target,
-                                    );
-                                }
-                                None => return Err(HermesError::Unavailable { site, reason }),
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    }
-                };
-                self.note_truncation(out, idx, &exec_call, &outcome);
-                let (first, per) = if was_parked {
-                    // Already paid for by the group barrier.
-                    (SimDuration::ZERO, SimDuration::ZERO)
-                } else {
-                    charge_schedule(&outcome)
-                };
-                if !was_parked && outcome.answers.is_empty() {
-                    self.clock.advance(outcome.t_all);
-                }
-                let complete = !outcome.truncated;
-                // One shared allocation backs the CIM store(s), the memo,
-                // and the iteration below (Arc clones, no deep copies).
-                let answers = outcome.answers;
-                if self.config.store_results {
-                    let now = self.clock.now();
-                    self.cim
-                        .store(exec_call.clone(), answers.clone(), complete, now);
-                    if exec_call != *ground {
-                        // Equality invariant: the original call has the
-                        // same answers — cache it under its own key too.
-                        self.cim
-                            .store(ground.clone(), answers.clone(), complete, now);
-                    }
-                }
-                if self.config.memoize_calls && complete {
-                    self.memo.insert(ground.clone(), answers.clone());
-                }
-                self.iterate(steps, idx, theta, out, &answers, first, per, probe, target)
+                self.fetch(step, substitute.as_ref().unwrap_or(ground), true, out)
             }
         }
     }
 
+    /// The fetch path a `Direct` call and a CIM miss share: the outcome a
+    /// group dispatch parked for `wire` (already paid for), else the tier
+    /// gate and the actual call, charged on its pipelined schedule (an
+    /// empty answer set pays its whole `t_all` at once); then the memo and
+    /// the iteration. A CIM-routed fetch (`cim`) also stores the answers —
+    /// under `wire` and, for a substitute, under the step's own call — and
+    /// falls back on stale cached answers when the source is unavailable.
+    fn fetch(
+        &mut self,
+        step: &Step,
+        wire: &GroundCall,
+        cim: bool,
+        out: &mut RunState,
+    ) -> Result<bool> {
+        let (outcome, charge) = match self.prefetched(step.idx, wire) {
+            Some(outcome) => (outcome, Charge::Free),
+            None if !self.tier_allows_wire(wire) => {
+                // Fail soft: serve whatever stale cached answers exist,
+                // else contribute nothing and move on.
+                self.tier_skip(step, out);
+                return match self.stale_answers(step.ground) {
+                    Some(answers) => self.iterate(step, out, &answers, Charge::Free),
+                    None => Ok(true),
+                };
+            }
+            None => match self.actual_call(wire, false) {
+                Ok(outcome) => {
+                    if outcome.answers.is_empty() {
+                        self.clock.advance(outcome.t_all);
+                    }
+                    let charge = Charge::of(&outcome);
+                    (outcome, charge)
+                }
+                Err(HermesError::Unavailable { site, reason }) if cim => {
+                    // Serve-stale fallback: a possibly-incomplete old
+                    // entry beats failing the whole query.
+                    let Some(answers) = self.stale_answers(step.ground) else {
+                        return Err(HermesError::Unavailable { site, reason });
+                    };
+                    out.mark_gap(step.idx, unavailable_gap(site, &reason));
+                    return self.iterate(step, out, &answers, Charge::Free);
+                }
+                Err(e) => return Err(e),
+            },
+        };
+        let complete = !outcome.truncated;
+        if !complete {
+            self.mark_truncated(step, wire, out);
+        }
+        // One shared allocation backs the CIM store(s), the memo, and the
+        // iteration below (Arc clones, no deep copies).
+        let answers = outcome.answers;
+        if cim && self.config.store_results {
+            let now = self.clock.now();
+            self.cim.store(wire.clone(), answers.clone(), complete, now);
+            if wire != step.ground {
+                // Equality invariant: the original call has the same
+                // answers — cache it under its own key too.
+                self.cim
+                    .store(step.ground.clone(), answers.clone(), complete, now);
+            }
+        }
+        if self.config.memoize_calls && complete {
+            self.memo.insert(step.ground.clone(), answers.clone());
+        }
+        self.iterate(step, out, &answers, charge)
+    }
+
     /// Partial hit: yield the cached prefix, then (if the consumer still
-    /// wants answers) the remainder from the actual call.
-    #[allow(clippy::too_many_arguments)]
+    /// wants answers) the remainder from the actual call, which runs
+    /// concurrently with serving the prefix (§4.1: "it is possible to make
+    /// the actual domain call in parallel whenever a partial answer set is
+    /// obtained").
     fn run_partial_hit(
         &mut self,
-        steps: &[PlanStep],
-        idx: usize,
-        theta: &Subst,
-        out: &mut RunState,
-        ground: &GroundCall,
+        step: &Step,
         cached: Arc<[Value]>,
-        probe: Option<&Value>,
-        target: &Term,
+        out: &mut RunState,
     ) -> Result<bool> {
+        let ground = step.ground;
         let started = self.clock.now();
         // Serve the cached prefix (the CIM lookup already charged for it).
         // Membership probes must not early-out here: a hit in the prefix
         // answers the probe, but a missing value may still arrive in the
         // remainder — so probes fall through to the actual call when the
         // prefix does not contain the value.
-        if let Some(v) = probe {
+        if let Some(v) = &step.probe {
             if cached.contains(v) {
-                return self.exec(steps, idx + 1, theta, out);
+                return self.exec(step.steps, step.idx + 1, step.theta, out);
             }
-        } else {
-            for a in cached.iter() {
-                let mut t2 = theta.clone();
-                let var = target.as_var().expect("non-probe target is a variable");
-                t2.bind(var.clone(), a.clone());
-                if !self.exec(steps, idx + 1, &t2, out)? {
-                    // Consumer stopped inside the cached prefix: the
-                    // actual call never needs to be issued.
-                    self.stats.cancelled_calls += 1;
-                    self.note(TraceEvent::Cancelled {
-                        call: ground.clone(),
-                    });
-                    return Ok(false);
-                }
-            }
+        } else if !self.iterate(step, out, &cached, Charge::Free)? {
+            // Consumer stopped inside the cached prefix: the actual call
+            // never needs to be issued.
+            self.stats.cancelled_calls += 1;
+            self.note(TraceEvent::Cancelled {
+                call: ground.clone(),
+            });
+            return Ok(false);
         }
 
         // Need the remainder: issue (or join) the actual call — unless
         // the active tier forbids it, in which case the cached prefix is
         // all this subgoal contributes (flagged `Downgraded`).
         if !self.tier_allows_wire(ground) {
-            self.stats.tier_skipped_calls += 1;
-            self.note(TraceEvent::TierSkipped {
-                call: ground.clone(),
-                tier: self.tier,
-            });
-            out.mark_gap(idx, IncompleteReason::Downgraded);
+            self.tier_skip(step, out);
             return Ok(true);
         }
-        match self.actual_call(ground) {
+        match self.actual_call(ground, false) {
             Ok(outcome) => {
-                self.note_truncation(out, idx, ground, &outcome);
-                if self.config.partial_parallel {
-                    // The call ran concurrently since `started`.
-                    self.clock.advance_to(started + outcome.t_all);
-                } else {
-                    self.clock.advance(outcome.t_all);
+                let complete = !outcome.truncated;
+                if !complete {
+                    self.mark_truncated(step, ground, out);
                 }
-                let truncated = outcome.truncated;
+                self.clock.advance_to(started + outcome.t_all);
                 let answers = outcome.answers;
                 let (remainder, merge_cost) = self.cim.merge_partial(ground, &cached, &answers);
                 self.clock.advance(merge_cost);
                 if self.config.store_results {
-                    self.cim.store(
-                        ground.clone(),
-                        answers.clone(),
-                        !truncated,
-                        self.clock.now(),
-                    );
+                    self.cim
+                        .store(ground.clone(), answers.clone(), complete, self.clock.now());
                 }
-                if self.config.memoize_calls && !truncated {
+                if self.config.memoize_calls && complete {
                     self.memo.insert(ground.clone(), answers);
                 }
-                if let Some(v) = probe {
-                    if remainder.contains(v) {
-                        return self.exec(steps, idx + 1, theta, out);
-                    }
-                    return Ok(true);
-                }
-                self.iterate(
-                    steps,
-                    idx,
-                    theta,
-                    out,
-                    &remainder,
-                    SimDuration::ZERO,
-                    SimDuration::ZERO,
-                    None,
-                    target,
-                )
+                self.iterate(step, out, &remainder, Charge::Free)
             }
             Err(HermesError::Unavailable { site, reason }) => {
                 // The cache already served what it could (§1: use prior
                 // results when the source is not readily available).
                 // `actual_call` already counted the unavailability.
-                let gap = if reason.contains("circuit breaker") {
-                    IncompleteReason::BreakerOpen { site }
-                } else {
-                    IncompleteReason::SiteUnavailable { site }
-                };
-                out.mark_gap(idx, gap);
+                out.mark_gap(step.idx, unavailable_gap(site, &reason));
                 Ok(true)
             }
             Err(e) => Err(e),
         }
     }
 
-    /// Iterates an answer list into the continuation, charging the
-    /// pipelined schedule: `first` before the first answer, `per` before
-    /// each later one.
-    #[allow(clippy::too_many_arguments)]
+    /// Iterates an answer list into the continuation: binds the step's
+    /// target to each answer, or (for a probe) scans until the value
+    /// appears, paying `charge` before each answer.
     fn iterate(
         &mut self,
-        steps: &[PlanStep],
-        idx: usize,
-        theta: &Subst,
+        step: &Step,
         out: &mut RunState,
         answers: &[Value],
-        first: SimDuration,
-        per: SimDuration,
-        probe: Option<&Value>,
-        target: &Term,
+        charge: Charge,
     ) -> Result<bool> {
-        if let Some(v) = probe {
-            // Membership: scan (and pay) until the value appears.
+        let (steps, next) = (step.steps, step.idx + 1);
+        if let Some(v) = &step.probe {
             for (j, a) in answers.iter().enumerate() {
-                self.clock.advance(if j == 0 { first } else { per });
+                self.clock.advance(charge.before(j));
                 if a == v {
-                    return self.exec(steps, idx + 1, theta, out);
+                    return self.exec(steps, next, step.theta, out);
                 }
             }
             return Ok(true);
         }
-        let var = match target.as_var() {
-            Some(v) => v.clone(),
-            None => {
-                return Err(HermesError::Eval(
-                    "call target is neither ground nor a variable".into(),
-                ))
-            }
-        };
+        let var = step.target.as_var().ok_or_else(|| {
+            HermesError::Eval("call target is neither ground nor a variable".into())
+        })?;
         for (j, a) in answers.iter().enumerate() {
-            self.clock.advance(if j == 0 { first } else { per });
-            let mut t2 = theta.clone();
+            self.clock.advance(charge.before(j));
+            let mut t2 = step.theta.clone();
             t2.bind(var.clone(), a.clone());
-            if !self.exec(steps, idx + 1, &t2, out)? {
+            if !self.exec(steps, next, &t2, out)? {
                 return Ok(false);
             }
         }
@@ -1044,11 +923,12 @@ impl<'w> Executor<'w> {
     /// Members that would be served by the per-query memo or a CIM hit
     /// are skipped — they never touch the network. (A partial hit's
     /// remainder call is also skipped: it already overlaps with serving
-    /// the cached prefix when `partial_parallel` is on.) Failed dispatches
-    /// are *not* parked; consumption re-attempts the call and runs the
-    /// ordinary unavailability handling (serve-stale, breakers,
-    /// failover). Answer content and order are identical to the
-    /// sequential walk — only the virtual-time charging changes.
+    /// the cached prefix.) Failed dispatches are *not* parked; consumption
+    /// re-attempts the call and runs the ordinary unavailability handling
+    /// (serve-stale, breakers, failover). A truncated outcome is counted
+    /// once, here where the call happens, however often the walk consumes
+    /// it. Answer content and order are identical to the sequential walk —
+    /// only the virtual-time charging changes.
     fn dispatch_group(
         &mut self,
         steps: &[PlanStep],
@@ -1124,7 +1004,7 @@ impl<'w> Executor<'w> {
             // clone the clock, let retry backoff advance the copy,
             // restore, and fold the waited time into the slot occupancy.
             let saved = self.clock.clone();
-            let result = self.actual_call_with(&wire, piggyback);
+            let result = self.actual_call(&wire, piggyback);
             let waited = self.clock.now().duration_since(t0);
             self.clock = saved;
             let duration = overhead
@@ -1186,56 +1066,60 @@ impl<'w> Executor<'w> {
     /// revisit of the step consumes the same in-flight answer set, which
     /// is exactly what a buffering parallel executor would serve.
     fn prefetched(&self, idx: usize, wire: &GroundCall) -> Option<RemoteOutcome> {
+        if self.prefetch.is_empty() {
+            return None; // the sequential walk never parks anything
+        }
         self.prefetch.get(&(idx, wire.clone())).cloned()
     }
 
-    /// Reaches the source over the network and records statistics,
-    /// retrying transient unavailability with capped exponential backoff.
-    /// When a breaker bank is attached, the site's breaker is consulted
-    /// first — open means fail instantly, paying no simulated retry time.
-    fn actual_call(&mut self, ground: &GroundCall) -> Result<RemoteOutcome> {
-        self.actual_call_with(ground, false)
-    }
-
-    /// [`Executor::actual_call`], with control over round-trip batching:
-    /// a `piggyback` call shares an already-dispatched group sibling's
-    /// round trip and pays no connect + RTT.
+    /// Reaches the source for `ground` and counts (and traces) a
+    /// truncated answer set. A `piggyback` call shares an
+    /// already-dispatched group sibling's round trip and pays no
+    /// connect + RTT.
     ///
     /// With a single-flight registry attached, identical concurrent calls
-    /// coalesce here: the first caller in leads (performing the real call
-    /// below, breakers and retries included) and publishes its outcome;
-    /// later callers follow, blocking until the leader's answers arrive
-    /// as an `Arc` bump. A follower whose leader failed re-joins — one
-    /// inherits leadership of a fresh flight, the rest coalesce behind it.
-    fn actual_call_with(&mut self, ground: &GroundCall, piggyback: bool) -> Result<RemoteOutcome> {
-        let Some(registry) = self.flight else {
-            return self.actual_call_direct(ground, piggyback);
+    /// coalesce here: the first caller in leads (performing the real call,
+    /// breakers and retries included) and publishes its outcome; later
+    /// callers follow, blocking until the leader's answers arrive as an
+    /// `Arc` bump. A follower whose leader failed re-joins — one inherits
+    /// leadership of a fresh flight, the rest coalesce behind it.
+    fn actual_call(&mut self, ground: &GroundCall, piggyback: bool) -> Result<RemoteOutcome> {
+        let outcome = match self.flight {
+            None => self.actual_call_direct(ground, piggyback)?,
+            Some(registry) => loop {
+                match registry.join(ground) {
+                    FlightRole::Leader(token) => {
+                        let result = self.actual_call_direct(ground, piggyback);
+                        match &result {
+                            Ok(outcome) => token.publish(outcome.clone()),
+                            Err(_) => token.abandon(),
+                        }
+                        break result?;
+                    }
+                    FlightRole::Follower(handle) => {
+                        self.stats.calls_coalesced += 1;
+                        if let Some(outcome) = handle.wait() {
+                            self.stats.round_trips_saved += 1;
+                            self.note(TraceEvent::Coalesced {
+                                call: ground.clone(),
+                                answers: outcome.answers.len(),
+                            });
+                            break outcome;
+                        }
+                        // The leader abandoned without publishing: contend
+                        // for leadership of a fresh flight.
+                    }
+                }
+            },
         };
-        loop {
-            match registry.join(ground) {
-                FlightRole::Leader(token) => {
-                    let result = self.actual_call_direct(ground, piggyback);
-                    match &result {
-                        Ok(outcome) => token.publish(outcome.clone()),
-                        Err(_) => token.abandon(),
-                    }
-                    return result;
-                }
-                FlightRole::Follower(handle) => {
-                    self.stats.calls_coalesced += 1;
-                    if let Some(outcome) = handle.wait() {
-                        self.stats.round_trips_saved += 1;
-                        self.note(TraceEvent::Coalesced {
-                            call: ground.clone(),
-                            answers: outcome.answers.len(),
-                        });
-                        return Ok(outcome);
-                    }
-                    // The leader abandoned without publishing: contend
-                    // for leadership of a fresh flight.
-                }
-            }
+        if outcome.truncated {
+            self.stats.truncated_calls += 1;
+            self.note(TraceEvent::Truncated {
+                call: ground.clone(),
+                kept: outcome.answers.len(),
+            });
         }
+        Ok(outcome)
     }
 
     /// The uncoalesced call path: breaker admission, the wire, retries
@@ -1351,20 +1235,6 @@ impl<'w> Executor<'w> {
         let jitter = 1.0 + self.config.retry_jitter_frac.max(0.0) * self.retry_rng.f64();
         SimDuration::from_millis_f64(capped * jitter)
     }
-}
-
-/// The pipelined charge schedule for a fresh call's answers.
-fn charge_schedule(outcome: &RemoteOutcome) -> (SimDuration, SimDuration) {
-    let n = outcome.answers.len();
-    let first = outcome.t_first;
-    let per = if n > 1 {
-        SimDuration::from_micros(
-            outcome.t_all.saturating_sub(outcome.t_first).as_micros() / (n as u64 - 1),
-        )
-    } else {
-        SimDuration::ZERO
-    };
-    (first, per)
 }
 
 #[cfg(test)]
@@ -2162,5 +2032,154 @@ mod tests {
             .trace
             .iter()
             .any(|e| matches!(e.event, TraceEvent::TierDowngraded { .. })));
+    }
+
+    /// A one-shard CIM whose lookups cost nothing on the virtual clock,
+    /// so a CIM-routed run's timings compare with a `Direct` run's.
+    fn free_cim() -> ShardedCim {
+        let model = hermes_cim::CimCostModel {
+            probe_ms: 0.0,
+            per_answer_ms: 0.0,
+            invariant_scan_per_entry_ms: 0.0,
+            merge_per_answer_ms: 0.0,
+        };
+        ShardedCim::from_template(&hermes_cim::Cim::new().with_cost_model(model), 1)
+    }
+
+    /// What the `d2` call of the fetch-path cases brings back.
+    #[derive(Clone, Copy, Debug)]
+    enum Fetched {
+        Rows,
+        Empty,
+        Truncated,
+    }
+
+    /// Runs the `d2` call on `route` against a cold `free_cim`: alone, or
+    /// `grouped` as the plan of `?- in(A, d1:p_ff()) & in(B, d2:p_ff()).`,
+    /// so that a group dispatch parks both outcomes and the walk revisits
+    /// `d2`'s once per `A`.
+    fn run_fetch(fetched: Fetched, route: Route, grouped: bool) -> (ExecOutcome, ShardedCim) {
+        let mut net = Network::new(13);
+        for (name, site) in [("d1", profiles::maryland()), ("d2", profiles::cornell())] {
+            let d = SyntheticDomain::generate(name, 3, &[RelationSpec::uniform("p", 8, 1.0)]);
+            net.place(Arc::new(d), site);
+        }
+        if let Fetched::Truncated = fetched {
+            net.set_fault_plan(hermes_net::FaultPlan::new(5).truncation("cornell", 1.0, 0.5));
+        }
+        let call = |target: &str, domain: &str, function: &str, args: Vec<Term>| PlanStep::Call {
+            target: Term::var(target),
+            call: CallTemplate::new(domain, function, args),
+            route,
+        };
+        let mut plan = Plan {
+            steps: vec![match fetched {
+                Fetched::Empty => call("B", "d2", "p_bf", vec![Term::Const(Value::str("none"))]),
+                Fetched::Rows | Fetched::Truncated => call("B", "d2", "p_ff", vec![]),
+            }],
+            answer_vars: vec![Arc::from("B")],
+        };
+        if grouped {
+            plan.steps.insert(0, call("A", "d1", "p_ff", vec![]));
+            plan.answer_vars.insert(0, Arc::from("A"));
+        }
+        let cim = free_cim();
+        let config = ExecConfig {
+            max_parallel_calls: if grouped { 2 } else { 1 },
+            collect_trace: true,
+            ..ExecConfig::default()
+        };
+        let out = Executor::new(&net, &cim, &dcsm_new(), SimClock::new(), config)
+            .run(&plan, None)
+            .unwrap();
+        (out, cim)
+    }
+
+    #[test]
+    fn direct_and_cold_cim_calls_charge_alike_on_the_shared_fetch_path() {
+        let without_cim = |s: ExecStats| ExecStats {
+            cim_exact: 0,
+            cim_equal: 0,
+            cim_partial: 0,
+            cim_miss: 0,
+            ..s
+        };
+        for fetched in [Fetched::Rows, Fetched::Empty, Fetched::Truncated] {
+            for grouped in [false, true] {
+                let case = format!("{fetched:?}, grouped {grouped}");
+                let (direct, _) = run_fetch(fetched, Route::Direct, grouped);
+                let (cached, cim) = run_fetch(fetched, Route::Cim, grouped);
+                assert_eq!(direct.answers, cached.answers, "{case}");
+                assert_eq!(direct.t_first, cached.t_first, "{case}");
+                assert_eq!(direct.t_all, cached.t_all, "{case}");
+                assert_eq!(direct.provenance, cached.provenance, "{case}");
+                assert_eq!(
+                    without_cim(direct.stats),
+                    without_cim(cached.stats),
+                    "{case}"
+                );
+                assert!(!cim.is_empty(), "{case}: the CIM route stores");
+                assert_eq!(direct.stats.parallel_groups, u64::from(grouped), "{case}");
+                // A truncated call is counted (and traced) once, where it
+                // happens, however often the walk consumes its outcome.
+                let stats = direct.stats;
+                let truncations = |out: &ExecOutcome| {
+                    let truncated =
+                        |e: &&TraceEntry| matches!(e.event, TraceEvent::Truncated { .. });
+                    out.trace.iter().filter(truncated).count() as u64
+                };
+                assert_eq!(truncations(&direct), stats.truncated_calls, "{case}");
+                assert_eq!(truncations(&cached), stats.truncated_calls, "{case}");
+                assert!(stats.truncated_calls <= stats.actual_calls, "{case}");
+                match fetched {
+                    Fetched::Rows => assert!(!direct.answers.is_empty(), "{case}"),
+                    // No answer carries the charge: the clock pays `t_all`.
+                    Fetched::Empty => assert!(direct.t_all > SimDuration::ZERO, "{case}"),
+                    Fetched::Truncated => {
+                        assert_eq!(stats.truncated_calls, 1, "{case}");
+                        assert!(direct.incomplete, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_substituted_miss_stores_under_both_keys_and_charges_like_its_executed_call() {
+        let d = SyntheticDomain::generate("d1", 5, &[RelationSpec::uniform("p", 10, 3.0)]);
+        let values = d.domain_values("p");
+        let low = values.iter().min().expect("non-empty");
+        let high = values.iter().max().expect("non-empty");
+        let plan = |arg: &Value, route| Plan {
+            steps: vec![PlanStep::Call {
+                target: Term::var("B"),
+                call: CallTemplate::new("d1", "p_bf", vec![Term::Const(arg.clone())]),
+                route,
+            }],
+            answer_vars: vec![Arc::from("B")],
+        };
+        let (net, _, dcsm) = world();
+        let run = |net: &Network, cim: &ShardedCim, plan: &Plan| {
+            Executor::new(net, cim, &dcsm, SimClock::new(), ExecConfig::default())
+                .run(plan, None)
+                .unwrap()
+        };
+        let cim = free_cim();
+        // Not sound for the synthetic relation: the executor's handling of
+        // a substitute is what is under test.
+        let inv = format!("X > '{low}' => d1:p_bf(X) = d1:p_bf('{low}').");
+        cim.add_invariant(&parse_invariant(&inv).unwrap()).unwrap();
+        let substituted = run(&net, &cim, &plan(high, Route::Cim));
+        assert_eq!(substituted.stats.substituted_calls, 1);
+        assert_eq!(cim.len(), 2, "stored under the executed and the asked call");
+        // Charged like the executed call made directly, on a fresh network.
+        let direct = run(&world().0, &free_cim(), &plan(low, Route::Direct));
+        assert_eq!(substituted.answers, direct.answers);
+        assert_eq!(substituted.t_first, direct.t_first);
+        assert_eq!(substituted.t_all, direct.t_all);
+        // The asked call's own key now answers exactly.
+        let again = run(&net, &cim, &plan(high, Route::Cim));
+        assert_eq!((again.stats.cim_exact, again.stats.actual_calls), (1, 0));
+        assert_eq!(again.answers, substituted.answers);
     }
 }

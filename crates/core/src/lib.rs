@@ -59,10 +59,7 @@ pub use breaker::{Admission, Breaker, BreakerBank, BreakerConfig, BreakerState};
 pub use caches::{CacheControl, CachePolicy, CacheSnapshot, CacheTier, InvalidationSweep};
 pub use cost::{choose_plan, estimate_plan, CostConfig};
 pub use cursor::{InteractiveQuery, InteractiveSummary};
-pub use exec::{
-    ExecConfig, ExecConfigBuilder, ExecOutcome, ExecStats, Executor, IncompleteReason,
-    SubgoalProvenance,
-};
+pub use exec::{ExecConfig, ExecOutcome, ExecStats, Executor, IncompleteReason, SubgoalProvenance};
 pub use flight::{FlightHandle, FlightLeader, FlightRole, Flights, InFlightRegistry};
 pub use matcache::{MatCache, MatCacheConfig, MatCacheStats, MatLookup, MatTicket};
 pub use mediator::{Mediator, MediatorConfig, Planned, QueryRequest, QueryResult};

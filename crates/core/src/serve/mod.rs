@@ -4,11 +4,11 @@
 //!
 //! # Two server shapes, one dispatch
 //!
-//! * [`ServeMode::Pool`] ([`pool`]) is the PR 9 worker-pool server: one
+//! * [`ServeMode::Pool`] (`pool`) is the PR 9 worker-pool server: one
 //!   handler thread per in-flight connection, blocking reads, bounded
 //!   accept queue. Simple, portable, and capped — max concurrent
 //!   connections equals the pool size.
-//! * [`ServeMode::Reactor`] ([`reactor`], Linux) is a readiness-driven
+//! * [`ServeMode::Reactor`] (`reactor`, Linux) is a readiness-driven
 //!   epoll event loop: reactor thread(s) own every socket with
 //!   nonblocking per-connection state machines (incremental frame
 //!   decode, bounded write queues with vectored writes, read deadlines

@@ -59,9 +59,9 @@ pub use hermes_common::{
 };
 pub use hermes_core::{
     BreakerBank, BreakerConfig, BreakerState, CacheControl, CachePolicy, CacheSnapshot, CacheTier,
-    ConcurrentMediator, ExecConfig, ExecConfigBuilder, ExecStats, GateConfig, InFlightRegistry,
-    IncompleteReason, InteractiveQuery, InvalidationSweep, MatCache, MatCacheConfig, MatCacheStats,
-    Mediator, MediatorConfig, NetServer, NetServerStats, Plan, PlanTier, QueryRequest, QueryResult,
+    ConcurrentMediator, ExecConfig, ExecStats, GateConfig, InFlightRegistry, IncompleteReason,
+    InteractiveQuery, InvalidationSweep, MatCache, MatCacheConfig, MatCacheStats, Mediator,
+    MediatorConfig, NetServer, NetServerStats, Plan, PlanTier, QueryRequest, QueryResult,
     RemoteResult, ServeConfig, ServeConfigBuilder, ServeMode, ServerStats, SubgoalProvenance,
     TierReason, WireClient,
 };

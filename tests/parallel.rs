@@ -1,11 +1,11 @@
 //! Parallel scheduler integration tests: determinism on the virtual
 //! clock, answer-set equivalence with the sequential executor, deadline
-//! behaviour mid-group, same-site batching, and the builder API.
+//! behaviour mid-group, and same-site batching.
 
 use hermes::core::trace::{self, TraceEvent};
 use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes::net::profiles;
-use hermes::{ExecConfig, Mediator, Network, QueryRequest, SimDuration, Value};
+use hermes::{Mediator, Network, QueryRequest, SimDuration, Value};
 use std::sync::Arc;
 
 /// Four independent synthetic relations, one domain per site.
@@ -175,20 +175,4 @@ fn repeated_site_function_calls_batch_into_one_round_trip() {
     assert!(parallel.stats.batched_calls >= 1, "{:?}", parallel.stats);
     assert_eq!(sorted(&parallel.rows), sorted(&serial.rows));
     assert!(parallel.t_all < serial.t_all);
-}
-
-#[test]
-fn exec_config_builder_sets_every_parallel_knob() {
-    let cfg = ExecConfig::builder()
-        .max_parallel_calls(4)
-        .batch_calls(false)
-        .dispatch_overhead_ms(0.25)
-        .collect_trace(true)
-        .deadline(Some(SimDuration::from_millis_f64(10.0)))
-        .build();
-    assert_eq!(cfg.max_parallel_calls, 4);
-    assert!(!cfg.batch_calls);
-    assert!((cfg.dispatch_overhead_ms - 0.25).abs() < 1e-12);
-    assert!(cfg.collect_trace);
-    assert_eq!(cfg.deadline, Some(SimDuration::from_millis_f64(10.0)));
 }

@@ -11,6 +11,11 @@
 //! * **HA003** predicates unreachable from every declared query form
 //!   (dead rules) — only checked when query forms are declared;
 //! * **HA004** predicates that mix ground facts and proper rules.
+//!
+//! The same graph and the same Tarjan pass give pass 7 its recursive
+//! predicates and the rewriter its recursion verdict
+//! ([`first_predicate_reaching_recursion`]): this module holds the
+//! workspace's one walk of the predicate graph.
 
 use crate::analyzer::QueryForm;
 use crate::diagnostic::{DiagCode, Diagnostic, Locus};
@@ -19,61 +24,79 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 type PredKey = (Arc<str>, usize);
+type Edges = BTreeMap<PredKey, BTreeSet<PredKey>>;
 
 fn fmt_key(k: &PredKey) -> String {
     format!("{}/{}", k.0, k.1)
 }
 
-/// Runs the pass.
-pub(crate) fn run(program: &Program, query_forms: &[QueryForm], out: &mut Vec<Diagnostic>) {
-    let defined: BTreeSet<PredKey> = program.defined_predicates();
-    let mut edges: BTreeMap<PredKey, BTreeSet<PredKey>> = BTreeMap::new();
-    for k in &defined {
-        edges.entry(k.clone()).or_default();
-    }
-
-    // HA002 + edge construction.
-    for (index, rule) in program.rules.iter().enumerate() {
-        let head = rule.head.key();
+/// The dependency graph every walk here reads: each defined predicate,
+/// with an edge from a rule head to every defined predicate its body
+/// references.
+fn dependency_graph(program: &Program) -> Edges {
+    let mut edges: Edges = program
+        .defined_predicates()
+        .into_iter()
+        .map(|k| (k, BTreeSet::new()))
+        .collect();
+    for rule in &program.rules {
         for atom in &rule.body {
             if let BodyAtom::Pred(p) = atom {
                 let k = p.key();
-                if defined.contains(&k) {
-                    edges.entry(head.clone()).or_default().insert(k);
-                } else {
-                    let mut d = Diagnostic::new(
-                        DiagCode::UndefinedPredicate,
-                        Locus::Rule {
-                            index,
-                            head: rule.head.to_string(),
-                        },
-                        format!("body references `{}`, which no rule defines", fmt_key(&k)),
-                    );
-                    let same_name: Vec<String> = defined
-                        .iter()
-                        .filter(|(n, _)| n == &k.0)
-                        .map(fmt_key)
-                        .collect();
-                    if !same_name.is_empty() {
-                        d = d.with_suggestion(format!(
-                            "a predicate with this name exists at a \
-                             different arity: {}",
-                            same_name.join(", ")
-                        ));
-                    }
-                    out.push(d);
+                if edges.contains_key(&k) {
+                    edges.entry(rule.head.key()).or_default().insert(k);
                 }
             }
+        }
+    }
+    edges
+}
+
+/// A strongly connected component is recursive when it has more than one
+/// predicate or its one predicate depends on itself.
+fn is_cycle(scc: &[PredKey], edges: &Edges) -> bool {
+    scc.len() > 1 || edges[&scc[0]].contains(&scc[0])
+}
+
+/// Runs the pass.
+pub(crate) fn run(program: &Program, query_forms: &[QueryForm], out: &mut Vec<Diagnostic>) {
+    let edges = dependency_graph(program);
+
+    // HA002: body references no rule defines.
+    for (index, rule) in program.rules.iter().enumerate() {
+        for atom in &rule.body {
+            let BodyAtom::Pred(p) = atom else { continue };
+            let k = p.key();
+            if edges.contains_key(&k) {
+                continue;
+            }
+            let mut d = Diagnostic::new(
+                DiagCode::UndefinedPredicate,
+                Locus::Rule {
+                    index,
+                    head: rule.head.to_string(),
+                },
+                format!("body references `{}`, which no rule defines", fmt_key(&k)),
+            );
+            let same_name: Vec<String> = edges
+                .keys()
+                .filter(|(n, _)| n == &k.0)
+                .map(fmt_key)
+                .collect();
+            if !same_name.is_empty() {
+                d = d.with_suggestion(format!(
+                    "a predicate with this name exists at a \
+                     different arity: {}",
+                    same_name.join(", ")
+                ));
+            }
+            out.push(d);
         }
     }
 
     // HA001: strongly connected components of the defined-predicate graph.
     for scc in sccs(&edges) {
-        let recursive = scc.len() > 1
-            || edges
-                .get(&scc[0])
-                .is_some_and(|succ| succ.contains(&scc[0]));
-        if recursive {
+        if is_cycle(&scc, &edges) {
             let cycle: Vec<String> = scc.iter().chain(scc.first()).map(fmt_key).collect();
             out.push(
                 Diagnostic::new(
@@ -127,7 +150,7 @@ pub(crate) fn run(program: &Program, query_forms: &[QueryForm], out: &mut Vec<Di
         let mut stack: Vec<PredKey> = query_forms
             .iter()
             .map(|f| (f.pred.clone(), f.bound.len()))
-            .filter(|k| defined.contains(k))
+            .filter(|k| edges.contains_key(k))
             .collect();
         while let Some(k) = stack.pop() {
             if !reached.insert(k.clone()) {
@@ -137,7 +160,7 @@ pub(crate) fn run(program: &Program, query_forms: &[QueryForm], out: &mut Vec<Di
                 stack.extend(succ.iter().cloned());
             }
         }
-        for key in defined.iter().filter(|k| !reached.contains(*k)) {
+        for key in edges.keys().filter(|k| !reached.contains(*k)) {
             out.push(
                 Diagnostic::new(
                     DiagCode::UnreachablePredicate,
@@ -158,45 +181,51 @@ pub(crate) fn run(program: &Program, query_forms: &[QueryForm], out: &mut Vec<Di
 /// self-loop). Shared with the materialization pass (`HA072`), which must
 /// not snapshot a fixpoint.
 pub(crate) fn recursive_predicates(program: &Program) -> BTreeSet<PredKey> {
-    let defined: BTreeSet<PredKey> = program.defined_predicates();
-    let mut edges: BTreeMap<PredKey, BTreeSet<PredKey>> = BTreeMap::new();
-    for k in &defined {
-        edges.entry(k.clone()).or_default();
-    }
-    for rule in &program.rules {
-        for atom in &rule.body {
-            if let BodyAtom::Pred(p) = atom {
-                let k = p.key();
-                if defined.contains(&k) {
-                    edges.entry(rule.head.key()).or_default().insert(k);
-                }
-            }
-        }
-    }
-    let mut out = BTreeSet::new();
+    let edges = dependency_graph(program);
+    sccs(&edges)
+        .into_iter()
+        .filter(|scc| is_cycle(scc, &edges))
+        .flatten()
+        .collect()
+}
+
+/// The predicates from which the dependency graph reaches a recursive SCC,
+/// the SCCs' own members included. One pass over Tarjan's output: it lists
+/// components in reverse topological order, so every successor outside a
+/// component has its answer before the component is read.
+pub(crate) fn reaching_recursion(program: &Program) -> BTreeSet<PredKey> {
+    let edges = dependency_graph(program);
+    let mut reaching = BTreeSet::new();
     for scc in sccs(&edges) {
-        let recursive = scc.len() > 1
-            || edges
-                .get(&scc[0])
-                .is_some_and(|succ| succ.contains(&scc[0]));
-        if recursive {
-            out.extend(scc);
+        if is_cycle(&scc, &edges)
+            || scc
+                .iter()
+                .any(|v| edges[v].iter().any(|w| reaching.contains(w)))
+        {
+            reaching.extend(scc);
         }
     }
-    out
+    reaching
+}
+
+/// The first predicate, in name order, from which the dependency graph
+/// reaches a recursive cycle, or `None` when the program is not
+/// recursive: the predicate the rewriter names when it rejects a program.
+pub fn first_predicate_reaching_recursion(program: &Program) -> Option<(Arc<str>, usize)> {
+    reaching_recursion(program).pop_first()
 }
 
 /// Tarjan's strongly-connected-components algorithm. The depth-first
 /// walk keeps its path on an explicit stack of frames, so a rule chain of
 /// any length costs heap, not call frames.
-fn sccs(edges: &BTreeMap<PredKey, BTreeSet<PredKey>>) -> Vec<Vec<PredKey>> {
+fn sccs(edges: &Edges) -> Vec<Vec<PredKey>> {
     /// One predicate on the walk's path and its successors left to follow.
     struct Frame<'g> {
         node: &'g PredKey,
         succ: std::collections::btree_set::Iter<'g, PredKey>,
     }
     struct Walk<'g> {
-        edges: &'g BTreeMap<PredKey, BTreeSet<PredKey>>,
+        edges: &'g Edges,
         no_succ: &'g BTreeSet<PredKey>,
         indices: BTreeMap<&'g PredKey, usize>,
         lowlink: BTreeMap<&'g PredKey, usize>,

@@ -55,6 +55,7 @@ pub use analyzer::{Analyzer, QueryForm, SignatureTable};
 pub use diagnostic::{AnalysisReport, DiagCode, Diagnostic, Locus, Severity};
 pub use directives::{parse_directives, CacheRouting, Directives};
 pub use fingerprint::{fingerprint_body, fingerprint_rule, Fingerprint, SubplanKey};
+pub use graph::first_predicate_reaching_recursion;
 pub use output::{report_from_json, report_to_json, report_to_sarif, FileReport, JSON_SCHEMA};
 pub use verdicts::{MaterializationVerdicts, RuleVerdict, SubplanVerdict};
 

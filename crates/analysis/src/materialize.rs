@@ -173,34 +173,6 @@ pub(crate) fn transitive_calls(program: &Program, rule: &Rule) -> BTreeSet<Call>
     calls
 }
 
-/// True when the rule's head or any predicate its body (transitively)
-/// references sits on a recursive SCC.
-pub(crate) fn touches_recursion(
-    program: &Program,
-    rule: &Rule,
-    recursive: &BTreeSet<(Arc<str>, usize)>,
-) -> bool {
-    if recursive.contains(&rule.head.key()) {
-        return true;
-    }
-    let mut seen: BTreeSet<(Arc<str>, usize)> = BTreeSet::new();
-    let mut stack: Vec<&Rule> = vec![rule];
-    while let Some(r) = stack.pop() {
-        for atom in &r.body {
-            if let BodyAtom::Pred(p) = atom {
-                let k = p.key();
-                if recursive.contains(&k) {
-                    return true;
-                }
-                if seen.insert(k) {
-                    stack.extend(program.rules_for(&p.name, p.args.len()));
-                }
-            }
-        }
-    }
-    false
-}
-
 /// `HA073`: groups the safe inventory by fingerprint; every group of two
 /// or more rules is a sharing opportunity.
 fn shared_subplans(

@@ -1,27 +1,24 @@
-//! Cheap runtime view of the pass-7 materialization verdicts.
+//! The pass-7 materialization verdicts, as data.
 //!
 //! The HA070–HA074 diagnostics are built for humans: every entry allocates
-//! a formatted message, a locus, and a suggestion, and reading "is this
-//! subplan safe?" back out of an [`AnalysisReport`](crate::AnalysisReport)
-//! means re-running the whole pass pipeline and string-matching notes. The
-//! runtime subplan cache asks that question on the query path, so it gets
-//! this struct instead: the same classification the pass computes (safe /
-//! volatile / recursive, plus the per-source invalidation scope), computed
-//! once per program registration, with no diagnostics allocated.
+//! a formatted message, a locus, and a suggestion. This struct is the
+//! classification under them (safe / volatile / recursive per rule, plus
+//! the per-source invalidation scope), computed once per program, which
+//! the pass renders.
 //!
-//! The unit of classification is the *source call*: a flat executable plan
-//! is safe to snapshot exactly when every `(domain, function)` it reads is
+//! The unit of classification is the *source call*: a subplan is safe to
+//! snapshot exactly when every `(domain, function)` it reads is
 //! non-volatile (HA071's test), and an update to a source dirties exactly
-//! the fingerprints that transitively read it (HA074's scope). Calls the
-//! program never mentions are conservatively treated as volatile — a call
-//! the analyzer never saw has no verdict, and "don't cache" is the only
-//! safe default.
+//! the fingerprints that transitively read it (HA074's scope). The
+//! runtime subplan cache needs no copy of these verdicts: a flat plan
+//! carries each call's route, and a call routed around the CIM is what
+//! makes a source volatile there (`hermes_core::matcache`).
 
 use crate::analyzer::{CacheRoutes, QueryForm};
 use crate::fingerprint::{fingerprint_rule, Fingerprint, SubplanKey};
 use crate::graph;
-use crate::materialize::{adornment_for, touches_recursion, transitive_calls};
-use hermes_lang::Program;
+use crate::materialize::{adornment_for, transitive_calls};
+use hermes_lang::{BodyAtom, Program};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -52,14 +49,10 @@ pub struct RuleVerdict {
     pub reads: BTreeSet<Call>,
 }
 
-/// The materialization verdicts for one registered program, queryable in
-/// O(log n) per call with no re-analysis. Built by
-/// [`MaterializationVerdicts::compute`]; the mediator rebuilds it when the
-/// program or the CIM routing policy changes.
+/// The materialization verdicts for one program. Built by
+/// [`MaterializationVerdicts::compute`].
 #[derive(Clone, Debug, Default)]
 pub struct MaterializationVerdicts {
-    /// Every source call the program mentions, `true` = volatile.
-    calls: BTreeMap<Call, bool>,
     /// Per-rule classification (rules with no source calls are skipped,
     /// exactly as pass 7 skips facts and pure-IDB glue).
     rules: Vec<RuleVerdict>,
@@ -80,7 +73,7 @@ impl MaterializationVerdicts {
         cache_routes: Option<CacheRoutes<'_>>,
     ) -> Self {
         let recursive = graph::recursive_predicates(program);
-        let mut calls: BTreeMap<Call, bool> = BTreeMap::new();
+        let reaching = graph::reaching_recursion(program);
         let mut rules: Vec<RuleVerdict> = Vec::new();
         let mut scope: BTreeMap<Call, BTreeSet<Fingerprint>> = BTreeMap::new();
         let is_volatile = |(d, f): &Call| {
@@ -92,12 +85,16 @@ impl MaterializationVerdicts {
             if rule.body.is_empty() || reads.is_empty() {
                 continue;
             }
-            for call in &reads {
-                calls.insert(call.clone(), is_volatile(call));
-            }
             let bound = adornment_for(query_forms, rule);
             let key = fingerprint_rule(rule, &bound);
-            let verdict = if touches_recursion(program, rule, &recursive) {
+            // On a recursive SCC itself, or reading a predicate that
+            // reaches one.
+            let touches_recursion = recursive.contains(&rule.head.key())
+                || rule
+                    .body
+                    .iter()
+                    .any(|atom| matches!(atom, BodyAtom::Pred(p) if reaching.contains(&p.key())));
+            let verdict = if touches_recursion {
                 SubplanVerdict::Recursive
             } else if reads.iter().any(is_volatile) {
                 SubplanVerdict::Volatile
@@ -120,41 +117,7 @@ impl MaterializationVerdicts {
             });
         }
 
-        MaterializationVerdicts {
-            calls,
-            rules,
-            scope,
-        }
-    }
-
-    /// Is this source call volatile? Calls the program never mentions
-    /// return `true`: no verdict means no invalidation signal.
-    pub fn is_volatile(&self, domain: &str, function: &str) -> bool {
-        self.calls
-            .get(&(Arc::from(domain), Arc::from(function)))
-            .copied()
-            .unwrap_or(true)
-    }
-
-    /// The HA070/HA071 test for an arbitrary flat subplan: safe exactly
-    /// when every call it reads has a non-volatile verdict. (Flat plans
-    /// are already unfolded, so the HA072 recursive case cannot arise —
-    /// a recursive program has no finite flat plan to fingerprint.)
-    pub fn verdict_for_calls<'c>(
-        &self,
-        reads: impl IntoIterator<Item = &'c Call>,
-    ) -> SubplanVerdict {
-        for (d, f) in reads {
-            if self
-                .calls
-                .get(&(d.clone(), f.clone()))
-                .copied()
-                .unwrap_or(true)
-            {
-                return SubplanVerdict::Volatile;
-            }
-        }
-        SubplanVerdict::Safe
+        MaterializationVerdicts { rules, scope }
     }
 
     /// Per-rule classifications, in rule order.
@@ -174,11 +137,6 @@ impl MaterializationVerdicts {
     /// HA074 for every source a safe subplan reads, in source order.
     pub fn scopes(&self) -> impl Iterator<Item = (&Call, &BTreeSet<Fingerprint>)> {
         self.scope.iter()
-    }
-
-    /// Number of distinct source calls classified.
-    pub fn call_count(&self) -> usize {
-        self.calls.len()
     }
 
     /// Count of rules with each verdict: `(safe, volatile, recursive)`.
@@ -204,13 +162,21 @@ mod tests {
         specs.iter().map(|f| QueryForm::parse(f).unwrap()).collect()
     }
 
+    fn verdicts(v: &MaterializationVerdicts) -> Vec<SubplanVerdict> {
+        v.rules().iter().map(|r| r.verdict).collect()
+    }
+
     #[test]
     fn verdicts_match_the_pass_classification() {
+        use SubplanVerdict::{Recursive, Safe, Volatile};
         let program = parse_program(
             "p(A) :- in(A, feed:price('x')).\n\
              q(A) :- in(A, ref:name('x')).\n\
              reach(X, Y) :- in(Y, g:edge(X)).\n\
-             reach(X, Y) :- reach(X, Z) & in(Y, g:edge(Z)).",
+             reach(X, Y) :- reach(X, Z) & in(Y, g:edge(Z)).\n\
+             hop(X, Y) :- reach(X, Y).\n\
+             hop(X, Y) :- in(Y, g:edge(X)).\n\
+             via(X, Y) :- hop(X, Y).",
         )
         .unwrap();
         let vol = |d: &str, _f: &str| d == "feed";
@@ -220,42 +186,33 @@ mod tests {
             Some(&vol),
             None,
         );
-        assert_eq!(v.tally(), (1, 1, 2));
-        assert!(v.is_volatile("feed", "price"));
-        assert!(!v.is_volatile("ref", "name"));
-        assert!(
-            v.is_volatile("nowhere", "seen"),
-            "unknown calls are volatile"
+        assert_eq!(v.tally(), (2, 1, 4));
+        // `hop`'s second rule reads no recursive predicate, so it stays
+        // safe; `via` reads `hop`, which reaches the `reach` cycle.
+        assert_eq!(
+            verdicts(&v),
+            [Volatile, Safe, Recursive, Recursive, Recursive, Safe, Recursive]
         );
     }
 
     #[test]
     fn flat_subplan_verdict_follows_its_calls() {
+        use SubplanVerdict::{Safe, Volatile};
         let program = parse_program(
             "p(A, B) :- in(A, d:f('k')) & in(B, e:g(A)).\n\
              v(A) :- in(A, feed:price('x')).",
         )
         .unwrap();
+        let forms = forms(&["p(f, f)", "v(f)"]);
         let vol = |d: &str, _f: &str| d == "feed";
-        let v = MaterializationVerdicts::compute(
-            &program,
-            &forms(&["p(f, f)", "v(f)"]),
-            Some(&vol),
-            None,
-        );
-        let safe: Vec<Call> = vec![
-            (Arc::from("d"), Arc::from("f")),
-            (Arc::from("e"), Arc::from("g")),
-        ];
-        assert_eq!(v.verdict_for_calls(safe.iter()), SubplanVerdict::Safe);
-        let tainted: Vec<Call> = vec![
-            (Arc::from("d"), Arc::from("f")),
-            (Arc::from("feed"), Arc::from("price")),
-        ];
-        assert_eq!(
-            v.verdict_for_calls(tainted.iter()),
-            SubplanVerdict::Volatile
-        );
+        let v = MaterializationVerdicts::compute(&program, &forms, Some(&vol), None);
+        let reads: Vec<&str> = v.rules()[0].reads.iter().map(|(d, _)| &**d).collect();
+        assert_eq!(reads, ["d", "e"]);
+        assert_eq!(verdicts(&v), [Safe, Volatile]);
+        // A call routed around the CIM taints every subplan reading it.
+        let routes = |d: &str, _f: &str| d != "e";
+        let v = MaterializationVerdicts::compute(&program, &forms, Some(&vol), Some(&routes));
+        assert_eq!(verdicts(&v), [Volatile, Volatile]);
     }
 
     #[test]

@@ -70,9 +70,6 @@ pub struct InvalidationSweep {
 pub(crate) struct PlanningKnobs<'m> {
     pub policy: &'m mut CimPolicy,
     pub exec: &'m mut ExecConfig,
-    /// The mediator's cache epoch; bumped when routing changes so the
-    /// matcache verdicts refresh before the next query.
-    pub epoch: &'m mut u64,
 }
 
 /// The unified cache-control facade. Obtain one from
@@ -221,12 +218,7 @@ impl CachePolicy<'_> {
     pub fn apply(self) -> Result<()> {
         let control = self.control;
         if self.routing.is_some() || self.share_subplans.is_some() {
-            let Some(PlanningKnobs {
-                policy,
-                exec,
-                epoch,
-            }) = control.planning
-            else {
+            let Some(PlanningKnobs { policy, exec }) = control.planning else {
                 return Err(HermesError::Eval(
                     "routing and subplan sharing bind at `to_concurrent` time; \
                      set them on the serial mediator first"
@@ -234,11 +226,10 @@ impl CachePolicy<'_> {
                 ));
             };
             if let Some(routing) = self.routing {
+                // A call routed around the CIM has no invalidation signal:
+                // drop the snapshots that read one.
+                control.matcache.invalidate_direct(&routing);
                 *policy = routing;
-                // Routing decides volatility (a call routed around the CIM
-                // has no invalidation signal), so installed verdicts are
-                // stale: bump the epoch to refresh.
-                *epoch += 1;
             }
             if let Some(on) = self.share_subplans {
                 exec.share_subplans = on;

@@ -309,8 +309,8 @@ impl<'w> Executor<'w> {
         self.prefetch.clear();
 
         // Subplan materialization (matcache). A ticket exists only when
-        // sharing is on, a cache is attached, and the installed verdicts
-        // classify every source the plan reads as safe (HA070/HA071).
+        // sharing is on, a cache is attached, and the plan routes every
+        // call through the CIM (HA070/HA071).
         let mat = if self.config.share_subplans {
             self.matcache
         } else {

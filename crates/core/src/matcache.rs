@@ -10,12 +10,22 @@
 //! ## Safety gating (HA070/HA071)
 //!
 //! A snapshot of a subplan's answers is only sound when every source it
-//! reads has an invalidation signal. The cache therefore refuses to issue
-//! a [`MatTicket`] — the capability to look up, coalesce, or store — for
-//! any plan whose calls the installed
-//! [`MaterializationVerdicts`] classify as volatile, and for *all* plans
-//! until verdicts are installed at all. No ticket, no entry: HA071-volatile
-//! subplans can never produce a cache hit, by construction.
+//! reads has an invalidation signal, and the plan itself says which do: a
+//! call routed through the CIM ([`Route::Cim`](crate::plan::Route)) is
+//! invalidated there, while a call routed around it (`Route::Direct`,
+//! §4.1) has no cache entry to invalidate — HA071's "routed around the
+//! CIM". The cache therefore issues a [`MatTicket`] — the capability to
+//! look up, coalesce, or store — only for a plan that makes at least one
+//! call and routes every call through the CIM
+//! (`Plan::routes_calls_through_cim`). No ticket, no entry: a plan that
+//! reads a source directly can never produce a cache hit, by construction,
+//! whichever mediator shares the cache and whatever routing it has. A
+//! routing change on the serial mediator drops the entries that read a
+//! call it now routes around the CIM (`MatCache::invalidate_direct`).
+//!
+//! The gate needs nothing from the program, so it also admits calls the
+//! program never names: a pushdown-fused call (`select_eq`…) in a
+//! CIM-routed plan is cached by the CIM and may be materialized too.
 //!
 //! ## Admission and demotion
 //!
@@ -45,7 +55,8 @@
 
 use crate::flight::{FlightRole, Flights};
 use crate::plan::Plan;
-use hermes_analysis::{MaterializationVerdicts, SubplanKey, SubplanVerdict};
+use hermes_analysis::SubplanKey;
+use hermes_cim::{CimPolicy, RoutingDecision};
 use hermes_common::sync::Mutex;
 use hermes_lang::Subst;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -68,8 +79,8 @@ pub struct MatKey {
 }
 
 /// The capability to use the matcache for one plan: issued by
-/// [`MatCache::ticket`] only for plans the installed verdicts classify as
-/// safe to materialize.
+/// [`MatCache::ticket`] only for plans that route every call through the
+/// CIM.
 #[derive(Clone, Debug)]
 pub struct MatTicket {
     key: MatKey,
@@ -191,7 +202,8 @@ pub struct MatCacheStats {
     pub demoted: u64,
     /// Entries dropped by source invalidation.
     pub invalidated: u64,
-    /// Plans refused a ticket because a source they read is volatile.
+    /// Plans refused a ticket because a call they make bypasses the CIM,
+    /// so the source it reads has no invalidation signal.
     pub volatile_skips: u64,
     /// Live entries.
     pub entries: usize,
@@ -219,9 +231,6 @@ pub enum MatLookup {
 pub struct MatCache {
     store: Mutex<Store>,
     flights: Flights<MatKey, Arc<[Subst]>>,
-    /// `(epoch, verdicts)`: which program/policy state the verdicts
-    /// describe. No verdicts → no tickets → the cache is inert.
-    verdicts: Mutex<Option<(u64, Arc<MaterializationVerdicts>)>>,
     hits: AtomicU64,
     misses: AtomicU64,
     materialized: AtomicU64,
@@ -238,7 +247,7 @@ impl Default for MatCache {
 }
 
 impl MatCache {
-    /// An empty cache. Inert until verdicts are installed.
+    /// An empty cache.
     pub fn new(config: MatCacheConfig) -> Self {
         MatCache {
             store: Mutex::new(Store {
@@ -247,7 +256,6 @@ impl MatCache {
                 ..Store::default()
             }),
             flights: Flights::new(),
-            verdicts: Mutex::new(None),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             materialized: AtomicU64::new(0),
@@ -258,48 +266,18 @@ impl MatCache {
         }
     }
 
-    /// Installs the safety verdicts for program/policy state `epoch` and
-    /// sweeps out any entry the new verdicts no longer classify as safe
-    /// (a policy change can turn a cached source volatile).
-    pub fn install_verdicts(&self, epoch: u64, verdicts: MaterializationVerdicts) {
-        let verdicts = Arc::new(verdicts);
-        let mut store = self.store.lock();
-        let stale: Vec<MatKey> = store
-            .entries
-            .iter()
-            .filter(|(_, e)| verdicts.verdict_for_calls(e.calls.iter()) != SubplanVerdict::Safe)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in &stale {
-            store.remove(key);
-            self.invalidated.fetch_add(1, Ordering::Relaxed);
-        }
-        drop(store);
-        *self.verdicts.lock() = Some((epoch, verdicts));
-    }
-
-    /// The epoch of the installed verdicts, if any — the mediator's cue
-    /// to refresh after a program or policy change.
-    pub fn verdicts_epoch(&self) -> Option<u64> {
-        self.verdicts.lock().as_ref().map(|(e, _)| *e)
-    }
-
-    /// Issues the capability to use the cache for `plan`: `None` when no
-    /// verdicts are installed, when the plan makes no source calls, or
-    /// when any source it reads is volatile (the HA070/HA071 gate).
+    /// Issues the capability to use the cache for `plan`: `None` when the
+    /// plan makes no source calls, or when it routes any call around the
+    /// CIM (the HA070/HA071 gate).
     pub fn ticket(&self, plan: &Plan) -> Option<MatTicket> {
-        let verdicts = {
-            let guard = self.verdicts.lock();
-            guard.as_ref().map(|(_, v)| v.clone())?
-        };
-        let sub = plan.fingerprint();
-        if sub.calls.is_empty() {
+        if plan.call_count() == 0 {
             return None;
         }
-        if verdicts.verdict_for_calls(sub.calls.iter()) != SubplanVerdict::Safe {
+        if !plan.routes_calls_through_cim() {
             self.volatile_skips.fetch_add(1, Ordering::Relaxed);
             return None;
         }
+        let sub = plan.fingerprint();
         let mut vars: BTreeSet<Arc<str>> = plan.answer_vars.iter().cloned().collect();
         for atom in plan.body_atoms() {
             vars.extend(atom.variables());
@@ -398,6 +376,25 @@ impl MatCache {
         victims.len()
     }
 
+    /// Drops every entry that reads a call `policy` routes around the CIM,
+    /// counting each in `invalidated`: those reads no longer have an
+    /// invalidation signal. Returns the number of entries dropped.
+    pub(crate) fn invalidate_direct(&self, policy: &CimPolicy) -> usize {
+        let mut store = self.store.lock();
+        let victims: BTreeSet<MatKey> = store
+            .by_call
+            .iter()
+            .filter(|((d, f), _)| policy.decide(d, f) == RoutingDecision::Direct)
+            .flat_map(|(_, keys)| keys.iter().cloned())
+            .collect();
+        for key in &victims {
+            store.remove(key);
+        }
+        self.invalidated
+            .fetch_add(victims.len() as u64, Ordering::Relaxed);
+        victims.len()
+    }
+
     /// Empties the cache (entries, index, tombstones); counters persist.
     pub fn clear(&self) {
         let mut store = self.store.lock();
@@ -455,23 +452,29 @@ mod tests {
     use super::*;
     use hermes_common::Value;
 
-    fn verdict_program() -> (hermes_lang::Program, MaterializationVerdicts) {
+    /// The first plan for `src` under `policy`.
+    fn plan_under(src: &str, policy: &CimPolicy) -> Plan {
         let program = hermes_lang::parse_program(
             "p(A, B) :- in(A, d:f('k')) & in(B, e:g(A)).\n\
              v(A) :- in(A, feed:price('x')).",
         )
         .unwrap();
-        let vol = |d: &str, _f: &str| d == "feed";
-        let v = MaterializationVerdicts::compute(&program, &[], Some(&vol), None);
-        (program, v)
+        let query = hermes_lang::parse_query(src).unwrap();
+        let plans =
+            crate::rewrite::enumerate_plans(&program, &query, policy, Default::default()).unwrap();
+        plans.into_iter().next().unwrap()
     }
 
-    fn plan_for(src: &str, program: &hermes_lang::Program) -> Plan {
-        let query = hermes_lang::parse_query(src).unwrap();
-        let policy = hermes_cim::CimPolicy::cache_everything();
-        let plans =
-            crate::rewrite::enumerate_plans(program, &query, &policy, Default::default()).unwrap();
-        plans.into_iter().next().unwrap()
+    /// The first plan for `src` with every call through the CIM.
+    fn plan_for(src: &str) -> Plan {
+        plan_under(src, &CimPolicy::cache_everything())
+    }
+
+    /// Every call through the CIM except those to `domain`.
+    fn direct(domain: &str) -> CimPolicy {
+        let mut policy = CimPolicy::cache_everything();
+        policy.set_domain(domain, RoutingDecision::Direct);
+        policy
     }
 
     fn answers(n: i64) -> Arc<[Subst]> {
@@ -482,32 +485,19 @@ mod tests {
     }
 
     #[test]
-    fn no_verdicts_no_tickets() {
-        let (program, verdicts) = verdict_program();
-        let plan = plan_for("?- p(A, B).", &program);
-        let cache = MatCache::default();
-        assert!(cache.ticket(&plan).is_none(), "inert until verdicts land");
-        cache.install_verdicts(1, verdicts);
-        assert!(cache.ticket(&plan).is_some());
-        assert_eq!(cache.verdicts_epoch(), Some(1));
-    }
-
-    #[test]
     fn volatile_subplans_are_refused_a_ticket() {
-        let (program, verdicts) = verdict_program();
         let cache = MatCache::default();
-        cache.install_verdicts(1, verdicts);
-        let plan = plan_for("?- v(A).", &program);
+        let plan = plan_under("?- v(A).", &direct("feed"));
         assert!(cache.ticket(&plan).is_none());
         assert_eq!(cache.stats().volatile_skips, 1);
+        // The same subplan read through the CIM gets one.
+        assert!(cache.ticket(&plan_for("?- v(A).")).is_some());
     }
 
     #[test]
     fn store_then_hit_shares_the_allocation() {
-        let (program, verdicts) = verdict_program();
         let cache = MatCache::default();
-        cache.install_verdicts(1, verdicts);
-        let plan = plan_for("?- p(A, B).", &program);
+        let plan = plan_for("?- p(A, B).");
         let ticket = cache.ticket(&plan).unwrap();
         assert!(matches!(
             cache.lookup(&ticket),
@@ -528,10 +518,8 @@ mod tests {
 
     #[test]
     fn invalidation_scope_is_per_source_and_leaves_a_tombstone() {
-        let (program, verdicts) = verdict_program();
         let cache = MatCache::default();
-        cache.install_verdicts(1, verdicts);
-        let plan = plan_for("?- p(A, B).", &program);
+        let plan = plan_for("?- p(A, B).");
         let ticket = cache.ticket(&plan).unwrap();
         cache.store(&ticket, answers(2), 5.0);
         // An unrelated source evicts nothing.
@@ -555,13 +543,11 @@ mod tests {
 
     #[test]
     fn admission_floor_and_budget_demotion() {
-        let (program, verdicts) = verdict_program();
         let cache = MatCache::new(MatCacheConfig {
             budget_bytes: 120,
             min_savings_ms: 1.0,
         });
-        cache.install_verdicts(1, verdicts);
-        let plan = plan_for("?- p(A, B).", &program);
+        let plan = plan_for("?- p(A, B).");
         let ticket = cache.ticket(&plan).unwrap();
         assert_eq!(
             cache.store(&ticket, answers(2), 0.5),
@@ -585,10 +571,8 @@ mod tests {
 
     #[test]
     fn flight_leader_publishes_to_followers() {
-        let (program, verdicts) = verdict_program();
         let cache = Arc::new(MatCache::default());
-        cache.install_verdicts(1, verdicts);
-        let plan = plan_for("?- p(A, B).", &program);
+        let plan = plan_for("?- p(A, B).");
         let ticket = cache.ticket(&plan).unwrap();
         let FlightRole::Leader(leader) = cache.join(&ticket) else {
             panic!("first join leads");
@@ -607,10 +591,8 @@ mod tests {
 
     #[test]
     fn abandoned_flight_releases_followers() {
-        let (program, verdicts) = verdict_program();
         let cache = MatCache::default();
-        cache.install_verdicts(1, verdicts);
-        let plan = plan_for("?- p(A, B).", &program);
+        let plan = plan_for("?- p(A, B).");
         let ticket = cache.ticket(&plan).unwrap();
         let FlightRole::Leader(leader) = cache.join(&ticket) else {
             panic!("lead");
@@ -627,18 +609,31 @@ mod tests {
 
     #[test]
     fn policy_change_sweeps_newly_volatile_entries() {
-        let (program, verdicts) = verdict_program();
         let cache = MatCache::default();
-        cache.install_verdicts(1, verdicts);
-        let plan = plan_for("?- p(A, B).", &program);
-        let ticket = cache.ticket(&plan).unwrap();
-        cache.store(&ticket, answers(2), 5.0);
-        assert_eq!(cache.stats().entries, 1);
-        // New policy: domain `e` is now volatile.
-        let vol = |d: &str, _f: &str| d == "feed" || d == "e";
-        let v2 = MaterializationVerdicts::compute(&program, &[], Some(&vol), None);
-        cache.install_verdicts(2, v2);
-        assert_eq!(cache.stats().entries, 0);
-        assert!(cache.ticket(&plan).is_none(), "now volatile: no ticket");
+        for src in ["?- p(A, B).", "?- v(A)."] {
+            let ticket = cache.ticket(&plan_for(src)).unwrap();
+            cache.store(&ticket, answers(2), 5.0);
+        }
+        assert_eq!(cache.stats().entries, 2);
+        // New routing: domain `e` bypasses the CIM, so `p`'s snapshot has
+        // lost its invalidation signal; `v`'s has not.
+        let cim = hermes_cim::ShardedCim::new(1);
+        let mut policy = CimPolicy::cache_everything();
+        let mut exec = crate::exec::ExecConfig::default();
+        let knobs = crate::caches::PlanningKnobs {
+            policy: &mut policy,
+            exec: &mut exec,
+        };
+        crate::caches::CacheControl::new(&cim, &cache, Some(knobs))
+            .policy()
+            .routing(direct("e"))
+            .apply()
+            .unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.invalidated), (1, 1));
+        assert!(
+            cache.ticket(&plan_under("?- p(A, B).", &policy)).is_none(),
+            "now direct: no ticket"
+        );
     }
 }

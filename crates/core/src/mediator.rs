@@ -232,10 +232,6 @@ pub struct Mediator {
     /// Warning-severity findings from the last `register_program` (or
     /// `analyze`) run; queryable via [`Mediator::analysis_warnings`].
     analysis_warnings: Vec<Diagnostic>,
-    /// Monotone counter of program/policy states; the matcache's installed
-    /// verdicts are tagged with it, so a `register_program` or routing
-    /// change triggers a verdict refresh before the next sharing query.
-    cache_epoch: u64,
 }
 
 impl Mediator {
@@ -262,7 +258,6 @@ impl Mediator {
                 SimInstant::EPOCH,
             ),
             analysis_warnings: Vec::new(),
-            cache_epoch: 0,
         })
     }
 
@@ -286,7 +281,6 @@ impl Mediator {
         }
         self.analysis_warnings = report.warnings().into_iter().cloned().collect();
         self.shared.core.program = CheckedProgram::new(program);
-        self.cache_epoch += 1;
         Ok(())
     }
 
@@ -367,7 +361,6 @@ impl Mediator {
         let planning = PlanningKnobs {
             policy: &mut shared.core.policy,
             exec: &mut shared.core.config.exec,
-            epoch: &mut self.cache_epoch,
         };
         CacheControl::new(&shared.cim, &shared.matcache, Some(planning))
     }
@@ -448,7 +441,6 @@ impl Mediator {
     pub fn query(&mut self, req: impl Into<QueryRequest>) -> Result<QueryResult> {
         // The serial face never bounds its admission gate: the selector
         // sees no load, and whatever tier it picks is granted.
-        self.refresh_subplan_verdicts();
         self.shared.query(req)
     }
 
@@ -457,14 +449,11 @@ impl Mediator {
     /// are copied into the server's core, which nothing changes after,
     /// the answer cache and statistics cache are redistributed over
     /// `shards` independently locked shards, and the breaker bank and
-    /// subplan cache are shared. The returned server's
+    /// subplan cache are shared (each plan's own routes gate the subplan
+    /// cache, so the two faces' routing may differ). The returned server's
     /// [`query`](ConcurrentMediator::query) takes `&self`, so any number
     /// of client threads can call it at once.
     pub fn to_concurrent(&self, shards: usize) -> ConcurrentMediator {
-        // The server's planning core is immutable, so its safety verdicts
-        // are fixed here, once, from the program and routing policy it is
-        // born with.
-        self.refresh_subplan_verdicts();
         let cim = self.with_cim(|cim| ShardedCim::from_template(cim, shards));
         let dcsm = self.with_dcsm(|dcsm| ShardedDcsm::from_dcsm(dcsm, shards));
         ConcurrentMediator::from_parts(
@@ -478,33 +467,12 @@ impl Mediator {
         )
     }
 
-    /// With subplan sharing on, recomputes and installs the matcache's
-    /// HA070/HA074 safety verdicts when the installed ones no longer
-    /// describe the current program/policy state. Cheap when current (one
-    /// epoch compare); a flat classification pass when stale.
-    fn refresh_subplan_verdicts(&self) {
-        let matcache = &self.shared.matcache;
-        if !self.config().exec.share_subplans || matcache.verdicts_epoch() == Some(self.cache_epoch)
-        {
-            return;
-        }
-        let routes = self.routes();
-        let verdicts = hermes_analysis::MaterializationVerdicts::compute(
-            self.program(),
-            &[],
-            None,
-            Some(&routes),
-        );
-        matcache.install_verdicts(self.cache_epoch, verdicts);
-    }
-
     /// Executes an already-planned query. When [`MediatorConfig::failover`]
     /// is on and a hard outage (or open breaker) kills the running plan,
     /// the cheapest alternative plan avoiding every dead site seen so far
     /// is executed instead; answers the failed attempt already cached are
     /// reused, so replanning resumes rather than restarts.
     pub fn execute(&mut self, planned: Planned, limit: Option<usize>) -> Result<QueryResult> {
-        self.refresh_subplan_verdicts();
         self.shared.execute(&planned, limit)
     }
 

@@ -97,6 +97,23 @@ impl Plan {
         self.steps.iter().filter(|s| s.is_call()).count()
     }
 
+    /// True when no call step bypasses the CIM ([`Route::Direct`]). Only
+    /// such a plan can be served whole by the `CacheOnly` tier, and only
+    /// such a plan reads every source through a cache that an
+    /// invalidation reaches, which a materialized copy of its answers
+    /// needs ([`crate::matcache`]).
+    pub(crate) fn routes_calls_through_cim(&self) -> bool {
+        !self.steps.iter().any(|step| {
+            matches!(
+                step,
+                PlanStep::Call {
+                    route: Route::Direct,
+                    ..
+                }
+            )
+        })
+    }
+
     /// The plan's steps as a body conjunction. Routing is erased — whether
     /// a call goes through the CIM is an execution choice, not part of the
     /// subplan's identity — and fact steps reappear as predicate atoms.

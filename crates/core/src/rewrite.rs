@@ -17,7 +17,8 @@
 //! 4. routing calls through CIM or directly, per the [`CimPolicy`].
 //!
 //! Recursive programs are rejected (the paper defers recursion to its
-//! reference \[33\]).
+//! reference \[33\]); the verdict comes from the analyzer's dependency
+//! graph ([`hermes_analysis::first_predicate_reaching_recursion`]).
 
 use crate::plan::{Plan, PlanStep, Route};
 pub use hermes_analysis::{fingerprint_body, fingerprint_rule, Fingerprint, SubplanKey};
@@ -27,7 +28,7 @@ use hermes_lang::{
     validate_program, BodyAtom, CallTemplate, Condition, PathTerm, PredAtom, Program, Query, Relop,
     Rule, RuleIndex, Subst, Term,
 };
-use std::collections::{btree_set, BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// A selection-pushdown rule (§5 transformation 2: "push selections to the
@@ -130,7 +131,9 @@ pub fn enumerate_plans_with_pushdowns(
 
 /// A mediator program with everything the rewriter derives from the
 /// program alone computed once, where the program is installed: the
-/// verdict of the program checks and the rule index the search reads.
+/// verdict of the program checks (mixed definitions, rule validity, and
+/// recursion, read off the analyzer's dependency graph) and the rule
+/// index the search reads.
 /// Planning a query against it ([`CheckedProgram::enumerate_plans`]) is
 /// the search and nothing else.
 ///
@@ -179,7 +182,7 @@ impl CheckedProgram {
 fn check_program(program: &Program, index: &RuleIndex) -> Result<()> {
     check_mixed_definitions(index)?;
     validate_program(program)?;
-    check_not_recursive(program)
+    reject_recursion(program)
 }
 
 /// Predicates defined by both facts and rules have ambiguous access-path
@@ -197,58 +200,16 @@ fn check_mixed_definitions(index: &RuleIndex) -> Result<()> {
     }
 }
 
-type PredKey = (Arc<str>, usize);
-type PredGraph = BTreeMap<PredKey, BTreeSet<PredKey>>;
-
 /// Rejects recursive programs, naming the first predicate (in name order)
-/// from which a cycle of the dependency graph can be reached.
-fn check_not_recursive(program: &Program) -> Result<()> {
-    let mut edges: PredGraph = BTreeMap::new();
-    for rule in &program.rules {
-        let from = rule.head.key();
-        for atom in &rule.body {
-            if let BodyAtom::Pred(p) = atom {
-                edges.entry(from.clone()).or_default().insert(p.key());
-            }
-        }
+/// from which a cycle of the dependency graph can be reached. The walk is
+/// the analyzer's, the one its `HA001` check reads.
+fn reject_recursion(program: &Program) -> Result<()> {
+    match hermes_analysis::first_predicate_reaching_recursion(program) {
+        Some((name, arity)) => Err(HermesError::Plan(format!(
+            "predicate `{name}/{arity}` is recursive; recursion is not supported"
+        ))),
+        None => Ok(()),
     }
-    // Depth-first search with three colours: absent = unvisited, `false`
-    // = on the current path, `true` = finished. The path is an explicit
-    // stack, so a rule chain of any length costs heap, not call frames.
-    let mut finished: BTreeMap<&PredKey, bool> = BTreeMap::new();
-    let mut path: Vec<(&PredKey, btree_set::Iter<'_, PredKey>)> = Vec::new();
-    for (root, succ) in &edges {
-        if finished.contains_key(root) {
-            continue;
-        }
-        finished.insert(root, false);
-        path.push((root, succ.iter()));
-        while let Some((node, succ)) = path.last_mut() {
-            let Some(next) = succ.next() else {
-                finished.insert(node, true);
-                path.pop();
-                continue;
-            };
-            match (finished.get(next), edges.get_key_value(next)) {
-                (Some(true), _) => {}
-                (Some(false), _) => {
-                    return Err(HermesError::Plan(format!(
-                        "predicate `{}/{}` is recursive; recursion is not supported",
-                        root.0, root.1
-                    )));
-                }
-                (None, Some((next, succ))) => {
-                    finished.insert(next, false);
-                    path.push((next, succ.iter()));
-                }
-                // No predicate in its rules' bodies: nothing to follow.
-                (None, None) => {
-                    finished.insert(next, true);
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The plan search itself: what [`enumerate_plans_with_pushdowns`] and
@@ -716,22 +677,17 @@ pub fn bind_query(query: &Query, bindings: &Subst) -> Query {
 }
 
 /// Tier-restricted planning support: the indices of the plans whose
-/// every domain call is CIM-routed. Only those plans can possibly be
-/// served end-to-end by the `CacheOnly` tier — a Direct-routed call
-/// bypasses the cache entirely, so a plan containing one is guaranteed
-/// to come back with a `Downgraded` gap. Returns an empty list when no
-/// plan qualifies; the caller keeps the optimizer's choice and lets the
-/// executor fail soft per call.
+/// every domain call is CIM-routed (`Plan::routes_calls_through_cim`).
+/// Only those plans can possibly be served end-to-end by the `CacheOnly`
+/// tier — a Direct-routed call bypasses the cache entirely, so a plan
+/// containing one is guaranteed to come back with a `Downgraded` gap.
+/// Returns an empty list when no plan qualifies; the caller keeps the
+/// optimizer's choice and lets the executor fail soft per call.
 pub fn cache_servable_plans(plans: &[Plan]) -> Vec<usize> {
     plans
         .iter()
         .enumerate()
-        .filter(|(_, plan)| {
-            plan.steps.iter().all(|step| match step {
-                PlanStep::Call { route, .. } => *route == Route::Cim,
-                _ => true,
-            })
-        })
+        .filter(|(_, plan)| plan.routes_calls_through_cim())
         .map(|(i, _)| i)
         .collect()
 }
@@ -933,7 +889,7 @@ mod tests {
              ok(X) :- in(X, d:f()).",
         )
         .unwrap();
-        let err = check_not_recursive(&program).unwrap_err().to_string();
+        let err = reject_recursion(&program).unwrap_err().to_string();
         assert!(err.contains("predicate `a/1` is recursive"), "{err}");
     }
 
@@ -968,7 +924,7 @@ mod tests {
             let reaches_cycle =
                 |i: usize| reach[i][i] || (0..N).any(|j| reach[i][j] && reach[j][j]);
             let expect = (0..N).find(|&i| reaches_cycle(i));
-            let got = check_not_recursive(&parse_program(&src).unwrap());
+            let got = reject_recursion(&parse_program(&src).unwrap());
             match expect {
                 Some(i) => {
                     cyclic += 1;

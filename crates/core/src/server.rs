@@ -274,11 +274,10 @@ pub struct ConcurrentMediator {
     pub(crate) dcsm: Arc<ShardedDcsm>,
     pub(crate) breakers: Arc<Mutex<BreakerBank>>,
     flight: Arc<InFlightRegistry>,
-    /// The subplan materialization cache. The serial face refreshes its
-    /// verdicts before a sharing query; a server split off with
-    /// `to_concurrent` shares it with the serial mediator it came from,
-    /// with the verdicts installed then, which never go stale because
-    /// the server's planning core is immutable.
+    /// The subplan materialization cache. A server split off with
+    /// `to_concurrent` shares it with the serial mediator it came from;
+    /// each plan's own routes decide whether it may use it (see
+    /// [`MatCache::ticket`]), whatever routing either face has.
     pub(crate) matcache: Arc<MatCache>,
     /// High-water mark of virtual time over finished queries, in
     /// microseconds since the epoch. Each query's clock starts here.

@@ -161,8 +161,7 @@ fn num(s: &str) -> Result<usize, String> {
     s.trim().parse().map_err(|_| format!("not a number: {s}"))
 }
 
-/// The Zipf-skewed mix over the serving world's query forms, identical
-/// in shape to the `mediator_throughput` bench's workload.
+/// The Zipf-skewed mix over the serving world's query forms.
 fn zipf_mix(seed: u64, count: usize) -> Vec<String> {
     let mut rng = Rng64::new(seed ^ 0x7F4A_7C15);
     (0..count)

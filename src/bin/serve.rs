@@ -141,8 +141,7 @@ fn num(s: &str) -> Result<usize, String> {
     s.parse().map_err(|_| format!("not a number: {s}"))
 }
 
-/// The synthetic sources, shaped like the `mediator_throughput` bench:
-/// two sites, real latency per source call.
+/// The synthetic sources: two sites, real latency per source call.
 fn synthetic_network(seed: u64, delay: Duration) -> Network {
     let d0 = SyntheticDomain::generate(
         "d0",

@@ -128,6 +128,39 @@ fn volatile_subplans_are_never_served_from_a_snapshot() {
 }
 
 #[test]
+fn a_server_keeps_its_own_routes_when_the_serial_face_reroutes() {
+    // The server is split off while `synth` bypasses the CIM, so its plans
+    // read `synth` directly: no invalidation signal reaches a snapshot of
+    // them. The serial face shares the subplan cache; rerouting it later,
+    // and materializing `pairs` there, must not let the server read that
+    // snapshot.
+    let mut m = world(3);
+    let mut policy = CimPolicy::cache_everything();
+    policy.set_domain("synth", RoutingDecision::Direct);
+    m.caches()
+        .policy()
+        .routing(policy)
+        .share_subplans(true)
+        .apply()
+        .unwrap();
+    let server = m.to_concurrent(2);
+    m.caches()
+        .policy()
+        .routing(CimPolicy::cache_everything())
+        .apply()
+        .unwrap();
+    let serial = sorted_rows(&mut m, "?- pairs(A, B).");
+    assert_eq!(m.caches().stats().subplans.materialized, 1);
+
+    let served = server.query("?- pairs(A, B).").unwrap();
+    assert_eq!(served.stats.subplan_hits, 0, "served from a snapshot");
+    assert_eq!(served.stats.actual_calls, 1, "the direct call was skipped");
+    let mut rows = served.rows;
+    rows.sort();
+    assert_eq!(rows, serial);
+}
+
+#[test]
 fn clearing_the_subplan_tier_leaves_answers_intact() {
     let mut m = world(5);
     m.caches().policy().share_subplans(true).apply().unwrap();

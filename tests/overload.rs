@@ -219,6 +219,13 @@ fn stampede_sheds_cleanly_and_admitted_queries_complete() {
         stats.queries,
         "every query is accounted for exactly once"
     );
+    // Every issued query is exactly one of shed, downgraded, or served
+    // at the paper-exact Full tier.
+    let full = stats
+        .admitted
+        .checked_sub(stats.downgraded)
+        .expect("only admitted queries are downgraded");
+    assert_eq!(stats.shed + stats.downgraded + full, stats.queries);
 }
 
 #[test]

@@ -10,7 +10,7 @@
 //! the spread across batches.
 
 use hermes_cim::{Cim, CimPolicy};
-use hermes_common::{CallPattern, GroundCall, PatArg, SimInstant, Value};
+use hermes_common::{CallPattern, GroundCall, PatArg, PatternShape, SimInstant, Value};
 use hermes_core::{
     choose_plan, enumerate_plans, estimate_plan, CheckedProgram, CostConfig, RewriteConfig,
 };
@@ -185,8 +185,10 @@ fn bench_dcsm() {
     println!("dcsm_estimate:");
     let detail = warmed_dcsm(1_000);
     let mut summarized = warmed_dcsm(1_000);
-    summarized.build_lossless("video", "frames_to_objects");
-    summarized.build_lossy("video", "frames_to_objects", vec![false, false, false]);
+    for dims in [[true; 3], [false; 3]] {
+        let shape = PatternShape::new("video", "frames_to_objects", dims.to_vec());
+        summarized.build_table(shape);
+    }
     summarized.drop_detail("video", "frames_to_objects");
 
     let seen = GroundCall::new(

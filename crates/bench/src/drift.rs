@@ -62,12 +62,13 @@ pub fn run(seed: u64, amplitudes: &[f64]) -> Vec<DriftRow> {
                 recency_decay: Some(0.85),
                 ..DcsmConfig::default()
             });
-            // Both predict through the blanket table (steady-state
-            // operation after summarization).
-            // Seed the blanket shapes so online updates have a target.
+            // Both predict through the blanket pattern (steady-state
+            // operation after summarization). The decayed DCSM keeps no
+            // detail, so its blanket table is built empty and filled by
+            // online updates.
             let blanket_pattern =
                 GroundCall::new("src", "r_bf", vec![Value::str("x")]).blanket_pattern();
-            decayed.ensure_table(hermes_common::PatternShape::new("src", "r_bf", vec![false]));
+            decayed.build_table(blanket_pattern.shape());
 
             let mut clock = SimClock::new();
             let mut rng = hermes_common::Rng64::new(seed ^ 0x0D21F7);
@@ -108,7 +109,7 @@ pub fn run(seed: u64, amplitudes: &[f64]) -> Vec<DriftRow> {
             }
             // The decayed DCSM has no detail, so make sure its blanket
             // table really answered (otherwise the comparison is void).
-            debug_assert!(decayed.tables().len() == 1);
+            debug_assert!(decayed.table_count() == 1);
             DriftRow {
                 load_amplitude: amp,
                 plain_error: plain_err / measured as f64,

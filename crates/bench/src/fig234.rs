@@ -73,25 +73,19 @@ pub fn report() -> String {
         out.push_str(&render_detail(&db, domain, function));
         out.push('\n');
     }
-    // Figure 3: lossless summaries of T16 and T19.
-    let t20 = SummaryTable::summarize_lossless(&db, "d1", "p_bf");
-    out.push_str(&render_summary(&t20, "lossless summary, Figure 3 / T20"));
-    out.push('\n');
-    let t21 = SummaryTable::summarize_lossless(&db, "d2", "q_ff");
-    out.push_str(&render_summary(&t21, "lossless summary, Figure 3 / T21"));
-    out.push('\n');
-    // Figure 4: drop the B dimension of p_bb and q_bf (Example 6.2).
-    let pbb = SummaryTable::summarize_lossless(&db, "d1", "p_bb");
-    let lossy_pbb = pbb
-        .derive_lossy(PatternShape::new("d1", "p_bb", vec![true, false]))
-        .expect("derivable");
-    out.push_str(&render_summary(&lossy_pbb, "lossy summary, Figure 4"));
-    out.push('\n');
-    let qbf = SummaryTable::summarize_lossless(&db, "d2", "q_bf");
-    let lossy_qbf = qbf
-        .derive_lossy(PatternShape::new("d2", "q_bf", vec![false]))
-        .expect("derivable");
-    out.push_str(&render_summary(&lossy_qbf, "lossy summary, Figure 4"));
+    let tables = [
+        // Figure 3: lossless summaries of T16 and T19.
+        ("d1", "p_bf", vec![true], "lossless summary, Figure 3 / T20"),
+        ("d2", "q_ff", vec![], "lossless summary, Figure 3 / T21"),
+        // Figure 4: drop the B dimension of p_bb and q_bf (Example 6.2).
+        ("d1", "p_bb", vec![true, false], "lossy summary, Figure 4"),
+        ("d2", "q_bf", vec![false], "lossy summary, Figure 4"),
+    ];
+    let rendered = tables.map(|(domain, function, dims, caption)| {
+        let shape = PatternShape::new(domain, function, dims);
+        render_summary(&SummaryTable::summarize(&db, shape), caption)
+    });
+    out.push_str(&rendered.join("\n"));
     out
 }
 

@@ -15,7 +15,7 @@
 use crate::scenarios::{plan_in_written_order, rope_world, VideoSite};
 use crate::table::{ms, TextTable};
 use hermes_cim::{CimPolicy, ShardedCim};
-use hermes_common::{Rng64, SimClock};
+use hermes_common::{PatternShape, Rng64, SimClock};
 use hermes_core::{estimate_plan, CostConfig, ExecConfig, Executor};
 use hermes_dcsm::{Dcsm, DcsmConfig};
 use hermes_domains::video::gen::ROPE_CAST;
@@ -89,8 +89,13 @@ pub fn run(seed: u64) -> Vec<Fig6Row> {
         ..DcsmConfig::default()
     });
     m.dcsm().for_each_shard_mut(|_, master| {
+        let arity = |dcsm: &Dcsm, domain: &str, function: &str| {
+            let records = dcsm.db().records_for(domain, function);
+            records.first().map_or(0, |r| r.call.args.len())
+        };
         for (domain, function) in master.db().functions() {
-            master.build_lossless(&domain, &function);
+            let dims = vec![true; arity(master, &domain, &function)];
+            master.build_table(PatternShape::new(domain, function, dims));
         }
         for (domain, function) in master.db().functions() {
             for r in master.db().records_for(&domain, &function) {
@@ -104,13 +109,8 @@ pub fn run(seed: u64) -> Vec<Fig6Row> {
             }
         }
         for (domain, function) in master.db().functions() {
-            let arity = master
-                .db()
-                .records_for(&domain, &function)
-                .first()
-                .map(|r| r.call.args.len())
-                .unwrap_or(0);
-            lossy.build_lossy(&domain, &function, vec![false; arity]);
+            let dims = vec![false; arity(master, &domain, &function)];
+            lossy.build_table(PatternShape::new(domain.clone(), function.clone(), dims));
             lossy.drop_detail(&domain, &function);
         }
     });

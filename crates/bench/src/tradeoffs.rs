@@ -19,7 +19,7 @@
 
 use crate::table::TextTable;
 use hermes_common::rng::ZipfSampler;
-use hermes_common::{GroundCall, Rng64, SimInstant, Value};
+use hermes_common::{GroundCall, PatternShape, Rng64, SimInstant, Value};
 use hermes_dcsm::Dcsm;
 use hermes_domains::video::gen::random_store;
 use hermes_domains::Domain;
@@ -131,29 +131,21 @@ pub fn run(seed: u64, skews: &[f64]) -> Vec<LevelResult> {
         // Every summarized level also keeps the (tiny) blanket table so
         // unseen argument vectors relax to the global mean instead of the
         // prior — what a real deployment does.
-        let with_tables = |mask: Option<Vec<bool>>| {
+        let with_tables = |dims: [bool; 3]| {
             let mut d = detail();
-            match mask {
-                None => {
-                    d.build_lossless("video", "frames_to_objects");
-                }
-                Some(m) => {
-                    d.build_lossy("video", "frames_to_objects", m);
-                }
+            for dims in [dims, [false; 3]] {
+                let shape = PatternShape::new("video", "frames_to_objects", dims.to_vec());
+                d.build_table(shape);
             }
-            d.build_lossy("video", "frames_to_objects", vec![false, false, false]);
             d.drop_detail("video", "frames_to_objects");
             d
         };
 
         let levels: [(&'static str, Dcsm); 4] = [
             ("detail", detail()),
-            ("lossless", with_tables(None)),
-            (
-                "lossy(keep-video)",
-                with_tables(Some(vec![true, false, false])),
-            ),
-            ("blanket", with_tables(Some(vec![false, false, false]))),
+            ("lossless", with_tables([true; 3])),
+            ("lossy(keep-video)", with_tables([true, false, false])),
+            ("blanket", with_tables([false; 3])),
         ];
 
         for (label, dcsm) in levels {

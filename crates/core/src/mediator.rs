@@ -582,7 +582,7 @@ mod tests {
     use super::*;
     use crate::tier::TierReason;
     use crate::trace::TraceEvent;
-    use hermes_common::{CallPattern, GroundCall, Value};
+    use hermes_common::{CallPattern, GroundCall, PatternShape, Value};
     use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
     use hermes_domains::Domain;
     use hermes_lang::parse_invariant;
@@ -956,6 +956,42 @@ mod tests {
     }
 
     #[test]
+    fn to_concurrent_estimates_from_the_summary_tables_the_serial_face_holds() {
+        use hermes_dcsm::{CostSource, EstimateOutcome, EstimateSource};
+        let m = mediator();
+        let call = |k: i64| GroundCall::new("d1", "p_bf", vec![Value::Int(k)]);
+        m.with_dcsm(|dcsm| {
+            for k in 0..12 {
+                let t_all = Some(2.0 + 0.3 * k as f64);
+                dcsm.record(&call(k % 4), Some(1.0), t_all, Some(3.0), SimInstant::EPOCH);
+            }
+            for dims in [vec![true], vec![false]] {
+                dcsm.build_table(PatternShape::new("d1", "p_bf", dims));
+            }
+            dcsm.drop_detail("d1", "p_bf");
+        });
+        let server = m.to_concurrent(4);
+        let bits = |o: EstimateOutcome| {
+            let v = o.vector;
+            let vector = [v.t_first_ms, v.t_all_ms, v.cardinality].map(|x| x.map(f64::to_bits));
+            (vector, o.source, o.lookup_work)
+        };
+        let probes = [
+            call(1).pattern(),
+            call(9).pattern(),
+            call(1).blanket_pattern(),
+        ];
+        for p in &probes {
+            assert_eq!(bits(m.dcsm().cost(p)), bits(server.dcsm().cost(p)), "{p}");
+        }
+        let serial = m.dcsm().cost(&probes[0]).source;
+        assert!(
+            matches!(serial, EstimateSource::Summary { .. }),
+            "{serial:?}"
+        );
+    }
+
+    #[test]
     fn loading_a_state_twice_is_loading_it_once() {
         let dir =
             std::env::temp_dir().join(format!("hermes-mediator-twice-{}", std::process::id()));
@@ -985,7 +1021,7 @@ mod tests {
         let loaded = |times: usize| {
             let mut m = mediator();
             observe(&m, &[7, 1]);
-            m.with_dcsm(|dcsm| dcsm.build_lossless("d1", "p_bf"));
+            m.with_dcsm(|dcsm| dcsm.build_table(PatternShape::new("d1", "p_bf", vec![true])));
             for _ in 0..times {
                 m.load_state(&dir).unwrap();
             }

@@ -1,8 +1,12 @@
 //! The DCSM facade: recording, summarization management, and the §6.3
 //! pattern-relaxation cost estimation algorithm.
+//!
+//! All statistics live in one store, the shape index of [`CostVectorDb`]: a
+//! summary table is a shape flagged by [`Dcsm::build_table`] or
+//! [`Dcsm::maintain`], and each node of the relaxation walk is one lookup
+//! in that index.
 
 use crate::cost::CostVector;
-use crate::summary::SummaryTable;
 use crate::vectordb::CostVectorDb;
 use hermes_common::{CallPattern, GroundCall, PatternShape, SimInstant};
 use hermes_domains::NativeEstimator;
@@ -15,8 +19,6 @@ pub struct DcsmConfig {
     /// Keep full-detail records (the cost vector database). Disabling
     /// models a deployment that *only* maintains summaries.
     pub keep_detail: bool,
-    /// Incrementally fold new observations into existing summary tables.
-    pub online_update: bool,
     /// Recency decay applied to a summary row before each new observation
     /// (`None` = plain averages, the paper's default).
     pub recency_decay: Option<f64>,
@@ -28,7 +30,6 @@ impl Default for DcsmConfig {
     fn default() -> Self {
         DcsmConfig {
             keep_detail: true,
-            online_update: true,
             recency_decay: None,
             default_prior: CostVector::full(250.0, 1_000.0, 10.0),
         }
@@ -92,7 +93,6 @@ impl EstimateOutcome {
 pub struct Dcsm {
     config: DcsmConfig,
     db: CostVectorDb,
-    tables: HashMap<PatternShape, SummaryTable>,
     external: HashMap<Arc<str>, Arc<dyn NativeEstimator>>,
     /// Lookup-shape counters driving table maintenance (§6.2: "watch the
     /// access patterns for the tables"). Interior mutability because
@@ -117,7 +117,6 @@ impl Dcsm {
         Dcsm {
             config,
             db: CostVectorDb::new(),
-            tables: HashMap::new(),
             external: HashMap::new(),
             tracker: hermes_common::sync::Mutex::new(crate::maintenance::AccessTracker::new()),
         }
@@ -133,9 +132,9 @@ impl Dcsm {
         &self.db
     }
 
-    /// The summary tables, keyed by shape.
-    pub fn tables(&self) -> &HashMap<PatternShape, SummaryTable> {
-        &self.tables
+    /// Number of summary tables.
+    pub fn table_count(&self) -> usize {
+        self.db.tables().len()
     }
 
     /// Registers a source-provided estimator for a domain (§6: "if a
@@ -149,7 +148,9 @@ impl Dcsm {
         self.external.insert(domain.into(), est);
     }
 
-    /// Records an executed call's observed costs.
+    /// Records an executed call's observed costs: into the detail (if
+    /// kept) and every shape built for the function, summary tables
+    /// included, which decay first under `recency_decay`.
     pub fn record(
         &mut self,
         call: &GroundCall,
@@ -163,110 +164,59 @@ impl Dcsm {
             t_all_ms,
             cardinality,
         };
-        if self.config.keep_detail {
-            self.db.record(call.clone(), vector, now);
-        }
-        if self.config.online_update {
-            let decay = self.config.recency_decay;
-            for table in self.tables.values_mut() {
-                if table.shape.domain == call.domain && table.shape.function == call.function {
-                    if let Some(d) = decay {
-                        table.decay_all(d);
-                    }
-                    table.observe(call, &vector);
-                }
-            }
-        }
+        let (keep, decay) = (self.config.keep_detail, self.config.recency_decay);
+        self.db.observe(call.clone(), vector, now, keep, decay);
     }
 
-    /// Builds (or rebuilds) the lossless summary table for a function from
-    /// the detail database (§6.2.1). Returns its shape.
-    pub fn build_lossless(&mut self, domain: &str, function: &str) -> PatternShape {
-        let table = SummaryTable::summarize_lossless(&self.db, domain, function);
-        let shape = table.shape.clone();
-        self.tables.insert(shape.clone(), table);
-        shape
+    /// Makes `shape` a summary table (§6.2.1 when every position is a
+    /// dimension, §6.2.2 otherwise), which online updates then keep
+    /// current. A shape the index has built keeps its rows, so the table
+    /// holds the function's full history; an unbuilt one is summed from
+    /// the retained records, which is nothing under `keep_detail: false`.
+    /// False if `shape` was a table already.
+    pub fn build_table(&mut self, shape: PatternShape) -> bool {
+        self.db.flag(shape)
     }
 
-    /// Adds a lossy table with the given dimension mask, derived from the
-    /// lossless summary (built on demand) (§6.2.2).
-    pub fn build_lossy(
-        &mut self,
-        domain: &str,
-        function: &str,
-        const_mask: Vec<bool>,
-    ) -> Option<PatternShape> {
-        let lossless = SummaryTable::summarize_lossless(&self.db, domain, function);
-        let shape = PatternShape::new(domain, function, const_mask);
-        let table = lossless.derive_lossy(shape.clone())?;
-        self.tables.insert(shape.clone(), table);
-        Some(shape)
-    }
-
-    /// Runs one maintenance epoch (§6.2): materializes a summary table for
-    /// every shape the estimator was asked about at least `min_hot` times,
-    /// drops tables colder than `min_cold` lookups, and resets the
-    /// counters. Returns `(created, dropped)` shape lists. Blanket tables
-    /// are never dropped — they are the last-resort fallback and cost a
-    /// single row.
+    /// Runs one maintenance epoch (§6.2): makes a summary table of every
+    /// shape the estimator was asked about at least `min_hot` times, drops
+    /// tables colder than `min_cold` lookups, and resets the counters.
+    /// Returns `(created, dropped)` shape lists. Blanket tables are never
+    /// dropped — they are the last-resort fallback and cost a single row.
     pub fn maintain(
         &mut self,
         min_hot: u64,
         min_cold: u64,
     ) -> (Vec<PatternShape>, Vec<PatternShape>) {
         let (hot, cold) = {
-            let tracker = self.tracker.lock();
-            let hot: Vec<PatternShape> = tracker
-                .hot_shapes(min_hot)
-                .into_iter()
-                .map(|(s, _)| s)
-                .filter(|s| !self.tables.contains_key(s))
-                .collect();
-            let cold: Vec<PatternShape> = tracker
-                .cold_shapes(self.tables.keys(), min_cold)
-                .into_iter()
-                .filter(|s| s.dimension_count() > 0)
-                .collect();
+            let mut tracker = self.tracker.lock();
+            let hot = tracker.hot_shapes(min_hot);
+            let tables = self.db.tables();
+            let mut cold = tracker.cold_shapes(tables.iter(), min_cold);
+            cold.retain(|s| s.dimension_count() > 0);
+            tracker.reset();
             (hot, cold)
         };
-        let mut created = Vec::new();
-        for shape in hot {
-            // Derive from detail when available; otherwise start empty and
-            // let online updates fill it.
-            let lossless =
-                SummaryTable::summarize_lossless(&self.db, &shape.domain, &shape.function);
-            let table = if lossless.shape.const_mask.len() == shape.const_mask.len() {
-                lossless.derive_lossy(shape.clone())
-            } else {
-                None
-            };
-            self.tables.insert(
-                shape.clone(),
-                table.unwrap_or_else(|| SummaryTable::new(shape.clone())),
-            );
-            created.push(shape);
-        }
-        let mut dropped = Vec::new();
-        for shape in cold {
-            if self.tables.remove(&shape).is_some() {
-                dropped.push(shape);
-            }
-        }
-        self.tracker.lock().reset();
+        let created = hot
+            .into_iter()
+            .map(|(shape, _)| shape)
+            .filter(|shape| self.db.flag(shape.clone()))
+            .collect();
+        let dropped = cold.into_iter().filter(|s| self.db.drop_table(s)).collect();
         (created, dropped)
     }
 
     /// Replaces the statistics this DCSM holds — the detail and every
     /// summary table's rows — with the records of `db`, replayed as
-    /// [`Dcsm::record`] takes them (detail and/or online table updates,
-    /// per configuration). Table shapes, registered external estimators
-    /// and the configuration stay. This is how persisted statistics are
-    /// adopted after a restart; adopting the same `db` twice is adopting
-    /// it once.
+    /// [`Dcsm::record`] takes them. Table shapes, registered external
+    /// estimators and the configuration stay. This is how persisted
+    /// statistics are adopted after a restart; adopting the same `db` twice
+    /// is adopting it once.
     pub fn load_db(&mut self, db: &CostVectorDb) {
+        let tables = self.db.tables();
         self.db = CostVectorDb::new();
-        for table in self.tables.values_mut() {
-            *table = SummaryTable::new(table.shape.clone());
+        for shape in tables {
+            self.db.flag(shape);
         }
         for (domain, function) in db.functions() {
             for r in db.records_for(&domain, &function) {
@@ -281,28 +231,21 @@ impl Dcsm {
         }
     }
 
-    /// Copies one function's detail — retained records and aggregation
-    /// cells — from `source` (see [`CostVectorDb::adopt_function`]).
-    pub fn adopt_detail(&mut self, source: &Dcsm, domain: &str, function: &str) {
+    /// Copies one function's statistics — retained records and every
+    /// shape, summary tables included — from `source` (see
+    /// [`CostVectorDb::adopt_function`]).
+    pub fn adopt_function(&mut self, source: &Dcsm, domain: &str, function: &str) {
         self.db.adopt_function(&source.db, domain, function);
     }
 
-    /// Ensures an (initially empty) summary table of `shape` exists, so
-    /// online updates accumulate into it — how a deployment that keeps no
-    /// detail bootstraps its tables.
-    pub fn ensure_table(&mut self, shape: PatternShape) {
-        self.tables
-            .entry(shape.clone())
-            .or_insert_with(|| SummaryTable::new(shape));
-    }
-
-    /// Drops a summary table.
+    /// Drops a summary table; a later estimate rebuilds its shape from the
+    /// retained records, as detail.
     pub fn drop_table(&mut self, shape: &PatternShape) -> bool {
-        self.tables.remove(shape).is_some()
+        self.db.drop_table(shape)
     }
 
     /// Drops the detail of a function (after summarizing, the §6.2 storage
-    /// saving). Returns the observations dropped.
+    /// saving); its summary tables stay. Returns the observations dropped.
     pub fn drop_detail(&mut self, domain: &str, function: &str) -> usize {
         self.db.drop_function(domain, function)
     }
@@ -310,11 +253,6 @@ impl Dcsm {
     /// Total approximate storage of detail + summaries.
     pub fn approx_bytes(&self) -> usize {
         self.db.approx_bytes()
-            + self
-                .tables
-                .values()
-                .map(SummaryTable::approx_bytes)
-                .sum::<usize>()
     }
 
     /// The §6.3 estimation algorithm.
@@ -324,8 +262,8 @@ impl Dcsm {
     /// 2. Walk the relaxation lattice from the asked pattern, most
     ///    specific first (breadth-first, so fewer `$b`s are preferred;
     ///    ties in [`CallPattern::relaxations`] order): at each pattern,
-    ///    probe the summary table of its exact shape, then (if detail is
-    ///    kept) aggregate matching detail records. The asked pattern is
+    ///    one lookup in its shape — a summary table's row, or (if detail is
+    ///    kept) the aggregate of the matching records. The asked pattern is
     ///    probed before any of the walk is built, so an estimate found
     ///    there allocates nothing.
     /// 3. Missing components are filled from the external hint, then the
@@ -377,38 +315,29 @@ impl Dcsm {
         }
     }
 
-    /// One node of the §6.3 walk: the summary table of `p`'s exact shape,
-    /// then (if detail is kept) the detail records `p` matches.
+    /// One node of the §6.3 walk: one lookup of `p` in the shape index. A
+    /// summary table costs one unit of work whether or not its row is
+    /// there; detail costs the records it aggregates.
     fn probe(
         &self,
         p: &CallPattern,
         relaxations: usize,
         lookup_work: &mut usize,
     ) -> Option<(CostVector, EstimateSource)> {
-        if !self.tables.is_empty() {
-            if let Some(table) = self.tables.get(&p.shape()) {
-                *lookup_work += 1;
-                if let Some(row) = table.lookup(p) {
-                    let source = EstimateSource::Summary {
-                        shape: table.shape.clone(),
-                        relaxations,
-                    };
-                    return Some((row.vector(), source));
-                }
-            }
-        }
-        if self.config.keep_detail {
-            let (v, matched) = self.db.aggregate(p);
-            *lookup_work += matched;
-            if matched > 0 {
-                let source = EstimateSource::Detail {
-                    records: matched,
-                    relaxations,
-                };
-                return Some((v, source));
-            }
-        }
-        None
+        let (table, row) = self.db.probe(p, self.config.keep_detail)?;
+        *lookup_work += if table { 1 } else { row.map_or(0, |(_, l)| l) };
+        let (v, records) = row?;
+        let source = match table {
+            true => EstimateSource::Summary {
+                shape: p.shape(),
+                relaxations,
+            },
+            false => EstimateSource::Detail {
+                records,
+                relaxations,
+            },
+        };
+        Some((v, source))
     }
 
     /// The §6.3 walk below `pattern`, once `pattern` itself has missed:
@@ -475,7 +404,7 @@ impl std::fmt::Debug for Dcsm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dcsm")
             .field("detail_records", &self.db.len())
-            .field("tables", &self.tables.len())
+            .field("tables", &self.table_count())
             .field("external", &self.external.len())
             .finish()
     }
@@ -487,6 +416,11 @@ mod tests {
     use crate::vectordb::figure2_database;
     use hermes_common::{PatArg, Value};
     use hermes_domains::CostHint;
+
+    /// The lossless (every position a dimension) shape of `domain:function`.
+    fn lossless(domain: &str, function: &str, arity: usize) -> PatternShape {
+        PatternShape::new(domain, function, vec![true; arity])
+    }
 
     fn dcsm_fig2() -> Dcsm {
         let mut d = Dcsm::new();
@@ -536,7 +470,7 @@ mod tests {
     #[test]
     fn summary_table_preferred_over_detail() {
         let mut d = dcsm_fig2();
-        d.build_lossless("d1", "p_bf");
+        d.build_table(lossless("d1", "p_bf", 1));
         let p = GroundCall::new("d1", "p_bf", vec![Value::str("a")]).pattern();
         let est = d.cost(&p);
         assert!(matches!(
@@ -566,9 +500,9 @@ mod tests {
             );
         }
         // Tables: full detail summary, $b,$b,C  and $b,$b,$b.
-        d.build_lossless("d", "f");
-        d.build_lossy("d", "f", vec![false, false, true]).unwrap();
-        d.build_lossy("d", "f", vec![false, false, false]).unwrap();
+        d.build_table(lossless("d", "f", 3));
+        d.build_table(PatternShape::new("d", "f", vec![false, false, true]));
+        d.build_table(PatternShape::new("d", "f", vec![false, false, false]));
         // Drop the detail so only tables answer.
         d.drop_detail("d", "f");
 
@@ -660,9 +594,9 @@ mod tests {
     }
 
     #[test]
-    fn online_update_keeps_tables_fresh() {
+    fn records_keep_tables_fresh() {
         let mut d = dcsm_fig2();
-        d.build_lossless("d1", "p_bf");
+        d.build_table(lossless("d1", "p_bf", 1));
         let call = GroundCall::new("d1", "p_bf", vec![Value::str("a")]);
         d.record(&call, None, Some(8.0), Some(3.0), SimInstant::EPOCH);
         let est = d.cost(&call.pattern());
@@ -680,10 +614,8 @@ mod tests {
         };
         let mut d = Dcsm::with_config(cfg);
         let call = GroundCall::new("d", "f", vec![]);
-        // Create the (empty) blanket table so online updates land somewhere.
-        d.build_lossless("d", "f");
-        // Seed the table shape: with no detail, build_lossless produced an
-        // arity-0 shape only if records existed; record directly instead.
+        // Create the (empty) table so online updates land somewhere.
+        assert!(d.build_table(lossless("d", "f", 0)));
         d.record(&call, None, Some(100.0), Some(1.0), SimInstant::EPOCH);
         d.record(&call, None, Some(10.0), Some(1.0), SimInstant::EPOCH);
         let est = d.cost(&call.pattern());
@@ -711,7 +643,7 @@ mod tests {
             d.cost(&hot_pattern);
         }
         // A cold table that nobody asks about.
-        d.build_lossless("d2", "q_bf");
+        d.build_table(lossless("d2", "q_bf", 1));
         let (created, dropped) = d.maintain(3, 1);
         assert_eq!(created.len(), 1);
         assert_eq!(created[0].const_mask, vec![true]);
@@ -730,7 +662,7 @@ mod tests {
     #[test]
     fn maintenance_never_drops_blanket_tables() {
         let mut d = dcsm_fig2();
-        d.build_lossy("d2", "q_ff", vec![]);
+        d.build_table(lossless("d2", "q_ff", 0));
         let (_, dropped) = d.maintain(1_000, 1_000);
         assert!(
             dropped.is_empty(),
@@ -768,19 +700,17 @@ mod tests {
         let mut visited = HashSet::from([pattern.clone()]);
         let mut found: Option<(CostVector, EstimateSource)> = None;
         while let Some((p, relaxations)) = queue.pop_front() {
-            if let Some(table) = d.tables.get(&p.shape()) {
-                lookup_work += 1;
-                if let Some(row) = table.lookup(&p) {
-                    let shape = p.shape();
-                    found = Some((row.vector(), EstimateSource::Summary { shape, relaxations }));
-                    break;
+            match d.db.probe(&p, d.config.keep_detail) {
+                Some((true, row)) => {
+                    lookup_work += 1;
+                    if let Some((v, _)) = row {
+                        let shape = p.shape();
+                        found = Some((v, EstimateSource::Summary { shape, relaxations }));
+                        break;
+                    }
                 }
-            }
-            if d.config.keep_detail {
-                let (v, matched) = d.db.aggregate(&p);
-                lookup_work += matched;
-                if matched > 0 {
-                    let records = matched;
+                Some((false, Some((v, records)))) => {
+                    lookup_work += records;
                     found = Some((
                         v,
                         EstimateSource::Detail {
@@ -790,6 +720,7 @@ mod tests {
                     ));
                     break;
                 }
+                Some((false, None)) | None => {}
             }
             for r in p.relaxations() {
                 if visited.insert(r.clone()) {
@@ -865,9 +796,9 @@ mod tests {
         };
         if let Keeping::TablesOnly = keeping {
             for (function, arity) in FUNCTIONS {
-                d.ensure_table(PatternShape::new("d", function, vec![true; arity]));
+                d.build_table(lossless("d", function, arity));
                 for mask in lossy_masks(rng, arity) {
-                    d.ensure_table(PatternShape::new("d", function, mask));
+                    d.build_table(PatternShape::new("d", function, mask));
                 }
             }
         }
@@ -887,13 +818,11 @@ mod tests {
             for (function, arity) in FUNCTIONS {
                 // A function that recorded nothing gets no tables.
                 let seen = !d.db().records_for("d", function).is_empty();
-                let full = rng.chance(0.7);
-                let lossy = lossy_masks(rng, arity);
-                if seen && full {
-                    d.build_lossless("d", function);
-                }
-                for mask in lossy.into_iter().filter(|_| seen) {
-                    d.build_lossy("d", function, mask);
+                let full = rng.chance(0.7).then(|| vec![true; arity]);
+                for mask in full.into_iter().chain(lossy_masks(rng, arity)) {
+                    if seen {
+                        d.build_table(PatternShape::new("d", function, mask));
+                    }
                 }
                 if matches!(keeping, Keeping::TablesDetailDropped) && rng.chance(0.5) {
                     d.drop_detail("d", function);
@@ -999,11 +928,76 @@ mod tests {
         assert_eq!(hash, 0x6927_bbdf_3c1c_e817);
     }
 
+    fn vector_bits(v: CostVector) -> [Option<u64>; 3] {
+        [v.t_first_ms, v.t_all_ms, v.cardinality].map(|x| x.map(f64::to_bits))
+    }
+
+    #[test]
+    fn a_table_built_after_a_fold_summarizes_the_whole_history() {
+        let mut d = Dcsm::new();
+        let mut whole = crate::SummaryRow::default();
+        for i in 0..3 * DETAIL_WINDOW {
+            // A drifting cost, so the window's and the history's averages differ.
+            let call = GroundCall::new("d", "f", vec![Value::Int(i as i64 % 7)]);
+            let v = CostVector::full(1.0, i as f64, 2.0);
+            d.record(
+                &call,
+                v.t_first_ms,
+                v.t_all_ms,
+                v.cardinality,
+                SimInstant::EPOCH,
+            );
+            whole.add(&v);
+        }
+        assert!(d.db().detail_len() < 2 * DETAIL_WINDOW, "folded");
+        d.build_table(PatternShape::new("d", "f", vec![false]));
+        let est = d.cost(&CallPattern::new("d", "f", vec![PatArg::Bound]));
+        assert!(
+            matches!(est.source, EstimateSource::Summary { .. }),
+            "{:?}",
+            est.source
+        );
+        assert_eq!(vector_bits(est.vector), vector_bits(whole.vector()));
+    }
+
+    #[test]
+    fn a_lossy_table_row_is_the_record_order_aggregate() {
+        let mut rng = Rng64::new(0x10557);
+        let mut d = Dcsm::new();
+        let mut db = CostVectorDb::new();
+        for _ in 0..600 {
+            let call = GroundCall::new("d", "f", vec![Value::Int(rng.range_i64(0, 200))]);
+            let (t_first, t_all) = (rng.range_f64(0.1, 9.0), rng.range_f64(1.0, 90.0));
+            let v = CostVector::full(t_first, t_all, rng.range_f64(0.0, 30.0));
+            d.record(
+                &call,
+                v.t_first_ms,
+                v.t_all_ms,
+                v.cardinality,
+                SimInstant::EPOCH,
+            );
+            db.record(call, v, SimInstant::EPOCH);
+        }
+        d.build_table(lossless("d", "f", 1));
+        d.build_table(PatternShape::new("d", "f", vec![false]));
+        let blanket = CallPattern::new("d", "f", vec![PatArg::Bound]);
+        let est = d.cost(&blanket);
+        assert!(
+            matches!(est.source, EstimateSource::Summary { .. }),
+            "{:?}",
+            est.source
+        );
+        assert_eq!(
+            vector_bits(est.vector),
+            vector_bits(db.aggregate(&blanket).0)
+        );
+    }
+
     #[test]
     fn storage_accounting_moves_from_detail_to_summary() {
         let mut d = dcsm_fig2();
         let detail_only = d.approx_bytes();
-        d.build_lossless("d1", "p_bf");
+        d.build_table(lossless("d1", "p_bf", 1));
         let with_table = d.approx_bytes();
         assert!(with_table > detail_only);
         d.drop_detail("d1", "p_bf");

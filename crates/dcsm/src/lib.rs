@@ -5,12 +5,15 @@
 //! calls.
 //!
 //! The module records a cost vector `[T_first, T_all, Card]` for every
-//! executed domain call ([`CostVectorDb`]), optionally **summarizes** the
-//! detail into per-pattern tables — losslessly (group identical dimension
-//! values, §6.2.1) or lossily (drop dimension attributes, §6.2.2) — and
-//! answers `cost(pattern)` queries with the §6.3 relaxation algorithm:
-//! look for the most specific applicable table row, replacing constants by
-//! `$b` until something matches.
+//! executed domain call ([`CostVectorDb`]) and answers `cost(pattern)`
+//! queries with the §6.3 relaxation algorithm: look for the most specific
+//! applicable row, replacing constants by `$b` until something matches.
+//!
+//! One store holds every aggregate: per function, a [`SummaryTable`] per
+//! pattern shape, summed in record order. A shape built for a probe answers
+//! as detail; one flagged by [`Dcsm::build_table`] is a §6.2 summary table —
+//! lossless (every position a dimension, §6.2.1) or lossy (dimensions
+//! dropped, §6.2.2) — which keeps answering after the detail is dropped.
 //!
 //! Sources that *do* have a cost model plug in through
 //! [`Dcsm::register_external`]; their (possibly partial) hints are merged

@@ -15,10 +15,12 @@
 //! cycle never perturbs an estimate that rests on the saved records alone.
 //!
 //! What is saved is the *retained* detail — per function, the most recent
-//! records inside the [detail window](crate::vectordb) — not the
-//! aggregation cells. A database that has folded therefore loads as one
-//! that only ever saw its last window: averages are re-learned from recent
-//! records, and `len()` restarts at the number loaded.
+//! records inside the [detail window](crate::vectordb) — not the shape
+//! index, summary tables included. A database that has folded therefore
+//! loads as one that only ever saw its last window: averages are re-learned
+//! from recent records, and `len()` restarts at the number loaded. A DCSM
+//! that adopts the records ([`Dcsm::load_db`](crate::Dcsm::load_db)) keeps
+//! its own table shapes and refills them from the replay.
 
 // Statistics files are read from disk and may be damaged or hostile:
 // every fallible path returns a typed `HermesError`. Tests keep their unwraps.

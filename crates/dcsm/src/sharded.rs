@@ -85,15 +85,15 @@ impl ShardedDcsm {
     }
 
     /// `n` shards seeded from an existing estimator: configuration is
-    /// copied and each function's detail — retained records and
-    /// aggregation cells, so estimates carry over bit for bit whatever the
-    /// detail window has dropped — goes to its owning shard. Summary
-    /// tables and native estimators are not carried over.
+    /// copied and each function's statistics — retained records and every
+    /// shape, summary tables included, so estimates carry over bit for bit
+    /// whatever the detail window has dropped — go to its owning shard.
+    /// Native estimators are not carried over.
     pub fn from_dcsm(source: &Dcsm, n: usize) -> Self {
         let sharded = ShardedDcsm::with_config(source.config().clone(), n);
         for (domain, function) in source.db().functions() {
             sharded.with_shard(&domain, &function, |shard| {
-                shard.adopt_detail(source, &domain, &function)
+                shard.adopt_function(source, &domain, &function)
             });
         }
         sharded
@@ -123,8 +123,8 @@ impl ShardedDcsm {
     }
 
     /// Total summary tables across shards.
-    pub fn tables(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().tables().len()).sum()
+    pub fn table_count(&self) -> usize {
+        self.shards.iter().map(|s| s.lock().table_count()).sum()
     }
 
     /// Approximate resident bytes across shards.

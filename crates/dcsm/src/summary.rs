@@ -1,15 +1,21 @@
 //! Summary tables: lossless (§6.2.1) and lossy (§6.2.2) summarization.
 //!
 //! A summary table is identified by a [`PatternShape`] — which argument
-//! positions remain *dimensions* (constants). The lossless summary of a
-//! call keeps every position as a dimension and aggregates tuples with
-//! identical dimension values into an average plus the count `l` of
-//! original tuples (Figure 3). Lossy summaries drop dimensions, aggregating
-//! further (Figure 4); the fully-lossy table has a single row.
+//! positions remain *dimensions* (constants). Each row averages the records
+//! with identical dimension values and counts them (the paper's `l`). The
+//! lossless table keeps every position as a dimension (Figure 3); a lossy
+//! one drops some (Figure 4), and the fully-lossy table has a single row.
+//!
+//! Every table is summed in record order, so a lossy row is bitwise the
+//! average a scan of the records gives. The DCSM's one statistics store,
+//! the shape index of [`CostVectorDb`], holds one `SummaryTable` per shape
+//! it has built; a shape flagged by [`Dcsm::build_table`](crate::Dcsm::build_table)
+//! or [`Dcsm::maintain`](crate::Dcsm::maintain) is what the paper calls a
+//! summary table. [`SummaryTable::summarize`] builds one outside the store.
 
 use crate::cost::{CostVector, MeanAgg};
-use crate::vectordb::CostVectorDb;
-use hermes_common::{CallPattern, GroundCall, PatternShape, Value};
+use crate::vectordb::{CallRecord, CostVectorDb};
+use hermes_common::{CallPattern, PatternShape, Value};
 use std::collections::HashMap;
 
 /// One row of a summary table: averaged metrics plus the tuple count `l`.
@@ -40,14 +46,6 @@ impl SummaryRow {
         self.l += 1;
     }
 
-    /// Merges another row (for lossy derivation).
-    pub fn merge(&mut self, other: &SummaryRow) {
-        self.t_first.merge(&other.t_first);
-        self.t_all.merge(&other.t_all);
-        self.card.merge(&other.card);
-        self.l += other.l;
-    }
-
     /// Applies recency decay to all metrics.
     pub fn decay(&mut self, factor: f64) {
         self.t_first.decay(factor);
@@ -70,7 +68,10 @@ impl SummaryRow {
 pub struct SummaryTable {
     /// The shape (which positions are dimensions).
     pub shape: PatternShape,
-    rows: HashMap<Vec<Value>, SummaryRow>,
+    pub(crate) rows: HashMap<Vec<Value>, SummaryRow>,
+    /// Flagged as a §6.2 summary table: it answers estimates as
+    /// `Summary`, decays, counts in `approx_bytes` and outlives the detail.
+    pub(crate) flagged: bool,
 }
 
 impl SummaryTable {
@@ -79,7 +80,39 @@ impl SummaryTable {
         SummaryTable {
             shape,
             rows: HashMap::new(),
+            flagged: false,
         }
+    }
+
+    /// The table of `shape` over the retained records of its function in
+    /// `db`, summed in record order.
+    pub fn summarize(db: &CostVectorDb, shape: PatternShape) -> SummaryTable {
+        let records = db.records_for(&shape.domain, &shape.function);
+        SummaryTable::scan(shape, records)
+    }
+
+    /// The table of `shape` over `records` of its function, summed in
+    /// record order; records of another arity are skipped.
+    pub(crate) fn scan(shape: PatternShape, records: &[CallRecord]) -> SummaryTable {
+        let mut table = SummaryTable::new(shape);
+        for r in records {
+            if r.call.args.len() == table.shape.const_mask.len() {
+                table.add(&r.call.args, &r.vector);
+            }
+        }
+        table
+    }
+
+    /// Folds in one observation of a call with `args` of this table's
+    /// arity, under its values at the dimension positions.
+    pub(crate) fn add(&mut self, args: &[Value], v: &CostVector) {
+        let key = args
+            .iter()
+            .zip(&self.shape.const_mask)
+            .filter(|(_, keep)| **keep)
+            .map(|(v, _)| v.clone())
+            .collect();
+        self.rows.entry(key).or_default().add(v);
     }
 
     /// Number of rows.
@@ -104,35 +137,6 @@ impl SummaryTable {
             .sum()
     }
 
-    /// The dimension key of a ground call under this shape.
-    fn key_of_call(&self, call: &GroundCall) -> Option<Vec<Value>> {
-        if call.domain != self.shape.domain
-            || call.function != self.shape.function
-            || call.args.len() != self.shape.const_mask.len()
-        {
-            return None;
-        }
-        Some(
-            call.args
-                .iter()
-                .zip(&self.shape.const_mask)
-                .filter(|(_, keep)| **keep)
-                .map(|(v, _)| v.clone())
-                .collect(),
-        )
-    }
-
-    /// Folds one observation in (incremental maintenance).
-    pub fn observe(&mut self, call: &GroundCall, v: &CostVector) -> bool {
-        match self.key_of_call(call) {
-            Some(key) => {
-                self.rows.entry(key).or_default().add(v);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Row lookup for a pattern whose constant positions are exactly this
     /// shape's dimensions. `None` if the pattern has a different shape or
     /// the row is absent.
@@ -154,64 +158,24 @@ impl SummaryTable {
             row.decay(factor);
         }
     }
-
-    /// Builds the **lossless** summary of `domain:function` from detail
-    /// records (§6.2.1): dimensions = all argument positions.
-    pub fn summarize_lossless(db: &CostVectorDb, domain: &str, function: &str) -> SummaryTable {
-        let records = db.records_for(domain, function);
-        let arity = records.first().map(|r| r.call.args.len()).unwrap_or(0);
-        let shape = PatternShape::new(domain, function, vec![true; arity]);
-        let mut table = SummaryTable::new(shape);
-        for r in records {
-            table.observe(&r.call, &r.vector);
-        }
-        table
-    }
-
-    /// Derives a **lossy** table by keeping only the dimensions in
-    /// `new_shape` (§6.2.2). Rows are merged weighted by their aggregate
-    /// weights, so the derived averages equal what a direct summarization
-    /// of the detail would produce. Returns `None` if `new_shape` is not
-    /// derivable from this table's shape.
-    pub fn derive_lossy(&self, new_shape: PatternShape) -> Option<SummaryTable> {
-        if !new_shape.derivable_from(&self.shape) {
-            return None;
-        }
-        // Positions (within this table's dimension key) to keep.
-        let kept: Vec<bool> = self
-            .shape
-            .const_mask
-            .iter()
-            .zip(&new_shape.const_mask)
-            .filter(|(old, _)| **old)
-            .map(|(_, new)| *new)
-            .collect();
-        let mut out = SummaryTable::new(new_shape);
-        for (key, row) in &self.rows {
-            let new_key: Vec<Value> = key
-                .iter()
-                .zip(&kept)
-                .filter(|(_, keep)| **keep)
-                .map(|(v, _)| v.clone())
-                .collect();
-            out.rows.entry(new_key).or_default().merge(row);
-        }
-        Some(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vectordb::figure2_database;
-    use hermes_common::PatArg;
+    use hermes_common::{GroundCall, PatArg, SimInstant};
+
+    fn shape(domain: &str, function: &str, const_mask: &[bool]) -> PatternShape {
+        PatternShape::new(domain, function, const_mask.to_vec())
+    }
 
     #[test]
     fn paper_figure_3_lossless_summary_of_t16() {
         // (T20): tuples with A='a' aggregate to Card=3, T_a=2.10, l=2;
         //        A='b' to Card=4, T_a=2.82, l=2.
         let db = figure2_database();
-        let t = SummaryTable::summarize_lossless(&db, "d1", "p_bf");
+        let t = SummaryTable::summarize(&db, shape("d1", "p_bf", &[true]));
         assert_eq!(t.len(), 2);
         let row_a = t
             .lookup(&CallPattern::new(
@@ -237,7 +201,7 @@ mod tests {
     fn paper_figure_3_lossless_summary_of_t19() {
         // (T21): q_ff has no dimensions; a single row with l=2, T_a=5.20.
         let db = figure2_database();
-        let t = SummaryTable::summarize_lossless(&db, "d2", "q_ff");
+        let t = SummaryTable::summarize(&db, shape("d2", "q_ff", &[]));
         assert_eq!(t.len(), 1);
         let row = t.lookup(&CallPattern::new("d2", "q_ff", vec![])).unwrap();
         assert_eq!(row.l, 2);
@@ -248,13 +212,11 @@ mod tests {
     #[test]
     fn paper_figure_4_lossy_drop_b_dimension() {
         // §6.2.2 / Example 6.2: q_bf's B can never be a known constant, so
-        // drop it: the derived table has one row averaging all of (T18).
+        // drop it: the lossy table has one row averaging all of (T18).
         let db = figure2_database();
-        let lossless = SummaryTable::summarize_lossless(&db, "d2", "q_bf");
+        let lossless = SummaryTable::summarize(&db, shape("d2", "q_bf", &[true]));
         assert_eq!(lossless.len(), 3);
-        let lossy = lossless
-            .derive_lossy(PatternShape::new("d2", "q_bf", vec![false]))
-            .unwrap();
+        let lossy = SummaryTable::summarize(&db, shape("d2", "q_bf", &[false]));
         assert_eq!(lossy.len(), 1);
         let row = lossy
             .lookup(&CallPattern::new("d2", "q_bf", vec![PatArg::Bound]))
@@ -269,10 +231,7 @@ mod tests {
     #[test]
     fn lossy_equals_direct_summarization_of_detail() {
         let db = figure2_database();
-        let lossless = SummaryTable::summarize_lossless(&db, "d1", "p_bb");
-        let lossy = lossless
-            .derive_lossy(PatternShape::new("d1", "p_bb", vec![true, false]))
-            .unwrap();
+        let lossy = SummaryTable::summarize(&db, shape("d1", "p_bb", &[true, false]));
         // Compare against aggregating detail directly.
         let (direct, n) = db.aggregate(&CallPattern::new(
             "d1",
@@ -287,63 +246,45 @@ mod tests {
             ))
             .unwrap();
         assert_eq!(n, 2);
-        assert!((row.t_all.mean().unwrap() - direct.t_all_ms.unwrap()).abs() < 1e-9);
-        assert!((row.card.mean().unwrap() - direct.cardinality.unwrap()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn derive_lossy_rejects_non_derivable_shape() {
-        let db = figure2_database();
-        let lossless = SummaryTable::summarize_lossless(&db, "d2", "q_bf");
-        // Adding a dimension is not derivable.
-        assert!(lossless
-            .derive_lossy(PatternShape::new("d2", "q_bf", vec![true]))
-            .is_some());
-        assert!(lossless
-            .derive_lossy(PatternShape::new("d2", "q_other", vec![false]))
-            .is_none());
-        let fully_lossy = lossless
-            .derive_lossy(PatternShape::new("d2", "q_bf", vec![false]))
-            .unwrap();
-        assert!(fully_lossy
-            .derive_lossy(PatternShape::new("d2", "q_bf", vec![true]))
-            .is_none());
+        assert_eq!(
+            row.t_all.mean().map(f64::to_bits),
+            direct.t_all_ms.map(f64::to_bits)
+        );
+        assert_eq!(
+            row.card.mean().map(f64::to_bits),
+            direct.cardinality.map(f64::to_bits)
+        );
     }
 
     #[test]
     fn summarization_shrinks_storage() {
         let db = figure2_database();
-        let lossless = SummaryTable::summarize_lossless(&db, "d1", "p_bb");
-        let lossy = lossless
-            .derive_lossy(PatternShape::new("d1", "p_bb", vec![false, false]))
-            .unwrap();
+        let lossless = SummaryTable::summarize(&db, shape("d1", "p_bb", &[true, true]));
+        let lossy = SummaryTable::summarize(&db, shape("d1", "p_bb", &[false, false]));
         assert!(lossy.approx_bytes() < lossless.approx_bytes());
     }
 
     #[test]
-    fn observe_rejects_wrong_call_shape() {
-        let mut t = SummaryTable::new(PatternShape::new("d", "f", vec![true]));
-        let ok = t.observe(
-            &GroundCall::new("d", "f", vec![Value::Int(1)]),
-            &CostVector::full(1.0, 2.0, 3.0),
-        );
-        assert!(ok);
-        let wrong_arity = t.observe(
-            &GroundCall::new("d", "f", vec![]),
-            &CostVector::full(1.0, 2.0, 3.0),
-        );
-        assert!(!wrong_arity);
-        let wrong_fn = t.observe(
-            &GroundCall::new("d", "g", vec![Value::Int(1)]),
-            &CostVector::full(1.0, 2.0, 3.0),
-        );
-        assert!(!wrong_fn);
+    fn a_table_summarizes_only_records_of_its_function_and_arity() {
+        let mut db = CostVectorDb::new();
+        let v = CostVector::full(1.0, 2.0, 3.0);
+        for call in [
+            GroundCall::new("d", "f", vec![Value::Int(1)]),
+            GroundCall::new("d", "f", vec![]),
+            GroundCall::new("d", "g", vec![Value::Int(1)]),
+        ] {
+            db.record(call, v, SimInstant::EPOCH);
+        }
+        let t = SummaryTable::summarize(&db, shape("d", "f", &[true]));
+        assert_eq!(t.len(), 1);
+        let row = t.lookup(&GroundCall::new("d", "f", vec![Value::Int(1)]).pattern());
+        assert_eq!(row.map(|r| r.l), Some(1));
     }
 
     #[test]
     fn lookup_requires_matching_shape() {
         let db = figure2_database();
-        let t = SummaryTable::summarize_lossless(&db, "d1", "p_bf");
+        let t = SummaryTable::summarize(&db, shape("d1", "p_bf", &[true]));
         // A $b pattern does not match the all-dimensions shape.
         assert!(t
             .lookup(&CallPattern::new("d1", "p_bf", vec![PatArg::Bound]))

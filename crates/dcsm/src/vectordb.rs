@@ -1,19 +1,27 @@
 //! The cost vector database: full-detail statistics of executed calls
-//! (§6.1, the tables of Figure 2).
+//! (§6.1, the tables of Figure 2), and the DCSM's one aggregate store.
 //!
-//! ## Indexed aggregation (DESIGN.md §11)
+//! ## The shape index (DESIGN.md §11)
 //!
-//! [`CostVectorDb::aggregate`] no longer scans the record list per probe.
-//! Records are stored per `domain:function`, and each function keeps
-//! lazily-built aggregation cells keyed by *pattern shape* — the
-//! `(constant-position bitmask, arity)` pair a [`CallPattern`] projects to
-//! (the precomputed `$b`-mask key) — then by the projected constant
-//! values. The §6.3 relaxation lattice walk therefore costs one hash probe
-//! per relaxation step instead of one scan of the statistics rows.
+//! [`CostVectorDb::aggregate`] does not scan the record list per probe.
+//! Records are stored per `domain:function`, and each function keeps one
+//! [`SummaryTable`] per *pattern shape* — the `(constant-position bitmask,
+//! arity)` pair a [`CallPattern`] projects to (the precomputed `$b`-mask
+//! key) — whose rows are keyed by the projected constant values. The §6.3
+//! relaxation lattice walk therefore costs one hash probe per relaxation
+//! step instead of one scan of the statistics rows.
 //!
-//! Cells accumulate component sums in record-insertion order, both when a
+//! A shape is built lazily, by the first probe of its mask or by a fold,
+//! and then answers as detail: its row's `l` is the number of records
+//! aggregated. A shape *flagged* by [`Dcsm::build_table`](crate::Dcsm::build_table)
+//! is a §6.2 summary table: it answers with constant lookup work, decays
+//! under `recency_decay`, counts in [`CostVectorDb::approx_bytes`] and
+//! outlives [`CostVectorDb::drop_function`]. There is no second copy of the
+//! rows: flagging a built shape keeps them.
+//!
+//! Rows accumulate component sums in record-insertion order, both when a
 //! shape is first built and when [`CostVectorDb::record`] appends to
-//! already-built shapes, so the averages are bitwise identical to the
+//! already-built shapes, so undecayed averages are bitwise identical to the
 //! retained [`CostVectorDb::aggregate_scan`] reference (floating-point
 //! addition is not associative; order is part of the contract).
 //!
@@ -24,12 +32,13 @@
 //! holds `2 ×` [`DETAIL_WINDOW`] records it *folds*: every shape of the
 //! arities present that is not built yet is built from the records still
 //! held, and the oldest records are dropped down to the window. Nothing a
-//! cell has summed is ever dropped, and `record` keeps built shapes
+//! shape has summed is ever dropped, and `record` keeps built shapes
 //! current, so [`CostVectorDb::aggregate`] — and with it every estimate
 //! and plan choice — stays bitwise what it would be over the full
 //! history. Only the raw-detail readers ([`CostVectorDb::records_for`],
 //! [`CostVectorDb::distinct_args`], [`CostVectorDb::aggregate_scan`],
-//! lossless summarization, `persist::save`) see the window.
+//! [`SummaryTable::summarize`], `persist::save`) and a shape built after a
+//! fold see the window.
 //!
 //! A fold finds full history to build from: the first one because nothing
 //! was dropped before it, a later one because every record since the
@@ -39,8 +48,10 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::cost::CostVector;
+use crate::summary::{SummaryRow, SummaryTable};
 use hermes_common::sync::Mutex;
-use hermes_common::{CallPattern, GroundCall, SimInstant, Value};
+use hermes_common::{CallPattern, GroundCall, PatternShape, SimInstant, Value};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -66,46 +77,14 @@ const FOLD_MAX_ARITY: usize = 6;
 /// alone cannot distinguish `f(a)` from `f(a, $b)`).
 type ShapeKey = (u64, usize);
 
-/// Running component sums for one group of records, in insertion order.
-#[derive(Clone, Copy, Debug, Default)]
-struct AggCell {
-    t_first: (f64, usize),
-    t_all: (f64, usize),
-    card: (f64, usize),
-    matched: usize,
+/// The index key of a shape, `None` past 64 positions.
+fn key_of(shape: &PatternShape) -> Option<ShapeKey> {
+    let mask = shape.const_mask.iter().enumerate();
+    let arity = shape.const_mask.len();
+    (arity <= 64).then(|| (mask.fold(0, |m, (i, c)| m | u64::from(*c) << i), arity))
 }
 
-impl AggCell {
-    fn add(&mut self, v: &CostVector) {
-        self.matched += 1;
-        if let Some(x) = v.t_first_ms {
-            self.t_first.0 += x;
-            self.t_first.1 += 1;
-        }
-        if let Some(x) = v.t_all_ms {
-            self.t_all.0 += x;
-            self.t_all.1 += 1;
-        }
-        if let Some(x) = v.cardinality {
-            self.card.0 += x;
-            self.card.1 += 1;
-        }
-    }
-
-    fn finish(&self) -> (CostVector, usize) {
-        let avg = |(s, n): (f64, usize)| if n > 0 { Some(s / n as f64) } else { None };
-        (
-            CostVector {
-                t_first_ms: avg(self.t_first),
-                t_all_ms: avg(self.t_all),
-                cardinality: avg(self.card),
-            },
-            self.matched,
-        )
-    }
-}
-
-/// One function's records plus its lazily-built aggregation cells.
+/// One function's records plus its shape index.
 ///
 /// The index is interior-mutable so the read-only [`CostVectorDb::aggregate`]
 /// can build a shape on its first probe; [`CostVectorDb::record`] keeps
@@ -118,7 +97,7 @@ struct FunctionStats {
     recorded: usize,
     /// The widest call ever recorded; past [`FOLD_MAX_ARITY`] nothing folds.
     widest: usize,
-    index: Mutex<HashMap<ShapeKey, HashMap<Vec<Value>, AggCell>>>,
+    index: Mutex<HashMap<ShapeKey, SummaryTable>>,
 }
 
 impl Clone for FunctionStats {
@@ -133,37 +112,24 @@ impl Clone for FunctionStats {
 }
 
 impl FunctionStats {
-    /// Builds the cells for one shape by a single insertion-order scan.
-    fn build_shape(
-        records: &[CallRecord],
-        mask: u64,
-        arity: usize,
-    ) -> HashMap<Vec<Value>, AggCell> {
-        let mut cells: HashMap<Vec<Value>, AggCell> = HashMap::new();
-        for r in records {
-            if r.call.args.len() != arity {
-                continue;
-            }
-            cells
-                .entry(project(&r.call.args, mask))
-                .or_default()
-                .add(&r.vector);
-        }
-        cells
-    }
-
     /// Builds the shapes not yet built for the arities held, then drops
     /// the oldest records down to [`DETAIL_WINDOW`].
     fn fold(&mut self) {
+        let Some(first) = self.records.first() else {
+            return;
+        };
+        let (domain, function) = (&first.call.domain, &first.call.function);
         let index = self.index.get_mut();
         for arity in 0..=self.widest {
             if !self.records.iter().any(|r| r.call.args.len() == arity) {
                 continue;
             }
             for mask in 0..1u64 << arity {
-                index
-                    .entry((mask, arity))
-                    .or_insert_with(|| Self::build_shape(&self.records, mask, arity));
+                index.entry((mask, arity)).or_insert_with(|| {
+                    let dims = (0..arity).map(|i| mask >> i & 1 == 1).collect();
+                    let shape = PatternShape::new(domain.clone(), function.clone(), dims);
+                    SummaryTable::scan(shape, &self.records)
+                });
             }
         }
         self.records.drain(..self.records.len() - DETAIL_WINDOW);
@@ -201,14 +167,9 @@ pub(crate) fn with_stack_slice<T, R>(
     }
 }
 
-/// The record's argument values at the mask's constant positions.
-fn project(args: &[Value], mask: u64) -> Vec<Value> {
-    args.iter()
-        .enumerate()
-        .filter(|(i, _)| mask >> i & 1 == 1)
-        .map(|(_, v)| v.clone())
-        .collect()
-}
+/// What one shape of the index says about a pattern: whether the shape is a
+/// flagged summary table, and the matching row's vector and `l`, if any.
+pub(crate) type Probe = (bool, Option<(CostVector, usize)>);
 
 /// Full-detail statistics, one record list per `domain:function`.
 #[derive(Clone, Debug, Default)]
@@ -227,22 +188,48 @@ impl CostVectorDb {
     /// extended in place (the new observation's components are added last,
     /// matching what a fresh insertion-order scan would compute).
     pub fn record(&mut self, call: GroundCall, vector: CostVector, recorded_at: SimInstant) {
-        let stats = self
-            .records
-            .entry(call.domain.clone())
-            .or_default()
-            .entry(call.function.clone())
-            .or_default();
-        stats.widest = stats.widest.max(call.args.len());
-        for ((mask, arity), cells) in stats.index.get_mut().iter_mut() {
-            if *arity != call.args.len() {
-                continue;
+        self.observe(call, vector, recorded_at, true, None);
+    }
+
+    /// [`CostVectorDb::record`] as a DCSM takes it: with `decay`, every
+    /// summary table of the function decays first; with `keep` false the
+    /// observation reaches only the shapes already built, not the detail.
+    pub(crate) fn observe(
+        &mut self,
+        call: GroundCall,
+        vector: CostVector,
+        recorded_at: SimInstant,
+        keep: bool,
+        decay: Option<f64>,
+    ) {
+        let stats = match keep {
+            true => Some(
+                self.records
+                    .entry(call.domain.clone())
+                    .or_default()
+                    .entry(call.function.clone())
+                    .or_default(),
+            ),
+            false => self
+                .records
+                .get_mut(&call.domain)
+                .and_then(|functions| functions.get_mut(&call.function)),
+        };
+        let Some(stats) = stats else {
+            return;
+        };
+        for (&(_, arity), table) in stats.index.get_mut().iter_mut() {
+            if let Some(factor) = decay.filter(|_| table.flagged) {
+                table.decay_all(factor);
             }
-            cells
-                .entry(project(&call.args, *mask))
-                .or_default()
-                .add(&vector);
+            if arity == call.args.len() {
+                table.add(&call.args, &vector);
+            }
         }
+        if !keep {
+            return;
+        }
+        stats.widest = stats.widest.max(call.args.len());
         stats.records.push(CallRecord {
             call,
             vector,
@@ -256,7 +243,7 @@ impl CostVectorDb {
     }
 
     /// Observations recorded and not dropped with their function — all the
-    /// aggregation cells answer for, whether or not the record is retained.
+    /// shapes answer for, whether or not the record is retained.
     pub fn len(&self) -> usize {
         self.total
     }
@@ -272,12 +259,19 @@ impl CostVectorDb {
     }
 
     /// Approximate storage footprint in bytes (the §6.2 "heavy burden on
-    /// storage" metric the summarization experiments report).
+    /// storage" metric the summarization experiments report): the retained
+    /// records plus the summary tables.
     pub fn approx_bytes(&self) -> usize {
-        self.all_stats()
+        let detail = self
+            .all_stats()
             .flat_map(|s| &s.records)
-            .map(|r| r.call.request_bytes() + 3 * std::mem::size_of::<f64>() + 8)
-            .sum()
+            .map(|r| r.call.request_bytes() + 3 * std::mem::size_of::<f64>() + 8);
+        let tables = self.all_stats().map(|s| {
+            let index = s.index.lock();
+            let flagged = index.values().filter(|t| t.flagged);
+            flagged.map(SummaryTable::approx_bytes).sum::<usize>()
+        });
+        detail.sum::<usize>() + tables.sum::<usize>()
     }
 
     /// The retained records of one `domain:function`, oldest first.
@@ -287,7 +281,8 @@ impl CostVectorDb {
             .unwrap_or(&[])
     }
 
-    /// The `(domain, function)` pairs with records, sorted.
+    /// The `(domain, function)` pairs with records or summary tables,
+    /// sorted.
     pub fn functions(&self) -> Vec<(Arc<str>, Arc<str>)> {
         let mut keys: Vec<_> = self
             .records
@@ -299,7 +294,8 @@ impl CostVectorDb {
     }
 
     /// Aggregates the records matching `pattern` with the plain average the
-    /// paper uses (§6.1, Example 6.1). Returns the averaged vector and the
+    /// paper uses (§6.1, Example 6.1) — or, if the pattern's shape is a
+    /// summary table, that table's row. Returns the averaged vector and the
     /// number of records aggregated.
     ///
     /// One hash probe against the shape index (built on first use for each
@@ -307,22 +303,40 @@ impl CostVectorDb {
     /// [`CostVectorDb::aggregate_scan`] only for arities beyond the 64-bit
     /// mask.
     pub fn aggregate(&self, pattern: &CallPattern) -> (CostVector, usize) {
+        match self.probe(pattern, true) {
+            Some((_, Some(found))) => found,
+            _ => (CostVector::default(), 0),
+        }
+    }
+
+    /// One lookup of `pattern` in its shape. A shape not built yet is built
+    /// when `detail` is true; when it is false, only a summary table
+    /// answers. `None` if neither applies.
+    pub(crate) fn probe(&self, pattern: &CallPattern, detail: bool) -> Option<Probe> {
         let Some(mask) = pattern.mask_bits() else {
-            return self.aggregate_scan(pattern);
+            return detail.then(|| {
+                let (v, n) = self.aggregate_scan(pattern);
+                (false, (n > 0).then_some((v, n)))
+            });
         };
-        let Some(stats) = self.stats_for(&pattern.domain, &pattern.function) else {
-            return (CostVector::default(), 0);
-        };
+        let stats = self.stats_for(&pattern.domain, &pattern.function)?;
         let mut index = stats.index.lock();
-        let cells = index.entry((mask, pattern.args.len())).or_insert_with(|| {
-            FunctionStats::build_shape(&stats.records, mask, pattern.args.len())
-        });
-        let cell = with_stack_slice(
+        let table = match index.entry((mask, pattern.args.len())) {
+            Entry::Occupied(built) => built.into_mut(),
+            Entry::Vacant(unbuilt) if detail => {
+                unbuilt.insert(SummaryTable::scan(pattern.shape(), &stats.records))
+            }
+            Entry::Vacant(_) => return None,
+        };
+        if !(table.flagged || detail) {
+            return None;
+        }
+        let row = with_stack_slice(
             pattern.constants().cloned(),
             || Value::Null,
-            |key| cells.get(key).copied(),
+            |key| table.rows.get(key).map(|r| (r.vector(), r.l as usize)),
         );
-        cell.unwrap_or_default().finish()
+        Some((table.flagged, row))
     }
 
     /// The linear-scan reference implementation of
@@ -331,14 +345,66 @@ impl CostVectorDb {
     /// has been dropped from the detail window) and as the fallback for
     /// unmaskable arities, which never fold.
     pub fn aggregate_scan(&self, pattern: &CallPattern) -> (CostVector, usize) {
-        let mut cell = AggCell::default();
+        let mut row = SummaryRow::default();
         for r in self.records_for(&pattern.domain, &pattern.function) {
-            if !pattern.matches(&r.call) {
-                continue;
+            if pattern.matches(&r.call) {
+                row.add(&r.vector);
             }
-            cell.add(&r.vector);
         }
-        cell.finish()
+        (row.vector(), row.l as usize)
+    }
+
+    /// Flags `shape` as a summary table. A built shape keeps its rows, and
+    /// with them its full history; an unbuilt one is built by one
+    /// record-order scan of the retained records. False if `shape` was a
+    /// table already or is wider than 64 positions.
+    pub(crate) fn flag(&mut self, shape: PatternShape) -> bool {
+        let Some(key) = key_of(&shape) else {
+            return false;
+        };
+        let stats = self
+            .records
+            .entry(shape.domain.clone())
+            .or_default()
+            .entry(shape.function.clone())
+            .or_default();
+        let table = match stats.index.get_mut().entry(key) {
+            Entry::Occupied(built) => built.into_mut(),
+            Entry::Vacant(unbuilt) => unbuilt.insert(SummaryTable::scan(shape, &stats.records)),
+        };
+        !std::mem::replace(&mut table.flagged, true)
+    }
+
+    /// Removes the summary table of `shape`; a later probe rebuilds the
+    /// shape from the retained records. False if it was not a table.
+    pub(crate) fn drop_table(&mut self, shape: &PatternShape) -> bool {
+        let stats = self
+            .records
+            .get_mut(&shape.domain)
+            .and_then(|functions| functions.get_mut(&shape.function));
+        let (Some(stats), Some(key)) = (stats, key_of(shape)) else {
+            return false;
+        };
+        let index = stats.index.get_mut();
+        let flagged = index.get(&key).is_some_and(|t| t.flagged);
+        if flagged {
+            index.remove(&key);
+        }
+        flagged
+    }
+
+    /// The shapes flagged as summary tables, sorted.
+    pub(crate) fn tables(&self) -> Vec<PatternShape> {
+        let mut shapes: Vec<PatternShape> = self
+            .all_stats()
+            .flat_map(|s| {
+                let index = s.index.lock();
+                let flagged = index.values().filter(|t| t.flagged);
+                flagged.map(|t| t.shape.clone()).collect::<Vec<_>>()
+            })
+            .collect();
+        shapes.sort();
+        shapes
     }
 
     /// The distinct argument vectors observed for `domain:function` —
@@ -355,25 +421,34 @@ impl CostVectorDb {
         out
     }
 
-    /// Drops all records (and index cells) for one function (after
-    /// summarization, §6.2). Returns how many observations that forgets.
+    /// Drops one function's records and every shape that is not a summary
+    /// table (after summarization, §6.2). Returns how many observations
+    /// that forgets.
     pub fn drop_function(&mut self, domain: &str, function: &str) -> usize {
         let Some(by_fn) = self.records.get_mut(domain) else {
             return 0;
         };
-        let Some(stats) = by_fn.remove(function) else {
+        let Some(stats) = by_fn.get_mut(function) else {
             return 0;
         };
-        if by_fn.is_empty() {
-            self.records.remove(domain);
+        let forgotten = std::mem::take(&mut stats.recorded);
+        stats.records = Vec::new();
+        let index = stats.index.get_mut();
+        index.retain(|_, t| t.flagged);
+        if index.is_empty() {
+            by_fn.remove(function);
+            if by_fn.is_empty() {
+                self.records.remove(domain);
+            }
         }
-        self.total -= stats.recorded;
-        stats.recorded
+        self.total -= forgotten;
+        forgotten
     }
 
     /// Copies one function's statistics from `other`, replacing what this
-    /// database held for it: the retained records *and* the aggregation
-    /// cells, so history older than the detail window comes along.
+    /// database held for it: the retained records *and* every shape,
+    /// summary tables included, so history older than the detail window
+    /// comes along.
     pub fn adopt_function(&mut self, other: &CostVectorDb, domain: &str, function: &str) {
         let Some(stats) = other.stats_for(domain, function) else {
             return;
@@ -646,11 +721,11 @@ mod tests {
 
     /// What `aggregate` must return: a scan over the whole history.
     fn scan(history: &[(GroundCall, CostVector)], pattern: &CallPattern) -> (CostVector, usize) {
-        let mut cell = AggCell::default();
+        let mut row = SummaryRow::default();
         for (_, vector) in history.iter().filter(|(call, _)| pattern.matches(call)) {
-            cell.add(vector);
+            row.add(vector);
         }
-        cell.finish()
+        (row.vector(), row.l as usize)
     }
 
     fn bits(v: (CostVector, usize)) -> ([Option<u64>; 3], usize) {

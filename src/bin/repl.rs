@@ -335,7 +335,7 @@ fn dispatch(mediator: &mut Mediator, state: &mut ReplState, line: &str) -> herme
                 "  dcsm records {} (detail {}), {} summary tables, ~{} bytes",
                 dcsm.db().len(),
                 dcsm.db().detail_len(),
-                dcsm.tables().len(),
+                dcsm.table_count(),
                 dcsm.approx_bytes()
             )
         });

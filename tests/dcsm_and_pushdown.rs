@@ -125,7 +125,7 @@ fn dcsm_maintenance_in_vivo() {
     }
     // The serial mediator's statistics cache is one shard.
     m.dcsm().for_each_shard_mut(|_, dcsm| {
-        assert!(dcsm.tables().is_empty());
+        assert_eq!(dcsm.table_count(), 0);
         let (created, _) = dcsm.maintain(3, 0);
         assert!(!created.is_empty(), "hot shapes should be materialized");
         // Pick a materialized shape whose function actually executed (has

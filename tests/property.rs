@@ -360,7 +360,8 @@ fn lossless_summary_equals_detail_aggregation() {
                 SimInstant::EPOCH,
             );
         }
-        let table = SummaryTable::summarize_lossless(dcsm.db(), "d", "f");
+        let shape = hermes::common::PatternShape::new("d", "f", vec![true]);
+        let table = SummaryTable::summarize(dcsm.db(), shape);
         for arg in observations.iter().map(|(a, _, _)| *a) {
             let pattern = CallPattern::new("d", "f", vec![PatArg::Const(Value::Int(arg))]);
             let (detail, n) = dcsm.db().aggregate(&pattern);
@@ -390,14 +391,15 @@ fn lossy_derivation_equals_direct_blanket_aggregation() {
                 SimInstant::EPOCH,
             );
         }
-        let lossless = SummaryTable::summarize_lossless(dcsm.db(), "d", "f");
-        let lossy = lossless
-            .derive_lossy(hermes::common::PatternShape::new("d", "f", vec![false]))
-            .unwrap();
+        let shape = hermes::common::PatternShape::new("d", "f", vec![false]);
+        let lossy = SummaryTable::summarize(dcsm.db(), shape);
         let blanket = CallPattern::new("d", "f", vec![PatArg::Bound]);
         let (detail, _) = dcsm.db().aggregate(&blanket);
         let row = lossy.lookup(&blanket).unwrap();
-        assert!((row.t_all.mean().unwrap() - detail.t_all_ms.unwrap()).abs() < 1e-6);
+        assert_eq!(
+            row.t_all.mean().map(f64::to_bits),
+            detail.t_all_ms.map(f64::to_bits)
+        );
     });
 }
 

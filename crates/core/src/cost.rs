@@ -13,8 +13,9 @@
 //! Each call step's `[T_first, T_all, Card]` comes from
 //! [`hermes_dcsm::Dcsm::cost`] on the step's call *pattern* (constants stay constants,
 //! variables become `$b`). Fact scans are costed exactly; conditions apply
-//! a configurable selectivity.
+//! a fixed selectivity.
 
+use crate::exec::FACT_ROW_MS;
 use crate::plan::{independence_groups, Plan, PlanStep};
 use hermes_common::{CallPattern, PatArg};
 use hermes_dcsm::{overlap_makespan, CostSource, CostVector};
@@ -23,15 +24,14 @@ use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
+/// Cardinality multiplier for a ground comparison acting as a filter.
+/// The paper's formulas ignore filters (selectivity 1.0); a mild value
+/// keeps pushed-down selections from looking free.
+const FILTER_SELECTIVITY: f64 = 0.4;
+
 /// Cost-model knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct CostConfig {
-    /// Cardinality multiplier for a ground comparison acting as a filter.
-    /// The paper's formulas ignore filters (selectivity 1.0); a mild
-    /// default keeps pushed-down selections from looking free.
-    pub filter_selectivity: f64,
-    /// Simulated milliseconds per fact row scanned.
-    pub fact_row_ms: f64,
     /// Concurrency the executor will grant an independence group. At the
     /// default `1` the estimate is the paper's sequential formula exactly;
     /// `k > 1` charges each group its overlap makespan over `k` virtual
@@ -48,8 +48,6 @@ pub struct CostConfig {
 impl Default for CostConfig {
     fn default() -> Self {
         CostConfig {
-            filter_selectivity: 0.4,
-            fact_row_ms: 0.002,
             max_parallel_calls: 1,
             dispatch_overhead_ms: 0.05,
         }
@@ -214,9 +212,9 @@ fn fold_plan<'p>(
                         }
                     }
                 }
-                let scan_ms = rows.len() as f64 * config.fact_row_ms;
+                let scan_ms = rows.len() as f64 * FACT_ROW_MS;
                 t_all += prefix_card * scan_ms;
-                t_first += config.fact_row_ms;
+                t_first += FACT_ROW_MS;
                 prefix_card *= card;
             }
             PlanStep::Cond(c) => {
@@ -236,7 +234,7 @@ fn fold_plan<'p>(
                     }
                 }
                 if !assigned {
-                    prefix_card *= config.filter_selectivity;
+                    prefix_card *= FILTER_SELECTIVITY;
                 }
             }
         }
@@ -457,7 +455,7 @@ mod tests {
         let dcsm = warmed_dcsm();
         let cfg = CostConfig::default();
         let est = estimate_plan(&plans[0], &dcsm, &cfg);
-        assert!((est.cardinality.unwrap() - 3.0 * cfg.filter_selectivity).abs() < 1e-9);
+        assert!((est.cardinality.unwrap() - 3.0 * FILTER_SELECTIVITY).abs() < 1e-9);
     }
 
     #[test]
@@ -486,7 +484,6 @@ mod tests {
         let par_cfg = CostConfig {
             max_parallel_calls: 2,
             dispatch_overhead_ms: 0.0,
-            ..CostConfig::default()
         };
         let par = estimate_plan(&plan, &dcsm, &par_cfg);
         // Overlapped: the group costs max(2.1, 5.2) = 5.2.
@@ -501,7 +498,6 @@ mod tests {
         let with_overhead = CostConfig {
             max_parallel_calls: 2,
             dispatch_overhead_ms: 0.5,
-            ..CostConfig::default()
         };
         let est = estimate_plan(&plan, &dcsm, &with_overhead);
         assert!((est.t_all_ms.unwrap() - 5.7).abs() < 1e-6);

@@ -3,6 +3,10 @@
 use crate::tier::PlanTier;
 use hermes_common::SimDuration;
 
+/// Simulated milliseconds per fact row scanned: what the walk charges and
+/// what the cost model prices.
+pub(crate) const FACT_ROW_MS: f64 = 0.002;
+
 /// Executor knobs. Construct one as
 /// `ExecConfig { field: value, ..ExecConfig::default() }`.
 #[derive(Clone, Copy, Debug)]
@@ -14,8 +18,6 @@ pub struct ExecConfig {
     /// Per-query memoization of identical ground calls (§7 footnote's
     /// duplicate elimination; off by default to match assumption 3(b)).
     pub memoize_calls: bool,
-    /// Simulated milliseconds per fact row scanned.
-    pub fact_row_ms: f64,
     /// Collect a structured execution trace (off by default; costs an
     /// allocation per event).
     pub collect_trace: bool,
@@ -46,12 +48,10 @@ pub struct ExecConfig {
     /// dispatched. `1` — the default — disables group dispatch entirely
     /// and preserves the paper's sequential pipelined executor exactly;
     /// `k > 1` overlaps up to `k` of a group's domain calls on the
-    /// virtual timeline.
+    /// virtual timeline, and a group's repeated `(site, function)` calls
+    /// piggyback on the first one's round trip (transfer time, no
+    /// connect + RTT).
     pub max_parallel_calls: usize,
-    /// Within one dispatched group, let repeated `(site, function)` calls
-    /// piggyback on the first one's round trip: the repeats pay transfer
-    /// time but not connect + RTT.
-    pub batch_calls: bool,
     /// Simulated mediator-side milliseconds to put one call of a
     /// dispatched group in flight.
     pub dispatch_overhead_ms: f64,
@@ -83,7 +83,6 @@ impl Default for ExecConfig {
             record_stats: true,
             store_results: true,
             memoize_calls: false,
-            fact_row_ms: 0.002,
             collect_trace: false,
             retry_attempts: 0,
             retry_backoff_ms: 500.0,
@@ -92,7 +91,6 @@ impl Default for ExecConfig {
             deadline: None,
             deadline_strict: false,
             max_parallel_calls: 1,
-            batch_calls: true,
             dispatch_overhead_ms: 0.05,
             tier: PlanTier::Full,
             budget: None,

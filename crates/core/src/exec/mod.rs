@@ -3,13 +3,19 @@
 //! Evaluation is nested-loops with left-to-right backtracking (the §7
 //! execution model) on the mediator's virtual clock:
 //!
+//! * the walk keeps one frame per open step on the heap (a fact scan's
+//!   row cursor, a call's answer cursor), so a plan's length is not bounded
+//!   by the thread's stack, and it pauses between answers:
+//!   [`Executor::run`] pulls it until done, an interactive query on demand;
 //! * every answer of a domain call carries a *charge schedule* — the first
 //!   answer costs the call's `t_first`, later answers amortize the
 //!   remaining `t_all − t_first` — so time-to-first-answer and early
 //!   termination behave like the real pipelined system;
 //! * CIM-routed calls run the §4.1 pipeline: exact/equality hits answer
 //!   from the cache, subset (partial) hits yield the cached prefix fast
-//!   and issue the actual call *in parallel* on the virtual timeline;
+//!   and issue the actual call *in parallel* on the virtual timeline —
+//!   only once the prefix is used up, so a run stopped inside the prefix
+//!   never makes the call;
 //! * completed actual calls feed the DCSM statistics cache and (for
 //!   CIM-routed calls) the answer cache, closing the feedback loop;
 //! * a source that is temporarily unavailable fails the query unless the
@@ -30,45 +36,42 @@ use hermes_common::{
     Value,
 };
 use hermes_dcsm::DcsmView;
-use hermes_lang::{Relop, Subst, Term};
+use hermes_lang::{Condition, Relop, Subst, Term};
 use hermes_net::{Network, RemoteOutcome};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-
-/// A streaming answer sink: receives each answer binding and the elapsed
-/// virtual time; returning `false` stops the run.
-pub type AnswerSink<'s> = &'s mut dyn FnMut(&Subst, SimDuration) -> bool;
 
 mod config;
 mod stats;
 
 pub use config::ExecConfig;
+pub(crate) use config::FACT_ROW_MS;
 pub use stats::{ExecOutcome, ExecStats, IncompleteReason, SubgoalProvenance};
 
 /// Seed of the backoff-jitter stream.
 const RETRY_SEED: u64 = 0x4245_4b45_5321;
 
-struct RunState<'s> {
-    answers: Vec<Subst>,
-    limit: Option<usize>,
+/// One plan's nested-loops walk, paused between answers: the open steps,
+/// innermost last, and what the run has gathered so far.
+pub(crate) struct Walk {
+    frames: Vec<Frame>,
+    /// The step to enter next and the bindings to enter it with.
+    enter: Option<(usize, Subst)>,
+    /// Answers handed out so far.
+    answers: usize,
     t_first: Option<SimDuration>,
     start: SimInstant,
-    incomplete: bool,
-    /// One entry per call step of the plan, in step order.
+    /// One entry per call step of the plan, in step order: a run is
+    /// incomplete when any has a gap.
     provenance: Vec<SubgoalProvenance>,
     /// Plan step index → slot in `provenance`.
     prov_slot: HashMap<usize, usize>,
-    /// Optional streaming sink: called with each answer and the elapsed
-    /// virtual time; returning `false` stops the run (the §3 interactive
-    /// mode's "user doesn't want more answers").
-    sink: Option<AnswerSink<'s>>,
 }
 
-impl RunState<'_> {
+impl Walk {
     /// Records a completeness gap against the call step at `idx`
     /// (deduplicated).
     fn mark_gap(&mut self, idx: usize, reason: IncompleteReason) {
-        self.incomplete = true;
         if let Some(&slot) = self.prov_slot.get(&idx) {
             let gaps = &mut self.provenance[slot].gaps;
             if !gaps.contains(&reason) {
@@ -78,17 +81,53 @@ impl RunState<'_> {
     }
 }
 
-/// The call step being evaluated: where the walk is, the bindings so far,
-/// the step's ground call, and the target its answers bind or probe.
-struct Step<'a> {
-    steps: &'a [PlanStep],
-    idx: usize,
-    theta: &'a Subst,
-    ground: &'a GroundCall,
-    target: &'a Term,
-    /// The target's value when it is already bound: answers are then
-    /// tested for membership instead of bound.
-    probe: Option<Value>,
+/// One open step of the walk.
+enum Frame {
+    /// The rows of the fact step at `idx`, from row `next` on.
+    Facts {
+        idx: usize,
+        theta: Subst,
+        next: usize,
+    },
+    /// The answers of the call step at `idx`, from answer `next` on.
+    Answers {
+        idx: usize,
+        theta: Subst,
+        target: Target,
+        next: usize,
+        answers: Answers,
+    },
+}
+
+/// What a call step does with each answer.
+enum Target {
+    /// Binds the unbound target variable.
+    Bind(Arc<str>),
+    /// Tests membership of the bound target's value: the first equal
+    /// answer continues the walk, and the rest are neither scanned nor
+    /// charged.
+    Probe(Value),
+}
+
+/// A call's answer list as the walk consumes it.
+struct Answers {
+    list: Arc<[Value]>,
+    charge: Charge,
+    /// A partial hit's actual call and the instant the prefix started:
+    /// issued once the cached prefix is used up, cancelled if the walk
+    /// ends first.
+    remainder: Option<(GroundCall, SimInstant)>,
+}
+
+impl Answers {
+    /// Answers that cost nothing to iterate.
+    fn free(list: Arc<[Value]>) -> Self {
+        Answers {
+            list,
+            charge: Charge::Free,
+            remainder: None,
+        }
+    }
 }
 
 /// What iterating an answer list charges on the virtual clock.
@@ -138,6 +177,46 @@ fn unavailable_gap(site: String, reason: &str) -> IncompleteReason {
     } else {
         IncompleteReason::SiteUnavailable { site }
     }
+}
+
+/// Runs condition `c` against `theta`: a filter when both sides are
+/// ground, an assignment (bound in place) when one side is an unbound
+/// bare variable under `=`. `false` when the filter rejects.
+fn holds(c: &Condition, theta: &mut Subst) -> Result<bool> {
+    let not_evaluable = || HermesError::Eval(format!("condition `{c}` not evaluable"));
+    match (theta.path_term(&c.lhs), theta.path_term(&c.rhs)) {
+        (Some(l), Some(r)) => Ok(c.op.eval(&l, &r)),
+        (Some(value), None) if c.op == Relop::Eq && c.rhs.path.is_empty() => {
+            theta.bind(c.rhs.var_name().ok_or_else(not_evaluable)?.clone(), value);
+            Ok(true)
+        }
+        (None, Some(value)) if c.op == Relop::Eq && c.lhs.path.is_empty() => {
+            theta.bind(c.lhs.var_name().ok_or_else(not_evaluable)?.clone(), value);
+            Ok(true)
+        }
+        _ => Err(HermesError::Eval(format!(
+            "condition `{c}` has unbound operands at execution \
+             (planner bug or malformed plan)"
+        ))),
+    }
+}
+
+/// `theta` extended by unifying a fact `row` with the step's `args`, or
+/// `None` when they clash.
+fn unify(args: &[Term], row: &[Value], theta: &Subst) -> Option<Subst> {
+    let mut theta = theta.clone();
+    for (t, v) in args.iter().zip(row) {
+        match t {
+            Term::Const(c) if c != v => return None,
+            Term::Const(_) => {}
+            Term::Var(x) => match theta.get(x) {
+                Some(existing) if existing != v => return None,
+                Some(_) => {}
+                None => theta.bind(x.clone(), v.clone()),
+            },
+        }
+    }
+    Some(theta)
 }
 
 /// The executor. Borrow the mediator's shared CIM/DCSM and network, hand
@@ -247,11 +326,6 @@ impl<'w> Executor<'w> {
         }
     }
 
-    /// Runs a plan, producing up to `limit` answers (all when `None`).
-    pub fn run(&mut self, plan: &Plan, limit: Option<usize>) -> Result<ExecOutcome> {
-        self.run_with_sink(plan, limit, None)
-    }
-
     /// The executor's current virtual time. Meaningful after a failed run
     /// too: a caller that retries elsewhere still owes the time this
     /// attempt burned.
@@ -265,49 +339,11 @@ impl<'w> Executor<'w> {
         self.stats
     }
 
-    /// Runs a plan, streaming each answer into `sink` as it is produced.
-    /// The sink returning `false` stops evaluation — pending source calls
-    /// are cancelled, like the paper's interactive mode.
-    pub fn run_with_sink(
-        &mut self,
-        plan: &Plan,
-        limit: Option<usize>,
-        sink: Option<AnswerSink<'_>>,
-    ) -> Result<ExecOutcome> {
-        let mut provenance = Vec::new();
-        let mut prov_slot = HashMap::new();
-        for (i, step) in plan.steps.iter().enumerate() {
-            if let PlanStep::Call { call, .. } = step {
-                prov_slot.insert(i, provenance.len());
-                provenance.push(SubgoalProvenance {
-                    subgoal: call.to_string(),
-                    gaps: Vec::new(),
-                });
-            }
-        }
-        let mut out = RunState {
-            answers: Vec::new(),
-            limit,
-            t_first: None,
-            start: self.clock.now(),
-            incomplete: false,
-            provenance,
-            prov_slot,
-            sink,
-        };
-        self.deadline_at = self.config.deadline.map(|d| out.start + d);
-        self.tier = self.config.tier;
-        self.budget_at = self.config.budget.map(|b| out.start + b);
-        self.groups = if self.config.max_parallel_calls > 1 {
-            crate::plan::independence_groups(&plan.steps)
-                .into_iter()
-                .map(|r| (r.start, r))
-                .collect()
-        } else {
-            HashMap::new()
-        };
-        self.prefetch.clear();
-
+    /// Runs a plan, producing up to `limit` answers (all when `None`):
+    /// serves it from the subplan cache when it can, else pulls the walk
+    /// until it is done or the limit is reached.
+    pub fn run(&mut self, plan: &Plan, limit: Option<usize>) -> Result<ExecOutcome> {
+        let mut walk = self.start(plan);
         // Subplan materialization (matcache). A ticket exists only when
         // sharing is on, a cache is attached, and the plan routes every
         // call through the CIM (HA070/HA071).
@@ -322,7 +358,7 @@ impl<'w> Executor<'w> {
             match mat.lookup(ticket) {
                 MatLookup::Hit(rows) => {
                     self.stats.subplan_hits += 1;
-                    return Ok(self.serve_materialized(ticket, &rows, out));
+                    return Ok(self.serve_materialized(ticket, &rows, &mut walk, limit));
                 }
                 MatLookup::Miss { invalidated } => {
                     if let Some((domain, function)) = invalidated {
@@ -334,10 +370,10 @@ impl<'w> Executor<'w> {
                     }
                 }
             }
-            // Single-flight at the plan level — only for full, sink-less
-            // runs: a limited or streaming run may stop early, so its
-            // result is neither shareable nor storable.
-            if out.limit.is_none() && out.sink.is_none() {
+            // Single-flight at the plan level — only for full runs: a
+            // limited run may stop early, so its result is neither
+            // shareable nor storable.
+            if limit.is_none() {
                 while flight_leader.is_none() {
                     match mat.join(ticket) {
                         FlightRole::Leader(leader) => flight_leader = Some(leader),
@@ -347,7 +383,7 @@ impl<'w> Executor<'w> {
                         FlightRole::Follower(follower) => {
                             if let Some(rows) = follower.wait() {
                                 self.stats.subplans_coalesced += 1;
-                                return Ok(self.serve_materialized(ticket, &rows, out));
+                                return Ok(self.serve_materialized(ticket, &rows, &mut walk, limit));
                             }
                             // The leader abandoned (error, deadline,
                             // downgrade). Another query may have stored
@@ -355,7 +391,7 @@ impl<'w> Executor<'w> {
                             // inherits leadership.
                             if let MatLookup::Hit(rows) = mat.lookup(ticket) {
                                 self.stats.subplan_hits += 1;
-                                return Ok(self.serve_materialized(ticket, &rows, out));
+                                return Ok(self.serve_materialized(ticket, &rows, &mut walk, limit));
                             }
                         }
                     }
@@ -363,17 +399,25 @@ impl<'w> Executor<'w> {
             }
         }
 
-        let finished = self.exec(&plan.steps, 0, &Subst::new(), &mut out)?;
-        let incomplete = out.incomplete || out.provenance.iter().any(|p| !p.complete());
+        let mut answers = Vec::new();
+        while let Some((theta, _)) = self.next_answer(plan, &mut walk)? {
+            answers.push(theta);
+            if limit.is_some_and(|l| answers.len() >= l) {
+                break;
+            }
+        }
+        let mut outcome = self.finish(&mut walk);
+        outcome.answers = answers;
         if let (Some(mat), Some(ticket), Some(leader)) =
             (mat, ticket.as_ref(), flight_leader.take())
         {
-            // Store + publish only complete results; a partial snapshot
-            // must never masquerade as the subplan's full answer set. An
-            // unpublishable flight abandons on drop, releasing followers
-            // to compute for themselves.
-            if finished && !incomplete {
-                let shared: Arc<[Subst]> = out.answers.as_slice().into();
+            // Store + publish only complete results (a leader's run has no
+            // limit, and a deadline that cut it marked it incomplete); a
+            // partial snapshot must never masquerade as the subplan's full
+            // answer set. An unpublishable flight abandons on drop,
+            // releasing followers to compute for themselves.
+            if !outcome.incomplete {
+                let shared: Arc<[Subst]> = outcome.answers.as_slice().into();
                 let patterns = crate::cost::plan_patterns(plan);
                 let savings_ms = self.dcsm.estimate_subplan_savings(&patterns, 2);
                 match mat.store(ticket, shared.clone(), savings_ms) {
@@ -393,197 +437,285 @@ impl<'w> Executor<'w> {
                 leader.publish(shared);
             }
         }
-        Ok(self.outcome(out, incomplete))
+        Ok(outcome)
     }
 
-    /// Packs a finished run into its outcome.
-    fn outcome(&mut self, out: RunState, incomplete: bool) -> ExecOutcome {
+    /// Starts a walk of `plan` at the executor's current time, arming the
+    /// run's deadline, tier, budget and independence groups.
+    pub(crate) fn start(&mut self, plan: &Plan) -> Walk {
+        let mut provenance = Vec::new();
+        let mut prov_slot = HashMap::new();
+        for (i, step) in plan.steps.iter().enumerate() {
+            if let PlanStep::Call { call, .. } = step {
+                prov_slot.insert(i, provenance.len());
+                provenance.push(SubgoalProvenance {
+                    subgoal: call.to_string(),
+                    gaps: Vec::new(),
+                });
+            }
+        }
+        let start = self.clock.now();
+        self.deadline_at = self.config.deadline.map(|d| start + d);
+        self.tier = self.config.tier;
+        self.budget_at = self.config.budget.map(|b| start + b);
+        self.groups = if self.config.max_parallel_calls > 1 {
+            crate::plan::independence_groups(&plan.steps)
+                .into_iter()
+                .map(|r| (r.start, r))
+                .collect()
+        } else {
+            HashMap::new()
+        };
+        self.prefetch.clear();
+        Walk {
+            frames: Vec::new(),
+            enter: Some((0, Subst::new())),
+            answers: 0,
+            t_first: None,
+            start,
+            provenance,
+            prov_slot,
+        }
+    }
+
+    /// Runs `walk` (of `plan`) to its next answer and the virtual time
+    /// elapsed at it; `None` once the walk is over (done, or cut by the
+    /// deadline). Conditions run in place, a fact scan or a call opens a
+    /// frame, and a used-up frame closes, backtracking to the one below.
+    pub(crate) fn next_answer(
+        &mut self,
+        plan: &Plan,
+        walk: &mut Walk,
+    ) -> Result<Option<(Subst, SimDuration)>> {
+        loop {
+            if let Some((idx, mut theta)) = walk.enter.take() {
+                match plan.steps.get(idx) {
+                    None => return Ok(Some((theta, self.emit(walk)))),
+                    Some(PlanStep::Cond(c)) => {
+                        if holds(c, &mut theta)? {
+                            walk.enter = Some((idx + 1, theta));
+                        }
+                    }
+                    Some(PlanStep::Facts { .. }) => {
+                        walk.frames.push(Frame::Facts {
+                            idx,
+                            theta,
+                            next: 0,
+                        });
+                    }
+                    Some(PlanStep::Call {
+                        target,
+                        call,
+                        route,
+                    }) => {
+                        if let Some(group) = self.groups.get(&idx).cloned() {
+                            // This call opens an independence group: put
+                            // every member's network call in flight
+                            // together before the walk consumes their
+                            // answers.
+                            self.dispatch_group(&plan.steps, group, &theta, walk);
+                        }
+                        let ground = theta.ground_call(call).ok_or_else(|| {
+                            HermesError::Eval(format!(
+                                "call `{call}` has unbound arguments at execution \
+                                 (planner bug or malformed plan)"
+                            ))
+                        })?;
+                        self.stats.calls_attempted += 1;
+                        if !self.call_boundary(idx, walk)? {
+                            return Ok(None);
+                        }
+                        let target = match (theta.term(target), target) {
+                            (Some(value), _) => Target::Probe(value),
+                            (None, Term::Var(var)) => Target::Bind(var.clone()),
+                            (None, Term::Const(_)) => unreachable!("a constant is ground"),
+                        };
+                        if let Some(answers) = self.call(idx, &ground, *route, walk)? {
+                            walk.frames.push(Frame::Answers {
+                                idx,
+                                theta,
+                                target,
+                                next: 0,
+                                answers,
+                            });
+                        }
+                    }
+                }
+                continue;
+            }
+            match walk.frames.last_mut() {
+                None => return Ok(None),
+                Some(Frame::Facts { idx, theta, next }) => {
+                    let PlanStep::Facts { args, rows, .. } = &plan.steps[*idx] else {
+                        unreachable!("a fact frame opens on a fact step");
+                    };
+                    let Some(row) = rows.get(*next) else {
+                        walk.frames.pop();
+                        continue;
+                    };
+                    *next += 1;
+                    self.clock
+                        .advance(SimDuration::from_millis_f64(FACT_ROW_MS));
+                    walk.enter = unify(args, row, theta).map(|theta| (*idx + 1, theta));
+                }
+                Some(Frame::Answers {
+                    idx,
+                    theta,
+                    target,
+                    next,
+                    answers,
+                }) => {
+                    let Some(value) = answers.list.get(*next) else {
+                        if let Some(Frame::Answers {
+                            idx,
+                            theta,
+                            target,
+                            answers,
+                            ..
+                        }) = walk.frames.pop()
+                        {
+                            self.remainder(idx, theta, target, answers, walk)?;
+                        }
+                        continue;
+                    };
+                    self.clock.advance(answers.charge.before(*next));
+                    *next += 1;
+                    match target {
+                        Target::Bind(var) => {
+                            let mut theta = theta.clone();
+                            theta.bind(var.clone(), value.clone());
+                            walk.enter = Some((*idx + 1, theta));
+                        }
+                        Target::Probe(v) if v == value => {
+                            if let Some(Frame::Answers { idx, theta, .. }) = walk.frames.pop() {
+                                walk.enter = Some((idx + 1, theta));
+                            }
+                        }
+                        Target::Probe(_) => {}
+                    }
+                }
+            }
+        }
+    }
+
+    /// Ends `walk` — done, or cut short by a limit, a deadline or a stop —
+    /// and packs its outcome (with no `answers`: the walk handed them
+    /// out). A partial hit whose remainder was never issued counts as a
+    /// cancelled call.
+    pub(crate) fn finish(&mut self, walk: &mut Walk) -> ExecOutcome {
+        walk.enter = None;
+        while let Some(frame) = walk.frames.pop() {
+            if let Frame::Answers {
+                answers:
+                    Answers {
+                        remainder: Some((call, _)),
+                        ..
+                    },
+                ..
+            } = frame
+            {
+                self.stats.cancelled_calls += 1;
+                self.note(TraceEvent::Cancelled { call });
+            }
+        }
         ExecOutcome {
-            answers: out.answers,
-            t_first: out.t_first,
-            t_all: self.clock.now().duration_since(out.start),
+            answers: Vec::new(),
+            t_first: walk.t_first,
+            t_all: self.clock.now().duration_since(walk.start),
             stats: self.stats,
-            incomplete,
-            provenance: out.provenance,
+            incomplete: walk.provenance.iter().any(|p| !p.complete()),
+            provenance: std::mem::take(&mut walk.provenance),
             trace: std::mem::take(&mut self.trace),
         }
     }
 
+    /// Counts an answer the walk hands out — its ordinal in the trace, and
+    /// the first answer's time — and returns the elapsed virtual time.
+    fn emit(&mut self, walk: &mut Walk) -> SimDuration {
+        let elapsed = self.clock.now().duration_since(walk.start);
+        walk.t_first.get_or_insert(elapsed);
+        walk.answers += 1;
+        self.note(TraceEvent::Answer {
+            ordinal: walk.answers,
+        });
+        elapsed
+    }
+
     /// Serves a materialized answer set as the run's result: every row is
-    /// delivered through the normal answer path (limit, sink, trace), but
-    /// no source is called and no virtual time is charged — the subplan
-    /// cache is mediator-local memory.
+    /// handed out like a walk's answer (limit, trace), but no source is
+    /// called and no virtual time is charged — the subplan cache is
+    /// mediator-local memory.
     fn serve_materialized(
         &mut self,
         ticket: &MatTicket,
         rows: &Arc<[Subst]>,
-        mut out: RunState,
+        walk: &mut Walk,
+        limit: Option<usize>,
     ) -> ExecOutcome {
         self.note(TraceEvent::SubplanHit {
             fingerprint: ticket.fingerprint(),
             rows: rows.len(),
         });
+        let mut answers = Vec::new();
         for theta in rows.iter() {
-            if !self.answer(theta, &mut out) {
+            self.emit(walk);
+            answers.push(theta.clone());
+            if limit.is_some_and(|l| answers.len() >= l) {
                 break;
             }
         }
-        self.outcome(out, false)
+        let mut outcome = self.finish(walk);
+        outcome.answers = answers;
+        outcome
     }
 
-    /// Delivers one answer: first-answer time, trace, sink, limit.
-    /// Returns `false` when the consumer has seen enough answers.
-    fn answer(&mut self, theta: &Subst, out: &mut RunState) -> bool {
-        let elapsed = self.clock.now().duration_since(out.start);
-        if out.t_first.is_none() {
-            out.t_first = Some(elapsed);
-        }
-        out.answers.push(theta.clone());
-        self.note(TraceEvent::Answer {
-            ordinal: out.answers.len(),
-        });
-        if let Some(sink) = out.sink.as_mut() {
-            if !sink(theta, elapsed) {
-                return false;
-            }
-        }
-        out.limit.is_none_or(|l| out.answers.len() < l)
-    }
-
-    /// Recursive nested-loops step. Returns `false` when the consumer has
-    /// seen enough answers and evaluation should unwind.
-    fn exec(
-        &mut self,
-        steps: &[PlanStep],
-        idx: usize,
-        theta: &Subst,
-        out: &mut RunState,
-    ) -> Result<bool> {
-        if idx == steps.len() {
-            return Ok(self.answer(theta, out));
-        }
-        match &steps[idx] {
-            PlanStep::Cond(c) => {
-                let lhs = theta.path_term(&c.lhs);
-                let rhs = theta.path_term(&c.rhs);
-                match (lhs, rhs) {
-                    (Some(l), Some(r)) => {
-                        if c.op.eval(&l, &r) {
-                            self.exec(steps, idx + 1, theta, out)
-                        } else {
-                            Ok(true)
-                        }
-                    }
-                    (Some(l), None) if c.op == Relop::Eq && c.rhs.path.is_empty() => {
-                        let v = c.rhs.var_name().ok_or_else(|| {
-                            HermesError::Eval(format!("condition `{c}` not evaluable"))
-                        })?;
-                        let mut t2 = theta.clone();
-                        t2.bind(v.clone(), l);
-                        self.exec(steps, idx + 1, &t2, out)
-                    }
-                    (None, Some(r)) if c.op == Relop::Eq && c.lhs.path.is_empty() => {
-                        let v = c.lhs.var_name().ok_or_else(|| {
-                            HermesError::Eval(format!("condition `{c}` not evaluable"))
-                        })?;
-                        let mut t2 = theta.clone();
-                        t2.bind(v.clone(), r);
-                        self.exec(steps, idx + 1, &t2, out)
-                    }
-                    _ => Err(HermesError::Eval(format!(
-                        "condition `{c}` has unbound operands at execution \
-                         (planner bug or malformed plan)"
-                    ))),
-                }
-            }
-            PlanStep::Facts { args, rows, .. } => {
-                for row in rows.iter() {
-                    self.clock
-                        .advance(SimDuration::from_millis_f64(self.config.fact_row_ms));
-                    let mut t2 = theta.clone();
-                    let mut ok = true;
-                    for (t, v) in args.iter().zip(row.iter()) {
-                        match t {
-                            Term::Const(c) => {
-                                if c != v {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                            Term::Var(x) => match t2.get(x) {
-                                Some(existing) => {
-                                    if existing != v {
-                                        ok = false;
-                                        break;
-                                    }
-                                }
-                                None => t2.bind(x.clone(), v.clone()),
-                            },
-                        }
-                    }
-                    if ok && !self.exec(steps, idx + 1, &t2, out)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            PlanStep::Call {
-                target,
-                call,
-                route,
-            } => {
-                if let Some(group) = self.groups.get(&idx).cloned() {
-                    // This call opens an independence group: put every
-                    // member's network call in flight together before the
-                    // nested-loops walk consumes their answers.
-                    self.dispatch_group(steps, group, theta, out);
-                }
-                let ground = theta.ground_call(call).ok_or_else(|| {
-                    HermesError::Eval(format!(
-                        "call `{call}` has unbound arguments at execution \
-                         (planner bug or malformed plan)"
-                    ))
-                })?;
-                self.stats.calls_attempted += 1;
-                let step = Step {
-                    steps,
-                    idx,
-                    theta,
-                    ground: &ground,
-                    target,
-                    probe: theta.term(target),
-                };
-                self.run_call(&step, *route, out)
-            }
-        }
-    }
-
-    /// Executes one ground call and iterates its answers into the
-    /// continuation.
-    fn run_call(&mut self, step: &Step, route: Route, out: &mut RunState) -> Result<bool> {
-        // Budget check first: a budget is softer than a deadline, so with
-        // both configured (budget < deadline) the downgrade fires before
-        // the deadline ever can — degraded answers beat aborted ones.
+    /// The checks at a call boundary, where no per-call state exists yet:
+    /// the budget first (softer than a deadline: degraded answers beat
+    /// aborted ones), then the deadline. `false` when the deadline ends
+    /// the run.
+    fn call_boundary(&mut self, idx: usize, walk: &mut Walk) -> Result<bool> {
         if self.budget_at.is_some_and(|b| self.clock.now() > b) {
             self.budget_downgrade();
         }
-        // Deadline check at the call boundary: the cheapest safe point to
-        // abort, because no partial per-call state exists here.
-        if self.deadline_at.is_some_and(|d| self.clock.now() > d) {
-            return self.deadline_abort(step.idx, out);
+        if self.deadline_at.is_none_or(|d| self.clock.now() <= d) {
+            return Ok(true);
         }
+        let elapsed = self.clock.now().duration_since(walk.start);
+        let deadline = self
+            .config
+            .deadline
+            .expect("deadline_at is only set from config.deadline");
+        self.stats.deadline_aborts += 1;
+        self.note(TraceEvent::DeadlineExceeded { elapsed, deadline });
+        walk.mark_gap(idx, IncompleteReason::DeadlineExceeded);
+        // Disarm so that nothing later re-fires it.
+        self.deadline_at = None;
+        if self.config.deadline_strict {
+            Err(HermesError::DeadlineExceeded { deadline, elapsed })
+        } else {
+            Ok(false)
+        }
+    }
 
+    /// Executes one ground call: the answers the walk iterates for it, or
+    /// `None` when it contributes nothing.
+    fn call(
+        &mut self,
+        idx: usize,
+        ground: &GroundCall,
+        route: Route,
+        walk: &mut Walk,
+    ) -> Result<Option<Answers>> {
         // Per-query memo (§7 footnote duplicate elimination).
         if self.config.memoize_calls {
-            if let Some(answers) = self.memo.get(step.ground).cloned() {
+            if let Some(answers) = self.memo.get(ground).cloned() {
                 self.stats.memo_hits += 1;
-                return self.iterate(step, out, &answers, Charge::Free);
+                return Ok(Some(Answers::free(answers)));
             }
         }
-
         match route {
-            Route::Direct => self.fetch(step, step.ground, false, out),
-            Route::Cim => self.run_cim_call(step, out),
+            Route::Direct => self.fetch(idx, ground, ground, false, walk),
+            Route::Cim => self.cim_call(idx, ground, walk),
         }
     }
 
@@ -628,15 +760,15 @@ impl<'w> Executor<'w> {
         }
     }
 
-    /// The active tier forbade the step's remote call: count it and record
-    /// the gap (`IncompleteReason::Downgraded`).
-    fn tier_skip(&mut self, step: &Step, out: &mut RunState) {
+    /// The active tier forbade the remote call `ground` of step `idx`:
+    /// count it and record the gap (`IncompleteReason::Downgraded`).
+    fn tier_skip(&mut self, idx: usize, ground: &GroundCall, walk: &mut Walk) {
         self.stats.tier_skipped_calls += 1;
         self.note(TraceEvent::TierSkipped {
-            call: step.ground.clone(),
+            call: ground.clone(),
             tier: self.tier,
         });
-        out.mark_gap(step.idx, IncompleteReason::Downgraded);
+        walk.mark_gap(idx, IncompleteReason::Downgraded);
     }
 
     /// Stale cached answers for `ground`, when the cache will serve them.
@@ -649,30 +781,11 @@ impl<'w> Executor<'w> {
         Some(answers)
     }
 
-    /// Deadline fired: account for it, then either unwind cleanly (answers
-    /// so far are returned with provenance) or fail in strict mode.
-    fn deadline_abort(&mut self, idx: usize, out: &mut RunState) -> Result<bool> {
-        let elapsed = self.clock.now().duration_since(out.start);
-        let deadline = self
-            .config
-            .deadline
-            .expect("deadline_at is only set from config.deadline");
-        self.stats.deadline_aborts += 1;
-        self.note(TraceEvent::DeadlineExceeded { elapsed, deadline });
-        out.mark_gap(idx, IncompleteReason::DeadlineExceeded);
-        // Disarm so the unwind does not re-fire at every remaining call.
-        self.deadline_at = None;
-        if self.config.deadline_strict {
-            Err(HermesError::DeadlineExceeded { deadline, elapsed })
-        } else {
-            Ok(false)
-        }
-    }
-
-    /// Records `wire`'s truncated answer set against the step's provenance.
-    fn mark_truncated(&self, step: &Step, wire: &GroundCall, out: &mut RunState) {
+    /// Records `wire`'s truncated answer set against step `idx`'s
+    /// provenance.
+    fn mark_truncated(&self, idx: usize, wire: &GroundCall, walk: &mut Walk) {
         let site = self.site_name(wire).unwrap_or_default();
-        out.mark_gap(step.idx, IncompleteReason::Truncated { site });
+        walk.mark_gap(idx, IncompleteReason::Truncated { site });
     }
 
     /// The name of the site serving `ground`'s domain, when placed.
@@ -684,8 +797,12 @@ impl<'w> Executor<'w> {
     }
 
     /// The §4.1 pipeline for a CIM-routed call.
-    fn run_cim_call(&mut self, step: &Step, out: &mut RunState) -> Result<bool> {
-        let ground = step.ground;
+    fn cim_call(
+        &mut self,
+        idx: usize,
+        ground: &GroundCall,
+        walk: &mut Walk,
+    ) -> Result<Option<Answers>> {
         let (resolution, cim_cost) = self.cim.lookup(ground, self.clock.now());
         self.clock.advance(cim_cost);
         match resolution {
@@ -699,7 +816,7 @@ impl<'w> Executor<'w> {
                 if self.config.memoize_calls {
                     self.memo.insert(ground.clone(), answers.clone());
                 }
-                self.iterate(step, out, &answers, Charge::Free)
+                Ok(Some(Answers::free(answers)))
             }
             CimResolution::EqualHit { via, answers } => {
                 self.stats.cim_equal += 1;
@@ -713,7 +830,7 @@ impl<'w> Executor<'w> {
                     self.cim
                         .store(ground.clone(), answers.clone(), true, self.clock.now());
                 }
-                self.iterate(step, out, &answers, Charge::Free)
+                Ok(Some(Answers::free(answers)))
             }
             CimResolution::PartialHit {
                 via,
@@ -725,7 +842,15 @@ impl<'w> Executor<'w> {
                     via,
                     answers: cached.len(),
                 });
-                self.run_partial_hit(step, cached, out)
+                // Serve the cached prefix (the lookup already charged for
+                // it), then the remainder. A membership probe that finds
+                // its value in the prefix is answered and needs no
+                // remainder; one that does not falls through to it.
+                Ok(Some(Answers {
+                    list: cached,
+                    charge: Charge::Free,
+                    remainder: Some((ground.clone(), self.clock.now())),
+                }))
             }
             CimResolution::Miss { substitute } => {
                 self.stats.cim_miss += 1;
@@ -736,7 +861,13 @@ impl<'w> Executor<'w> {
                         executed: s.clone(),
                     });
                 }
-                self.fetch(step, substitute.as_ref().unwrap_or(ground), true, out)
+                self.fetch(
+                    idx,
+                    ground,
+                    substitute.as_ref().unwrap_or(ground),
+                    true,
+                    walk,
+                )
             }
         }
     }
@@ -744,27 +875,25 @@ impl<'w> Executor<'w> {
     /// The fetch path a `Direct` call and a CIM miss share: the outcome a
     /// group dispatch parked for `wire` (already paid for), else the tier
     /// gate and the actual call, charged on its pipelined schedule (an
-    /// empty answer set pays its whole `t_all` at once); then the memo and
-    /// the iteration. A CIM-routed fetch (`cim`) also stores the answers —
-    /// under `wire` and, for a substitute, under the step's own call — and
-    /// falls back on stale cached answers when the source is unavailable.
+    /// empty answer set pays its whole `t_all` at once); then the memo. A
+    /// CIM-routed fetch (`cim`) also stores the answers — under `wire`
+    /// and, for a substitute, under the step's own call — and falls back
+    /// on stale cached answers when the source is unavailable.
     fn fetch(
         &mut self,
-        step: &Step,
+        idx: usize,
+        ground: &GroundCall,
         wire: &GroundCall,
         cim: bool,
-        out: &mut RunState,
-    ) -> Result<bool> {
-        let (outcome, charge) = match self.prefetched(step.idx, wire) {
+        walk: &mut Walk,
+    ) -> Result<Option<Answers>> {
+        let (outcome, charge) = match self.prefetched(idx, wire) {
             Some(outcome) => (outcome, Charge::Free),
             None if !self.tier_allows_wire(wire) => {
                 // Fail soft: serve whatever stale cached answers exist,
                 // else contribute nothing and move on.
-                self.tier_skip(step, out);
-                return match self.stale_answers(step.ground) {
-                    Some(answers) => self.iterate(step, out, &answers, Charge::Free),
-                    None => Ok(true),
-                };
+                self.tier_skip(idx, ground, walk);
+                return Ok(self.stale_answers(ground).map(Answers::free));
             }
             None => match self.actual_call(wire, false) {
                 Ok(outcome) => {
@@ -777,139 +906,99 @@ impl<'w> Executor<'w> {
                 Err(HermesError::Unavailable { site, reason }) if cim => {
                     // Serve-stale fallback: a possibly-incomplete old
                     // entry beats failing the whole query.
-                    let Some(answers) = self.stale_answers(step.ground) else {
+                    let Some(answers) = self.stale_answers(ground) else {
                         return Err(HermesError::Unavailable { site, reason });
                     };
-                    out.mark_gap(step.idx, unavailable_gap(site, &reason));
-                    return self.iterate(step, out, &answers, Charge::Free);
+                    walk.mark_gap(idx, unavailable_gap(site, &reason));
+                    return Ok(Some(Answers::free(answers)));
                 }
                 Err(e) => return Err(e),
             },
         };
         let complete = !outcome.truncated;
         if !complete {
-            self.mark_truncated(step, wire, out);
+            self.mark_truncated(idx, wire, walk);
         }
         // One shared allocation backs the CIM store(s), the memo, and the
-        // iteration below (Arc clones, no deep copies).
+        // iteration (Arc clones, no deep copies).
         let answers = outcome.answers;
         if cim && self.config.store_results {
             let now = self.clock.now();
             self.cim.store(wire.clone(), answers.clone(), complete, now);
-            if wire != step.ground {
+            if wire != ground {
                 // Equality invariant: the original call has the same
                 // answers — cache it under its own key too.
                 self.cim
-                    .store(step.ground.clone(), answers.clone(), complete, now);
+                    .store(ground.clone(), answers.clone(), complete, now);
             }
         }
         if self.config.memoize_calls && complete {
-            self.memo.insert(step.ground.clone(), answers.clone());
+            self.memo.insert(ground.clone(), answers.clone());
         }
-        self.iterate(step, out, &answers, charge)
+        Ok(Some(Answers {
+            list: answers,
+            charge,
+            remainder: None,
+        }))
     }
 
-    /// Partial hit: yield the cached prefix, then (if the consumer still
-    /// wants answers) the remainder from the actual call, which runs
+    /// A call step's answers are used up. For a partial hit that is the
+    /// cached prefix: issue (or join) the actual call, which ran
     /// concurrently with serving the prefix (§4.1: "it is possible to make
     /// the actual domain call in parallel whenever a partial answer set is
-    /// obtained").
-    fn run_partial_hit(
+    /// obtained"), and reopen the step on the answers the prefix lacked —
+    /// unless the active tier forbids the call, in which case the prefix
+    /// is all this subgoal contributes (flagged `Downgraded`).
+    fn remainder(
         &mut self,
-        step: &Step,
-        cached: Arc<[Value]>,
-        out: &mut RunState,
-    ) -> Result<bool> {
-        let ground = step.ground;
-        let started = self.clock.now();
-        // Serve the cached prefix (the CIM lookup already charged for it).
-        // Membership probes must not early-out here: a hit in the prefix
-        // answers the probe, but a missing value may still arrive in the
-        // remainder — so probes fall through to the actual call when the
-        // prefix does not contain the value.
-        if let Some(v) = &step.probe {
-            if cached.contains(v) {
-                return self.exec(step.steps, step.idx + 1, step.theta, out);
-            }
-        } else if !self.iterate(step, out, &cached, Charge::Free)? {
-            // Consumer stopped inside the cached prefix: the actual call
-            // never needs to be issued.
-            self.stats.cancelled_calls += 1;
-            self.note(TraceEvent::Cancelled {
-                call: ground.clone(),
-            });
-            return Ok(false);
+        idx: usize,
+        theta: Subst,
+        target: Target,
+        answers: Answers,
+        walk: &mut Walk,
+    ) -> Result<()> {
+        let Some((ground, started)) = answers.remainder else {
+            return Ok(());
+        };
+        if !self.tier_allows_wire(&ground) {
+            self.tier_skip(idx, &ground, walk);
+            return Ok(());
         }
-
-        // Need the remainder: issue (or join) the actual call — unless
-        // the active tier forbids it, in which case the cached prefix is
-        // all this subgoal contributes (flagged `Downgraded`).
-        if !self.tier_allows_wire(ground) {
-            self.tier_skip(step, out);
-            return Ok(true);
-        }
-        match self.actual_call(ground, false) {
+        match self.actual_call(&ground, false) {
             Ok(outcome) => {
                 let complete = !outcome.truncated;
                 if !complete {
-                    self.mark_truncated(step, ground, out);
+                    self.mark_truncated(idx, &ground, walk);
                 }
                 self.clock.advance_to(started + outcome.t_all);
-                let answers = outcome.answers;
-                let (remainder, merge_cost) = self.cim.merge_partial(ground, &cached, &answers);
+                let actual = outcome.answers;
+                let (rest, merge_cost) = self.cim.merge_partial(&ground, &answers.list, &actual);
                 self.clock.advance(merge_cost);
                 if self.config.store_results {
                     self.cim
-                        .store(ground.clone(), answers.clone(), complete, self.clock.now());
+                        .store(ground.clone(), actual.clone(), complete, self.clock.now());
                 }
                 if self.config.memoize_calls && complete {
-                    self.memo.insert(ground.clone(), answers);
+                    self.memo.insert(ground, actual);
                 }
-                self.iterate(step, out, &remainder, Charge::Free)
+                walk.frames.push(Frame::Answers {
+                    idx,
+                    theta,
+                    target,
+                    next: 0,
+                    answers: Answers::free(rest.into()),
+                });
+                Ok(())
             }
             Err(HermesError::Unavailable { site, reason }) => {
                 // The cache already served what it could (§1: use prior
                 // results when the source is not readily available).
                 // `actual_call` already counted the unavailability.
-                out.mark_gap(step.idx, unavailable_gap(site, &reason));
-                Ok(true)
+                walk.mark_gap(idx, unavailable_gap(site, &reason));
+                Ok(())
             }
             Err(e) => Err(e),
         }
-    }
-
-    /// Iterates an answer list into the continuation: binds the step's
-    /// target to each answer, or (for a probe) scans until the value
-    /// appears, paying `charge` before each answer.
-    fn iterate(
-        &mut self,
-        step: &Step,
-        out: &mut RunState,
-        answers: &[Value],
-        charge: Charge,
-    ) -> Result<bool> {
-        let (steps, next) = (step.steps, step.idx + 1);
-        if let Some(v) = &step.probe {
-            for (j, a) in answers.iter().enumerate() {
-                self.clock.advance(charge.before(j));
-                if a == v {
-                    return self.exec(steps, next, step.theta, out);
-                }
-            }
-            return Ok(true);
-        }
-        let var = step.target.as_var().ok_or_else(|| {
-            HermesError::Eval("call target is neither ground nor a variable".into())
-        })?;
-        for (j, a) in answers.iter().enumerate() {
-            self.clock.advance(charge.before(j));
-            let mut t2 = step.theta.clone();
-            t2.bind(var.clone(), a.clone());
-            if !self.exec(steps, next, &t2, out)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
     }
 
     /// Dispatches an independence group: grounds every member call
@@ -934,7 +1023,7 @@ impl<'w> Executor<'w> {
         steps: &[PlanStep],
         group: std::ops::Range<usize>,
         theta: &Subst,
-        out: &mut RunState,
+        walk: &mut Walk,
     ) {
         let t0 = self.clock.now();
         if self.deadline_at.is_some_and(|d| t0 > d) {
@@ -947,7 +1036,7 @@ impl<'w> Executor<'w> {
                 continue;
             };
             let Some(ground) = theta.ground_call(call) else {
-                continue; // run_call will report the planner bug
+                continue; // entering the step reports the planner bug
             };
             if self.config.memoize_calls && self.memo.contains_key(&ground) {
                 continue;
@@ -991,12 +1080,14 @@ impl<'w> Executor<'w> {
                 abandoned = true;
                 self.stats.cancelled_calls += 1;
                 self.note(TraceEvent::Cancelled { call: wire });
-                out.mark_gap(idx, IncompleteReason::DeadlineExceeded);
+                walk.mark_gap(idx, IncompleteReason::DeadlineExceeded);
                 continue;
             }
             let site = self.site_name(&wire).unwrap_or_default();
-            let piggyback = self.config.batch_calls
-                && !batch_seen.insert((site.clone(), format!("{}:{}", wire.domain, wire.function)));
+            // Repeated `(site, function)` calls piggyback on the first
+            // one's round trip: they pay transfer time, not connect + RTT.
+            let piggyback =
+                !batch_seen.insert((site.clone(), format!("{}:{}", wire.domain, wire.function)));
             if piggyback {
                 self.stats.batched_calls += 1;
             }

@@ -4,7 +4,7 @@ use crate::breaker::BreakerBank;
 use crate::caches::{CacheControl, PlanningKnobs};
 use crate::cost::{estimate_plan, CostConfig};
 use crate::cursor::InteractiveQuery;
-use crate::exec::{ExecConfig, ExecStats, SubgoalProvenance};
+use crate::exec::{ExecConfig, ExecStats, Executor, SubgoalProvenance};
 use crate::matcache::MatCache;
 use crate::pipeline::PlanningCore;
 use crate::plan::Plan;
@@ -476,23 +476,24 @@ impl Mediator {
         self.shared.execute(&planned, limit)
     }
 
-    /// Starts a query in interactive mode (§3): answers stream on demand;
-    /// dropping the handle cancels outstanding source calls.
+    /// Starts a query in interactive mode (§3): each pull runs the plan to
+    /// its next answer, and nothing runs between pulls, so stopping or
+    /// dropping the handle leaves no source call outstanding.
     ///
     /// Interactive runs share the caches but do not advance the mediator's
     /// persistent clock (their virtual timeline is reported per-answer).
-    pub fn query_interactive(&self, query_src: &str) -> Result<InteractiveQuery> {
+    pub fn query_interactive(&self, query_src: &str) -> Result<InteractiveQuery<'_>> {
         let planned = self.plan(query_src)?;
         let shared = &self.shared;
-        Ok(InteractiveQuery::spawn(
-            shared.network.clone(),
-            shared.cim.clone(),
-            shared.dcsm.clone(),
-            Some(shared.breakers.clone()),
+        let executor = Executor::new(
+            &shared.network,
+            shared.cim.as_ref(),
+            shared.dcsm.as_ref(),
             shared.query_clock(),
             self.config().exec,
-            planned.plan().clone(),
-        ))
+        )
+        .with_breakers(&shared.breakers);
+        Ok(InteractiveQuery::new(executor, planned.plan().clone()))
     }
 
     /// Persists the answer cache and the statistics cache into `dir`

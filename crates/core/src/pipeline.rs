@@ -23,7 +23,7 @@ use crate::tier::{select_tier, PlanTier, TierDecision, TierInputs, TierLoad, Tie
 use crate::trace::{TraceEntry, TraceEvent};
 use hermes_cim::{CimPolicy, CimPreview, CimView};
 use hermes_common::sync::Mutex;
-use hermes_common::{GroundCall, HermesError, Result, SimClock, SimInstant, Value};
+use hermes_common::{GroundCall, HermesError, Result, SimClock, SimInstant};
 use hermes_dcsm::{CostVector, ShardedDcsm};
 use hermes_lang::{parse_query, Query, Subst};
 use hermes_net::Network;
@@ -349,20 +349,13 @@ fn project(
     plans_considered: usize,
     outcome: ExecOutcome,
 ) -> QueryResult {
-    let columns = plan.answer_vars.clone();
-    let rows = outcome
-        .answers
-        .iter()
-        .map(|theta| {
-            columns
-                .iter()
-                .map(|v| theta.get(v).cloned().unwrap_or(Value::Null))
-                .collect()
-        })
-        .collect();
     QueryResult {
-        columns,
-        rows,
+        columns: plan.answer_vars.clone(),
+        rows: outcome
+            .answers
+            .iter()
+            .map(|theta| plan.row(theta))
+            .collect(),
         t_first: outcome.t_first,
         t_all: outcome.t_all,
         plan,

@@ -8,7 +8,7 @@
 
 use hermes_analysis::{fingerprint_body, SubplanKey};
 use hermes_common::Value;
-use hermes_lang::{BodyAtom, CallTemplate, Condition, PredAtom, Relop, Term};
+use hermes_lang::{BodyAtom, CallTemplate, Condition, PredAtom, Relop, Subst, Term};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::ops::Range;
@@ -92,6 +92,15 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// The answer row of binding `theta`: its value of each answer
+    /// variable, `Null` where unbound.
+    pub(crate) fn row(&self, theta: &Subst) -> Vec<Value> {
+        self.answer_vars
+            .iter()
+            .map(|v| theta.get(v).cloned().unwrap_or(Value::Null))
+            .collect()
+    }
+
     /// Number of call steps.
     pub fn call_count(&self) -> usize {
         self.steps.iter().filter(|s| s.is_call()).count()

@@ -122,6 +122,26 @@ fn interactive_stop_within_partial_prefix_skips_actual_call() {
 }
 
 #[test]
+fn interactive_stop_at_the_end_of_the_partial_prefix_makes_no_source_call() {
+    // Pulling exactly the cached prefix's rows and stopping must not issue
+    // the actual call: nothing runs between pulls, so nothing runs ahead
+    // of the consumer.
+    for seed in 1..=5 {
+        let mut m = video_mediator(seed, CimPolicy::cache_everything());
+        m.caches().add_invariant(frame_range_invariant()).unwrap();
+        let mut warmup = m.query_interactive("?- objs(10, 40, O).").unwrap();
+        let prefix = std::iter::from_fn(|| warmup.next_answer()).count();
+        assert!(warmup.stop().finished);
+        let calls = m.network().source_calls();
+        let mut wide = m.query_interactive("?- objs(0, 600, O).").unwrap();
+        assert_eq!(wide.next_batch(prefix).len(), prefix, "seed {seed}");
+        let summary = wide.stop();
+        assert_eq!(m.network().source_calls(), calls, "seed {seed}");
+        assert_eq!(summary.stats.map(|s| s.cancelled_calls), Some(1));
+    }
+}
+
+#[test]
 fn equality_invariant_spatial_range_shrinking() {
     // The paper's §4 example: any range ≥ 142 over a 100x100 point file
     // equals the 142 range. A *miss* should execute the cheaper

@@ -3,14 +3,17 @@
 //! Every walk of the predicate dependency graph keeps its path on the
 //! heap, so the chain gets a planning error or a clean analysis on a
 //! 2 MB thread stack, where a walk that recursed once per predicate
-//! overflowed (near 25 000 rules) and took the process down.
+//! overflowed (near 25 000 rules) and took the process down. A query of
+//! 10 000 conditions is as long a plan: the executor's walk keeps its
+//! open steps on the heap too, where recursing once per plan step
+//! overflowed near 2 000.
 
 use hermes::analysis::Analyzer;
 use hermes::core::{enumerate_plans, RewriteConfig};
 use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes::lang::{parse_program, parse_query, Program};
 use hermes::net::profiles;
-use hermes::{CimPolicy, Mediator, Network};
+use hermes::{CimPolicy, Mediator, Network, Value};
 use std::sync::Arc;
 
 const DEPTH: usize = 100_000;
@@ -80,4 +83,22 @@ fn registering_a_deep_chain_returns() {
     registered.unwrap();
     let msg = queried.unwrap_err().to_string();
     assert!(msg.contains("no executable ordering"), "{msg}");
+}
+
+/// `?- =(A, 1) & … .` with `conditions` conditions: the first binds `A`,
+/// the rest filter.
+fn long_query(conditions: usize) -> String {
+    format!("?- {}.", vec!["=(A, 1)"; conditions].join(" & "))
+}
+
+#[test]
+fn a_ten_thousand_condition_query_answers_on_a_small_stack() {
+    let rows = on_small_stack(|| {
+        let domain = SyntheticDomain::generate("d1", 42, &[RelationSpec::uniform("p", 8, 2.0)]);
+        let mut net = Network::new(1);
+        net.place(Arc::new(domain), profiles::cornell());
+        let mut m = Mediator::from_source("item(A, B) :- in(B, d1:p_bf(A)).", net).unwrap();
+        m.query(long_query(10_000).as_str()).map(|r| r.rows)
+    });
+    assert_eq!(rows.unwrap(), vec![vec![Value::int(1)]]);
 }

@@ -133,3 +133,18 @@ fn client_driven_shutdown_drains_cleanly() {
     let stats = net.wait();
     assert_eq!(stats.requests, 2);
 }
+
+#[test]
+fn a_ten_thousand_condition_query_is_answered_and_the_server_keeps_serving() {
+    let (net, addr) = start();
+    let mut client = WireClient::connect(&addr).unwrap();
+    // One frame of about 100 KB: `?- =(A, 1) & … .`, as long a plan as
+    // the server's 2 MB worker stacks then run.
+    let long = format!("?- {}.", vec!["=(A, 1)"; 10_000].join(" & "));
+    let got = client.query(QueryFrame::new(long)).unwrap();
+    assert_eq!(got.rows, vec![vec![Value::int(1)]]);
+    let got = client.query(QueryFrame::new("?- item('p_1', B).")).unwrap();
+    assert!(!got.rows.is_empty());
+    let stats = net.shutdown();
+    assert_eq!((stats.requests, stats.bad_frames), (2, 0));
+}

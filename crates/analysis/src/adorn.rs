@@ -14,8 +14,8 @@
 //! * **HA050** a declared adornment serializes a rule's domain calls that a
 //!   more-bound adornment could dispatch concurrently.
 
-use crate::analyzer::QueryForm;
 use crate::diagnostic::{DiagCode, Diagnostic, Locus};
+use hermes_lang::QueryForm;
 use hermes_lang::{groundability, BodyAtom, Program, Rule};
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -1,90 +1,13 @@
 //! The analyzer driver: inputs, builder, and pass orchestration.
 
-use crate::diagnostic::AnalysisReport;
+use crate::diagnostic::{AnalysisReport, DiagCode, Diagnostic, Locus};
 use crate::{adorn, cacheable, coverage, graph, invariants, materialize, sigs};
-use hermes_cim::InvariantStore;
-use hermes_common::{HermesError, Result};
+use hermes_cim::{CimPolicy, InvariantStore, RoutingDecision};
 use hermes_dcsm::Dcsm;
 use hermes_domains::DomainRegistry;
-use hermes_lang::{Invariant, Program};
+use hermes_lang::{DeclarationFault, Declarations, Invariant, Program, QueryForm};
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
-
-/// A declared query adornment, e.g. `route(b, f)`: the mediator promises to
-/// answer queries on `route/2` with the first argument bound.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QueryForm {
-    /// The predicate name.
-    pub pred: Arc<str>,
-    /// Per-position binding: `true` = bound (`b`), `false` = free (`f`).
-    pub bound: Vec<bool>,
-}
-
-impl QueryForm {
-    /// Builds a form from a name and per-position bindings.
-    pub fn new(pred: impl Into<Arc<str>>, bound: Vec<bool>) -> Self {
-        QueryForm {
-            pred: pred.into(),
-            bound,
-        }
-    }
-
-    /// Parses `pred(b, f, ...)` — also accepts the compact `pred/bf` form.
-    pub fn parse(text: &str) -> Result<Self> {
-        let text = text.trim().trim_end_matches('.');
-        let bad = |msg: &str| HermesError::Parse {
-            line: 0,
-            col: 0,
-            msg: format!("query form `{text}`: {msg}"),
-        };
-        let (pred, adornment) = if let Some((p, rest)) = text.split_once('(') {
-            let rest = rest
-                .strip_suffix(')')
-                .ok_or_else(|| bad("missing closing `)`"))?;
-            (p.trim(), rest.replace([',', ' '], ""))
-        } else if let Some((p, a)) = text.split_once('/') {
-            (p.trim(), a.trim().to_string())
-        } else {
-            return Err(bad("expected `pred(b, f, ...)` or `pred/bf`"));
-        };
-        if pred.is_empty() {
-            return Err(bad("empty predicate name"));
-        }
-        let mut bound = Vec::with_capacity(adornment.len());
-        for c in adornment.chars() {
-            match c {
-                'b' => bound.push(true),
-                'f' => bound.push(false),
-                other => {
-                    return Err(bad(&format!(
-                        "adornment positions must be `b` or `f`, got `{other}`"
-                    )))
-                }
-            }
-        }
-        Ok(QueryForm::new(pred, bound))
-    }
-
-    /// The adornment string, e.g. `bf`.
-    pub fn adornment(&self) -> String {
-        self.bound
-            .iter()
-            .map(|b| if *b { 'b' } else { 'f' })
-            .collect()
-    }
-}
-
-impl fmt::Display for QueryForm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let args: Vec<&str> = self
-            .bound
-            .iter()
-            .map(|b| if *b { "b" } else { "f" })
-            .collect();
-        write!(f, "{}({})", self.pred, args.join(", "))
-    }
-}
 
 /// What the analyzer knows about one domain.
 #[derive(Clone, Debug, Default)]
@@ -96,8 +19,8 @@ struct DomainSigs {
 }
 
 /// Known domain signatures, either snapshotted from a live
-/// [`DomainRegistry`] or declared (e.g. by `%!` lint directives in a `.hms`
-/// file).
+/// [`DomainRegistry`] or declared (by `%! domain` and `%! estimator` lines
+/// in a `.hms` file).
 #[derive(Clone, Debug, Default)]
 pub struct SignatureTable {
     domains: BTreeMap<Arc<str>, DomainSigs>,
@@ -125,6 +48,25 @@ impl SignatureTable {
         table
     }
 
+    /// The signatures a program's `%!` lines declare; `None` when no
+    /// `domain` or `estimator` line appeared (signature checking stays
+    /// off).
+    pub fn from_declarations(declarations: &Declarations) -> Option<Self> {
+        if declarations.domains.is_empty() && declarations.estimators.is_empty() {
+            return None;
+        }
+        let mut table = SignatureTable::new();
+        for domain in &declarations.domains {
+            for (function, arity) in &domain.functions {
+                table.declare(domain.name.as_str(), function.as_str(), *arity);
+            }
+        }
+        for domain in &declarations.estimators {
+            table.declare_estimator(domain.as_str());
+        }
+        Some(table)
+    }
+
     /// Declares one function signature.
     pub fn declare(
         &mut self,
@@ -145,11 +87,6 @@ impl SignatureTable {
             .entry(domain.into())
             .or_default()
             .has_native_estimator = true;
-    }
-
-    /// True when no domain is declared at all.
-    pub fn is_empty(&self) -> bool {
-        self.domains.is_empty()
     }
 
     /// Declared domain names.
@@ -183,53 +120,50 @@ impl SignatureTable {
     }
 }
 
-/// A `(domain, function) -> routed?` predicate for the cacheability pass.
-pub type CacheRoutes<'a> = &'a dyn Fn(&str, &str) -> bool;
-
 /// The multi-pass static analyzer (see crate docs for the pass list).
 ///
-/// Only the program is mandatory; every other input unlocks further passes:
-/// signatures enable domain-call checking, invariants enable the invariant
-/// lints, a DCSM enables cost-coverage advisories, and query forms enable
-/// reachability plus per-adornment feasibility.
+/// Only the program is mandatory. Its `%!` declarations seed query forms,
+/// invariants, signatures (when a `domain` or `estimator` line appears)
+/// and the CIM routing ([`CimPolicy::declare`] over `cache_everything`);
+/// the builder methods add to them or replace them, as a mediator does
+/// with its live registry and policy.
 pub struct Analyzer<'a> {
     program: &'a Program,
     invariants: Vec<Invariant>,
     signatures: Option<SignatureTable>,
     dcsm: Option<&'a Dcsm>,
     query_forms: Vec<QueryForm>,
-    cache_routing: Option<CacheRoutes<'a>>,
-    volatility: Option<CacheRoutes<'a>>,
+    routing: CimPolicy,
     materialize: bool,
 }
 
 impl<'a> Analyzer<'a> {
-    /// Starts an analysis of `program`.
+    /// Starts an analysis of `program`, with what its declarations say.
     pub fn new(program: &'a Program) -> Self {
+        let declarations = &program.declarations;
+        let mut routing = CimPolicy::cache_everything();
+        routing.declare(declarations);
         Analyzer {
             program,
-            invariants: Vec::new(),
-            signatures: None,
+            invariants: declarations.invariants.clone(),
+            signatures: SignatureTable::from_declarations(declarations),
             dcsm: None,
-            query_forms: Vec::new(),
-            cache_routing: None,
-            volatility: None,
+            query_forms: declarations.query_forms.clone(),
+            routing,
             materialize: false,
         }
     }
 
-    /// Adds invariants to lint (pass 4).
-    pub fn with_invariants(mut self, invs: impl IntoIterator<Item = Invariant>) -> Self {
-        self.invariants.extend(invs);
+    /// Adds every invariant of a CIM store that the program does not
+    /// declare itself (pass 4).
+    pub fn with_invariant_store(mut self, store: &InvariantStore) -> Self {
+        let declared = &self.program.declarations.invariants;
+        let extra = store.all().iter().filter(|inv| !declared.contains(inv));
+        self.invariants.extend(extra.cloned());
         self
     }
 
-    /// Adds every invariant of a CIM store (pass 4).
-    pub fn with_invariant_store(self, store: &InvariantStore) -> Self {
-        self.with_invariants(store.all().iter().cloned())
-    }
-
-    /// Declares domain signatures (pass 3; also sharpens pass 5).
+    /// Replaces the signatures (pass 3; also sharpens pass 5).
     pub fn with_signatures(mut self, table: SignatureTable) -> Self {
         self.signatures = Some(table);
         self
@@ -246,31 +180,16 @@ impl<'a> Analyzer<'a> {
         self
     }
 
-    /// Declares a query form (sharpens passes 1 and 2).
-    pub fn with_query_form(mut self, form: QueryForm) -> Self {
-        self.query_forms.push(form);
-        self
-    }
-
-    /// Declares several query forms.
+    /// Adds several query forms.
     pub fn with_query_forms(mut self, forms: impl IntoIterator<Item = QueryForm>) -> Self {
         self.query_forms.extend(forms);
         self
     }
 
-    /// Enables the cacheability pass (pass 6, `HA060`): `routes(domain,
-    /// function)` answers whether a call goes through the CIM. Without
-    /// this, no routing information exists and the pass stays silent.
-    pub fn with_cache_routing(mut self, routes: CacheRoutes<'a>) -> Self {
-        self.cache_routing = Some(routes);
-        self
-    }
-
-    /// Declares volatile sources: `volatile(domain, function)` answers
-    /// whether a source's answers change without notice (sharpens the
-    /// `HA071` materialization check).
-    pub fn with_volatility(mut self, volatile: CacheRoutes<'a>) -> Self {
-        self.volatility = Some(volatile);
+    /// Replaces the CIM routing that passes 6 (`HA060`) and 7 (`HA071`)
+    /// judge, e.g. with a mediator's live policy.
+    pub fn with_cache_routing(mut self, routing: CimPolicy) -> Self {
+        self.routing = routing;
         self
     }
 
@@ -295,21 +214,56 @@ impl<'a> Analyzer<'a> {
         if let Some(dcsm) = self.dcsm {
             coverage::run(self.program, dcsm, self.signatures.as_ref(), &mut out);
         }
-        if let Some(routes) = self.cache_routing {
-            cacheable::run(self.program, &self.invariants, routes, &mut out);
-        }
+        let routes = |domain: &str, function: &str| {
+            self.routing.decide(domain, function) == RoutingDecision::UseCim
+        };
+        cacheable::run(self.program, &self.invariants, &routes, &mut out);
         if self.materialize {
             let inputs = materialize::Inputs {
                 query_forms: &self.query_forms,
-                cache_routes: self.cache_routing,
-                volatile: self.volatility,
+                routes: &routes,
+                volatile: &self.program.declarations.volatile,
                 dcsm: self.dcsm,
             };
             materialize::run(self.program, &inputs, &mut out);
         }
+        declaration_problems(&self.program.declarations, &mut out);
         let mut report = AnalysisReport { diagnostics: out };
         report.normalize();
         report
+    }
+}
+
+/// `HA080`–`HA082`: the `%!` lines that declared nothing. A malformed or
+/// unknown line is an error, because skipping it silently drops what it
+/// meant to declare.
+fn declaration_problems(declarations: &Declarations, out: &mut Vec<Diagnostic>) {
+    for problem in &declarations.problems {
+        let locus = Locus::Directive {
+            line: problem.line,
+            text: problem.text.clone(),
+        };
+        out.push(match &problem.fault {
+            DeclarationFault::Malformed(msg) => {
+                Diagnostic::new(DiagCode::MalformedDirective, locus, msg.clone())
+            }
+            DeclarationFault::Unknown => Diagnostic::new(
+                DiagCode::UnknownDirective,
+                locus,
+                format!(
+                    "unknown directive `{}`; expected `query`, `domain`, \
+                     `estimator`, `invariant`, `cache`, or `volatile`",
+                    problem.text
+                ),
+            )
+            .with_suggestion("a typo here silently disables the checks it would enable"),
+            DeclarationFault::Duplicate => Diagnostic::new(
+                DiagCode::DuplicateDirective,
+                locus,
+                "directive repeats an earlier declaration verbatim",
+            )
+            .with_suggestion("drop one copy; declarations accumulate, nothing is shadowed"),
+        });
     }
 }
 

@@ -8,9 +8,9 @@
 //! neither is silently un-servable at the `cache-only` tier — every
 //! downgraded query comes back empty. Better to say so at registration.
 //!
-//! The pass only runs when routing information is available (a `%! cache`
-//! directive in the file, or the mediator's live `CimPolicy`); plain
-//! programs lint without it and stay exempt.
+//! The routing is the mediator's live `CimPolicy`, or on the lint path the
+//! policy the file's `%! cache` and `%! volatile` lines declare. A plain
+//! program routes every call through the CIM, so it never trips the pass.
 
 use crate::diagnostic::{DiagCode, Diagnostic, Locus};
 use hermes_lang::{BodyAtom, Invariant, Program};

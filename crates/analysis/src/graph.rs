@@ -17,8 +17,8 @@
 //! ([`first_predicate_reaching_recursion`]): this module holds the
 //! workspace's one walk of the predicate graph.
 
-use crate::analyzer::QueryForm;
 use crate::diagnostic::{DiagCode, Diagnostic, Locus};
+use hermes_lang::QueryForm;
 use hermes_lang::{BodyAtom, Program, RuleIndex};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

@@ -18,7 +18,7 @@
 //! | 5 cost coverage | `HA040` | call patterns the DCSM can only cost from the prior |
 //! | 6 cacheability | `HA060` | programs the `cache-only` plan tier can never serve |
 //! | 7 materialization | `HA070`–`HA074` | safe-to-materialize inventory, volatile sources, recursive SCCs, shared subplans, invalidation scope (opt-in) |
-//! | directives | `HA080`–`HA082` | malformed, unknown, and duplicate `%!` directives |
+//! | declarations | `HA080`–`HA082` | malformed, unknown, and duplicate `%!` lines |
 //!
 //! Pass 7 rests on [`fingerprint`]: canonical subplan fingerprints, stable
 //! modulo variable renaming, independent-subgoal reordering, and symmetric
@@ -41,7 +41,6 @@ mod analyzer;
 mod cacheable;
 mod coverage;
 mod diagnostic;
-mod directives;
 pub mod fingerprint;
 mod graph;
 mod invariants;
@@ -49,15 +48,13 @@ pub mod json;
 mod materialize;
 mod output;
 mod sigs;
-mod verdicts;
 
-pub use analyzer::{Analyzer, QueryForm, SignatureTable};
+pub use analyzer::{Analyzer, SignatureTable};
 pub use diagnostic::{AnalysisReport, DiagCode, Diagnostic, Locus, Severity};
-pub use directives::{parse_directives, CacheRouting, Directives};
 pub use fingerprint::{fingerprint_body, fingerprint_rule, Fingerprint, SubplanKey};
 pub use graph::first_predicate_reaching_recursion;
+pub use hermes_lang::QueryForm;
 pub use output::{report_from_json, report_to_json, report_to_sarif, FileReport, JSON_SCHEMA};
-pub use verdicts::{MaterializationVerdicts, RuleVerdict, SubplanVerdict};
 
 use hermes_common::Result;
 use hermes_lang::{groundability, parse_program, BodyAtom, Program};
@@ -73,9 +70,8 @@ pub struct AnalyzeOptions {
     pub materialize: bool,
 }
 
-/// Parses a `.hms` source (program text plus optional `%!` lint
-/// directives) and analyzes it. This is what `hermes-lint` and the REPL's
-/// `:check` run.
+/// Parses a `.hms` source (program text plus its `%!` declarations) and
+/// analyzes it. This is what `hermes-lint` and the REPL's `:check` run.
 pub fn analyze_source(src: &str) -> Result<AnalysisReport> {
     analyze_source_with(src, AnalyzeOptions::default())
 }
@@ -83,38 +79,15 @@ pub fn analyze_source(src: &str) -> Result<AnalysisReport> {
 /// [`analyze_source`] with the opt-in passes selectable.
 pub fn analyze_source_with(src: &str, opts: AnalyzeOptions) -> Result<AnalysisReport> {
     let program = parse_program(src)?;
-    let directives = parse_directives(src)?;
     let empty_dcsm = hermes_dcsm::Dcsm::new();
-    let mut analyzer = Analyzer::new(&program)
-        .with_query_forms(directives.query_forms)
-        .with_invariants(directives.invariants);
-    if let Some(table) = directives.signatures {
-        analyzer = analyzer.with_signatures(table);
-    }
+    let mut analyzer = Analyzer::new(&program);
     if opts.coverage {
         analyzer = analyzer.with_dcsm(&empty_dcsm);
     }
     if opts.materialize {
         analyzer = analyzer.with_materialization();
     }
-    let routes = directives
-        .cache_routing
-        .as_ref()
-        .map(|routing| move |domain: &str, function: &str| routing.routes(domain, function));
-    if let Some(routes) = &routes {
-        analyzer = analyzer.with_cache_routing(routes);
-    }
-    let volatile = directives
-        .volatility
-        .as_ref()
-        .map(|v| move |domain: &str, function: &str| v.routes(domain, function));
-    if let Some(volatile) = &volatile {
-        analyzer = analyzer.with_volatility(volatile);
-    }
-    let mut report = analyzer.analyze();
-    report.diagnostics.extend(directives.diagnostics);
-    report.normalize();
-    Ok(report)
+    Ok(analyzer.analyze())
 }
 
 /// Explains why a *query* (a goal conjunction against `program`) admits no

@@ -23,12 +23,12 @@
 //! --materialize`, REPL `:materialize`) so default lint output is
 //! unchanged.
 
-use crate::analyzer::{CacheRoutes, QueryForm};
 use crate::diagnostic::{DiagCode, Diagnostic, Locus};
-use crate::verdicts::{MaterializationVerdicts, RuleVerdict, SubplanVerdict};
+use crate::fingerprint::{fingerprint_rule, Fingerprint, SubplanKey};
+use crate::graph;
 use hermes_common::{CallPattern, PatArg};
 use hermes_dcsm::Dcsm;
-use hermes_lang::{BodyAtom, Program, Rule, Term};
+use hermes_lang::{BodyAtom, CacheRouting, Program, QueryForm, Rule, Term};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -36,30 +36,79 @@ use std::sync::Arc;
 pub(crate) struct Inputs<'a> {
     /// Declared query adornments (pick the rule's entry bindings).
     pub query_forms: &'a [QueryForm],
-    /// `(domain, function) -> routed through the CIM?`; `None` when no
-    /// routing is declared (volatility-by-routing then stays unknown).
-    pub cache_routes: Option<CacheRoutes<'a>>,
-    /// `(domain, function) -> declared volatile?`; `None` when no
-    /// `%! volatile` directive appeared.
-    pub volatile: Option<CacheRoutes<'a>>,
+    /// `(domain, function) -> routed through the CIM?`. A call routed
+    /// `Direct` has no invalidation signal, so it makes a subplan volatile.
+    pub routes: &'a dyn Fn(&str, &str) -> bool,
+    /// The `%! volatile` sources: only says *why* a call is `Direct`.
+    pub volatile: &'a CacheRouting,
     /// Cost model for the HA073 savings estimate.
     pub dcsm: Option<&'a Dcsm>,
 }
 
 type Call = (Arc<str>, Arc<str>);
 
-/// Runs the pass: classifies the rules once, with
-/// [`MaterializationVerdicts::compute`], and renders the verdicts.
-pub(crate) fn run(program: &Program, inputs: &Inputs<'_>, out: &mut Vec<Diagnostic>) {
-    let verdicts = MaterializationVerdicts::compute(
-        program,
-        inputs.query_forms,
-        inputs.volatile,
-        inputs.cache_routes,
-    );
-    let mut safe: Vec<&RuleVerdict> = Vec::new();
+/// The classification of one subplan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Verdict {
+    /// HA070: non-recursive and every reachable source is CIM-routed.
+    Safe,
+    /// HA071: reads at least one `Direct` source.
+    Volatile,
+    /// HA072: sits on a recursive SCC; a snapshot is not a fixpoint.
+    Recursive,
+}
 
-    for verdict in verdicts.rules() {
+/// One classified rule: which rule, its canonical key, the verdict, and
+/// the sources its subplan transitively reads.
+struct Classified {
+    rule: usize,
+    key: SubplanKey,
+    verdict: Verdict,
+    reads: BTreeSet<Call>,
+}
+
+/// Classifies every rule that reads a source (facts and pure-IDB glue are
+/// skipped).
+fn classify(program: &Program, inputs: &Inputs<'_>) -> Vec<Classified> {
+    let recursive = graph::recursive_predicates(program);
+    let reaching = graph::reaching_recursion(program);
+    let mut out = Vec::new();
+    for (index, rule) in program.rules.iter().enumerate() {
+        let reads = transitive_calls(program, rule);
+        if rule.body.is_empty() || reads.is_empty() {
+            continue;
+        }
+        let key = fingerprint_rule(rule, &adornment_for(inputs.query_forms, rule).bound);
+        // On a recursive SCC itself, or reading a predicate that reaches
+        // one.
+        let touches_recursion = recursive.contains(&rule.head.key())
+            || rule
+                .body
+                .iter()
+                .any(|atom| matches!(atom, BodyAtom::Pred(p) if reaching.contains(&p.key())));
+        let verdict = if touches_recursion {
+            Verdict::Recursive
+        } else if reads.iter().any(|(d, f)| !(inputs.routes)(d, f)) {
+            Verdict::Volatile
+        } else {
+            Verdict::Safe
+        };
+        out.push(Classified {
+            rule: index,
+            key,
+            verdict,
+            reads,
+        });
+    }
+    out
+}
+
+/// Runs the pass: classifies the rules once and renders the verdicts.
+pub(crate) fn run(program: &Program, inputs: &Inputs<'_>, out: &mut Vec<Diagnostic>) {
+    let classified = classify(program, inputs);
+    let mut safe: Vec<&Classified> = Vec::new();
+
+    for verdict in &classified {
         let rule = &program.rules[verdict.rule];
         let locus = Locus::Rule {
             index: verdict.rule,
@@ -67,7 +116,7 @@ pub(crate) fn run(program: &Program, inputs: &Inputs<'_>, out: &mut Vec<Diagnost
         };
         let key = &verdict.key;
         let diagnostic = match verdict.verdict {
-            SubplanVerdict::Recursive => Diagnostic::new(
+            Verdict::Recursive => Diagnostic::new(
                 DiagCode::MaterializeRecursive,
                 locus,
                 format!(
@@ -80,17 +129,16 @@ pub(crate) fn run(program: &Program, inputs: &Inputs<'_>, out: &mut Vec<Diagnost
                 "maintain this subplan with semi-naive/delta evaluation, \
                  or break the cycle",
             ),
-            SubplanVerdict::Volatile => {
-                let volatile_calls: Vec<String> = verdict
+            Verdict::Volatile => {
+                let direct_calls: Vec<String> = verdict
                     .reads
                     .iter()
-                    .filter_map(|(d, f)| {
-                        if inputs.volatile.is_some_and(|v| v(d, f)) {
-                            Some(format!("`{d}:{f}` (declared volatile)"))
-                        } else if inputs.cache_routes.is_some_and(|r| !r(d, f)) {
-                            Some(format!("`{d}:{f}` (routed around the CIM)"))
+                    .filter(|(d, f)| !(inputs.routes)(d, f))
+                    .map(|(d, f)| {
+                        if inputs.volatile.routes(d, f) {
+                            format!("`{d}:{f}` (declared volatile)")
                         } else {
-                            None
+                            format!("`{d}:{f}` (routed around the CIM)")
                         }
                     })
                     .collect();
@@ -101,7 +149,7 @@ pub(crate) fn run(program: &Program, inputs: &Inputs<'_>, out: &mut Vec<Diagnost
                         "subplan {} reads {}; a materialized copy has no \
                          invalidation signal",
                         key.fingerprint,
-                        volatile_calls.join(", ")
+                        direct_calls.join(", ")
                     ),
                 )
                 .with_suggestion(
@@ -109,7 +157,7 @@ pub(crate) fn run(program: &Program, inputs: &Inputs<'_>, out: &mut Vec<Diagnost
                      leave the subplan unmaterialized",
                 )
             }
-            SubplanVerdict::Safe => {
+            Verdict::Safe => {
                 safe.push(verdict);
                 Diagnostic::new(
                     DiagCode::MaterializeSafe,
@@ -119,7 +167,7 @@ pub(crate) fn run(program: &Program, inputs: &Inputs<'_>, out: &mut Vec<Diagnost
                          `{}`: {} distinct source call(s), non-recursive, \
                          volatility-free",
                         key.fingerprint,
-                        adornment_string(&adornment_for(inputs.query_forms, rule)),
+                        adornment_for(inputs.query_forms, rule).adornment(),
                         verdict.reads.len()
                     ),
                 )
@@ -130,28 +178,25 @@ pub(crate) fn run(program: &Program, inputs: &Inputs<'_>, out: &mut Vec<Diagnost
     }
 
     shared_subplans(program, inputs.dcsm, &safe, out);
-    invalidation_scope(&verdicts, out);
+    invalidation_scope(&safe, out);
 }
 
 /// The rule's entry bindings: the first declared query form matching the
 /// head picks which head positions arrive bound; without one, all-free.
-pub(crate) fn adornment_for(forms: &[QueryForm], rule: &Rule) -> Vec<bool> {
-    forms
+fn adornment_for(forms: &[QueryForm], rule: &Rule) -> QueryForm {
+    let (name, arity) = rule.head.key();
+    let form = forms
         .iter()
-        .find(|f| f.pred == rule.head.name && f.bound.len() == rule.head.args.len())
-        .map(|f| f.bound.clone())
-        .unwrap_or_else(|| vec![false; rule.head.args.len()])
-}
-
-fn adornment_string(bound: &[bool]) -> String {
-    bound.iter().map(|b| if *b { 'b' } else { 'f' }).collect()
+        .find(|f| f.pred == name && f.bound.len() == arity);
+    form.cloned()
+        .unwrap_or_else(|| QueryForm::new(name, vec![false; arity]))
 }
 
 /// Every `(domain, function)` the rule's subplan can reach: its own `in`
 /// atoms plus, transitively, those of the rules defining every IDB
 /// predicate it references. An update to any of them can change the
 /// subplan's answer set.
-pub(crate) fn transitive_calls(program: &Program, rule: &Rule) -> BTreeSet<Call> {
+fn transitive_calls(program: &Program, rule: &Rule) -> BTreeSet<Call> {
     let mut calls = BTreeSet::new();
     let mut seen: BTreeSet<(Arc<str>, usize)> = BTreeSet::new();
     let mut stack: Vec<&Rule> = vec![rule];
@@ -178,10 +223,10 @@ pub(crate) fn transitive_calls(program: &Program, rule: &Rule) -> BTreeSet<Call>
 fn shared_subplans(
     program: &Program,
     dcsm: Option<&Dcsm>,
-    safe: &[&RuleVerdict],
+    safe: &[&Classified],
     out: &mut Vec<Diagnostic>,
 ) {
-    let mut groups: BTreeMap<u64, Vec<&RuleVerdict>> = BTreeMap::new();
+    let mut groups: BTreeMap<u64, Vec<&Classified>> = BTreeMap::new();
     for v in safe {
         groups.entry(v.key.fingerprint.0).or_default().push(v);
     }
@@ -225,8 +270,17 @@ fn shared_subplans(
 
 /// `HA074`: one note per source a safe subplan reads, listing the
 /// fingerprints an update to it dirties.
-fn invalidation_scope(verdicts: &MaterializationVerdicts, out: &mut Vec<Diagnostic>) {
-    for ((domain, function), fingerprints) in verdicts.scopes() {
+fn invalidation_scope(safe: &[&Classified], out: &mut Vec<Diagnostic>) {
+    let mut scope: BTreeMap<&Call, BTreeSet<Fingerprint>> = BTreeMap::new();
+    for verdict in safe {
+        for call in &verdict.reads {
+            scope
+                .entry(call)
+                .or_default()
+                .insert(verdict.key.fingerprint);
+        }
+    }
+    for ((domain, function), fingerprints) in scope {
         let list: Vec<String> = fingerprints.iter().map(|fp| fp.to_string()).collect();
         out.push(Diagnostic::new(
             DiagCode::InvalidationScope,
@@ -270,25 +324,107 @@ mod tests {
     use super::*;
     use hermes_lang::parse_program;
 
+    fn volatile_set(volatile: &[&str]) -> CacheRouting {
+        let lines: Vec<String> = volatile
+            .iter()
+            .map(|v| format!("%! volatile {v}\n"))
+            .collect();
+        parse_program(&lines.concat())
+            .unwrap()
+            .declarations
+            .volatile
+    }
+
     fn run_pass(src: &str, forms: &[&str], volatile: Option<&[&str]>) -> Vec<Diagnostic> {
         let program = parse_program(src).unwrap();
         let forms: Vec<QueryForm> = forms.iter().map(|f| QueryForm::parse(f).unwrap()).collect();
-        let volatile_set: Option<BTreeSet<String>> =
-            volatile.map(|v| v.iter().map(|s| s.to_string()).collect());
-        let vol_fn = |d: &str, f: &str| {
-            volatile_set
-                .as_ref()
-                .is_some_and(|set| set.contains(d) || set.contains(&format!("{d}:{f}")))
-        };
+        let volatile = volatile_set(volatile.unwrap_or_default());
+        let routes = |d: &str, f: &str| !volatile.routes(d, f);
         let inputs = Inputs {
             query_forms: &forms,
-            cache_routes: None,
-            volatile: volatile.map(|_| &vol_fn as CacheRoutes<'_>),
+            routes: &routes,
+            volatile: &volatile,
             dcsm: None,
         };
         let mut out = Vec::new();
         run(&program, &inputs, &mut out);
         out
+    }
+
+    fn verdicts(
+        program: &Program,
+        forms: &[&str],
+        routes: &dyn Fn(&str, &str) -> bool,
+    ) -> Vec<Verdict> {
+        let forms: Vec<QueryForm> = forms.iter().map(|f| QueryForm::parse(f).unwrap()).collect();
+        let inputs = Inputs {
+            query_forms: &forms,
+            routes,
+            volatile: &CacheRouting::default(),
+            dcsm: None,
+        };
+        classify(program, &inputs)
+            .iter()
+            .map(|c| c.verdict)
+            .collect()
+    }
+
+    #[test]
+    fn verdicts_match_the_pass_classification() {
+        use Verdict::{Recursive, Safe, Volatile};
+        let program = parse_program(
+            "p(A) :- in(A, feed:price('x')).\n\
+             q(A) :- in(A, ref:name('x')).\n\
+             reach(X, Y) :- in(Y, g:edge(X)).\n\
+             reach(X, Y) :- reach(X, Z) & in(Y, g:edge(Z)).\n\
+             hop(X, Y) :- reach(X, Y).\n\
+             hop(X, Y) :- in(Y, g:edge(X)).\n\
+             via(X, Y) :- hop(X, Y).",
+        )
+        .unwrap();
+        let routes = |d: &str, _f: &str| d != "feed";
+        // `hop`'s second rule reads no recursive predicate, so it stays
+        // safe; `via` reads `hop`, which reaches the `reach` cycle.
+        assert_eq!(
+            verdicts(&program, &["p(f)", "q(f)", "reach(b, f)"], &routes),
+            [Volatile, Safe, Recursive, Recursive, Recursive, Safe, Recursive]
+        );
+    }
+
+    #[test]
+    fn flat_subplan_verdict_follows_its_calls() {
+        use Verdict::{Safe, Volatile};
+        let program = parse_program(
+            "p(A, B) :- in(A, d:f('k')) & in(B, e:g(A)).\n\
+             v(A) :- in(A, feed:price('x')).",
+        )
+        .unwrap();
+        let forms = ["p(f, f)", "v(f)"];
+        let routes = |d: &str, _f: &str| d != "feed";
+        assert_eq!(verdicts(&program, &forms, &routes), [Safe, Volatile]);
+        // A call routed around the CIM taints every subplan reading it.
+        let routes = |d: &str, _f: &str| d != "feed" && d != "e";
+        assert_eq!(verdicts(&program, &forms, &routes), [Volatile, Volatile]);
+    }
+
+    #[test]
+    fn invalidation_scope_covers_only_safe_rules() {
+        let out = run_pass(
+            "p(A) :- in(A, d:f('k')).\n\
+             q(A) :- in(A, d:f('k')).\n\
+             v(A) :- in(A, feed:price('x')) & in(A, d:f('k')).",
+            &["p(f)", "q(f)", "v(f)"],
+            Some(&["feed"]),
+        );
+        let scopes: Vec<&str> = out
+            .iter()
+            .filter(|d| d.code == DiagCode::InvalidationScope)
+            .map(|d| d.message.as_str())
+            .collect();
+        // p and q share a fingerprint, so the scope of d:f is that one key;
+        // feed:price feeds no safe subplan.
+        assert_eq!(scopes.len(), 1, "{scopes:?}");
+        assert!(scopes[0].contains("`d:f` invalidates 1 materialized"));
     }
 
     #[test]

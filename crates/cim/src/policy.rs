@@ -7,6 +7,7 @@
 //! variant, and the executor consults it at run time for calls the
 //! rewriter left direct.
 
+use hermes_lang::Declarations;
 use std::collections::BTreeMap;
 
 /// Whether a call should go through CIM.
@@ -61,6 +62,35 @@ impl CimPolicy {
     ) {
         self.per_function
             .insert((domain.into(), function.into()), decision);
+    }
+
+    /// Applies a program's `%!` routing declarations — the one place they
+    /// become routing decisions. With any `%! cache` line, the policy
+    /// becomes exactly the routes those lines name (`%! cache never`: none);
+    /// without one, it is left as it is. Every `%! volatile` source is then
+    /// routed `Direct`, whatever `cache` says: a volatile answer has no
+    /// invalidation signal, so no cache may hold it.
+    pub fn declare(&mut self, declarations: &Declarations) {
+        if let Some(cache) = &declarations.cache {
+            *self = CimPolicy::never();
+            for domain in &cache.domains {
+                self.set_domain(domain.as_str(), RoutingDecision::UseCim);
+            }
+            for key in &cache.functions {
+                self.per_function
+                    .insert(key.clone(), RoutingDecision::UseCim);
+            }
+        }
+        let volatile = &declarations.volatile;
+        for domain in &volatile.domains {
+            self.set_domain(domain.as_str(), RoutingDecision::Direct);
+            // A function-level route would win over the domain's.
+            self.per_function.retain(|(d, _), _| d != domain);
+        }
+        for key in &volatile.functions {
+            self.per_function
+                .insert(key.clone(), RoutingDecision::Direct);
+        }
     }
 
     /// The decision for `domain:function`.
@@ -118,5 +148,37 @@ mod tests {
             RoutingDecision::UseCim
         );
         assert_eq!(p.decide("video", "video_size"), RoutingDecision::Direct);
+    }
+
+    fn declared(base: CimPolicy, src: &str) -> CimPolicy {
+        let mut policy = base;
+        policy.declare(&hermes_lang::parse_program(src).unwrap().declarations);
+        policy
+    }
+
+    #[test]
+    fn cache_lines_replace_the_routing_and_their_absence_keeps_it() {
+        let p = declared(CimPolicy::cache_everything(), "%! cache d\n%! cache e:f\n");
+        assert_eq!(p.decide("d", "any"), RoutingDecision::UseCim);
+        assert_eq!(p.decide("e", "f"), RoutingDecision::UseCim);
+        assert_eq!(p.decide("e", "g"), RoutingDecision::Direct);
+        let p = declared(CimPolicy::cache_everything(), "%! cache never\n");
+        assert_eq!(p.decide("d", "f"), RoutingDecision::Direct);
+        let p = declared(CimPolicy::never(), "p(A) :- in(A, d:f()).\n");
+        assert_eq!(p.decide("d", "f"), RoutingDecision::Direct);
+    }
+
+    #[test]
+    fn volatile_overrides_cache_at_either_grain() {
+        let p = declared(
+            CimPolicy::cache_everything(),
+            "%! cache d:f\n%! cache e\n%! volatile d\n%! volatile e:g\n",
+        );
+        assert_eq!(p.decide("d", "f"), RoutingDecision::Direct);
+        assert_eq!(p.decide("e", "g"), RoutingDecision::Direct);
+        assert_eq!(p.decide("e", "h"), RoutingDecision::UseCim);
+        let p = declared(CimPolicy::cache_everything(), "%! volatile d\n");
+        assert_eq!(p.decide("d", "f"), RoutingDecision::Direct);
+        assert_eq!(p.decide("x", "f"), RoutingDecision::UseCim);
     }
 }

@@ -12,7 +12,7 @@ use crate::rewrite::{CheckedProgram, PushdownRule, RewriteConfig};
 use crate::server::ConcurrentMediator;
 use crate::tier::PlanTier;
 use hermes_analysis::{AnalysisReport, Analyzer, Diagnostic, QueryForm};
-use hermes_cim::{Cim, CimPolicy, RoutingDecision, ShardedCim};
+use hermes_cim::{Cim, CimPolicy, ShardedCim};
 use hermes_common::sync::Mutex;
 use hermes_common::{HermesError, Result, SimDuration, SimInstant, Value};
 use hermes_dcsm::{CostVector, Dcsm, ShardedDcsm};
@@ -261,23 +261,46 @@ impl Mediator {
         })
     }
 
-    /// Builds a mediator from program source text.
+    /// Builds a mediator from program source text: [`Mediator::new`], then
+    /// [`Mediator::register_program`], so the program passes the analyzer
+    /// and its `%!` declarations are installed.
     pub fn from_source(src: &str, network: Network) -> Result<Self> {
-        Mediator::new(parse_program(src)?, network)
+        let program = parse_program(src)?;
+        let mut mediator = Mediator::new(program.clone(), network)?;
+        mediator.register_program(program, &[])?;
+        Ok(mediator)
     }
 
     /// Runs the whole-program static analyzer over `program` (against this
-    /// mediator's domain registry, invariant store, and DCSM) and installs
-    /// it as the active program **only** when no error-severity diagnostics
-    /// are found. On rejection the error carries every rendered diagnostic;
-    /// on success warning-severity findings are stored and queryable via
-    /// [`Mediator::analysis_warnings`].
+    /// mediator's domain registry, invariant store, and DCSM, and the
+    /// routing the program declares; its declared query forms together
+    /// with `query_forms`) and installs it **only** when no error-severity
+    /// diagnostics are found. On rejection the error carries every rendered
+    /// diagnostic and nothing changes; on success warning-severity findings
+    /// are queryable via [`Mediator::analysis_warnings`].
+    ///
+    /// Installing runs the `%!` declarations as commands, which only add:
+    /// each declared invariant joins the CIM unless it is already there;
+    /// `%! cache` lines, if any, replace the CIM routing; `%! volatile`
+    /// sources are routed `Direct`, so the subplan cache refuses them.
     pub fn register_program(&mut self, program: Program, query_forms: &[QueryForm]) -> Result<()> {
-        let report = self.analyze_with(&program, query_forms, |a| a);
+        let mut routing = self.shared.core.policy.clone();
+        routing.declare(&program.declarations);
+        let report = self.analyze_with(&program, query_forms, routing.clone(), |a| a);
         if report.has_errors() {
             return Err(HermesError::Analysis {
                 diagnostics: report.diagnostics.iter().map(|d| d.to_string()).collect(),
             });
+        }
+        let installed = self.with_cim(|cim| cim.invariants().all().to_vec());
+        for invariant in &program.declarations.invariants {
+            if !installed.contains(invariant) {
+                self.caches().add_invariant(invariant.clone())?;
+            }
+        }
+        let declarations = &program.declarations;
+        if declarations.cache.is_some() || !declarations.volatile.is_empty() {
+            self.caches().policy().routing(routing).apply()?;
         }
         self.analysis_warnings = report.warnings().into_iter().cloned().collect();
         self.shared.core.program = CheckedProgram::new(program);
@@ -291,30 +314,34 @@ impl Mediator {
 
     /// Runs the analyzer over the *active* program without changing it.
     pub fn analyze(&self, query_forms: &[QueryForm]) -> AnalysisReport {
-        self.analyze_with(self.program(), query_forms, |a| a)
+        let policy = self.shared.core.policy.clone();
+        self.analyze_with(self.program(), query_forms, policy, |a| a)
     }
 
     /// Runs the analyzer over the active program with the
     /// materialization-safety pass (`HA070`–`HA074`) enabled: a note-level
     /// inventory of which subplans are safe to materialize, priced against
-    /// the live DCSM, with the CIM routing policy doubling as the
-    /// volatility signal (a call the policy routes around the CIM has no
-    /// invalidation path, so its answers may go stale unnoticed). This is
-    /// what the REPL's `:materialize` command prints.
+    /// the live DCSM. A call the live routing sends `Direct` has no
+    /// invalidation path, so its answers may go stale unnoticed; that is
+    /// what a `%! volatile` declaration installs. This is what the REPL's
+    /// `:materialize` command prints.
     pub fn analyze_materialization(&self, query_forms: &[QueryForm]) -> AnalysisReport {
-        self.analyze_with(self.program(), query_forms, |a| a.with_materialization())
+        let policy = self.shared.core.policy.clone();
+        self.analyze_with(self.program(), query_forms, policy, |a| {
+            a.with_materialization()
+        })
     }
 
-    /// Analyzes `program` against this mediator's domain registry,
-    /// invariant store, live DCSM and routing policy, with whatever further
-    /// passes `configure` turns on.
+    /// Analyzes `program` (with its own declarations) against this
+    /// mediator's domain registry, invariant store, live DCSM and
+    /// `routing`, with whatever further passes `configure` turns on.
     fn analyze_with(
         &self,
         program: &Program,
         query_forms: &[QueryForm],
+        routing: CimPolicy,
         configure: impl FnOnce(Analyzer<'_>) -> Analyzer<'_>,
     ) -> AnalysisReport {
-        let routes = self.routes();
         let analyzer = self.with_cim(|cim| {
             Analyzer::new(program)
                 .with_registry(self.network().registry())
@@ -324,16 +351,9 @@ impl Mediator {
             let analyzer = analyzer
                 .with_dcsm(dcsm)
                 .with_query_forms(query_forms.iter().cloned())
-                .with_cache_routing(&routes);
+                .with_cache_routing(routing);
             configure(analyzer).analyze()
         })
-    }
-
-    /// Whether the routing policy sends a call through the CIM.
-    fn routes(&self) -> impl Fn(&str, &str) -> bool + '_ {
-        move |domain, function| {
-            self.shared.core.policy.decide(domain, function) == RoutingDecision::UseCim
-        }
     }
 
     /// Runs `f` over the answer cache's one shard.
@@ -799,12 +819,13 @@ mod tests {
         let domain = SyntheticDomain::generate("d1", 1, &[RelationSpec::uniform("p", 4, 1.0)]);
         let mut net = Network::new(1);
         net.place(Arc::new(domain), profiles::maryland());
-        let mut m = Mediator::from_source(
+        // The analyzer refuses the program (HA004), so `new` installs it.
+        let program = parse_program(
             "mix('a', 'b').
              mix(A, B) :- in(B, d1:p_bf(A)).",
-            net,
         )
         .unwrap();
+        let mut m = Mediator::new(program, net).unwrap();
         let err = m.query("?- mix(X, Y).").unwrap_err();
         assert!(err.to_string().contains("mixes facts and rules"));
     }

@@ -234,7 +234,9 @@ fn search_plans(
     };
     let answer_vars = query.answer_variables();
     let bound = BTreeSet::new();
-    rw.search(query.goals.clone(), bound, Vec::new(), 0);
+    if !is_dead(&query.goals, &bound) {
+        rw.search(query.goals.clone(), bound, Vec::new(), 0);
+    }
     if rw.plans.is_empty() {
         // Ask the analyzer *which* variable/subgoal blocks every ordering,
         // so the error names the culprit instead of guessing.
@@ -265,6 +267,27 @@ fn search_plans(
         });
     }
     Ok(plans)
+}
+
+/// True when some call in `remaining` has an unbound argument variable that
+/// no remaining goal could bind (a call binds its target; a condition or
+/// predicate atom, any of its variables): no ordering of it runs every call.
+fn is_dead(remaining: &[BodyAtom], bound: &BTreeSet<Arc<str>>) -> bool {
+    let could_bind = |v: &Arc<str>| {
+        remaining.iter().any(|atom| match atom {
+            BodyAtom::In { target, .. } => target.as_var() == Some(v),
+            BodyAtom::Pred(p) => p.args.iter().any(|t| t.as_var() == Some(v)),
+            BodyAtom::Cond(c) => c.lhs.var_name() == Some(v) || c.rhs.var_name() == Some(v),
+        })
+    };
+    remaining.iter().any(|atom| match atom {
+        BodyAtom::In { call, .. } => call
+            .args
+            .iter()
+            .filter_map(Term::as_var)
+            .any(|v| !bound.contains(v) && !could_bind(v)),
+        _ => false,
+    })
 }
 
 struct Rewriter<'a> {
@@ -329,13 +352,7 @@ impl Rewriter<'_> {
         // the generator level), so expansion order is irrelevant — and
         // branching on it would make the search exponential in the number
         // of IDB atoms. Only the *rule choice* (access path) branches.
-        if let Some(i) = remaining.iter().position(|a| {
-            matches!(a, BodyAtom::Pred(p)
-                if self
-                    .index
-                    .get(&p.name, p.args.len())
-                    .is_some_and(|rules| rules.has_path_rules()))
-        }) {
+        if let Some(i) = self.expandable(&remaining) {
             let BodyAtom::Pred(atom) = remaining[i].clone() else {
                 unreachable!("position matched a Pred");
             };
@@ -409,6 +426,17 @@ impl Rewriter<'_> {
                 BodyAtom::Cond(_) => {} // not runnable yet; a generator must bind more
             }
         }
+    }
+
+    /// The first rule-defined predicate atom, expanded before any ordering.
+    fn expandable(&self, remaining: &[BodyAtom]) -> Option<usize> {
+        remaining.iter().position(|a| {
+            matches!(a, BodyAtom::Pred(p)
+                if self
+                    .index
+                    .get(&p.name, p.args.len())
+                    .is_some_and(|rules| rules.has_path_rules()))
+        })
     }
 
     /// Finds fusible `(fused call, condition index)` variants for a scan
@@ -506,6 +534,12 @@ impl Rewriter<'_> {
                 // relative order as a heuristic (the search still reorders).
                 for (k, a) in new_atoms.into_iter().enumerate() {
                     next_remaining.insert(i + k, a);
+                }
+                // Prune a dead unfolding once nothing is left to expand:
+                // its subtree then renames no variable, so the plans after
+                // it keep their names.
+                if self.expandable(&next_remaining).is_none() && is_dead(&next_remaining, bound) {
+                    continue;
                 }
                 self.search(next_remaining, bound.clone(), steps.to_vec(), depth + 1);
             }

@@ -1,5 +1,6 @@
 //! Abstract syntax of mediator programs, queries, and invariants.
 
+use crate::directives::Declarations;
 use hermes_common::{AttrPath, Value};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -509,17 +510,23 @@ impl fmt::Display for Rule {
     }
 }
 
-/// A mediator program: an ordered list of rules.
+/// A mediator program: an ordered list of rules and what its `%!` lines
+/// declare.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Program {
     /// The rules, in source order.
     pub rules: Vec<Rule>,
+    /// The `%!` declarations; empty for a program built from rules.
+    pub declarations: Declarations,
 }
 
 impl Program {
-    /// Builds a program from rules.
+    /// Builds a program from rules, with no declarations.
     pub fn new(rules: Vec<Rule>) -> Self {
-        Program { rules }
+        Program {
+            rules,
+            declarations: Declarations::default(),
+        }
     }
 
     /// Rules whose head matches `name/arity`.

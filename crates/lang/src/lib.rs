@@ -33,6 +33,9 @@
 //! assert_eq!(program.rules.len(), 1);
 //! ```
 //!
+//! A `%!` line is a declaration, not a comment: [`parse_program`] files it
+//! in [`Program::declarations`] (see [`directives`]).
+//!
 //! Invariants (§4) share the term language:
 //!
 //! ```
@@ -45,6 +48,7 @@
 //! ```
 
 pub mod ast;
+pub mod directives;
 pub mod lexer;
 pub mod parser;
 pub mod subst;
@@ -53,6 +57,9 @@ pub mod validate;
 pub use ast::{
     BodyAtom, CallTemplate, Condition, InvRel, Invariant, PathTerm, PredAtom, PredRules, Program,
     Query, Relop, Rule, RuleIndex, Term,
+};
+pub use directives::{
+    CacheRouting, DeclarationFault, DeclarationProblem, Declarations, DomainDecl, QueryForm,
 };
 pub use parser::{parse_invariant, parse_invariants, parse_program, parse_query, parse_rule};
 pub use subst::Subst;

@@ -1,18 +1,23 @@
 //! Recursive-descent parser for programs, queries, and invariants.
 
 use crate::ast::*;
+use crate::directives::parse_declarations;
 use crate::lexer::{lex, Spanned, Tok};
 use hermes_common::{AttrPath, HermesError, PathStep, Result, Value};
 use std::sync::Arc;
 
-/// Parses a whole mediator program (zero or more `.`-terminated rules).
+/// Parses a whole mediator program: zero or more `.`-terminated rules,
+/// plus the `%!` declarations among them (see [`crate::directives`]).
 pub fn parse_program(input: &str) -> Result<Program> {
     let mut p = Parser::new(input)?;
     let mut rules = Vec::new();
     while !p.at_end() {
         rules.push(p.rule()?);
     }
-    Ok(Program::new(rules))
+    Ok(Program {
+        rules,
+        declarations: parse_declarations(input),
+    })
 }
 
 /// Parses a single rule.

@@ -8,7 +8,7 @@
 use hermes::domains::relational::{Column, ColumnType, RelationalDomain, Schema, Table};
 use hermes::domains::video::gen::{rope_store, ROPE_CAST};
 use hermes::net::profiles;
-use hermes::{parse_invariant, Mediator, Network, Value};
+use hermes::{Mediator, Network, Value};
 use std::sync::Arc;
 
 fn main() {
@@ -34,23 +34,12 @@ fn main() {
     net.place(Arc::new(video), profiles::italy());
     net.place(relation, profiles::cornell());
 
-    // 2. The mediator program: who plays the objects seen in a scene?
+    // 2. The mediator program: who plays the objects seen in a scene? Its
+    // `%! invariant` line is installed with it: a *wider* frame range
+    // always contains a narrower one, so a cached narrow range partially
+    // answers a wide query.
     let mut mediator = Mediator::from_source(include_str!("programs/quickstart.hms"), net)
         .expect("program compiles");
-
-    // An invariant: a frame range inside a cached wider range... is not
-    // sound in general — but a *wider* range always contains a narrower
-    // one, so a cached narrow range partially answers a wide query:
-    mediator
-        .caches()
-        .add_invariant(
-            parse_invariant(
-                "F2 <= F1 & L1 <= L2 =>
-                 video:frames_to_objects(V, F2, L2) >= video:frames_to_objects(V, F1, L1).",
-            )
-            .unwrap(),
-        )
-        .unwrap();
 
     // 3. Cold run: everything goes over the (simulated) Atlantic.
     let q = "?- scene_actors(4, 47, Object, Actor).";

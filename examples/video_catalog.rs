@@ -9,31 +9,21 @@
 
 use hermes::domains::video::gen::rope_store;
 use hermes::net::profiles;
-use hermes::{parse_invariant, Mediator, Network};
+use hermes::{Mediator, Network};
 use std::sync::Arc;
 
 fn main() {
     let mut net = Network::new(1996);
     net.place(Arc::new(rope_store()), profiles::italy());
 
+    // The program's `%! invariant` line (frame-range monotonicity: a
+    // cached narrower scene partially answers a wider one) is installed
+    // with it.
     let mut mediator = Mediator::from_source(include_str!("programs/video_catalog.hms"), net)
         .expect("program compiles");
 
     // Optimize for time-to-first-answer: this is interactive use.
     mediator.config_mut().optimize_first_answer = true;
-
-    // Frame-range monotonicity: a cached narrower scene partially answers
-    // a wider one.
-    mediator
-        .caches()
-        .add_invariant(
-            parse_invariant(
-                "F2 <= F1 & L1 <= L2 =>
-                 video:frames_to_objects(V, F2, L2) >= video:frames_to_objects(V, F1, L1).",
-            )
-            .unwrap(),
-        )
-        .unwrap();
 
     // Warm the cache with a narrow scene.
     let narrow = mediator

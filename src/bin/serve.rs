@@ -51,7 +51,10 @@ options:
   --shards N         CIM/DCSM shards (default 8)
   --seed N           synthetic data seed (default 42)
   --sim-clock        serve on virtual time instead of the wall clock
-  --program FILE     serve this rule file instead of the synthetic world
+  --program FILE     serve this rule file instead of the synthetic world,
+                     over the same sources: it must pass the analyzer,
+                     and its `%!` invariant, cache and volatile lines
+                     are installed with it
   -h, --help         this message
 ";
 
@@ -207,7 +210,8 @@ fn main() {
                 }
             };
             // A user program gets the synthetic network's sources too, so
-            // rules may reference d0/d1 — or ignore them entirely.
+            // rules may reference d0/d1 — or ignore them entirely. It is
+            // analyzed against them, and its declarations installed.
             match Mediator::from_source(&src, synthetic_network(opts.seed, opts.delay)) {
                 Ok(m) => m,
                 Err(e) => {

@@ -50,7 +50,7 @@ pub use hermes_net as net;
 pub use hermes_analysis::{
     analyze_source, analyze_source_with, report_from_json, report_to_json, report_to_sarif,
     AnalysisReport, AnalyzeOptions, Analyzer, DiagCode, Diagnostic, FileReport, Fingerprint,
-    MaterializationVerdicts, QueryForm, Severity, SubplanKey, SubplanVerdict,
+    QueryForm, Severity, SubplanKey,
 };
 pub use hermes_cim::{Cim, CimPolicy, CimResolution, RoutingDecision, ShardedCim};
 pub use hermes_common::{

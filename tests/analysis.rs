@@ -119,15 +119,10 @@ fn coverage_pass_flags_unprofiled_call_patterns() {
     // Pass 5 needs a DCSM; an empty one can only cost from the prior.
     let src = std::fs::read_to_string(repo_path("examples/programs/logistics.hms")).unwrap();
     let program = hermes::parse_program(&src).unwrap();
-    let directives = hermes::analysis::parse_directives(&src).unwrap();
+    assert!(!program.declarations.query_forms.is_empty());
     let dcsm = hermes::Dcsm::new();
-    let mut analyzer = hermes::Analyzer::new(&program)
-        .with_query_forms(directives.query_forms)
-        .with_dcsm(&dcsm);
-    if let Some(table) = directives.signatures {
-        analyzer = analyzer.with_signatures(table);
-    }
-    let report = analyzer.analyze();
+    // The analyzer reads the program's declared forms and signatures.
+    let report = hermes::Analyzer::new(&program).with_dcsm(&dcsm).analyze();
     assert!(
         report.has_code(DiagCode::EstimatorBlindSpot),
         "{}",
@@ -403,8 +398,17 @@ fn lint_snapshot_of_examples_matches_committed_expectation() {
 
 #[test]
 fn mediator_rejects_program_the_analyzer_fails() {
-    // No domains are placed, so every domain call is an unknown domain.
-    let mut mediator = Mediator::from_source("p(A) :- in(A, d:f('x')).", Network::new(1)).unwrap();
+    // No domains are placed, so every domain call is an unknown domain:
+    // building from source runs the analyzer and refuses the program.
+    let src = "p(A) :- in(A, d:f('x')).";
+    let refused = Mediator::from_source(src, Network::new(1)).err();
+    assert!(
+        matches!(&refused, Some(HermesError::Analysis { diagnostics })
+            if diagnostics.iter().any(|d| d.contains("HA020"))),
+        "{refused:?}"
+    );
+    let program = hermes::parse_program(src).unwrap();
+    let mut mediator = Mediator::new(program, Network::new(1)).unwrap();
     let err = mediator
         .register_source("q(A) :- in(A, nosuch:fetch('k')).", &[])
         .unwrap_err();

@@ -9,7 +9,8 @@ use hermes::core::{TierReason, TraceEvent};
 use hermes::domains::{CallOutcome, Domain, FunctionSig, NativeEstimator};
 use hermes::net::profiles;
 use hermes::{
-    ConcurrentMediator, GateConfig, HermesError, Mediator, Network, PlanTier, QueryRequest, Value,
+    parse_program, ConcurrentMediator, GateConfig, HermesError, Mediator, Network, PlanTier,
+    QueryRequest, Value,
 };
 use std::sync::Arc;
 
@@ -119,21 +120,24 @@ impl Domain for Canned {
     }
 }
 
-/// A mediator for an example program over canned sources, one per
-/// `%! domain NAME: f/arity, ...` line.
-pub fn example_world(src: &str) -> Mediator {
+/// A network of canned sources for a program, one per declared `%!
+/// domain` line.
+pub fn canned_network(src: &str) -> Network {
     let mut net = Network::new(5);
-    for decl in src.lines().filter_map(|l| l.strip_prefix("%! domain ")) {
-        let (name, sigs) = decl.split_once(':').expect("NAME: sigs");
-        let sigs = sigs.split(',').map(|sig| {
-            let (function, arity) = sig.trim().split_once('/').expect("f/arity");
-            FunctionSig::new(function, arity.parse().expect("arity"), "canned")
-        });
+    for domain in parse_program(src).unwrap().declarations.domains {
+        let sigs = domain.functions.iter();
         let canned = Canned {
-            name: name.trim().to_string(),
-            sigs: sigs.collect(),
+            name: domain.name,
+            sigs: sigs
+                .map(|(function, arity)| FunctionSig::new(function.as_str(), *arity, "canned"))
+                .collect(),
         };
         net.place(Arc::new(OffReactor::new(canned)), profiles::maryland());
     }
-    Mediator::from_source(src, net).unwrap()
+    net
+}
+
+/// A mediator for an example program over its canned sources.
+pub fn example_world(src: &str) -> Mediator {
+    Mediator::from_source(src, canned_network(src)).unwrap()
 }

@@ -6,7 +6,9 @@
 //! overflowed (near 25 000 rules) and took the process down. A query of
 //! 10 000 conditions is as long a plan: the executor's walk keeps its
 //! open steps on the heap too, where recursing once per plan step
-//! overflowed near 2 000.
+//! overflowed near 2 000. And a query as wide as it is long — ten
+//! independent calls and one whose argument nothing binds — is refused
+//! before the rewriter tries every ordering of the other ten.
 
 use hermes::analysis::Analyzer;
 use hermes::core::{enumerate_plans, RewriteConfig};
@@ -15,6 +17,7 @@ use hermes::lang::{parse_program, parse_query, Program};
 use hermes::net::profiles;
 use hermes::{CimPolicy, Mediator, Network, Value};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const DEPTH: usize = 100_000;
 
@@ -101,4 +104,47 @@ fn a_ten_thousand_condition_query_answers_on_a_small_stack() {
         m.query(long_query(10_000).as_str()).map(|r| r.rows)
     });
     assert_eq!(rows.unwrap(), vec![vec![Value::int(1)]]);
+}
+
+/// `in(X0, d0:f()) & … & in(X{n-1}, d{n-1}:f())` plus a call whose
+/// argument `Z` nothing binds.
+fn unbindable_goals(n: usize) -> String {
+    let calls: Vec<String> = (0..n).map(|i| format!("in(X{i}, d{i}:f())")).collect();
+    format!("{} & in(Y, dz:g(Z))", calls.join(" & "))
+}
+
+/// The fastest of three runs of `f`, which must fail.
+fn best_of_three_failures(f: impl Fn() -> String) -> (Duration, String) {
+    (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            let msg = f();
+            (t0.elapsed(), msg)
+        })
+        .min_by_key(|(took, _)| *took)
+        .unwrap()
+}
+
+#[test]
+fn a_call_nothing_can_bind_is_refused_at_once() {
+    let query = format!("?- {}.", unbindable_goals(10));
+    let m = Mediator::new(Program::default(), Network::new(1)).unwrap();
+    let (took, msg) = best_of_three_failures(|| m.plan(&query).unwrap_err().to_string());
+    assert!(took < Duration::from_millis(10), "took {took:?}");
+    assert!(
+        msg.contains("no executable ordering found for query"),
+        "{msg}"
+    );
+    assert!(msg.contains("`in(Y, dz:g(Z))` can never run"), "{msg}");
+
+    // The same call behind a rule, whose caller leaves `Z` free, is
+    // refused once the rule is unfolded.
+    let program = parse_program(&format!("p(Z, Y) :- {}.", unbindable_goals(10))).unwrap();
+    let m = Mediator::new(program, Network::new(1)).unwrap();
+    let (took, msg) = best_of_three_failures(|| m.plan("?- p(Z, Y).").unwrap_err().to_string());
+    assert!(took < Duration::from_millis(10), "took {took:?}");
+    assert!(
+        msg.contains("no executable ordering found for query"),
+        "{msg}"
+    );
 }

@@ -6,9 +6,8 @@
 mod common;
 
 use common::example_world;
-use hermes::analysis::parse_directives;
 use hermes::core::TraceEvent;
-use hermes::{ExecStats, Mediator, QueryRequest, SimDuration, Value};
+use hermes::{parse_program, ExecStats, Mediator, QueryRequest, SimDuration, Value};
 use std::path::PathBuf;
 
 /// What one run reports: each row with its elapsed time, `t_all`, and the
@@ -47,7 +46,7 @@ fn a_drained_interactive_run_equals_query_on_every_example_program() {
             continue;
         }
         let src = std::fs::read_to_string(&path).unwrap();
-        for form in parse_directives(&src).unwrap().query_forms {
+        for form in parse_program(&src).unwrap().declarations.query_forms {
             // A constant at every bound position.
             let args = form.bound.iter().enumerate().map(|(i, bound)| match bound {
                 true => format!("{}", 10 + i),

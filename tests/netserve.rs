@@ -148,3 +148,28 @@ fn a_ten_thousand_condition_query_is_answered_and_the_server_keeps_serving() {
     let stats = net.shutdown();
     assert_eq!((stats.requests, stats.bad_frames), (2, 0));
 }
+
+#[test]
+fn a_call_nothing_can_bind_is_refused_at_once_and_the_connection_keeps_serving() {
+    let (net, addr) = start();
+    let mut client = WireClient::connect(&addr).unwrap();
+    // Ten independent calls and one whose argument `Z` nothing binds: no
+    // ordering of the ten is worth trying.
+    let calls: Vec<String> = (0..10).map(|i| format!("in(X{i}, d{i}:f())")).collect();
+    let query = format!("?- {} & in(Y, dz:g(Z)).", calls.join(" & "));
+    let mut fastest = Duration::MAX;
+    for _ in 0..3 {
+        let t0 = std::time::Instant::now();
+        let err = client.query(QueryFrame::new(query.as_str())).unwrap_err();
+        fastest = fastest.min(t0.elapsed());
+        assert!(
+            err.to_string().contains("no executable ordering found"),
+            "{err}"
+        );
+    }
+    assert!(fastest < Duration::from_millis(10), "took {fastest:?}");
+    let got = client.query(QueryFrame::new("?- item('p_1', B).")).unwrap();
+    assert!(!got.rows.is_empty());
+    let stats = net.shutdown();
+    assert_eq!((stats.requests, stats.bad_frames), (4, 0));
+}

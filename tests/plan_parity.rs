@@ -9,7 +9,6 @@
 mod common;
 
 use common::example_world;
-use hermes::analysis::parse_directives;
 use hermes::core::{
     choose_plan, enumerate_plans_with_pushdowns, estimate_plan, CostConfig, PushdownRule,
 };
@@ -75,9 +74,10 @@ fn query_for(form: &QueryForm) -> String {
 /// get their selection pushdowns.
 const RELATIONAL: [&str; 2] = ["relation", "inventory"];
 
-/// Planning needs no source: an empty network will do.
+/// Planning needs no source: an empty network will do. `Mediator::new`
+/// skips the analyzer, which would refuse calls to sources not placed.
 fn planner(src: &str) -> Mediator {
-    let mut m = Mediator::from_source(src, Network::new(1)).unwrap();
+    let mut m = Mediator::new(parse_program(src).unwrap(), Network::new(1)).unwrap();
     for domain in RELATIONAL {
         m.add_pushdown(PushdownRule::relational(domain));
     }
@@ -131,7 +131,7 @@ fn example_programs_plan_the_same_both_ways() {
         let path = entry.unwrap().path();
         if path.extension().is_some_and(|e| e == "hms") {
             let src = std::fs::read_to_string(&path).unwrap();
-            let forms = parse_directives(&src).unwrap().query_forms;
+            let forms = parse_program(&src).unwrap().declarations.query_forms;
             assert!(
                 !forms.is_empty(),
                 "{} declares no query form",
@@ -171,12 +171,14 @@ fn trained_statistics_cost_the_same_both_ways() {
     }
 }
 
-/// A mediator whose `d1` source answers `p_bf` / `p_fb` / `p_ff`.
+/// A mediator whose `d1` source answers `p_bf` / `p_fb` / `p_ff`, built
+/// with `Mediator::new` so that a program the analyzer refuses is still
+/// installed and its stored verdict can be asked.
 fn served(src: &str) -> Mediator {
     let domain = SyntheticDomain::generate("d1", 42, &[RelationSpec::uniform("p", 8, 2.0)]);
     let mut net = Network::new(1);
     net.place(Arc::new(domain), profiles::cornell());
-    Mediator::from_source(src, net).unwrap()
+    Mediator::new(parse_program(src).unwrap(), net).unwrap()
 }
 
 /// `choose_plan` prices each distinct call pattern of a choice once. It
@@ -226,7 +228,7 @@ fn example_programs_choose_as_their_plans_price_one_by_one() {
             continue;
         }
         let src = std::fs::read_to_string(&path).unwrap();
-        let forms = parse_directives(&src).unwrap().query_forms;
+        let forms = parse_program(&src).unwrap().declarations.query_forms;
         let queries: Vec<String> = forms.iter().map(query_for).collect();
         // Statistics learned by running every form, cold then warm.
         let mut m = example_world(&src);
@@ -259,7 +261,8 @@ fn the_benchmark_program_chooses_as_its_plans_price_one_by_one() {
         let domain = SyntheticDomain::generate(site, 42, &relations(names));
         net.place(Arc::new(domain), profiles::cornell());
     }
-    let mut m = Mediator::from_source(BENCHWORLD, net).unwrap();
+    // `Mediator::new`: the analyzer would refuse `actors`' unplaced source.
+    let mut m = Mediator::new(parse_program(BENCHWORLD).unwrap(), net).unwrap();
     let mut queries: Vec<String> = BENCHWORLD_FORMS
         .iter()
         .map(|f| query_for(&QueryForm::parse(f).unwrap()))

@@ -10,15 +10,14 @@
 mod common;
 
 use common::{assert_permits_released, example_world, OffReactor};
-use hermes::analysis::parse_directives;
 use hermes::core::serve::{INLINE_BUDGET, PARKED_PER_WORKER};
 use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes::domains::SlowDomain;
 use hermes::net::profiles;
 use hermes::{
-    ConcurrentMediator, Frame, FrameDecoder, GateConfig, HermesError, Mediator, NetServer, Network,
-    PlanTier, QueryFrame, QueryRequest, QueryResult, RemoteResult, ServeConfig, ServeMode,
-    SimDuration, Value, WireClient,
+    parse_program, ConcurrentMediator, Frame, FrameDecoder, GateConfig, HermesError, Mediator,
+    NetServer, Network, PlanTier, QueryFrame, QueryRequest, QueryResult, RemoteResult, ServeConfig,
+    ServeMode, SimDuration, Value, WireClient,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -614,8 +613,9 @@ fn reactor_answers_match_in_process_for_every_example_program() {
         }
         let src = std::fs::read_to_string(&path).unwrap();
         // One query per declared form: a constant at every bound position.
-        let queries: Vec<String> = parse_directives(&src)
+        let queries: Vec<String> = parse_program(&src)
             .unwrap()
+            .declarations
             .query_forms
             .iter()
             .map(|form| {

@@ -1,0 +1,153 @@
+//! Work counts: how many heap allocations a call on a hot path makes,
+//! counted on the calling thread and compared with
+//! `tests/expectations/work_counts.txt` exactly. A row that moves is a
+//! change to the work the path does, and the file's diff shows it.
+//!
+//! Allocations do not depend on the optimization level, so the file holds
+//! in debug and release alike. To regenerate it after an intended change,
+//! delete it and run `cargo test --release --test work_counts`.
+
+use hermes::common::{CallPattern, PatArg};
+use hermes::core::{CheckedProgram, RewriteConfig};
+use hermes::lang::{parse_program, parse_query};
+use hermes::{CimPolicy, Dcsm, GroundCall, SimInstant, Value};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::fmt::Write;
+use std::path::Path;
+
+thread_local! {
+    /// Allocations made by this thread so far.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts every allocation (`alloc`, `alloc_zeroed`, `realloc`) per thread.
+struct Counting;
+
+fn count() {
+    // `try_with`: an allocation during thread teardown has nowhere to count.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller already upholds; `count` touches only a
+// `const`-initialised thread-local `Cell` and so never allocates. The
+// provided `alloc_zeroed` goes through `alloc`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// The allocations of one call of `f`, after a first call has warmed
+/// whatever it fills lazily. The most of three calls, so a path that
+/// allocates only sometimes shows.
+fn allocations<T>(mut f: impl FnMut() -> T) -> u64 {
+    drop(f());
+    (0..3)
+        .map(|_| {
+            let before = ALLOCATIONS.with(Cell::get);
+            let out = f();
+            let made = ALLOCATIONS.with(Cell::get) - before;
+            drop(out);
+            made
+        })
+        .max()
+        .unwrap()
+}
+
+/// The benchmark world's program (`perfbench/src/world.rs`).
+const BENCHWORLD: &str = "
+d0_ra(A, B) :- in(B, d0:ra_bf(A)).
+d0_rb(A, B) :- in(B, d0:rb_bf(A)).
+d0_rc(A, B) :- in(B, d0:rc_bf(A)).
+d1_ra(A, B) :- in(B, d1:ra_bf(A)).
+d1_rb(A, B) :- in(B, d1:rb_bf(A)).
+d1_rc(A, B) :- in(B, d1:rc_bf(A)).
+d0_cold(A, B) :- in(B, d0:cold_bf(A)).
+d1_cold(A, B) :- in(B, d1:cold_bf(A)).
+m0_ra(A, B) :- in(B, m0:ra_bf(A)).
+
+ja(A, B) :- in(B, d0:ra_bf(A)).
+ja(A, B) :- in(A, d0:ra_fb(B)).
+ja(A, B) :- in(Ans, d0:ra_ff()) & =(Ans.a, A) & =(Ans.b, B).
+jb(A, B) :- in(B, d1:rb_bf(A)).
+jb(A, B) :- in(A, d1:rb_fb(B)).
+jc(A, B) :- in(B, d0:rc_bf(A)).
+jc(A, B) :- in(A, d0:rc_fb(B)).
+star2(A1, A2, X) :- ja(A1, X) & jb(A2, X).
+star3(A1, A2, A3, X) :- ja(A1, X) & jb(A2, X) & jc(A3, X).
+
+actors(F, L, O, A) :-
+    in(O, video:frames_to_objects('rope', F, L)) &
+    in(T, relation:select_eq('cast', 'role', O)) &
+    =(T.name, A).
+";
+
+fn table() -> String {
+    let mut out =
+        String::from("# Heap allocations per call on the calling thread (tests/work_counts.rs).\n");
+    let mut row = |name: &str, n: u64| writeln!(out, "{name:<50} {n}").unwrap();
+
+    let checked = CheckedProgram::new(parse_program(BENCHWORLD).unwrap());
+    let policy = CimPolicy::cache_everything();
+    for (name, text) in [
+        ("star2", "?- star2(1, 2, X)."),
+        ("star3", "?- star3(1, 2, A3, X)."),
+        ("actors", "?- actors(10, 20, O, A)."),
+        ("point", "?- d0_ra(7, B)."),
+    ] {
+        let query = parse_query(text).unwrap();
+        let plan = || {
+            checked
+                .enumerate_plans(&query, &policy, RewriteConfig::default(), &[])
+                .unwrap()
+        };
+        let plans = plan().len();
+        row(
+            &format!("CheckedProgram::enumerate_plans {name} ({plans} plans)"),
+            allocations(plan),
+        );
+    }
+
+    let mut routed = CimPolicy::never();
+    routed.set_domain("d0", hermes::RoutingDecision::UseCim);
+    routed.set_function("d1", "rb_bf", hermes::RoutingDecision::UseCim);
+    for (name, policy) in [("cache_everything", &policy), ("with routes", &routed)] {
+        row(
+            &format!("CimPolicy::decide ({name})"),
+            allocations(|| policy.decide("d1", "rb_bf")),
+        );
+    }
+
+    let mut dcsm = Dcsm::new();
+    let call = GroundCall::new("d0", "ra_bf", vec![Value::Int(7)]);
+    dcsm.record(&call, Some(1.0), Some(2.0), Some(3.0), SimInstant::EPOCH);
+    let asked = CallPattern::new("d0", "ra_bf", vec![PatArg::Const(Value::Int(7))]);
+    row(
+        "Dcsm::cost (recorded pattern)",
+        allocations(|| dcsm.cost(&asked)),
+    );
+    out
+}
+
+#[test]
+fn work_counts_match_the_expectation_file() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/expectations/work_counts.txt");
+    let got = table();
+    match std::fs::read_to_string(&path) {
+        Ok(want) => assert_eq!(got, want, "work counts moved; the new table is above"),
+        Err(_) => std::fs::write(&path, &got).unwrap(),
+    }
+}

@@ -23,7 +23,7 @@ const WARMUP: Duration = Duration::from_millis(200);
 const MEASURE: Duration = Duration::from_millis(800);
 const BATCHES: usize = 10;
 /// Rows a full run prints; `--test-mode` asserts it ran this many.
-const ROWS: usize = 22;
+const ROWS: usize = 23;
 
 /// `--test-mode`: run each row once instead of timing it.
 static TEST_MODE: AtomicBool = AtomicBool::new(false);
@@ -322,6 +322,33 @@ fn bench_rewriter() {
         |_| {
             checked
                 .enumerate_plans(&query, &policy, RewriteConfig::default(), &[])
+                .unwrap()
+        },
+    );
+    // The benchmark world's star join (`perfbench/src/world.rs`): three
+    // access paths for `ja`, two for `jb` and `jc`; 14 plans with two
+    // keys bound, 22 rule unfoldings.
+    let star = CheckedProgram::new(
+        parse_program(
+            "
+            ja(A, B) :- in(B, d0:ra_bf(A)).
+            ja(A, B) :- in(A, d0:ra_fb(B)).
+            ja(A, B) :- in(Ans, d0:ra_ff()) & =(Ans.a, A) & =(Ans.b, B).
+            jb(A, B) :- in(B, d1:rb_bf(A)).
+            jb(A, B) :- in(A, d1:rb_fb(B)).
+            jc(A, B) :- in(B, d0:rc_bf(A)).
+            jc(A, B) :- in(A, d0:rc_fb(B)).
+            star3(A1, A2, A3, X) :- ja(A1, X) & jb(A2, X) & jc(A3, X).
+            ",
+        )
+        .unwrap(),
+    );
+    let star3 = parse_query("?- star3(1, 2, A3, X).").unwrap();
+    bench(
+        "enumerate_star3_checked",
+        || (),
+        |_| {
+            star.enumerate_plans(&star3, &policy, RewriteConfig::default(), &[])
                 .unwrap()
         },
     );

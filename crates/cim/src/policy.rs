@@ -20,11 +20,15 @@ pub enum RoutingDecision {
 }
 
 /// A per-domain / per-function routing policy with a default.
+///
+/// Function routes are filed per domain, so [`decide`](Self::decide)
+/// looks both grains up by `&str` and allocates nothing: the rewriter
+/// asks once per call it places.
 #[derive(Clone, Debug)]
 pub struct CimPolicy {
     default: RoutingDecision,
     per_domain: BTreeMap<String, RoutingDecision>,
-    per_function: BTreeMap<(String, String), RoutingDecision>,
+    per_function: BTreeMap<String, BTreeMap<String, RoutingDecision>>,
 }
 
 impl CimPolicy {
@@ -61,7 +65,9 @@ impl CimPolicy {
         decision: RoutingDecision,
     ) {
         self.per_function
-            .insert((domain.into(), function.into()), decision);
+            .entry(domain.into())
+            .or_default()
+            .insert(function.into(), decision);
     }
 
     /// Applies a program's `%!` routing declarations — the one place they
@@ -76,35 +82,29 @@ impl CimPolicy {
             for domain in &cache.domains {
                 self.set_domain(domain.as_str(), RoutingDecision::UseCim);
             }
-            for key in &cache.functions {
-                self.per_function
-                    .insert(key.clone(), RoutingDecision::UseCim);
+            for (domain, function) in &cache.functions {
+                self.set_function(domain.as_str(), function.as_str(), RoutingDecision::UseCim);
             }
         }
         let volatile = &declarations.volatile;
         for domain in &volatile.domains {
             self.set_domain(domain.as_str(), RoutingDecision::Direct);
             // A function-level route would win over the domain's.
-            self.per_function.retain(|(d, _), _| d != domain);
+            self.per_function.remove(domain);
         }
-        for key in &volatile.functions {
-            self.per_function
-                .insert(key.clone(), RoutingDecision::Direct);
+        for (domain, function) in &volatile.functions {
+            self.set_function(domain.as_str(), function.as_str(), RoutingDecision::Direct);
         }
     }
 
     /// The decision for `domain:function`.
     pub fn decide(&self, domain: &str, function: &str) -> RoutingDecision {
-        if let Some(d) = self
-            .per_function
-            .get(&(domain.to_string(), function.to_string()))
-        {
-            return *d;
-        }
-        if let Some(d) = self.per_domain.get(domain) {
-            return *d;
-        }
-        self.default
+        self.per_function
+            .get(domain)
+            .and_then(|functions| functions.get(function))
+            .or_else(|| self.per_domain.get(domain))
+            .copied()
+            .unwrap_or(self.default)
     }
 }
 

@@ -61,6 +61,30 @@ fn rewriter_reports_a_planning_error_for_a_deep_chain() {
 }
 
 #[test]
+fn a_chain_past_max_depth_names_the_cap() {
+    let plan = |depth| {
+        enumerate_plans(
+            &parse_program(&chain_source(depth)).unwrap(),
+            &parse_query("?- p0('p_1', B).").unwrap(),
+            &CimPolicy::never(),
+            RewriteConfig::default(),
+        )
+    };
+    // 31 links and the leaf: 32 unfoldings, as many as `max_depth` allows.
+    assert_eq!(plan(31).unwrap().len(), 1);
+    // One link more: the leaf's call could run, the unfolding stopped.
+    let msg = plan(32).unwrap_err().to_string();
+    assert!(
+        msg.contains("no executable ordering found for query"),
+        "{msg}"
+    );
+    assert!(
+        msg.contains("unfolding stopped at `p32/2`, max_depth (32) rule expansions deep"),
+        "{msg}"
+    );
+}
+
+#[test]
 fn analyzer_walks_a_deep_chain() {
     let report = on_small_stack(|| Analyzer::new(&chain()).analyze());
     assert!(

@@ -60,6 +60,9 @@ pub enum DiagCode {
     /// `HA010` — no rule admits an executable ordering under a declared
     /// query adornment.
     InfeasibleAdornment,
+    /// `HA011` — every plan for a declared query form needs more rule
+    /// expansions than the rewriter's cap (`hermes_lang::MAX_DEPTH`).
+    UnfoldingTooDeep,
     /// `HA020` — a domain call names an unregistered domain.
     UnknownDomain,
     /// `HA021` — a domain call names a function the domain does not export.
@@ -127,6 +130,7 @@ impl DiagCode {
             DiagCode::HeadVarNotInBody => "HA006",
             DiagCode::NonGroundFact => "HA007",
             DiagCode::InfeasibleAdornment => "HA010",
+            DiagCode::UnfoldingTooDeep => "HA011",
             DiagCode::UnknownDomain => "HA020",
             DiagCode::UnknownFunction => "HA021",
             DiagCode::ArityMismatch => "HA022",
@@ -165,6 +169,7 @@ impl DiagCode {
             DiagCode::HeadVarNotInBody,
             DiagCode::NonGroundFact,
             DiagCode::InfeasibleAdornment,
+            DiagCode::UnfoldingTooDeep,
             DiagCode::UnknownDomain,
             DiagCode::UnknownFunction,
             DiagCode::ArityMismatch,
@@ -208,6 +213,7 @@ impl DiagCode {
             | DiagCode::UnsatisfiableCondition
             | DiagCode::DuplicateInvariant
             | DiagCode::SuspiciousDirection
+            | DiagCode::UnfoldingTooDeep
             | DiagCode::EstimatorBlindSpot
             | DiagCode::SerializedParallelizable
             | DiagCode::CacheStarved
@@ -231,6 +237,7 @@ impl DiagCode {
             DiagCode::HeadVarNotInBody => "head variable does not occur in the body",
             DiagCode::NonGroundFact => "fact contains variables",
             DiagCode::InfeasibleAdornment => "no executable ordering under a declared adornment",
+            DiagCode::UnfoldingTooDeep => "query form needs more rule expansions than the cap",
             DiagCode::UnknownDomain => "call names an unregistered domain",
             DiagCode::UnknownFunction => "call names a function the domain does not export",
             DiagCode::ArityMismatch => "call arity disagrees with the signature",
@@ -292,6 +299,14 @@ impl DiagCode {
                 "Under a declared query adornment, no rule for the predicate \
                  admits an executable subgoal ordering — queries of that form \
                  will always fail at plan time."
+            }
+            DiagCode::UnfoldingTooDeep => {
+                "The rewriter expands at most 32 rule-defined atoms along one \
+                 search path, counting every expansion, not how deep the \
+                 rules nest: a rule over two 15-link chains needs 33. Every \
+                 plan for this query form needs more, so each query of the \
+                 form fails at plan time with \"unfolding stopped\". Fold \
+                 chains of one-atom rules into fewer rules."
             }
             DiagCode::UnknownDomain => {
                 "The call names a domain that is not registered (or not \

@@ -10,7 +10,9 @@
 //! * **HA002** references to predicates no rule defines;
 //! * **HA003** predicates unreachable from every declared query form
 //!   (dead rules) — only checked when query forms are declared;
-//! * **HA004** predicates that mix ground facts and proper rules.
+//! * **HA004** predicates that mix ground facts and proper rules;
+//! * **HA011** declared query forms whose every plan needs more rule
+//!   expansions than the rewriter's [`MAX_DEPTH`] cap allows.
 //!
 //! The same graph and the same Tarjan pass give pass 7 its recursive
 //! predicates and the rewriter its recursion verdict
@@ -19,7 +21,7 @@
 
 use crate::diagnostic::{DiagCode, Diagnostic, Locus};
 use hermes_lang::QueryForm;
-use hermes_lang::{BodyAtom, Program, RuleIndex};
+use hermes_lang::{BodyAtom, Program, RuleIndex, MAX_DEPTH};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -95,8 +97,9 @@ pub(crate) fn run(program: &Program, query_forms: &[QueryForm], out: &mut Vec<Di
     }
 
     // HA001: strongly connected components of the defined-predicate graph.
-    for scc in sccs(&edges) {
-        if is_cycle(&scc, &edges) {
+    let components = sccs(&edges);
+    for scc in &components {
+        if is_cycle(scc, &edges) {
             let cycle: Vec<String> = scc.iter().chain(scc.first()).map(fmt_key).collect();
             out.push(
                 Diagnostic::new(
@@ -175,6 +178,83 @@ pub(crate) fn run(program: &Program, query_forms: &[QueryForm], out: &mut Vec<Di
             );
         }
     }
+
+    // HA011: declared query forms the rewriter's expansion cap cuts off.
+    if !query_forms.is_empty() {
+        let needed = expansions_needed(program, &edges, &components);
+        for form in query_forms {
+            let key = (form.pred.clone(), form.bound.len());
+            let Some(&Some(need)) = needed.get(&key) else {
+                continue;
+            };
+            if need <= MAX_DEPTH {
+                continue;
+            }
+            out.push(
+                Diagnostic::new(
+                    DiagCode::UnfoldingTooDeep,
+                    Locus::QueryForm {
+                        text: form.to_string(),
+                    },
+                    format!(
+                        "every plan for `{}` needs at least {need} rule \
+                         expansions, and the rewriter stops at max_depth \
+                         ({MAX_DEPTH}): no query of this form can plan",
+                        fmt_key(&key)
+                    ),
+                )
+                .with_suggestion(
+                    "fold chains of one-atom rules into fewer rules, so a \
+                     plan unfolds fewer rule-defined atoms",
+                ),
+            );
+        }
+    }
+}
+
+/// The fewest rule expansions a plan for each defined predicate takes —
+/// what the rewriter's [`MAX_DEPTH`] cap counts along a search path. A
+/// predicate defined by facts alone needs none, as does an undefined one
+/// (HA002 reports it); a rule-defined one needs one plus, over its rules,
+/// the least sum of what its body's predicate atoms need. A predicate on
+/// or above a recursive cycle (HA001) has no count. One pass over
+/// Tarjan's components, which come successors first.
+fn expansions_needed(
+    program: &Program,
+    edges: &Edges,
+    components: &[Vec<PredKey>],
+) -> BTreeMap<PredKey, Option<usize>> {
+    let mut bodies: BTreeMap<PredKey, Vec<&[BodyAtom]>> = BTreeMap::new();
+    for rule in program.rules.iter().filter(|r| !r.body.is_empty()) {
+        bodies.entry(rule.head.key()).or_default().push(&rule.body);
+    }
+    let mut needed: BTreeMap<PredKey, Option<usize>> = BTreeMap::new();
+    for scc in components {
+        if is_cycle(scc, edges) {
+            needed.extend(scc.iter().map(|k| (k.clone(), None)));
+            continue;
+        }
+        let key = &scc[0];
+        let need = match bodies.get(key) {
+            None => Some(0),
+            Some(rules) => rules
+                .iter()
+                .filter_map(|body| {
+                    body.iter()
+                        .filter_map(|atom| match atom {
+                            BodyAtom::Pred(p) => Some(p.key()),
+                            _ => None,
+                        })
+                        .try_fold(0usize, |sum, k| {
+                            Some(sum + needed.get(&k).copied().unwrap_or(Some(0))?)
+                        })
+                })
+                .min()
+                .map(|least| least + 1),
+        };
+        needed.insert(key.clone(), need);
+    }
+    needed
 }
 
 /// The predicate identities sitting on a recursive SCC (size > 1, or a

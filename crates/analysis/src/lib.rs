@@ -11,7 +11,7 @@
 //!
 //! | Pass | Codes | Checks |
 //! |------|-------|--------|
-//! | 1 dependency graph | `HA001`–`HA004` | recursion (SCCs), undefined predicates, unreachable predicates, fact/rule mixing |
+//! | 1 dependency graph | `HA001`–`HA004`, `HA011` | recursion (SCCs), undefined predicates, unreachable predicates, fact/rule mixing, query forms that unfold past the rewriter's cap |
 //! | 2 adornment feasibility | `HA005`–`HA010` | groundability per rule, range restriction, ground facts, per-adornment executability |
 //! | 3 domain signatures | `HA020`–`HA022` | unknown domains/functions, arity mismatches |
 //! | 4 invariant lint | `HA030`–`HA034` | free condition variables, substitution cycles, unsatisfiable conditions, duplicates, direction mistakes |

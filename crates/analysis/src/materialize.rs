@@ -27,7 +27,7 @@ use crate::diagnostic::{DiagCode, Diagnostic, Locus};
 use crate::fingerprint::{fingerprint_rule, Fingerprint, SubplanKey};
 use crate::graph;
 use hermes_common::{CallPattern, PatArg};
-use hermes_dcsm::Dcsm;
+use hermes_dcsm::{CostSource, Dcsm};
 use hermes_lang::{BodyAtom, CacheRouting, Program, QueryForm, Rule, Term};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

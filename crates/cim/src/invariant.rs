@@ -251,16 +251,18 @@ impl InvariantStore {
             let Some(theta1) = Subst::new().match_call(own, call) else {
                 continue;
             };
+            let probe = Probe {
+                inv,
+                d,
+                other,
+                theta1: &theta1,
+                cache,
+                call,
+            };
             match &d.plan {
-                ProbePlan::Ground => {
-                    self.probe_ground(inv, d, other, &theta1, cache, call, &mut hits)
-                }
-                ProbePlan::Monotone(plan) => {
-                    self.probe_monotone(inv, d, plan, other, &theta1, cache, call, &mut hits)
-                }
-                ProbePlan::Posting => {
-                    self.scan_postings(inv, d, other, &theta1, cache, call, &mut hits)
-                }
+                ProbePlan::Ground => probe.ground(&mut hits),
+                ProbePlan::Monotone(plan) => probe.monotone(plan, &mut hits),
+                ProbePlan::Posting => probe.postings(&mut hits),
             }
         }
         Self::sort_hits(&mut hits, cache);
@@ -438,167 +440,6 @@ impl InvariantStore {
         ProbePlan::Monotone(MonotonePlan { pos, cond })
     }
 
-    /// Ground plan: the other side instantiates to exactly one call.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_ground(
-        &self,
-        inv: &Invariant,
-        d: &Direction,
-        other: &CallTemplate,
-        theta1: &Subst,
-        cache: &AnswerCache,
-        call: &GroundCall,
-        hits: &mut Vec<InvariantHit>,
-    ) {
-        // θ₂ = θ₁ here (matching a fully-determined template binds nothing
-        // new), so the conditions are decidable already.
-        if !inv
-            .conditions
-            .iter()
-            .all(|c| theta1.eval_condition(c) == Some(true))
-        {
-            return;
-        }
-        let Some(target) = theta1.ground_call(other) else {
-            return;
-        };
-        if &target == call {
-            return; // exact hits are handled before invariants
-        }
-        if let Some(entry) = cache.peek(&target) {
-            Self::push_hit(d.rel, entry.complete, &target, d.inv, hits);
-        }
-    }
-
-    /// Monotone plan: range-probe the ordered index for the free variable's
-    /// position; falls back to the posting list when no index is registered.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_monotone(
-        &self,
-        inv: &Invariant,
-        d: &Direction,
-        plan: &MonotonePlan,
-        other: &CallTemplate,
-        theta1: &Subst,
-        cache: &AnswerCache,
-        call: &GroundCall,
-        hits: &mut Vec<InvariantHit>,
-    ) {
-        // Ground every non-pivot position of the other template.
-        let mut rest = Vec::with_capacity(other.args.len().saturating_sub(1));
-        for (i, t) in other.args.iter().enumerate() {
-            if i == plan.pos {
-                continue;
-            }
-            match theta1.term(t) {
-                Some(v) => rest.push(v),
-                // Defensive: a non-pivot position failed to ground (should
-                // be impossible for a classified monotone direction).
-                None => {
-                    self.scan_postings(inv, d, other, theta1, cache, call, hits);
-                    return;
-                }
-            }
-        }
-        // Conditions not involving the pivot must hold under θ₁ alone; they
-        // are identical for every candidate.
-        for (ci, c) in inv.conditions.iter().enumerate() {
-            if plan.cond.is_some_and(|rc| rc.index == ci) {
-                continue;
-            }
-            if theta1.eval_condition(c) != Some(true) {
-                return;
-            }
-        }
-        // Resolve the range bound. An unresolvable bound means the range
-        // condition is undecidable for every candidate: no hits.
-        let range = match &plan.cond {
-            None => None,
-            Some(rc) => {
-                let c = &inv.conditions[rc.index];
-                let side = if rc.bound_on_lhs { &c.lhs } else { &c.rhs };
-                match theta1.path_term(side) {
-                    Some(bound) => Some((rc.op, bound)),
-                    None => return,
-                }
-            }
-        };
-        match cache.ordered_group(&other.domain, &other.function, plan.pos, &rest) {
-            // No ordered index registered at this position: posting scan.
-            None => self.scan_postings(inv, d, other, theta1, cache, call, hits),
-            Some(None) => {}
-            Some(Some(group)) => {
-                let candidates: Box<dyn Iterator<Item = &GroundCall>> = match &range {
-                    None => Box::new(group.values()),
-                    Some((op, b)) => match op {
-                        RangeOp::Eq => Box::new(group.get(b).into_iter()),
-                        RangeOp::Lt => Box::new(
-                            group
-                                .range((Bound::Unbounded, Bound::Excluded(b.clone())))
-                                .map(|(_, c)| c),
-                        ),
-                        RangeOp::Le => Box::new(
-                            group
-                                .range((Bound::Unbounded, Bound::Included(b.clone())))
-                                .map(|(_, c)| c),
-                        ),
-                        RangeOp::Gt => Box::new(
-                            group
-                                .range((Bound::Excluded(b.clone()), Bound::Unbounded))
-                                .map(|(_, c)| c),
-                        ),
-                        RangeOp::Ge => Box::new(
-                            group
-                                .range((Bound::Included(b.clone()), Bound::Unbounded))
-                                .map(|(_, c)| c),
-                        ),
-                    },
-                };
-                for cached_call in candidates {
-                    if cached_call == call {
-                        continue;
-                    }
-                    if let Some(entry) = cache.peek(cached_call) {
-                        Self::push_hit(d.rel, entry.complete, cached_call, d.inv, hits);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Posting plan (and fallback): scan only the cached calls of the other
-    /// side's `(domain, function)`.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_postings(
-        &self,
-        inv: &Invariant,
-        d: &Direction,
-        other: &CallTemplate,
-        theta1: &Subst,
-        cache: &AnswerCache,
-        call: &GroundCall,
-        hits: &mut Vec<InvariantHit>,
-    ) {
-        for cached_call in cache.calls_for(&other.domain, &other.function) {
-            if cached_call == call {
-                continue;
-            }
-            let Some(theta2) = theta1.match_call(other, cached_call) else {
-                continue;
-            };
-            if !inv
-                .conditions
-                .iter()
-                .all(|c| theta2.eval_condition(c) == Some(true))
-            {
-                continue;
-            }
-            if let Some(entry) = cache.peek(cached_call) {
-                Self::push_hit(d.rel, entry.complete, cached_call, d.inv, hits);
-            }
-        }
-    }
-
     /// Builds the hit for an effective relation (only complete entries can
     /// prove `Equal`; incomplete ones still give a sound partial answer)
     /// and appends it if new.
@@ -636,6 +477,176 @@ impl InvariantStore {
                 .unwrap_or(u64::MAX);
             (!h.is_equal() as u8, fresh)
         });
+    }
+}
+
+/// One direction of one invariant, matched against the probed call: what
+/// each probe plan reads.
+#[derive(Clone, Copy)]
+struct Probe<'a> {
+    inv: &'a Invariant,
+    d: &'a Direction,
+    /// The direction's other side, whose cached calls may serve `call`.
+    other: &'a CallTemplate,
+    /// The bindings from matching the own side against `call`.
+    theta1: &'a Subst,
+    cache: &'a AnswerCache,
+    call: &'a GroundCall,
+}
+
+impl Probe<'_> {
+    /// Ground plan: the other side instantiates to exactly one call.
+    fn ground(&self, hits: &mut Vec<InvariantHit>) {
+        let Probe {
+            inv,
+            d,
+            other,
+            theta1,
+            cache,
+            call,
+        } = *self;
+        // θ₂ = θ₁ here (matching a fully-determined template binds nothing
+        // new), so the conditions are decidable already.
+        if !inv
+            .conditions
+            .iter()
+            .all(|c| theta1.eval_condition(c) == Some(true))
+        {
+            return;
+        }
+        let Some(target) = theta1.ground_call(other) else {
+            return;
+        };
+        if &target == call {
+            return; // exact hits are handled before invariants
+        }
+        if let Some(entry) = cache.peek(&target) {
+            InvariantStore::push_hit(d.rel, entry.complete, &target, d.inv, hits);
+        }
+    }
+
+    /// Monotone plan: range-probe the ordered index for the free variable's
+    /// position; falls back to the posting list when no index is registered.
+    fn monotone(&self, plan: &MonotonePlan, hits: &mut Vec<InvariantHit>) {
+        let Probe {
+            inv,
+            d,
+            other,
+            theta1,
+            cache,
+            call,
+        } = *self;
+        // Ground every non-pivot position of the other template.
+        let mut rest = Vec::with_capacity(other.args.len().saturating_sub(1));
+        for (i, t) in other.args.iter().enumerate() {
+            if i == plan.pos {
+                continue;
+            }
+            match theta1.term(t) {
+                Some(v) => rest.push(v),
+                // Defensive: a non-pivot position failed to ground (should
+                // be impossible for a classified monotone direction).
+                None => {
+                    self.postings(hits);
+                    return;
+                }
+            }
+        }
+        // Conditions not involving the pivot must hold under θ₁ alone; they
+        // are identical for every candidate.
+        for (ci, c) in inv.conditions.iter().enumerate() {
+            if plan.cond.is_some_and(|rc| rc.index == ci) {
+                continue;
+            }
+            if theta1.eval_condition(c) != Some(true) {
+                return;
+            }
+        }
+        // Resolve the range bound. An unresolvable bound means the range
+        // condition is undecidable for every candidate: no hits.
+        let range = match &plan.cond {
+            None => None,
+            Some(rc) => {
+                let c = &inv.conditions[rc.index];
+                let side = if rc.bound_on_lhs { &c.lhs } else { &c.rhs };
+                match theta1.path_term(side) {
+                    Some(bound) => Some((rc.op, bound)),
+                    None => return,
+                }
+            }
+        };
+        match cache.ordered_group(&other.domain, &other.function, plan.pos, &rest) {
+            // No ordered index registered at this position: posting scan.
+            None => self.postings(hits),
+            Some(None) => {}
+            Some(Some(group)) => {
+                let candidates: Box<dyn Iterator<Item = &GroundCall>> = match &range {
+                    None => Box::new(group.values()),
+                    Some((op, b)) => match op {
+                        RangeOp::Eq => Box::new(group.get(b).into_iter()),
+                        RangeOp::Lt => Box::new(
+                            group
+                                .range((Bound::Unbounded, Bound::Excluded(b.clone())))
+                                .map(|(_, c)| c),
+                        ),
+                        RangeOp::Le => Box::new(
+                            group
+                                .range((Bound::Unbounded, Bound::Included(b.clone())))
+                                .map(|(_, c)| c),
+                        ),
+                        RangeOp::Gt => Box::new(
+                            group
+                                .range((Bound::Excluded(b.clone()), Bound::Unbounded))
+                                .map(|(_, c)| c),
+                        ),
+                        RangeOp::Ge => Box::new(
+                            group
+                                .range((Bound::Included(b.clone()), Bound::Unbounded))
+                                .map(|(_, c)| c),
+                        ),
+                    },
+                };
+                for cached_call in candidates {
+                    if cached_call == call {
+                        continue;
+                    }
+                    if let Some(entry) = cache.peek(cached_call) {
+                        InvariantStore::push_hit(d.rel, entry.complete, cached_call, d.inv, hits);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Posting plan (and fallback): scan only the cached calls of the other
+    /// side's `(domain, function)`.
+    fn postings(&self, hits: &mut Vec<InvariantHit>) {
+        let Probe {
+            inv,
+            d,
+            other,
+            theta1,
+            cache,
+            call,
+        } = *self;
+        for cached_call in cache.calls_for(&other.domain, &other.function) {
+            if cached_call == call {
+                continue;
+            }
+            let Some(theta2) = theta1.match_call(other, cached_call) else {
+                continue;
+            };
+            if !inv
+                .conditions
+                .iter()
+                .all(|c| theta2.eval_condition(c) == Some(true))
+            {
+                continue;
+            }
+            if let Some(entry) = cache.peek(cached_call) {
+                InvariantStore::push_hit(d.rel, entry.complete, cached_call, d.inv, hits);
+            }
+        }
     }
 }
 

@@ -74,17 +74,6 @@ pub enum CimResolution {
     },
 }
 
-impl CimResolution {
-    /// True for exact or equality hits (complete answers, no source call
-    /// needed).
-    pub fn is_complete_hit(&self) -> bool {
-        matches!(
-            self,
-            CimResolution::ExactHit { .. } | CimResolution::EqualHit { .. }
-        )
-    }
-}
-
 /// A side-effect-free preview of a lookup's outcome; see [`Cim::preview`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum CimPreview {
@@ -136,14 +125,6 @@ impl Cim {
     /// A CIM with an unbounded cache and default cost model.
     pub fn new() -> Self {
         Cim::default()
-    }
-
-    /// A CIM with a byte-budgeted cache.
-    pub fn with_cache_budget(bytes: usize) -> Self {
-        Cim {
-            cache: AnswerCache::with_budget(bytes),
-            ..Cim::default()
-        }
     }
 
     /// Overrides the processing-cost model.

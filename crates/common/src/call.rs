@@ -120,13 +120,6 @@ pub enum PatArg {
     Bound,
 }
 
-impl PatArg {
-    /// True if this position is the `$b` symbol.
-    pub fn is_bound_symbol(&self) -> bool {
-        matches!(self, PatArg::Bound)
-    }
-}
-
 /// A domain-call pattern: constants in some positions, `$b` in the rest.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CallPattern {

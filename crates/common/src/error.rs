@@ -75,11 +75,11 @@ pub enum HermesError {
         /// Rendered error-severity diagnostics.
         diagnostics: Vec<String>,
     },
-    /// The server's admission gate refused the query outright: the gate
-    /// (or the requested tier's share of it) was full. Deterministic and
-    /// immediate — a shed query never queues and never hangs. The reason
-    /// is a stable machine-readable code such as `gate-full` or
-    /// `tier-budget-full`.
+    /// The server refused the query outright: its admission gate, or a
+    /// serving queue in front of it, was full. Deterministic and immediate
+    /// — a shed query never queues and never hangs. The reason is a stable
+    /// machine-readable code such as `gate-full`, `pipeline-full` or
+    /// `worker-queue-full`.
     Shed {
         /// Stable reason code for the shed decision.
         reason: String,

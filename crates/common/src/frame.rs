@@ -583,12 +583,6 @@ impl Frame {
         out
     }
 
-    /// Writes the complete frame to `w` (no flush).
-    pub fn write_to(&self, w: &mut impl Write) -> Result<()> {
-        w.write_all(&self.encode())?;
-        Ok(())
-    }
-
     /// Reads one frame from `r`. Returns `Ok(None)` on clean EOF (the
     /// peer closed between frames); anything else malformed is an error.
     ///

@@ -182,14 +182,6 @@ impl Value {
         }
     }
 
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// True if the value is numeric (`Int` or `Float`).
     pub fn is_number(&self) -> bool {
         matches!(self, Value::Int(_) | Value::Float(_))

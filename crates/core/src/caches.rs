@@ -13,8 +13,8 @@
 //! * [`CacheControl::clear`] — per-tier or whole-hierarchy flush.
 //! * [`CacheControl::add_invariant`] / [`CacheControl::set_serve_stale`] —
 //!   CIM knobs without the lock choreography.
-//! * [`CacheControl::policy`] — a builder applying routing, budgets, and
-//!   subplan sharing in one shot.
+//! * [`CacheControl::policy`] — a builder applying routing, the answer
+//!   budget, and subplan sharing in one shot.
 //!
 //! Both faces hold the same state — a `ShardedCim` (one shard on the
 //! serial mediator) and a `MatCache` — so every method does the same thing
@@ -139,8 +139,8 @@ impl<'m> CacheControl<'m> {
         self.cim.set_serve_stale_on_outage(on);
     }
 
-    /// The subplan cache handle — stats, budgets, and targeted
-    /// invalidation beyond what the facade methods cover.
+    /// The subplan cache handle — stats and targeted invalidation beyond
+    /// what the facade methods cover.
     pub fn subplans(&self) -> &'m MatCache {
         self.matcache
     }
@@ -150,11 +150,8 @@ impl<'m> CacheControl<'m> {
         CachePolicy {
             control: self,
             routing: None,
-            serve_stale: None,
             share_subplans: None,
             answer_budget: None,
-            subplan_budget: None,
-            subplan_min_savings: None,
         }
     }
 }
@@ -165,11 +162,8 @@ impl<'m> CacheControl<'m> {
 pub struct CachePolicy<'m> {
     control: CacheControl<'m>,
     routing: Option<CimPolicy>,
-    serve_stale: Option<bool>,
     share_subplans: Option<bool>,
     answer_budget: Option<Option<usize>>,
-    subplan_budget: Option<usize>,
-    subplan_min_savings: Option<f64>,
 }
 
 impl CachePolicy<'_> {
@@ -177,12 +171,6 @@ impl CachePolicy<'_> {
     /// cache). Serial mediator only — routing binds at `to_concurrent`.
     pub fn routing(mut self, policy: CimPolicy) -> Self {
         self.routing = Some(policy);
-        self
-    }
-
-    /// Serve stale cached answers on outage.
-    pub fn serve_stale(mut self, on: bool) -> Self {
-        self.serve_stale = Some(on);
         self
     }
 
@@ -197,18 +185,6 @@ impl CachePolicy<'_> {
     /// Byte budget of the ground-call answer cache (`None` = unbounded).
     pub fn answer_budget(mut self, bytes: Option<usize>) -> Self {
         self.answer_budget = Some(bytes);
-        self
-    }
-
-    /// Byte budget of the subplan cache.
-    pub fn subplan_budget(mut self, bytes: usize) -> Self {
-        self.subplan_budget = Some(bytes);
-        self
-    }
-
-    /// Admission floor of the subplan cache (estimated saved ms).
-    pub fn subplan_min_savings(mut self, ms: f64) -> Self {
-        self.subplan_min_savings = Some(ms);
         self
     }
 
@@ -235,19 +211,10 @@ impl CachePolicy<'_> {
                 exec.share_subplans = on;
             }
         }
-        if let Some(on) = self.serve_stale {
-            control.cim.set_serve_stale_on_outage(on);
-        }
         if let Some(bytes) = self.answer_budget {
             control
                 .cim
                 .for_each_shard_mut(|_, shard| shard.cache_mut().set_budget(bytes));
-        }
-        if let Some(bytes) = self.subplan_budget {
-            control.matcache.set_budget(bytes);
-        }
-        if let Some(ms) = self.subplan_min_savings {
-            control.matcache.set_min_savings(ms);
         }
         Ok(())
     }

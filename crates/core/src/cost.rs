@@ -36,20 +36,16 @@ pub struct CostConfig {
     /// default `1` the estimate is the paper's sequential formula exactly;
     /// `k > 1` charges each group its overlap makespan over `k` virtual
     /// slots instead of the members' sequential sum (cardinalities still
-    /// multiply — overlap changes time, not answers).
+    /// multiply — overlap changes time, not answers). Each call of a
+    /// group is charged [`DISPATCH_OVERHEAD_MS`](hermes_dcsm::DISPATCH_OVERHEAD_MS),
+    /// as the executor charges it.
     pub max_parallel_calls: usize,
-    /// Mediator-side milliseconds to put one group call in flight (must
-    /// mirror [`ExecConfig::dispatch_overhead_ms`]).
-    ///
-    /// [`ExecConfig::dispatch_overhead_ms`]: crate::exec::ExecConfig::dispatch_overhead_ms
-    pub dispatch_overhead_ms: f64,
 }
 
 impl Default for CostConfig {
     fn default() -> Self {
         CostConfig {
             max_parallel_calls: 1,
-            dispatch_overhead_ms: 0.05,
         }
     }
 }
@@ -169,11 +165,7 @@ fn fold_plan<'p>(
                 durations.push(complete(est.t_all_ms));
                 prefix_card *= step_cardinality(target, complete(est.cardinality), &mut bound);
             }
-            let t_group = overlap_makespan(
-                &durations,
-                config.max_parallel_calls,
-                config.dispatch_overhead_ms,
-            );
+            let t_group = overlap_makespan(&durations, config.max_parallel_calls);
             t_all += entry_card * t_group;
             t_first += t_group;
             i = group.end;
@@ -483,24 +475,23 @@ mod tests {
         assert!((seq.t_all_ms.unwrap() - 17.7).abs() < 1e-6);
         let par_cfg = CostConfig {
             max_parallel_calls: 2,
-            dispatch_overhead_ms: 0.0,
         };
         let par = estimate_plan(&plan, &dcsm, &par_cfg);
-        // Overlapped: the group costs max(2.1, 5.2) = 5.2.
+        // Overlapped: the group costs max(2.1, 5.2) = 5.2, plus the
+        // dispatch overhead of the call in that slot.
+        let want = 5.2 + hermes_dcsm::DISPATCH_OVERHEAD_MS;
         assert!(
-            (par.t_all_ms.unwrap() - 5.2).abs() < 1e-6,
+            (par.t_all_ms.unwrap() - want).abs() < 1e-6,
             "got {:?}",
             par.t_all_ms
         );
         // Overlap changes time, not answers.
         assert!((par.cardinality.unwrap() - seq.cardinality.unwrap()).abs() < 1e-9);
-        // Dispatch overhead is charged per call.
-        let with_overhead = CostConfig {
-            max_parallel_calls: 2,
-            dispatch_overhead_ms: 0.5,
-        };
-        let est = estimate_plan(&plan, &dcsm, &with_overhead);
-        assert!((est.t_all_ms.unwrap() - 5.7).abs() < 1e-6);
+        // Dispatch overhead is charged per call: one slot runs both calls
+        // one after the other, each paying it.
+        let one_slot = overlap_makespan(&[2.1, 5.2], 1);
+        let overhead = 2.0 * hermes_dcsm::DISPATCH_OVERHEAD_MS;
+        assert!((one_slot - (2.1 + 5.2 + overhead)).abs() < 1e-9);
     }
 
     #[test]

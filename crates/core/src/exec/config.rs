@@ -7,6 +7,18 @@ use hermes_common::SimDuration;
 /// what the cost model prices.
 pub(crate) const FACT_ROW_MS: f64 = 0.002;
 
+/// Ceiling on a single retry backoff sleep, in simulated milliseconds
+/// (a base [`ExecConfig::retry_backoff_ms`] above it is its own cap).
+pub const RETRY_BACKOFF_CAP_MS: f64 = 8_000.0;
+
+/// Relative jitter added to each backoff sleep (up to +10%), drawn from a
+/// seeded stream so runs stay deterministic.
+pub(crate) const RETRY_JITTER_FRAC: f64 = 0.1;
+
+/// Estimated `T_all` (DCSM, milliseconds) at or under which a remote call
+/// still qualifies for the `CachedPlusCheapRemote` tier.
+pub(crate) const CHEAP_CALL_MS: f64 = 250.0;
+
 /// Executor knobs. Construct one as
 /// `ExecConfig { field: value, ..ExecConfig::default() }`.
 #[derive(Clone, Copy, Debug)]
@@ -27,13 +39,8 @@ pub struct ExecConfig {
     pub retry_attempts: u32,
     /// Base of the capped exponential backoff: retry `k` waits
     /// `retry_backoff_ms * 2^(k-1)` simulated ms (plus jitter), capped at
-    /// [`retry_backoff_cap_ms`](Self::retry_backoff_cap_ms).
+    /// [`RETRY_BACKOFF_CAP_MS`].
     pub retry_backoff_ms: f64,
-    /// Ceiling on a single backoff sleep.
-    pub retry_backoff_cap_ms: f64,
-    /// Relative jitter added to each backoff sleep (`0.1` = up to +10%),
-    /// drawn from a seeded stream so runs stay deterministic.
-    pub retry_jitter_frac: f64,
     /// Optional virtual-clock deadline, measured from the start of the
     /// run and checked at every call boundary. When it fires, evaluation
     /// unwinds cleanly: the answers produced so far are returned with
@@ -51,10 +58,10 @@ pub struct ExecConfig {
     /// virtual timeline, and a group's repeated `(site, function)` calls
     /// piggyback on the first one's round trip (transfer time, no
     /// connect + RTT).
+    /// Each dispatched call also costs
+    /// [`DISPATCH_OVERHEAD_MS`](hermes_dcsm::DISPATCH_OVERHEAD_MS) of
+    /// mediator time.
     pub max_parallel_calls: usize,
-    /// Simulated mediator-side milliseconds to put one call of a
-    /// dispatched group in flight.
-    pub dispatch_overhead_ms: f64,
     /// The plan tier this run starts at. `Full` — the default — is the
     /// paper-exact executor; the cheaper tiers restrict which calls may
     /// go over the wire (see [`crate::tier`]).
@@ -64,9 +71,6 @@ pub struct ExecConfig {
     /// active tier down one level (one-way) and re-arms. Pair it with a
     /// larger `deadline` to guarantee the downgrade fires first.
     pub budget: Option<SimDuration>,
-    /// Estimated `T_all` (DCSM, milliseconds) at or under which a remote
-    /// call still qualifies for the `CachedPlusCheapRemote` tier.
-    pub cheap_call_ms: f64,
     /// Consult the subplan materialization cache ([`crate::matcache`]):
     /// serve repeated plans from their materialized answers, coalesce
     /// concurrent identical plans into one computation, and store
@@ -86,15 +90,11 @@ impl Default for ExecConfig {
             collect_trace: false,
             retry_attempts: 0,
             retry_backoff_ms: 500.0,
-            retry_backoff_cap_ms: 8_000.0,
-            retry_jitter_frac: 0.1,
             deadline: None,
             deadline_strict: false,
             max_parallel_calls: 1,
-            dispatch_overhead_ms: 0.05,
             tier: PlanTier::Full,
             budget: None,
-            cheap_call_ms: 250.0,
             share_subplans: false,
         }
     }

@@ -44,8 +44,9 @@ use std::sync::Arc;
 mod config;
 mod stats;
 
-pub use config::ExecConfig;
 pub(crate) use config::FACT_ROW_MS;
+pub use config::{ExecConfig, RETRY_BACKOFF_CAP_MS};
+use config::{CHEAP_CALL_MS, RETRY_JITTER_FRAC};
 pub use stats::{ExecOutcome, ExecStats, IncompleteReason, SubgoalProvenance};
 
 /// Seed of the backoff-jitter stream.
@@ -420,19 +421,15 @@ impl<'w> Executor<'w> {
                 let shared: Arc<[Subst]> = outcome.answers.as_slice().into();
                 let patterns = crate::cost::plan_patterns(plan);
                 let savings_ms = self.dcsm.estimate_subplan_savings(&patterns, 2);
-                match mat.store(ticket, shared.clone(), savings_ms) {
-                    crate::matcache::StoreOutcome::Stored(_) => {
-                        self.stats.subplans_materialized += 1;
-                        self.note(TraceEvent::SubplanMaterialized {
-                            fingerprint: ticket.fingerprint(),
-                            rows: shared.len(),
-                            savings_ms,
-                        });
-                    }
-                    crate::matcache::StoreOutcome::RejectedSavings
-                    | crate::matcache::StoreOutcome::RejectedSize => {
-                        self.stats.subplan_rejections += 1;
-                    }
+                if mat.store(ticket, shared.clone(), savings_ms) {
+                    self.stats.subplans_materialized += 1;
+                    self.note(TraceEvent::SubplanMaterialized {
+                        fingerprint: ticket.fingerprint(),
+                        rows: shared.len(),
+                        savings_ms,
+                    });
+                } else {
+                    self.stats.subplan_rejections += 1;
                 }
                 leader.publish(shared);
             }
@@ -744,7 +741,7 @@ impl<'w> Executor<'w> {
     /// Whether the active tier lets `wire` go over the network. `Full`
     /// allows everything; `CacheOnly` nothing; `CachedPlusCheapRemote`
     /// asks the DCSM whether the fully-bound call pattern is estimated at
-    /// or under [`ExecConfig::cheap_call_ms`].
+    /// or under [`CHEAP_CALL_MS`].
     fn tier_allows_wire(&self, wire: &GroundCall) -> bool {
         match self.tier {
             PlanTier::Full => true,
@@ -755,7 +752,7 @@ impl<'w> Executor<'w> {
                     wire.function.clone(),
                     wire.args.iter().map(|v| PatArg::Const(v.clone())).collect(),
                 );
-                self.dcsm.cost(&pattern).t_all_ms() <= self.config.cheap_call_ms
+                self.dcsm.cost(&pattern).t_all_ms() <= CHEAP_CALL_MS
             }
         }
     }
@@ -1061,7 +1058,7 @@ impl<'w> Executor<'w> {
         }
 
         let slots = self.config.max_parallel_calls.min(pending.len());
-        let overhead = SimDuration::from_millis_f64(self.config.dispatch_overhead_ms.max(0.0));
+        let overhead = SimDuration::from_millis_f64(hermes_dcsm::DISPATCH_OVERHEAD_MS);
         let mut free = vec![SimDuration::ZERO; slots];
         let mut batch_seen: BTreeSet<(String, String)> = BTreeSet::new();
         let mut intervals: Vec<(String, SimDuration, SimDuration)> = Vec::new();
@@ -1322,8 +1319,8 @@ impl<'w> Executor<'w> {
     fn retry_backoff(&mut self, attempt: u32) -> SimDuration {
         let base = self.config.retry_backoff_ms.max(0.0);
         let exp = base * 2f64.powi(attempt.saturating_sub(1).min(20) as i32);
-        let capped = exp.min(self.config.retry_backoff_cap_ms.max(base));
-        let jitter = 1.0 + self.config.retry_jitter_frac.max(0.0) * self.retry_rng.f64();
+        let capped = exp.min(RETRY_BACKOFF_CAP_MS.max(base));
+        let jitter = 1.0 + RETRY_JITTER_FRAC * self.retry_rng.f64();
         SimDuration::from_millis_f64(capped * jitter)
     }
 }
@@ -1775,7 +1772,6 @@ mod tests {
         let cfg = ExecConfig {
             retry_attempts: 2,
             retry_backoff_ms: 500.0,
-            retry_jitter_frac: 0.0,
             ..ExecConfig::default()
         };
         // Retry-only baseline: every run pays the full backoff ladder.
@@ -1878,21 +1874,27 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_with_a_cap() {
+        let base = 3_000.0;
         let cfg = ExecConfig {
             retry_attempts: 3,
-            retry_backoff_ms: 100.0,
-            retry_backoff_cap_ms: 150.0,
-            retry_jitter_frac: 0.0,
+            retry_backoff_ms: base,
             ..ExecConfig::default()
         };
         let (net, cim, dcsm, plan, _) = outage_world_with_prefix();
         let out = Executor::new(&net, &cim, &dcsm, SimClock::new(), cfg)
             .run(&plan, None)
             .unwrap();
-        // Sleeps: 100 (base), then 200→capped 150, then 150. CIM probe
-        // costs add a few more milliseconds.
-        assert!(out.t_all >= SimDuration::from_millis(400), "{}", out.t_all);
-        assert!(out.t_all <= SimDuration::from_millis(460), "{}", out.t_all);
+        // Sleeps: the base, then twice it, then four times it capped at
+        // the cap; each stretched by up to the jitter. CIM probe costs
+        // add a few more milliseconds.
+        let sleeps = base + 2.0 * base + RETRY_BACKOFF_CAP_MS;
+        assert!(
+            4.0 * base > RETRY_BACKOFF_CAP_MS,
+            "the third sleep is capped"
+        );
+        let (low, high) = (sleeps, sleeps * (1.0 + RETRY_JITTER_FRAC) + 60.0);
+        let t_all = out.t_all.as_millis_f64();
+        assert!((low..=high).contains(&t_all), "{}", out.t_all);
         assert_eq!(out.stats.retries, 3);
     }
 
@@ -2080,7 +2082,9 @@ mod tests {
         let (net, cim, dcsm) = world();
         let (plan1, a) = call_plan(Route::Direct);
         // Two independent calls: the first burns the budget, the second
-        // hits the re-checked boundary and triggers the downgrade.
+        // hits the re-checked boundary and triggers the downgrade. A
+        // Cornell call costs more than `CHEAP_CALL_MS`, so once the DCSM
+        // has seen the first, the cheaper tier refuses the second.
         let plan = Plan {
             steps: vec![
                 plan1.steps[0].clone(),
@@ -2097,7 +2101,6 @@ mod tests {
             // A deadline far beyond the budget: the downgrade must fire
             // first, and the deadline must never be reached.
             deadline: Some(SimDuration::from_secs(3600)),
-            cheap_call_ms: 0.0, // nothing qualifies as cheap
             collect_trace: true,
             ..ExecConfig::default()
         };

@@ -61,17 +61,17 @@ pub use cost::{choose_plan, estimate_plan, CostConfig};
 pub use cursor::{InteractiveQuery, InteractiveSummary};
 pub use exec::{ExecConfig, ExecOutcome, ExecStats, Executor, IncompleteReason, SubgoalProvenance};
 pub use flight::{FlightHandle, FlightLeader, FlightRole, Flights, InFlightRegistry};
-pub use matcache::{MatCache, MatCacheConfig, MatCacheStats, MatLookup, MatTicket};
+pub use matcache::{MatCache, MatCacheStats, MatLookup, MatTicket};
 pub use mediator::{Mediator, MediatorConfig, Planned, QueryRequest, QueryResult};
 pub use plan::{independence_groups, Plan, PlanStep, Route};
 pub use rewrite::{
     bind_query, cache_servable_plans, enumerate_plans, enumerate_plans_with_pushdowns,
-    fingerprint_body, fingerprint_rule, query_fingerprint, CheckedProgram, Fingerprint,
-    PushdownRule, RewriteConfig, SubplanKey,
+    fingerprint_body, fingerprint_rule, CheckedProgram, Fingerprint, PushdownRule, RewriteConfig,
+    SubplanKey,
 };
 pub use serve::{
     NetServer, NetServerStats, RemoteResult, ServeConfig, ServeConfigBuilder, ServeMode, WireClient,
 };
-pub use server::{ConcurrentMediator, GateConfig, ServerStats};
+pub use server::{ConcurrentMediator, ServerStats};
 pub use tier::{select_tier, PlanTier, TierDecision, TierInputs, TierLoad, TierReason};
 pub use trace::{TraceEntry, TraceEvent};

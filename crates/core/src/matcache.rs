@@ -30,10 +30,12 @@
 //! ## Admission and demotion
 //!
 //! Entries are priced at store time with the analyzer's own HA073 measure
-//! (`Dcsm::estimate_subplan_savings`): an entry must promise at least
-//! [`MatCacheConfig::min_savings_ms`] of saved work to be admitted, and
-//! when the byte budget overflows the *lowest-savings* entries are demoted
-//! first — the same rule the DCSM uses to rank sharing opportunities.
+//! ([`CostSource::estimate_subplan_savings`]). Every complete result whose
+//! answer set fits the constant 4 MiB budget is admitted, and when the
+//! budget overflows the *lowest-savings* entries are demoted first — the
+//! same rule the DCSM uses to rank sharing opportunities.
+//!
+//! [`CostSource::estimate_subplan_savings`]: hermes_dcsm::CostSource::estimate_subplan_savings
 //!
 //! ## Invalidation (HA074)
 //!
@@ -64,6 +66,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 type Call = (Arc<str>, Arc<str>);
+
+/// Byte budget for materialized answer sets.
+const BUDGET_BYTES: usize = 4 * 1024 * 1024;
 
 /// Identity of a materialized subplan. The fingerprint alone is stable
 /// across variable renaming, but the stored answers are [`Subst`]s over
@@ -114,7 +119,6 @@ struct Store {
     tombstones: HashMap<MatKey, Call>,
     bytes: usize,
     budget_bytes: usize,
-    min_savings_ms: f64,
 }
 
 impl Store {
@@ -134,13 +138,13 @@ impl Store {
 
     /// Demotes the lowest-savings entries, sparing `keep`, while the byte
     /// budget overflows. Returns how many were demoted.
-    fn demote_to_budget(&mut self, keep: Option<&MatKey>) -> u64 {
+    fn demote_to_budget(&mut self, keep: &MatKey) -> u64 {
         let mut demoted = 0;
         while self.bytes > self.budget_bytes {
             let Some(victim) = self
                 .entries
                 .iter()
-                .filter(|(k, _)| Some(*k) != keep)
+                .filter(|(k, _)| *k != keep)
                 .min_by(|a, b| a.1.savings_ms.total_cmp(&b.1.savings_ms))
                 .map(|(k, _)| k.clone())
             else {
@@ -151,37 +155,6 @@ impl Store {
         }
         demoted
     }
-}
-
-/// Configuration for a [`MatCache`].
-#[derive(Clone, Copy, Debug)]
-pub struct MatCacheConfig {
-    /// Byte budget for materialized answer sets; lowest-savings entries
-    /// are demoted first when it overflows.
-    pub budget_bytes: usize,
-    /// Admission floor: an entry must promise at least this much saved
-    /// work (DCSM estimate, milliseconds) to be stored.
-    pub min_savings_ms: f64,
-}
-
-impl Default for MatCacheConfig {
-    fn default() -> Self {
-        MatCacheConfig {
-            budget_bytes: 4 * 1024 * 1024,
-            min_savings_ms: 0.0,
-        }
-    }
-}
-
-/// Why a store was refused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StoreOutcome {
-    /// Admitted; carries the entry's byte size.
-    Stored(usize),
-    /// The DCSM-estimated saving fell below the admission floor.
-    RejectedSavings,
-    /// The answer set alone exceeds the whole byte budget.
-    RejectedSize,
 }
 
 /// Counter snapshot (see [`MatCache::stats`]).
@@ -196,7 +169,7 @@ pub struct MatCacheStats {
     /// Queries served by another query's in-flight computation
     /// (single-flight followers whose wait returned answers).
     pub coalesced: u64,
-    /// Stores refused by the admission price or size check.
+    /// Stores refused because the answer set alone exceeds the budget.
     pub rejected: u64,
     /// Entries demoted to make room under the byte budget.
     pub demoted: u64,
@@ -242,17 +215,17 @@ pub struct MatCache {
 
 impl Default for MatCache {
     fn default() -> Self {
-        MatCache::new(MatCacheConfig::default())
+        MatCache::with_budget(BUDGET_BYTES)
     }
 }
 
 impl MatCache {
-    /// An empty cache.
-    pub fn new(config: MatCacheConfig) -> Self {
+    /// An empty cache under `budget_bytes`: [`BUDGET_BYTES`] outside the
+    /// unit tests, which demote under a small one.
+    fn with_budget(budget_bytes: usize) -> Self {
         MatCache {
             store: Mutex::new(Store {
-                budget_bytes: config.budget_bytes,
-                min_savings_ms: config.min_savings_ms,
+                budget_bytes,
                 ..Store::default()
             }),
             flights: Flights::new(),
@@ -309,24 +282,15 @@ impl MatCache {
         self.flights.join(&ticket.key)
     }
 
-    /// Stores a complete plan result, pricing admission with the caller's
-    /// DCSM savings estimate and demoting lowest-savings entries while
-    /// the byte budget overflows.
-    pub fn store(
-        &self,
-        ticket: &MatTicket,
-        answers: Arc<[Subst]>,
-        savings_ms: f64,
-    ) -> StoreOutcome {
+    /// Stores a complete plan result priced at the caller's DCSM savings
+    /// estimate, demoting lowest-savings entries while the byte budget
+    /// overflows. False when the answer set alone exceeds the budget.
+    pub fn store(&self, ticket: &MatTicket, answers: Arc<[Subst]>, savings_ms: f64) -> bool {
         let bytes: usize = answers.iter().map(subst_bytes).sum();
         let mut store = self.store.lock();
-        if savings_ms < store.min_savings_ms {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return StoreOutcome::RejectedSavings;
-        }
         if bytes > store.budget_bytes {
             self.rejected.fetch_add(1, Ordering::Relaxed);
-            return StoreOutcome::RejectedSize;
+            return false;
         }
         store.remove(&ticket.key);
         store.tombstones.remove(&ticket.key);
@@ -349,10 +313,10 @@ impl MatCache {
         );
         // Never demote the incoming entry: it already fits and is the
         // freshest evidence of reuse.
-        let demoted = store.demote_to_budget(Some(&ticket.key));
+        let demoted = store.demote_to_budget(&ticket.key);
         self.demoted.fetch_add(demoted, Ordering::Relaxed);
         self.materialized.fetch_add(1, Ordering::Relaxed);
-        StoreOutcome::Stored(bytes)
+        true
     }
 
     /// Drops exactly the entries whose plans read `domain:function` — the
@@ -402,20 +366,6 @@ impl MatCache {
         store.by_call.clear();
         store.tombstones.clear();
         store.bytes = 0;
-    }
-
-    /// Replaces the byte budget, demoting immediately if the new budget
-    /// is already overflowed.
-    pub fn set_budget(&self, bytes: usize) {
-        let mut store = self.store.lock();
-        store.budget_bytes = bytes;
-        let demoted = store.demote_to_budget(None);
-        self.demoted.fetch_add(demoted, Ordering::Relaxed);
-    }
-
-    /// Replaces the admission floor (milliseconds of estimated saving).
-    pub fn set_min_savings(&self, ms: f64) {
-        self.store.lock().min_savings_ms = ms;
     }
 
     /// Counter snapshot plus live entry/byte counts.
@@ -504,10 +454,7 @@ mod tests {
             MatLookup::Miss { invalidated: None }
         ));
         let ans = answers(3);
-        assert!(matches!(
-            cache.store(&ticket, ans.clone(), 5.0),
-            StoreOutcome::Stored(_)
-        ));
+        assert!(cache.store(&ticket, ans.clone(), 5.0));
         match cache.lookup(&ticket) {
             MatLookup::Hit(got) => assert!(Arc::ptr_eq(&got, &ans)),
             other => panic!("expected hit, got {other:?}"),
@@ -543,30 +490,26 @@ mod tests {
 
     #[test]
     fn admission_floor_and_budget_demotion() {
-        let cache = MatCache::new(MatCacheConfig {
-            budget_bytes: 120,
-            min_savings_ms: 1.0,
-        });
-        let plan = plan_for("?- p(A, B).");
-        let ticket = cache.ticket(&plan).unwrap();
-        assert_eq!(
-            cache.store(&ticket, answers(2), 0.5),
-            StoreOutcome::RejectedSavings
+        // Room for two 36-byte answer sets, not three.
+        let cache = MatCache::with_budget(80);
+        let ticket = |src| cache.ticket(&plan_for(src)).unwrap();
+        let cheap = ticket("?- p(A, B).");
+        let dear = ticket("?- v(A).");
+        let fresh = ticket("?- p(A, C).");
+        assert!(
+            !cache.store(&cheap, answers(100), 50.0),
+            "larger than the whole budget"
         );
-        assert_eq!(
-            cache.store(&ticket, answers(100), 50.0),
-            StoreOutcome::RejectedSize
-        );
-        assert!(matches!(
-            cache.store(&ticket, answers(2), 50.0),
-            StoreOutcome::Stored(_)
-        ));
-        // Shrinking the budget demotes the (only, cheapest) entry.
-        cache.set_budget(1);
+        assert!(cache.store(&cheap, answers(2), 0.5));
+        assert!(cache.store(&dear, answers(2), 50.0));
+        // A third entry overflows the budget: the lowest-savings entry
+        // goes, and the incoming one stays however little it saves.
+        assert!(cache.store(&fresh, answers(2), 0.1));
+        assert!(matches!(cache.lookup(&cheap), MatLookup::Miss { .. }));
+        assert!(matches!(cache.lookup(&dear), MatLookup::Hit(_)));
+        assert!(matches!(cache.lookup(&fresh), MatLookup::Hit(_)));
         let stats = cache.stats();
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.demoted, 1);
-        assert_eq!(stats.rejected, 2);
+        assert_eq!((stats.entries, stats.demoted, stats.rejected), (2, 1, 1));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::breaker::BreakerBank;
 use crate::caches::{CacheControl, PlanningKnobs};
-use crate::cost::{estimate_plan, CostConfig};
+use crate::cost::CostConfig;
 use crate::cursor::InteractiveQuery;
 use crate::exec::{ExecConfig, ExecStats, Executor, SubgoalProvenance};
 use crate::matcache::MatCache;
@@ -37,11 +37,6 @@ pub struct MediatorConfig {
     /// site. Work the failed attempt completed survives in the answer
     /// cache, so the replanned run resumes rather than restarts.
     pub failover: bool,
-    /// Run the deterministic tier selector before every query (see
-    /// [`crate::tier`]). Off by default: the paper-exact path never
-    /// consults the selector unless the request itself carries a tier or
-    /// a budget.
-    pub adaptive_tiers: bool,
 }
 
 impl Default for MediatorConfig {
@@ -52,7 +47,6 @@ impl Default for MediatorConfig {
             exec: ExecConfig::default(),
             optimize_first_answer: false,
             failover: true,
-            adaptive_tiers: false,
         }
     }
 }
@@ -570,12 +564,6 @@ impl Mediator {
         }
         Ok(s)
     }
-
-    /// Re-estimates one plan with the current statistics (used by the
-    /// experiment harnesses to ask "what does DCSM predict now?").
-    pub fn estimate_plan(&self, plan: &Plan) -> CostVector {
-        estimate_plan(plan, self.dcsm(), &self.config().cost)
-    }
 }
 
 impl std::fmt::Debug for Mediator {
@@ -763,10 +751,14 @@ mod tests {
 
     #[test]
     fn adaptive_tiers_stay_full_when_nothing_is_wrong() {
+        // A budget no query comes near engages the selector.
         let mut m = mediator();
-        m.config_mut().adaptive_tiers = true;
         let adaptive = m
-            .query(QueryRequest::new("?- item(A, B).").trace(true))
+            .query(
+                QueryRequest::new("?- item(A, B).")
+                    .budget(SimDuration::from_secs(3_600))
+                    .trace(true),
+            )
             .unwrap();
         let mut plain = mediator();
         let reference = plain.query("?- item(A, B).").unwrap();

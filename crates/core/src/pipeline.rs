@@ -5,8 +5,8 @@
 //! [`ConcurrentMediator`](crate::server::ConcurrentMediator) is its one
 //! caller, and [`Mediator`](crate::mediator::Mediator) is the `&mut self`
 //! face of a one-shard `ConcurrentMediator` (DESIGN.md §12). What a run
-//! depends on besides the state on [`Pipeline`] — the clock, the gate's
-//! load, the tier-slot claim — is an argument of [`Pipeline::run`].
+//! depends on besides the state on [`Pipeline`] — the clock and the
+//! gate's load — is an argument of [`Pipeline::run`].
 //! A query is [`stage`](Pipeline::stage)d (parsed and planned) first and
 //! [`run`](Pipeline::run) second, so the caller picks the clock it runs
 //! on once planning is over.
@@ -63,10 +63,10 @@ pub(crate) struct Staged {
 }
 
 impl Staged {
-    /// True when the request or the configuration engages the tier
-    /// selector on its own; a bounded admission gate engages it too.
+    /// True when the request engages the tier selector on its own, with
+    /// a tier or a budget; a bounded admission gate engages it too.
     fn engages_tiers(&self) -> bool {
-        self.config.adaptive_tiers || self.tier.is_some() || self.config.exec.budget.is_some()
+        self.tier.is_some() || self.config.exec.budget.is_some()
     }
 
     /// The one ground call this query comes down to, when the answer
@@ -126,33 +126,25 @@ impl Pipeline<'_> {
     /// instant the run ended — also when it failed, since a dead plan's
     /// retries burned real virtual time.
     ///
-    /// The tier selector is engaged by [`MediatorConfig::adaptive_tiers`],
-    /// a per-request tier or budget, or a bounded admission gate
-    /// (`gate_load` is `Some`); otherwise the paper-exact path never
-    /// consults it and no decision is returned. `claim` turns the
-    /// selector's decision into the one the run is granted, plus a permit
-    /// held until execution ends.
-    pub fn run<P>(
+    /// The tier selector is engaged by a per-request tier or budget, or a
+    /// bounded admission gate (`gate_load` is `Some`); otherwise the
+    /// paper-exact path never consults it and no decision is returned.
+    pub fn run(
         &self,
         staged: Staged,
         gate_load: Option<TierLoad>,
         clock: &mut SimClock,
-        claim: impl FnOnce(TierDecision) -> Result<(TierDecision, P)>,
     ) -> Result<(QueryResult, Option<TierDecision>)> {
         let engaged = staged.engages_tiers() || gate_load.is_some();
         let (mut config, mut planned, tier) = (staged.config, staged.planned, staged.tier);
         let selected_at = clock.now();
-        let granted = if engaged {
+        let decision = engaged.then(|| {
             let load = gate_load.unwrap_or_else(TierLoad::unbounded);
             let decision = self.select_query_tier(tier, &mut planned, &config, load, selected_at);
-            let (decision, permit) = claim(decision)?;
             config.exec.tier = decision.tier;
-            Some((decision, permit))
-        } else {
-            None
-        };
+            decision
+        });
         let mut result = self.execute(&planned, staged.limit, &config, clock)?;
-        let decision = granted.map(|(decision, _permit)| decision);
         let traced =
             |d: &TierDecision| d.reason != TierReason::Default && config.exec.collect_trace;
         if let Some(TierDecision { tier, reason }) = decision.filter(traced) {

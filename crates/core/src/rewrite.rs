@@ -26,7 +26,7 @@ use hermes_cim::{CimPolicy, RoutingDecision};
 use hermes_common::{HermesError, PathStep, Result, Value};
 use hermes_lang::{
     validate_program, BodyAtom, CallTemplate, Condition, PathTerm, PredRules, Program, Query,
-    Relop, Rule, RuleIndex, Subst, Term,
+    Relop, Rule, RuleIndex, Subst, Term, MAX_DEPTH,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -74,13 +74,12 @@ impl PushdownRule {
     }
 }
 
-/// Rewriter limits.
+/// Rewriter limits. The rule expansions along one search path are capped
+/// at [`MAX_DEPTH`], a constant the analyzer reads too (`HA011`).
 #[derive(Clone, Copy, Debug)]
 pub struct RewriteConfig {
     /// Maximum number of plans to emit.
     pub max_plans: usize,
-    /// Maximum predicate-unfolding depth (guards against deep chains).
-    pub max_depth: usize,
     /// Stable-sort the enumerated plans by descending size of their
     /// largest *independence group* (see
     /// [`independence_groups`](crate::plan::independence_groups)), so
@@ -94,7 +93,6 @@ impl Default for RewriteConfig {
     fn default() -> Self {
         RewriteConfig {
             max_plans: 128,
-            max_depth: 32,
             favor_parallel: false,
         }
     }
@@ -300,7 +298,7 @@ struct Rewriter<'a> {
     plans: Vec<Plan>,
     /// Per plan, the hash of its steps.
     hashes: Vec<u64>,
-    /// The first predicate (in walk order) `max_depth` left unexpanded.
+    /// The first predicate (in walk order) [`MAX_DEPTH`] left unexpanded.
     cut: Option<(Arc<str>, usize)>,
 }
 
@@ -352,9 +350,8 @@ impl<'a> Rewriter<'a> {
                 .or_else(|| {
                     let (name, arity) = self.cut.as_ref()?;
                     Some(format!(
-                        "unfolding stopped at `{name}/{arity}`, max_depth ({}) rule \
-                         expansions deep",
-                        self.config.max_depth
+                        "unfolding stopped at `{name}/{arity}`, max_depth ({MAX_DEPTH}) rule \
+                         expansions deep"
                     ))
                 })
                 .unwrap_or_else(|| {
@@ -662,7 +659,7 @@ impl<'a> Rewriter<'a> {
     /// position in the execution order.)
     fn expand_pred(&mut self, i: usize, depth: usize) {
         let g = self.remaining[i];
-        if depth >= self.config.max_depth {
+        if depth >= MAX_DEPTH {
             if let (None, BodyAtom::Pred(p)) = (&self.cut, &self.goals[g].atom) {
                 self.cut = Some(p.key());
             }
@@ -760,18 +757,6 @@ impl<'a> Rewriter<'a> {
         self.place(g, Route::Direct, depth);
         self.remaining.insert(i, g);
     }
-}
-
-/// The canonical subplan fingerprint of a query's goal conjunction (see
-/// [`hermes_analysis::fingerprint`]): the key under which a subplan result
-/// cache would file this query's answers. Stable across variable renaming,
-/// reordering of independent goals, and symmetric comparison spelling, so
-/// the rewriter, the analyzer's `HA070`-series inventory, and any future
-/// materialized-view store all speak the same 64-bit keys. Queries start
-/// with no bindings (parameter substitution happens in [`bind_query`]
-/// first), so the entry-binding seed is empty.
-pub fn query_fingerprint(query: &Query) -> SubplanKey {
-    fingerprint_body(&query.goals, &BTreeSet::new())
 }
 
 /// Substitutes query-level constants into a query before planning: any

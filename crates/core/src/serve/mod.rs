@@ -902,7 +902,6 @@ fn unexpected(frame: &Frame) -> HermesError {
 mod tests {
     use super::*;
     use crate::mediator::Mediator;
-    use crate::server::GateConfig;
     use hermes_domains::slow::SlowDomain;
     use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
     use hermes_net::{profiles, Network};
@@ -1104,7 +1103,7 @@ mod tests {
     fn gate_sheds_surface_as_shed_errors_on_the_wire() {
         in_both_modes(|mode| {
             let (net, addr) = serve(ServeConfig::builder().mode(mode).build());
-            net.mediator().set_gate(GateConfig::bounded(0));
+            net.mediator().set_gate(Some(0));
             let mut client = WireClient::connect(&addr).unwrap();
             let err = client.query(QueryFrame::new("?- item(A, B).")).unwrap_err();
             assert!(matches!(err, HermesError::Shed { .. }), "got {err:?}");

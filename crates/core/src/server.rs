@@ -40,7 +40,7 @@ use crate::flight::InFlightRegistry;
 use crate::matcache::MatCache;
 use crate::mediator::{Planned, QueryRequest, QueryResult};
 use crate::pipeline::{Pipeline, PlanningCore, Staged};
-use crate::tier::{PlanTier, TierDecision, TierLoad, TierReason};
+use crate::tier::{PlanTier, TierLoad};
 use hermes_cim::{CimView, ShardedCim};
 use hermes_common::sync::Mutex;
 use hermes_common::{HermesError, Result, SimClock, SimDuration, SimInstant};
@@ -85,100 +85,28 @@ pub struct ServerStats {
     pub subplans_materialized: u64,
 }
 
-/// Admission-gate limits. The default is unbounded on every axis — the
-/// gate admits everything and the server behaves exactly as before.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GateConfig {
-    /// Total concurrently admitted queries; `usize::MAX` = unbounded.
-    pub capacity: usize,
-    /// Concurrency budget for queries starting at `CacheOnly`.
-    pub cache_only_slots: usize,
-    /// Concurrency budget for queries starting at `CachedPlusCheapRemote`.
-    pub cached_cheap_slots: usize,
-    /// Concurrency budget for queries starting at `Full`.
-    pub full_slots: usize,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig {
-            capacity: usize::MAX,
-            cache_only_slots: usize::MAX,
-            cached_cheap_slots: usize::MAX,
-            full_slots: usize::MAX,
-        }
-    }
-}
-
-impl GateConfig {
-    /// A gate bounded only in total: `capacity` concurrent queries, no
-    /// per-tier budgets.
-    pub fn bounded(capacity: usize) -> Self {
-        GateConfig {
-            capacity,
-            ..GateConfig::default()
-        }
-    }
-}
-
-/// The bounded admission gate: lock-free counters over a [`GateConfig`].
-///
-/// Total admission is checked at the front door (before any parsing or
-/// planning — a shed query costs nothing and returns immediately);
-/// per-tier budgets are checked once the tier selector has decided where
-/// the query starts. A query whose tier budget is full falls to the next
-/// cheaper tier with room (a gate-forced downgrade) and is shed only when
-/// every tier down to `CacheOnly` is saturated.
+/// The admission gate: a lock-free count of admitted queries under one
+/// capacity (`usize::MAX` = unbounded, the default). Admission is checked
+/// at the front door, before any parsing or planning — a shed query costs
+/// nothing and returns immediately.
 #[derive(Debug)]
 struct AdmissionGate {
     capacity: AtomicUsize,
-    /// Indexed by tier: 0 = CacheOnly, 1 = CachedPlusCheapRemote, 2 = Full.
-    tier_slots: [AtomicUsize; 3],
     in_flight: AtomicUsize,
-    tier_in_flight: [AtomicUsize; 3],
-}
-
-fn tier_index(tier: PlanTier) -> usize {
-    match tier {
-        PlanTier::CacheOnly => 0,
-        PlanTier::CachedPlusCheapRemote => 1,
-        PlanTier::Full => 2,
-    }
 }
 
 impl AdmissionGate {
     fn unbounded() -> Self {
         AdmissionGate {
             capacity: AtomicUsize::new(usize::MAX),
-            tier_slots: [
-                AtomicUsize::new(usize::MAX),
-                AtomicUsize::new(usize::MAX),
-                AtomicUsize::new(usize::MAX),
-            ],
             in_flight: AtomicUsize::new(0),
-            tier_in_flight: [
-                AtomicUsize::new(0),
-                AtomicUsize::new(0),
-                AtomicUsize::new(0),
-            ],
         }
     }
 
-    fn set(&self, config: GateConfig) {
-        self.capacity.store(config.capacity, Ordering::Relaxed);
-        self.tier_slots[0].store(config.cache_only_slots, Ordering::Relaxed);
-        self.tier_slots[1].store(config.cached_cheap_slots, Ordering::Relaxed);
-        self.tier_slots[2].store(config.full_slots, Ordering::Relaxed);
-    }
-
-    /// True when any axis is finite — only then does the gate engage the
-    /// tier selector on the default path.
+    /// True when the capacity is finite — only then does the gate engage
+    /// the tier selector on the default path.
     fn is_bounded(&self) -> bool {
         self.capacity.load(Ordering::Relaxed) != usize::MAX
-            || self
-                .tier_slots
-                .iter()
-                .any(|s| s.load(Ordering::Relaxed) != usize::MAX)
     }
 
     /// The load the tier selector sees.
@@ -199,25 +127,9 @@ impl AdmissionGate {
         }
         Some(GatePermit { gate: self.clone() })
     }
-
-    /// Claims a slot at `tier`, falling to cheaper tiers while the
-    /// requested one is saturated. `None` means every tier is full.
-    fn acquire_tier(&self, tier: PlanTier) -> Option<(PlanTier, TierPermit<'_>)> {
-        let mut t = tier;
-        loop {
-            let idx = tier_index(t);
-            let slots = self.tier_slots[idx].load(Ordering::Relaxed);
-            let prev = self.tier_in_flight[idx].fetch_add(1, Ordering::AcqRel);
-            if prev < slots {
-                return Some((t, TierPermit { gate: self, idx }));
-            }
-            self.tier_in_flight[idx].fetch_sub(1, Ordering::AcqRel);
-            t = t.downgraded()?;
-        }
-    }
 }
 
-/// RAII total-capacity slot. It owns its handle on the gate, so a staged
+/// RAII admission slot. It owns its handle on the gate, so a staged
 /// query can carry its admission from the thread that staged it to the
 /// thread that runs it.
 #[derive(Debug)]
@@ -228,18 +140,6 @@ struct GatePermit {
 impl Drop for GatePermit {
     fn drop(&mut self) {
         self.gate.in_flight.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// RAII per-tier slot.
-struct TierPermit<'g> {
-    gate: &'g AdmissionGate,
-    idx: usize,
-}
-
-impl Drop for TierPermit<'_> {
-    fn drop(&mut self) {
-        self.gate.tier_in_flight[self.idx].fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -321,12 +221,13 @@ impl ConcurrentMediator {
         }
     }
 
-    /// Bounds the admission gate. The default gate is unbounded (nothing
-    /// is shed, no tier budgets); a bounded gate additionally engages the
-    /// tier selector on every query so overload degrades service instead
-    /// of queueing it.
-    pub fn set_gate(&self, config: GateConfig) {
-        self.gate.set(config);
+    /// Bounds the admission gate at `capacity` concurrently admitted
+    /// queries; `None` makes it unbounded again, the default (nothing is
+    /// shed). A bounded gate also engages the tier selector on every
+    /// query, so overload degrades service instead of queueing it.
+    pub fn set_gate(&self, capacity: Option<usize>) {
+        let capacity = capacity.unwrap_or(usize::MAX);
+        self.gate.capacity.store(capacity, Ordering::Relaxed);
     }
 
     /// Switches query execution onto a wall-anchored clock (see
@@ -371,8 +272,7 @@ impl ConcurrentMediator {
     }
 
     /// The second half of [`query`](Self::query): tier selection (it
-    /// needs the cost estimate), the per-tier slot — claimed last and held
-    /// across execution — and the run itself.
+    /// needs the cost estimate) and the run itself.
     pub(crate) fn run(&self, query: StagedQuery) -> Result<QueryResult> {
         // Each query runs on its own clock, started once it is planned at
         // the high-water mark of finished queries and folded back into it
@@ -382,7 +282,6 @@ impl ConcurrentMediator {
             query.staged,
             self.gate.is_bounded().then(|| self.gate.load()),
             &mut clock,
-            |decision| self.claim_tier(decision),
         );
         self.fold_clock(&clock);
         let result = served.map(|(result, granted)| {
@@ -451,8 +350,8 @@ impl ConcurrentMediator {
         *self.epoch_us.get_mut() += d.as_micros();
     }
 
-    /// True while the admission gate is bounded on any axis: every query
-    /// then goes through the tier selector and holds a tier slot.
+    /// True while the admission gate is bounded: every query then goes
+    /// through the tier selector.
     pub(crate) fn gate_bounded(&self) -> bool {
         self.gate.is_bounded()
     }
@@ -502,24 +401,6 @@ impl ConcurrentMediator {
     fn count_admitted(&self) {
         self.admitted.fetch_add(1, Ordering::Relaxed);
         self.queries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Claims a gate slot for the selector's decision, falling to cheaper
-    /// tiers while the chosen one is saturated. A gate-forced fall is a
-    /// load decision, whatever the selector's original reason.
-    fn claim_tier(&self, decision: TierDecision) -> Result<(TierDecision, TierPermit<'_>)> {
-        let (tier, permit) =
-            self.gate
-                .acquire_tier(decision.tier)
-                .ok_or_else(|| HermesError::Shed {
-                    reason: "tier-budget-full".into(),
-                })?;
-        let reason = if tier < decision.tier {
-            TierReason::HighLoad
-        } else {
-            decision.reason
-        };
-        Ok((TierDecision { tier, reason }, permit))
     }
 
     /// The sharded answer cache.
@@ -649,9 +530,6 @@ mod tests {
 
     fn assert_no_permit_out(server: &ConcurrentMediator) {
         assert_eq!(server.gate.in_flight.load(Ordering::Acquire), 0);
-        for tier in &server.gate.tier_in_flight {
-            assert_eq!(tier.load(Ordering::Acquire), 0);
-        }
     }
 
     fn sorted(rows: &[Vec<hermes_common::Value>]) -> Vec<Vec<hermes_common::Value>> {
@@ -732,7 +610,7 @@ mod tests {
     #[test]
     fn zero_capacity_gate_sheds_with_the_gate_full_reason() {
         let server = mediator().to_concurrent(2);
-        server.set_gate(GateConfig::bounded(0));
+        server.set_gate(Some(0));
         let err = server.query("?- item('p_1', B).").unwrap_err();
         match err {
             HermesError::Shed { reason } => assert_eq!(reason, "gate-full"),
@@ -749,7 +627,7 @@ mod tests {
         let unbounded = mediator().to_concurrent(2);
         let expected = sorted(&unbounded.query("?- item(A, B).").unwrap().rows);
         let server = mediator().to_concurrent(2);
-        server.set_gate(GateConfig::bounded(8));
+        server.set_gate(Some(8));
         let got = server.query("?- item(A, B).").unwrap();
         assert_eq!(sorted(&got.rows), expected);
         let stats = server.stats();
@@ -767,26 +645,6 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.admitted, 2);
         assert_eq!(stats.downgraded, 1);
-    }
-
-    #[test]
-    fn saturated_tier_budget_falls_down_rather_than_shedding() {
-        let server = mediator().to_concurrent(2);
-        // No Full slots at all: every query is gate-forced below Full.
-        server.set_gate(GateConfig {
-            capacity: 8,
-            cache_only_slots: usize::MAX,
-            cached_cheap_slots: usize::MAX,
-            full_slots: 0,
-        });
-        let got = server.query("?- item('p_1', B).").unwrap();
-        assert!(!got.rows.is_empty() || got.incomplete);
-        let stats = server.stats();
-        assert_eq!(stats.shed, 0);
-        assert_eq!(
-            stats.downgraded, 1,
-            "gate-forced tier fall counts as degraded"
-        );
     }
 
     #[test]
@@ -840,14 +698,11 @@ mod tests {
         let server = m.to_concurrent(2);
         refused(&server, QueryRequest::new(warm).tier(PlanTier::Full));
         refused(&server, QueryRequest::new(warm).budget(budget));
-        server.set_gate(GateConfig::bounded(8));
+        server.set_gate(Some(8));
         refused(&server, QueryRequest::new(warm));
-        server.set_gate(GateConfig::default());
+        server.set_gate(None);
         let staged = server.stage(&QueryRequest::new(warm)).unwrap();
         assert!(server.run_cached(staged).is_ok(), "and nothing else does");
-
-        m.config_mut().adaptive_tiers = true;
-        refused(&m.to_concurrent(2), QueryRequest::new(warm));
     }
 
     #[test]

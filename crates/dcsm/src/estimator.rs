@@ -363,29 +363,25 @@ impl Dcsm {
         }
         None
     }
-
-    /// Estimated saving, in milliseconds, from materializing a subplan with
-    /// these call patterns once instead of executing it `occurrences` times
-    /// (the static analyzer's `HA073` sharing estimate). The per-execution
-    /// cost is the sequential sum of the patterns' `t_all` estimates — a
-    /// deliberate upper bound: sharing saves the most exactly when the
-    /// calls could not overlap anyway.
-    pub fn estimate_subplan_savings(&self, patterns: &[CallPattern], occurrences: usize) -> f64 {
-        let per_exec: f64 = patterns.iter().map(|p| self.cost(p).t_all_ms()).sum();
-        per_exec * occurrences.saturating_sub(1) as f64
-    }
 }
 
-/// Greedy list-scheduling makespan of a parallel dispatch group — the
-/// single overlap formula shared by the plan cost model and the executor,
-/// so estimates and simulated execution agree.
+/// Mediator-side milliseconds to put one call of a dispatched group in
+/// flight: what [`overlap_makespan`] charges each call, and what the
+/// executor's group dispatch adds to each member's slot time.
+pub const DISPATCH_OVERHEAD_MS: f64 = 0.05;
+
+/// Greedy list-scheduling makespan of a parallel dispatch group, as the
+/// plan cost model prices it. The executor schedules its slots in its own
+/// loop over the same rule (earliest-free slot, plus
+/// [`DISPATCH_OVERHEAD_MS`] per call), on measured rather than estimated
+/// durations.
 ///
 /// Each call, in order, occupies the earliest-free of `slots` dispatch
-/// slots for its duration plus `dispatch_overhead_ms` (the scheduler's
-/// per-call bookkeeping); the makespan is when the last slot drains.
-/// `slots = 1` degenerates to the sequential sum (plus overheads); with
-/// unlimited slots it approaches `max(durations) + overhead`.
-pub fn overlap_makespan(durations_ms: &[f64], slots: usize, dispatch_overhead_ms: f64) -> f64 {
+/// slots for its duration plus the dispatch overhead; the makespan is
+/// when the last slot drains. `slots = 1` degenerates to the sequential
+/// sum (plus overheads); with unlimited slots it approaches
+/// `max(durations) + overhead`.
+pub fn overlap_makespan(durations_ms: &[f64], slots: usize) -> f64 {
     let slots = slots.max(1).min(durations_ms.len().max(1));
     let mut free = vec![0.0f64; slots];
     for &d in durations_ms {
@@ -395,7 +391,7 @@ pub fn overlap_makespan(durations_ms: &[f64], slots: usize, dispatch_overhead_ms
             .min_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
             .expect("at least one slot");
-        free[slot] += d.max(0.0) + dispatch_overhead_ms.max(0.0);
+        free[slot] += d.max(0.0) + DISPATCH_OVERHEAD_MS;
     }
     free.iter().copied().fold(0.0, f64::max)
 }

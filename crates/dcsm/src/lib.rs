@@ -46,7 +46,9 @@ pub mod summary;
 pub mod vectordb;
 
 pub use cost::{CostVector, MeanAgg};
-pub use estimator::{overlap_makespan, Dcsm, DcsmConfig, EstimateOutcome, EstimateSource};
+pub use estimator::{
+    overlap_makespan, Dcsm, DcsmConfig, EstimateOutcome, EstimateSource, DISPATCH_OVERHEAD_MS,
+};
 pub use maintenance::{droppable_dimensions, AccessTracker};
 pub use sharded::{CostSource, DcsmView, ShardedDcsm};
 pub use summary::{SummaryRow, SummaryTable};

@@ -23,9 +23,11 @@ pub trait CostSource {
 
     /// Estimated saving, in milliseconds, from materializing a subplan
     /// with these call patterns once instead of executing it
-    /// `occurrences` times — [`Dcsm::estimate_subplan_savings`] made
-    /// available through every shared-state view, so the runtime subplan
-    /// cache prices admission with the analyzer's own HA073 measure.
+    /// `occurrences` times: the analyzer's HA073 sharing estimate, and the
+    /// price by which the runtime subplan cache demotes entries. The
+    /// per-execution cost is the sequential sum of the patterns' `t_all`
+    /// estimates — a deliberate upper bound: sharing saves the most
+    /// exactly when the calls could not overlap anyway.
     fn estimate_subplan_savings(&self, patterns: &[CallPattern], occurrences: usize) -> f64 {
         let per_exec: f64 = patterns.iter().map(|p| self.cost(p).t_all_ms()).sum();
         per_exec * occurrences.saturating_sub(1) as f64

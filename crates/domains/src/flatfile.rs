@@ -106,12 +106,6 @@ impl FlatFileDomain {
         n
     }
 
-    /// Loads a named file from disk.
-    pub fn load_path(&self, file: impl Into<Arc<str>>, path: &std::path::Path) -> Result<usize> {
-        let text = std::fs::read_to_string(path)?;
-        Ok(self.load_text(file, &text))
-    }
-
     fn cost(&self, lines_scanned: usize) -> ComputeCost {
         let t_all_us = self.params.open_us + self.params.per_line_us * lines_scanned as f64;
         // Pipelined: first answer typically arrives early in the scan.

@@ -85,11 +85,6 @@ impl RelationalDomain {
         self.tables.write().get_mut(name).map(f)
     }
 
-    /// Table names, sorted.
-    pub fn table_names(&self) -> Vec<Arc<str>> {
-        self.tables.read().keys().cloned().collect()
-    }
-
     fn table_arg<'a>(&self, function: &str, args: &'a [Value]) -> Result<&'a str> {
         args[0].as_str().ok_or_else(|| {
             HermesError::Type(format!(

@@ -217,20 +217,6 @@ impl Table {
         Ok(())
     }
 
-    /// True if `column` has a hash index.
-    pub fn has_hash_index(&self, column: &str) -> bool {
-        self.schema
-            .position(column)
-            .is_some_and(|p| self.hash_indexes.contains_key(&p))
-    }
-
-    /// True if `column` has an ordered index.
-    pub fn has_ordered_index(&self, column: &str) -> bool {
-        self.schema
-            .position(column)
-            .is_some_and(|p| self.ordered_indexes.contains_key(&p))
-    }
-
     fn position(&self, column: &str) -> Result<usize> {
         self.schema.position(column).ok_or_else(|| {
             HermesError::Type(format!("table `{}` has no column `{column}`", self.name))

@@ -157,25 +157,12 @@ impl SyntheticDomain {
         }
     }
 
-    /// Relation names.
-    pub fn relation_names(&self) -> Vec<&str> {
-        self.relations.keys().map(|s| s.as_str()).collect()
-    }
-
     /// All left-hand values of a relation (workload generators draw probe
     /// arguments from here).
     pub fn domain_values(&self, relation: &str) -> Vec<Value> {
         self.relations
             .get(relation)
             .map(|r| r.forward.keys().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// All right-hand values of a relation.
-    pub fn range_values(&self, relation: &str) -> Vec<Value> {
-        self.relations
-            .get(relation)
-            .map(|r| r.inverse.keys().cloned().collect())
             .unwrap_or_default()
     }
 

@@ -60,11 +60,6 @@ impl TerrainMap {
         self.places.insert(name.into(), cell);
     }
 
-    /// Names of registered places.
-    pub fn place_names(&self) -> Vec<Arc<str>> {
-        self.places.keys().cloned().collect()
-    }
-
     fn in_bounds(&self, (x, y): Cell) -> bool {
         x >= 0 && y >= 0 && x < self.width && y < self.height
     }

@@ -67,3 +67,11 @@ pub use validate::{
     groundability, validate_invariant, validate_program, validate_rule, GroundabilityReport,
     StuckAtom,
 };
+
+/// The most rule expansions one plan may take: the rewriter stops
+/// unfolding a search path once it has expanded this many rule-defined
+/// atoms (its `max_depth` error), and the analyzer warns (`HA011`) about
+/// a declared query form that needs more. The count is a sum over the
+/// whole unfolding, not how deep the rules nest: two 15-link chains under
+/// one rule need 33.
+pub const MAX_DEPTH: usize = 32;

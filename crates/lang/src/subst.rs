@@ -39,11 +39,6 @@ impl Subst {
         self.map.get(var)
     }
 
-    /// True if `var` is bound.
-    pub fn is_bound(&self, var: &str) -> bool {
-        self.map.contains_key(var)
-    }
-
     /// Binds `var` to `value`, replacing any previous binding.
     pub fn bind(&mut self, var: impl Into<Arc<str>>, value: Value) {
         self.map.insert(var.into(), value);

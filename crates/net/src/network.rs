@@ -143,16 +143,6 @@ impl Network {
         self.faults = Some(plan);
     }
 
-    /// Removes any installed fault plan.
-    pub fn clear_fault_plan(&mut self) {
-        self.faults = None;
-    }
-
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Places a domain at a site.
     pub fn place(&mut self, domain: Arc<dyn Domain>, site: Site) {
         let name: Arc<str> = Arc::from(domain.name());

@@ -496,7 +496,7 @@ fn dispatch(mediator: &mut Mediator, state: &mut ReplState, line: &str) -> herme
                         "exponential backoff"
                     },
                     c.retry_backoff_ms,
-                    c.retry_backoff_cap_ms,
+                    hermes::core::exec::RETRY_BACKOFF_CAP_MS,
                 );
             }
             _ => println!("usage: :retry <n> [backoff_ms]"),

@@ -21,7 +21,7 @@
 
 use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes::domains::SlowDomain;
-use hermes::{profiles, GateConfig, Mediator, NetServer, Network, ServeConfig, ServeMode};
+use hermes::{profiles, Mediator, NetServer, Network, ServeConfig, ServeMode};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -63,19 +63,13 @@ const KEYS: usize = 64;
 
 struct Options {
     addr: String,
-    mode: ServeMode,
-    workers: usize,
-    pending: usize,
-    max_conns: usize,
-    pipeline: usize,
-    queue: usize,
-    idle_timeout: Option<Duration>,
-    batch_rows: usize,
+    /// The serving settings, at `ServeConfig`'s defaults until a flag
+    /// sets one.
+    serve: ServeConfig,
     gate: Option<usize>,
     delay: Duration,
     shards: usize,
     seed: u64,
-    wall_clock: bool,
     program: Option<String>,
 }
 
@@ -83,19 +77,11 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             addr: "127.0.0.1:7464".into(),
-            mode: ServeMode::Auto,
-            workers: 8,
-            pending: 64,
-            max_conns: 10_000,
-            pipeline: 32,
-            queue: 1024,
-            idle_timeout: None,
-            batch_rows: 512,
+            serve: ServeConfig::default(),
             gate: None,
             delay: Duration::from_millis(3),
             shards: 8,
             seed: 42,
-            wall_clock: true,
             program: None,
         }
     }
@@ -110,25 +96,25 @@ fn parse_args() -> Result<Options, String> {
             "--addr" => opts.addr = take("--addr")?,
             "--mode" => {
                 let name = take("--mode")?;
-                opts.mode = ServeMode::parse(&name)
+                opts.serve.mode = ServeMode::parse(&name)
                     .ok_or_else(|| format!("unknown mode {name} (auto | pool | reactor)"))?;
             }
-            "--workers" => opts.workers = num(&take("--workers")?)?,
-            "--pending" => opts.pending = num(&take("--pending")?)?,
-            "--max-conns" => opts.max_conns = num(&take("--max-conns")?)?,
-            "--pipeline" => opts.pipeline = num(&take("--pipeline")?)?,
-            "--queue" => opts.queue = num(&take("--queue")?)?,
+            "--workers" => opts.serve.workers = num(&take("--workers")?)?,
+            "--pending" => opts.serve.pending_conns = num(&take("--pending")?)?,
+            "--max-conns" => opts.serve.max_conns = num(&take("--max-conns")?)?,
+            "--pipeline" => opts.serve.pipeline_depth = num(&take("--pipeline")?)?,
+            "--queue" => opts.serve.queue_depth = num(&take("--queue")?)?,
             "--idle-timeout-ms" => {
-                opts.idle_timeout = Some(Duration::from_millis(
-                    num(&take("--idle-timeout-ms")?)? as u64
-                ));
+                opts.serve.idle_timeout = Some(Duration::from_millis(num(&take(
+                    "--idle-timeout-ms",
+                )?)? as u64));
             }
-            "--batch-rows" => opts.batch_rows = num(&take("--batch-rows")?)?,
+            "--batch-rows" => opts.serve.batch_rows = num(&take("--batch-rows")?)?,
             "--gate" => opts.gate = Some(num(&take("--gate")?)?),
             "--delay-ms" => opts.delay = Duration::from_millis(num(&take("--delay-ms")?)? as u64),
             "--shards" => opts.shards = num(&take("--shards")?)?,
             "--seed" => opts.seed = num(&take("--seed")?)? as u64,
-            "--sim-clock" => opts.wall_clock = false,
+            "--sim-clock" => opts.serve.wall_clock = false,
             "--program" => opts.program = Some(take("--program")?),
             "-h" | "--help" => {
                 print!("{HELP}");
@@ -230,22 +216,10 @@ fn main() {
     };
 
     let server = Arc::new(mediator.to_concurrent(opts.shards));
-    if let Some(capacity) = opts.gate {
-        server.set_gate(GateConfig::bounded(capacity));
-    }
+    server.set_gate(opts.gate);
 
-    let config = ServeConfig::builder()
-        .mode(opts.mode)
-        .workers(opts.workers)
-        .pending_conns(opts.pending)
-        .max_conns(opts.max_conns)
-        .pipeline_depth(opts.pipeline)
-        .queue_depth(opts.queue)
-        .idle_timeout(opts.idle_timeout)
-        .batch_rows(opts.batch_rows)
-        .wall_clock(opts.wall_clock)
-        .build();
-    let net = match NetServer::bind(server, opts.addr.as_str(), config) {
+    let (workers, wall_clock) = (opts.serve.workers, opts.serve.wall_clock);
+    let net = match NetServer::bind(server, opts.addr.as_str(), opts.serve) {
         Ok(n) => n,
         Err(e) => {
             eprintln!("hermes-serve: bind {}: {e}", opts.addr);
@@ -256,8 +230,8 @@ fn main() {
         "hermes-serve: listening on {} ({} mode, {} workers, {})",
         net.addr(),
         net.mode().name(),
-        opts.workers,
-        if opts.wall_clock {
+        workers,
+        if wall_clock {
             "wall clock"
         } else {
             "sim clock"

@@ -59,11 +59,11 @@ pub use hermes_common::{
 };
 pub use hermes_core::{
     BreakerBank, BreakerConfig, BreakerState, CacheControl, CachePolicy, CacheSnapshot, CacheTier,
-    ConcurrentMediator, ExecConfig, ExecStats, GateConfig, InFlightRegistry, IncompleteReason,
-    InteractiveQuery, InvalidationSweep, MatCache, MatCacheConfig, MatCacheStats, Mediator,
-    MediatorConfig, NetServer, NetServerStats, Plan, PlanTier, QueryRequest, QueryResult,
-    RemoteResult, ServeConfig, ServeConfigBuilder, ServeMode, ServerStats, SubgoalProvenance,
-    TierReason, WireClient,
+    ConcurrentMediator, ExecConfig, ExecStats, InFlightRegistry, IncompleteReason,
+    InteractiveQuery, InvalidationSweep, MatCache, MatCacheStats, Mediator, MediatorConfig,
+    NetServer, NetServerStats, Plan, PlanTier, QueryRequest, QueryResult, RemoteResult,
+    ServeConfig, ServeConfigBuilder, ServeMode, ServerStats, SubgoalProvenance, TierReason,
+    WireClient,
 };
 pub use hermes_dcsm::{Dcsm, DcsmConfig, ShardedDcsm};
 pub use hermes_lang::{parse_invariant, parse_invariants, parse_program, parse_query};

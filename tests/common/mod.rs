@@ -1,17 +1,13 @@
 //! Shared by the serving test files (`reactor.rs`, `netserve.rs`) and
 //! `plan_parity.rs`: the source wrapper that keeps source calls off the
-//! reactor thread, the probe that shows every gate and tier permit came
-//! back, and a world of canned sources for any example program.
+//! reactor thread, the probe that shows every gate permit came back, and
+//! a world of canned sources for any example program.
 #![allow(dead_code)] // each test file uses its own subset
 
 use hermes::common::Record;
-use hermes::core::{TierReason, TraceEvent};
 use hermes::domains::{CallOutcome, Domain, FunctionSig, NativeEstimator};
 use hermes::net::profiles;
-use hermes::{
-    parse_program, ConcurrentMediator, GateConfig, HermesError, Mediator, Network, PlanTier,
-    QueryRequest, Value,
-};
+use hermes::{parse_program, ConcurrentMediator, HermesError, Mediator, Network, Value};
 use std::sync::Arc;
 
 /// Wraps a source so that a call executed on the thread named
@@ -54,44 +50,15 @@ impl Domain for OffReactor {
     }
 }
 
-/// Shows that no gate or tier permit is still out, through the public API
-/// alone: a leaked gate slot makes a one-slot gate shed, a leaked tier
-/// slot makes a one-slot tier shed or fall (traced as a `HighLoad` fall).
-/// Leaves the gate unbounded. `query` must be answerable from the cache.
+/// Shows that no gate permit is still out, through the public API alone:
+/// a leaked permit makes a one-slot gate shed. Leaves the gate unbounded.
+/// `query` must be answerable from the cache.
 pub fn assert_permits_released(m: &ConcurrentMediator, query: &str) {
-    m.set_gate(GateConfig::bounded(1));
+    m.set_gate(Some(1));
     if let Err(e @ HermesError::Shed { .. }) = m.query(query) {
         panic!("a gate permit is still out: {e}");
     }
-    // One slot per tier, no bound on the total (so load is never "high").
-    let mut one_each = GateConfig::bounded(usize::MAX);
-    one_each.cache_only_slots = 1;
-    one_each.cached_cheap_slots = 1;
-    one_each.full_slots = 1;
-    m.set_gate(one_each);
-    for tier in [
-        PlanTier::Full,
-        PlanTier::CachedPlusCheapRemote,
-        PlanTier::CacheOnly,
-    ] {
-        let got = m
-            .query(QueryRequest::new(query).tier(tier).trace(true))
-            .unwrap_or_else(|e| panic!("a {tier} permit is still out: {e}"));
-        let fell = got.trace.iter().any(|entry| {
-            matches!(
-                entry.event,
-                TraceEvent::TierSelected {
-                    reason: TierReason::HighLoad,
-                    ..
-                }
-            )
-        });
-        assert!(
-            !fell,
-            "a {tier} permit is still out: the request fell a tier"
-        );
-    }
-    m.set_gate(GateConfig::default());
+    m.set_gate(None);
 }
 
 /// A stand-in source for the example programs: every declared function

@@ -8,7 +8,10 @@
 //! open steps on the heap too, where recursing once per plan step
 //! overflowed near 2 000. And a query as wide as it is long — ten
 //! independent calls and one whose argument nothing binds — is refused
-//! before the rewriter tries every ordering of the other ten.
+//! before the rewriter tries every ordering of the other ten. A chain
+//! that unfolds past the rewriter's cap plans nothing, and the analyzer
+//! says so (`HA011`) for every declared query form that needs more
+//! expansions than the cap.
 
 use hermes::analysis::Analyzer;
 use hermes::core::{enumerate_plans, RewriteConfig};
@@ -22,11 +25,17 @@ use std::time::{Duration, Instant};
 const DEPTH: usize = 100_000;
 
 fn chain_source(depth: usize) -> String {
+    named_chain("p", depth)
+}
+
+/// `{name}0 :- {name}1. … {name}{depth}(A, B) :- in(..).`: `depth` links
+/// and the leaf, `depth + 1` rule expansions.
+fn named_chain(name: &str, depth: usize) -> String {
     let mut src = String::new();
     for i in 0..depth {
-        src.push_str(&format!("p{i}(A, B) :- p{}(A, B).\n", i + 1));
+        src.push_str(&format!("{name}{i}(A, B) :- {name}{}(A, B).\n", i + 1));
     }
-    src.push_str(&format!("p{depth}(A, B) :- in(B, d1:p_bf(A)).\n"));
+    src.push_str(&format!("{name}{depth}(A, B) :- in(B, d1:p_bf(A)).\n"));
     src
 }
 
@@ -82,6 +91,77 @@ fn a_chain_past_max_depth_names_the_cap() {
         msg.contains("unfolding stopped at `p32/2`, max_depth (32) rule expansions deep"),
         "{msg}"
     );
+}
+
+/// The chain of `depth` links under a declared `p0(b, f)` form.
+fn declared_chain(depth: usize) -> String {
+    format!("%! query p0(b, f)\n{}", chain_source(depth))
+}
+
+/// `top` over two chains of `depth` links each: `2 * depth + 3` rule
+/// expansions, though the rules nest only `depth + 2` deep.
+fn declared_fork(depth: usize) -> String {
+    format!(
+        "%! query top(b, f)\ntop(A, C) :- a0(A, B) & b0(B, C).\n{}{}",
+        named_chain("a", depth),
+        named_chain("b", depth)
+    )
+}
+
+/// True when the analysis of `src` warns that a declared form unfolds
+/// past the rewriter's cap.
+fn warns_too_deep(src: &str) -> bool {
+    let program = parse_program(src).unwrap();
+    let report = Analyzer::new(&program).analyze();
+    assert!(report.errors().is_empty(), "{}", report.render());
+    let warned = report
+        .diagnostics
+        .iter()
+        .any(|d| d.code.as_str() == "HA011");
+    assert!(warned || report.is_clean(), "{}", report.render());
+    warned
+}
+
+fn plans(src: &str, query: &str) -> bool {
+    let program = parse_program(src).unwrap();
+    let query = parse_query(query).unwrap();
+    enumerate_plans(
+        &program,
+        &query,
+        &CimPolicy::never(),
+        RewriteConfig::default(),
+    )
+    .is_ok()
+}
+
+#[test]
+fn a_declared_chain_past_the_cap_warns() {
+    assert!(!warns_too_deep(&declared_chain(31)));
+    assert!(plans(&declared_chain(31), "?- p0('p_1', B)."));
+    assert!(warns_too_deep(&declared_chain(32)));
+    assert!(!plans(&declared_chain(32), "?- p0('p_1', B)."));
+}
+
+#[test]
+fn two_chains_under_one_rule_count_every_expansion() {
+    assert!(!warns_too_deep(&declared_fork(14)));
+    assert!(plans(&declared_fork(14), "?- top('k', C)."));
+    assert!(warns_too_deep(&declared_fork(15)));
+    assert!(!plans(&declared_fork(15), "?- top('k', C)."));
+}
+
+#[test]
+fn registering_a_chain_past_the_cap_lists_the_warning() {
+    let domain = SyntheticDomain::generate("d1", 42, &[RelationSpec::uniform("p", 8, 2.0)]);
+    let mut net = Network::new(1);
+    net.place(Arc::new(domain), profiles::cornell());
+    let m = Mediator::from_source(&declared_chain(32), net).unwrap();
+    let warning = m
+        .analysis_warnings()
+        .iter()
+        .find(|d| d.code.as_str() == "HA011")
+        .expect("the form is flagged");
+    assert!(warning.message.contains("33 rule expansions"), "{warning}");
 }
 
 #[test]

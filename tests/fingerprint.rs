@@ -9,9 +9,9 @@
 //! * **no collisions** — across every rule of the shipped examples and
 //!   test fixtures, equal fingerprints must mean equal canonical forms.
 
-use hermes::analysis::fingerprint::{fingerprint_body, fingerprint_rule};
-use hermes::lang::{parse_program, parse_query, parse_rule, Rule};
-use std::collections::{BTreeMap, BTreeSet};
+use hermes::analysis::fingerprint::fingerprint_rule;
+use hermes::lang::{parse_program, parse_rule, Rule};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -127,17 +127,4 @@ fn no_collisions_across_the_corpus() {
             );
         }
     }
-}
-
-#[test]
-fn core_exposes_the_same_keys() {
-    // `hermes_core::rewrite::query_fingerprint` and the analyzer must
-    // agree: the future subplan cache and today's HA070 inventory share
-    // one key space.
-    let query = parse_query("?- in(X, d:f('k')) & in(Y, e:g(X)).").unwrap();
-    let via_core = hermes::core::rewrite::query_fingerprint(&query);
-    let via_analysis = fingerprint_body(&query.goals, &BTreeSet::new());
-    assert_eq!(via_core.fingerprint, via_analysis.fingerprint);
-    assert_eq!(via_core.canonical, via_analysis.canonical);
-    assert_eq!(via_core.calls, via_analysis.calls);
 }

@@ -8,8 +8,7 @@ use common::OffReactor;
 use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes::net::profiles;
 use hermes::{
-    GateConfig, HermesError, Mediator, NetServer, Network, QueryFrame, ServeConfig, Value,
-    WireClient,
+    HermesError, Mediator, NetServer, Network, QueryFrame, ServeConfig, Value, WireClient,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -105,7 +104,7 @@ fn warm_queries_hit_the_cache_over_the_wire() {
 #[test]
 fn gate_shed_reaches_the_client_as_a_shed_error() {
     let (net, addr) = start();
-    net.mediator().set_gate(GateConfig::bounded(0));
+    net.mediator().set_gate(Some(0));
     let mut client = WireClient::connect(&addr).unwrap();
     let err = client.query(QueryFrame::new("?- item(A, B).")).unwrap_err();
     let HermesError::Shed { reason } = err else {

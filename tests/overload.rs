@@ -9,15 +9,19 @@ use hermes::core::TraceEvent;
 use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes::net::profiles;
 use hermes::{
-    GateConfig, HermesError, IncompleteReason, Mediator, Network, PlanTier, QueryRequest,
-    SimDuration, Value,
+    HermesError, IncompleteReason, Mediator, Network, PlanTier, QueryRequest, SimDuration, Site,
+    Value,
 };
 use std::sync::{Arc, Barrier};
 
 fn mediator(seed: u64) -> Mediator {
+    mediator_at(seed, profiles::maryland())
+}
+
+fn mediator_at(seed: u64, site: Site) -> Mediator {
     let domain = SyntheticDomain::generate("d1", seed, &[RelationSpec::uniform("p", 12, 2.0)]);
     let mut net = Network::new(seed);
-    net.place(Arc::new(domain), profiles::maryland());
+    net.place(Arc::new(domain), site);
     Mediator::from_source(
         "
         item(A, B) :- in(Ans, d1:p_ff()) & =(Ans.a, A) & =(Ans.b, B).
@@ -67,9 +71,10 @@ fn tier_selector_is_deterministic_across_seeds() {
 fn budget_pressure_downgrades_one_way_and_never_aborts() {
     // Two sequential remote calls; the budget burns out after the first.
     // The deadline is far away: the budget must fire first, producing a
-    // `Downgraded` gap — not a `DeadlineExceeded` abort.
-    let mut m = mediator(42);
-    m.config_mut().exec.cheap_call_ms = 0.0; // nothing is "cheap"
+    // `Downgraded` gap — not a `DeadlineExceeded` abort. A Cornell call
+    // takes longer than `CHEAP_CALL_MS`, so once the DCSM has seen the
+    // first, the cheaper tier refuses the second.
+    let mut m = mediator_at(42, profiles::cornell());
     let req = QueryRequest::new("?- pair(B, C).")
         .tier(PlanTier::Full)
         .budget(SimDuration::from_millis(1))
@@ -99,7 +104,7 @@ fn budget_pressure_downgrades_one_way_and_never_aborts() {
 fn deadline_without_budget_still_aborts_with_its_own_reason() {
     // The control for the test above: no budget, a too-tight deadline.
     // Provenance must say `DeadlineExceeded`, never `Downgraded`.
-    let mut m = mediator(42);
+    let mut m = mediator_at(42, profiles::cornell());
     let req = QueryRequest::new("?- pair(B, C).").deadline(SimDuration::from_millis(1));
     let result = m.query(req).unwrap();
     assert!(result.incomplete);
@@ -116,14 +121,14 @@ fn deadline_without_budget_still_aborts_with_its_own_reason() {
 
 #[test]
 fn tiered_serving_matches_serial_when_nothing_is_wrong() {
-    // Adaptive tiers on, healthy system, no budget, no load: the selector
-    // must pick Full and the answers must be bit-identical to the plain
-    // paper-exact mediator.
+    // The selector engaged by a budget no query comes near, healthy
+    // system, no load: it must pick Full and the answers must be
+    // bit-identical to the plain paper-exact mediator.
     let mut plain = mediator(7);
     let expected = plain.query("?- item(A, B).").unwrap();
     let mut tiered = mediator(7);
-    tiered.config_mut().adaptive_tiers = true;
-    let got = tiered.query("?- item(A, B).").unwrap();
+    let roomy = QueryRequest::new("?- item(A, B).").budget(SimDuration::from_secs(3_600));
+    let got = tiered.query(roomy).unwrap();
     assert_eq!(sorted(&got.rows), sorted(&expected.rows));
     assert_eq!(got.stats.tier_downgrades, 0);
     assert_eq!(got.stats.tier_skipped_calls, 0);
@@ -131,33 +136,12 @@ fn tiered_serving_matches_serial_when_nothing_is_wrong() {
 
     // Same through the concurrent server with a bounded-but-idle gate.
     let server = mediator(7).to_concurrent(4);
-    server.set_gate(GateConfig::bounded(64));
+    server.set_gate(Some(64));
     let got = server.query("?- item(A, B).").unwrap();
     assert_eq!(sorted(&got.rows), sorted(&expected.rows));
     let stats = server.stats();
     assert_eq!(stats.shed, 0);
     assert_eq!(stats.downgraded, 0);
-}
-
-#[test]
-fn saturated_tier_budgets_shed_deterministically() {
-    // Zero slots at every tier: the query is admitted at the front door
-    // but no tier can seat it — a deterministic `tier-budget-full` shed.
-    let server = mediator(11).to_concurrent(2);
-    server.set_gate(GateConfig {
-        capacity: usize::MAX,
-        cache_only_slots: 0,
-        cached_cheap_slots: 0,
-        full_slots: 0,
-    });
-    match server.query("?- item('p_1', B).").unwrap_err() {
-        HermesError::Shed { reason } => assert_eq!(reason, "tier-budget-full"),
-        other => panic!("expected Shed, got {other:?}"),
-    }
-    let stats = server.stats();
-    assert_eq!(stats.queries, 1);
-    assert_eq!(stats.shed, 1);
-    assert_eq!(stats.admitted, 0);
 }
 
 #[test]
@@ -168,7 +152,7 @@ fn stampede_sheds_cleanly_and_admitted_queries_complete() {
     let mut warm = mediator(3);
     let expected = sorted(&warm.query("?- item(A, B).").unwrap().rows);
     let server = Arc::new(warm.to_concurrent(4));
-    server.set_gate(GateConfig::bounded(2));
+    server.set_gate(Some(2));
 
     let barrier = Arc::new(Barrier::new(THREADS));
     let handles: Vec<_> = (0..THREADS)

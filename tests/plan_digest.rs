@@ -170,7 +170,6 @@ fn plan_lists_match_the_parent_digest() {
                         let config = RewriteConfig {
                             max_plans,
                             favor_parallel,
-                            ..RewriteConfig::default()
                         };
                         let result = checked.enumerate_plans(&query, &policy, config, &pushdowns);
                         planned += usize::from(result.is_ok());

@@ -190,10 +190,7 @@ fn assert_choice_prices_plans_one_by_one(m: &Mediator, text: &str) {
     let bits =
         |v: &CostVector| [v.t_first_ms, v.t_all_ms, v.cardinality].map(|x| x.map(f64::to_bits));
     for max_parallel_calls in [1, 3] {
-        let config = CostConfig {
-            max_parallel_calls,
-            ..m.config().cost
-        };
+        let config = CostConfig { max_parallel_calls };
         for first_answer in [false, true] {
             let (chosen, estimates) = choose_plan(&plans, m.dcsm(), &config, first_answer);
             let one_by_one: Vec<CostVector> = plans

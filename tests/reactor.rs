@@ -15,9 +15,9 @@ use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes::domains::SlowDomain;
 use hermes::net::profiles;
 use hermes::{
-    parse_program, ConcurrentMediator, Frame, FrameDecoder, GateConfig, HermesError, Mediator,
-    NetServer, Network, PlanTier, QueryFrame, QueryRequest, QueryResult, RemoteResult, ServeConfig,
-    ServeMode, SimDuration, Value, WireClient,
+    parse_program, ConcurrentMediator, Frame, FrameDecoder, HermesError, Mediator, NetServer,
+    Network, PlanTier, QueryFrame, QueryRequest, QueryResult, RemoteResult, ServeConfig, ServeMode,
+    SimDuration, Value, WireClient,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -719,23 +719,15 @@ fn tier_machinery_keeps_every_query_on_the_workers() {
     enum Engaged {
         ExplicitTier,
         Budget,
-        AdaptiveTiers,
         BoundedGate,
     }
     let warm = "?- item('p_1', B).";
     let budget_us = 60_000_000;
-    for engaged in [
-        Engaged::ExplicitTier,
-        Engaged::Budget,
-        Engaged::AdaptiveTiers,
-        Engaged::BoundedGate,
-    ] {
+    for engaged in [Engaged::ExplicitTier, Engaged::Budget, Engaged::BoundedGate] {
         let build = || {
-            let mut m = world();
-            m.config_mut().adaptive_tiers = engaged == Engaged::AdaptiveTiers;
-            let server = m.to_concurrent(4);
+            let server = world().to_concurrent(4);
             if engaged == Engaged::BoundedGate {
-                server.set_gate(GateConfig::bounded(8));
+                server.set_gate(Some(8));
             }
             server
         };
@@ -757,7 +749,7 @@ fn tier_machinery_keeps_every_query_on_the_workers() {
                 frame.budget_us = Some(budget_us);
                 request = request.budget(SimDuration::from_micros(budget_us));
             }
-            Engaged::AdaptiveTiers | Engaged::BoundedGate => {}
+            Engaged::BoundedGate => {}
         }
         for _ in 0..5 {
             let got = client.query(frame.clone()).unwrap();

@@ -196,7 +196,6 @@ fn breaker_short_circuit_beats_retry_backoff() {
         let exec = &mut m.config_mut().exec;
         exec.retry_attempts = 2;
         exec.retry_backoff_ms = 500.0;
-        exec.retry_jitter_frac = 0.0;
         m.breakers().lock().set_config(BreakerConfig {
             failure_threshold: if with_breaker { 1 } else { u32::MAX },
             cooldown: SimDuration::from_secs(3_600),

@@ -9,8 +9,10 @@
 
 use hermes::common::{CallPattern, PatArg};
 use hermes::core::{CheckedProgram, RewriteConfig};
+use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes::lang::{parse_program, parse_query};
-use hermes::{CimPolicy, Dcsm, GroundCall, SimInstant, Value};
+use hermes::{profiles, Mediator, Network};
+use hermes::{CimPolicy, Dcsm, DoneFrame, Frame, FrameDecoder, GroundCall, SimInstant, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Write;
@@ -138,6 +140,52 @@ fn table() -> String {
     row(
         "Dcsm::cost (recorded pattern)",
         allocations(|| dcsm.cost(&asked)),
+    );
+
+    // A warm point query on each mediator face: the one call it makes is
+    // answered from the cache, so the row is the query path's own work.
+    let d0 = SyntheticDomain::generate("d0", 1996, &[RelationSpec::uniform("ra", 64, 3.0)]);
+    let key = d0.domain_values("ra")[0].clone();
+    let point = format!("?- d0_ra('{}', B).", key.as_str().unwrap());
+    let mut net = Network::new(1);
+    net.place(std::sync::Arc::new(d0), profiles::maryland());
+    let mut serial = Mediator::from_source("d0_ra(A, B) :- in(B, d0:ra_bf(A)).", net).unwrap();
+    let point = point.as_str();
+    assert!(!serial.query(point).unwrap().rows.is_empty());
+    row(
+        "Mediator::query warm point (1 shard)",
+        allocations(|| serial.query(point).unwrap()),
+    );
+    let server = serial.to_concurrent(4);
+    row(
+        "ConcurrentMediator::query warm point (4 shards)",
+        allocations(|| server.query(point).unwrap()),
+    );
+
+    // The frames that answer a one-row query on the wire, and reading them.
+    let batch = Frame::Batch(vec![vec![key, Value::Int(3)]]);
+    let done = Frame::Done(DoneFrame {
+        columns: vec!["B".into()],
+        rows: 1,
+        incomplete: false,
+        elapsed_us: 120,
+        source_calls: 0,
+        cache_hits: 1,
+        tier_downgrades: 0,
+        trace: Vec::new(),
+    });
+    row(
+        "Frame::encode one-row Batch + Done",
+        allocations(|| (batch.encode(), done.encode())),
+    );
+    let bytes = [batch.encode(), done.encode()].concat();
+    row(
+        "FrameDecoder one-row Batch + Done",
+        allocations(|| {
+            let mut decoder = FrameDecoder::new();
+            decoder.feed(&bytes);
+            (decoder.next_frame().unwrap(), decoder.next_frame().unwrap())
+        }),
     );
     out
 }

@@ -16,7 +16,7 @@
 
 use crate::diagnostic::{DiagCode, Diagnostic, Locus};
 use hermes_lang::QueryForm;
-use hermes_lang::{groundability, BodyAtom, Program, Rule};
+use hermes_lang::{groundability, BodyAtom, Program, Rule, StuckAtom};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -118,51 +118,28 @@ fn check_form(program: &Program, form: &QueryForm, out: &mut Vec<Diagnostic>) {
         return;
     }
 
-    // Why each rule fails, for the error message; empty if some rule works.
-    let mut reasons: Vec<String> = Vec::new();
-    for rule in &rules {
-        if rule.body.is_empty() {
-            return; // a ground fact answers any adornment
-        }
-        let mut seed: BTreeSet<Arc<str>> = BTreeSet::new();
-        for (i, bound) in form.bound.iter().enumerate() {
-            if *bound {
-                if let Some(v) = rule.head.args[i].as_var() {
-                    seed.insert(v.clone());
-                }
-            }
-        }
-        let report = groundability(seed, &rule.body);
-        if let Some(stuck) = report.stuck.first() {
-            let vars: Vec<String> = stuck.missing.iter().map(|v| format!("`{v}`")).collect();
-            reasons.push(format!(
+    let Some(blockers) = rule_blockers(&rules, |i| form.bound[i]) else {
+        return;
+    };
+    let adornment = form.adornment();
+    let reasons: Vec<String> = blockers
+        .iter()
+        .map(|(rule, blocker)| match blocker {
+            Blocker::Stuck(stuck) => format!(
                 "in rule `{}`, variable {} can never be ground under \
-                 adornment `{}` (subgoal `{}` requires it)",
+                 adornment `{adornment}` (subgoal `{}` requires it)",
                 rule.head,
-                vars.join(", "),
-                form.adornment(),
+                quoted(&stuck.missing),
                 stuck.atom,
-            ));
-            continue;
-        }
-        let unbound: Vec<String> = rule
-            .head
-            .variables()
-            .into_iter()
-            .filter(|v| !report.groundable.contains(v))
-            .map(|v| format!("`{v}`"))
-            .collect();
-        if unbound.is_empty() {
-            return; // feasible
-        }
-        reasons.push(format!(
-            "in rule `{}`, head variable {} is never bound by the body \
-             under adornment `{}`",
-            rule.head,
-            unbound.join(", "),
-            form.adornment(),
-        ));
-    }
+            ),
+            Blocker::Unbound(vars) => format!(
+                "in rule `{}`, head variable {} is never bound by the body \
+                 under adornment `{adornment}`",
+                rule.head,
+                quoted(vars),
+            ),
+        })
+        .collect();
 
     out.push(
         Diagnostic::new(
@@ -174,11 +151,63 @@ fn check_form(program: &Program, form: &QueryForm, out: &mut Vec<Diagnostic>) {
             ),
         )
         .with_suggestion(format!(
-            "bind more arguments in the query (adornment `{}` leaves the \
-             `f` positions free) or add a rule that produces them",
-            form.adornment()
+            "bind more arguments in the query (adornment `{adornment}` leaves \
+             the `f` positions free) or add a rule that produces them"
         )),
     );
+}
+
+/// Why a rule cannot answer a call (see [`rule_blockers`]).
+pub(crate) enum Blocker {
+    /// The rule's first subgoal that can never run.
+    Stuck(StuckAtom),
+    /// Head variables the body never binds.
+    Unbound(Vec<Arc<str>>),
+}
+
+/// Why no rule of `rules` (one predicate's) answers a call that binds the
+/// head positions `bound` accepts: each rule's [`Blocker`], in rule order,
+/// or `None` when some rule admits an executable ordering that grounds
+/// its head — or is a fact, which answers any call. HA010 and the
+/// rewriter's infeasibility explanation both judge rules here.
+pub(crate) fn rule_blockers<'r>(
+    rules: &[&'r Rule],
+    bound: impl Fn(usize) -> bool,
+) -> Option<Vec<(&'r Rule, Blocker)>> {
+    let mut blockers = Vec::new();
+    for &rule in rules {
+        if rule.body.is_empty() {
+            return None;
+        }
+        let report = groundability(bound_head_vars(rule, &bound), &rule.body);
+        let blocker = match report.stuck.into_iter().next() {
+            Some(stuck) => Blocker::Stuck(stuck),
+            None => {
+                let mut unbound = rule.head.variables();
+                unbound.retain(|v| !report.groundable.contains(v));
+                if unbound.is_empty() {
+                    return None;
+                }
+                Blocker::Unbound(unbound.into_iter().collect())
+            }
+        };
+        blockers.push((rule, blocker));
+    }
+    Some(blockers)
+}
+
+/// The variables at the head positions `bound` accepts.
+fn bound_head_vars(rule: &Rule, bound: impl Fn(usize) -> bool) -> BTreeSet<Arc<str>> {
+    let args = rule.head.args.iter().enumerate();
+    args.filter(|&(i, _)| bound(i))
+        .filter_map(|(_, arg)| arg.as_var().cloned())
+        .collect()
+}
+
+/// `vars` as a list of code spans: "`A`, `B`".
+pub(crate) fn quoted(vars: &[Arc<str>]) -> String {
+    let vars: Vec<String> = vars.iter().map(|v| format!("`{v}`")).collect();
+    vars.join(", ")
 }
 
 /// HA050: the parallel scheduler overlaps only domain calls that are ground
@@ -205,14 +234,7 @@ fn check_parallelism(program: &Program, form: &QueryForm, out: &mut Vec<Diagnost
         if calls.len() < 2 {
             continue;
         }
-        let mut declared_seed: BTreeSet<Arc<str>> = BTreeSet::new();
-        for (i, bound) in form.bound.iter().enumerate() {
-            if *bound {
-                if let Some(v) = rule.head.args[i].as_var() {
-                    declared_seed.insert(v.clone());
-                }
-            }
-        }
+        let declared_seed = bound_head_vars(rule, |i| form.bound[i]);
         // Only feasible rules are interesting; infeasible ones already get
         // HA010 and have no ordering to serialize.
         if !groundability(declared_seed.clone(), &rule.body).is_executable() {

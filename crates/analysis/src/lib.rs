@@ -57,7 +57,7 @@ pub use hermes_lang::QueryForm;
 pub use output::{report_from_json, report_to_json, report_to_sarif, FileReport, JSON_SCHEMA};
 
 use hermes_common::Result;
-use hermes_lang::{groundability, parse_program, BodyAtom, Program};
+use hermes_lang::{parse_program, BodyAtom, Program};
 use std::collections::BTreeSet;
 
 /// Knobs for [`analyze_source_with`]: which opt-in passes to run.
@@ -120,51 +120,24 @@ pub fn explain_infeasible_query(program: &Program, goals: &[BodyAtom]) -> Option
     // Why no rule answers `goal` with `bound` available; `None` = feasible.
     let pred_blocked = |goal: &PredAtom, bound: &BTreeSet<Arc<str>>| -> Option<String> {
         let rules = program.rules_for(&goal.name, goal.args.len());
-        let mut why: Vec<String> = Vec::new();
-        for rule in &rules {
-            if rule.body.is_empty() {
-                return None; // a ground fact answers anything
-            }
-            let mut seed: BTreeSet<Arc<str>> = BTreeSet::new();
-            for (garg, harg) in goal.args.iter().zip(rule.head.args.iter()) {
-                let arg_bound = match garg.as_var() {
-                    Some(v) => bound.contains(v),
-                    None => true,
-                };
-                if arg_bound {
-                    if let Some(v) = harg.as_var() {
-                        seed.insert(v.clone());
-                    }
-                }
-            }
-            let report = groundability(seed, &rule.body);
-            if let Some(stuck) = report.stuck.first() {
-                let vars: Vec<String> = stuck.missing.iter().map(|v| format!("`{v}`")).collect();
-                why.push(format!(
-                    "in rule `{}`, subgoal `{}` can never run ({} never \
-                     bound)",
+        let arg_bound = |i: usize| goal.args[i].as_var().is_none_or(|v| bound.contains(v));
+        let blockers = adorn::rule_blockers(&rules, arg_bound)?;
+        let why: Vec<String> = blockers
+            .iter()
+            .map(|(rule, blocker)| match blocker {
+                adorn::Blocker::Stuck(stuck) => format!(
+                    "in rule `{}`, subgoal `{}` can never run ({} never bound)",
                     rule.head,
                     stuck.atom,
-                    vars.join(", "),
-                ));
-                continue;
-            }
-            let unbound: Vec<String> = rule
-                .head
-                .variables()
-                .into_iter()
-                .filter(|v| !report.groundable.contains(v))
-                .map(|v| format!("`{v}`"))
-                .collect();
-            if unbound.is_empty() {
-                return None; // this rule works
-            }
-            why.push(format!(
-                "in rule `{}`, head variable {} is never bound by the body",
-                rule.head,
-                unbound.join(", "),
-            ));
-        }
+                    adorn::quoted(&stuck.missing),
+                ),
+                adorn::Blocker::Unbound(vars) => format!(
+                    "in rule `{}`, head variable {} is never bound by the body",
+                    rule.head,
+                    adorn::quoted(vars),
+                ),
+            })
+            .collect();
         Some(why.join("; "))
     };
 

@@ -60,7 +60,6 @@ pub fn run(seed: u64, amplitudes: &[f64]) -> Vec<DriftRow> {
             let mut decayed = Dcsm::with_config(DcsmConfig {
                 keep_detail: false,
                 recency_decay: Some(0.85),
-                ..DcsmConfig::default()
             });
             // Both predict through the blanket pattern (steady-state
             // operation after summarization). The decayed DCSM keeps no

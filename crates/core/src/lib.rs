@@ -11,9 +11,10 @@
 //! * [`exec`] — the executor: pipelined backtracking evaluation on the
 //!   virtual clock, with the §4.1 cache/invariant pipeline inline and the
 //!   statistics feedback loop into DCSM.
-//! * `pipeline` (crate-private) — the one query path: request overrides
-//!   → rewrite + cost + choose → tier selection → executor run with plan
-//!   failover → projection. Both mediators below are thin callers of it.
+//! * `pipeline` (crate-private) — the one query path, as methods of
+//!   [`ConcurrentMediator`]: admission → request overrides → rewrite +
+//!   cost + choose → tier selection → executor run with plan failover →
+//!   projection. The serial mediator below runs its queries there too.
 //! * [`mediator`] — the serial facade tying program + network + CIM +
 //!   DCSM together: `query`, `query_interactive`, `explain`.
 //! * [`server`] — the [`ConcurrentMediator`]: the same pipeline over

@@ -4,7 +4,7 @@ use crate::breaker::BreakerBank;
 use crate::caches::{CacheControl, PlanningKnobs};
 use crate::cost::CostConfig;
 use crate::cursor::InteractiveQuery;
-use crate::exec::{ExecConfig, ExecStats, Executor, SubgoalProvenance};
+use crate::exec::{ExecConfig, ExecStats, SubgoalProvenance};
 use crate::matcache::MatCache;
 use crate::pipeline::PlanningCore;
 use crate::plan::Plan;
@@ -437,9 +437,7 @@ impl Mediator {
 
     /// Plans a pre-parsed query.
     pub fn plan_query(&self, query: &Query) -> Result<Planned> {
-        self.shared
-            .pipeline(self.shared.cim())
-            .plan(query, self.config())
+        self.shared.plan(query, self.config())
     }
 
     /// Runs a query. Accepts plain source text (all-answers mode, §3) or
@@ -487,7 +485,11 @@ impl Mediator {
     /// is executed instead; answers the failed attempt already cached are
     /// reused, so replanning resumes rather than restarts.
     pub fn execute(&mut self, planned: Planned, limit: Option<usize>) -> Result<QueryResult> {
-        self.shared.execute(&planned, limit)
+        let shared = &self.shared;
+        let mut clock = shared.query_clock();
+        let result = shared.execute(&planned, limit, &shared.core.config, &mut clock);
+        shared.fold_clock(&clock);
+        result
     }
 
     /// Starts a query in interactive mode (§3): each pull runs the plan to
@@ -498,15 +500,9 @@ impl Mediator {
     /// persistent clock (their virtual timeline is reported per-answer).
     pub fn query_interactive(&self, query_src: &str) -> Result<InteractiveQuery<'_>> {
         let planned = self.plan(query_src)?;
-        let shared = &self.shared;
-        let executor = Executor::new(
-            &shared.network,
-            shared.cim.as_ref(),
-            shared.dcsm.as_ref(),
-            shared.query_clock(),
-            self.config().exec,
-        )
-        .with_breakers(&shared.breakers);
+        let executor = self
+            .shared
+            .executor(self.shared.query_clock(), self.config().exec);
         Ok(InteractiveQuery::new(executor, planned.plan().clone()))
     }
 

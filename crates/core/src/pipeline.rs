@@ -1,33 +1,28 @@
-//! The one query pipeline (the paper's Figure 1, once): request overrides
-//! → rewrite + cost + choose → tier selection → executor run with plan
-//! failover → projection.
+//! The one query path (the paper's Figure 1, once): admission → request
+//! overrides → rewrite + cost + choose → tier selection → executor run
+//! with plan failover → projection, as methods of [`ConcurrentMediator`].
 //!
-//! [`ConcurrentMediator`](crate::server::ConcurrentMediator) is its one
-//! caller, and [`Mediator`](crate::mediator::Mediator) is the `&mut self`
-//! face of a one-shard `ConcurrentMediator` (DESIGN.md §12). What a run
-//! depends on besides the state on [`Pipeline`] — the clock and the
-//! gate's load — is an argument of [`Pipeline::run`].
-//! A query is [`stage`](Pipeline::stage)d (parsed and planned) first and
-//! [`run`](Pipeline::run) second, so the caller picks the clock it runs
-//! on once planning is over.
+//! [`Mediator`](crate::mediator::Mediator) is the `&mut self` face of a
+//! one-shard `ConcurrentMediator` (DESIGN.md §12), so every query of
+//! either face runs here. A query is [`stage`](ConcurrentMediator::stage)d
+//! (admitted, parsed and planned) first and
+//! [`run`](ConcurrentMediator::run) second, possibly on another thread,
+//! so the run's clock is taken once planning is over.
 
-use crate::breaker::BreakerBank;
 use crate::cost::choose_plan;
-use crate::exec::{ExecOutcome, ExecStats, Executor};
-use crate::flight::InFlightRegistry;
-use crate::matcache::MatCache;
+use crate::exec::{ExecConfig, ExecOutcome, ExecStats, Executor};
 use crate::mediator::{MediatorConfig, Planned, QueryRequest, QueryResult};
 use crate::plan::{Plan, PlanStep, Route};
 use crate::rewrite::{bind_query, cache_servable_plans, CheckedProgram, PushdownRule};
+use crate::server::{ConcurrentMediator, GatePermit};
 use crate::tier::{select_tier, PlanTier, TierDecision, TierInputs, TierLoad, TierReason};
 use crate::trace::{TraceEntry, TraceEvent};
 use hermes_cim::{CimPolicy, CimPreview, CimView};
-use hermes_common::sync::Mutex;
 use hermes_common::{GroundCall, HermesError, Result, SimClock, SimInstant};
-use hermes_dcsm::{CostVector, ShardedDcsm};
+use hermes_dcsm::CostVector;
 use hermes_lang::{parse_query, Query, Subst};
-use hermes_net::Network;
 use std::collections::BTreeSet;
+use std::sync::atomic::Ordering;
 
 /// The planning inputs: what a query is rewritten and costed against.
 /// The program is checked and indexed where it is installed, so planning
@@ -40,29 +35,21 @@ pub(crate) struct PlanningCore {
     pub pushdowns: Vec<PushdownRule>,
 }
 
-/// One mediator's planning inputs and shared state, borrowed per query.
-pub(crate) struct Pipeline<'a> {
-    pub core: &'a PlanningCore,
-    pub network: &'a Network,
-    pub cim: &'a dyn CimView,
-    pub dcsm: &'a ShardedDcsm,
-    pub breakers: &'a Mutex<BreakerBank>,
-    pub matcache: &'a MatCache,
-    /// Single-flight coalescing of identical concurrent ground calls.
-    pub flight: &'a InFlightRegistry,
-}
-
-/// A request parsed, bound and planned under its own copy of the
-/// configuration: what [`Pipeline::stage`] hands to [`Pipeline::run`].
+/// A request admitted through the gate, then parsed, bound and planned
+/// under its own copy of the configuration, but not yet run: what
+/// [`ConcurrentMediator::stage`] hands to [`ConcurrentMediator::run`].
+/// It owns its gate permit and is `Send`, so any thread may run it;
+/// dropping it releases the gate slot.
 #[derive(Debug)]
-pub(crate) struct Staged {
+pub(crate) struct StagedQuery {
     config: MediatorConfig,
     planned: Planned,
     limit: Option<usize>,
     tier: Option<PlanTier>,
+    _permit: GatePermit,
 }
 
-impl Staged {
+impl StagedQuery {
     /// True when the request engages the tier selector on its own, with
     /// a tier or a budget; a bounded admission gate engages it too.
     fn engages_tiers(&self) -> bool {
@@ -89,101 +76,152 @@ impl Staged {
     }
 }
 
-impl Pipeline<'_> {
-    /// Applies the request's options to a copy of the configuration (for
-    /// this run only), then parses, binds and plans the query.
-    pub fn stage(&self, req: &QueryRequest) -> Result<Staged> {
-        let mut config = self.core.config;
-        if let Some(d) = req.deadline {
-            config.exec.deadline = Some(d);
-        }
-        if let Some(t) = req.trace {
-            config.exec.collect_trace = t;
-        }
-        if let Some(k) = req.parallelism {
-            config.exec.max_parallel_calls = k;
-            config.cost.max_parallel_calls = k;
-            config.rewrite.favor_parallel = k > 1;
-        }
-        if let Some(b) = req.budget {
-            config.exec.budget = Some(b);
-        }
-        let query = parse_query(&req.src)?;
-        // Bind before planning, so the optimizer sees real constants.
-        let query = match &req.bindings {
-            Some(params) => bind_query(&query, params),
-            None => query,
+/// What a step that may pass its work on returns: the work finished on
+/// the calling thread, or handed back untouched for another thread to
+/// finish. A handed-back query is not a failure, so this is no `Result`.
+#[must_use]
+pub(crate) enum Handoff<T, W> {
+    /// Finished here.
+    Done(T),
+    /// Not started here: run it elsewhere.
+    Back(W),
+}
+
+impl ConcurrentMediator {
+    /// The first half of [`query`](Self::query): admits the request
+    /// through the gate, then applies its options to a copy of the
+    /// configuration (for this run only) and parses, binds and plans it.
+    /// Admission comes before any parsing or planning, so a shed query
+    /// costs nothing and returns immediately.
+    pub(crate) fn stage(&self, req: &QueryRequest) -> Result<StagedQuery> {
+        let admit_and_stage = || {
+            let permit = self.gate.admit().ok_or_else(|| HermesError::Shed {
+                reason: "gate-full".into(),
+            })?;
+            let mut config = self.core.config;
+            if let Some(d) = req.deadline {
+                config.exec.deadline = Some(d);
+            }
+            if let Some(t) = req.trace {
+                config.exec.collect_trace = t;
+            }
+            if let Some(k) = req.parallelism {
+                config.exec.max_parallel_calls = k;
+                config.cost.max_parallel_calls = k;
+                config.rewrite.favor_parallel = k > 1;
+            }
+            if let Some(b) = req.budget {
+                config.exec.budget = Some(b);
+            }
+            let query = parse_query(&req.src)?;
+            // Bind before planning, so the optimizer sees real constants.
+            let query = match &req.bindings {
+                Some(params) => bind_query(&query, params),
+                None => query,
+            };
+            Ok(StagedQuery {
+                planned: self.plan(&query, &config)?,
+                config,
+                limit: req.limit,
+                tier: req.tier,
+                _permit: permit,
+            })
         };
-        Ok(Staged {
-            planned: self.plan(&query, &config)?,
-            config,
-            limit: req.limit,
-            tier: req.tier,
-        })
+        admit_and_stage().inspect_err(|e| self.count(e))
     }
 
-    /// Runs a staged request to the end on `clock`, which is left at the
-    /// instant the run ended — also when it failed, since a dead plan's
-    /// retries burned real virtual time.
+    /// The second half of [`query`](Self::query): tier selection (it
+    /// needs the cost estimate) and the run itself, on a clock started at
+    /// the high-water mark of finished queries and folded back into it
+    /// afterwards — also when the run failed, since a dead plan's retries
+    /// burned real virtual time.
     ///
     /// The tier selector is engaged by a per-request tier or budget, or a
-    /// bounded admission gate (`gate_load` is `Some`); otherwise the
-    /// paper-exact path never consults it and no decision is returned.
-    pub fn run(
-        &self,
-        staged: Staged,
-        gate_load: Option<TierLoad>,
-        clock: &mut SimClock,
-    ) -> Result<(QueryResult, Option<TierDecision>)> {
-        let engaged = staged.engages_tiers() || gate_load.is_some();
-        let (mut config, mut planned, tier) = (staged.config, staged.planned, staged.tier);
+    /// bounded admission gate; otherwise the paper-exact path never
+    /// consults it.
+    pub(crate) fn run(&self, mut query: StagedQuery) -> Result<QueryResult> {
+        let mut clock = self.query_clock();
+        let load = self.gate.load();
         let selected_at = clock.now();
-        let decision = engaged.then(|| {
-            let load = gate_load.unwrap_or_else(TierLoad::unbounded);
-            let decision = self.select_query_tier(tier, &mut planned, &config, load, selected_at);
-            config.exec.tier = decision.tier;
+        let decision = (query.engages_tiers() || load.is_some()).then(|| {
+            let load = load.unwrap_or_else(TierLoad::unbounded);
+            let decision = self.select_query_tier(&mut query, load, selected_at);
+            query.config.exec.tier = decision.tier;
             decision
         });
-        let mut result = self.execute(&planned, staged.limit, &config, clock)?;
-        let traced =
-            |d: &TierDecision| d.reason != TierReason::Default && config.exec.collect_trace;
-        if let Some(TierDecision { tier, reason }) = decision.filter(traced) {
-            let event = TraceEvent::TierSelected { tier, reason };
-            result.trace.insert(
-                0,
-                TraceEntry {
-                    at: selected_at,
-                    event,
-                },
-            );
+        let served = self.execute(&query.planned, query.limit, &query.config, &mut clock);
+        self.fold_clock(&clock);
+        let result = served.map(|mut result| {
+            if decision.is_some_and(|d| d.tier < PlanTier::Full) || result.stats.tier_downgrades > 0
+            {
+                self.downgraded.fetch_add(1, Ordering::Relaxed);
+            }
+            let traced = |d: &TierDecision| {
+                d.reason != TierReason::Default && query.config.exec.collect_trace
+            };
+            if let Some(TierDecision { tier, reason }) = decision.filter(traced) {
+                let event = TraceEvent::TierSelected { tier, reason };
+                result.trace.insert(
+                    0,
+                    TraceEntry {
+                        at: selected_at,
+                        event,
+                    },
+                );
+            }
+            result
+        });
+        match &result {
+            Ok(_) => self.count_admitted(),
+            Err(e) => self.count(e),
         }
-        Ok((result, decision))
+        result
     }
 
-    /// Runs a staged request to the end only if nothing can make it wait:
-    /// it comes down to one [cached point](Staged::cached_point) call and
-    /// the side-effect-free [`CimView::preview`] says `Hit`. The run goes
+    /// Finishes a staged query on the calling thread when nothing can
+    /// make it wait: the gate is unbounded, the query comes down to one
+    /// [cached point](StagedQuery::cached_point) call, and the
+    /// side-effect-free [`CimView::preview`] says `Hit`. The run goes
     /// through the executor's wire gate ([`PlanTier::CacheOnly`], the
     /// selector not engaged) and is accepted only if no call was skipped
     /// and the answer is complete, so an entry evicted between preview
-    /// and lookup cannot put a source wait on the calling thread. `None`
-    /// hands the request back, still runnable; `clock` is then dead.
-    pub fn run_cached(&self, staged: &Staged, clock: &mut SimClock) -> Option<QueryResult> {
-        let point = staged.cached_point()?;
-        if self.cim.preview(&point) != CimPreview::Hit {
-            return None;
+    /// and lookup cannot put a source wait on the calling thread.
+    /// Otherwise the query is handed back untouched and uncounted, for
+    /// [`run`](Self::run) on a thread that may block on a source.
+    pub(crate) fn run_cached(&self, query: StagedQuery) -> Handoff<QueryResult, StagedQuery> {
+        self.run_cached_on(self.cim.as_ref(), query)
+    }
+
+    /// [`run_cached`](Self::run_cached) with `cim` answering the preview:
+    /// the seam a test uses to make the preview and the lookup disagree.
+    pub(crate) fn run_cached_on(
+        &self,
+        cim: &dyn CimView,
+        query: StagedQuery,
+    ) -> Handoff<QueryResult, StagedQuery> {
+        let hit = !self.gate_bounded()
+            && query
+                .cached_point()
+                .is_some_and(|point| cim.preview(&point) == CimPreview::Hit);
+        if !hit {
+            return Handoff::Back(query);
         }
-        let mut config = staged.config;
+        let mut clock = self.query_clock();
+        let mut config = query.config;
         config.exec.tier = PlanTier::CacheOnly;
-        let result = self
-            .execute(&staged.planned, staged.limit, &config, clock)
-            .ok()?;
-        (result.stats.tier_skipped_calls == 0 && !result.incomplete).then_some(result)
+        match self.execute(&query.planned, query.limit, &config, &mut clock) {
+            Ok(result) if result.stats.tier_skipped_calls == 0 && !result.incomplete => {
+                self.fold_clock(&clock);
+                self.count_admitted();
+                Handoff::Done(result)
+            }
+            _ => Handoff::Back(query),
+        }
     }
 
     /// Rewrites and costs a query: every executable plan, its §7
     /// estimate under the current statistics, and the cheapest one.
-    pub fn plan(&self, query: &Query, config: &MediatorConfig) -> Result<Planned> {
+    pub(crate) fn plan(&self, query: &Query, config: &MediatorConfig) -> Result<Planned> {
         let plans = self.core.program.enumerate_plans(
             query,
             &self.core.policy,
@@ -199,22 +237,21 @@ impl Pipeline<'_> {
     }
 
     /// Runs the deterministic tier selector. A `CacheOnly` decision also
-    /// re-points `planned.chosen` at the cheapest plan whose every call
-    /// is CIM-routed, when one exists: a Direct-routed call can never be
+    /// re-points the chosen plan at the cheapest plan whose every call is
+    /// CIM-routed, when one exists: a Direct-routed call can never be
     /// cache-served.
     fn select_query_tier(
         &self,
-        requested: Option<PlanTier>,
-        planned: &mut Planned,
-        config: &MediatorConfig,
+        query: &mut StagedQuery,
         load: TierLoad,
         now: SimInstant,
     ) -> TierDecision {
+        let planned = &mut query.planned;
         let plan_sites = self.plan_sites(planned.plan());
         let open = self.breakers.lock().open_sites(now);
         let decision = select_tier(&TierInputs {
-            requested,
-            budget: config.exec.budget,
+            requested: query.tier,
+            budget: query.config.exec.budget,
             estimate_ms: planned.estimate().t_all_ms.unwrap_or(0.0),
             plan_site_breaker_open: open.iter().any(|s| plan_sites.contains(s.as_ref())),
             load,
@@ -235,9 +272,10 @@ impl Pipeline<'_> {
         decision
     }
 
-    /// The failover-aware execution loop (see
+    /// The failover-aware execution loop on `clock`, which is left at the
+    /// instant the run ended (see
     /// [`Mediator::execute`](crate::mediator::Mediator::execute)).
-    pub fn execute(
+    pub(crate) fn execute(
         &self,
         planned: &Planned,
         limit: Option<usize>,
@@ -253,18 +291,7 @@ impl Pipeline<'_> {
         loop {
             let plan = planned.plans[idx].clone();
             let estimate = planned.estimates[idx];
-            let mut executor = Executor::new(
-                self.network,
-                self.cim,
-                self.dcsm,
-                clock.clone(),
-                config.exec,
-            )
-            .with_breakers(self.breakers)
-            .with_flight(self.flight);
-            if config.exec.share_subplans {
-                executor = executor.with_matcache(self.matcache);
-            }
+            let mut executor = self.executor(clock.clone(), config.exec);
             let attempt = executor.run(&plan, limit);
             // The attempt's virtual time is real whether it succeeded or
             // not: a failover resumes *after* the retries the dead plan
@@ -294,6 +321,26 @@ impl Pipeline<'_> {
                 }
                 Err(e) => return Err(e),
             }
+        }
+    }
+
+    /// An executor over this mediator's network, caches, breakers and
+    /// single-flight registry, plus the subplan cache when `config`
+    /// shares subplans: every run in `hermes-core` starts here.
+    pub(crate) fn executor(&self, clock: SimClock, config: ExecConfig) -> Executor<'_> {
+        let executor = Executor::new(
+            &self.network,
+            self.cim.as_ref(),
+            self.dcsm.as_ref(),
+            clock,
+            config,
+        )
+        .with_breakers(&self.breakers)
+        .with_flight(self.flight());
+        if config.share_subplans {
+            executor.with_matcache(&self.matcache)
+        } else {
+            executor
         }
     }
 
@@ -330,7 +377,12 @@ impl Pipeline<'_> {
 
     /// [`choose_plan`] against the current statistics.
     fn choose(&self, plans: &[Plan], config: &MediatorConfig) -> (usize, Vec<CostVector>) {
-        choose_plan(plans, self.dcsm, &config.cost, config.optimize_first_answer)
+        choose_plan(
+            plans,
+            self.dcsm.as_ref(),
+            &config.cost,
+            config.optimize_first_answer,
+        )
     }
 }
 

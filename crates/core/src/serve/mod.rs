@@ -46,6 +46,7 @@ pub(crate) mod workers;
 pub(crate) use workers::parked;
 #[doc(hidden)]
 pub use workers::parked_handoff_probe;
+use workers::Work;
 
 use std::io::Write;
 use std::net::{Shutdown as SockShutdown, SocketAddr, TcpStream, ToSocketAddrs};
@@ -57,7 +58,8 @@ use hermes_common::frame::{DoneFrame, ErrorFrame, Frame, FrameDecoder, QueryFram
 use hermes_common::{HermesError, Record, Result, SimDuration, Value};
 
 use crate::mediator::{QueryRequest, QueryResult};
-use crate::server::{ConcurrentMediator, StagedQuery};
+use crate::pipeline::{Handoff, StagedQuery};
+use crate::server::ConcurrentMediator;
 use crate::tier::PlanTier;
 
 /// Reactor mode: how many `Query` frames the reactor thread stages (and,
@@ -504,7 +506,6 @@ pub(crate) fn respond_query(shared: &Shared, q: &QueryFrame) -> Vec<u8> {
 /// reactor stages on its own thread and a worker may finish the run.
 pub(crate) struct StagedFrame {
     query: StagedQuery,
-    trace: bool,
     /// Time the mediator has worked on this query so far. Queue wait
     /// between threads is excluded, so `DoneFrame::elapsed_us` means the
     /// same whichever threads the query crossed.
@@ -539,7 +540,6 @@ pub(crate) fn stage_query(
         let query = shared.mediator.stage(&req)?;
         Ok(StagedFrame {
             query,
-            trace: q.trace,
             spent: start.elapsed(),
         })
     };
@@ -551,56 +551,40 @@ pub(crate) fn stage_query(
 pub(crate) fn run_staged(shared: &Shared, staged: StagedFrame) -> Vec<u8> {
     let start = Instant::now();
     match shared.mediator.run(staged.query) {
-        Ok(result) => result_bytes(
-            shared,
-            staged.trace,
-            &result,
-            staged.spent + start.elapsed(),
-        ),
+        Ok(result) => result_bytes(shared, &result, staged.spent + start.elapsed()),
         Err(e) => Frame::Error(ErrorFrame::from_error(&e)).encode(),
     }
 }
 
 /// Finishes a staged query on the calling thread if the answer cache
 /// alone answers it (see [`ConcurrentMediator::run_cached`]); otherwise
-/// hands it back for [`run_staged`] on a worker. The reactor calls this
-/// on its own thread, so it must never wait on a source.
-#[allow(clippy::result_large_err)] // `Err` is the staged frame, handed back
-pub(crate) fn answer_cached(
-    shared: &Shared,
-    staged: StagedFrame,
-) -> std::result::Result<Vec<u8>, StagedFrame> {
+/// hands it back as a worker's job, for [`run_staged`]. The reactor calls
+/// this on its own thread, so it must never wait on a source.
+pub(crate) fn answer_cached(shared: &Shared, staged: StagedFrame) -> Handoff<Vec<u8>, Work> {
     let start = Instant::now();
-    let StagedFrame {
-        query,
-        trace,
-        spent,
-    } = staged;
-    match shared.mediator.run_cached(query) {
-        Ok(result) => Ok(result_bytes(
+    match shared.mediator.run_cached(staged.query) {
+        Handoff::Done(result) => Handoff::Done(result_bytes(
             shared,
-            trace,
             &result,
-            spent + start.elapsed(),
+            staged.spent + start.elapsed(),
         )),
-        Err(query) => Err(StagedFrame {
+        Handoff::Back(query) => Handoff::Back(Work::Staged(StagedFrame {
             query,
-            trace,
-            spent: spent + start.elapsed(),
-        }),
+            spent: staged.spent + start.elapsed(),
+        })),
     }
 }
 
 /// Encodes `result` as `Batch*` + `Done`, batching `batch_rows` rows
 /// per frame so a large answer set stays incrementally decodable on the
-/// client side.
-fn result_bytes(shared: &Shared, trace: bool, result: &QueryResult, elapsed: Duration) -> Vec<u8> {
+/// client side. The trace is there only when the query asked for one.
+fn result_bytes(shared: &Shared, result: &QueryResult, elapsed: Duration) -> Vec<u8> {
     let batch = shared.config.batch_rows.max(1);
     let mut out = Vec::new();
     for chunk in result.rows.chunks(batch) {
         out.extend(Frame::Batch(chunk.to_vec()).encode());
     }
-    let trace = if trace && !result.trace.is_empty() {
+    let trace = if !result.trace.is_empty() {
         crate::trace::render(&result.trace)
             .lines()
             .map(str::to_owned)
@@ -696,6 +680,11 @@ pub struct WireClient {
     /// Batch rows of the response currently being reassembled.
     partial: Vec<Vec<Value>>,
 }
+
+/// What one received frame does to the response a [`WireClient`] is
+/// assembling: nothing yet (`None`), or completes it with the answer or
+/// the server's error.
+type Absorbed = Option<Result<RemoteResult>>;
 
 impl WireClient {
     /// Connect (with `TCP_NODELAY` — the protocol is request/response,
@@ -811,8 +800,7 @@ impl WireClient {
 
     /// Folds one received frame into the response being assembled.
     /// `Some(..)` completes a response (successful or failed).
-    #[allow(clippy::type_complexity)]
-    fn absorb(&mut self, frame: Frame) -> Result<Option<Result<RemoteResult>>> {
+    fn absorb(&mut self, frame: Frame) -> Result<Absorbed> {
         match frame {
             Frame::Batch(mut rows) => {
                 self.partial.append(&mut rows);

@@ -88,6 +88,7 @@ use super::{
     answer_cached, io_err, refuse, respond_bytes, respond_query, run_staged, shed_bytes,
     stage_query, Shared, INLINE_BUDGET,
 };
+use crate::pipeline::Handoff;
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKEUP: u64 = 1;
@@ -420,10 +421,10 @@ impl Reactor {
                                     self.stage_left -= 1;
                                     answer_or_stage(&self.shared, &q)
                                 } else {
-                                    Err(Work::Frame(q))
+                                    Handoff::Back(Work::Frame(q))
                                 };
                             match work {
-                                Ok(bytes) => {
+                                Handoff::Done(bytes) => {
                                     self.shared
                                         .counters
                                         .inline_answers
@@ -433,15 +434,15 @@ impl Reactor {
                                         bytes: Some(bytes),
                                     });
                                 }
-                                Err(work) => match self.workers.submit(Job { token, seq, work }) {
-                                    Ok(()) => {
+                                Handoff::Back(work) => {
+                                    if self.workers.submit(Job { token, seq, work }) {
                                         conn.inflight += 1;
                                         conn.pending.push_back(Pending { seq, bytes: None });
-                                    }
-                                    // A staged query dropped here gives
-                                    // its gate slot back uncounted: to
-                                    // the gate's books it never arrived.
-                                    Err(_) => {
+                                    } else {
+                                        // A staged query the full queue
+                                        // drops gives its gate slot back
+                                        // uncounted: to the gate's books
+                                        // it never arrived.
                                         self.shared
                                             .counters
                                             .pre_gate_shed
@@ -451,7 +452,7 @@ impl Reactor {
                                             bytes: Some(shed_bytes("worker-queue-full")),
                                         });
                                     }
-                                },
+                                }
                             }
                         }
                         other => {
@@ -646,12 +647,11 @@ impl Reactor {
 
 /// Stages `q` on the calling (reactor) thread and answers it there when
 /// that needs no source: a request refused while staging, or a query the
-/// answer cache alone serves. `Err` is what a worker must finish.
-#[allow(clippy::result_large_err)]
-fn answer_or_stage(shared: &Shared, q: &QueryFrame) -> std::result::Result<Vec<u8>, Work> {
+/// answer cache alone serves. `Back` is what a worker must finish.
+fn answer_or_stage(shared: &Shared, q: &QueryFrame) -> Handoff<Vec<u8>, Work> {
     match stage_query(shared, q) {
-        Ok(staged) => answer_cached(shared, staged).map_err(Work::Staged),
-        Err(refusal) => Ok(refusal),
+        Ok(staged) => answer_cached(shared, staged),
+        Err(refusal) => Handoff::Done(refusal),
     }
 }
 

@@ -149,16 +149,17 @@ impl Workers {
         Ok(pool)
     }
 
-    /// Queues `job`; hands it back when `queue_depth` jobs already wait.
-    #[allow(clippy::result_large_err)] // `Err` is the job, handed back
-    pub(crate) fn submit(self: &Arc<Self>, job: Job) -> std::result::Result<(), Job> {
+    /// Queues `job`, or drops it — after letting go of the lock — and
+    /// returns false when `queue_depth` jobs already wait.
+    #[must_use]
+    pub(crate) fn submit(self: &Arc<Self>, job: Job) -> bool {
         let mut state = self.state.lock();
         if state.queue.len() >= self.queue_depth {
-            return Err(job);
+            return false;
         }
         state.queue.push_back(job);
         self.kick(state);
-        Ok(())
+        true
     }
 
     /// No more jobs will come: threads finish what is queued and exit.
@@ -345,14 +346,14 @@ mod tests {
         };
         let pool = Workers::start(1, 2, counters.clone(), Box::new(run)).unwrap();
         for seq in 0..cap as u64 + 2 {
-            pool.submit(job(seq)).map_err(|_| "queue full").unwrap();
+            assert!(pool.submit(job(seq)), "queue full");
             // Each of the first `cap` jobs reaches its wait on its own thread.
             let want = (seq as usize + 1).min(cap);
             while entered.load(Ordering::SeqCst) < want {
                 std::thread::yield_now();
             }
         }
-        assert!(pool.submit(job(99)).is_err(), "queue_depth 2 is full");
+        assert!(!pool.submit(job(99)), "queue_depth 2 is full");
         let snap = counters.snapshot();
         assert_eq!(snap.worker_threads_peak, cap as u64);
         assert_eq!(snap.parked, cap as u64);
@@ -402,7 +403,7 @@ mod tests {
             }
         };
         for seq in 0..cap as u64 {
-            pool.submit(job(seq)).map_err(|_| "queue full").unwrap();
+            assert!(pool.submit(job(seq)), "queue full");
         }
         while entered.load(Ordering::SeqCst) < cap {
             std::thread::yield_now();
@@ -416,9 +417,7 @@ mod tests {
         let ran: Vec<_> = (0..10)
             .map(|seq| {
                 all_idle();
-                pool.submit(job(cap as u64 + seq))
-                    .map_err(|_| "queue full")
-                    .unwrap();
+                assert!(pool.submit(job(cap as u64 + seq)), "queue full");
                 finished.recv().unwrap()
             })
             .collect();
@@ -439,7 +438,7 @@ mod tests {
         };
         let pool = Workers::start(2, 64, counters.clone(), Box::new(run)).unwrap();
         for seq in 0..64 {
-            while pool.submit(job(seq)).is_err() {
+            while !pool.submit(job(seq)) {
                 std::thread::yield_now();
             }
         }

@@ -20,9 +20,9 @@
 //!
 //! The serial [`Mediator`](crate::mediator::Mediator) is the `&mut self`
 //! face of a `ConcurrentMediator` with one shard per cache: it runs its
-//! queries through the same `stage`/`run`, and it alone may change the
-//! planning core. [`Mediator::to_concurrent`] reshards that state into a
-//! server of its own.
+//! queries through the same `stage`/`run` (in `pipeline.rs`), and it
+//! alone may change the planning core. [`Mediator::to_concurrent`]
+//! reshards that state into a server of its own.
 //!
 //! [`Mediator::to_concurrent`]: crate::mediator::Mediator::to_concurrent
 //!
@@ -38,10 +38,10 @@ use crate::breaker::BreakerBank;
 use crate::caches::CacheControl;
 use crate::flight::InFlightRegistry;
 use crate::matcache::MatCache;
-use crate::mediator::{Planned, QueryRequest, QueryResult};
-use crate::pipeline::{Pipeline, PlanningCore, Staged};
-use crate::tier::{PlanTier, TierLoad};
-use hermes_cim::{CimView, ShardedCim};
+use crate::mediator::{QueryRequest, QueryResult};
+use crate::pipeline::PlanningCore;
+use crate::tier::TierLoad;
+use hermes_cim::ShardedCim;
 use hermes_common::sync::Mutex;
 use hermes_common::{HermesError, Result, SimClock, SimDuration, SimInstant};
 use hermes_dcsm::ShardedDcsm;
@@ -90,7 +90,7 @@ pub struct ServerStats {
 /// at the front door, before any parsing or planning — a shed query costs
 /// nothing and returns immediately.
 #[derive(Debug)]
-struct AdmissionGate {
+pub(crate) struct AdmissionGate {
     capacity: AtomicUsize,
     in_flight: AtomicUsize,
 }
@@ -109,16 +109,16 @@ impl AdmissionGate {
         self.capacity.load(Ordering::Relaxed) != usize::MAX
     }
 
-    /// The load the tier selector sees.
-    fn load(&self) -> TierLoad {
-        TierLoad {
+    /// The load the tier selector sees, when the gate is bounded.
+    pub(crate) fn load(&self) -> Option<TierLoad> {
+        self.is_bounded().then(|| TierLoad {
             in_flight: self.in_flight.load(Ordering::Relaxed),
             capacity: self.capacity.load(Ordering::Relaxed),
-        }
+        })
     }
 
     /// Front-door admission. `None` means shed (`gate-full`).
-    fn admit(self: &Arc<Self>) -> Option<GatePermit> {
+    pub(crate) fn admit(self: &Arc<Self>) -> Option<GatePermit> {
         let capacity = self.capacity.load(Ordering::Relaxed);
         let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
         if prev >= capacity {
@@ -133,7 +133,7 @@ impl AdmissionGate {
 /// query can carry its admission from the thread that staged it to the
 /// thread that runs it.
 #[derive(Debug)]
-struct GatePermit {
+pub(crate) struct GatePermit {
     gate: Arc<AdmissionGate>,
 }
 
@@ -141,15 +141,6 @@ impl Drop for GatePermit {
     fn drop(&mut self) {
         self.gate.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
-}
-
-/// A query admitted through the gate, parsed, bound and planned, but not
-/// yet run: what [`ConcurrentMediator::stage`] hands to
-/// [`ConcurrentMediator::run`]. Dropping it releases the gate slot.
-#[derive(Debug)]
-pub(crate) struct StagedQuery {
-    staged: Staged,
-    _permit: GatePermit,
 }
 
 /// A mediator that serves many clients at once: `query` takes `&self`.
@@ -187,10 +178,10 @@ pub struct ConcurrentMediator {
     /// time. The network serving stack (`hermes-serve`) turns this on.
     wall_clock: AtomicBool,
     queries: AtomicU64,
-    gate: Arc<AdmissionGate>,
+    pub(crate) gate: Arc<AdmissionGate>,
     admitted: AtomicU64,
     shed: AtomicU64,
-    downgraded: AtomicU64,
+    pub(crate) downgraded: AtomicU64,
 }
 
 impl ConcurrentMediator {
@@ -253,98 +244,6 @@ impl ConcurrentMediator {
         self.run(self.stage(&req.into())?)
     }
 
-    /// The first half of [`query`](Self::query): admits the request
-    /// through the gate, then parses, binds and plans it. Total admission
-    /// is checked before any parsing or planning, so a shed query costs
-    /// nothing and returns immediately. The staged query owns its gate
-    /// permit and is `Send`: any thread may [`run`](Self::run) it.
-    pub(crate) fn stage(&self, req: &QueryRequest) -> Result<StagedQuery> {
-        let admit_and_stage = || {
-            let permit = self.gate.admit().ok_or_else(|| HermesError::Shed {
-                reason: "gate-full".into(),
-            })?;
-            Ok(StagedQuery {
-                staged: self.pipeline(self.cim.as_ref()).stage(req)?,
-                _permit: permit,
-            })
-        };
-        admit_and_stage().inspect_err(|e| self.count(e))
-    }
-
-    /// The second half of [`query`](Self::query): tier selection (it
-    /// needs the cost estimate) and the run itself.
-    pub(crate) fn run(&self, query: StagedQuery) -> Result<QueryResult> {
-        // Each query runs on its own clock, started once it is planned at
-        // the high-water mark of finished queries and folded back into it
-        // afterwards.
-        let mut clock = self.query_clock();
-        let served = self.pipeline(self.cim.as_ref()).run(
-            query.staged,
-            self.gate.is_bounded().then(|| self.gate.load()),
-            &mut clock,
-        );
-        self.fold_clock(&clock);
-        let result = served.map(|(result, granted)| {
-            if granted.is_some_and(|d| d.tier < PlanTier::Full) || result.stats.tier_downgrades > 0
-            {
-                self.downgraded.fetch_add(1, Ordering::Relaxed);
-            }
-            result
-        });
-        match &result {
-            Ok(_) => self.count_admitted(),
-            Err(e) => self.count(e),
-        }
-        result
-    }
-
-    /// Finishes a staged query on the calling thread when nothing can
-    /// make it wait: the gate is unbounded and the answer cache alone
-    /// answers it complete (see [`Pipeline::run_cached`]). Otherwise the
-    /// query is handed back untouched and uncounted, for
-    /// [`run`](Self::run) on a thread that may block on a source.
-    #[allow(clippy::result_large_err)] // `Err` is the query itself, handed back
-    pub(crate) fn run_cached(
-        &self,
-        query: StagedQuery,
-    ) -> std::result::Result<QueryResult, StagedQuery> {
-        self.run_cached_on(self.cim.as_ref(), query)
-    }
-
-    /// [`run_cached`](Self::run_cached) against `cim`: the seam a test
-    /// uses to make the preview and the lookup disagree.
-    #[allow(clippy::result_large_err)]
-    fn run_cached_on(
-        &self,
-        cim: &dyn CimView,
-        query: StagedQuery,
-    ) -> std::result::Result<QueryResult, StagedQuery> {
-        if self.gate.is_bounded() {
-            return Err(query);
-        }
-        let mut clock = self.query_clock();
-        match self.pipeline(cim).run_cached(&query.staged, &mut clock) {
-            Some(result) => {
-                self.fold_clock(&clock);
-                self.count_admitted();
-                Ok(result)
-            }
-            None => Err(query),
-        }
-    }
-
-    /// Executes an already-planned query with failover (see
-    /// [`Mediator::execute`](crate::mediator::Mediator::execute)), on a
-    /// per-query clock folded back into the high-water mark.
-    pub(crate) fn execute(&self, planned: &Planned, limit: Option<usize>) -> Result<QueryResult> {
-        let mut clock = self.query_clock();
-        let result =
-            self.pipeline(self.cim.as_ref())
-                .execute(planned, limit, &self.core.config, &mut clock);
-        self.fold_clock(&clock);
-        result
-    }
-
     /// Moves the virtual-time high-water mark `d` forward.
     pub(crate) fn advance_clock(&mut self, d: SimDuration) {
         *self.epoch_us.get_mut() += d.as_micros();
@@ -354,18 +253,6 @@ impl ConcurrentMediator {
     /// through the tier selector.
     pub(crate) fn gate_bounded(&self) -> bool {
         self.gate.is_bounded()
-    }
-
-    pub(crate) fn pipeline<'a>(&'a self, cim: &'a dyn CimView) -> Pipeline<'a> {
-        Pipeline {
-            core: &self.core,
-            network: &self.network,
-            cim,
-            dcsm: &self.dcsm,
-            breakers: &self.breakers,
-            matcache: &self.matcache,
-            flight: &self.flight,
-        }
     }
 
     /// A fresh per-query clock at the high-water mark of finished queries.
@@ -379,7 +266,8 @@ impl ConcurrentMediator {
         }
     }
 
-    fn fold_clock(&self, clock: &SimClock) {
+    /// Folds a finished query's clock into the high-water mark.
+    pub(crate) fn fold_clock(&self, clock: &SimClock) {
         self.epoch_us.fetch_max(
             clock.now().duration_since(SimInstant::EPOCH).as_micros(),
             Ordering::Relaxed,
@@ -389,7 +277,7 @@ impl ConcurrentMediator {
     /// Counts a query that ended in `error`: shed, or admitted and failed.
     /// Every query is counted exactly once, by whichever of `stage`,
     /// `run` or `run_cached` ends it, so `admitted + shed == queries`.
-    fn count(&self, error: &HermesError) {
+    pub(crate) fn count(&self, error: &HermesError) {
         if matches!(error, HermesError::Shed { .. }) {
             self.shed.fetch_add(1, Ordering::Relaxed);
             self.queries.fetch_add(1, Ordering::Relaxed);
@@ -398,7 +286,7 @@ impl ConcurrentMediator {
         }
     }
 
-    fn count_admitted(&self) {
+    pub(crate) fn count_admitted(&self) {
         self.admitted.fetch_add(1, Ordering::Relaxed);
         self.queries.fetch_add(1, Ordering::Relaxed);
     }
@@ -468,7 +356,9 @@ impl ConcurrentMediator {
 mod tests {
     use super::*;
     use crate::mediator::Mediator;
-    use hermes_cim::{CimPreview, CimResolution};
+    use crate::pipeline::{Handoff, StagedQuery};
+    use crate::tier::PlanTier;
+    use hermes_cim::{CimPreview, CimResolution, CimView};
     use hermes_common::{GroundCall, Value};
     use hermes_domains::slow::SlowDomain;
     use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
@@ -661,7 +551,9 @@ mod tests {
 
         // Cold: the preview misses, the query comes back untouched.
         let staged = server.stage(&point).unwrap();
-        let staged = server.run_cached(staged).expect_err("nothing cached yet");
+        let Handoff::Back(staged) = server.run_cached(staged) else {
+            panic!("nothing cached yet")
+        };
         assert_eq!(server.stats().queries, 0, "handed back, not yet counted");
         let cold = server.run(staged).unwrap();
         let source_calls = calls.load(Ordering::Relaxed);
@@ -669,7 +561,9 @@ mod tests {
 
         // Warm: finished here, same rows, no source call, counted once.
         let staged = server.stage(&point).unwrap();
-        let warm = server.run_cached(staged).expect("the cache holds the call");
+        let Handoff::Done(warm) = server.run_cached(staged) else {
+            panic!("the cache holds the call")
+        };
         assert_eq!(warm.rows, cold.rows);
         assert_eq!(warm.columns, cold.columns);
         assert!(!warm.incomplete);
@@ -690,7 +584,9 @@ mod tests {
         let budget = SimDuration::from_secs(60);
         let refused = |server: &ConcurrentMediator, req: QueryRequest| {
             let staged = server.stage(&req).unwrap();
-            let staged = server.run_cached(staged).expect_err("must go to `run`");
+            let Handoff::Back(staged) = server.run_cached(staged) else {
+                panic!("must go to `run`")
+            };
             server.run(staged).unwrap();
             assert_no_permit_out(server);
         };
@@ -702,7 +598,10 @@ mod tests {
         refused(&server, QueryRequest::new(warm));
         server.set_gate(None);
         let staged = server.stage(&QueryRequest::new(warm)).unwrap();
-        assert!(server.run_cached(staged).is_ok(), "and nothing else does");
+        assert!(
+            matches!(server.run_cached(staged), Handoff::Done(_)),
+            "and nothing else does"
+        );
     }
 
     #[test]
@@ -713,9 +612,10 @@ mod tests {
             .stage(&QueryRequest::new("?- item('p_1', B)."))
             .unwrap();
 
-        let staged = server
-            .run_cached_on(&StalePreview(server.cim()), staged)
-            .expect_err("the lookup missed: nothing to answer from");
+        let Handoff::Back(staged) = server.run_cached_on(&StalePreview(server.cim()), staged)
+        else {
+            panic!("the lookup missed: nothing to answer from")
+        };
         assert_eq!(calls.load(Ordering::Relaxed), 0, "no source call here");
         assert_eq!(server.stats().queries, 0, "handed back, not yet counted");
         assert_eq!(

@@ -19,7 +19,7 @@ pub struct CostVector {
 
 impl CostVector {
     /// A fully-populated vector.
-    pub fn full(t_first_ms: f64, t_all_ms: f64, cardinality: f64) -> Self {
+    pub const fn full(t_first_ms: f64, t_all_ms: f64, cardinality: f64) -> Self {
         CostVector {
             t_first_ms: Some(t_first_ms),
             t_all_ms: Some(t_all_ms),

@@ -22,16 +22,17 @@ pub struct DcsmConfig {
     /// Recency decay applied to a summary row before each new observation
     /// (`None` = plain averages, the paper's default).
     pub recency_decay: Option<f64>,
-    /// Last-resort estimate when nothing is known about a call.
-    pub default_prior: CostVector,
 }
+
+/// Last-resort estimate when nothing is known about a call: what fills
+/// the components that neither the statistics nor a hint supply.
+pub const DEFAULT_PRIOR: CostVector = CostVector::full(250.0, 1_000.0, 10.0);
 
 impl Default for DcsmConfig {
     fn default() -> Self {
         DcsmConfig {
             keep_detail: true,
             recency_decay: None,
-            default_prior: CostVector::full(250.0, 1_000.0, 10.0),
         }
     }
 }
@@ -307,7 +308,7 @@ impl Dcsm {
         if let Some(h) = &hint {
             filled = filled.or(h);
         }
-        let vector = filled.or(&self.config.default_prior);
+        let vector = filled.or(&DEFAULT_PRIOR);
         EstimateOutcome {
             vector,
             source,
@@ -606,7 +607,6 @@ mod tests {
         let cfg = DcsmConfig {
             recency_decay: Some(0.5),
             keep_detail: false,
-            ..DcsmConfig::default()
         };
         let mut d = Dcsm::with_config(cfg);
         let call = GroundCall::new("d", "f", vec![]);
@@ -727,7 +727,7 @@ mod tests {
         let (vector, source) = found.unwrap_or((CostVector::default(), EstimateSource::Prior));
         let vector = hint.map_or(vector, |h| vector.or(&h));
         EstimateOutcome {
-            vector: vector.or(&d.config.default_prior),
+            vector: vector.or(&DEFAULT_PRIOR),
             source,
             lookup_work,
         }

@@ -47,7 +47,8 @@ pub mod vectordb;
 
 pub use cost::{CostVector, MeanAgg};
 pub use estimator::{
-    overlap_makespan, Dcsm, DcsmConfig, EstimateOutcome, EstimateSource, DISPATCH_OVERHEAD_MS,
+    overlap_makespan, Dcsm, DcsmConfig, EstimateOutcome, EstimateSource, DEFAULT_PRIOR,
+    DISPATCH_OVERHEAD_MS,
 };
 pub use maintenance::{droppable_dimensions, AccessTracker};
 pub use sharded::{CostSource, DcsmView, ShardedDcsm};

@@ -3,7 +3,7 @@
 use crate::diagnostic::{AnalysisReport, DiagCode, Diagnostic, Locus};
 use crate::{adorn, cacheable, coverage, graph, invariants, materialize, sigs};
 use hermes_cim::{CimPolicy, InvariantStore, RoutingDecision};
-use hermes_dcsm::Dcsm;
+use hermes_dcsm::CostSource;
 use hermes_domains::DomainRegistry;
 use hermes_lang::{DeclarationFault, Declarations, Invariant, Program, QueryForm};
 use std::collections::BTreeMap;
@@ -131,7 +131,7 @@ pub struct Analyzer<'a> {
     program: &'a Program,
     invariants: Vec<Invariant>,
     signatures: Option<SignatureTable>,
-    dcsm: Option<&'a Dcsm>,
+    dcsm: Option<&'a dyn CostSource>,
     query_forms: Vec<QueryForm>,
     routing: CimPolicy,
     materialize: bool,
@@ -174,8 +174,9 @@ impl<'a> Analyzer<'a> {
         self.with_signatures(SignatureTable::from_registry(reg))
     }
 
-    /// Enables cost-coverage advisories against this DCSM (pass 5).
-    pub fn with_dcsm(mut self, dcsm: &'a Dcsm) -> Self {
+    /// Enables cost-coverage advisories against this DCSM (pass 5): a
+    /// plain `Dcsm`, or a sharded one asked through [`CostSource`].
+    pub fn with_dcsm(mut self, dcsm: &'a dyn CostSource) -> Self {
         self.dcsm = Some(dcsm);
         self
     }

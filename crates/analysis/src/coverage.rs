@@ -9,14 +9,14 @@
 use crate::analyzer::SignatureTable;
 use crate::diagnostic::{DiagCode, Diagnostic, Locus};
 use hermes_common::{CallPattern, PatArg};
-use hermes_dcsm::{Dcsm, EstimateSource};
+use hermes_dcsm::{CostSource, EstimateSource};
 use hermes_lang::{BodyAtom, Program, Term};
 use std::collections::BTreeSet;
 
 /// Runs the pass.
 pub(crate) fn run(
     program: &Program,
-    dcsm: &Dcsm,
+    dcsm: &dyn CostSource,
     signatures: Option<&SignatureTable>,
     out: &mut Vec<Diagnostic>,
 ) {
@@ -76,6 +76,7 @@ pub(crate) fn run(
 mod tests {
     use super::*;
     use hermes_common::{GroundCall, SimInstant};
+    use hermes_dcsm::Dcsm;
     use hermes_lang::parse_program;
 
     #[test]

@@ -27,7 +27,7 @@ use crate::diagnostic::{DiagCode, Diagnostic, Locus};
 use crate::fingerprint::{fingerprint_rule, Fingerprint, SubplanKey};
 use crate::graph;
 use hermes_common::{CallPattern, PatArg};
-use hermes_dcsm::{CostSource, Dcsm};
+use hermes_dcsm::CostSource;
 use hermes_lang::{BodyAtom, CacheRouting, Program, QueryForm, Rule, Term};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -42,7 +42,7 @@ pub(crate) struct Inputs<'a> {
     /// The `%! volatile` sources: only says *why* a call is `Direct`.
     pub volatile: &'a CacheRouting,
     /// Cost model for the HA073 savings estimate.
-    pub dcsm: Option<&'a Dcsm>,
+    pub dcsm: Option<&'a dyn CostSource>,
 }
 
 type Call = (Arc<str>, Arc<str>);
@@ -222,7 +222,7 @@ fn transitive_calls(program: &Program, rule: &Rule) -> BTreeSet<Call> {
 /// or more rules is a sharing opportunity.
 fn shared_subplans(
     program: &Program,
-    dcsm: Option<&Dcsm>,
+    dcsm: Option<&dyn CostSource>,
     safe: &[&Classified],
     out: &mut Vec<Diagnostic>,
 ) {

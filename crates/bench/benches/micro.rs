@@ -403,7 +403,7 @@ fn bench_executor() {
     println!("executor:");
     // Wall-clock cost of running a fully-cached query: the real overhead a
     // mediator adds once the network is out of the picture.
-    let mut m = {
+    let m = {
         let d = SyntheticDomain::generate("d1", 3, &[RelationSpec::uniform("p", 20, 4.0)]);
         let mut net = Network::new(3);
         net.place(Arc::new(d), profiles::maryland());

@@ -26,7 +26,7 @@
 //! the comparisons into assertions for CI.
 
 use hermes_common::{percentile, HermesError, QueryFrame, Rng64};
-use hermes_core::{ConcurrentMediator, Mediator, NetServer, ServeConfig, ServeMode, WireClient};
+use hermes_core::{Mediator, NetServer, ServeConfig, ServeMode, WireClient};
 use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
 use hermes_domains::SlowDomain;
 use hermes_net::{profiles, Network};
@@ -45,11 +45,11 @@ const WORKERS: usize = 8;
 
 /// The serving world: two SlowDomain-wrapped synthetic sites, the same
 /// shape `hermes-serve` builds, so bench numbers transfer.
-fn build_server(seed: u64) -> ConcurrentMediator {
+fn build_server(seed: u64) -> Mediator {
     build_world(seed, SOURCE_DELAY)
 }
 
-fn build_world(seed: u64, delay: Duration) -> ConcurrentMediator {
+fn build_world(seed: u64, delay: Duration) -> Mediator {
     let d0 = SyntheticDomain::generate(
         "d0",
         seed,

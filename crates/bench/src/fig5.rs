@@ -136,7 +136,7 @@ pub fn run_cell(seed: u64, spec: QuerySpec, site: VideoSite, config: Config) -> 
         Config::NoCache => CimPolicy::never(),
         _ => CimPolicy::cache_everything(),
     };
-    let mut m = rope_world(seed, site, policy);
+    let m = rope_world(seed, site, policy);
     match config {
         Config::NoCache => {}
         Config::CacheOnly => {

@@ -61,7 +61,7 @@ fn four_site_world(seed: u64) -> Mediator {
         );
         net.place(Arc::new(d), site);
     }
-    let mut m = Mediator::from_source("", net).expect("empty program compiles");
+    let m = Mediator::from_source("", net).expect("empty program compiles");
     m.caches()
         .policy()
         .routing(CimPolicy::never())

@@ -120,7 +120,7 @@ fn train(m: &mut Mediator, seed: u64) {
 fn measure_plans(seed: u64, q: &str, planned: &Planned) -> Vec<(f64, f64)> {
     (0..planned.plans.len())
         .map(|i| {
-            let mut fresh = build_world(seed);
+            let fresh = build_world(seed);
             // Re-train so DCSM state does not matter for the measurement
             // (we reuse the same network/cost world).
             let single = Planned {

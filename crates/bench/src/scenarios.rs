@@ -75,7 +75,7 @@ pub fn rope_world(seed: u64, video_site: VideoSite, policy: CimPolicy) -> Mediat
     net.place(Arc::new(mirror), profiles::maryland());
     net.place(relation, profiles::maryland());
 
-    let mut mediator = Mediator::from_source(
+    let mediator = Mediator::from_source(
         "
         objs(F, L, O) :- in(O, video:frames_to_objects('rope', F, L)).
         vobjs(V, F, L, O) :- in(O, video:frames_to_objects(V, F, L)).
@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn rope_world_answers_queries_at_both_sites() {
         for site in [VideoSite::Usa, VideoSite::Italy] {
-            let mut m = rope_world(1, site, CimPolicy::never());
+            let m = rope_world(1, site, CimPolicy::never());
             let r = m.query("?- objs(4, 47, O).").unwrap();
             assert!(r.rows.len() >= 17, "{site:?}: {} rows", r.rows.len());
         }
@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn italy_slower_than_usa() {
         let t = |site| {
-            let mut m = rope_world(2, site, CimPolicy::never());
+            let m = rope_world(2, site, CimPolicy::never());
             m.query("?- objs(4, 47, O).").unwrap().t_all
         };
         assert!(t(VideoSite::Italy) > t(VideoSite::Usa) * 3);
@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn mirror_serves_same_answers_locally() {
-        let mut m = rope_world(3, VideoSite::Italy, CimPolicy::never());
+        let m = rope_world(3, VideoSite::Italy, CimPolicy::never());
         let remote = m.query("?- objs(4, 47, O).").unwrap();
         let local = m.query("?- mobjs(4, 47, O).").unwrap();
         assert_eq!(remote.rows, local.rows);
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn cast_join_produces_actor_names() {
-        let mut m = rope_world(4, VideoSite::Usa, CimPolicy::never());
+        let m = rope_world(4, VideoSite::Usa, CimPolicy::never());
         let r = m.query("?- actors(0, 935, O, A).").unwrap();
         assert_eq!(r.rows.len(), ROPE_CAST.len());
         assert!(r.t_all > SimDuration::ZERO);

@@ -29,9 +29,10 @@
 //! * **Posting** — anything else: scan only the cached calls of the other
 //!   side's `(domain, function)` posting list.
 //!
-//! [`InvariantStore::find_hits_naive`] / [`InvariantStore::substitutes_naive`]
-//! retain the full-scan reference semantics; equivalence tests assert the
-//! indexed paths return identical hit sets.
+//! `InvariantStore::find_hits_naive` / `InvariantStore::substitutes_naive`
+//! (built only with the `spec` feature, and for this crate's tests) retain
+//! the full-scan reference semantics; equivalence tests assert the indexed
+//! paths return identical hit sets.
 
 use crate::cache::AnswerCache;
 use hermes_common::GroundCall;
@@ -274,6 +275,7 @@ impl InvariantStore {
     /// direction per entry (equality and partial hits are collected
     /// together; the final sort orders them). Kept for the equivalence
     /// tests and as the executable specification of the indexed path.
+    #[cfg(any(test, feature = "spec"))]
     pub fn find_hits_naive(&self, call: &GroundCall, cache: &AnswerCache) -> Vec<InvariantHit> {
         // Unify the call with each usable direction once, up front.
         let mut dirs = Vec::new();
@@ -347,6 +349,7 @@ impl InvariantStore {
 
     /// The all-invariants reference implementation of
     /// [`InvariantStore::substitutes`], kept for the equivalence tests.
+    #[cfg(any(test, feature = "spec"))]
     pub fn substitutes_naive(&self, call: &GroundCall) -> Vec<GroundCall> {
         let mut out = Vec::new();
         for inv in &self.invariants {

@@ -1,9 +1,8 @@
 //! One coherent cache-control surface: the [`CacheControl`] facade.
 //!
-//! [`Mediator::caches`](crate::Mediator::caches) and
-//! [`ConcurrentMediator::caches`](crate::ConcurrentMediator::caches) hand
-//! out one facade over both cache tiers — the CIM's ground-call answer
-//! cache and the subplan materialization cache ([`crate::matcache`]):
+//! [`Mediator::caches`] hands out one facade over both cache tiers — the
+//! CIM's ground-call answer cache and the subplan materialization cache
+//! ([`crate::matcache`]):
 //!
 //! * [`CacheControl::stats`] — one snapshot of CIM manager counters,
 //!   answer-cache counters + footprint, and matcache counters.
@@ -16,18 +15,16 @@
 //! * [`CacheControl::policy`] — a builder applying routing, the answer
 //!   budget, and subplan sharing in one shot.
 //!
-//! Both faces hold the same state — a `ShardedCim` (one shard on the
-//! serial mediator) and a `MatCache` — so every method does the same thing
-//! on both, with one honest difference: only the serial mediator's
-//! `&mut self` may change the planning core, so on the concurrent face
-//! [`CachePolicy::apply`] refuses `routing`/`share_subplans` changes
-//! instead of silently dropping them — configure those on the serial
-//! mediator *before* `to_concurrent`.
+//! Every method takes `&self` and works the same on any mediator, served
+//! or not, at any shard count. `routing` and `share_subplans` are part of
+//! the planning snapshot, so [`CachePolicy::apply`] installs a new
+//! snapshot for them: queries staged afterwards plan with the new
+//! settings, queries already staged finish with the old ones.
 
-use crate::exec::ExecConfig;
 use crate::matcache::{MatCache, MatCacheStats};
-use hermes_cim::{CacheStats, CimPolicy, CimStats, ShardedCim};
-use hermes_common::{HermesError, Result};
+use crate::server::Mediator;
+use hermes_cim::{CacheStats, CimPolicy, CimStats};
+use hermes_common::Result;
 use hermes_lang::Invariant;
 
 /// Which cache tier an operation targets.
@@ -65,44 +62,26 @@ pub struct InvalidationSweep {
     pub subplans_dropped: usize,
 }
 
-/// The planning-core settings the facade may change: present only when
-/// it was handed out by the serial mediator's `&mut self`.
-pub(crate) struct PlanningKnobs<'m> {
-    pub policy: &'m mut CimPolicy,
-    pub exec: &'m mut ExecConfig,
-}
-
 /// The unified cache-control facade. Obtain one from
-/// [`Mediator::caches`](crate::Mediator::caches) (full control) or
-/// [`ConcurrentMediator::caches`](crate::ConcurrentMediator::caches)
-/// (everything except planning-core knobs).
+/// [`Mediator::caches`].
 pub struct CacheControl<'m> {
-    cim: &'m ShardedCim,
-    matcache: &'m MatCache,
-    planning: Option<PlanningKnobs<'m>>,
+    mediator: &'m Mediator,
 }
 
 impl<'m> CacheControl<'m> {
-    pub(crate) fn new(
-        cim: &'m ShardedCim,
-        matcache: &'m MatCache,
-        planning: Option<PlanningKnobs<'m>>,
-    ) -> Self {
-        CacheControl {
-            cim,
-            matcache,
-            planning,
-        }
+    pub(crate) fn new(mediator: &'m Mediator) -> Self {
+        CacheControl { mediator }
     }
 
     /// One snapshot across both tiers.
     pub fn stats(&self) -> CacheSnapshot {
+        let cim = &self.mediator.cim;
         CacheSnapshot {
-            cim: self.cim.stats(),
-            answers: self.cim.cache_stats(),
-            answer_entries: self.cim.len(),
-            answer_bytes: self.cim.bytes(),
-            subplans: self.matcache.stats(),
+            cim: cim.stats(),
+            answers: cim.cache_stats(),
+            answer_entries: cim.len(),
+            answer_bytes: cim.bytes(),
+            subplans: self.mediator.matcache.stats(),
         }
     }
 
@@ -111,8 +90,8 @@ impl<'m> CacheControl<'m> {
     /// (transitively) read it.
     pub fn invalidate_source(&self, domain: &str, function: &str) -> InvalidationSweep {
         InvalidationSweep {
-            answers_dropped: self.cim.invalidate_function(domain, function),
-            subplans_dropped: self.matcache.invalidate_source(domain, function),
+            answers_dropped: self.mediator.cim.invalidate_function(domain, function),
+            subplans_dropped: self.mediator.matcache.invalidate_source(domain, function),
         }
     }
 
@@ -120,29 +99,29 @@ impl<'m> CacheControl<'m> {
     /// and invariants survive.
     pub fn clear(&self, tier: CacheTier) {
         if matches!(tier, CacheTier::Answers | CacheTier::All) {
-            self.cim.clear();
+            self.mediator.cim.clear();
         }
         if matches!(tier, CacheTier::Subplans | CacheTier::All) {
-            self.matcache.clear();
+            self.mediator.matcache.clear();
         }
     }
 
     /// Registers a §4.2 invariant with the CIM, in every shard. Returns
     /// the invariant's index in the store.
     pub fn add_invariant(&self, inv: Invariant) -> Result<usize> {
-        self.cim.add_invariant(&inv)
+        self.mediator.cim.add_invariant(&inv)
     }
 
     /// Serve stale cached answers when a source is unreachable (§4.1's
     /// availability trade).
     pub fn set_serve_stale(&self, on: bool) {
-        self.cim.set_serve_stale_on_outage(on);
+        self.mediator.cim.set_serve_stale_on_outage(on);
     }
 
     /// The subplan cache handle — stats and targeted invalidation beyond
     /// what the facade methods cover.
     pub fn subplans(&self) -> &'m MatCache {
-        self.matcache
+        &self.mediator.matcache
     }
 
     /// Starts a policy change; finish with [`CachePolicy::apply`].
@@ -157,8 +136,8 @@ impl<'m> CacheControl<'m> {
 }
 
 /// A batched cache-policy change, built fluently from
-/// [`CacheControl::policy`] and applied atomically enough for
-/// configuration purposes (each knob lands in one call).
+/// [`CacheControl::policy`]. `routing` and `share_subplans` land together,
+/// in one planning snapshot.
 pub struct CachePolicy<'m> {
     control: CacheControl<'m>,
     routing: Option<CimPolicy>,
@@ -168,15 +147,14 @@ pub struct CachePolicy<'m> {
 
 impl CachePolicy<'_> {
     /// Replaces the CIM routing policy (which calls go through the
-    /// cache). Serial mediator only — routing binds at `to_concurrent`.
+    /// cache) for queries staged afterwards.
     pub fn routing(mut self, policy: CimPolicy) -> Self {
         self.routing = Some(policy);
         self
     }
 
-    /// Enables/disables the subplan materialization cache for queries
-    /// (`ExecConfig::share_subplans`). Serial mediator only — the setting
-    /// binds at `to_concurrent`.
+    /// Enables/disables the subplan materialization cache
+    /// (`ExecConfig::share_subplans`) for queries staged afterwards.
     pub fn share_subplans(mut self, on: bool) -> Self {
         self.share_subplans = Some(on);
         self
@@ -188,31 +166,24 @@ impl CachePolicy<'_> {
         self
     }
 
-    /// Applies every requested change. Fails — before changing anything —
-    /// if a planning-core knob (`routing`, `share_subplans`) was requested
-    /// on a concurrent mediator, whose planning core is immutable.
+    /// Applies every requested change.
     pub fn apply(self) -> Result<()> {
-        let control = self.control;
+        let mediator = self.control.mediator;
         if self.routing.is_some() || self.share_subplans.is_some() {
-            let Some(PlanningKnobs { policy, exec }) = control.planning else {
-                return Err(HermesError::Eval(
-                    "routing and subplan sharing bind at `to_concurrent` time; \
-                     set them on the serial mediator first"
-                        .into(),
-                ));
-            };
-            if let Some(routing) = self.routing {
-                // A call routed around the CIM has no invalidation signal:
-                // drop the snapshots that read one.
-                control.matcache.invalidate_direct(&routing);
-                *policy = routing;
-            }
-            if let Some(on) = self.share_subplans {
-                exec.share_subplans = on;
-            }
+            mediator.change_core(|core| {
+                if let Some(routing) = self.routing {
+                    // A call routed around the CIM has no invalidation
+                    // signal: drop the snapshots that read one.
+                    mediator.matcache.invalidate_direct(&routing);
+                    core.policy = routing;
+                }
+                if let Some(on) = self.share_subplans {
+                    core.config.exec.share_subplans = on;
+                }
+            });
         }
         if let Some(bytes) = self.answer_budget {
-            control
+            mediator
                 .cim
                 .for_each_shard_mut(|_, shard| shard.cache_mut().set_budget(bytes));
         }

@@ -223,9 +223,8 @@ fn unify(args: &[Term], row: &[Value], theta: &Subst) -> Option<Subst> {
 /// The executor. Borrow the mediator's shared CIM/DCSM and network, hand
 /// it a clock, run one plan.
 ///
-/// The CIM and DCSM are reached through their shared-state views; both
-/// mediators hand it their sharded caches (one shard each on the serial
-/// face).
+/// The CIM and DCSM are reached through their shared-state views; a
+/// mediator hands it its sharded caches.
 pub struct Executor<'w> {
     network: &'w Network,
     cim: &'w dyn CimView,

@@ -256,9 +256,7 @@ impl<K: Eq + Hash + Clone, V> Flights<K, V> {
 
 /// The flights of ground calls currently on the wire.
 ///
-/// Shared by every query a mediator serves; the serial
-/// [`crate::Mediator`] has one too, as the one-shard face of a
-/// [`crate::ConcurrentMediator`].
+/// Shared by every query a [`crate::Mediator`] serves.
 pub type InFlightRegistry = Flights<GroundCall, RemoteOutcome>;
 
 impl InFlightRegistry {

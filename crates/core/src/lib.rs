@@ -12,13 +12,15 @@
 //!   virtual clock, with the §4.1 cache/invariant pipeline inline and the
 //!   statistics feedback loop into DCSM.
 //! * `pipeline` (crate-private) — the one query path, as methods of
-//!   [`ConcurrentMediator`]: admission → request overrides → rewrite +
-//!   cost + choose → tier selection → executor run with plan failover →
-//!   projection. The serial mediator below runs its queries there too.
-//! * [`mediator`] — the serial facade tying program + network + CIM +
-//!   DCSM together: `query`, `query_interactive`, `explain`.
-//! * [`server`] — the [`ConcurrentMediator`]: the same pipeline over
-//!   sharded caches, behind a bounded admission gate, `query(&self)`.
+//!   [`Mediator`]: admission → request overrides → rewrite + cost +
+//!   choose → tier selection → executor run with plan failover →
+//!   projection.
+//! * [`server`] — the one [`Mediator`] state (also named
+//!   [`ConcurrentMediator`]): a swappable planning snapshot over sharded
+//!   caches, behind an admission gate, `query(&self)`.
+//! * [`mediator`] — its configuration, requests and results, and the
+//!   methods that install a program, analyze, explain, persist and
+//!   reshard.
 //!
 //! ```
 //! use hermes_core::Mediator;
@@ -28,7 +30,7 @@
 //!
 //! let mut net = Network::new(7);
 //! net.place(Arc::new(rope_store()), profiles::maryland());
-//! let mut mediator = Mediator::from_source(
+//! let mediator = Mediator::from_source(
 //!     "objects_in(V, F, L, O) :- in(O, video:frames_to_objects(V, F, L)).",
 //!     net,
 //! ).unwrap();
@@ -63,7 +65,7 @@ pub use cursor::{InteractiveQuery, InteractiveSummary};
 pub use exec::{ExecConfig, ExecOutcome, ExecStats, Executor, IncompleteReason, SubgoalProvenance};
 pub use flight::{FlightHandle, FlightLeader, FlightRole, Flights, InFlightRegistry};
 pub use matcache::{MatCache, MatCacheStats, MatLookup, MatTicket};
-pub use mediator::{Mediator, MediatorConfig, Planned, QueryRequest, QueryResult};
+pub use mediator::{MediatorConfig, Planned, QueryRequest, QueryResult, Snapshot};
 pub use plan::{independence_groups, Plan, PlanStep, Route};
 pub use rewrite::{
     bind_query, cache_servable_plans, enumerate_plans, enumerate_plans_with_pushdowns,
@@ -73,6 +75,6 @@ pub use rewrite::{
 pub use serve::{
     NetServer, NetServerStats, RemoteResult, ServeConfig, ServeConfigBuilder, ServeMode, WireClient,
 };
-pub use server::{ConcurrentMediator, ServerStats};
+pub use server::{ConcurrentMediator, Mediator, ServerStats};
 pub use tier::{select_tier, PlanTier, TierDecision, TierInputs, TierLoad, TierReason};
 pub use trace::{TraceEntry, TraceEvent};

@@ -20,8 +20,8 @@
 //! (`Plan::routes_calls_through_cim`). No ticket, no entry: a plan that
 //! reads a source directly can never produce a cache hit, by construction,
 //! whichever mediator shares the cache and whatever routing it has. A
-//! routing change on the serial mediator drops the entries that read a
-//! call it now routes around the CIM (`MatCache::invalidate_direct`).
+//! routing change on any mediator drops the entries that read a call it
+//! now routes around the CIM (`MatCache::invalidate_direct`).
 //!
 //! The gate needs nothing from the program, so it also admits calls the
 //! program never names: a pushdown-fused call (`select_eq`…) in a
@@ -198,8 +198,8 @@ pub enum MatLookup {
 }
 
 /// The subplan materialization cache. Thread-safe; shared by every query
-/// of a [`crate::ConcurrentMediator`] and owned (behind `Arc`) by the
-/// serial [`crate::Mediator`].
+/// of a [`crate::Mediator`] (behind `Arc`), and by the mediators
+/// `to_concurrent` makes from it.
 #[derive(Debug)]
 pub struct MatCache {
     store: Mutex<Store>,
@@ -552,7 +552,9 @@ mod tests {
 
     #[test]
     fn policy_change_sweeps_newly_volatile_entries() {
-        let cache = MatCache::default();
+        let empty = hermes_lang::parse_program("").unwrap();
+        let mediator = crate::Mediator::new(empty, hermes_net::Network::new(1)).unwrap();
+        let cache = mediator.caches().subplans();
         for src in ["?- p(A, B).", "?- v(A)."] {
             let ticket = cache.ticket(&plan_for(src)).unwrap();
             cache.store(&ticket, answers(2), 5.0);
@@ -560,22 +562,17 @@ mod tests {
         assert_eq!(cache.stats().entries, 2);
         // New routing: domain `e` bypasses the CIM, so `p`'s snapshot has
         // lost its invalidation signal; `v`'s has not.
-        let cim = hermes_cim::ShardedCim::new(1);
-        let mut policy = CimPolicy::cache_everything();
-        let mut exec = crate::exec::ExecConfig::default();
-        let knobs = crate::caches::PlanningKnobs {
-            policy: &mut policy,
-            exec: &mut exec,
-        };
-        crate::caches::CacheControl::new(&cim, &cache, Some(knobs))
+        mediator
+            .caches()
             .policy()
             .routing(direct("e"))
             .apply()
             .unwrap();
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.invalidated), (1, 1));
+        let policy = &mediator.snapshot().policy;
         assert!(
-            cache.ticket(&plan_under("?- p(A, B).", &policy)).is_none(),
+            cache.ticket(&plan_under("?- p(A, B).", policy)).is_none(),
             "now direct: no ticket"
         );
     }

@@ -1,35 +1,40 @@
 //! The one query path (the paper's Figure 1, once): admission → request
 //! overrides → rewrite + cost + choose → tier selection → executor run
-//! with plan failover → projection, as methods of [`ConcurrentMediator`].
+//! with plan failover → projection, as methods of [`Mediator`].
 //!
-//! [`Mediator`](crate::mediator::Mediator) is the `&mut self` face of a
-//! one-shard `ConcurrentMediator` (DESIGN.md §12), so every query of
-//! either face runs here. A query is [`stage`](ConcurrentMediator::stage)d
-//! (admitted, parsed and planned) first and
-//! [`run`](ConcurrentMediator::run) second, possibly on another thread,
-//! so the run's clock is taken once planning is over.
+//! A query is [`stage`](Mediator::stage)d (admitted, then parsed and
+//! planned against the planning snapshot it reads once) first and
+//! [`run`](Mediator::run) second, possibly on another thread, so the
+//! run's clock is taken once planning is over.
 
 use crate::cost::choose_plan;
 use crate::exec::{ExecConfig, ExecOutcome, ExecStats, Executor};
 use crate::mediator::{MediatorConfig, Planned, QueryRequest, QueryResult};
 use crate::plan::{Plan, PlanStep, Route};
 use crate::rewrite::{bind_query, cache_servable_plans, CheckedProgram, PushdownRule};
-use crate::server::{ConcurrentMediator, GatePermit};
+use crate::server::{GatePermit, Mediator};
 use crate::tier::{select_tier, PlanTier, TierDecision, TierInputs, TierLoad, TierReason};
 use crate::trace::{TraceEntry, TraceEvent};
+use hermes_analysis::Diagnostic;
 use hermes_cim::{CimPolicy, CimPreview, CimView};
 use hermes_common::{GroundCall, HermesError, Result, SimClock, SimInstant};
 use hermes_dcsm::CostVector;
 use hermes_lang::{parse_query, Query, Subst};
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
-/// The planning inputs: what a query is rewritten and costed against.
-/// The program is checked and indexed where it is installed, so planning
-/// a query repeats none of the work that depends on the program alone.
+/// The planning inputs: what a query is rewritten and costed against, one
+/// immutable snapshot per change (see [`Mediator::change_core`]). The
+/// program is checked and indexed where it is installed, so planning a
+/// query repeats none of the work that depends on the program alone, and
+/// copying the snapshot for a change copies no program.
 #[derive(Clone, Debug)]
 pub(crate) struct PlanningCore {
-    pub program: CheckedProgram,
+    pub program: Arc<CheckedProgram>,
+    /// Warning-severity findings of the analyzer run that installed
+    /// `program`.
+    pub warnings: Vec<Diagnostic>,
     pub policy: CimPolicy,
     pub config: MediatorConfig,
     pub pushdowns: Vec<PushdownRule>,
@@ -37,7 +42,8 @@ pub(crate) struct PlanningCore {
 
 /// A request admitted through the gate, then parsed, bound and planned
 /// under its own copy of the configuration, but not yet run: what
-/// [`ConcurrentMediator::stage`] hands to [`ConcurrentMediator::run`].
+/// [`Mediator::stage`] hands to [`Mediator::run`]. Nothing in it reads the
+/// planning core again, so it runs as staged whatever changes meanwhile.
 /// It owns its gate permit and is `Send`, so any thread may run it;
 /// dropping it releases the gate slot.
 #[derive(Debug)]
@@ -87,10 +93,11 @@ pub(crate) enum Handoff<T, W> {
     Back(W),
 }
 
-impl ConcurrentMediator {
+impl Mediator {
     /// The first half of [`query`](Self::query): admits the request
-    /// through the gate, then applies its options to a copy of the
-    /// configuration (for this run only) and parses, binds and plans it.
+    /// through the gate, then reads the planning snapshot, applies the
+    /// request's options to a copy of its configuration (for this run
+    /// only) and parses, binds and plans it.
     /// Admission comes before any parsing or planning, so a shed query
     /// costs nothing and returns immediately.
     pub(crate) fn stage(&self, req: &QueryRequest) -> Result<StagedQuery> {
@@ -98,7 +105,8 @@ impl ConcurrentMediator {
             let permit = self.gate.admit().ok_or_else(|| HermesError::Shed {
                 reason: "gate-full".into(),
             })?;
-            let mut config = self.core.config;
+            let core = self.snapshot();
+            let mut config = core.config;
             if let Some(d) = req.deadline {
                 config.exec.deadline = Some(d);
             }
@@ -120,7 +128,7 @@ impl ConcurrentMediator {
                 None => query,
             };
             Ok(StagedQuery {
-                planned: self.plan(&query, &config)?,
+                planned: self.plan_on(&core, &query, &config)?,
                 config,
                 limit: req.limit,
                 tier: req.tier,
@@ -149,7 +157,7 @@ impl ConcurrentMediator {
             query.config.exec.tier = decision.tier;
             decision
         });
-        let served = self.execute(&query.planned, query.limit, &query.config, &mut clock);
+        let served = self.run_planned(&query.planned, query.limit, &query.config, &mut clock);
         self.fold_clock(&clock);
         let result = served.map(|mut result| {
             if decision.is_some_and(|d| d.tier < PlanTier::Full) || result.stats.tier_downgrades > 0
@@ -189,7 +197,7 @@ impl ConcurrentMediator {
     /// Otherwise the query is handed back untouched and uncounted, for
     /// [`run`](Self::run) on a thread that may block on a source.
     pub(crate) fn run_cached(&self, query: StagedQuery) -> Handoff<QueryResult, StagedQuery> {
-        self.run_cached_on(self.cim.as_ref(), query)
+        self.run_cached_on(&self.cim, query)
     }
 
     /// [`run_cached`](Self::run_cached) with `cim` answering the preview:
@@ -209,7 +217,7 @@ impl ConcurrentMediator {
         let mut clock = self.query_clock();
         let mut config = query.config;
         config.exec.tier = PlanTier::CacheOnly;
-        match self.execute(&query.planned, query.limit, &config, &mut clock) {
+        match self.run_planned(&query.planned, query.limit, &config, &mut clock) {
             Ok(result) if result.stats.tier_skipped_calls == 0 && !result.incomplete => {
                 self.fold_clock(&clock);
                 self.count_admitted();
@@ -219,15 +227,17 @@ impl ConcurrentMediator {
         }
     }
 
-    /// Rewrites and costs a query: every executable plan, its §7
-    /// estimate under the current statistics, and the cheapest one.
-    pub(crate) fn plan(&self, query: &Query, config: &MediatorConfig) -> Result<Planned> {
-        let plans = self.core.program.enumerate_plans(
-            query,
-            &self.core.policy,
-            config.rewrite,
-            &self.core.pushdowns,
-        )?;
+    /// Rewrites and costs a query against `core`: every executable plan,
+    /// its §7 estimate under the current statistics, and the cheapest one.
+    pub(crate) fn plan_on(
+        &self,
+        core: &PlanningCore,
+        query: &Query,
+        config: &MediatorConfig,
+    ) -> Result<Planned> {
+        let plans =
+            core.program
+                .enumerate_plans(query, &core.policy, config.rewrite, &core.pushdowns)?;
         let (chosen, estimates) = self.choose(&plans, config);
         Ok(Planned {
             plans,
@@ -273,9 +283,8 @@ impl ConcurrentMediator {
     }
 
     /// The failover-aware execution loop on `clock`, which is left at the
-    /// instant the run ended (see
-    /// [`Mediator::execute`](crate::mediator::Mediator::execute)).
-    pub(crate) fn execute(
+    /// instant the run ended (see [`Mediator::execute`]).
+    pub(crate) fn run_planned(
         &self,
         planned: &Planned,
         limit: Option<usize>,
@@ -328,15 +337,9 @@ impl ConcurrentMediator {
     /// single-flight registry, plus the subplan cache when `config`
     /// shares subplans: every run in `hermes-core` starts here.
     pub(crate) fn executor(&self, clock: SimClock, config: ExecConfig) -> Executor<'_> {
-        let executor = Executor::new(
-            &self.network,
-            self.cim.as_ref(),
-            self.dcsm.as_ref(),
-            clock,
-            config,
-        )
-        .with_breakers(&self.breakers)
-        .with_flight(self.flight());
+        let executor = Executor::new(&self.network, &self.cim, &self.dcsm, clock, config)
+            .with_breakers(&self.breakers)
+            .with_flight(self.flight());
         if config.share_subplans {
             executor.with_matcache(&self.matcache)
         } else {
@@ -379,7 +382,7 @@ impl ConcurrentMediator {
     fn choose(&self, plans: &[Plan], config: &MediatorConfig) -> (usize, Vec<CostVector>) {
         choose_plan(
             plans,
-            self.dcsm.as_ref(),
+            &self.dcsm,
             &config.cost,
             config.optimize_first_answer,
         )

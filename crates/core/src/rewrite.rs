@@ -115,14 +115,17 @@ pub fn enumerate_plans(
 
 /// [`enumerate_plans`] with selection-pushdown rules: wherever a scan's
 /// output is filtered by a fusible condition, an additional plan variant
-/// executes the fused, source-side selective call.
+/// executes the fused, source-side selective call. `program` is anything
+/// that derefs to one: a `&Program`, or a mediator's
+/// [`program`](crate::Mediator::program) handle.
 pub fn enumerate_plans_with_pushdowns(
-    program: &Program,
+    program: impl std::ops::Deref<Target = Program>,
     query: &Query,
     policy: &CimPolicy,
     config: RewriteConfig,
     pushdowns: &[PushdownRule],
 ) -> Result<Vec<Plan>> {
+    let program = &*program;
     let index = RuleIndex::new(program);
     check_program(program, &index)?;
     let templates = compile_rules(program);

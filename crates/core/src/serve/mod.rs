@@ -1,5 +1,5 @@
 //! The network serving core: two TCP servers over
-//! [`ConcurrentMediator`] speaking the [`hermes_common::frame`] binary
+//! [`Mediator`] speaking the [`hermes_common::frame`] binary
 //! protocol, plus the [`WireClient`] the REPL and load generator use.
 //!
 //! # Two server shapes, one dispatch
@@ -59,7 +59,7 @@ use hermes_common::{HermesError, Record, Result, SimDuration, Value};
 
 use crate::mediator::{QueryRequest, QueryResult};
 use crate::pipeline::{Handoff, StagedQuery};
-use crate::server::ConcurrentMediator;
+use crate::server::Mediator;
 use crate::tier::PlanTier;
 
 /// Reactor mode: how many `Query` frames the reactor thread stages (and,
@@ -325,7 +325,7 @@ impl NetCounters {
 /// State both server engines share: the mediator, the config, the stop
 /// flag, and the socket counters.
 pub(crate) struct Shared {
-    pub(crate) mediator: Arc<ConcurrentMediator>,
+    pub(crate) mediator: Arc<Mediator>,
     pub(crate) config: ServeConfig,
     pub(crate) stop: AtomicBool,
     pub(crate) counters: Arc<NetCounters>,
@@ -350,7 +350,7 @@ impl NetServer {
     /// Bind `addr` and start serving `mediator` in the background.
     /// `addr` may use port 0; the picked port is in [`NetServer::addr`].
     pub fn bind(
-        mediator: Arc<ConcurrentMediator>,
+        mediator: Arc<Mediator>,
         addr: impl ToSocketAddrs,
         config: ServeConfig,
     ) -> Result<NetServer> {
@@ -402,7 +402,7 @@ impl NetServer {
     }
 
     /// The mediator being served.
-    pub fn mediator(&self) -> &Arc<ConcurrentMediator> {
+    pub fn mediator(&self) -> &Arc<Mediator> {
         &self.shared().mediator
     }
 
@@ -557,7 +557,7 @@ pub(crate) fn run_staged(shared: &Shared, staged: StagedFrame) -> Vec<u8> {
 }
 
 /// Finishes a staged query on the calling thread if the answer cache
-/// alone answers it (see [`ConcurrentMediator::run_cached`]); otherwise
+/// alone answers it (see [`Mediator::run_cached`]); otherwise
 /// hands it back as a worker's job, for [`run_staged`]. The reactor calls
 /// this on its own thread, so it must never wait on a source.
 pub(crate) fn answer_cached(shared: &Shared, staged: StagedFrame) -> Handoff<Vec<u8>, Work> {
@@ -889,7 +889,7 @@ fn unexpected(frame: &Frame) -> HermesError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mediator::Mediator;
+    use crate::server::Mediator;
     use hermes_domains::slow::SlowDomain;
     use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
     use hermes_net::{profiles, Network};

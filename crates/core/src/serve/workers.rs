@@ -98,9 +98,9 @@ thread_local! {
 
 /// Runs `wait` — a call that blocks on a source, a timer or another query
 /// — with the calling worker's run slot lent out, so a queued query may
-/// compute meanwhile. Off the reactor's worker threads (the serial
-/// mediator, in-process callers, the reactor thread, the pool engine's
-/// handlers) it just runs `wait`. Must not be nested.
+/// compute meanwhile. Off the reactor's worker threads (in-process
+/// callers, the reactor thread, the pool engine's handlers) it just runs
+/// `wait`. Must not be nested.
 pub(crate) fn parked<R>(wait: impl FnOnce() -> R) -> R {
     SLOT.with(|slot| match &*slot.borrow() {
         Some(pool) => {

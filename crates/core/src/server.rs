@@ -1,38 +1,29 @@
-//! Concurrent query serving: the [`ConcurrentMediator`].
+//! The mediator's state: the one [`Mediator`] struct (also named
+//! [`ConcurrentMediator`]), its admission gate and its counters.
 //!
-//! This is the mediator's state, and the one place a query runs. It is an
-//! **immutable planning core** (the program, checked and indexed once
-//! where it was installed; CIM policy, configuration, pushdown rules —
-//! read-only through `&self`) and a **shared-state layer** every query
-//! reaches through `&self`:
+//! A mediator is an **immutable planning snapshot** (the checked program
+//! with its analysis warnings, CIM routing, configuration, pushdown
+//! rules) and a **shared-state layer** every query reaches through
+//! `&self`: the answer and statistics caches, sharded by
+//! `(domain, function)` into independently locked shards ([`ShardedCim`],
+//! [`ShardedDcsm`]), the circuit-breaker bank, and the single-flight
+//! [`InFlightRegistry`]. [`Mediator::query`] therefore takes `&self`, and
+//! the type is `Send + Sync`: wrap it in an `Arc` and call it from as many
+//! client threads as you like.
 //!
-//! * the answer cache, sharded by `(domain, function)` into independently
-//!   locked [`ShardedCim`] shards;
-//! * the statistics cache, sharded the same way ([`ShardedDcsm`]);
-//! * the per-site circuit-breaker bank (one mutex — breaker transitions
-//!   are rare and cheap);
-//! * the single-flight [`InFlightRegistry`], coalescing identical
-//!   concurrent ground calls into one source round trip.
+//! **Changing the planning core.** `register_program`,
+//! `caches().policy()…apply()` and `add_pushdown` take `&self`; the
+//! exclusive owner may also `config_mut`. A change edits a copy of the
+//! current snapshot and installs it under a write lock, so concurrent
+//! changes all land. A query reads the snapshot once, at `stage`, and
+//! plans against it with no lock held: a query staged before a change
+//! finishes on the core it staged against, and one staged after sees the
+//! whole change — a new program always with its own routing.
 //!
-//! [`ConcurrentMediator::query`] therefore takes `&self`, and the type is
-//! `Send + Sync`: wrap it in an `Arc` and call it from as many client
-//! threads as you like.
-//!
-//! The serial [`Mediator`](crate::mediator::Mediator) is the `&mut self`
-//! face of a `ConcurrentMediator` with one shard per cache: it runs its
-//! queries through the same `stage`/`run` (in `pipeline.rs`), and it
-//! alone may change the planning core. [`Mediator::to_concurrent`]
-//! reshards that state into a server of its own.
-//!
-//! [`Mediator::to_concurrent`]: crate::mediator::Mediator::to_concurrent
-//!
-//! ## Virtual time under concurrency
-//!
-//! Each query runs on its own virtual clock, started at the server-wide
-//! high-water mark of finished queries (an atomic, in microseconds). This
-//! keeps per-query timings meaningful and monotone without serializing
-//! queries behind a global clock mutex; concurrent queries overlap in
-//! *real* time while each reports its own simulated timeline.
+//! **Virtual time.** Each query runs on its own virtual clock, started at
+//! the high-water mark of finished queries (an atomic, in microseconds),
+//! so concurrent queries overlap in real time while each reports its own
+//! simulated timeline.
 
 use crate::breaker::BreakerBank;
 use crate::caches::CacheControl;
@@ -42,7 +33,7 @@ use crate::mediator::{QueryRequest, QueryResult};
 use crate::pipeline::PlanningCore;
 use crate::tier::TierLoad;
 use hermes_cim::ShardedCim;
-use hermes_common::sync::Mutex;
+use hermes_common::sync::{Mutex, RwLock};
 use hermes_common::{HermesError, Result, SimClock, SimDuration, SimInstant};
 use hermes_dcsm::ShardedDcsm;
 use hermes_net::Network;
@@ -143,32 +134,24 @@ impl Drop for GatePermit {
     }
 }
 
-/// A mediator that serves many clients at once: `query` takes `&self`.
-///
-/// Built from a warmed-up serial mediator with
-/// [`Mediator::to_concurrent`](crate::mediator::Mediator::to_concurrent);
-/// cached answers and learned statistics carry over into the shards.
-///
-/// ```ignore
-/// let server = Arc::new(mediator.to_concurrent(8));
-/// let handles: Vec<_> = (0..8).map(|_| {
-///     let server = server.clone();
-///     std::thread::spawn(move || server.query("?- item(A, B)."))
-/// }).collect();
-/// ```
-#[derive(Debug)]
-pub struct ConcurrentMediator {
-    /// Changed only through the serial face's `&mut self`.
-    pub(crate) core: PlanningCore,
+/// The HERMES mediator: a program, a network of domains, the two caches,
+/// and a persistent virtual clock, shared by every query (see the
+/// [module docs](self)). [`Mediator::new`] and [`Mediator::from_source`]
+/// build one with one shard per cache; [`Mediator::to_concurrent`] makes
+/// a copy over more shards.
+pub struct Mediator {
+    /// The current planning snapshot: read once per query, replaced
+    /// whole by every change.
+    pub(crate) core: RwLock<Arc<PlanningCore>>,
     pub(crate) network: Arc<Network>,
-    pub(crate) cim: Arc<ShardedCim>,
-    pub(crate) dcsm: Arc<ShardedDcsm>,
+    pub(crate) cim: ShardedCim,
+    pub(crate) dcsm: ShardedDcsm,
     pub(crate) breakers: Arc<Mutex<BreakerBank>>,
-    flight: Arc<InFlightRegistry>,
-    /// The subplan materialization cache. A server split off with
-    /// `to_concurrent` shares it with the serial mediator it came from;
-    /// each plan's own routes decide whether it may use it (see
-    /// [`MatCache::ticket`]), whatever routing either face has.
+    flight: InFlightRegistry,
+    /// The subplan materialization cache. A mediator made with
+    /// `to_concurrent` shares it with the one it came from; each plan's
+    /// own routes decide whether it may use it (see
+    /// [`MatCache::ticket`]), whatever routing either mediator has.
     pub(crate) matcache: Arc<MatCache>,
     /// High-water mark of virtual time over finished queries, in
     /// microseconds since the epoch. Each query's clock starts here.
@@ -184,9 +167,13 @@ pub struct ConcurrentMediator {
     pub(crate) downgraded: AtomicU64,
 }
 
-impl ConcurrentMediator {
+/// The mediator under the name its served face had before the two faces
+/// became one type.
+pub type ConcurrentMediator = Mediator;
+
+impl Mediator {
     pub(crate) fn from_parts(
-        core: PlanningCore,
+        core: Arc<PlanningCore>,
         network: Arc<Network>,
         cim: ShardedCim,
         dcsm: ShardedDcsm,
@@ -194,13 +181,13 @@ impl ConcurrentMediator {
         matcache: Arc<MatCache>,
         epoch: SimInstant,
     ) -> Self {
-        ConcurrentMediator {
-            core,
+        Mediator {
+            core: RwLock::new(core),
             network,
-            cim: Arc::new(cim),
-            dcsm: Arc::new(dcsm),
+            cim,
+            dcsm,
             breakers,
-            flight: Arc::new(InFlightRegistry::new()),
+            flight: InFlightRegistry::new(),
             matcache,
             epoch_us: AtomicU64::new(epoch.duration_since(SimInstant::EPOCH).as_micros()),
             wall_clock: AtomicBool::new(false),
@@ -210,6 +197,19 @@ impl ConcurrentMediator {
             shed: AtomicU64::new(0),
             downgraded: AtomicU64::new(0),
         }
+    }
+
+    /// The current planning snapshot. A query reads it once, at `stage`.
+    pub(crate) fn snapshot(&self) -> Arc<PlanningCore> {
+        self.core.read().clone()
+    }
+
+    /// Installs a changed planning snapshot: `change` edits the current
+    /// one under the write lock — a copy of it while any query or read
+    /// handle still holds it — so concurrent changes apply one after the
+    /// other and none is lost.
+    pub(crate) fn change_core(&self, change: impl FnOnce(&mut PlanningCore)) {
+        change(Arc::make_mut(&mut self.core.write()))
     }
 
     /// Bounds the admission gate at `capacity` concurrently admitted
@@ -235,17 +235,23 @@ impl ConcurrentMediator {
         self.wall_clock.load(Ordering::Relaxed)
     }
 
-    /// Runs a query. Accepts plain source text or a [`QueryRequest`],
-    /// exactly like the serial [`Mediator::query`]; request options apply
-    /// to this run only. Takes `&self` — call it from any thread.
+    /// Runs a query. Accepts plain source text (all-answers mode, §3) or
+    /// a [`QueryRequest`] carrying per-run options:
     ///
-    /// [`Mediator::query`]: crate::mediator::Mediator::query
+    /// ```ignore
+    /// m.query("?- item(A, B).")?;
+    /// m.query(QueryRequest::new("?- item(A, B).").limit(5).parallelism(4))?;
+    /// ```
+    ///
+    /// Request options override a copy of the mediator's configuration,
+    /// for this run only. Takes `&self` — call it from any thread.
     pub fn query(&self, req: impl Into<QueryRequest>) -> Result<QueryResult> {
         self.run(self.stage(&req.into())?)
     }
 
-    /// Moves the virtual-time high-water mark `d` forward.
-    pub(crate) fn advance_clock(&mut self, d: SimDuration) {
+    /// Advances the virtual clock (e.g. to model idle time between
+    /// experiment runs).
+    pub fn advance_clock(&mut self, d: SimDuration) {
         *self.epoch_us.get_mut() += d.as_micros();
     }
 
@@ -296,14 +302,12 @@ impl ConcurrentMediator {
         &self.cim
     }
 
-    /// The unified cache-control facade over both cache tiers — the
-    /// concurrent counterpart of
-    /// [`Mediator::caches`](crate::mediator::Mediator::caches). Takes
-    /// `&self`: stats, invalidation, clearing, and budget changes are safe
-    /// from any thread. Planning-core knobs (`routing`, `share_subplans`)
-    /// are refused here — they bind at `to_concurrent` time.
+    /// The unified cache-control facade over both cache tiers (the CIM's
+    /// ground-call answer cache and the subplan materialization cache):
+    /// stats, per-source invalidation, clearing, invariants, and the
+    /// policy builder. See [`CacheControl`].
     pub fn caches(&self) -> CacheControl<'_> {
-        CacheControl::new(&self.cim, &self.matcache, None)
+        CacheControl::new(self)
     }
 
     /// The sharded statistics cache.
@@ -321,12 +325,17 @@ impl ConcurrentMediator {
         &self.network
     }
 
-    /// The shared circuit-breaker bank.
+    /// The per-site circuit breakers. The bank lives as long as the
+    /// mediator (and is shared with those made by `to_concurrent`), so a
+    /// site isolated during one query stays isolated for the next until
+    /// its cooldown elapses.
     pub fn breakers(&self) -> &Mutex<BreakerBank> {
         &self.breakers
     }
 
-    /// The server-wide virtual-time high-water mark.
+    /// Current virtual time: the high-water mark of finished queries (it
+    /// advances across queries, so the simulated network load drifts like
+    /// the paper's day-long measurement runs).
     pub fn now(&self) -> SimInstant {
         SimInstant::EPOCH + SimDuration::from_micros(self.epoch_us.load(Ordering::Relaxed))
     }
@@ -355,7 +364,6 @@ impl ConcurrentMediator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mediator::Mediator;
     use crate::pipeline::{Handoff, StagedQuery};
     use crate::tier::PlanTier;
     use hermes_cim::{CimPreview, CimResolution, CimView};
@@ -436,7 +444,7 @@ mod tests {
 
     #[test]
     fn serves_the_same_answers_as_the_serial_mediator() {
-        let mut serial = mediator();
+        let serial = mediator();
         let expected = serial.query("?- item(A, B).").unwrap();
         let server = mediator().to_concurrent(4);
         let got = server.query("?- item(A, B).").unwrap();
@@ -446,7 +454,7 @@ mod tests {
 
     #[test]
     fn warm_cache_carries_over_into_the_shards() {
-        let mut serial = mediator();
+        let serial = mediator();
         let warm = serial.query("?- item('p_1', B).").unwrap();
         let server = serial.to_concurrent(4);
         let got = server.query("?- item('p_1', B).").unwrap();
@@ -578,7 +586,7 @@ mod tests {
 
     #[test]
     fn run_cached_hands_back_whatever_engages_the_tier_machinery() {
-        let mut m = mediator();
+        let m = mediator();
         m.query("?- item('p_1', B).").unwrap();
         let warm = "?- item('p_1', B).";
         let budget = SimDuration::from_secs(60);

@@ -117,12 +117,13 @@ impl fmt::Display for TierReason {
 pub struct TierLoad {
     /// Queries currently admitted and executing.
     pub in_flight: usize,
-    /// Gate capacity; `usize::MAX` means unbounded (serial mediator).
+    /// Gate capacity; `usize::MAX` means unbounded (the default).
     pub capacity: usize,
 }
 
 impl TierLoad {
-    /// An unloaded, unbounded gate — what the serial mediator reports.
+    /// An unloaded, unbounded gate — what a request that engages the
+    /// selector on its own sees when the gate is unbounded.
     pub fn unbounded() -> TierLoad {
         TierLoad {
             in_flight: 0,

@@ -56,7 +56,7 @@ fn main() {
     net.place_local(Arc::new(terrain));
 
     // The §2 rule, verbatim modulo syntax conventions.
-    let mut mediator = Mediator::from_source(include_str!("programs/logistics.hms"), net)
+    let mediator = Mediator::from_source(include_str!("programs/logistics.hms"), net)
         .expect("program compiles");
 
     // \"When this is queried with routetosupplies('place1', 'h-22 fuel',

@@ -38,7 +38,7 @@ fn main() {
     // `%! invariant` line is installed with it: a *wider* frame range
     // always contains a narrower one, so a cached narrow range partially
     // answers a wide query.
-    let mut mediator = Mediator::from_source(include_str!("programs/quickstart.hms"), net)
+    let mediator = Mediator::from_source(include_str!("programs/quickstart.hms"), net)
         .expect("program compiles");
 
     // 3. Cold run: everything goes over the (simulated) Atlantic.

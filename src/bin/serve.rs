@@ -1,7 +1,7 @@
 //! `hermes-serve` — the HERMES mediator as a TCP server.
 //!
 //! Serves the binary frame protocol (`hermes_common::frame`) on a
-//! [`hermes::ConcurrentMediator`] — through the epoll reactor on Linux
+//! [`hermes::Mediator`] — through the epoll reactor on Linux
 //! (`--mode reactor`, the `auto` default there) or the worker-pool
 //! engine (`--mode pool`, the fallback elsewhere). Without `--program`
 //! it builds the benchmark's synthetic world: two sources behind real

@@ -408,7 +408,7 @@ fn mediator_rejects_program_the_analyzer_fails() {
         "{refused:?}"
     );
     let program = hermes::parse_program(src).unwrap();
-    let mut mediator = Mediator::new(program, Network::new(1)).unwrap();
+    let mediator = Mediator::new(program, Network::new(1)).unwrap();
     let err = mediator
         .register_source("q(A) :- in(A, nosuch:fetch('k')).", &[])
         .unwrap_err();

@@ -1,6 +1,7 @@
 //! Integration tests of the caching + invariants machinery (§4) against
 //! live domains — the behaviors Figure 5 measures, as assertions.
 
+use hermes::core::{PlanStep, Planned, Route};
 use hermes::domains::spatial::{uniform_points, SpatialDomain};
 use hermes::domains::video::gen::rope_store;
 use hermes::net::profiles;
@@ -10,7 +11,7 @@ use std::sync::Arc;
 fn video_mediator(seed: u64, policy: CimPolicy) -> Mediator {
     let mut net = Network::new(seed);
     net.place(Arc::new(rope_store()), profiles::italy());
-    let mut m = Mediator::from_source(
+    let m = Mediator::from_source(
         "objs(F, L, O) :- in(O, video:frames_to_objects('rope', F, L)).",
         net,
     )
@@ -31,7 +32,7 @@ fn frame_range_invariant() -> hermes::lang::Invariant {
 fn caching_always_helps_remote_sources() {
     // Figure 5's headline: "using caches always leads to savings in time
     // when the software/data is located at remote sites."
-    let mut m = video_mediator(1, CimPolicy::cache_everything());
+    let m = video_mediator(1, CimPolicy::cache_everything());
     let cold = m.query("?- objs(4, 47, O).").unwrap();
     let warm = m.query("?- objs(4, 47, O).").unwrap();
     assert_eq!(warm.rows, cold.rows);
@@ -41,7 +42,7 @@ fn caching_always_helps_remote_sources() {
 
 #[test]
 fn no_cache_policy_pays_full_price_every_time() {
-    let mut m = video_mediator(1, CimPolicy::never());
+    let m = video_mediator(1, CimPolicy::never());
     let first = m.query("?- objs(4, 47, O).").unwrap();
     let second = m.query("?- objs(4, 47, O).").unwrap();
     // Both runs make the actual call; timings stay in the same regime.
@@ -55,7 +56,7 @@ fn partial_invariant_gives_fast_first_answer_but_full_all_answers_time() {
     // The Figure 5 "cache + partial inv" rows: first answer near cache
     // speed, all answers near the no-cache time (the actual call still
     // runs, in parallel).
-    let mut m = video_mediator(2, CimPolicy::cache_everything());
+    let m = video_mediator(2, CimPolicy::cache_everything());
     m.caches().add_invariant(frame_range_invariant()).unwrap();
     // Warm with a narrow range.
     m.query("?- objs(10, 40, O).").unwrap();
@@ -81,10 +82,10 @@ fn partial_invariant_gives_fast_first_answer_but_full_all_answers_time() {
 
 #[test]
 fn partial_answers_complete_and_deduplicated() {
-    let mut m = video_mediator(3, CimPolicy::cache_everything());
+    let m = video_mediator(3, CimPolicy::cache_everything());
     m.caches().add_invariant(frame_range_invariant()).unwrap();
     // Reference: the same wide query without any cache.
-    let mut reference = video_mediator(3, CimPolicy::never());
+    let reference = video_mediator(3, CimPolicy::never());
     let want = {
         let mut rows = reference.query("?- objs(0, 600, O).").unwrap().rows;
         rows.sort();
@@ -102,7 +103,7 @@ fn interactive_stop_within_partial_prefix_skips_actual_call() {
     // "In the interactive mode, the partial set of answers may prove to be
     // sufficient and the actual call may not need to be made at all."
     let m = {
-        let mut m = video_mediator(4, CimPolicy::cache_everything());
+        let m = video_mediator(4, CimPolicy::cache_everything());
         m.caches().add_invariant(frame_range_invariant()).unwrap();
         m
     };
@@ -127,7 +128,7 @@ fn interactive_stop_at_the_end_of_the_partial_prefix_makes_no_source_call() {
     // the actual call: nothing runs between pulls, so nothing runs ahead
     // of the consumer.
     for seed in 1..=5 {
-        let mut m = video_mediator(seed, CimPolicy::cache_everything());
+        let m = video_mediator(seed, CimPolicy::cache_everything());
         m.caches().add_invariant(frame_range_invariant()).unwrap();
         let mut warmup = m.query_interactive("?- objs(10, 40, O).").unwrap();
         let prefix = std::iter::from_fn(|| warmup.next_answer()).count();
@@ -150,7 +151,7 @@ fn equality_invariant_spatial_range_shrinking() {
     spatial.load_points("points", uniform_points(7, 2_000, 100.0), 10.0);
     let mut net = Network::new(5);
     net.place(Arc::new(spatial), profiles::cornell());
-    let mut m = Mediator::from_source(
+    let m = Mediator::from_source(
         "near(X, Y, D, P) :- in(P, spatial:range('points', X, Y, D)).",
         net,
     )
@@ -180,7 +181,7 @@ fn equality_invariant_spatial_range_shrinking() {
 
 #[test]
 fn invariant_hits_counted_in_cim_stats() {
-    let mut m = video_mediator(6, CimPolicy::cache_everything());
+    let m = video_mediator(6, CimPolicy::cache_everything());
     m.caches().add_invariant(frame_range_invariant()).unwrap();
     m.query("?- objs(10, 40, O).").unwrap();
     m.query("?- objs(0, 600, O).").unwrap();
@@ -191,7 +192,7 @@ fn invariant_hits_counted_in_cim_stats() {
 
 #[test]
 fn cache_budget_evicts_but_stays_correct() {
-    let mut m = video_mediator(7, CimPolicy::cache_everything());
+    let m = video_mediator(7, CimPolicy::cache_everything());
     // Tiny cache: every new store evicts the previous entry.
     m.caches().policy().answer_budget(Some(64)).apply().unwrap();
     let a = m.query("?- objs(4, 47, O).").unwrap();
@@ -213,13 +214,13 @@ fn early_stopped_interactive_run_still_caches_completed_calls() {
     let mut iq = m.query_interactive("?- objs(4, 47, O).").unwrap();
     let _ = iq.next_batch(2);
     drop(iq);
-    let mut m = m;
+    let m = m;
     let full = m.query("?- objs(4, 47, O).").unwrap();
     assert!(full.rows.len() > 10);
     assert_eq!(full.stats.actual_calls, 0);
     assert_eq!(full.stats.cim_exact, 1);
     // And it matches a from-scratch no-cache run.
-    let mut reference = video_mediator(8, CimPolicy::never());
+    let reference = video_mediator(8, CimPolicy::never());
     let want = reference.query("?- objs(4, 47, O).").unwrap();
     assert_eq!(full.rows, want.rows);
 }
@@ -227,8 +228,7 @@ fn early_stopped_interactive_run_still_caches_completed_calls() {
 #[test]
 fn cache_control_does_the_same_on_both_faces() {
     // Two identical mediators; one is split into a four-shard server. The
-    // same `caches()` script must leave both in the same state, and only
-    // the serial face may touch the planning core.
+    // same `caches()` script must leave both in the same state.
     let mut serial = video_mediator(9, CimPolicy::cache_everything());
     let server = video_mediator(9, CimPolicy::cache_everything()).to_concurrent(4);
     let run = |serial: &mut Mediator, q: &str| {
@@ -284,24 +284,32 @@ fn cache_control_does_the_same_on_both_faces() {
     }
     assert_eq!(serial.caches().stats().answer_entries, 0);
 
-    // Routing and subplan sharing change the planning core: the serial
-    // face applies them, the server refuses both with one message.
-    serial
-        .caches()
-        .policy()
-        .routing(CimPolicy::never())
-        .apply()
-        .unwrap();
-    serial
-        .caches()
-        .policy()
-        .share_subplans(true)
-        .apply()
-        .unwrap();
-    let routing = server.caches().policy().routing(CimPolicy::never()).apply();
-    let sharing = server.caches().policy().share_subplans(true).apply();
-    let message = "evaluation error: routing and subplan sharing bind at `to_concurrent` time; \
-                   set them on the serial mediator first";
-    assert_eq!(routing.unwrap_err().to_string(), message);
-    assert_eq!(sharing.unwrap_err().to_string(), message);
+    // Routing and subplan sharing change the planning snapshot: both
+    // mediators apply them, the served one too, to queries staged
+    // afterwards.
+    let q = "?- objs(4, 47, O).";
+    let before = server.plan(q).unwrap();
+    for m in [&serial, &server] {
+        m.caches()
+            .policy()
+            .routing(CimPolicy::never())
+            .apply()
+            .unwrap();
+        m.caches().policy().share_subplans(true).apply().unwrap();
+    }
+    let routes = |planned: &Planned| -> Vec<Route> {
+        let steps = planned.plan().steps.iter();
+        steps
+            .filter_map(|step| match step {
+                PlanStep::Call { route, .. } => Some(*route),
+                _ => None,
+            })
+            .collect()
+    };
+    assert!(routes(&before).iter().all(|r| *r == Route::Cim));
+    let after = routes(&server.plan(q).unwrap());
+    assert!(!after.is_empty() && after.iter().all(|r| *r == Route::Direct));
+    assert!(server.config().exec.share_subplans);
+    run(&mut serial, q);
+    assert_eq!(server.caches().stats(), serial.caches().stats());
 }

@@ -34,7 +34,7 @@ fn inventory_mediator(seed: u64, with_pushdown: bool, with_index: bool) -> Media
     rel.add_table(inv);
     let mut net = Network::new(seed);
     net.place(rel, profiles::cornell());
-    let mut m = Mediator::from_source(
+    let m = Mediator::from_source(
         "
         stock(Item, Loc, Qty) :-
             in(T, relation:all('inventory')) &
@@ -100,7 +100,7 @@ fn pushdown_plan_is_chosen_and_faster_on_indexed_tables() {
 
 #[test]
 fn range_pushdown_end_to_end() {
-    let mut m = inventory_mediator(5, true, false);
+    let m = inventory_mediator(5, true, false);
     let low = m
         .query("?- in(T, relation:all('inventory')) & <(T.qty, 5) & =(T.item, I).")
         .unwrap();
@@ -118,7 +118,7 @@ fn range_pushdown_end_to_end() {
 
 #[test]
 fn dcsm_maintenance_in_vivo() {
-    let mut m = inventory_mediator(7, true, true);
+    let m = inventory_mediator(7, true, true);
     // Generate estimator traffic on one hot shape.
     for i in 0..6 {
         let _ = m.query(format!("?- stock('item_{i}', L, Q)."));
@@ -159,7 +159,7 @@ fn text_federation_queries_run() {
     let text = newswire(11, "text", "usatoday", 3_000);
     let mut net = Network::new(11);
     net.place(Arc::new(text), profiles::bucknell());
-    let mut m = Mediator::from_source(
+    let m = Mediator::from_source(
         "
         headlines(Term, H) :-
             in(D, text:search('usatoday', Term)) & =(D.headline, H).
@@ -197,7 +197,7 @@ fn dcsm_learns_posting_list_skew() {
     let text = newswire(13, "text", "usatoday", 3_000);
     let mut net = Network::new(13);
     net.place(Arc::new(text), profiles::maryland());
-    let mut m = Mediator::from_source(
+    let m = Mediator::from_source(
         "headlines(Term, H) :- in(D, text:search('usatoday', Term)) & =(D.headline, H).",
         net,
     )

@@ -33,7 +33,7 @@ fn video_catalog() -> Mediator {
 
 #[test]
 fn a_declared_invariant_serves_a_partial_hit_in_process() {
-    let mut m = video_catalog();
+    let m = video_catalog();
     m.query(NARROW).unwrap();
     let wide = m.query(WIDE).unwrap();
     assert_eq!(wide.stats.cim_partial, 1, "{:?}", wide.stats);
@@ -63,7 +63,7 @@ fn item_world(declarations: &str) -> Mediator {
 
 #[test]
 fn a_volatile_function_is_called_every_time_and_never_materialized() {
-    let mut m = item_world("%! volatile d1:p_bf");
+    let m = item_world("%! volatile d1:p_bf");
     m.caches().policy().share_subplans(true).apply().unwrap();
     let calls: u64 = (0..2)
         .map(|_| m.query("?- item('p_1', B).").unwrap().stats.actual_calls)
@@ -71,7 +71,7 @@ fn a_volatile_function_is_called_every_time_and_never_materialized() {
     assert_eq!(calls, 2);
     assert_eq!(m.caches().stats().subplans.entries, 0);
     // Without the declaration the second ask is a cache hit.
-    let mut cached = item_world("");
+    let cached = item_world("");
     let calls: u64 = (0..2)
         .map(|_| {
             cached
@@ -103,7 +103,7 @@ fn cache_never_routes_every_plan_step_direct() {
 
 #[test]
 fn a_later_program_without_cache_lines_keeps_the_routing() {
-    let mut m = item_world("%! cache never");
+    let m = item_world("%! cache never");
     m.register_source("item(A, B) :- in(B, d1:p_bf(A)).", &[])
         .unwrap();
     let plan = m.plan("?- item('p_1', B).").unwrap();
@@ -165,7 +165,7 @@ fn installed(src: &str) -> Option<Mediator> {
     let program = parse_program(src).unwrap();
     let mut routing = CimPolicy::cache_everything();
     routing.declare(&program.declarations);
-    let mut m = Mediator::new(program, canned_network(src)).ok()?;
+    let m = Mediator::new(program, canned_network(src)).ok()?;
     m.caches().policy().routing(routing).apply().unwrap();
     Some(m)
 }
@@ -206,7 +206,7 @@ fn the_analyzer_judges_what_the_mediator_does() {
                 .chain(&implicit)
                 .cloned()
                 .collect();
-            let Some(mut m) = installed(&src) else {
+            let Some(m) = installed(&src) else {
                 let report = hermes::analyze_source(&src).unwrap();
                 assert!(report.has_code(DiagCode::UngroundableVariable), "{name}");
                 continue;
@@ -235,7 +235,7 @@ fn the_analyzer_judges_what_the_mediator_does() {
                 seen[0] |= ha010;
                 let Ok(planned) = planned else { continue };
                 planned_any = true;
-                let reach = reachable_rules(m.program(), &form.pred);
+                let reach = reachable_rules(&m.program(), &form.pred);
                 let ha071 = has(
                     &report,
                     DiagCode::MaterializeVolatile,

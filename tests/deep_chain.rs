@@ -156,8 +156,8 @@ fn registering_a_chain_past_the_cap_lists_the_warning() {
     let mut net = Network::new(1);
     net.place(Arc::new(domain), profiles::cornell());
     let m = Mediator::from_source(&declared_chain(32), net).unwrap();
-    let warning = m
-        .analysis_warnings()
+    let warnings = m.analysis_warnings();
+    let warning = warnings
         .iter()
         .find(|d| d.code.as_str() == "HA011")
         .expect("the form is flagged");
@@ -180,7 +180,7 @@ fn registering_a_deep_chain_returns() {
         let domain = SyntheticDomain::generate("d1", 42, &[RelationSpec::uniform("p", 8, 2.0)]);
         let mut net = Network::new(1);
         net.place(Arc::new(domain), profiles::cornell());
-        let mut m = Mediator::from_source("item(A, B) :- in(B, d1:p_bf(A)).", net).unwrap();
+        let m = Mediator::from_source("item(A, B) :- in(B, d1:p_bf(A)).", net).unwrap();
         let registered = m.register_source(&chain_source(DEPTH), &[]);
         let queried = m.query("?- p0('p_1', B).").map(|r| r.rows.len());
         (registered, queried)
@@ -204,7 +204,7 @@ fn a_ten_thousand_condition_query_answers_on_a_small_stack() {
         let domain = SyntheticDomain::generate("d1", 42, &[RelationSpec::uniform("p", 8, 2.0)]);
         let mut net = Network::new(1);
         net.place(Arc::new(domain), profiles::cornell());
-        let mut m = Mediator::from_source("item(A, B) :- in(B, d1:p_bf(A)).", net).unwrap();
+        let m = Mediator::from_source("item(A, B) :- in(B, d1:p_bf(A)).", net).unwrap();
         m.query(long_query(10_000).as_str()).map(|r| r.rows)
     });
     assert_eq!(rows.unwrap(), vec![vec![Value::int(1)]]);

@@ -47,7 +47,7 @@ fn rope_mediator(seed: u64) -> Mediator {
 
 #[test]
 fn video_relational_join_returns_cast_members() {
-    let mut m = rope_mediator(1);
+    let m = rope_mediator(1);
     let result = m.query("?- scene_actors(0, 935, O, A).").unwrap();
     // Every cast member appears somewhere in the film; props have no
     // matching cast row and are filtered by the join.
@@ -59,7 +59,7 @@ fn video_relational_join_returns_cast_members() {
 
 #[test]
 fn narrow_scene_excludes_late_arrivals() {
-    let mut m = rope_mediator(2);
+    let m = rope_mediator(2);
     let result = m.query("?- scene_actors(4, 47, O, A).").unwrap();
     let objects: Vec<String> = result.rows.iter().map(|r| r[0].to_string()).collect();
     // kenneth enters at frame 110.
@@ -74,7 +74,7 @@ fn all_candidate_plans_agree_on_answers() {
     assert!(!planned.plans.is_empty());
     let mut reference: Option<Vec<Vec<Value>>> = None;
     for i in 0..planned.plans.len() {
-        let mut m2 = rope_mediator(3);
+        let m2 = rope_mediator(3);
         let single = hermes::core::Planned {
             plans: vec![planned.plans[i].clone()],
             estimates: vec![planned.estimates[i]],
@@ -91,7 +91,7 @@ fn all_candidate_plans_agree_on_answers() {
 
 #[test]
 fn movie_size_scalar_answer() {
-    let mut m = rope_mediator(4);
+    let m = rope_mediator(4);
     let result = m.query("?- movie_size('rope', S).").unwrap();
     assert_eq!(result.rows.len(), 1);
     assert_eq!(result.rows[0][0], Value::Int(936 * 3_580));
@@ -112,7 +112,7 @@ fn four_domain_federation_runs() {
     net.place_local(Arc::new(spatial));
     net.place_local(Arc::new(terrain));
 
-    let mut m = Mediator::from_source(
+    let m = Mediator::from_source(
         "
         briefing(Actor, NSites, Route) :-
             in(Tuple, relation:select_eq('cast', 'role', 'rupert')) &
@@ -135,7 +135,7 @@ fn remote_placement_slows_queries_proportionally() {
     let place = |site: hermes::Site| {
         let mut net = Network::new(9);
         net.place(Arc::new(rope_store()), site);
-        let mut m = Mediator::from_source(
+        let m = Mediator::from_source(
             "objs(O) :- in(O, video:frames_to_objects('rope', 4, 47)).",
             net,
         )
@@ -187,7 +187,7 @@ fn direct_in_goals_work_in_queries() {
     // Queries may call domains directly without an IDB wrapper.
     let mut net = Network::new(7);
     net.place_local(Arc::new(rope_store()));
-    let mut m = Mediator::from_source("", net).unwrap();
+    let m = Mediator::from_source("", net).unwrap();
     let result = m
         .query("?- in(S, video:video_size('rope')) & >(S, 1000000).")
         .unwrap();
@@ -197,14 +197,14 @@ fn direct_in_goals_work_in_queries() {
 #[test]
 fn unknown_domain_is_reported_at_execution() {
     let net = Network::new(8);
-    let mut m = Mediator::from_source("", net).unwrap();
+    let m = Mediator::from_source("", net).unwrap();
     let err = m.query("?- in(X, ghost:f()).").unwrap_err();
     assert!(matches!(err, hermes::HermesError::UnknownDomain(_)));
 }
 
 #[test]
 fn statistics_improve_estimates_over_time() {
-    let mut m = rope_mediator(10);
+    let m = rope_mediator(10);
     let cold = m.plan("?- scene_actors(4, 47, O, A).").unwrap();
     let cold_est = cold.estimate().t_all_ms.unwrap();
     m.query("?- scene_actors(4, 47, O, A).").unwrap();

@@ -161,6 +161,42 @@ fn a_server_keeps_its_own_routes_when_the_serial_face_reroutes() {
 }
 
 #[test]
+fn a_served_mediator_rerouted_to_never_plans_direct_and_reads_no_snapshot() {
+    // Subplans are shared and warm on a served mediator. Rerouting that
+    // mediator itself, through `&self`, to `never` reaches every query
+    // staged afterwards: each plan routes every call Direct, so no later
+    // query reads a snapshot.
+    use hermes::core::{PlanStep, Route};
+    let m = world(4);
+    m.caches().policy().share_subplans(true).apply().unwrap();
+    let server = Arc::new(m.to_concurrent(4));
+    for q in QUERIES {
+        server.query(q).unwrap();
+    }
+    let warm = server.query(QUERIES[0]).unwrap();
+    assert_eq!(warm.stats.subplan_hits, 1, "the snapshot serves before");
+
+    server
+        .caches()
+        .policy()
+        .routing(CimPolicy::never())
+        .apply()
+        .unwrap();
+    let hits = server.caches().stats().subplans.hits;
+    for q in QUERIES {
+        for plan in server.plan(q).unwrap().plans {
+            for step in &plan.steps {
+                if let PlanStep::Call { route, .. } = step {
+                    assert_eq!(*route, Route::Direct, "{q}: {plan}");
+                }
+            }
+        }
+        assert_eq!(server.query(q).unwrap().stats.subplan_hits, 0, "{q}");
+    }
+    assert_eq!(server.caches().stats().subplans.hits, hits);
+}
+
+#[test]
 fn clearing_the_subplan_tier_leaves_answers_intact() {
     let mut m = world(5);
     m.caches().policy().share_subplans(true).apply().unwrap();

@@ -29,7 +29,7 @@ fn asymmetric_mediator(seed: u64) -> Mediator {
     let mut net = Network::new(seed);
     net.place(Arc::new(big), profiles::bucknell());
     net.place(Arc::new(small), profiles::maryland());
-    let mut m = Mediator::from_source(
+    let m = Mediator::from_source(
         "
         big(A, B) :- in(B, srcbig:big_bf(A)).
         big(A, B) :- in(A, srcbig:big_fb(B)).
@@ -58,7 +58,7 @@ fn measure_all_plans(q: &str, seed: u64) -> Vec<(usize, f64)> {
     let planned = planner.plan(q).unwrap();
     (0..planned.plans.len())
         .map(|i| {
-            let mut fresh = asymmetric_mediator(seed);
+            let fresh = asymmetric_mediator(seed);
             let single = hermes::core::Planned {
                 plans: vec![planned.plans[i].clone()],
                 estimates: vec![planned.estimates[i]],
@@ -72,7 +72,7 @@ fn measure_all_plans(q: &str, seed: u64) -> Vec<(usize, f64)> {
 
 /// Trains DCSM by running a few queries, then returns the mediator.
 fn trained_mediator(seed: u64) -> Mediator {
-    let mut m = asymmetric_mediator(seed);
+    let m = asymmetric_mediator(seed);
     for x in 0..4 {
         let _ = m.query(format!("?- joined('dir_{x}', Y, Z)."));
         let _ = m.query(format!("?- big('big_{x}', B)."));
@@ -155,7 +155,7 @@ fn first_answer_mode_changes_objective() {
 #[test]
 fn estimates_converge_toward_actuals_with_training() {
     let q = "?- big('big_9', B).";
-    let relative_error = |mut m: Mediator| {
+    let relative_error = |m: Mediator| {
         let planned = m.plan(q).unwrap();
         let est = planned.estimate().t_all_ms.unwrap();
         let actual = m.query(q).unwrap().t_all.as_millis_f64();

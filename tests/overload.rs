@@ -74,7 +74,7 @@ fn budget_pressure_downgrades_one_way_and_never_aborts() {
     // `Downgraded` gap — not a `DeadlineExceeded` abort. A Cornell call
     // takes longer than `CHEAP_CALL_MS`, so once the DCSM has seen the
     // first, the cheaper tier refuses the second.
-    let mut m = mediator_at(42, profiles::cornell());
+    let m = mediator_at(42, profiles::cornell());
     let req = QueryRequest::new("?- pair(B, C).")
         .tier(PlanTier::Full)
         .budget(SimDuration::from_millis(1))
@@ -104,7 +104,7 @@ fn budget_pressure_downgrades_one_way_and_never_aborts() {
 fn deadline_without_budget_still_aborts_with_its_own_reason() {
     // The control for the test above: no budget, a too-tight deadline.
     // Provenance must say `DeadlineExceeded`, never `Downgraded`.
-    let mut m = mediator_at(42, profiles::cornell());
+    let m = mediator_at(42, profiles::cornell());
     let req = QueryRequest::new("?- pair(B, C).").deadline(SimDuration::from_millis(1));
     let result = m.query(req).unwrap();
     assert!(result.incomplete);
@@ -124,9 +124,9 @@ fn tiered_serving_matches_serial_when_nothing_is_wrong() {
     // The selector engaged by a budget no query comes near, healthy
     // system, no load: it must pick Full and the answers must be
     // bit-identical to the plain paper-exact mediator.
-    let mut plain = mediator(7);
+    let plain = mediator(7);
     let expected = plain.query("?- item(A, B).").unwrap();
-    let mut tiered = mediator(7);
+    let tiered = mediator(7);
     let roomy = QueryRequest::new("?- item(A, B).").budget(SimDuration::from_secs(3_600));
     let got = tiered.query(roomy).unwrap();
     assert_eq!(sorted(&got.rows), sorted(&expected.rows));
@@ -149,7 +149,7 @@ fn stampede_sheds_cleanly_and_admitted_queries_complete() {
     const THREADS: usize = 16;
     const PER_THREAD: usize = 4;
 
-    let mut warm = mediator(3);
+    let warm = mediator(3);
     let expected = sorted(&warm.query("?- item(A, B).").unwrap().rows);
     let server = Arc::new(warm.to_concurrent(4));
     server.set_gate(Some(2));
@@ -214,7 +214,7 @@ fn stampede_sheds_cleanly_and_admitted_queries_complete() {
 
 #[test]
 fn explicit_cache_only_request_serves_warm_answers_without_the_wire() {
-    let mut m = mediator(5);
+    let m = mediator(5);
     let full = m.query("?- item('p_1', B).").unwrap();
     let req = QueryRequest::new("?- item('p_1', B).").tier(PlanTier::CacheOnly);
     let cached = m.query(req).unwrap();

@@ -27,7 +27,7 @@ fn four_site_world(seed: u64) -> Mediator {
         );
         net.place(Arc::new(d), site);
     }
-    let mut m = Mediator::from_source("", net).unwrap();
+    let m = Mediator::from_source("", net).unwrap();
     m.caches()
         .policy()
         .routing(hermes::CimPolicy::never())
@@ -88,7 +88,7 @@ fn parallel_answer_multiset_matches_sequential() {
 
 #[test]
 fn parallel_run_emits_group_trace_and_in_flight_peaks() {
-    let mut m = four_site_world(3);
+    let m = four_site_world(3);
     let result = m
         .query(QueryRequest::new(FOUR_CALLS).parallelism(4).trace(true))
         .unwrap();
@@ -124,7 +124,7 @@ fn deadline_mid_group_cancels_undispatched_calls() {
         );
         net.place(Arc::new(d), profiles::cornell());
     }
-    let mut m = Mediator::from_source("", net).unwrap();
+    let m = Mediator::from_source("", net).unwrap();
     m.caches()
         .policy()
         .routing(hermes::CimPolicy::never())
@@ -160,7 +160,7 @@ fn repeated_site_function_calls_batch_into_one_round_trip() {
         let mut net = Network::new(seed);
         let d = SyntheticDomain::generate("d1", 5, &[RelationSpec::uniform("p", 4, 1.0)]);
         net.place(Arc::new(d), profiles::cornell());
-        let mut m = Mediator::from_source("", net).unwrap();
+        let m = Mediator::from_source("", net).unwrap();
         m.caches()
             .policy()
             .routing(hermes::CimPolicy::never())

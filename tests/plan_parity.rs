@@ -77,7 +77,7 @@ const RELATIONAL: [&str; 2] = ["relation", "inventory"];
 /// Planning needs no source: an empty network will do. `Mediator::new`
 /// skips the analyzer, which would refuse calls to sources not placed.
 fn planner(src: &str) -> Mediator {
-    let mut m = Mediator::new(parse_program(src).unwrap(), Network::new(1)).unwrap();
+    let m = Mediator::new(parse_program(src).unwrap(), Network::new(1)).unwrap();
     for domain in RELATIONAL {
         m.add_pushdown(PushdownRule::relational(domain));
     }
@@ -158,7 +158,7 @@ fn benchworld_queries_plan_the_same_both_ways() {
 
 #[test]
 fn trained_statistics_cost_the_same_both_ways() {
-    let mut m = served(
+    let m = served(
         "item(A, B) :- in(B, d1:p_bf(A)).
          item(A, B) :- in(A, d1:p_fb(B)).
          item(A, B) :- in(Ans, d1:p_ff()) & =(Ans.a, A) & =(Ans.b, B).",
@@ -228,7 +228,7 @@ fn example_programs_choose_as_their_plans_price_one_by_one() {
         let forms = parse_program(&src).unwrap().declarations.query_forms;
         let queries: Vec<String> = forms.iter().map(query_for).collect();
         // Statistics learned by running every form, cold then warm.
-        let mut m = example_world(&src);
+        let m = example_world(&src);
         for query in queries.iter().flat_map(|q| [q, q]) {
             m.query(query.as_str()).unwrap();
         }
@@ -259,7 +259,7 @@ fn the_benchmark_program_chooses_as_its_plans_price_one_by_one() {
         net.place(Arc::new(domain), profiles::cornell());
     }
     // `Mediator::new`: the analyzer would refuse `actors`' unplaced source.
-    let mut m = Mediator::new(parse_program(BENCHWORLD).unwrap(), net).unwrap();
+    let m = Mediator::new(parse_program(BENCHWORLD).unwrap(), net).unwrap();
     let mut queries: Vec<String> = BENCHWORLD_FORMS
         .iter()
         .map(|f| query_for(&QueryForm::parse(f).unwrap()))
@@ -319,7 +319,7 @@ fn a_program_that_fails_a_check_fails_every_query_with_the_public_message() {
         let expect = public_error(src, query);
         assert!(expect.contains(needle), "{expect}");
         // Installing the program is not an error; asking it anything is.
-        let mut serial = served(src);
+        let serial = served(src);
         let concurrent = served(src).to_concurrent(1);
         for nth in 1..=100 {
             let got = serial.query(query).unwrap_err().to_string();
@@ -340,7 +340,7 @@ fn an_ungroundable_rule_is_refused_with_the_public_message() {
     assert!(expect.contains("can never become ground"), "{expect}");
     let built = Mediator::from_source(UNGROUNDABLE, Network::new(1));
     assert_eq!(built.unwrap_err().to_string(), expect);
-    let mut m = served(GOOD);
+    let m = served(GOOD);
     let refused = m.register_source(UNGROUNDABLE, &[]).unwrap_err();
     assert!(matches!(refused, HermesError::Analysis { .. }), "{refused}");
     assert_eq!(m.program(), &parse_program(GOOD).unwrap());
@@ -350,7 +350,7 @@ fn an_ungroundable_rule_is_refused_with_the_public_message() {
 #[test]
 fn the_checked_program_follows_the_installed_program() {
     // Born recursive: the verdict is stored and every query gets it.
-    let mut m = served(RECURSIVE);
+    let m = served(RECURSIVE);
     let recursive = public_error(RECURSIVE, "?- reach('a', Y).");
     assert_eq!(
         m.query("?- reach('a', Y).").unwrap_err().to_string(),

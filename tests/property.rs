@@ -547,7 +547,7 @@ fn every_plan_computes_the_same_answers() {
             );
             let mut net = Network::new(seed);
             net.place(Arc::new(d), profiles::maryland());
-            let mut m = Mediator::from_source(
+            let m = Mediator::from_source(
                 "
                 p(A, B) :- in(B, d1:p_bf(A)).
                 p(A, B) :- in(A, d1:p_fb(B)).
@@ -571,7 +571,7 @@ fn every_plan_computes_the_same_answers() {
         let planned = planner.plan("?- join('p_1', Y, Z).").unwrap();
         let mut reference: Option<Vec<Vec<Value>>> = None;
         for i in 0..planned.plans.len() {
-            let mut m = build();
+            let m = build();
             let single = hermes::core::Planned {
                 plans: vec![planned.plans[i].clone()],
                 estimates: vec![planned.estimates[i]],

@@ -200,7 +200,7 @@ fn idle_timeout_reclaims_quiet_connections() {
 #[test]
 fn pipelined_responses_arrive_in_request_order() {
     let (net, addr) = reactor(ServeConfig::builder().mode(ServeMode::Reactor).build());
-    let mut direct = world();
+    let direct = world();
     let keys: Vec<String> = (0..8).map(|k| format!("p_{k}")).collect();
 
     let mut client = WireClient::connect(&addr).unwrap();
@@ -331,7 +331,7 @@ fn connection_ceiling_refuses_with_accept_queue_full() {
 #[test]
 fn serial_and_reactor_answers_are_the_same_multiset() {
     let (net, addr) = reactor(ServeConfig::builder().mode(ServeMode::Reactor).build());
-    let mut direct = world();
+    let direct = world();
     let mut client = WireClient::connect(&addr).unwrap();
 
     let queries = [
@@ -372,7 +372,7 @@ fn source_waits_of_pipelined_cold_queries_overlap_on_one_worker() {
     // wait per query.
     let wait = Duration::from_millis(150);
     let burst = 1 + PARKED_PER_WORKER;
-    let mut direct = slow_world(Duration::ZERO);
+    let direct = slow_world(Duration::ZERO);
     let queries: Vec<String> = (0..burst)
         .map(|k| format!("?- item('p_{k}', B)."))
         .collect();
@@ -522,7 +522,7 @@ fn a_parked_leader_and_parked_followers_cannot_deadlock() {
             let source_calls = slow.counter();
             let mut net = Network::new(9);
             net.place(Arc::new(OffReactor::new(slow)), profiles::maryland());
-            let mut m = Mediator::from_source("item(A, B) :- in(B, d1:p_bf(A)).", net).unwrap();
+            let m = Mediator::from_source("item(A, B) :- in(B, d1:p_bf(A)).", net).unwrap();
             m.caches()
                 .policy()
                 .share_subplans(share_subplans)

@@ -90,7 +90,7 @@ fn chaos_mediator(net_seed: u64, fault_seed: u64) -> Mediator {
 }
 
 fn run_chaos(net_seed: u64, fault_seed: u64) -> QueryResult {
-    let mut m = chaos_mediator(net_seed, fault_seed);
+    let m = chaos_mediator(net_seed, fault_seed);
     m.query("?- scene_actors(0, 935, O, A).").unwrap()
 }
 
@@ -169,7 +169,7 @@ fn choose_dead_plan(planned: &mut hermes::core::Planned) {
 
 #[test]
 fn failover_replans_around_a_dead_site() {
-    let mut m = replicated_mediator();
+    let m = replicated_mediator();
     let mut planned = m.plan("?- item('p_1', B).").unwrap();
     assert!(planned.plans.len() >= 2);
     choose_dead_plan(&mut planned);
@@ -279,7 +279,7 @@ fn deadline_bounds_query_and_reports_provenance() {
         .unwrap()
     };
     // Baseline: how long the full query takes in this world.
-    let mut baseline = world();
+    let baseline = world();
     let full = baseline.query("?- scene_actors(0, 935, O, A).").unwrap();
     let t_first = full.t_first.unwrap();
     assert!(t_first < full.t_all);

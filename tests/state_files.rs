@@ -62,7 +62,7 @@ fn state(which: usize) -> Mediator {
         std::sync::Arc::new(domain),
         hermes::net::profiles::cornell(),
     );
-    let mut m = Mediator::from_source("item(A, B) :- in(B, d1:p_bf(A)).", net).unwrap();
+    let m = Mediator::from_source("item(A, B) :- in(B, d1:p_bf(A)).", net).unwrap();
     for i in 0..4 * which {
         m.query(format!("?- item('p_{i}', B).")).unwrap();
     }

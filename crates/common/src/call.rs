@@ -71,12 +71,6 @@ impl GroundCall {
             + 2
             + self.args.iter().map(Value::size_bytes).sum::<usize>()
     }
-
-    /// The shard this call routes to in an `n`-way `(domain, function)`
-    /// partition. See [`shard_index`].
-    pub fn shard(&self, n: usize) -> usize {
-        shard_index(&self.domain, &self.function, n)
-    }
 }
 
 /// Deterministic shard routing for `(domain, function)` keys.

@@ -423,11 +423,22 @@ impl AnswerCache {
         self.current_bytes = 0;
     }
 
-    /// Zeroes the cumulative counters without touching entries or indexes.
-    /// Shard facades use this when forking a template cache so per-shard
-    /// counters start from zero.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
+    /// An empty cache with this one's budget and registered ordered
+    /// indexes, and zeroed counters. Built from the settings alone: the
+    /// entries are never copied.
+    pub fn fork_empty(&self) -> AnswerCache {
+        let ordered = self.ordered.iter().map(|(domain, by_fn)| {
+            let by_fn = by_fn.iter().map(|(function, by_pos)| {
+                let empty = by_pos.keys().map(|&pos| (pos, OrderedIndex::default()));
+                (function.clone(), empty.collect())
+            });
+            (domain.clone(), by_fn.collect())
+        });
+        AnswerCache {
+            ordered: ordered.collect(),
+            budget_bytes: self.budget_bytes,
+            ..AnswerCache::default()
+        }
     }
 }
 

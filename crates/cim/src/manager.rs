@@ -309,13 +309,16 @@ impl Cim {
     /// A structurally identical *empty* CIM: same invariants, cost model,
     /// staleness policy, cache budget, and registered ordered indexes, but
     /// no cached entries and zeroed counters. Shard facades replicate a
-    /// template into every shard with this.
+    /// template into every shard with this; it copies the settings only,
+    /// so its cost does not grow with the entries the template holds.
     pub fn fork_empty(&self) -> Cim {
-        let mut forked = self.clone();
-        forked.cache.clear();
-        forked.cache.reset_stats();
-        forked.stats = CimStats::default();
-        forked
+        Cim {
+            cache: self.cache.fork_empty(),
+            invariants: self.invariants.clone(),
+            cost: self.cost,
+            stats: CimStats::default(),
+            serve_stale: self.serve_stale,
+        }
     }
 
     /// Merges partial (cached) answers with the actual call's answers,

@@ -99,6 +99,9 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// drains — backpressure instead of unbounded memory.
 const WQ_CAP: usize = 4 << 20;
 
+/// Bytes one `read` asks a connection's socket for.
+const READ_CHUNK: usize = 16 * 1024;
+
 /// Bytes read per readiness event before yielding to other
 /// connections. Level-triggered epoll re-reports the remainder, so a
 /// firehose peer cannot starve the loop.
@@ -154,6 +157,7 @@ impl ReactorServer {
                         completions,
                         last_sweep: Instant::now(),
                         stage_left: 0,
+                        read_buf: vec![0; READ_CHUNK].into_boxed_slice(),
                     }
                     .run();
                     // Stopped and drained: the workers finish what is
@@ -260,6 +264,9 @@ struct Reactor {
     last_sweep: Instant,
     /// Queries this wake may still stage on the reactor thread.
     stage_left: usize,
+    /// Where every read lands before its connection's decoder takes the
+    /// bytes: allocated and zeroed once, not on every wake.
+    read_buf: Box<[u8]>,
 }
 
 impl Reactor {
@@ -364,10 +371,10 @@ impl Reactor {
             return;
         };
         let mut close = false;
-        let mut chunk = [0u8; 16 * 1024];
+        let chunk = &mut self.read_buf;
         let mut consumed = 0;
         loop {
-            match conn.stream.read(&mut chunk) {
+            match conn.stream.read(chunk) {
                 Ok(0) => {
                     conn.eof = true;
                     break;
@@ -525,12 +532,8 @@ impl Reactor {
             if conn.wq.is_empty() {
                 break;
             }
-            let bufs: Vec<(&[u8], usize)> = conn
-                .wq
-                .iter()
-                .map(|(b, off)| (b.as_slice(), *off))
-                .collect();
-            match writev_bufs(conn.fd, &bufs) {
+            let bufs = conn.wq.iter().map(|(b, off)| (b.as_slice(), *off));
+            match writev_bufs(conn.fd, bufs) {
                 WriteOutcome::Wrote(0) => break, // EINTR; EPOLLOUT re-arms below
                 WriteOutcome::Wrote(mut n) => {
                     conn.last_activity = Instant::now();

@@ -31,10 +31,14 @@ pub struct EpollEvent {
 
 /// One `writev` span: base pointer + length.
 #[repr(C)]
+#[derive(Clone, Copy)]
 struct IoVec {
     base: *const c_void,
     len: usize,
 }
+
+/// Buffers one [`writev_bufs`] call hands the kernel, at most.
+pub const MAX_IOV: usize = 64;
 
 pub const EPOLLIN: u32 = 0x001;
 pub const EPOLLOUT: u32 = 0x004;
@@ -239,25 +243,33 @@ pub enum WriteOutcome {
     Closed,
 }
 
-/// Writes as many of `bufs` as the socket accepts in one `writev` call.
-/// Each `(buf, offset)` pair is a pending buffer and how much of it has
-/// already been sent.
-pub fn writev_bufs(fd: RawFd, bufs: &[(&[u8], usize)]) -> WriteOutcome {
-    const MAX_IOV: usize = 64;
-    let iovs: Vec<IoVec> = bufs
-        .iter()
-        .take(MAX_IOV)
-        .map(|(buf, off)| IoVec {
-            base: buf[*off..].as_ptr().cast(),
-            len: buf.len() - off,
-        })
-        .collect();
-    if iovs.is_empty() {
+/// Writes as many of `bufs` (at most the first [`MAX_IOV`]) as the socket
+/// accepts in one `writev` call. Each `(buf, offset)` pair is a pending
+/// buffer and how much of it has already been sent. The iovecs live on
+/// the stack: a flush allocates nothing.
+pub fn writev_bufs<'a>(
+    fd: RawFd,
+    bufs: impl IntoIterator<Item = (&'a [u8], usize)>,
+) -> WriteOutcome {
+    let mut iovs = [IoVec {
+        base: std::ptr::null(),
+        len: 0,
+    }; MAX_IOV];
+    let mut n = 0;
+    for ((buf, off), iov) in bufs.into_iter().zip(iovs.iter_mut()) {
+        let rest = &buf[off..];
+        *iov = IoVec {
+            base: rest.as_ptr().cast(),
+            len: rest.len(),
+        };
+        n += 1;
+    }
+    if n == 0 {
         return WriteOutcome::Wrote(0);
     }
-    // SAFETY: every iovec points into a slice borrowed for this call;
-    // the count matches the vector length.
-    let rc = unsafe { writev(fd, iovs.as_ptr(), iovs.len() as c_int) };
+    // SAFETY: the first `n` iovecs point into slices the caller borrows
+    // for at least this call, and `n` is the count passed.
+    let rc = unsafe { writev(fd, iovs.as_ptr(), n as c_int) };
     if rc >= 0 {
         WriteOutcome::Wrote(rc as usize)
     } else if last_errno_would_block() {
@@ -318,7 +330,7 @@ mod tests {
         // Vectored write with a partially sent first buffer.
         let first = b"xxhello ";
         let second = b"world";
-        match writev_bufs(server.as_raw_fd(), &[(first, 2), (second, 0)]) {
+        match writev_bufs(server.as_raw_fd(), [(&first[..], 2), (&second[..], 0)]) {
             WriteOutcome::Wrote(n) => assert_eq!(n, 11),
             _ => panic!("writev failed"),
         }

@@ -724,3 +724,209 @@ fn random_bytes_never_panic_the_value_decoder() {
         let _ = hermes::common::frame::value_from_bytes(&bytes);
     });
 }
+
+// ---------- the typed frame codec against the tree codec it replaced ----------
+
+use hermes::common::frame::{put_answer, put_value, spec, MAX_DEPTH, MAX_FRAME_LEN};
+use hermes::common::Record;
+use hermes::{DoneFrame, ErrorFrame, Frame, QueryFrame};
+
+/// A string, empty now and then, with non-ASCII characters mixed in.
+fn text(r: &mut Rng64, max_len: usize) -> String {
+    const ODD: [char; 7] = ['é', 'ß', '—', '中', '🦀', '\n', '\0'];
+    (0..r.range_usize(0, max_len + 1))
+        .map(|_| match r.chance(0.2) {
+            true => ODD[r.range_usize(0, ODD.len())],
+            false => (b'a' + r.range_u64(0, 26) as u8) as char,
+        })
+        .collect()
+}
+
+/// A count, past `i64::MAX` (which the wire saturates) now and then.
+fn wide_u64(r: &mut Rng64) -> u64 {
+    match r.range_usize(0, 4) {
+        0 => u64::MAX - r.range_u64(0, 3),
+        1 => i64::MAX as u64 - 1 + r.range_u64(0, 3),
+        _ => r.next_u64() >> r.range_u64(0, 64),
+    }
+}
+
+fn maybe<T>(r: &mut Rng64, f: impl FnOnce(&mut Rng64) -> T) -> Option<T> {
+    r.chance(0.5).then(|| f(r))
+}
+
+fn wide_row(r: &mut Rng64) -> Vec<Value> {
+    (0..r.range_usize(0, 5))
+        .map(|_| match r.chance(0.2) {
+            true => Value::str(text(r, 8)),
+            false => value(r),
+        })
+        .collect()
+}
+
+fn wide_done(r: &mut Rng64) -> DoneFrame {
+    let lines = [0, 1, 3, 40][r.range_usize(0, 4)];
+    DoneFrame {
+        columns: (0..r.range_usize(0, 4)).map(|_| text(r, 6)).collect(),
+        rows: wide_u64(r),
+        incomplete: r.chance(0.5),
+        elapsed_us: wide_u64(r),
+        source_calls: wide_u64(r),
+        cache_hits: wide_u64(r),
+        tier_downgrades: wide_u64(r),
+        trace: (0..lines).map(|_| text(r, 60)).collect(),
+    }
+}
+
+/// Any frame, over a wider range than `any_frame`: every value variant in
+/// rows, empty batches and rows, empty and non-ASCII strings, options set
+/// and unset, counts past `i64::MAX` and long trace lists.
+fn wide_frame(r: &mut Rng64) -> Frame {
+    match r.range_usize(0, 8) {
+        0 => Frame::Query(QueryFrame {
+            src: text(r, 24),
+            limit: maybe(r, wide_u64),
+            deadline_us: maybe(r, wide_u64),
+            budget_us: maybe(r, wide_u64),
+            tier: maybe(r, |r| text(r, 12)),
+            trace: r.chance(0.5),
+        }),
+        1 => Frame::Batch((0..r.range_usize(0, 6)).map(|_| wide_row(r)).collect()),
+        2 => Frame::Done(wide_done(r)),
+        3 => Frame::Error(ErrorFrame {
+            code: text(r, 10),
+            message: text(r, 40),
+        }),
+        _ => any_frame(r),
+    }
+}
+
+#[test]
+fn encode_into_writes_the_tree_codecs_bytes() {
+    cases("encode_into_writes_the_tree_codecs_bytes", 512, |r| {
+        let frame = wide_frame(r);
+        let want = spec::encode(&frame);
+        assert_eq!(frame.encode(), want, "{frame:?}");
+        // Appending to a buffer that already holds bytes leaves them be.
+        let mut buf: Vec<u8> = (0..r.range_usize(0, 9)).map(|i| i as u8).collect();
+        let kept = buf.len();
+        frame.encode_into(&mut buf);
+        assert!(buf[..kept].iter().enumerate().all(|(i, &b)| b == i as u8));
+        assert_eq!(buf[kept..], want[..], "{frame:?}");
+    });
+}
+
+#[test]
+fn put_answer_writes_the_tree_codecs_batches_and_done() {
+    cases(
+        "put_answer_writes_the_tree_codecs_batches_and_done",
+        CASES,
+        |r| {
+            let rows: Vec<Vec<Value>> = (0..r.range_usize(0, 24)).map(|_| wide_row(r)).collect();
+            let batch_rows = r.range_usize(0, 8);
+            let done = wide_done(r);
+            let mut want = Vec::new();
+            for chunk in rows.chunks(batch_rows.max(1)) {
+                want.extend(spec::encode(&Frame::Batch(chunk.to_vec())));
+            }
+            want.extend(spec::encode(&Frame::Done(done.clone())));
+            let mut got = Vec::new();
+            put_answer(&rows, batch_rows, MAX_FRAME_LEN, &done.borrowed(), &mut got).unwrap();
+            assert_eq!(got, want);
+        },
+    );
+}
+
+/// Both decoders on one frame body: both refuse it, or both return the
+/// same frame.
+fn decoders_agree(body: &[u8]) {
+    match (Frame::decode_body(body), spec::decode_body(body)) {
+        (Ok(typed), Ok(tree)) => assert_eq!(typed, tree, "body {body:?}"),
+        (Err(_), Err(_)) => {}
+        (typed, tree) => panic!("decoders disagree on {body:?}: typed {typed:?}, tree {tree:?}"),
+    }
+}
+
+/// A value nested `depth` lists deep, around the decoders' depth bound.
+fn nested(depth: usize) -> Value {
+    (0..depth).fold(Value::Int(1), |v, _| Value::List(vec![v]))
+}
+
+/// `body` with its record's fields reordered, repeated, retyped, dropped
+/// or joined by unknown ones (or its batch's rows retyped), re-encoded.
+fn reshaped(r: &mut Rng64, body: &[u8]) -> Option<Vec<u8>> {
+    let payload = hermes::common::frame::value_from_bytes(&body[1..]).ok()?;
+    let shaped = match payload {
+        Value::Record(rec) => {
+            let mut fields: Vec<(String, Value)> = rec
+                .iter()
+                .map(|(n, v)| (n.to_string(), v.clone()))
+                .collect();
+            for _ in 0..r.range_usize(1, 4) {
+                let at = r.range_usize(0, fields.len() + 1);
+                let pick = r.range_usize(0, fields.len().max(1));
+                match r.range_usize(0, 6) {
+                    0 => {
+                        for i in (1..fields.len()).rev() {
+                            fields.swap(i, r.range_usize(0, i + 1));
+                        }
+                    }
+                    1 if !fields.is_empty() => {
+                        let name = fields[pick].0.clone();
+                        fields.insert(at, (name, value(r)));
+                    }
+                    2 if !fields.is_empty() => fields[pick].1 = value(r),
+                    3 if !fields.is_empty() => drop(fields.remove(pick)),
+                    4 => fields.insert(at, (text(r, 8), nested(r.range_usize(58, 66)))),
+                    _ => fields.insert(at, (text(r, 8), value(r))),
+                }
+            }
+            Value::Record(Record::from_fields(fields))
+        }
+        Value::List(mut rows) if !rows.is_empty() => {
+            let at = r.range_usize(0, rows.len());
+            rows[at] = match r.chance(0.5) {
+                true => value(r),
+                false => nested(r.range_usize(60, 66)),
+            };
+            Value::List(rows)
+        }
+        _ => return None,
+    };
+    let mut out = vec![body[0]];
+    put_value(&shaped, &mut out);
+    Some(out)
+}
+
+#[test]
+fn typed_and_tree_decoders_agree_on_frames_and_their_mutations() {
+    const { assert!(MAX_DEPTH < 66, "the nested fields straddle the depth bound") };
+    cases(
+        "typed_and_tree_decoders_agree_on_frames_and_their_mutations",
+        CASES,
+        |r| {
+            let bytes = spec::encode(&wide_frame(r));
+            let body = &bytes[4..];
+            decoders_agree(body);
+            for cut in 0..body.len() {
+                decoders_agree(&body[..cut]);
+            }
+            for i in 0..body.len() {
+                let mut flipped = body.to_vec();
+                flipped[i] ^= r.range_u64(1, 256) as u8;
+                decoders_agree(&flipped);
+            }
+            let other = spec::encode(&wide_frame(r));
+            for _ in 0..8 {
+                let head = &body[..r.range_usize(0, body.len() + 1)];
+                let tail = &other[4 + r.range_usize(0, other.len() - 3)..];
+                decoders_agree(&[head, tail].concat());
+            }
+            for _ in 0..16 {
+                if let Some(reshaped) = reshaped(r, body) {
+                    decoders_agree(&reshaped);
+                }
+            }
+        },
+    );
+}

@@ -23,7 +23,7 @@ const WARMUP: Duration = Duration::from_millis(200);
 const MEASURE: Duration = Duration::from_millis(800);
 const BATCHES: usize = 10;
 /// Rows a full run prints; `--test-mode` asserts it ran this many.
-const ROWS: usize = 23;
+const ROWS: usize = 25;
 
 /// `--test-mode`: run each row once instead of timing it.
 static TEST_MODE: AtomicBool = AtomicBool::new(false);
@@ -291,6 +291,44 @@ fn bench_pool() {
     );
 }
 
+/// One warm answer on the wire: a 3-row `Batch` and its `Done`, written
+/// into a buffer kept across answers, and read back by a decoder kept
+/// across answers, as a connection keeps its own.
+fn bench_frames() {
+    use hermes_common::frame::{DoneFrame, Frame, FrameDecoder};
+    println!("frames:");
+    let rows = (0..3).map(|i| vec![Value::str(format!("r0_{i}")), Value::Int(i)]);
+    let batch = Frame::Batch(rows.collect());
+    let done = Frame::Done(DoneFrame {
+        columns: vec!["B".into(), "C".into()],
+        rows: 3,
+        elapsed_us: 42,
+        cache_hits: 1,
+        ..DoneFrame::default()
+    });
+    let mut buf = Vec::new();
+    bench(
+        "frame_encode_warm_answer",
+        || (),
+        |_| {
+            buf.clear();
+            batch.encode_into(&mut buf);
+            done.encode_into(&mut buf);
+            buf.len()
+        },
+    );
+    let bytes = [batch.encode(), done.encode()].concat();
+    let mut decoder = FrameDecoder::new();
+    bench(
+        "frame_decode_warm_answer",
+        || (),
+        |_| {
+            decoder.feed(&bytes);
+            (decoder.next_frame().unwrap(), decoder.next_frame().unwrap())
+        },
+    );
+}
+
 fn bench_rewriter() {
     println!("rewriter:");
     let program = parse_program(
@@ -474,6 +512,7 @@ fn main() {
     bench_dcsm();
     bench_dcsm_record();
     bench_pool();
+    bench_frames();
     bench_rewriter();
     bench_executor();
     bench_parser();

@@ -347,11 +347,6 @@ impl AnswerCache {
         self.entries.get(call)
     }
 
-    /// True if the call is cached with a complete answer set.
-    pub fn contains_complete(&self, call: &GroundCall) -> bool {
-        self.entries.get(call).is_some_and(|e| e.complete)
-    }
-
     /// Iterates all entries (diagnostics, persistence, and the naive
     /// reference scan).
     pub fn iter(&self) -> impl Iterator<Item = (&GroundCall, &CacheEntry)> {
@@ -508,9 +503,9 @@ mod tests {
     fn incomplete_entries_flagged() {
         let mut c = AnswerCache::new();
         c.insert(call(1), big_answers(3), false, SimInstant::EPOCH);
-        assert!(!c.contains_complete(&call(1)));
+        assert!(!c.peek(&call(1)).unwrap().complete);
         c.insert(call(1), big_answers(5), true, SimInstant::EPOCH);
-        assert!(c.contains_complete(&call(1)));
+        assert!(c.peek(&call(1)).unwrap().complete);
     }
 
     #[test]

@@ -152,11 +152,6 @@ impl Cim {
         self.serve_stale = on;
     }
 
-    /// Whether stale entries may be served during an outage.
-    pub fn serve_stale_on_outage(&self) -> bool {
-        self.serve_stale
-    }
-
     /// The stale fallback: any exact-key cached entry, complete or not,
     /// without touching LRU order or hit counters. `None` when the knob is
     /// off or nothing is cached under the call. The slice is shared with
@@ -491,7 +486,6 @@ mod tests {
         // Knob off: nothing is served stale.
         assert_eq!(cim.stale_answers(&call(10)), None);
         cim.set_serve_stale_on_outage(true);
-        assert!(cim.serve_stale_on_outage());
         // Incomplete entries qualify; unknown calls still do not.
         assert_eq!(
             cim.stale_answers(&call(10)).as_deref(),

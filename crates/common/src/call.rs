@@ -161,11 +161,6 @@ impl CallPattern {
             .count()
     }
 
-    /// True if every position is `$b`.
-    pub fn is_blanket(&self) -> bool {
-        self.specificity() == 0
-    }
-
     /// True if `self` is at least as general as `other`: same call shape and
     /// every constant position of `self` holds the same constant in `other`.
     /// (`other` may fix positions `self` leaves as `$b`.)
@@ -316,20 +311,6 @@ impl PatternShape {
         }
     }
 
-    /// True if `self` keeps a subset of `other`'s dimensions (i.e. a table of
-    /// shape `self` can be derived from a table of shape `other` by dropping
-    /// dimension attributes — the lossy summarization of §6.2.2).
-    pub fn derivable_from(&self, other: &PatternShape) -> bool {
-        self.domain == other.domain
-            && self.function == other.function
-            && self.const_mask.len() == other.const_mask.len()
-            && self
-                .const_mask
-                .iter()
-                .zip(&other.const_mask)
-                .all(|(s, o)| !*s || *o)
-    }
-
     /// Projects a pattern of shape `other ⊇ self` onto this shape, keeping
     /// only this shape's dimensions. Returns `None` on shape mismatch.
     pub fn project(&self, pattern: &CallPattern) -> Option<CallPattern> {
@@ -391,7 +372,6 @@ mod tests {
         assert!(c.pattern().matches(&c));
         assert!(c.blanket_pattern().matches(&c));
         assert_eq!(c.pattern().specificity(), 3);
-        assert!(c.blanket_pattern().is_blanket());
     }
 
     #[test]
@@ -437,8 +417,6 @@ mod tests {
         let full_shape = c.pattern().shape();
         assert_eq!(full_shape.dimension_count(), 3);
         let lossy = PatternShape::new("d", "f", vec![true, false, false]);
-        assert!(lossy.derivable_from(&full_shape));
-        assert!(!full_shape.derivable_from(&lossy));
         let projected = lossy.project(&c.pattern()).unwrap();
         assert_eq!(projected.to_string(), "d:f('a', $b, $b)");
         // projecting a pattern of the wrong arity fails

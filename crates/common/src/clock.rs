@@ -247,11 +247,6 @@ impl SimClock {
         }
     }
 
-    /// True when this clock reads real time.
-    pub fn is_wall(&self) -> bool {
-        self.wall.is_some()
-    }
-
     /// Current time: the advanced simulated instant, or (wall mode) the
     /// anchor base plus real elapsed time, whichever is later — the clock
     /// never runs backwards across a mode's own reads.
@@ -359,13 +354,6 @@ mod tests {
     fn sum_of_durations() {
         let total: SimDuration = (1..=4u64).map(SimDuration::from_millis).sum();
         assert_eq!(total.as_millis(), 10);
-    }
-
-    #[test]
-    fn sim_clock_is_not_wall() {
-        assert!(!SimClock::new().is_wall());
-        assert!(!SimClock::default().is_wall());
-        assert!(SimClock::wall().is_wall());
     }
 
     #[test]

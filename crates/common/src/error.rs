@@ -143,16 +143,6 @@ impl fmt::Display for HermesError {
     }
 }
 
-impl HermesError {
-    /// True for failures that may succeed if simply retried later —
-    /// the class retry loops and circuit breakers act on. Everything else
-    /// (parse, arity, planning, deadline, ...) is deterministic and
-    /// retrying cannot help.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, HermesError::Unavailable { .. })
-    }
-}
-
 impl std::error::Error for HermesError {}
 
 impl From<std::io::Error> for HermesError {
@@ -195,28 +185,6 @@ mod tests {
             e.to_string(),
             "deadline exceeded: 2250.000ms elapsed against a 1500.000ms deadline"
         );
-    }
-
-    #[test]
-    fn only_unavailability_is_transient() {
-        assert!(HermesError::Unavailable {
-            site: "milan".into(),
-            reason: "flap".into(),
-        }
-        .is_transient());
-        assert!(!HermesError::Plan("no ordering".into()).is_transient());
-        assert!(!HermesError::DeadlineExceeded {
-            deadline: SimDuration::ZERO,
-            elapsed: SimDuration::ZERO,
-        }
-        .is_transient());
-        assert!(!HermesError::Io("disk".into()).is_transient());
-        // A shed is a deterministic admission decision, not a flaky site:
-        // retrying immediately would just re-shed, so it is not transient.
-        assert!(!HermesError::Shed {
-            reason: "gate-full".into(),
-        }
-        .is_transient());
     }
 
     #[test]

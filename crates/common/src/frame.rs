@@ -893,38 +893,6 @@ impl Frame {
         }
     }
 
-    /// Reads one frame from `r`. Returns `Ok(None)` on clean EOF (the
-    /// peer closed between frames); anything else malformed is an error.
-    ///
-    /// This is the blocking face of [`FrameDecoder`]: it reads exactly the
-    /// bytes the decoder asks for (never over-reading into the next
-    /// frame), so it composes with unbuffered streams.
-    pub fn read_from(r: &mut impl Read) -> Result<Option<Frame>> {
-        let mut decoder = FrameDecoder::new();
-        let mut chunk = [0u8; 4096];
-        loop {
-            if let Some(frame) = decoder.next_frame()? {
-                return Ok(Some(frame));
-            }
-            // Ask for exactly what the next frame still needs: the header
-            // remainder, then the body remainder.
-            let want = decoder.needed().min(chunk.len());
-            let mut got = 0;
-            while got < want {
-                match r.read(&mut chunk[got..want]) {
-                    Ok(0) if got == 0 && !decoder.mid_frame() => return Ok(None),
-                    Ok(0) => {
-                        return Err(HermesError::Io("connection closed mid-frame".to_string()))
-                    }
-                    Ok(n) => got += n,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            decoder.feed(&chunk[..got]);
-        }
-    }
-
     /// Decodes a frame body (kind byte + payload, no length prefix), each
     /// field straight into its struct and a batch straight into its rows.
     pub fn decode_body(body: &[u8]) -> Result<Frame> {
@@ -1005,9 +973,9 @@ impl Frame {
 /// and no alignment requirements — a frame may arrive one byte at a
 /// time or many frames in one chunk.
 ///
-/// Both serving paths share it: the epoll reactor feeds it from
-/// nonblocking reads, and [`Frame::read_from`] drives it with exact
-/// blocking reads. The length-prefix validation (zero-length frames,
+/// Every reader of the protocol uses it: both serving engines (through
+/// their shared connection core), the wire client and the load
+/// generator. The length-prefix validation (zero-length frames,
 /// the [`MAX_FRAME_LEN`] cap) fails *as soon as the header is visible*,
 /// before any body byte is buffered, so a hostile length can never make
 /// the decoder allocate.
@@ -1043,23 +1011,6 @@ impl FrameDecoder {
     /// the signal a read-deadline (slow-loris) check keys on.
     pub fn mid_frame(&self) -> bool {
         self.buffered() > 0
-    }
-
-    /// How many more bytes the decoder needs before [`next_frame`]
-    /// *could* yield (never 0): the rest of the 4-byte header, then the
-    /// rest of the announced body. Blocking callers use this to read
-    /// exactly one frame without over-reading.
-    ///
-    /// [`next_frame`]: FrameDecoder::next_frame
-    pub fn needed(&self) -> usize {
-        let have = self.buffered();
-        if have < 4 {
-            return 4 - have;
-        }
-        let len = self.peek_len() as usize;
-        // An invalid length errors on the next `next_frame` call; claim
-        // one byte so callers keep making progress toward that error.
-        (4 + len).saturating_sub(have).max(1)
     }
 
     fn peek_len(&self) -> u32 {
@@ -1157,11 +1108,11 @@ mod tests {
     }
 
     fn roundtrip_frame(f: Frame) {
-        let bytes = f.encode();
-        let mut cursor = std::io::Cursor::new(bytes);
-        let back = Frame::read_from(&mut cursor).unwrap().unwrap();
-        assert_eq!(back, f);
-        assert!(Frame::read_from(&mut cursor).unwrap().is_none(), "EOF next");
+        let mut d = FrameDecoder::new();
+        d.feed(&f.encode());
+        assert_eq!(d.next_frame().unwrap(), Some(f));
+        assert_eq!(d.next_frame().unwrap(), None);
+        assert!(!d.mid_frame(), "the frame's bytes and no more");
     }
 
     #[test]
@@ -1219,26 +1170,33 @@ mod tests {
         let mut bytes = Frame::Ping.encode();
         bytes.extend(Frame::Stats.encode());
         bytes.extend(Frame::Pong.encode());
-        let mut cursor = std::io::Cursor::new(bytes);
-        assert_eq!(Frame::read_from(&mut cursor).unwrap(), Some(Frame::Ping));
-        assert_eq!(Frame::read_from(&mut cursor).unwrap(), Some(Frame::Stats));
-        assert_eq!(Frame::read_from(&mut cursor).unwrap(), Some(Frame::Pong));
-        assert_eq!(Frame::read_from(&mut cursor).unwrap(), None);
+        let mut d = FrameDecoder::new();
+        d.feed(&bytes);
+        assert_eq!(d.next_frame().unwrap(), Some(Frame::Ping));
+        assert_eq!(d.next_frame().unwrap(), Some(Frame::Stats));
+        assert_eq!(d.next_frame().unwrap(), Some(Frame::Pong));
+        assert_eq!(d.next_frame().unwrap(), None);
+        assert!(!d.mid_frame());
     }
 
     #[test]
     fn malformed_frames_error_cleanly() {
         // Zero length.
-        let mut cursor = std::io::Cursor::new(vec![0, 0, 0, 0]);
-        assert!(Frame::read_from(&mut cursor).is_err());
+        let mut d = FrameDecoder::new();
+        d.feed(&[0, 0, 0, 0]);
+        assert!(d.next_frame().is_err());
         // Oversized length.
-        let mut cursor = std::io::Cursor::new((MAX_FRAME_LEN + 1).to_le_bytes().to_vec());
-        assert!(Frame::read_from(&mut cursor).is_err());
-        // Truncated mid-header and mid-body.
+        let mut d = FrameDecoder::new();
+        d.feed(&(MAX_FRAME_LEN + 1).to_le_bytes());
+        assert!(d.next_frame().is_err());
+        // Truncated mid-header and mid-body: no frame, and a started one
+        // (what a connection closed here counts as a bad frame).
         let full = Frame::Query(QueryFrame::new("?- q(A).")).encode();
         for cut in 1..full.len() {
-            let mut cursor = std::io::Cursor::new(full[..cut].to_vec());
-            assert!(Frame::read_from(&mut cursor).is_err(), "accepted cut {cut}");
+            let mut d = FrameDecoder::new();
+            d.feed(&full[..cut]);
+            assert_eq!(d.next_frame().unwrap(), None, "accepted cut {cut}");
+            assert!(d.mid_frame(), "cut {cut}");
         }
         // Unknown kind; bare kind with unexpected payload; bad payloads.
         assert!(Frame::decode_body(&[0xEE]).is_err());
@@ -1377,13 +1335,13 @@ mod tests {
         let frame = Frame::Query(QueryFrame::new("?- q(A)."));
         let bytes = frame.encode();
         let mut d = FrameDecoder::new();
-        assert_eq!(d.needed(), 4, "empty decoder wants a header");
         assert!(!d.mid_frame());
         d.feed(&bytes[..1]);
-        assert_eq!(d.needed(), 3);
         assert!(d.mid_frame(), "one header byte is a started frame");
+        assert_eq!(d.buffered(), 1);
         d.feed(&bytes[1..4]);
-        assert_eq!(d.needed(), bytes.len() - 4, "header announces the body");
+        assert_eq!(d.next_frame().unwrap(), None, "header announces the body");
+        assert!(d.mid_frame());
         d.feed(&bytes[4..]);
         assert_eq!(d.next_frame().unwrap(), Some(frame));
         assert!(!d.mid_frame());

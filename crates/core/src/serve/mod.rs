@@ -2,26 +2,27 @@
 //! [`Mediator`] speaking the [`hermes_common::frame`] binary
 //! protocol, plus the [`WireClient`] the REPL and load generator use.
 //!
-//! # Two server shapes, one dispatch
+//! # Two engines, one connection core
 //!
-//! * [`ServeMode::Pool`] (`pool`) is the PR 9 worker-pool server: one
-//!   handler thread per in-flight connection, blocking reads, bounded
-//!   accept queue. Simple, portable, and capped — max concurrent
-//!   connections equals the pool size.
+//! Both engines drive one per-connection protocol, `conn::Conn` (framing,
+//! response order, the `pipeline_depth` shed, the write queue and the
+//! deadlines), and differ only in how they feed it bytes and write out
+//! what it owes.
+//!
+//! * [`ServeMode::Pool`] (`pool`) is the worker-pool server: one
+//!   handler thread per connection, blocking reads and writes that wait
+//!   at most [`ServeConfig::idle_poll`], a bounded accept queue. Simple,
+//!   portable, and capped — max concurrent connections equals the pool
+//!   size. A handler answers each request before it takes the next.
 //! * [`ServeMode::Reactor`] (`reactor`, Linux) is a readiness-driven
-//!   epoll event loop: reactor thread(s) own every socket with
-//!   nonblocking per-connection state machines (incremental frame
-//!   decode, bounded write queues with vectored writes, read deadlines
-//!   that evict slow-loris peers), while queries that may wait on a
-//!   source execute on the same bounded worker pool and wake the
-//!   reactor through an eventfd; a query the answer cache alone serves
-//!   is answered on the reactor thread itself ([`INLINE_BUDGET`]).
-//!   Connections are decoupled from compute: tens of thousands of open
-//!   connections cost a few hundred bytes each, not a thread. Requests
-//!   on one connection may be **pipelined** — multiple queries in
-//!   flight, responses strictly FIFO, depth bounded by
-//!   [`ServeConfig::pipeline_depth`] with a typed `shed`/`pipeline-full`
-//!   wire error past it.
+//!   epoll event loop: one reactor thread owns every socket, while
+//!   queries that may wait on a source execute on a bounded worker pool
+//!   and wake the reactor through an eventfd; a query the answer cache
+//!   alone serves is answered on the reactor thread itself
+//!   ([`INLINE_BUDGET`]). Tens of thousands of open connections cost a
+//!   few hundred bytes each, not a thread, and requests on one
+//!   connection may be **pipelined**, up to
+//!   [`ServeConfig::pipeline_depth`] in flight.
 //!
 //! [`ServeMode::Auto`] (the default) picks the reactor on Linux and the
 //! pool elsewhere; both modes share the dispatch path (`respond_bytes`,
@@ -34,6 +35,7 @@
 //! elapsed time, which is what a network client means by "2 seconds".
 //! The serial simulated-clock path is untouched.
 
+pub(crate) mod conn;
 pub(crate) mod pool;
 #[cfg(target_os = "linux")]
 pub(crate) mod reactor;
@@ -49,7 +51,7 @@ pub use workers::parked_handoff_probe;
 use workers::Work;
 
 use std::io::Write;
-use std::net::{Shutdown as SockShutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown as SockShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -82,6 +84,9 @@ pub const INLINE_BUDGET: usize = 8;
 /// measured), so the multiple trades miss throughput
 /// (`≈ threads ÷ source latency`) against resident memory.
 pub const PARKED_PER_WORKER: usize = 2;
+
+/// Bytes one `read` asks a connection's socket for.
+const READ_CHUNK: usize = 16 * 1024;
 
 /// Which serving engine a [`NetServer`] runs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -156,9 +161,10 @@ pub struct ServeConfig {
     /// Reactor mode: open-connection ceiling; a connection past it is
     /// refused with `shed`/`accept-queue-full`.
     pub max_conns: usize,
-    /// Reactor mode: queries in flight per connection. A pipelined
-    /// request past this depth is answered (in order) with a
-    /// `shed`/`pipeline-full` error frame instead of queueing unboundedly.
+    /// Queries in flight per connection. A pipelined request past this
+    /// depth is answered (in order) with a `shed`/`pipeline-full` error
+    /// frame instead of queueing unboundedly. A pool handler answers one
+    /// request at a time, so only the reactor reaches it.
     pub pipeline_depth: usize,
     /// Reactor mode: bound on queries queued for the worker pool across
     /// all connections; past it requests shed with
@@ -169,16 +175,20 @@ pub struct ServeConfig {
     /// Serve queries on the wall-anchored clock (real deadlines). Off
     /// restores virtual time — useful for deterministic protocol tests.
     pub wall_clock: bool,
-    /// How often idle handlers, the accept loop, and the reactor's
-    /// deadline sweep run; bounds shutdown latency, not request latency.
+    /// How often the deadlines are checked and the stop flag is read: the
+    /// reactor's sweep, the pool's read and write timeouts and its accept
+    /// loop. Bounds shutdown and eviction latency, not request latency.
     pub idle_poll: Duration,
     /// How long a started frame may take to finish arriving before the
-    /// connection is dropped as stalled (the slow-loris deadline). The
-    /// reactor also applies it to write-stalled peers during drain.
+    /// connection is evicted as stalled (the slow-loris deadline), and how
+    /// long a draining server waits on a peer that stopped reading its
+    /// responses. Both engines; evictions count in
+    /// [`NetServerStats::evicted`].
     pub frame_timeout: Duration,
-    /// Reactor mode: evict a connection with no traffic and no pending
-    /// work for this long. `None` (the default) keeps idle connections
-    /// forever — cheap under the reactor, they cost no thread.
+    /// Evict a connection with no traffic and nothing owed or buffered for
+    /// this long (both engines). `None` (the default) keeps idle
+    /// connections forever — cheap under the reactor, they cost no
+    /// thread; under the pool each holds a handler.
     pub idle_timeout: Option<Duration>,
 }
 
@@ -339,6 +349,8 @@ pub(crate) struct Shared {
 /// [`NetServer::wait`] detaches the threads (they stop at the next
 /// stop-flag poll once the process asks).
 pub struct NetServer {
+    shared: Arc<Shared>,
+    addr: SocketAddr,
     inner: Inner,
 }
 
@@ -364,20 +376,21 @@ impl NetServer {
             stop: AtomicBool::new(false),
             counters: Arc::default(),
         });
+        let listener = TcpListener::bind(addr).map_err(io_err)?;
+        listener.set_nonblocking(true).map_err(io_err)?;
+        let addr = listener.local_addr().map_err(io_err)?;
         let inner = match mode {
             #[cfg(target_os = "linux")]
-            ServeMode::Reactor => Inner::Reactor(reactor::ReactorServer::bind(shared, addr)?),
-            _ => Inner::Pool(pool::PoolServer::bind(shared, addr)?),
+            ServeMode::Reactor => {
+                Inner::Reactor(reactor::ReactorServer::start(shared.clone(), listener)?)
+            }
+            _ => Inner::Pool(pool::PoolServer::start(shared.clone(), listener)?),
         };
-        Ok(NetServer { inner })
-    }
-
-    fn shared(&self) -> &Arc<Shared> {
-        match &self.inner {
-            Inner::Pool(p) => &p.shared,
-            #[cfg(target_os = "linux")]
-            Inner::Reactor(r) => &r.shared,
-        }
+        Ok(NetServer {
+            shared,
+            addr,
+            inner,
+        })
     }
 
     /// The engine actually serving (resolves [`ServeMode::Auto`]).
@@ -391,49 +404,40 @@ impl NetServer {
 
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        match &self.inner {
-            Inner::Pool(p) => p.addr,
-            #[cfg(target_os = "linux")]
-            Inner::Reactor(r) => r.addr,
-        }
+        self.addr
     }
 
     /// Socket-level counters so far.
     pub fn net_stats(&self) -> NetServerStats {
-        self.shared().counters.snapshot()
+        self.shared.counters.snapshot()
     }
 
     /// The mediator being served.
     pub fn mediator(&self) -> &Arc<Mediator> {
-        &self.shared().mediator
+        &self.shared.mediator
     }
 
     /// True once a `Shutdown` frame (or [`NetServer::shutdown`]) has
     /// asked the server to drain.
     pub fn stopping(&self) -> bool {
-        self.shared().stop.load(Ordering::Relaxed)
+        self.shared.stop.load(Ordering::Relaxed)
     }
 
     /// Block until the server drains — i.e. until a client sends a
     /// `Shutdown` frame. Returns the final socket counters.
-    pub fn wait(self) -> NetServerStats {
-        match self.inner {
-            Inner::Pool(mut p) => {
-                p.join();
-                p.shared.counters.snapshot()
-            }
+    pub fn wait(mut self) -> NetServerStats {
+        match &mut self.inner {
+            Inner::Pool(p) => p.join(),
             #[cfg(target_os = "linux")]
-            Inner::Reactor(mut r) => {
-                r.join();
-                r.shared.counters.snapshot()
-            }
+            Inner::Reactor(r) => r.join(),
         }
+        self.shared.counters.snapshot()
     }
 
     /// Ask the server to stop, drain in-flight responses, and join all
     /// threads. Returns the final socket counters.
     pub fn shutdown(self) -> NetServerStats {
-        self.shared().stop.store(true, Ordering::Relaxed);
+        self.shared.stop.store(true, Ordering::Relaxed);
         match &self.inner {
             Inner::Pool(_) => {}
             #[cfg(target_os = "linux")]
@@ -449,19 +453,14 @@ pub(crate) fn io_err(e: std::io::Error) -> HermesError {
 
 /// Tell a refused connection *why* before closing, so the client can
 /// count socket sheds instead of seeing a bare reset.
-pub(crate) fn refuse(stream: TcpStream) {
-    let frame = Frame::Error(ErrorFrame {
-        code: "shed".into(),
-        message: "accept-queue-full".into(),
-    });
-    let mut stream = stream;
-    let _ = stream.write_all(&frame.encode());
+pub(crate) fn refuse(mut stream: TcpStream) {
+    let _ = stream.write_all(&shed_bytes("accept-queue-full"));
     let _ = stream.shutdown(SockShutdown::Both);
 }
 
-/// Encodes a pre-gate shed response (`pipeline-full`,
-/// `worker-queue-full`): the typed wire error a request gets when the
-/// reactor refuses it before the admission gate ever sees a query.
+/// Encodes a shed response the admission gate never sees: a refused
+/// connection (`accept-queue-full`) or a request shed before it
+/// (`pipeline-full`, `worker-queue-full`).
 pub(crate) fn shed_bytes(reason: &str) -> Vec<u8> {
     Frame::Error(ErrorFrame {
         code: "shed".into(),
@@ -473,17 +472,20 @@ pub(crate) fn shed_bytes(reason: &str) -> Vec<u8> {
 // ------------------------------------------------- shared dispatch
 
 /// Serves one request frame to bytes: the complete encoded response
-/// stream (`Batch* Done`, `Error`, `Pong`, `StatsReply`). The second
-/// return is true when the frame asked the server to drain. Both server
-/// engines call this — pool handlers for every frame, the reactor for
-/// admin frames and its workers for queries it did not stage — so wire
-/// behavior and the gate invariant are identical.
-pub(crate) fn respond_bytes(shared: &Shared, frame: Frame) -> (Vec<u8>, bool) {
+/// stream (`Batch* Done`, `Error`, `Pong`, `StatsReply`). A `Shutdown`
+/// frame sets the stop flag: the server drains. Both server engines call
+/// this — pool handlers for every frame, the reactor for admin frames and
+/// its workers for queries it did not stage — so wire behavior and the
+/// gate invariant are identical.
+pub(crate) fn respond_bytes(shared: &Shared, frame: Frame) -> Vec<u8> {
     match frame {
-        Frame::Query(q) => (respond_query(shared, &q), false),
-        Frame::Ping => (Frame::Pong.encode(), false),
-        Frame::Stats => (Frame::StatsReply(stats_value(shared)).encode(), false),
-        Frame::Shutdown => (Frame::Pong.encode(), true),
+        Frame::Query(q) => respond_query(shared, &q),
+        Frame::Ping => Frame::Pong.encode(),
+        Frame::Stats => Frame::StatsReply(stats_value(shared)).encode(),
+        Frame::Shutdown => {
+            shared.stop.store(true, Ordering::Relaxed);
+            Frame::Pong.encode()
+        }
         // Response frames arriving at the server are a peer bug; answer
         // with a structured error rather than hanging up silently.
         other => {
@@ -491,7 +493,7 @@ pub(crate) fn respond_bytes(shared: &Shared, frame: Frame) -> (Vec<u8>, bool) {
                 code: "bad-frame".into(),
                 message: format!("server cannot serve a response frame ({other:?})"),
             };
-            (Frame::Error(err).encode(), false)
+            Frame::Error(err).encode()
         }
     }
 }
@@ -577,37 +579,60 @@ pub(crate) fn answer_cached(shared: &Shared, staged: StagedFrame) -> Handoff<Vec
     }
 }
 
+/// Stages `q` on the calling (reactor) thread and answers it there when
+/// that needs no source: a request refused while staging, or a query the
+/// answer cache alone serves. `Back` is what a worker must finish.
+pub(crate) fn answer_or_stage(shared: &Shared, q: &QueryFrame) -> Handoff<Vec<u8>, Work> {
+    match stage_query(shared, q) {
+        Ok(staged) => answer_cached(shared, staged),
+        Err(refusal) => Handoff::Done(refusal),
+    }
+}
+
 /// For the `work_counts` row of one warm point on the reactor's inline
-/// path: a served mediator under the default [`ServeConfig`], answering
-/// request bytes the way the reactor answers a connection's.
+/// path: a served mediator under the default [`ServeConfig`] and one kept
+/// connection, answering request bytes the way the reactor answers a
+/// connection's.
 #[doc(hidden)]
-pub struct InlineAnswerProbe(Shared);
+pub struct InlineAnswerProbe {
+    shared: Shared,
+    conn: conn::Conn,
+}
 
 impl InlineAnswerProbe {
     /// Serves `mediator` on the wall clock, as [`NetServer::bind`] does.
     pub fn new(mediator: Arc<Mediator>) -> Self {
         let config = ServeConfig::default();
         mediator.set_wall_clock(config.wall_clock);
-        InlineAnswerProbe(Shared {
-            mediator,
-            config,
-            stop: AtomicBool::new(false),
-            counters: Arc::default(),
-        })
+        InlineAnswerProbe {
+            conn: conn::Conn::new(&config, Instant::now()),
+            shared: Shared {
+                mediator,
+                config,
+                stop: AtomicBool::new(false),
+                counters: Arc::default(),
+            },
+        }
     }
 
-    /// Feeds `request` (one `Query` frame) to the connection's `decoder`,
-    /// stages the query and answers it from the cache: the response bytes,
-    /// or `None` when the reactor would hand the query to a worker.
-    pub fn answer(&self, decoder: &mut FrameDecoder, request: &[u8]) -> Option<Vec<u8>> {
-        decoder.feed(request);
-        let Ok(Some(Frame::Query(q))) = decoder.next_frame() else {
+    /// Hands `request` (one `Query` frame) to the connection, stages the
+    /// query, answers it from the cache and writes the response: the bytes
+    /// written, or `None` when the reactor would hand the query to a
+    /// worker.
+    pub fn answer(&mut self, request: &[u8]) -> Option<usize> {
+        let now = Instant::now();
+        self.conn.received(request, now);
+        let (seq, Frame::Query(q)) = self.conn.next_request(&self.shared.counters)? else {
             return None;
         };
-        match answer_cached(&self.0, stage_query(&self.0, &q).ok()?) {
-            Handoff::Done(bytes) => Some(bytes),
-            Handoff::Back(_) => None,
-        }
+        let staged = stage_query(&self.shared, &q).ok()?;
+        let Handoff::Done(bytes) = answer_cached(&self.shared, staged) else {
+            return None;
+        };
+        self.conn.complete(seq, bytes);
+        let written = self.conn.output().map(|(b, sent)| b.len() - sent).sum();
+        self.conn.wrote(written, now);
+        Some(written)
     }
 }
 

@@ -3,17 +3,13 @@
 //! non-blocking poll loop so it can notice shutdown promptly; accepted
 //! sockets flow to the handlers through a **bounded** queue. When the
 //! queue is full the connection is refused at the socket with a
-//! `shed`/`accept-queue-full` error frame — this is the socket-level
-//! face of the PR 6 admission gate: the gate sheds *queries* under
-//! concurrency pressure, the accept queue sheds *connections* before
-//! they ever cost a worker.
+//! `shed`/`accept-queue-full` error frame: the gate sheds *queries*,
+//! the accept queue sheds *connections* before they cost a worker.
 //!
-//! Each handler owns one connection at a time and serves its frames
-//! request/response: `Query` → `Batch*` + `Done` (or `Error`),
-//! `Stats` → `StatsReply`, `Ping` → `Pong`, `Shutdown` → `Pong` then a
-//! graceful drain. Handlers poll for the stop flag between frames
-//! (bounded by `idle_poll`), so `shutdown`/a `Shutdown` frame drains in
-//! bounded time without cutting off an in-flight response.
+//! Each handler owns one connection at a time and drives its
+//! [`Conn`] with blocking reads and writes that wait at most `idle_poll`,
+//! answering each request before it takes the next; between ticks it
+//! checks the stop flag and the connection's deadlines.
 //!
 //! The cost of this simplicity is the connection ceiling: a handler
 //! holds its connection until EOF, so at most `workers` clients are
@@ -22,31 +18,28 @@
 //!
 //! [`ServeMode::Pool`]: super::ServeMode::Pool
 
-use std::io::{ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
-use hermes_common::frame::Frame;
 use hermes_common::Result;
 
-use super::{io_err, refuse, respond_bytes, Shared};
+use super::conn::Conn;
+use super::{io_err, refuse, respond_bytes, Shared, READ_CHUNK};
 
 pub(crate) struct PoolServer {
-    pub(crate) shared: Arc<Shared>,
-    pub(crate) addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl PoolServer {
-    pub(crate) fn bind(shared: Arc<Shared>, addr: impl ToSocketAddrs) -> Result<PoolServer> {
-        let listener = TcpListener::bind(addr).map_err(io_err)?;
-        listener.set_nonblocking(true).map_err(io_err)?;
-        let addr = listener.local_addr().map_err(io_err)?;
-
+    /// Serves the nonblocking `listener`.
+    pub(crate) fn start(shared: Arc<Shared>, listener: TcpListener) -> Result<PoolServer> {
         let workers = shared.config.workers.max(1);
         let threads = &shared.counters.worker_threads_peak;
         threads.store(workers as u64, Ordering::Relaxed);
@@ -71,8 +64,6 @@ impl PoolServer {
         };
 
         Ok(PoolServer {
-            shared,
-            addr,
             accept: Some(accept),
             workers: handles,
         })
@@ -129,55 +120,49 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
     }
 }
 
-/// Serve one connection request/response until EOF, a protocol error,
-/// or drain. Errors on the socket just close the connection — the
-/// server itself never dies from a bad peer.
+/// Serves one connection request/response until it finishes, breaks or
+/// passes a deadline: each request is answered on this thread, and its
+/// response written, before the next is taken. Errors on the socket just
+/// close the connection — the server itself never dies from a bad peer.
 fn serve_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
+    // Reads and writes wait at most one poll tick, so the deadlines and
+    // the stop flag are looked at every tick.
+    let tick = Some(shared.config.idle_poll.max(Duration::from_millis(1)));
+    if stream.set_read_timeout(tick).is_err() || stream.set_write_timeout(tick).is_err() {
+        return;
+    }
+    let counters = &shared.counters;
+    let mut conn = Conn::new(&shared.config, Instant::now());
+    let mut buf = [0u8; READ_CHUNK];
     loop {
-        let frame = match next_frame(shared, &stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return,
-            Err(_) => {
-                shared.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        };
-        shared.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let (bytes, is_shutdown) = respond_bytes(shared, frame);
-        if (&stream).write_all(&bytes).is_err() {
-            return; // peer went away mid-response
-        }
-        if is_shutdown {
-            shared.stop.store(true, Ordering::Relaxed);
+        let stop = shared.stop.load(Ordering::Relaxed);
+        if conn.finished(stop) {
             return;
         }
-    }
-}
-
-/// Wait for the next frame, polling the stop flag while the connection
-/// is idle. Once a frame's first byte arrives it must finish within
-/// `frame_timeout`. `Ok(None)` means clean EOF or drain.
-fn next_frame(shared: &Shared, stream: &TcpStream) -> Result<Option<Frame>> {
-    let mut probe = [0u8; 1];
-    loop {
-        stream
-            .set_read_timeout(Some(shared.config.idle_poll))
-            .map_err(io_err)?;
-        match stream.peek(&mut probe) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if shared.stop.load(Ordering::Relaxed) {
-                    return Ok(None);
-                }
+        if conn.overdue(Instant::now(), stop) {
+            counters.evicted.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let next_write = conn.output().next();
+        let io = if let Some((bytes, sent)) = next_write {
+            match (&stream).write(&bytes[sent..]) {
+                Ok(0) => return, // the socket takes nothing more
+                n => n.map(|n| conn.wrote(n, Instant::now())),
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Ok(None), // connection reset: not a protocol error
+        } else if let Some((seq, frame)) = conn.next_request(counters) {
+            conn.complete(seq, respond_bytes(shared, frame));
+            Ok(())
+        } else if conn.wants_read(stop) {
+            (&stream).read(&mut buf).map(|n| match n {
+                0 => conn.peer_closed(),
+                n => conn.received(&buf[..n], Instant::now()),
+            })
+        } else {
+            Ok(())
+        };
+        if io.is_err_and(|e| !matches!(e.kind(), WouldBlock | TimedOut | Interrupted)) {
+            return; // the peer reset or went away
         }
     }
-    stream
-        .set_read_timeout(Some(shared.config.frame_timeout))
-        .map_err(io_err)?;
-    Frame::read_from(&mut &*stream)
 }

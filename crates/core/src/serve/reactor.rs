@@ -11,29 +11,22 @@
 //!    [`max_conns`](super::ServeConfig::max_conns) with a typed
 //!    `shed`/`accept-queue-full` frame),
 //! 2. reads ready sockets nonblockingly into each connection's
-//!    incremental [`FrameDecoder`] — partial frames simply stay
-//!    buffered until more bytes arrive,
-//! 3. answers admin frames (`Ping`/`Stats`/`Shutdown`) inline, and
-//!    `Query` frames too when the answer cache alone serves them (see
-//!    *Which thread runs a query* below); the rest go to the bounded
-//!    queue of the [`workers`](super::workers),
-//! 4. collects completions the workers left in the shared vector,
-//!    slots each into its connection's FIFO, and
-//! 5. flushes: response bytes move from the FIFO into a bounded write
-//!    queue (≤ [`WQ_CAP`] buffered bytes per connection) and out
-//!    through vectored writes, re-arming `EPOLLOUT` on short writes.
+//!    [`Conn`] — partial frames simply stay buffered until more bytes
+//!    arrive,
+//! 3. answers the requests each `Conn` decodes: admin frames
+//!    (`Ping`/`Stats`/`Shutdown`) inline, and `Query` frames too when the
+//!    answer cache alone serves them (see *Which thread runs a query*
+//!    below); the rest go to the bounded queue of the
+//!    [`workers`](super::workers),
+//! 4. collects completions the workers left in the shared vector and
+//!    fills each into its connection's response slot, and
+//! 5. flushes: what each `Conn` has queued goes out through vectored
+//!    writes, re-arming `EPOLLOUT` on short writes.
 //!
-//! # Pipelining
-//!
-//! A client may send many queries without waiting. Each gets a
-//! sequence-numbered FIFO slot at decode time, so responses go back
-//! **in request order** no matter which worker finishes first. At most
-//! [`pipeline_depth`](super::ServeConfig::pipeline_depth) queries per
-//! connection may be unanswered; one more is answered (in order, in
-//! its own slot) with `shed`/`pipeline-full` instead of queueing
-//! unboundedly — the connection-level face of the admission gate, one
-//! layer below it. Sheds here never reach the mediator, so the gate
-//! invariant `admitted + shed == queries` is untouched.
+//! The protocol itself — framing, response order, the `pipeline-full`
+//! shed, the write-queue cap and the deadlines a sweep every
+//! [`idle_poll`](super::ServeConfig::idle_poll) evicts by — is the
+//! [`conn`](super::conn) module's, the same for both engines.
 //!
 //! # Which thread runs a query
 //!
@@ -42,7 +35,7 @@
 //! while the admission gate is unbounded the reactor *stages* each
 //! `Query` frame on its own thread — admit, parse, bind, plan — and
 //! finishes it there when the plan is one constant CIM-routed call the
-//! cache holds ([`answer_cached`]): that path touches no source and
+//! cache holds ([`answer_cached`](super::answer_cached)): that path touches no source and
 //! cannot wait. Everything else goes to a worker carrying its staged
 //! plan and gate permit, so nothing is parsed or planned twice. At most
 //! [`INLINE_BUDGET`] queries are staged per wake; past it, and whenever
@@ -56,37 +49,29 @@
 //! `workers × PARKED_PER_WORKER` parked threads (see
 //! [`workers`](super::workers)).
 //!
-//! # Deadlines
-//!
-//! A sweep every [`idle_poll`](super::ServeConfig::idle_poll) evicts
-//! connections that (a) started a frame and stalled past
-//! `frame_timeout` (slow loris), (b) sat idle past `idle_timeout` when
-//! one is configured, or (c) stopped draining their responses during
-//! shutdown. Eviction is counted in `NetServerStats::evicted`.
-//!
 //! [`ServeMode::Reactor`]: super::ServeMode::Reactor
-//! [`FrameDecoder`]: hermes_common::frame::FrameDecoder
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use hermes_common::frame::{Frame, FrameDecoder, QueryFrame};
+use hermes_common::frame::Frame;
 use hermes_common::Result;
 
+use super::conn::Conn;
 use super::sys::{
     set_nonblocking, writev_bufs, Epoll, EpollEvent, EventFd, WriteOutcome, EPOLLERR, EPOLLIN,
     EPOLLOUT, EPOLLRDHUP,
 };
 use super::workers::{Job, Work, Workers};
 use super::{
-    answer_cached, io_err, refuse, respond_bytes, respond_query, run_staged, shed_bytes,
-    stage_query, Shared, INLINE_BUDGET,
+    answer_or_stage, io_err, refuse, respond_bytes, respond_query, run_staged, shed_bytes, Shared,
+    INLINE_BUDGET, READ_CHUNK,
 };
 use crate::pipeline::Handoff;
 
@@ -94,33 +79,20 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKEUP: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
-/// Per-connection cap on buffered-but-unsent response bytes. Past it,
-/// completed responses stay parked in their FIFO slots until the peer
-/// drains — backpressure instead of unbounded memory.
-const WQ_CAP: usize = 4 << 20;
-
-/// Bytes one `read` asks a connection's socket for.
-const READ_CHUNK: usize = 16 * 1024;
-
 /// Bytes read per readiness event before yielding to other
 /// connections. Level-triggered epoll re-reports the remainder, so a
 /// firehose peer cannot starve the loop.
 const READ_BUDGET: usize = 64 * 1024;
 
 pub(crate) struct ReactorServer {
-    pub(crate) shared: Arc<Shared>,
-    pub(crate) addr: SocketAddr,
     wakeup: Arc<EventFd>,
     reactor: Option<JoinHandle<()>>,
     workers: Arc<Workers>,
 }
 
 impl ReactorServer {
-    pub(crate) fn bind(shared: Arc<Shared>, addr: impl ToSocketAddrs) -> Result<ReactorServer> {
-        let listener = TcpListener::bind(addr).map_err(io_err)?;
-        listener.set_nonblocking(true).map_err(io_err)?;
-        let addr = listener.local_addr().map_err(io_err)?;
-
+    /// Serves the nonblocking `listener`.
+    pub(crate) fn start(shared: Arc<Shared>, listener: TcpListener) -> Result<ReactorServer> {
         let epoll = Epoll::new()?;
         let wakeup = Arc::new(EventFd::new()?);
         epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
@@ -168,8 +140,6 @@ impl ReactorServer {
         };
 
         Ok(ReactorServer {
-            shared,
-            addr,
             wakeup,
             reactor: Some(reactor),
             workers,
@@ -198,58 +168,14 @@ struct Completion {
     bytes: Vec<u8>,
 }
 
-/// One response slot in a connection's FIFO. `bytes` is `None` while a
-/// worker is still computing the response.
-struct Pending {
-    seq: u64,
-    bytes: Option<Vec<u8>>,
-}
-
-/// Per-connection state machine: decoder in, FIFO + write queue out.
-struct Conn {
+/// A connection the reactor owns: its socket and epoll interest around
+/// the protocol state both engines share.
+struct Peer {
     stream: TcpStream,
     fd: RawFd,
-    decoder: FrameDecoder,
-    /// Responses owed to the peer, in request order.
-    pending: VecDeque<Pending>,
-    /// Queries currently at the worker pool (pending slots with
-    /// `bytes == None`); bounded by `pipeline_depth`.
-    inflight: usize,
-    next_seq: u64,
-    /// Encoded responses being written: `(buffer, bytes already sent)`.
-    wq: VecDeque<(Vec<u8>, usize)>,
-    wq_bytes: usize,
     /// The epoll interest set currently registered.
     interest: u32,
-    /// Last byte read from or successfully written to the peer.
-    last_activity: Instant,
-    /// When the currently-incomplete frame started arriving.
-    frame_since: Option<Instant>,
-    /// Peer half-closed its write side; drain what's owed, then close.
-    eof: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, fd: RawFd) -> Conn {
-        Conn {
-            stream,
-            fd,
-            decoder: FrameDecoder::new(),
-            pending: VecDeque::new(),
-            inflight: 0,
-            next_seq: 0,
-            wq: VecDeque::new(),
-            wq_bytes: 0,
-            interest: EPOLLIN | EPOLLRDHUP,
-            last_activity: Instant::now(),
-            frame_since: None,
-            eof: false,
-        }
-    }
-
-    fn drained(&self) -> bool {
-        self.pending.is_empty() && self.wq.is_empty()
-    }
+    conn: Conn,
 }
 
 struct Reactor {
@@ -257,7 +183,7 @@ struct Reactor {
     epoll: Epoll,
     wakeup: Arc<EventFd>,
     listener: Option<TcpListener>,
-    conns: HashMap<u64, Conn>,
+    conns: HashMap<u64, Peer>,
     next_token: u64,
     workers: Arc<Workers>,
     completions: Arc<Mutex<Vec<Completion>>>,
@@ -333,14 +259,22 @@ impl Reactor {
                     let _ = stream.set_nodelay(true);
                     let token = self.next_token;
                     self.next_token += 1;
-                    if self.epoll.add(fd, EPOLLIN | EPOLLRDHUP, token).is_err() {
+                    let interest = EPOLLIN | EPOLLRDHUP;
+                    if self.epoll.add(fd, interest, token).is_err() {
                         continue;
                     }
                     self.shared
                         .counters
                         .accepted
                         .fetch_add(1, Ordering::Relaxed);
-                    self.conns.insert(token, Conn::new(stream, fd));
+                    let conn = Conn::new(&self.shared.config, Instant::now());
+                    let peer = Peer {
+                        stream,
+                        fd,
+                        interest,
+                        conn,
+                    };
+                    self.conns.insert(token, peer);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -364,24 +298,23 @@ impl Reactor {
         }
     }
 
-    /// Reads what the socket has (up to `READ_BUDGET`), decodes every
-    /// complete frame, dispatches queries, answers admin frames inline.
+    /// Reads what the socket has (up to `READ_BUDGET`), then serves every
+    /// request the connection decodes: admin frames and cached queries
+    /// inline, the rest on the workers.
     fn read_conn(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(peer) = self.conns.get_mut(&token) else {
             return;
         };
-        let mut close = false;
         let chunk = &mut self.read_buf;
         let mut consumed = 0;
         loop {
-            match conn.stream.read(chunk) {
+            match peer.stream.read(chunk) {
                 Ok(0) => {
-                    conn.eof = true;
+                    peer.conn.peer_closed();
                     break;
                 }
                 Ok(n) => {
-                    conn.decoder.feed(&chunk[..n]);
-                    conn.last_activity = Instant::now();
+                    peer.conn.received(&chunk[..n], Instant::now());
                     consumed += n;
                     // A short read emptied the socket, and past the
                     // budget other connections get their turn. Either
@@ -394,193 +327,91 @@ impl Reactor {
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
-                    close = true;
-                    break;
+                    self.close(token);
+                    return;
                 }
             }
         }
 
-        while !close {
-            match conn.decoder.next_frame() {
-                Ok(Some(frame)) => {
-                    self.shared
-                        .counters
-                        .requests
-                        .fetch_add(1, Ordering::Relaxed);
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    match frame {
-                        Frame::Query(q) => {
-                            let depth = self.shared.config.pipeline_depth.max(1);
-                            if conn.inflight >= depth {
-                                self.shared
-                                    .counters
-                                    .pre_gate_shed
-                                    .fetch_add(1, Ordering::Relaxed);
-                                conn.pending.push_back(Pending {
-                                    seq,
-                                    bytes: Some(shed_bytes("pipeline-full")),
-                                });
+        let shared = &*self.shared;
+        while let Some((seq, frame)) = peer.conn.next_request(&shared.counters) {
+            let bytes = match frame {
+                Frame::Query(q) => {
+                    let work = if self.stage_left > 0 && !shared.mediator.gate_bounded() {
+                        self.stage_left -= 1;
+                        answer_or_stage(shared, &q)
+                    } else {
+                        Handoff::Back(Work::Frame(q))
+                    };
+                    match work {
+                        Handoff::Done(bytes) => {
+                            shared
+                                .counters
+                                .inline_answers
+                                .fetch_add(1, Ordering::Relaxed);
+                            bytes
+                        }
+                        Handoff::Back(work) => {
+                            if self.workers.submit(Job { token, seq, work }) {
                                 continue;
                             }
-                            let work =
-                                if self.stage_left > 0 && !self.shared.mediator.gate_bounded() {
-                                    self.stage_left -= 1;
-                                    answer_or_stage(&self.shared, &q)
-                                } else {
-                                    Handoff::Back(Work::Frame(q))
-                                };
-                            match work {
-                                Handoff::Done(bytes) => {
-                                    self.shared
-                                        .counters
-                                        .inline_answers
-                                        .fetch_add(1, Ordering::Relaxed);
-                                    conn.pending.push_back(Pending {
-                                        seq,
-                                        bytes: Some(bytes),
-                                    });
-                                }
-                                Handoff::Back(work) => {
-                                    if self.workers.submit(Job { token, seq, work }) {
-                                        conn.inflight += 1;
-                                        conn.pending.push_back(Pending { seq, bytes: None });
-                                    } else {
-                                        // A staged query the full queue
-                                        // drops gives its gate slot back
-                                        // uncounted: to the gate's books
-                                        // it never arrived.
-                                        self.shared
-                                            .counters
-                                            .pre_gate_shed
-                                            .fetch_add(1, Ordering::Relaxed);
-                                        conn.pending.push_back(Pending {
-                                            seq,
-                                            bytes: Some(shed_bytes("worker-queue-full")),
-                                        });
-                                    }
-                                }
-                            }
-                        }
-                        other => {
-                            let (bytes, is_shutdown) = respond_bytes(&self.shared, other);
-                            conn.pending.push_back(Pending {
-                                seq,
-                                bytes: Some(bytes),
-                            });
-                            if is_shutdown {
-                                self.shared.stop.store(true, Ordering::Relaxed);
-                            }
+                            // A staged query the full queue drops gives
+                            // its gate slot back uncounted: to the gate's
+                            // books it never arrived.
+                            shared
+                                .counters
+                                .pre_gate_shed
+                                .fetch_add(1, Ordering::Relaxed);
+                            shed_bytes("worker-queue-full")
                         }
                     }
                 }
-                Ok(None) => break,
-                Err(_) => {
-                    self.shared
-                        .counters
-                        .bad_frames
-                        .fetch_add(1, Ordering::Relaxed);
-                    close = true;
-                }
-            }
+                other => respond_bytes(shared, other),
+            };
+            peer.conn.complete(seq, bytes);
         }
-        if conn.eof && conn.decoder.mid_frame() {
-            // EOF in the middle of a frame is a protocol error, same as
-            // the pool path's "connection closed mid-frame".
-            self.shared
-                .counters
-                .bad_frames
-                .fetch_add(1, Ordering::Relaxed);
-            close = true;
-        }
-        conn.frame_since = if conn.decoder.mid_frame() {
-            conn.frame_since.or_else(|| Some(Instant::now()))
-        } else {
-            None
-        };
-
-        if close {
-            self.close(token);
-        } else {
-            self.flush_conn(token);
-        }
+        self.flush_conn(token);
     }
 
-    /// Moves ready FIFO heads into the bounded write queue and writes as
-    /// much as the socket accepts; re-arms interest; closes when done.
+    /// Writes as much of what the connection owes as the socket accepts;
+    /// re-arms interest; closes when done.
     fn flush_conn(&mut self, token: u64) {
         let stop = self.shared.stop.load(Ordering::Relaxed);
-        let Some(conn) = self.conns.get_mut(&token) else {
+        let Some(peer) = self.conns.get_mut(&token) else {
             return;
         };
         let mut closed = false;
         loop {
-            // Promote completed responses, FIFO order, under the cap.
-            while conn.wq_bytes < WQ_CAP {
-                match conn.pending.front_mut() {
-                    Some(p) if p.bytes.is_some() => {
-                        let bytes = p.bytes.take().unwrap_or_default();
-                        conn.pending.pop_front();
-                        if !bytes.is_empty() {
-                            conn.wq_bytes += bytes.len();
-                            conn.wq.push_back((bytes, 0));
-                        }
-                    }
-                    _ => break,
-                }
-            }
-            if conn.wq.is_empty() {
-                break;
-            }
-            let bufs = conn.wq.iter().map(|(b, off)| (b.as_slice(), *off));
-            match writev_bufs(conn.fd, bufs) {
-                WriteOutcome::Wrote(0) => break, // EINTR; EPOLLOUT re-arms below
-                WriteOutcome::Wrote(mut n) => {
-                    conn.last_activity = Instant::now();
-                    while n > 0 {
-                        let Some((buf, off)) = conn.wq.front_mut() else {
-                            break;
-                        };
-                        let remaining = buf.len() - *off;
-                        if n >= remaining {
-                            n -= remaining;
-                            conn.wq_bytes -= buf.len();
-                            conn.wq.pop_front();
-                        } else {
-                            *off += n;
-                            n = 0;
-                        }
-                    }
-                }
-                WriteOutcome::WouldBlock => break,
+            match writev_bufs(peer.fd, peer.conn.output()) {
+                // Nothing queued, or EINTR: EPOLLOUT re-arms below.
+                WriteOutcome::Wrote(0) | WriteOutcome::WouldBlock => break,
+                WriteOutcome::Wrote(n) => peer.conn.wrote(n, Instant::now()),
                 WriteOutcome::Closed => {
                     closed = true;
                     break;
                 }
             }
         }
-        if closed || ((conn.eof || stop) && conn.drained()) {
+        if closed || peer.conn.finished(stop) {
             self.close(token);
             return;
         }
         let mut want = EPOLLRDHUP;
-        if !stop && !conn.eof {
+        if peer.conn.wants_read(stop) {
             want |= EPOLLIN;
         }
-        if !conn.wq.is_empty() {
+        if peer.conn.wants_write() {
             want |= EPOLLOUT;
         }
-        if want != conn.interest {
-            let fd = conn.fd;
-            if self.epoll.modify(fd, want, token).is_ok() {
-                conn.interest = want;
-            }
+        if want != peer.interest && self.epoll.modify(peer.fd, want, token).is_ok() {
+            peer.interest = want;
         }
     }
 
-    /// Slots worker completions into their FIFO positions and flushes
-    /// the touched connections. Completions for closed connections are
-    /// discarded — the work was wasted, the server is unharmed.
+    /// Slots worker completions into their connections' response slots
+    /// and flushes the touched connections. Completions for closed
+    /// connections are discarded — the work was wasted, the server is
+    /// unharmed.
     fn deliver_completions(&mut self) {
         let ready = match self.completions.lock() {
             Ok(mut guard) => std::mem::take(&mut *guard),
@@ -588,19 +419,13 @@ impl Reactor {
         };
         let mut touched = Vec::new();
         for completion in ready {
-            let Some(conn) = self.conns.get_mut(&completion.token) else {
+            let Some(peer) = self.conns.get_mut(&completion.token) else {
                 continue;
             };
-            if let Some(slot) = conn
-                .pending
-                .iter_mut()
-                .find(|p| p.seq == completion.seq && p.bytes.is_none())
+            if peer.conn.complete(completion.seq, completion.bytes)
+                && !touched.contains(&completion.token)
             {
-                slot.bytes = Some(completion.bytes);
-                conn.inflight = conn.inflight.saturating_sub(1);
-                if !touched.contains(&completion.token) {
-                    touched.push(completion.token);
-                }
+                touched.push(completion.token);
             }
         }
         for token in touched {
@@ -608,29 +433,14 @@ impl Reactor {
         }
     }
 
-    /// Evicts deadline violators: mid-frame stalls (slow loris), idle
-    /// timeouts, and connections not draining during shutdown.
+    /// Evicts every connection past a deadline ([`Conn::overdue`]).
     fn sweep(&mut self) {
         let now = Instant::now();
-        let cfg = &self.shared.config;
         let stop = self.shared.stop.load(Ordering::Relaxed);
         let evict: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, c)| {
-                let loris = c
-                    .frame_since
-                    .is_some_and(|since| now.duration_since(since) > cfg.frame_timeout);
-                let idle = cfg.idle_timeout.is_some_and(|limit| {
-                    c.drained()
-                        && c.decoder.buffered() == 0
-                        && now.duration_since(c.last_activity) > limit
-                });
-                let drain_stall = stop
-                    && !c.wq.is_empty()
-                    && now.duration_since(c.last_activity) > cfg.frame_timeout;
-                loris || idle || drain_stall
-            })
+            .filter(|(_, peer)| peer.conn.overdue(now, stop))
             .map(|(t, _)| *t)
             .collect();
         for token in evict {
@@ -640,21 +450,11 @@ impl Reactor {
     }
 
     fn close(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.epoll.delete(conn.fd);
+        if let Some(peer) = self.conns.remove(&token) {
+            let _ = self.epoll.delete(peer.fd);
             // Dropping the stream closes the fd and resets anything the
             // peer still had in flight.
         }
-    }
-}
-
-/// Stages `q` on the calling (reactor) thread and answers it there when
-/// that needs no source: a request refused while staging, or a query the
-/// answer cache alone serves. `Back` is what a worker must finish.
-fn answer_or_stage(shared: &Shared, q: &QueryFrame) -> Handoff<Vec<u8>, Work> {
-    match stage_query(shared, q) {
-        Ok(staged) => answer_cached(shared, staged),
-        Err(refusal) => Handoff::Done(refusal),
     }
 }
 

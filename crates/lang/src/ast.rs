@@ -224,11 +224,6 @@ impl CallTemplate {
             .filter_map(|t| t.as_var().cloned())
             .collect()
     }
-
-    /// True if every argument is a constant.
-    pub fn is_ground(&self) -> bool {
-        self.args.iter().all(|t| !t.is_var())
-    }
 }
 
 impl fmt::Display for CallTemplate {
@@ -977,14 +972,6 @@ mod tests {
             "<=(V1, V2) => r:select_lt(T, V2) >= r:select_lt(T, V1)."
         );
         assert_eq!(inv.rel.flipped(), InvRel::Subset);
-    }
-
-    #[test]
-    fn call_template_groundness() {
-        let g = CallTemplate::new("d", "f", vec![Term::constant(1), Term::constant("x")]);
-        assert!(g.is_ground());
-        let ng = CallTemplate::new("d", "f", vec![Term::var("X")]);
-        assert!(!ng.is_ground());
     }
 
     #[test]

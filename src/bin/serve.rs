@@ -43,7 +43,7 @@ options:
                      shed/pipeline-full (default 32)
   --queue N          reactor mode: worker-queue bound before
                      shed/worker-queue-full (default 1024)
-  --idle-timeout-ms N  reactor mode: evict connections idle this long
+  --idle-timeout-ms N  evict connections idle this long
                      (default: never)
   --batch-rows N     rows per Batch frame (default 512)
   --gate N           admission-gate capacity (default unbounded)

@@ -672,14 +672,16 @@ fn any_frame_roundtrips_through_the_stream_codec() {
         CASES,
         |r| {
             let frame = any_frame(r);
-            let bytes = frame.encode();
-            let mut cursor = std::io::Cursor::new(bytes);
-            let back = hermes::Frame::read_from(&mut cursor)
+            let mut decoder = hermes::FrameDecoder::new();
+            decoder.feed(&frame.encode());
+            let back = decoder
+                .next_frame()
                 .expect("well-formed frame decodes")
-                .expect("not EOF");
+                .expect("the whole frame is buffered");
             assert_eq!(back, frame);
-            // Nothing left over: a second read sees clean EOF.
-            assert!(hermes::Frame::read_from(&mut cursor).unwrap().is_none());
+            // Nothing left over: the stream ends between frames.
+            assert!(decoder.next_frame().unwrap().is_none());
+            assert!(!decoder.mid_frame());
         },
     );
 }
@@ -710,8 +712,9 @@ fn mutated_frames_never_panic_the_decoder() {
                 bytes = (0..len).map(|_| r.next_u64() as u8).collect();
             }
         }
-        let mut cursor = std::io::Cursor::new(&bytes);
-        let _ = hermes::Frame::read_from(&mut cursor); // must return, any Result
+        let mut decoder = hermes::FrameDecoder::new();
+        decoder.feed(&bytes);
+        while let Ok(Some(_)) = decoder.next_frame() {} // must return, any Result
     });
 }
 

@@ -145,37 +145,95 @@ fn one_byte_reads_and_writes_survive_the_state_machine() {
     assert_eq!(stats.bad_frames, 0);
 }
 
+/// A server on `world()` under `config`, running the engine it names.
+fn serve_in(mode: ServeMode, config: hermes::ServeConfigBuilder) -> (NetServer, String) {
+    let server = Arc::new(world().to_concurrent(4));
+    let net = NetServer::bind(server, "127.0.0.1:0", config.mode(mode).build()).unwrap();
+    assert_eq!(net.mode(), mode);
+    let addr = net.addr().to_string();
+    (net, addr)
+}
+
 #[test]
 fn slow_loris_connections_are_evicted_on_the_frame_deadline() {
-    let config = ServeConfig::builder()
-        .mode(ServeMode::Reactor)
-        .frame_timeout(Duration::from_millis(150))
-        .idle_poll(Duration::from_millis(20))
-        .build();
-    let (net, addr) = reactor(config);
+    // Both engines drive one connection core, so both evict.
+    for mode in [ServeMode::Reactor, ServeMode::Pool] {
+        let config = ServeConfig::builder()
+            .frame_timeout(Duration::from_millis(150))
+            .idle_poll(Duration::from_millis(20));
+        let (net, addr) = serve_in(mode, config);
 
-    // Two header bytes, then silence: a classic slow loris.
-    let mut loris = TcpStream::connect(&addr).unwrap();
-    loris.write_all(&[9, 0]).unwrap();
+        // Two header bytes, then silence: a classic slow loris.
+        let mut loris = TcpStream::connect(&addr).unwrap();
+        loris.write_all(&[9, 0]).unwrap();
 
-    // The server must hang up within a few frame timeouts.
-    loris
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut buf = [0u8; 16];
-    let start = Instant::now();
-    let hung_up = matches!(loris.read(&mut buf), Ok(0) | Err(_));
-    assert!(hung_up, "loris connection should be closed by the server");
-    assert!(
-        start.elapsed() < Duration::from_secs(5),
-        "eviction took too long"
-    );
+        // The server must hang up within a few frame timeouts.
+        loris
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut buf = [0u8; 16];
+        let start = Instant::now();
+        let hung_up = matches!(loris.read(&mut buf), Ok(0) | Err(_));
+        assert!(
+            hung_up,
+            "{mode:?}: loris connection should be closed by the server"
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "{mode:?}: eviction took too long"
+        );
 
-    // A healthy client is unaffected before and after.
-    let mut client = WireClient::connect(&addr).unwrap();
-    client.ping().unwrap();
-    let stats = net.shutdown();
-    assert_eq!(stats.evicted, 1, "exactly the loris is evicted");
+        // A healthy client is unaffected before and after.
+        let mut client = WireClient::connect(&addr).unwrap();
+        client.ping().unwrap();
+        let stats = net.shutdown();
+        assert_eq!(stats.evicted, 1, "{mode:?}: exactly the loris is evicted");
+        assert_eq!(stats.bad_frames, 0, "{mode:?}");
+    }
+}
+
+#[test]
+fn a_frame_trickled_in_byte_by_byte_is_evicted_on_the_frame_deadline() {
+    // The deadline bounds the whole frame, not each read: a peer that
+    // sends one byte every third of `frame_timeout` never lets a read
+    // wait that long, and must still be cut off after `frame_timeout`.
+    let frame_timeout = Duration::from_millis(300);
+    for mode in [ServeMode::Reactor, ServeMode::Pool] {
+        let config = ServeConfig::builder()
+            .frame_timeout(frame_timeout)
+            .idle_poll(Duration::from_millis(20));
+        let (net, addr) = serve_in(mode, config);
+
+        // A header announcing a 200-byte body, then the body a byte at a time.
+        let mut loris = TcpStream::connect(&addr).unwrap();
+        loris.write_all(&200u32.to_le_bytes()).unwrap();
+        loris.set_read_timeout(Some(frame_timeout / 3)).unwrap();
+        let start = Instant::now();
+        let mut closed = false;
+        while !closed && start.elapsed() < 3 * frame_timeout {
+            let _ = loris.write_all(&[0]);
+            let mut buf = [0u8; 16];
+            closed = match loris.read(&mut buf) {
+                Ok(0) => true,
+                Ok(n) => panic!("{mode:?}: {n} bytes answered an unfinished frame"),
+                Err(e) => !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+            };
+        }
+        assert!(
+            closed,
+            "{mode:?}: a trickling frame was still open after {:?}",
+            start.elapsed()
+        );
+
+        let mut client = WireClient::connect(&addr).unwrap();
+        client.ping().unwrap();
+        let stats = net.shutdown();
+        assert_eq!(stats.evicted, 1, "{mode:?}: the trickle is evicted");
+        assert_eq!(stats.bad_frames, 0, "{mode:?}");
+    }
 }
 
 #[test]

@@ -210,15 +210,14 @@ fn table() -> String {
     );
 
     // The same warm point as the reactor answers it on its own thread,
-    // from the `Query` frame's bytes to the response's, on a connection
-    // whose decoder is kept between requests.
+    // from the `Query` frame's bytes to the response's written out, on a
+    // connection kept between requests.
     let request = Frame::Query(QueryFrame::new(point)).encode();
-    let inline = InlineAnswerProbe::new(std::sync::Arc::new(serial.to_concurrent(4)));
-    let mut decoder = FrameDecoder::new();
-    assert!(inline.answer(&mut decoder, &request).is_some());
+    let mut inline = InlineAnswerProbe::new(std::sync::Arc::new(serial.to_concurrent(4)));
+    assert!(inline.answer(&request).is_some());
     row(
         "reactor inline warm point, request to response",
-        allocations(|| inline.answer(&mut decoder, &request).unwrap()),
+        allocations(|| inline.answer(&request).unwrap()),
     );
     row(
         "Frame::encode + FrameDecoder one Query",

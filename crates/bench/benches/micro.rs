@@ -17,13 +17,14 @@ use hermes_core::{
 use hermes_dcsm::Dcsm;
 use hermes_lang::{parse_invariant, parse_program, parse_query};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const WARMUP: Duration = Duration::from_millis(200);
 const MEASURE: Duration = Duration::from_millis(800);
 const BATCHES: usize = 10;
 /// Rows a full run prints; `--test-mode` asserts it ran this many.
-const ROWS: usize = 25;
+const ROWS: usize = 26;
 
 /// `--test-mode`: run each row once instead of timing it.
 static TEST_MODE: AtomicBool = AtomicBool::new(false);
@@ -152,6 +153,22 @@ fn bench_cim() {
             |mut cim| cim.lookup(&wide, SimInstant::EPOCH),
         );
     }
+    // A store into an answer cache full to its 16 KiB budget with 10-byte
+    // answers: each one evicts the least recently used entry.
+    let mut cim = Cim::new();
+    cim.cache_mut().set_budget(Some(16 * 1024));
+    let answer: Arc<[Value]> = vec![Value::str("answer-10")].into();
+    let mut next = 0i64;
+    let mut fresh_call = move || {
+        next += 1;
+        GroundCall::new("d0", "ra_bf", vec![Value::Int(next)])
+    };
+    for _ in 0..16 * 1024 / 10 {
+        cim.store(fresh_call(), answer.clone(), true, SimInstant::EPOCH);
+    }
+    bench("cim_store_full_budget", fresh_call, |call| {
+        cim.store(call, answer.clone(), true, SimInstant::EPOCH)
+    });
 }
 
 /// One of 40 distinct `frames_to_objects` calls.
@@ -436,7 +453,6 @@ fn bench_executor() {
     use hermes_core::{ExecConfig, Executor, Mediator, PlanStep, Route};
     use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
     use hermes_net::{profiles, Network};
-    use std::sync::Arc;
 
     println!("executor:");
     // Wall-clock cost of running a fully-cached query: the real overhead a

@@ -250,6 +250,17 @@ pub fn choose_plan<C: CostSource + ?Sized>(
     config: &CostConfig,
     optimize_first_answer: bool,
 ) -> (usize, Vec<CostVector>) {
+    choose_among(plans, dcsm, config, optimize_first_answer)
+}
+
+/// [`choose_plan`] over borrowed plans from anywhere: failover prices the
+/// plans that avoid the dead sites where they stand.
+pub(crate) fn choose_among<'p, C: CostSource + ?Sized>(
+    plans: impl IntoIterator<Item = &'p Plan>,
+    dcsm: &C,
+    config: &CostConfig,
+    optimize_first_answer: bool,
+) -> (usize, Vec<CostVector>) {
     let mut priced: Vec<(&CallTemplate, CostVector)> = Vec::new();
     let mut call_cost = |call| {
         if let Some((_, v)) = priced.iter().find(|(seen, _)| same_pattern(seen, call)) {
@@ -260,7 +271,7 @@ pub fn choose_plan<C: CostSource + ?Sized>(
         v
     };
     let estimates: Vec<CostVector> = plans
-        .iter()
+        .into_iter()
         .map(|p| fold_plan(p, config, &mut call_cost))
         .collect();
     let key = |v: &CostVector| {

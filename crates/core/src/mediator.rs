@@ -455,7 +455,7 @@ impl Mediator {
         let mut clock = self.query_clock();
         let result = self.run_planned(&planned, limit, &config, &mut clock);
         self.fold_clock(&clock);
-        result
+        result.map(|run| run.into_result(planned))
     }
 
     /// Starts a query in interactive mode (§3): each pull runs the plan to

@@ -7,7 +7,7 @@
 //! [`run`](Mediator::run) second, possibly on another thread, so the
 //! run's clock is taken once planning is over.
 
-use crate::cost::choose_plan;
+use crate::cost::choose_among;
 use crate::exec::{ExecConfig, ExecOutcome, ExecStats, Executor};
 use crate::mediator::{MediatorConfig, Planned, QueryRequest, QueryResult};
 use crate::plan::{Plan, PlanStep, Route};
@@ -159,7 +159,8 @@ impl Mediator {
         });
         let served = self.run_planned(&query.planned, query.limit, &query.config, &mut clock);
         self.fold_clock(&clock);
-        let result = served.map(|mut result| {
+        let result = served.map(|run| {
+            let mut result = run.into_result(query.planned);
             if decision.is_some_and(|d| d.tier < PlanTier::Full) || result.stats.tier_downgrades > 0
             {
                 self.downgraded.fetch_add(1, Ordering::Relaxed);
@@ -218,10 +219,10 @@ impl Mediator {
         let mut config = query.config;
         config.exec.tier = PlanTier::CacheOnly;
         match self.run_planned(&query.planned, query.limit, &config, &mut clock) {
-            Ok(result) if result.stats.tier_skipped_calls == 0 && !result.incomplete => {
+            Ok(run) if run.outcome.stats.tier_skipped_calls == 0 && !run.outcome.incomplete => {
                 self.fold_clock(&clock);
                 self.count_admitted();
-                Handoff::Done(result)
+                Handoff::Done(run.into_result(query.planned))
             }
             _ => Handoff::Back(query),
         }
@@ -283,14 +284,16 @@ impl Mediator {
     }
 
     /// The failover-aware execution loop on `clock`, which is left at the
-    /// instant the run ended (see [`Mediator::execute`]).
+    /// instant the run ended (see [`Mediator::execute`]). The plans run
+    /// where they stand; [`PlanRun::into_result`] moves the one that
+    /// finished into its result.
     pub(crate) fn run_planned(
         &self,
         planned: &Planned,
         limit: Option<usize>,
         config: &MediatorConfig,
         clock: &mut SimClock,
-    ) -> Result<QueryResult> {
+    ) -> Result<PlanRun> {
         let mut idx = planned.chosen;
         let mut avoid: BTreeSet<String> = BTreeSet::new();
         let mut failovers = 0u32;
@@ -298,20 +301,20 @@ impl Mediator {
         // final result so the query's cost accounting stays honest.
         let mut carried = ExecStats::default();
         loop {
-            let plan = planned.plans[idx].clone();
-            let estimate = planned.estimates[idx];
             let mut executor = self.executor(clock.clone(), config.exec);
-            let attempt = executor.run(&plan, limit);
+            let attempt = executor.run(&planned.plans[idx], limit);
             // The attempt's virtual time is real whether it succeeded or
             // not: a failover resumes *after* the retries the dead plan
             // burned, it does not rewind them.
             clock.advance_to(executor.now());
             match attempt {
-                Ok(outcome) => {
-                    let mut result = project(plan, estimate, planned.plans.len(), outcome);
-                    result.failovers = failovers;
-                    result.stats.absorb(&carried);
-                    return Ok(result);
+                Ok(mut outcome) => {
+                    outcome.stats.absorb(&carried);
+                    return Ok(PlanRun {
+                        idx,
+                        outcome,
+                        failovers,
+                    });
                 }
                 Err(HermesError::Unavailable { site, reason }) if config.failover => {
                     carried.absorb(&executor.stats());
@@ -374,18 +377,44 @@ impl Mediator {
         if eligible.is_empty() {
             return None;
         }
-        let candidates: Vec<Plan> = eligible.iter().map(|&i| planned.plans[i].clone()).collect();
-        Some(eligible[self.choose(&candidates, config).0])
+        let candidates = eligible.iter().map(|&i| &planned.plans[i]);
+        Some(eligible[self.choose(candidates, config).0])
     }
 
-    /// [`choose_plan`] against the current statistics.
-    fn choose(&self, plans: &[Plan], config: &MediatorConfig) -> (usize, Vec<CostVector>) {
-        choose_plan(
+    /// [`choose_plan`](crate::choose_plan) against the current statistics.
+    fn choose<'p>(
+        &self,
+        plans: impl IntoIterator<Item = &'p Plan>,
+        config: &MediatorConfig,
+    ) -> (usize, Vec<CostVector>) {
+        choose_among(
             plans,
             &self.dcsm,
             &config.cost,
             config.optimize_first_answer,
         )
+    }
+}
+
+/// A plan run that finished: which of the query's plans, its outcome
+/// (with the counters of the attempts that failed over folded in) and the
+/// failovers it took.
+pub(crate) struct PlanRun {
+    idx: usize,
+    outcome: ExecOutcome,
+    failovers: u32,
+}
+
+impl PlanRun {
+    /// The query's result: the plan that ran moves out of `planned` into
+    /// it, with its estimate.
+    pub(crate) fn into_result(self, mut planned: Planned) -> QueryResult {
+        let considered = planned.plans.len();
+        let estimate = planned.estimates[self.idx];
+        let plan = planned.plans.swap_remove(self.idx);
+        let mut result = project(plan, estimate, considered, self.outcome);
+        result.failovers = self.failovers;
+        result
     }
 }
 

@@ -1,8 +1,10 @@
-//! Shared by the serving test files (`reactor.rs`, `netserve.rs`) and
-//! `plan_parity.rs`: the source wrapper that keeps source calls off the
+//! Shared by the serving test files (`reactor.rs`, `netserve.rs`),
+//! `plan_parity.rs` and `oracle.rs`: the source wrapper that keeps source calls off the
 //! reactor thread, the probe that shows every gate permit came back, and
 //! a world of canned sources for any example program.
 #![allow(dead_code)] // each test file uses its own subset
+
+pub mod oracle;
 
 use hermes::common::Record;
 use hermes::domains::{CallOutcome, Domain, FunctionSig, NativeEstimator};

@@ -525,73 +525,6 @@ fn stats_persistence_roundtrips() {
     });
 }
 
-// ---------- whole-pipeline properties ----------
-
-#[test]
-fn every_plan_computes_the_same_answers() {
-    cases("every_plan_computes_the_same_answers", 12, |r| {
-        use hermes::domains::synthetic::{RelationSpec, SyntheticDomain};
-        use hermes::net::profiles;
-        use hermes::{CimPolicy, Mediator, Network};
-        use std::sync::Arc;
-
-        let seed = r.range_u64(0, 500);
-        let build = || {
-            let d = SyntheticDomain::generate(
-                "d1",
-                seed,
-                &[
-                    RelationSpec::uniform("p", 6, 2.0),
-                    RelationSpec::uniform("q", 6, 2.0),
-                ],
-            );
-            let mut net = Network::new(seed);
-            net.place(Arc::new(d), profiles::maryland());
-            let m = Mediator::from_source(
-                "
-                p(A, B) :- in(B, d1:p_bf(A)).
-                p(A, B) :- in(A, d1:p_fb(B)).
-                p(A, B) :- in(Ans, d1:p_ff()) & =(Ans.a, A) & =(Ans.b, B).
-                q(A, B) :- in(B, d1:q_bf(A)).
-                q(A, B) :- in(A, d1:q_fb(B)).
-                q(A, B) :- in(Ans, d1:q_ff()) & =(Ans.a, A) & =(Ans.b, B).
-                join(X, Y, Z) :- p(X, Y) & q(Z, Y).
-                ",
-                net,
-            )
-            .unwrap();
-            m.caches()
-                .policy()
-                .routing(CimPolicy::never())
-                .apply()
-                .unwrap();
-            m
-        };
-        let planner = build();
-        let planned = planner.plan("?- join('p_1', Y, Z).").unwrap();
-        let mut reference: Option<Vec<Vec<Value>>> = None;
-        for i in 0..planned.plans.len() {
-            let m = build();
-            let single = hermes::core::Planned {
-                plans: vec![planned.plans[i].clone()],
-                estimates: vec![planned.estimates[i]],
-                chosen: 0,
-            };
-            let out = m.execute(single, None).unwrap();
-            assert!(out.t_first.map(|f| f <= out.t_all).unwrap_or(true));
-            let mut rows = out.rows;
-            rows.sort();
-            rows.dedup();
-            match &reference {
-                None => reference = Some(rows),
-                Some(reference) => {
-                    assert_eq!(&rows, reference, "plan {} disagrees (seed {seed})", i)
-                }
-            }
-        }
-    });
-}
-
 // ---------- binary frame codec (hermes-serve's wire format) ----------
 
 fn query_frame(r: &mut Rng64) -> hermes::QueryFrame {

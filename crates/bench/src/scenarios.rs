@@ -164,7 +164,7 @@ pub fn plan_in_written_order(query_src: &str) -> Plan {
     }
     Plan {
         steps,
-        answer_vars: query.answer_variables(),
+        answer_vars: query.answer_variables().into(),
     }
 }
 

@@ -479,7 +479,7 @@ mod tests {
                     route: Route::Direct,
                 },
             ],
-            answer_vars: vec![Arc::from("B"), Arc::from("C")],
+            answer_vars: [Arc::from("B"), Arc::from("C")].into(),
         };
         let seq = estimate_plan(&plan, &dcsm, &CostConfig::default());
         // Sequential §7 formula: 2.1 + 3 · 5.2 = 17.7.

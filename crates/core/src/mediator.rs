@@ -79,8 +79,9 @@ impl Planned {
 /// The result of an all-answers query.
 #[derive(Clone, Debug)]
 pub struct QueryResult {
-    /// Answer-variable names, in output order.
-    pub columns: Vec<Arc<str>>,
+    /// Answer-variable names, in output order: the plan's
+    /// [`answer_vars`](crate::Plan::answer_vars), shared.
+    pub columns: Arc<[Arc<str>]>,
     /// One row per answer, aligned with `columns`. Variables an answer
     /// leaves unbound (possible only for probe-style queries) are `Null`.
     pub rows: Vec<Vec<Value>>,

@@ -645,7 +645,7 @@ fn result_bytes(shared: &Shared, result: &QueryResult, elapsed: Duration) -> Vec
     let lines: Vec<&str> = trace.iter().flat_map(|t| t.lines()).collect();
     let stats = &result.stats;
     let done = DoneRef {
-        columns: &result.columns,
+        columns: &result.columns[..],
         rows: result.rows.len() as u64,
         incomplete: result.incomplete,
         elapsed_us: elapsed.as_micros() as u64,

@@ -217,6 +217,13 @@ fn unbindable_goals(n: usize) -> String {
     format!("{} & in(Y, dz:g(Z))", calls.join(" & "))
 }
 
+/// Two calls that each need the other's target, beside `n` calls that
+/// run at once: every call can bind something, yet the two never run.
+fn mutually_blocked_goals(n: usize) -> String {
+    let calls: Vec<String> = (0..n).map(|i| format!("in(X{i}, d{i}:f())")).collect();
+    format!("{} & in(Y, dz:g(Z)) & in(Z, dw:h(Y))", calls.join(" & "))
+}
+
 /// The fastest of three runs of `f`, which must fail.
 fn best_of_three_failures(f: impl Fn() -> String) -> (Duration, String) {
     (0..3)
@@ -251,4 +258,21 @@ fn a_call_nothing_can_bind_is_refused_at_once() {
         msg.contains("no executable ordering found for query"),
         "{msg}"
     );
+}
+
+#[test]
+fn two_calls_waiting_on_each_other_are_refused_before_any_search() {
+    // Each call has a goal that could bind its argument, but only after
+    // it ran itself: the search used to try every ordering of the other
+    // calls first (0.4 s at ten of them in release, tenfold per call).
+    let query = format!("?- {}.", mutually_blocked_goals(11));
+    let m = Mediator::new(Program::default(), Network::new(1)).unwrap();
+    let (took, msg) = best_of_three_failures(|| m.plan(&query).unwrap_err().to_string());
+    assert!(took < Duration::from_millis(10), "took {took:?}");
+    let goals = parse_query(&query).unwrap().goals;
+    let why = hermes::analysis::explain_infeasible_query(&Program::default(), &goals)
+        .expect("the analyzer names the blocked calls");
+    assert!(msg.ends_with(&why), "{msg}");
+    assert!(msg.contains("`in(Y, dz:g(Z))` can never run"), "{msg}");
+    assert!(msg.contains("`in(Z, dw:h(Y))` can never run"), "{msg}");
 }

@@ -24,7 +24,7 @@ const WARMUP: Duration = Duration::from_millis(200);
 const MEASURE: Duration = Duration::from_millis(800);
 const BATCHES: usize = 10;
 /// Rows a full run prints; `--test-mode` asserts it ran this many.
-const ROWS: usize = 26;
+const ROWS: usize = 27;
 
 /// `--test-mode`: run each row once instead of timing it.
 static TEST_MODE: AtomicBool = AtomicBool::new(false);
@@ -452,6 +452,7 @@ fn bench_rewriter() {
 fn bench_executor() {
     use hermes_core::{ExecConfig, Executor, Mediator, PlanStep, Route};
     use hermes_domains::synthetic::{RelationSpec, SyntheticDomain};
+    use hermes_domains::Domain;
     use hermes_net::{profiles, Network};
 
     println!("executor:");
@@ -487,6 +488,64 @@ fn bench_executor() {
         record_stats: false,
         ..ExecConfig::default()
     };
+    // The benchmark world's warm star3 (`perfbench/src/world.rs`): the
+    // chosen plan drained over a cache that answers every call, so the
+    // row is the walk itself (bind, backtrack, rows) and its CIM probes.
+    let star3;
+    let star = {
+        let site = |name: &str, seed: u64| {
+            let hot = |r: &str| {
+                let mut spec = RelationSpec::uniform(r, 64, 3.0);
+                spec.range_size = 12;
+                spec
+            };
+            SyntheticDomain::generate(name, seed, &[hot("ra"), hot("rb"), hot("rc")])
+        };
+        let (d0, d1) = (site("d0", 1996), site("d1", 1997));
+        // Keys that join: an `ra` pair's right value, and an `rb` key
+        // reaching it.
+        let key = Value::str("ra_0");
+        let x = d0
+            .call("ra_bf", std::slice::from_ref(&key))
+            .unwrap()
+            .answers[0]
+            .clone();
+        let b = d1.call("rb_fb", &[x]).unwrap().answers[0].clone();
+        star3 = format!("?- star3({}, {}, A3, X).", key.to_literal(), b.to_literal());
+        let mut net = Network::new(1996);
+        net.place(Arc::new(d0), profiles::maryland());
+        net.place(Arc::new(d1), profiles::cornell());
+        Mediator::from_source(
+            "ja(A, B) :- in(B, d0:ra_bf(A)).
+             ja(A, B) :- in(A, d0:ra_fb(B)).
+             ja(A, B) :- in(Ans, d0:ra_ff()) & =(Ans.a, A) & =(Ans.b, B).
+             jb(A, B) :- in(B, d1:rb_bf(A)).
+             jb(A, B) :- in(A, d1:rb_fb(B)).
+             jc(A, B) :- in(B, d0:rc_bf(A)).
+             jc(A, B) :- in(A, d0:rc_fb(B)).
+             star3(A1, A2, A3, X) :- ja(A1, X) & jb(A2, X) & jc(A3, X).",
+            net,
+        )
+        .unwrap()
+    };
+    assert!(!star.query(star3.as_str()).unwrap().rows.is_empty());
+    let star3_plan = star.plan(&star3).unwrap().plan().clone();
+    let star = star.to_concurrent(1);
+    bench(
+        "drain_warm_star3_plan",
+        || (),
+        |_| {
+            Executor::new(
+                star.network(),
+                star.cim(),
+                star.dcsm(),
+                hermes_common::SimClock::new(),
+                config,
+            )
+            .run(&star3_plan, None)
+            .unwrap()
+        },
+    );
     for (name, plan) in [
         ("cached_query_wall_time", &plan),
         ("uncached_direct_call_wall_time", &direct),

@@ -7,7 +7,7 @@
 //! then share the same `Arc`-backed value. [`Flights<K, V>`] is the one
 //! implementation. [`InFlightRegistry`] coalesces ground domain calls, the
 //! paper's unit of remote cost (§4.1); [`crate::matcache`] coalesces whole
-//! subplans with a `Flights<MatKey, Arc<[Subst]>>`.
+//! subplans with a `Flights<MatKey, MatRows>`.
 //!
 //! ## Protocol
 //!

@@ -50,7 +50,7 @@
 //!
 //! Concurrent identical queries coalesce on the one single-flight
 //! primitive, [`crate::flight::Flights`], keyed by subplan: one leader
-//! computes, followers share its `Arc<[Subst]>`. A leader stores *before*
+//! computes, followers share its rows ([`MatRows`]). A leader stores *before*
 //! publishing, so there is no window in which a follower resolves but a
 //! fresh query misses. The store lock is never held across plan execution
 //! or together with a flight lock.
@@ -60,22 +60,27 @@ use crate::plan::Plan;
 use hermes_analysis::SubplanKey;
 use hermes_cim::{CimPolicy, RoutingDecision};
 use hermes_common::sync::Mutex;
-use hermes_lang::Subst;
+use hermes_common::Value;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 type Call = (Arc<str>, Arc<str>);
 
+/// A materialized answer set: one row per answer, in the plan's
+/// answer-column order.
+pub type MatRows = Arc<[Vec<Value>]>;
+
 /// Byte budget for materialized answer sets.
 const BUDGET_BYTES: usize = 4 * 1024 * 1024;
 
 /// Identity of a materialized subplan. The fingerprint alone is stable
-/// across variable renaming, but the stored answers are [`Subst`]s over
-/// *this* plan's variable names — so the key also pins the canonical form
-/// and the exact variable set, and an alpha-renamed twin takes a clean
-/// miss instead of answers it cannot read. Only [`MatCache::ticket`]
-/// makes one.
+/// across variable renaming, but the stored rows are over *this* plan's
+/// slot list (its variables numbered as the executor numbers them: the
+/// answer variables first, then the rest in order of first appearance) —
+/// so the key also pins the canonical form and that list by name, and an
+/// alpha-renamed twin takes a clean miss instead of rows it cannot read.
+/// Only [`MatCache::ticket`] makes one.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MatKey {
     fingerprint: u64,
@@ -102,7 +107,7 @@ impl MatTicket {
 /// One materialized entry.
 #[derive(Debug)]
 struct Entry {
-    answers: Arc<[Subst]>,
+    answers: MatRows,
     calls: Vec<Call>,
     bytes: usize,
     savings_ms: f64,
@@ -188,7 +193,7 @@ pub struct MatCacheStats {
 #[derive(Debug)]
 pub enum MatLookup {
     /// A materialized entry; share and serve.
-    Hit(Arc<[Subst]>),
+    Hit(MatRows),
     /// No entry. `invalidated` names the source update that evicted a
     /// previous materialization of this exact subplan, if one did.
     Miss {
@@ -203,7 +208,7 @@ pub enum MatLookup {
 #[derive(Debug)]
 pub struct MatCache {
     store: Mutex<Store>,
-    flights: Flights<MatKey, Arc<[Subst]>>,
+    flights: Flights<MatKey, MatRows>,
     hits: AtomicU64,
     misses: AtomicU64,
     materialized: AtomicU64,
@@ -251,15 +256,10 @@ impl MatCache {
             return None;
         }
         let sub = plan.fingerprint();
-        let mut vars: BTreeSet<Arc<str>> = plan.answer_vars.iter().cloned().collect();
-        for atom in plan.body_atoms() {
-            vars.extend(atom.variables());
-        }
-        let vars: Vec<&str> = vars.iter().map(|v| v.as_ref()).collect();
         let key = MatKey {
             fingerprint: sub.fingerprint.0,
             canonical: sub.canonical.clone(),
-            vars: vars.join(","),
+            vars: plan.variables().join(","),
         };
         Some(MatTicket { key, sub })
     }
@@ -278,15 +278,15 @@ impl MatCache {
 
     /// Joins the flight for the ticket's subplan, becoming its leader or
     /// a follower.
-    pub fn join(&self, ticket: &MatTicket) -> FlightRole<'_, MatKey, Arc<[Subst]>> {
+    pub fn join(&self, ticket: &MatTicket) -> FlightRole<'_, MatKey, MatRows> {
         self.flights.join(&ticket.key)
     }
 
     /// Stores a complete plan result priced at the caller's DCSM savings
     /// estimate, demoting lowest-savings entries while the byte budget
     /// overflows. False when the answer set alone exceeds the budget.
-    pub fn store(&self, ticket: &MatTicket, answers: Arc<[Subst]>, savings_ms: f64) -> bool {
-        let bytes: usize = answers.iter().map(subst_bytes).sum();
+    pub fn store(&self, ticket: &MatTicket, answers: MatRows, savings_ms: f64) -> bool {
+        let bytes: usize = answers.iter().flatten().map(Value::size_bytes).sum();
         let mut store = self.store.lock();
         if bytes > store.budget_bytes {
             self.rejected.fetch_add(1, Ordering::Relaxed);
@@ -389,18 +389,9 @@ impl MatCache {
     }
 }
 
-/// Heap footprint of one substitution, for the byte budget.
-fn subst_bytes(theta: &Subst) -> usize {
-    theta
-        .iter()
-        .map(|(name, value)| name.len() + value.size_bytes())
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hermes_common::Value;
 
     /// The first plan for `src` under `policy`.
     fn plan_under(src: &str, policy: &CimPolicy) -> Plan {
@@ -427,9 +418,9 @@ mod tests {
         policy
     }
 
-    fn answers(n: i64) -> Arc<[Subst]> {
+    fn answers(n: i64) -> MatRows {
         (0..n)
-            .map(|i| Subst::from_pairs([("A", Value::Int(i)), ("B", Value::Int(i * 10))]))
+            .map(|i| vec![Value::Int(i), Value::Int(i * 10)])
             .collect::<Vec<_>>()
             .into()
     }
@@ -490,7 +481,7 @@ mod tests {
 
     #[test]
     fn admission_floor_and_budget_demotion() {
-        // Room for two 36-byte answer sets, not three.
+        // Room for two 32-byte answer sets, not three.
         let cache = MatCache::with_budget(80);
         let ticket = |src| cache.ticket(&plan_for(src)).unwrap();
         let cheap = ticket("?- p(A, B).");

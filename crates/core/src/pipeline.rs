@@ -418,7 +418,8 @@ impl PlanRun {
     }
 }
 
-/// Projects an execution outcome onto a plan's answer variables.
+/// The query result of an execution outcome: its rows move in, under the
+/// plan's answer columns.
 fn project(
     plan: Plan,
     estimate: CostVector,
@@ -427,11 +428,7 @@ fn project(
 ) -> QueryResult {
     QueryResult {
         columns: plan.answer_vars.clone(),
-        rows: outcome
-            .answers
-            .iter()
-            .map(|theta| plan.row(theta))
-            .collect(),
+        rows: outcome.answers.into_rows(),
         t_first: outcome.t_first,
         t_all: outcome.t_all,
         plan,

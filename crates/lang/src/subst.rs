@@ -39,16 +39,6 @@ impl Subst {
         self.map.get(var)
     }
 
-    /// Binds `var` to `value`, replacing any previous binding.
-    pub fn bind(&mut self, var: impl Into<Arc<str>>, value: Value) {
-        self.map.insert(var.into(), value);
-    }
-
-    /// Removes a binding.
-    pub fn unbind(&mut self, var: &str) {
-        self.map.remove(var);
-    }
-
     /// Number of bound variables.
     pub fn len(&self) -> usize {
         self.map.len()
